@@ -2209,11 +2209,23 @@ fn bench_repro(c: &mut Ctx) {
         let shard_eps = sharded.events as f64 / t_shard;
         let ratio = shard_eps / base_eps;
         shard_min_speedup = shard_min_speedup.min(ratio);
+        // Per shard: events/null rounds/crossings sent/ring-full stalls.
+        let per_shard: Vec<String> = sharded
+            .per_shard
+            .iter()
+            .map(|s| {
+                format!(
+                    "{}/{}/{}/{}",
+                    s.events, s.null_rounds, s.crossings_sent, s.ring_full_stalls
+                )
+            })
+            .collect();
         println!(
-            "shard drain {fabric_name}: 1 shard {:.2}M events/s, {clamped} shards {:.2}M events/s  ({ratio:.2}x), {} deliveries identical",
+            "shard drain {fabric_name}: 1 shard {:.2}M events/s, {clamped} shards {:.2}M events/s  ({ratio:.2}x), {} deliveries identical; per shard events/null/sent/stalls {}",
             base_eps / 1e6,
             shard_eps / 1e6,
-            base.deliveries.len()
+            base.deliveries.len(),
+            per_shard.join(" ")
         );
         shard_legs.push((
             (*fabric_name).to_string(),
@@ -2226,6 +2238,26 @@ fn bench_repro(c: &mut Ctx) {
                 ("speedup".to_string(), Value::F64(ratio)),
                 ("violations".to_string(), Value::U64(sharded.violations)),
                 ("null_rounds".to_string(), Value::U64(sharded.null_rounds)),
+                (
+                    "per_shard".to_string(),
+                    Value::Array(
+                        sharded
+                            .per_shard
+                            .iter()
+                            .map(|s| {
+                                Value::Object(vec![
+                                    ("events".to_string(), Value::U64(s.events)),
+                                    ("null_rounds".to_string(), Value::U64(s.null_rounds)),
+                                    ("crossings_sent".to_string(), Value::U64(s.crossings_sent)),
+                                    (
+                                        "ring_full_stalls".to_string(),
+                                        Value::U64(s.ring_full_stalls),
+                                    ),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
                 ("deliveries_identical".to_string(), Value::Bool(true)),
             ]),
         ));

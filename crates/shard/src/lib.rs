@@ -18,32 +18,53 @@
 //!   (deliveries, trace, taps, errors) is byte-identical at any shard
 //!   count, including one.
 //! * **Threaded drain** ([`ShardedFabric::drain_parallel`]) — batch
-//!   workloads without delivery-time feedback (the `shard-bench` leg,
-//!   fabric soak tests): one worker thread per shard, bounded SPSC
-//!   rings per directed cut-trunk channel, and a null-message /
-//!   lower-bound-timestamp protocol. Each channel carries a published
-//!   LBTS — the sender's clock lower bound plus the channel's
-//!   conservative lookahead (minimum-frame wire time plus trunk
-//!   propagation plus the far node's store-and-forward latency, all
-//!   strictly positive) — and
-//!   a shard only processes events strictly below the minimum LBTS of
-//!   its incoming channels. Idle trunks keep advancing their LBTS (the
-//!   null message), so no shard ever blocks on a quiet neighbor.
-//!   Deliveries are tagged with their event key and merged afterwards:
-//!   the result equals the pull-mode (and sequential) order exactly.
+//!   workloads without delivery-time feedback (`repro analysis-scale`'s
+//!   trace synthesis, the `shard-bench` leg, fabric soak tests): one
+//!   worker thread per shard, a bounded SPSC ring per directed cut-trunk
+//!   channel, and a lower-bound-timestamp protocol. Each channel carries
+//!   a published LBTS, a lower bound on the arrival of every frame not
+//!   yet pushed onto it, and a shard only processes events strictly
+//!   below the minimum LBTS of its incoming channels.
+//!
+//!   The bound is *exit-aware*. The whole offered load is enqueued
+//!   before the workers start and the forwarding tables are static, so a
+//!   shard knows which of the frames it holds will leave through which
+//!   channel, and which incoming channels can feed which outgoing ones.
+//!   It publishes, per outgoing channel, the earliest event at which a
+//!   frame bound for *that* channel can next move — or the earliest
+//!   arrival still to come on a channel that feeds it — plus the
+//!   channel's lookahead (minimum-frame wire time, trunk propagation and
+//!   the far node's store-and-forward latency: strictly positive). A
+//!   channel nothing is bound for publishes ∞ at once, so a shard never
+//!   waits on a neighbour that has nothing to send it, and quiet gaps
+//!   are crossed in one step. Bounds are published from inside the run
+//!   loop, at every crossing and every `PUBLISH_EVERY` events. The
+//!   per-worker docs (`DrainWorker`) give the rule, its soundness and
+//!   its progress argument; DESIGN.md §13 has the measurements.
+//!
+//!   Deliveries and surfaced errors are tagged with their event key and
+//!   k-way merged afterwards: the result equals the pull-mode (and
+//!   sequential) order exactly.
 
 use fxnet_sim::ethernet::Delivery;
 use fxnet_sim::{
     ring, EtherConfig, EtherStats, EventKey, Frame, FrameRecord, FrameTap, LinkStats, NicId,
     RingReceiver, RingSender, SimTime, TxError,
 };
-use fxnet_topo::{CompositeFabric, CrossFrame, NodeFlow, NodeKind, Partition, TopologySpec};
+use fxnet_topo::{
+    CompositeFabric, CrossFrame, NodeFlow, NodeKind, Partition, ShardChannel, TopologySpec,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bounded capacity of each inter-shard ring. A full ring backpressures
 /// the producer (it yields and retries), so memory stays bounded even
 /// when one shard runs far ahead of a neighbor.
 const RING_CAPACITY: usize = 1024;
+
+/// Most events a drain worker processes between two publications of its
+/// outgoing bounds: few enough that a waiting peer is released within
+/// microseconds, many enough that the shared cache lines stay cold.
+const PUBLISH_EVERY: u32 = 64;
 
 /// Outcome of a threaded drain: the merged deliveries plus the
 /// protocol's health counters.
@@ -61,13 +82,24 @@ pub struct DrainOutcome {
     /// Outer protocol rounds that processed no event (null-message-only
     /// rounds: the shard re-published its LBTS and yielded).
     pub null_rounds: u64,
+    /// The protocol's health shard by shard, in shard order. `events` and
+    /// `crossings_sent` are functions of the offered load; the other two
+    /// depend on thread timing.
+    pub per_shard: Vec<ShardDrainStats>,
 }
 
-struct WorkerOutcome {
-    tagged: Vec<(EventKey, u32, Delivery)>,
-    events: u64,
-    violations: u64,
-    null_rounds: u64,
+/// One shard worker's share of a threaded drain.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardDrainStats {
+    /// Fabric events this shard processed.
+    pub events: u64,
+    /// Rounds in which it processed none: it was waiting on a peer's
+    /// LBTS.
+    pub null_rounds: u64,
+    /// Frames it pushed across cut trunks.
+    pub crossings_sent: u64,
+    /// Pushes that found the outgoing ring full and had to be retried.
+    pub ring_full_stalls: u64,
 }
 
 /// A partitioned [`CompositeFabric`] behind the same pull interface,
@@ -104,7 +136,11 @@ impl ShardedFabric {
         let built: Vec<CompositeFabric> = (0..partition.shards)
             .map(|s| {
                 let mut fab = CompositeFabric::new(spec.clone(), ether, seed);
-                fab.set_scope(partition.owned_mask(s));
+                // One shard owns everything and nothing ever leaves it:
+                // it stays unscoped and keeps no exit bookkeeping.
+                if partition.shards > 1 {
+                    fab.set_scope(partition.owned_mask(s));
+                }
                 fab
             })
             .collect();
@@ -359,10 +395,10 @@ impl ShardedFabric {
     }
 
     /// Drain every pending event with one worker thread per shard under
-    /// the conservative null-message protocol, and merge the deliveries
-    /// into global event order. Requires a tap- and capture-free fabric
-    /// (batch mode: there is no single-threaded observer to replay
-    /// through).
+    /// the conservative exit-aware lookahead protocol, and merge the
+    /// deliveries into global event order. Requires a tap- and
+    /// capture-free fabric (batch mode: there is no single-threaded
+    /// observer to replay through).
     pub fn drain_parallel(&mut self) -> DrainOutcome {
         assert!(
             self.tap.is_none() && !self.promiscuous,
@@ -370,76 +406,74 @@ impl ShardedFabric {
         );
         let n = self.partition.shards;
         if n <= 1 {
-            // One shard: the protocol degenerates to the sequential loop.
+            // One shard: the protocol degenerates to the sequential loop,
+            // whose deliveries and errors are already in event order.
             let fab = &mut self.shards[0];
-            let mut out = Vec::new();
-            let mut tagged = Vec::new();
+            let mut deliveries = Vec::new();
             let mut events = 0u64;
-            while let Some(key) = fab.advance_keyed(&mut out) {
+            while fab.advance_keyed(&mut deliveries).is_some() {
                 events += 1;
-                for (i, d) in out.drain(..).enumerate() {
-                    tagged.push((key, i as u32, d));
-                }
             }
+            self.errors
+                .extend_from_slice(&fab.errors()[self.errors_seen[0]..]);
+            self.errors_seen[0] = fab.errors().len();
             self.events_processed += events;
             self.live = 0;
-            self.harvest_errors_after_drain();
             return DrainOutcome {
-                deliveries: tagged.into_iter().map(|(_, _, d)| d).collect(),
+                deliveries,
                 events,
                 violations: 0,
                 null_rounds: 0,
+                per_shard: vec![ShardDrainStats {
+                    events,
+                    ..ShardDrainStats::default()
+                }],
             };
         }
 
         // One bounded SPSC ring and one LBTS cell per directed channel.
+        // Before anything runs, no crossing can arrive sooner than one
+        // lookahead after time zero.
         let channels = &self.partition.channels;
-        let mut chan_tx: Vec<Option<RingSender<CrossFrame>>> = Vec::new();
-        let mut chan_rx: Vec<Option<RingReceiver<CrossFrame>>> = Vec::new();
-        for _ in channels {
-            let (tx, rx) = ring(RING_CAPACITY);
-            chan_tx.push(Some(tx));
-            chan_rx.push(Some(rx));
-        }
-        let mut outgoing: Vec<Vec<(usize, RingSender<CrossFrame>)>> =
-            (0..n).map(|_| Vec::new()).collect();
-        let mut incoming: Vec<Vec<(usize, RingReceiver<CrossFrame>)>> =
-            (0..n).map(|_| Vec::new()).collect();
-        for (c, ch) in channels.iter().enumerate() {
-            outgoing[ch.from].push((c, chan_tx[c].take().expect("one sender per channel")));
-            incoming[ch.to].push((c, chan_rx[c].take().expect("one receiver per channel")));
-        }
-        // channel_of[trunk][dir] → channel index, for outbox routing.
         let mut channel_of = vec![[usize::MAX; 2]; self.spec.trunks.len()];
         for (c, ch) in channels.iter().enumerate() {
             channel_of[ch.trunk][ch.dir] = c;
         }
-        let lookahead_ns: Vec<u64> = channels.iter().map(|c| c.lookahead.as_nanos()).collect();
-        let lbts: Vec<AtomicU64> = lookahead_ns.iter().map(|&l| AtomicU64::new(l)).collect();
-        let live = AtomicU64::new(self.live);
+        let shared = DrainShared {
+            channels,
+            channel_of,
+            lbts: channels
+                .iter()
+                .map(|c| AtomicU64::new(c.lookahead.as_nanos()))
+                .collect(),
+            live: AtomicU64::new(self.live),
+        };
+        let mut rx: Vec<Vec<Incoming>> = (0..n).map(|_| Vec::new()).collect();
+        let mut tx: Vec<Vec<Option<RingSender<CrossFrame>>>> = (0..n)
+            .map(|_| channels.iter().map(|_| None).collect())
+            .collect();
+        for (c, ch) in channels.iter().enumerate() {
+            let (sender, ring) = ring(RING_CAPACITY);
+            tx[ch.from][c] = Some(sender);
+            rx[ch.to].push(Incoming {
+                channel: c,
+                ring,
+                lbts_seen: 0,
+            });
+        }
 
-        let lbts_ref = &lbts;
-        let live_ref = &live;
-        let channel_of_ref = &channel_of;
-        let lookahead_ref = &lookahead_ns;
+        let shared_ref = &shared;
+        let errors_seen = &self.errors_seen;
         let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shards
                 .iter_mut()
-                .zip(incoming)
-                .zip(outgoing)
-                .map(|((fab, rx), tx)| {
-                    scope.spawn(move || {
-                        drain_worker(
-                            fab,
-                            rx,
-                            tx,
-                            lbts_ref,
-                            live_ref,
-                            channel_of_ref,
-                            lookahead_ref,
-                        )
-                    })
+                .zip(errors_seen)
+                .zip(rx)
+                .zip(tx)
+                .map(|(((fab, &seen), rx), tx)| {
+                    let worker = DrainWorker::new(fab, shared_ref, rx, tx, seen);
+                    scope.spawn(move || worker.run())
                 })
                 .collect();
             handles
@@ -448,141 +482,314 @@ impl ShardedFabric {
                 .collect()
         });
 
-        self.live = live.load(Ordering::Acquire);
-        self.harvest_errors_after_drain();
-        let mut events = 0;
-        let mut violations = 0;
-        let mut null_rounds = 0;
-        let mut tagged = Vec::new();
-        for mut o in outcomes {
-            events += o.events;
-            violations += o.violations;
-            null_rounds += o.null_rounds;
-            tagged.append(&mut o.tagged);
+        self.live = shared.live.load(Ordering::Acquire);
+        let mut out = DrainOutcome {
+            deliveries: Vec::new(),
+            events: 0,
+            violations: 0,
+            null_rounds: 0,
+            per_shard: Vec::with_capacity(n),
+        };
+        let mut delivery_runs = Vec::with_capacity(n);
+        let mut error_runs = Vec::with_capacity(n);
+        for (s, o) in outcomes.into_iter().enumerate() {
+            out.events += o.stats.events;
+            out.violations += o.violations;
+            out.null_rounds += o.stats.null_rounds;
+            out.per_shard.push(o.stats);
+            delivery_runs.push(o.deliveries);
+            error_runs.push(o.errors);
+            self.errors_seen[s] = self.shards[s].errors().len();
         }
-        self.events_processed += events;
-        self.violations += violations;
-        tagged.sort_by_key(|a| (a.0, a.1));
-        DrainOutcome {
-            deliveries: tagged.into_iter().map(|(_, _, d)| d).collect(),
-            events,
-            violations,
-            null_rounds,
-        }
-    }
-
-    /// After a drain, fold each shard's newly surfaced errors into the
-    /// merged list, ordered by time (the per-event harvest order is not
-    /// observable in batch mode).
-    fn harvest_errors_after_drain(&mut self) {
-        let mut fresh: Vec<(SimTime, Frame, TxError)> = Vec::new();
-        for (s, fab) in self.shards.iter().enumerate() {
-            let errs = fab.errors();
-            fresh.extend_from_slice(&errs[self.errors_seen[s]..]);
-            self.errors_seen[s] = errs.len();
-        }
-        fresh.sort_by_key(|&(t, f, _)| (t, f.token));
-        self.errors.append(&mut fresh);
+        self.events_processed += out.events;
+        self.violations += out.violations;
+        self.errors.append(&mut merge_runs(&error_runs));
+        out.deliveries = merge_runs(&delivery_runs);
+        out
     }
 }
 
-/// One shard's drain loop: drain rings → process below the incoming
-/// horizon → publish LBTS (the null message) → repeat until the global
-/// live-frame counter hits zero and the shard is idle.
-fn drain_worker(
-    fab: &mut CompositeFabric,
-    rx: Vec<(usize, RingReceiver<CrossFrame>)>,
-    tx: Vec<(usize, RingSender<CrossFrame>)>,
-    lbts: &[AtomicU64],
-    live: &AtomicU64,
-    channel_of: &[[usize; 2]],
-    lookahead_ns: &[u64],
-) -> WorkerOutcome {
-    let mut out: Vec<Delivery> = Vec::new();
-    let mut crossings: Vec<CrossFrame> = Vec::new();
-    let mut tagged = Vec::new();
-    let mut events = 0u64;
-    let mut violations = 0u64;
-    let mut null_rounds = 0u64;
-    let mut errors_seen = fab.errors().len();
-    loop {
-        // Read the horizon before draining: anything pushed after this
-        // read arrives at or beyond it, so processing strictly below the
-        // horizon is safe.
-        let horizon = rx
-            .iter()
-            .map(|(c, _)| lbts[*c].load(Ordering::Acquire))
-            .min()
-            .unwrap_or(u64::MAX);
-        for (_, r) in &rx {
-            while let Some(cf) = r.try_pop() {
-                if cf.arrival() < fab.clock() {
-                    violations += 1;
-                }
-                fab.inject(cf);
-            }
-        }
-        let free_run = live.load(Ordering::Acquire) == 0;
-        let mut progressed = false;
-        while let Some(k) = fab.next_key() {
-            if !free_run && k.time.as_nanos() >= horizon {
-                break;
-            }
-            let key = fab.advance_keyed(&mut out).expect("peeked event");
-            events += 1;
-            progressed = true;
-            let mut done = out.len() as u64;
-            for (i, d) in out.drain(..).enumerate() {
-                tagged.push((key, i as u32, d));
-            }
-            let errs = fab.errors().len();
-            done += (errs - errors_seen) as u64;
-            errors_seen = errs;
-            if done > 0 {
-                live.fetch_sub(done, Ordering::AcqRel);
-            }
-            fab.drain_outbox(&mut crossings);
-            for cf in crossings.drain(..) {
-                let c = channel_of[cf.trunk()][cf.dir()];
-                let (_, sender) = tx.iter().find(|(ci, _)| *ci == c).expect("owned channel");
-                let mut pending = cf;
-                loop {
-                    match sender.try_push(pending) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            pending = back;
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-            }
-        }
-        // Publish the null message: future sends on each outgoing channel
-        // happen no earlier than our clock lower bound (next local event,
-        // or the earliest possible future injection) plus the channel's
-        // lookahead. LBTS is monotone, so stale readers stay safe.
-        let next_local = fab
-            .next_key()
-            .map(|k| k.time.as_nanos())
-            .unwrap_or(u64::MAX);
-        let clock_lb = next_local.min(horizon);
-        for (c, _) in &tx {
-            let bound = clock_lb.saturating_add(lookahead_ns[*c]);
-            lbts[*c].fetch_max(bound, Ordering::AcqRel);
-        }
-        if live.load(Ordering::Acquire) == 0 && fab.idle() && rx.iter().all(|(_, r)| r.is_empty()) {
-            break;
-        }
-        if !progressed {
-            null_rounds += 1;
-            std::thread::yield_now();
+/// Merge per-shard runs, each already in [`EventKey`] order, into one
+/// exactly sized vector in global key order. Every event belongs to one
+/// shard, so equal keys only ever meet inside a run, whose own order
+/// stands.
+fn merge_runs<T: Copy>(runs: &[Vec<(EventKey, T)>]) -> Vec<T> {
+    let mut merged = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    let mut at = vec![0usize; runs.len()];
+    while let Some((_, i)) = (0..runs.len())
+        .filter_map(|i| runs[i].get(at[i]).map(|&(k, _)| (k, i)))
+        .min()
+    {
+        merged.push(runs[i][at[i]].1);
+        at[i] += 1;
+    }
+    merged
+}
+
+/// What all workers of one drain share: the channel table and, per
+/// channel, the published lower bound on the arrival of any frame not
+/// yet pushed (its LBTS), plus the live-frame termination counter.
+struct DrainShared<'a> {
+    channels: &'a [ShardChannel],
+    /// `channel_of[trunk][dir]` → channel index, for outbox routing.
+    channel_of: Vec<[usize; 2]>,
+    /// One cell per channel, written only by the channel's sender
+    /// (`Release`) and read by its receiver (`Acquire`): a push made
+    /// before the store is in the ring for whoever reads the store.
+    lbts: Vec<AtomicU64>,
+    live: AtomicU64,
+}
+
+/// The receiving end of a channel as its shard's worker holds it.
+struct Incoming {
+    channel: usize,
+    ring: RingReceiver<CrossFrame>,
+    /// The channel's LBTS as read before the ring was last drained at the
+    /// top of a round: every frame still to come over it arrives at or
+    /// after this.
+    lbts_seen: u64,
+}
+
+/// The sending end of a channel as its shard's worker holds it.
+struct Outgoing {
+    channel: usize,
+    /// Positions in the worker's `rx` of the channels whose frames can be
+    /// routed on through this one (static; see
+    /// [`CompositeFabric::exit_fed_by`]).
+    feeders: Vec<usize>,
+    /// Last bound stored in the channel's LBTS cell.
+    published: u64,
+}
+
+struct WorkerOutcome {
+    deliveries: Vec<(EventKey, Delivery)>,
+    errors: Vec<(EventKey, (SimTime, Frame, TxError))>,
+    violations: u64,
+    stats: ShardDrainStats,
+}
+
+/// One shard's side of the drain protocol. A round reads the incoming
+/// LBTS cells, drains the rings, processes events strictly below the
+/// minimum LBTS read, and publishes its own bounds; the worker stops
+/// when the global live-frame counter is zero and nothing is pending.
+///
+/// **What is published.** On outgoing channel `c`,
+/// `min(E_c, T_c) + lookahead_c`:
+///
+/// * `E_c` bounds the frames already inside the shard: the later of the
+///   next local event and the earliest pending event of a frame that
+///   will leave through `c` ([`CompositeFabric::pending_exit`]), or ∞
+///   when no frame inside will. The whole load is enqueued before the
+///   workers start and the forwarding tables are static, so the fabric
+///   knows this for every frame it holds.
+/// * `T_c` bounds the frames still to be injected: the minimum
+///   `lbts_seen` over the incoming channels that feed `c`, or ∞ when
+///   none does. A frame not yet injected arrives at or after the LBTS
+///   read before the drain that missed it.
+///
+/// A crossing emitted at event time `t` arrives at or after
+/// `t + lookahead_c`, and `t` is at or after the frame's pending event
+/// (inside) or its arrival (still to come), so the bound is sound. It is
+/// never below `min(next_local, horizon) + lookahead_c`, the bound with
+/// every frame and every channel feeding every exit, so strictly
+/// positive lookahead still lets the globally minimal shard advance.
+/// Without the `max` with the next local event, two shards that each
+/// hold a long-queued crosser publish bounds below each other's next
+/// event forever.
+struct DrainWorker<'a> {
+    fab: &'a mut CompositeFabric,
+    shared: &'a DrainShared<'a>,
+    rx: Vec<Incoming>,
+    /// Senders by channel index; `None` where another shard sends.
+    tx: Vec<Option<RingSender<CrossFrame>>>,
+    out: Vec<Outgoing>,
+    /// Frames finished (delivered or destroyed) since the shared `live`
+    /// counter was last brought up to date.
+    retired: u64,
+    errors_seen: usize,
+    scratch: Vec<Delivery>,
+    crossings: Vec<CrossFrame>,
+    done: WorkerOutcome,
+}
+
+impl<'a> DrainWorker<'a> {
+    fn new(
+        fab: &'a mut CompositeFabric,
+        shared: &'a DrainShared<'a>,
+        rx: Vec<Incoming>,
+        tx: Vec<Option<RingSender<CrossFrame>>>,
+        errors_seen: usize,
+    ) -> DrainWorker<'a> {
+        let way = |c: usize| (shared.channels[c].trunk, shared.channels[c].dir);
+        let out = (0..tx.len())
+            .filter(|&c| tx[c].is_some())
+            .map(|c| Outgoing {
+                channel: c,
+                feeders: (0..rx.len())
+                    .filter(|&i| fab.exit_fed_by(way(c), way(rx[i].channel)))
+                    .collect(),
+                published: shared.channels[c].lookahead.as_nanos(),
+            })
+            .collect();
+        DrainWorker {
+            fab,
+            shared,
+            rx,
+            tx,
+            out,
+            retired: 0,
+            errors_seen,
+            scratch: Vec::new(),
+            crossings: Vec::new(),
+            done: WorkerOutcome {
+                deliveries: Vec::new(),
+                errors: Vec::new(),
+                violations: 0,
+                stats: ShardDrainStats::default(),
+            },
         }
     }
-    WorkerOutcome {
-        tagged,
-        events,
-        violations,
-        null_rounds,
+
+    fn run(mut self) -> WorkerOutcome {
+        loop {
+            // Read every LBTS before draining: anything pushed after the
+            // read arrives at or beyond it, so processing strictly below
+            // the minimum is safe.
+            let mut horizon = u64::MAX;
+            for i in &mut self.rx {
+                i.lbts_seen = self.shared.lbts[i.channel].load(Ordering::Acquire);
+                horizon = horizon.min(i.lbts_seen);
+            }
+            self.absorb();
+            let before = self.done.stats.events;
+            // A shard whose horizon is ∞ never leaves the inner loop, so
+            // the bounds its peers wait on are published from inside it:
+            // when one jumps (a crosser left) and at least every
+            // `PUBLISH_EVERY` events. No next event reads as ∞, which no
+            // horizon exceeds.
+            let mut since_publish = 0u32;
+            let mut due = false;
+            let next_local = loop {
+                let next = self.fab.next_key().map_or(u64::MAX, |k| k.time.as_nanos());
+                if next >= horizon {
+                    break next;
+                }
+                if due {
+                    self.publish(next);
+                    since_publish = 0;
+                }
+                let crossed = self.step();
+                since_publish += 1;
+                due = crossed || since_publish >= PUBLISH_EVERY;
+            };
+            self.publish(next_local);
+            if self.shared.live.load(Ordering::Acquire) == 0
+                && self.fab.idle()
+                && self.rx.iter().all(|i| i.ring.is_empty())
+            {
+                return self.done;
+            }
+            if self.done.stats.events == before {
+                self.done.stats.null_rounds += 1;
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// Inject everything waiting in the incoming rings. Safe at any
+    /// point between events: what a ring holds arrives at or after the
+    /// LBTS read before an earlier drain, and the clock is below that.
+    fn absorb(&mut self) {
+        for i in &self.rx {
+            while let Some(cf) = i.ring.try_pop() {
+                if cf.arrival() < self.fab.clock() {
+                    self.done.violations += 1;
+                }
+                self.fab.inject(cf);
+            }
+        }
+    }
+
+    /// Process one event; returns whether it sent a frame across a cut.
+    fn step(&mut self) -> bool {
+        let key = self
+            .fab
+            .advance_keyed(&mut self.scratch)
+            .expect("peeked event");
+        self.done.stats.events += 1;
+        self.retired += self.scratch.len() as u64;
+        self.done
+            .deliveries
+            .extend(self.scratch.drain(..).map(|d| (key, d)));
+        let errors = &self.fab.errors()[self.errors_seen..];
+        if !errors.is_empty() {
+            self.retired += errors.len() as u64;
+            self.errors_seen += errors.len();
+            self.done.errors.extend(errors.iter().map(|&e| (key, e)));
+        }
+        let mut crossings = std::mem::take(&mut self.crossings);
+        self.fab.drain_outbox(&mut crossings);
+        let crossed = !crossings.is_empty();
+        for cf in crossings.drain(..) {
+            self.send(cf);
+        }
+        self.crossings = crossings;
+        crossed
+    }
+
+    /// Push `cf` onto its channel's ring. While the ring is full, keep
+    /// emptying our own incoming rings: the receiver may itself be
+    /// blocked pushing to us, and two workers that only wait for each
+    /// other's ring to drain never finish.
+    fn send(&mut self, cf: CrossFrame) {
+        let c = self.shared.channel_of[cf.trunk()][cf.dir()];
+        let mut pending = cf;
+        loop {
+            let ring = self.tx[c]
+                .as_ref()
+                .expect("crossing leaves over an owned channel");
+            match ring.try_push(pending) {
+                Ok(()) => break,
+                Err(back) => {
+                    pending = back;
+                    self.done.stats.ring_full_stalls += 1;
+                    self.absorb();
+                    std::thread::yield_now();
+                }
+            }
+        }
+        self.done.stats.crossings_sent += 1;
+    }
+
+    /// Bring the shared live counter up to date and raise the LBTS of
+    /// every outgoing channel whose bound rose (see the type's docs for
+    /// the bound). Called only after an event's crossings are pushed, so
+    /// a bound that assumes a crosser has left is never visible before
+    /// the crosser is. `next_local` is the time of the next local event,
+    /// ∞ when there is none.
+    fn publish(&mut self, next_local: u64) {
+        if self.retired > 0 {
+            self.shared.live.fetch_sub(self.retired, Ordering::AcqRel);
+            self.retired = 0;
+        }
+        for o in &mut self.out {
+            let ch = &self.shared.channels[o.channel];
+            let inside = self
+                .fab
+                .pending_exit(ch.trunk, ch.dir)
+                .map_or(u64::MAX, |t| t.as_nanos().max(next_local));
+            let to_come = o
+                .feeders
+                .iter()
+                .map(|&i| self.rx[i].lbts_seen)
+                .min()
+                .unwrap_or(u64::MAX);
+            let bound = inside.min(to_come).saturating_add(ch.lookahead.as_nanos());
+            if bound > o.published {
+                self.shared.lbts[o.channel].store(bound, Ordering::Release);
+                o.published = bound;
+            }
+        }
     }
 }
 
@@ -617,6 +824,77 @@ mod tests {
         }
     }
 
+    /// Every host sends to its mirror across the middle of the host
+    /// list, all at once, round after round: every frame crosses every
+    /// cut on its path, in both directions, and at three shards of
+    /// `tree2`/`routed2` every frame transits the root/router shard.
+    fn offer_crossing(mut enqueue: impl FnMut(NicId, Frame, SimTime), hosts: u32, frames: u32) {
+        for i in 0..frames {
+            let src = i % hosts;
+            let f = tcp(
+                src,
+                (src + hosts / 2) % hosts,
+                60 + (i * 131) % 1200,
+                u64::from(i) + 1,
+            );
+            let t = SimTime::from_micros(u64::from(i / hosts) * 300);
+            enqueue(NicId(src), f, t);
+        }
+    }
+
+    type Load = fn(&mut dyn FnMut(NicId, Frame, SimTime), u32, u32);
+
+    /// The offered-load shapes the drain tests sweep.
+    fn loads() -> [(&'static str, Load); 2] {
+        [
+            ("all-pairs", |e, h, n| offer(e, h, n)),
+            ("crossing", |e, h, n| offer_crossing(e, h, n)),
+        ]
+    }
+
+    /// Hops over cut trunks the load's frames make on their routes: the
+    /// crossings a drain has to send.
+    fn cut_hops(spec: &TopologySpec, cuts: &[usize], load: Load, hosts: u32, frames: u32) -> u64 {
+        let fwd = spec.forwarding();
+        let mut hops = 0;
+        let mut count = |_: NicId, f: Frame, _: SimTime| {
+            let mut at = spec.attachments[f.src.0 as usize];
+            let dst = spec.attachments[f.dst.0 as usize];
+            while let Some(t) = fwd[at][dst] {
+                hops += u64::from(cuts.contains(&t));
+                let trunk = spec.trunks[t];
+                at = if trunk.a == at { trunk.b } else { trunk.a };
+            }
+        };
+        load(&mut count, hosts, frames);
+        hops
+    }
+
+    /// Run `drain_parallel` on a helper thread and fail, instead of
+    /// hanging the suite, when it does not come back.
+    fn drain_within(
+        mut fab: ShardedFabric,
+        secs: u64,
+        label: &str,
+    ) -> (ShardedFabric, DrainOutcome) {
+        let (done, wait) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = fab.drain_parallel();
+            let _ = done.send((fab, outcome));
+        });
+        wait.recv_timeout(std::time::Duration::from_secs(secs))
+            .unwrap_or_else(|_| panic!("{label}: drain did not terminate within {secs} s"))
+    }
+
+    fn assert_same_deliveries(got: &[Delivery], want: &[Delivery], label: &str) {
+        assert_eq!(got.len(), want.len(), "{label}");
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.time, w.time, "{label}");
+            assert_eq!(g.frame, w.frame, "{label}");
+            assert_eq!(g.meta, w.meta, "{label}");
+        }
+    }
+
     /// The headline invariant: the sharded pull loop reproduces the
     /// sequential fabric byte for byte — deliveries, promiscuous trace,
     /// MAC statistics, and per-node flows — at shard counts 1..4, on
@@ -635,12 +913,7 @@ mod tests {
                 offer(|nic, f, t| fab.enqueue(nic, f, t), 4, 32);
                 let got = fab.run_to_idle();
                 let label = format!("{} @ {shards} shards", spec.label());
-                assert_eq!(got.len(), want.len(), "{label}");
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(g.time, w.time, "{label}");
-                    assert_eq!(g.frame, w.frame, "{label}");
-                    assert_eq!(g.meta, w.meta, "{label}");
-                }
+                assert_same_deliveries(&got, &want, &label);
                 assert_eq!(fab.trace(), seq.trace(), "{label}");
                 assert_eq!(fab.stats(), seq.stats(), "{label}");
                 assert_eq!(fab.flows(), seq.flows(), "{label}");
@@ -651,29 +924,36 @@ mod tests {
     }
 
     /// The threaded drain merges to exactly the pull-mode (= sequential)
-    /// delivery stream, with zero causality violations.
+    /// delivery stream, with zero causality violations, on every sweep
+    /// topology under all-pairs and all-crossing loads.
     #[test]
     fn drain_parallel_matches_pull_mode() {
         let ether = EtherConfig::default();
         for spec in specs() {
-            for shards in [1usize, 2, 4] {
-                let mut pull = ShardedFabric::new(spec.clone(), &ether, 23, shards);
-                offer(|nic, f, t| pull.enqueue(nic, f, t), 4, 40);
-                let want = pull.run_to_idle();
-                let mut par = ShardedFabric::new(spec.clone(), &ether, 23, shards);
-                offer(|nic, f, t| par.enqueue(nic, f, t), 4, 40);
-                let outcome = par.drain_parallel();
-                let label = format!("{} @ {shards} shards", spec.label());
-                assert_eq!(outcome.violations, 0, "{label}");
-                assert_eq!(outcome.deliveries.len(), want.len(), "{label}");
-                for (g, w) in outcome.deliveries.iter().zip(&want) {
-                    assert_eq!(g.time, w.time, "{label}");
-                    assert_eq!(g.frame, w.frame, "{label}");
-                    assert_eq!(g.meta, w.meta, "{label}");
+            for (shape, load) in loads() {
+                for shards in [1usize, 2, 4] {
+                    let mut pull = ShardedFabric::new(spec.clone(), &ether, 23, shards);
+                    load(&mut |nic, f, t| pull.enqueue(nic, f, t), 4, 40);
+                    let want = pull.run_to_idle();
+                    let mut par = ShardedFabric::new(spec.clone(), &ether, 23, shards);
+                    load(&mut |nic, f, t| par.enqueue(nic, f, t), 4, 40);
+                    let outcome = par.drain_parallel();
+                    let label = format!("{} {shape} @ {shards} shards", spec.label());
+                    assert_eq!(outcome.violations, 0, "{label}");
+                    assert_same_deliveries(&outcome.deliveries, &want, &label);
+                    assert_eq!(par.stats(), pull.stats(), "{label}");
+                    assert_eq!(par.errors(), pull.errors(), "{label}");
+                    assert!(par.idle(), "{label}");
+                    // The per-shard health counters add up, and count
+                    // every hop a frame makes across a cut.
+                    let per_shard = &outcome.per_shard;
+                    assert_eq!(per_shard.len(), par.shard_count(), "{label}");
+                    let sum = |f: fn(&ShardDrainStats) -> u64| per_shard.iter().map(f).sum::<u64>();
+                    assert_eq!(sum(|s| s.events), outcome.events, "{label}");
+                    assert_eq!(sum(|s| s.null_rounds), outcome.null_rounds, "{label}");
+                    let hops = cut_hops(&spec, &par.partition().cut_trunks, load, 4, 40);
+                    assert_eq!(sum(|s| s.crossings_sent), hops, "{label}");
                 }
-                assert_eq!(par.stats(), pull.stats(), "{label}");
-                assert_eq!(par.errors(), pull.errors(), "{label}");
-                assert!(par.idle(), "{label}");
             }
         }
     }
@@ -766,10 +1046,63 @@ mod tests {
         }
     }
 
+    /// More simultaneous crossings in each direction than two rings hold:
+    /// a worker blocked on a full outgoing ring must keep draining its
+    /// incoming ones, or both sides wait on each other forever.
+    #[test]
+    fn full_rings_in_both_directions_do_not_deadlock() {
+        let hosts = 4200u32;
+        assert!(hosts as usize / 2 > 2 * RING_CAPACITY);
+        let spec = TopologySpec::two_switches_trunk(hosts, RATE_10M);
+        let mut fab = ShardedFabric::new(spec, &EtherConfig::default(), 1, 2);
+        for h in 0..hosts {
+            let f = tcp(h, (h + hosts / 2) % hosts, 1, u64::from(h) + 1);
+            fab.enqueue(NicId(h), f, SimTime::ZERO);
+        }
+        let (fab, outcome) = drain_within(fab, 60, "4200 mirrored senders");
+        assert_eq!(outcome.violations, 0);
+        assert_eq!(outcome.deliveries.len(), hosts as usize);
+        assert!(fab.idle());
+        for s in &outcome.per_shard {
+            assert_eq!(s.crossings_sent, u64::from(hosts / 2));
+        }
+    }
+
+    /// Frames destroyed on a segment — cross-bound ones included — leave
+    /// no pending-exit entry behind to hold a peer back: every drain of a
+    /// lossy routed fabric terminates, and equals the pull loop on
+    /// deliveries, surfaced errors, and MAC statistics.
+    #[test]
+    fn lossy_segments_drain_like_pull_mode() {
+        let ether = EtherConfig {
+            drop_prob: 0.2,
+            ..EtherConfig::default()
+        };
+        let spec = TopologySpec::routed_two_subnets(4, RATE_10M);
+        for (shape, load) in loads() {
+            for shards in [1usize, 2, 3] {
+                let label = format!("{} {shape} @ {shards} shards", spec.label());
+                let mut pull = ShardedFabric::new(spec.clone(), &ether, 31, shards);
+                load(&mut |nic, f, t| pull.enqueue(nic, f, t), 4, 80);
+                let want = pull.run_to_idle();
+                assert!(!pull.errors().is_empty(), "{label}: the load loses frames");
+                let mut par = ShardedFabric::new(spec.clone(), &ether, 31, shards);
+                load(&mut |nic, f, t| par.enqueue(nic, f, t), 4, 80);
+                let (par, outcome) = drain_within(par, 60, &label);
+                assert_eq!(outcome.violations, 0, "{label}");
+                assert_same_deliveries(&outcome.deliveries, &want, &label);
+                assert_eq!(par.errors(), pull.errors(), "{label}");
+                assert_eq!(par.stats(), pull.stats(), "{label}");
+                assert_eq!(want.len() + par.errors().len(), 80, "{label}");
+                assert!(par.idle(), "{label}");
+            }
+        }
+    }
+
     proptest! {
         /// The conservative lookahead never admits a frame earlier than
         /// the receiving shard's local clock: zero violations for random
-        /// offered loads on every multi-segment topology, pull and
+        /// offered loads of both shapes on every sweep topology, pull and
         /// threaded alike.
         #[test]
         fn lookahead_never_violates_causality(
@@ -778,18 +1111,17 @@ mod tests {
             shards in 1usize..5,
         ) {
             let ether = EtherConfig::default();
-            for spec in [
-                TopologySpec::two_switches_trunk(4, RATE_10M),
-                TopologySpec::two_level_tree(4, RATE_10M),
-            ] {
-                let mut fab = ShardedFabric::new(spec.clone(), &ether, seed, shards);
-                offer(|nic, f, t| fab.enqueue(nic, f, t), 4, frames);
-                fab.run_to_idle();
-                prop_assert_eq!(fab.violations(), 0);
-                let mut par = ShardedFabric::new(spec, &ether, seed, shards);
-                offer(|nic, f, t| par.enqueue(nic, f, t), 4, frames);
-                let out = par.drain_parallel();
-                prop_assert_eq!(out.violations, 0);
+            for spec in specs() {
+                for (_, load) in loads() {
+                    let mut fab = ShardedFabric::new(spec.clone(), &ether, seed, shards);
+                    load(&mut |nic, f, t| fab.enqueue(nic, f, t), 4, frames);
+                    fab.run_to_idle();
+                    prop_assert_eq!(fab.violations(), 0);
+                    let mut par = ShardedFabric::new(spec.clone(), &ether, seed, shards);
+                    load(&mut |nic, f, t| par.enqueue(nic, f, t), 4, frames);
+                    let out = par.drain_parallel();
+                    prop_assert_eq!(out.violations, 0);
+                }
             }
         }
     }

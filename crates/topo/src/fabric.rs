@@ -33,12 +33,14 @@
 //! every access hop is recorded in `meta.trunk` so causal critical paths
 //! can name the contended inter-node link.
 
-use crate::spec::{NodeKind, TopologySpec};
+use crate::spec::{NodeKind, TopologySpec, Trunk};
 use fxnet_sim::ethernet::Delivery;
 use fxnet_sim::{
     EtherBus, EtherConfig, EtherStats, EventKey, Frame, FrameMeta, FrameRecord, FrameTap,
     KeyedQueue, LinkProbe, LinkStats, NicId, SimRng, SimTime, TxError,
 };
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Per-frame state while it crosses the fabric.
 #[derive(Debug)]
@@ -112,11 +114,38 @@ impl CrossFrame {
     }
 }
 
-/// Shard scoping of a fabric: the owned-node mask and the outbox of
-/// frames that crossed a cut trunk toward another shard.
+/// Shard scoping of a fabric: the owned-node mask, the outbox of frames
+/// that crossed a cut trunk toward another shard, and the exit
+/// bookkeeping behind the threaded drain's lookahead. A cut-trunk
+/// direction is named by its *slot*, `2 * trunk + dir`.
 struct ShardScope {
     owned: Vec<bool>,
     outbox: Vec<CrossFrame>,
+    /// `exit_of[n][d]`: the slot through which a frame at owned node `n`
+    /// bound for node `d` leaves this shard, `None` when its route ends
+    /// inside. Static: the forwarding tables walked until the first
+    /// hop onto a node that is not owned.
+    exit_of: Vec<Vec<Option<usize>>>,
+    /// Per slot, one entry for every frame inside the shard that will
+    /// leave through it: a time before which the frame has no event (its
+    /// scheduled arrival at a node, or the instant it was queued on a
+    /// segment). An entry is released when that event fires, so it and
+    /// everything below it are at or below the shard clock by then; the
+    /// drain clamps the minimum up to the next local event, which makes
+    /// such entries interchangeable — releasing always pops the minimum.
+    pending_exits: Vec<BinaryHeap<Reverse<SimTime>>>,
+    /// `(entry slot, exit slot)` pairs: some destination routes a frame
+    /// in over the entry and on out through the exit.
+    feeds: Vec<(usize, usize)>,
+}
+
+/// Direction (0 = a→b) and far end of `trunk` as seen from node `from`.
+fn trunk_hop(trunk: &Trunk, from: usize) -> (usize, usize) {
+    if trunk.a == from {
+        (0, trunk.b)
+    } else {
+        (1, trunk.a)
+    }
 }
 
 /// Passive per-link samplers (the fabric weather-map feed): one
@@ -445,6 +474,7 @@ impl CompositeFabric {
     pub fn enqueue_stamped(&mut self, nic: NicId, frame: Frame, now: SimTime, stamp: u64) {
         let host = nic.0 as usize;
         let src_node = self.spec.attachments[host];
+        let dst_node = self.spec.attachments[frame.dst.0 as usize];
         let mut f = frame;
         f.token = self.transit_insert(Transit {
             token: frame.token,
@@ -462,6 +492,7 @@ impl CompositeFabric {
                 if let Some(bus) = &mut self.buses[src_node] {
                     bus.enqueue(self.host_nic[host], f, now);
                 }
+                self.hold_exit(src_node, dst_node, now);
             }
             NodeKind::Switch | NodeKind::Router => {
                 // Dedicated uplink at the node's port rate, then the
@@ -496,6 +527,29 @@ impl CompositeFabric {
                         frame: f,
                     },
                 );
+                self.hold_exit(src_node, dst_node, key.time);
+            }
+        }
+    }
+
+    /// Note that a frame now held at owned `node`, bound for `dst_node`,
+    /// has no event before `at`. Nothing to note when the fabric is
+    /// unscoped or the frame's route ends inside this shard.
+    fn hold_exit(&mut self, node: usize, dst_node: usize, at: SimTime) {
+        if let Some(scope) = &mut self.scope {
+            if let Some(slot) = scope.exit_of[node][dst_node] {
+                scope.pending_exits[slot].push(Reverse(at));
+            }
+        }
+    }
+
+    /// Release the entry of a frame held at owned `node`, bound for
+    /// `dst_node`, whose event just fired (it moved on, or a segment
+    /// destroyed it).
+    fn release_exit(&mut self, node: usize, dst_node: usize) {
+        if let Some(scope) = &mut self.scope {
+            if let Some(slot) = scope.exit_of[node][dst_node] {
+                scope.pending_exits[slot].pop();
             }
         }
     }
@@ -545,15 +599,13 @@ impl CompositeFabric {
             self.flows[node].bytes_out += wire;
             return;
         }
+        // The event that held the frame here has fired.
+        self.release_exit(node, dst_node);
         // Trunk hop toward the destination's node. Validation guarantees
         // host-bearing nodes are connected, so the table entry exists.
         let ti = self.next_hop[node][dst_node].expect("validated path");
         let trunk = self.spec.trunks[ti];
-        let (dir, far) = if trunk.a == node {
-            (0, trunk.b)
-        } else {
-            (1, trunk.a)
-        };
+        let (dir, far) = trunk_hop(&trunk, node);
         let tx = f.tx_time(trunk.rate_bps);
         let start = self.trunk_free[ti][dir].max(now);
         let done = start + tx;
@@ -600,6 +652,7 @@ impl CompositeFabric {
                     frame: f,
                 },
             );
+            self.hold_exit(far, dst_node, arrival);
         }
     }
 
@@ -654,6 +707,7 @@ impl CompositeFabric {
             if let Some(t) = self.transit_remove(f.token) {
                 f.token = t.token;
             }
+            self.release_exit(node, self.spec.attachments[f.dst.0 as usize]);
             self.errors.push((time, f, err));
         }
     }
@@ -745,13 +799,82 @@ impl CompositeFabric {
     /// Scope this fabric to the nodes where `owned[n]` is true: frames
     /// forwarded across a trunk whose far end is not owned are diverted
     /// to the outbox as [`CrossFrame`]s instead of being scheduled
-    /// locally. `owned.len()` must equal the node count.
+    /// locally. `owned.len()` must equal the node count. Call it before
+    /// the first `enqueue`: the exit bookkeeping starts empty.
     pub fn set_scope(&mut self, owned: Vec<bool>) {
-        assert_eq!(owned.len(), self.spec.nodes.len(), "mask covers all nodes");
+        let n = self.spec.nodes.len();
+        assert_eq!(owned.len(), n, "mask covers all nodes");
+        let trunks = &self.spec.trunks;
+        // Walk the forwarding tables from every owned node toward every
+        // destination until the route leaves the block or ends in it.
+        // Hop distance falls at every step, so the walk terminates.
+        let exit_of: Vec<Vec<Option<usize>>> = (0..n)
+            .map(|from| {
+                (0..n)
+                    .map(|dst| {
+                        let mut at = from;
+                        while owned[at] {
+                            let ti = self.next_hop[at][dst]?;
+                            let (dir, far) = trunk_hop(&trunks[ti], at);
+                            if !owned[far] {
+                                return Some(2 * ti + dir);
+                            }
+                            at = far;
+                        }
+                        None
+                    })
+                    .collect()
+            })
+            .collect();
+        // A frame is on an inbound cut trunk only if that trunk is its
+        // sender's next hop toward the destination; from the trunk's far
+        // end it leaves through `exit_of`, if at all.
+        let mut feeds = Vec::new();
+        for (ti, t) in trunks.iter().enumerate() {
+            for (dir, near, far) in [(0, t.a, t.b), (1, t.b, t.a)] {
+                if owned[near] || !owned[far] {
+                    continue;
+                }
+                // Destination by destination: over this trunk at `near`,
+                // out through `exit` from `far`.
+                for (hop, exit) in self.next_hop[near].iter().zip(&exit_of[far]) {
+                    if let (Some(hop), Some(exit)) = (hop, exit) {
+                        if *hop == ti {
+                            feeds.push((2 * ti + dir, *exit));
+                        }
+                    }
+                }
+            }
+        }
         self.scope = Some(ShardScope {
             owned,
             outbox: Vec::new(),
+            exit_of,
+            pending_exits: vec![BinaryHeap::new(); 2 * trunks.len()],
+            feeds,
         });
+    }
+
+    /// Shard-only (the `fxnet-shard` drain worker's lookahead): a time
+    /// before which no frame now inside this scoped fabric moves toward
+    /// leaving over cut trunk `trunk` in direction `dir`, or `None` when
+    /// no frame inside will leave that way. The value may lie below the
+    /// next local event; the caller takes the later of the two.
+    pub fn pending_exit(&self, trunk: usize, dir: usize) -> Option<SimTime> {
+        let heap = &self.scope.as_ref()?.pending_exits[2 * trunk + dir];
+        heap.peek().map(|&Reverse(t)| t)
+    }
+
+    /// Shard-only: whether the static forwarding tables can route a frame
+    /// that enters this scoped fabric over cut-trunk direction `entry`
+    /// on out through cut-trunk direction `exit` (each `(trunk, dir)`).
+    /// Never true on `trunk2`, where no shortest path recrosses the
+    /// trunk; true for leaf → root → leaf transit at a `tree2` root shard.
+    pub fn exit_fed_by(&self, exit: (usize, usize), entry: (usize, usize)) -> bool {
+        let slot = |(trunk, dir): (usize, usize)| 2 * trunk + dir;
+        self.scope
+            .as_ref()
+            .is_some_and(|s| s.feeds.contains(&(slot(entry), slot(exit))))
     }
 
     /// Drain the outbox of frames bound for other shards (empty when the
@@ -782,6 +905,7 @@ impl CompositeFabric {
                 frame: f,
             },
         );
+        self.hold_exit(cf.node, self.spec.attachments[f.dst.0 as usize], cf.arrival);
     }
 
     /// Time of the last processed event (the shard-local clock).
@@ -1026,6 +1150,131 @@ mod tests {
         // Router (node 2) conserved the frame.
         assert_eq!(fab.flows()[2].frames_in, 1);
         assert_eq!(fab.flows()[2].frames_out, 1);
+    }
+
+    /// A fabric scoped to shard `s` of `spec` cut into `shards` blocks.
+    fn scoped(
+        spec: &TopologySpec,
+        ether: &EtherConfig,
+        shards: usize,
+        s: usize,
+    ) -> CompositeFabric {
+        let mut fab = CompositeFabric::new(spec.clone(), ether, 5);
+        fab.set_scope(crate::Partition::new(spec, shards).owned_mask(s));
+        fab
+    }
+
+    /// The entry → exit relation is read off the forwarding tables:
+    /// nothing that crossed the `trunk2` trunk goes back over it, while
+    /// the `tree2` root passes leaf0's frames on to leaf1 only.
+    #[test]
+    fn exit_feeding_relation_follows_the_forwarding_tables() {
+        let ether = EtherConfig::default();
+        let trunk2 = TopologySpec::two_switches_trunk(4, RATE_10M);
+        for s in 0..2 {
+            let fab = scoped(&trunk2, &ether, 2, s);
+            for exit in [(0, 0), (0, 1)] {
+                for entry in [(0, 0), (0, 1)] {
+                    assert!(
+                        !fab.exit_fed_by(exit, entry),
+                        "shard {s} {entry:?}->{exit:?}"
+                    );
+                }
+            }
+        }
+        // tree2 trunks run leaf → root in direction 0: trunk 0 from leaf0,
+        // trunk 1 from leaf1. Shard 2 is the root.
+        let tree2 = TopologySpec::two_level_tree(4, RATE_10M);
+        let root = scoped(&tree2, &ether, 3, 2);
+        assert!(
+            root.exit_fed_by((1, 1), (0, 0)),
+            "leaf0->root feeds root->leaf1"
+        );
+        assert!(!root.exit_fed_by((0, 1), (0, 0)), "and never root->leaf0");
+        assert!(
+            root.exit_fed_by((0, 1), (1, 0)),
+            "leaf1->root feeds root->leaf0"
+        );
+        // A leaf is where frames end: what comes down feeds nothing.
+        let leaf0 = scoped(&tree2, &ether, 3, 0);
+        assert!(!leaf0.exit_fed_by((0, 0), (0, 1)));
+        // An unscoped fabric has no cuts at all.
+        let whole = CompositeFabric::new(tree2, &ether, 5);
+        assert!(!whole.exit_fed_by((1, 1), (0, 0)));
+        assert_eq!(whole.pending_exit(0, 0), None);
+    }
+
+    /// The pending-exit bound is absent while no frame inside is bound
+    /// across the cut, names the earliest crosser's scheduled event while
+    /// some are, rises as they leave, and is absent again once all have.
+    #[test]
+    fn pending_exit_rises_as_crossers_leave() {
+        let ether = EtherConfig::default();
+        let spec = TopologySpec::two_switches_trunk(4, RATE_10M);
+        let mut fab = scoped(&spec, &ether, 2, 0);
+        // Hosts 0 and 1 live on sw0; 2 and 3 across the trunk.
+        for i in 0..6u32 {
+            let t = SimTime::from_micros(u64::from(i) * 300);
+            fab.enqueue(NicId(0), tcp(0, 1, 200, u64::from(i) + 1), t);
+        }
+        assert_eq!(fab.pending_exit(0, 0), None, "only local frames inside");
+        for i in 0..5u32 {
+            let t = SimTime::from_micros(u64::from(i) * 2_000);
+            fab.enqueue(NicId(1), tcp(1, 2, 200, u64::from(i) + 100), t);
+        }
+        assert_eq!(
+            fab.pending_exit(0, 1),
+            None,
+            "nothing leaves sw0 in reverse"
+        );
+        let mut out = Vec::new();
+        let mut crossed = Vec::new();
+        let mut last = fab.pending_exit(0, 0).expect("crossers are inside");
+        // The first crosser's only event inside the shard is its arrival
+        // at sw0, after the uplink transmission and the switch latency.
+        let uplink = tcp(1, 2, 200, 0).tx_time(RATE_10M) + spec.latency(0);
+        assert_eq!(last, uplink);
+        while let Some(k) = fab.advance_keyed(&mut out) {
+            fab.drain_outbox(&mut crossed);
+            match fab.pending_exit(0, 0) {
+                Some(bound) => {
+                    assert!(bound >= last, "bound fell from {last:?} to {bound:?}");
+                    assert!(crossed.len() < 5);
+                    last = bound;
+                }
+                None => assert_eq!(crossed.len(), 5, "at {:?}", k.time),
+            }
+        }
+        assert_eq!(crossed.len(), 5);
+        assert_eq!(out.len(), 6, "local frames delivered inside the shard");
+    }
+
+    /// A cross-bound frame destroyed on its segment releases its
+    /// pending-exit entry: the bound does not outlive the frames.
+    #[test]
+    fn destroyed_crossers_release_their_exit_entries() {
+        let ether = EtherConfig {
+            attempt_limit: 0,
+            defer_jitter: SimTime::ZERO,
+            ..EtherConfig::default()
+        };
+        let spec = TopologySpec::routed_two_subnets(4, ether.bandwidth_bps);
+        // Shard 0 of three is seg0; trunk 0 runs seg0 → rt0 in direction 0.
+        let mut fab = scoped(&spec, &ether, 3, 0);
+        for i in 0..6u32 {
+            fab.enqueue(
+                NicId(i % 2),
+                tcp(i % 2, 3, 300, u64::from(i) + 100),
+                SimTime::ZERO,
+            );
+        }
+        assert_eq!(fab.pending_exit(0, 0), Some(SimTime::ZERO));
+        let _ = fab.run_to_idle();
+        let mut crossed = Vec::new();
+        fab.drain_outbox(&mut crossed);
+        assert!(!fab.errors().is_empty(), "simultaneous senders collide");
+        assert_eq!(crossed.len() + fab.errors().len(), 6);
+        assert_eq!(fab.pending_exit(0, 0), None);
     }
 
     /// A frame destroyed by excessive collisions on a segment surfaces

@@ -20,8 +20,18 @@
 //!
 //! All three terms are strictly positive (rates are validated nonzero,
 //! the default propagation delay is 1 µs, switch/router latency 10/50 µs),
-//! so the null-message protocol in `fxnet-shard` always has slack to
-//! advance an idle channel's clock.
+//! so the drain protocol in `fxnet-shard` always has slack to advance a
+//! channel's clock.
+//!
+//! The lookahead says how long a crossing takes once a frame starts to
+//! leave. *When* a frame can start to leave is the other half of the
+//! bound a shard publishes, and it is not a property of the partition
+//! alone: a scoped [`crate::CompositeFabric`] derives, from the same
+//! forwarding tables, which cut-trunk direction each frame it holds will
+//! leave through and which inbound directions can feed which outbound
+//! ones (`pending_exit`, `exit_fed_by`). A 10 Mb/s trunk's lookahead is
+//! 64 µs; the exit-aware bound built on it is usually a whole burst
+//! round, or infinite.
 
 use crate::spec::TopologySpec;
 use fxnet_sim::frame::PREAMBLE;

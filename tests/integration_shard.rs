@@ -6,13 +6,17 @@
 //! and 4 on every fabric, for all six measured programs and across
 //! seeds. Shard count 1 takes the legacy sequential fabric path, so
 //! these equalities also pin the sharded core to the pre-shard
-//! behavior bit for bit.
+//! behavior bit for bit. The threaded drain, which no program runs, is
+//! held to the same rule on the load `repro analysis-scale` and the
+//! benchmark's `fabric-synth` offer it.
 
 use fxnet::causal::{blame_value, blame_violation};
 use fxnet::mix::MixTenant;
+use fxnet::shard::ShardedFabric;
+use fxnet::sim::{EtherConfig, Frame, FrameKind, NicId};
 use fxnet::telemetry::prometheus_text;
 use fxnet::watch::WatchConfig;
-use fxnet::{KernelKind, RunOptions, RunResult, SimTime, TestbedBuilder, TopologySpec};
+use fxnet::{HostId, KernelKind, RunOptions, RunResult, SimTime, TestbedBuilder, TopologySpec};
 
 /// A measured program as a function of the fabric and the shard count.
 type Program = Box<dyn Fn(TopologySpec, usize) -> RunResult<u64>>;
@@ -172,4 +176,64 @@ fn watch_events_metrics_and_blame_are_byte_identical_across_shard_counts() {
     let base = watched_artifacts(1);
     assert_eq!(base, watched_artifacts(2), "2 shards: artifacts diverged");
     assert_eq!(base, watched_artifacts(4), "4 shards: artifacts diverged");
+}
+
+/// The synth-shaped batch load: 16 hosts on two switches, rounds of one
+/// frame per host 700 µs apart in two burst groups 300 ms apart, every
+/// 16th frame to the mirror host across the trunk and the rest to a
+/// neighbour on the sender's own switch.
+fn synth_loaded(seed: u64, shards: usize) -> ShardedFabric {
+    const HOSTS: u32 = 16;
+    const ROUNDS_PER_GROUP: u32 = 96;
+    let spec = TopologySpec::two_switches_trunk(HOSTS, fxnet::sim::RATE_10M);
+    let mut fab = ShardedFabric::new(spec.clone(), &EtherConfig::default(), seed, shards);
+    for i in 0..2 * ROUNDS_PER_GROUP * HOSTS {
+        let src = i % HOSTS;
+        let dst = if i % 16 == 0 {
+            (src + HOSTS / 2) % HOSTS
+        } else {
+            let half = HOSTS / 2;
+            src / half * half + (src + 1) % half
+        };
+        assert_eq!(
+            spec.attachments[src as usize] == spec.attachments[dst as usize],
+            i % 16 != 0
+        );
+        let frame = Frame::tcp(
+            HostId(src),
+            HostId(dst),
+            FrameKind::Data,
+            200 + (i * 97) % 1200,
+            u64::from(i) + 1,
+        );
+        let round = u64::from(i / HOSTS);
+        let group = u64::from(ROUNDS_PER_GROUP);
+        let t_us = (round / group) * (group * 700 + 300_000) + (round % group) * 700;
+        fab.enqueue(NicId(src), frame, SimTime::from_micros(t_us));
+    }
+    fab
+}
+
+#[test]
+fn threaded_drain_of_the_synth_load_is_identical_at_shard_counts_1_2() {
+    for seed in [7u64, 1998] {
+        let mut base = synth_loaded(seed, 1);
+        let want = base.drain_parallel();
+        assert_eq!(want.deliveries.len(), 2 * 96 * 16);
+        let mut split = synth_loaded(seed, 2);
+        assert_eq!(split.shard_count(), 2);
+        let got = split.drain_parallel();
+        assert_eq!(got.violations, 0, "seed={seed}");
+        assert_eq!(got.events, want.events, "seed={seed}: event count diverged");
+        assert_eq!(
+            got.deliveries, want.deliveries,
+            "seed={seed}: deliveries diverged"
+        );
+        assert_eq!(split.stats(), base.stats(), "seed={seed}: MAC statistics");
+        assert_eq!(split.flows(), base.flows(), "seed={seed}: node flows");
+        assert_eq!(split.errors(), base.errors(), "seed={seed}: errors");
+        // One frame a round crosses, all from sw0.
+        let sent: Vec<u64> = got.per_shard.iter().map(|s| s.crossings_sent).collect();
+        assert_eq!(sent, [2 * 96, 0], "seed={seed}");
+    }
 }
