@@ -378,6 +378,24 @@ fn list_experiments() {
     println!("\nsets: `all` (the default), `all-extras`; everything else runs only when named");
 }
 
+/// The value that follows `flag`, parsed. A missing or unreadable value
+/// is a usage error, exit 2: falling back to the default would let a
+/// typo in a determinism check compare a run with itself.
+fn flag_value<T>(flag: &str, args: &mut impl Iterator<Item = String>) -> T
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let Some(raw) = args.next() else {
+        eprintln!("{flag} needs a value — see `repro --help`");
+        std::process::exit(2);
+    };
+    raw.parse().unwrap_or_else(|e| {
+        eprintln!("{flag}: cannot read `{raw}`: {e}");
+        std::process::exit(2)
+    })
+}
+
 fn main() {
     let mut div = 1usize;
     let mut hours = 100usize;
@@ -393,20 +411,15 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--div" => div = args.next().and_then(|s| s.parse().ok()).unwrap_or(1),
-            "--hours" => hours = args.next().and_then(|s| s.parse().ok()).unwrap_or(100),
-            "--out" => out = args.next().unwrap_or_else(|| "out".into()),
-            "--metrics-out" => metrics_out = args.next(),
-            "--date" => date = args.next(),
-            "--seed" => seed = args.next().and_then(|s| s.parse().ok()).unwrap_or(1998),
-            "--jobs" => jobs = args.next().and_then(|s| s.parse().ok()).unwrap_or(1),
-            "--shards" => shards = args.next().and_then(|s| s.parse().ok()).unwrap_or(1).max(1),
-            "--trace-format" => {
-                trace_format = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(TraceFormat::Binary);
-            }
+            "--div" => div = flag_value(&a, &mut args),
+            "--hours" => hours = flag_value(&a, &mut args),
+            "--out" => out = flag_value(&a, &mut args),
+            "--metrics-out" => metrics_out = Some(flag_value(&a, &mut args)),
+            "--date" => date = Some(flag_value(&a, &mut args)),
+            "--seed" => seed = flag_value(&a, &mut args),
+            "--jobs" => jobs = flag_value(&a, &mut args),
+            "--shards" => shards = flag_value::<usize>(&a, &mut args).max(1),
+            "--trace-format" => trace_format = flag_value(&a, &mut args),
             "--telemetry" => telemetry = true,
             "--list" => {
                 list_experiments();
@@ -2209,19 +2222,24 @@ fn bench_repro(c: &mut Ctx) {
         let shard_eps = sharded.events as f64 / t_shard;
         let ratio = shard_eps / base_eps;
         shard_min_speedup = shard_min_speedup.min(ratio);
-        // Per shard: events/null rounds/crossings sent/ring-full stalls.
+        // Per shard: events/null rounds/crossings sent/ring-full
+        // stalls/event-list high water.
         let per_shard: Vec<String> = sharded
             .per_shard
             .iter()
             .map(|s| {
                 format!(
-                    "{}/{}/{}/{}",
-                    s.events, s.null_rounds, s.crossings_sent, s.ring_full_stalls
+                    "{}/{}/{}/{}/{}",
+                    s.events,
+                    s.null_rounds,
+                    s.crossings_sent,
+                    s.ring_full_stalls,
+                    s.pending_high_water
                 )
             })
             .collect();
         println!(
-            "shard drain {fabric_name}: 1 shard {:.2}M events/s, {clamped} shards {:.2}M events/s  ({ratio:.2}x), {} deliveries identical; per shard events/null/sent/stalls {}",
+            "shard drain {fabric_name}: 1 shard {:.2}M events/s, {clamped} shards {:.2}M events/s  ({ratio:.2}x), {} deliveries identical; per shard events/null/sent/stalls/pending {}",
             base_eps / 1e6,
             shard_eps / 1e6,
             base.deliveries.len(),
@@ -2252,6 +2270,10 @@ fn bench_repro(c: &mut Ctx) {
                                     (
                                         "ring_full_stalls".to_string(),
                                         Value::U64(s.ring_full_stalls),
+                                    ),
+                                    (
+                                        "pending_high_water".to_string(),
+                                        Value::U64(s.pending_high_water),
                                     ),
                                 ])
                             })

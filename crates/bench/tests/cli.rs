@@ -1,0 +1,85 @@
+//! `repro`'s command line, process by process: a flag whose value is
+//! missing or does not parse is a usage error (exit 2, the flag and the
+//! value named on stderr, nothing run), never a silent default — a typo
+//! in a determinism check must not compare a run with itself.
+
+use std::process::{Command, Output};
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("spawn repro")
+}
+
+#[test]
+fn a_bad_flag_value_exits_2_naming_flag_and_value() {
+    for (flag, bad) in [
+        ("--seed", "banana"),
+        ("--shards", "x"),
+        ("--div", "1.5"),
+        ("--jobs", "-1"),
+        ("--hours", "ten"),
+        ("--trace-format", "bogus"),
+    ] {
+        let out = repro(&[flag, bad, "fig6"]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {bad}: {err}");
+        assert!(
+            err.contains(flag) && err.contains(bad),
+            "{flag} {bad}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{flag} {bad}: ran anyway");
+    }
+}
+
+#[test]
+fn a_missing_flag_value_exits_2_naming_the_flag() {
+    for flag in [
+        "--seed",
+        "--shards",
+        "--div",
+        "--jobs",
+        "--hours",
+        "--trace-format",
+        "--out",
+        "--metrics-out",
+        "--date",
+    ] {
+        let out = repro(&["fig6", flag]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {err}");
+        assert!(err.contains(flag), "{flag}: {err}");
+        assert!(out.stdout.is_empty(), "{flag}: ran anyway");
+    }
+}
+
+#[test]
+fn good_values_are_taken() {
+    // `mix-admit`, the QoS admission sweep, prewarms nothing and takes
+    // well under a second.
+    let dir = std::env::temp_dir().join(format!("fxnet-repro-cli-{}", std::process::id()));
+    let out_dir = dir.to_str().expect("utf-8 temp dir");
+    let out = repro(&[
+        "--seed",
+        "42",
+        "--div",
+        "50",
+        "--jobs",
+        "2",
+        "--shards",
+        "2",
+        "--hours",
+        "1",
+        "--trace-format",
+        "text",
+        "--out",
+        out_dir,
+        "mix-admit",
+    ]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("1/50"), "--div 50 is announced:\n{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

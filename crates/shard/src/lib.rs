@@ -100,6 +100,11 @@ pub struct ShardDrainStats {
     pub crossings_sent: u64,
     /// Pushes that found the outgoing ring full and had to be retried.
     pub ring_full_stalls: u64,
+    /// Most events ever pending at once in its fabric's event list
+    /// ([`CompositeFabric::pending_high_water`]), enqueue phase included.
+    /// A function of the offered load at one shard; with more, injected
+    /// frames arrive as thread timing has it.
+    pub pending_high_water: u64,
 }
 
 /// A partitioned [`CompositeFabric`] behind the same pull interface,
@@ -349,7 +354,7 @@ impl ShardedFabric {
     pub fn advance(&mut self, out: &mut Vec<Delivery>) -> Option<SimTime> {
         let (key, s) = self.next_shard()?;
         let before = out.len();
-        self.shards[s].advance_keyed(out);
+        self.shards[s].advance_at(key, out);
         self.events_processed += 1;
         let delivered = (out.len() - before) as u64;
         // Crossings: inject into their target shards right away, before
@@ -426,6 +431,7 @@ impl ShardedFabric {
                 null_rounds: 0,
                 per_shard: vec![ShardDrainStats {
                     events,
+                    pending_high_water: fab.pending_high_water() as u64,
                     ..ShardDrainStats::default()
                 }],
             };
@@ -670,15 +676,16 @@ impl<'a> DrainWorker<'a> {
             let mut since_publish = 0u32;
             let mut due = false;
             let next_local = loop {
-                let next = self.fab.next_key().map_or(u64::MAX, |k| k.time.as_nanos());
-                if next >= horizon {
+                let key = self.fab.next_key();
+                let next = key.map_or(u64::MAX, |k| k.time.as_nanos());
+                let Some(key) = key.filter(|_| next < horizon) else {
                     break next;
-                }
+                };
                 if due {
                     self.publish(next);
                     since_publish = 0;
                 }
-                let crossed = self.step();
+                let crossed = self.step(key);
                 since_publish += 1;
                 due = crossed || since_publish >= PUBLISH_EVERY;
             };
@@ -687,6 +694,7 @@ impl<'a> DrainWorker<'a> {
                 && self.fab.idle()
                 && self.rx.iter().all(|i| i.ring.is_empty())
             {
+                self.done.stats.pending_high_water = self.fab.pending_high_water() as u64;
                 return self.done;
             }
             if self.done.stats.events == before {
@@ -710,12 +718,10 @@ impl<'a> DrainWorker<'a> {
         }
     }
 
-    /// Process one event; returns whether it sent a frame across a cut.
-    fn step(&mut self) -> bool {
-        let key = self
-            .fab
-            .advance_keyed(&mut self.scratch)
-            .expect("peeked event");
+    /// Process the next event, whose key is `key`; returns whether it
+    /// sent a frame across a cut.
+    fn step(&mut self, key: EventKey) -> bool {
+        self.fab.advance_at(key, &mut self.scratch);
         self.done.stats.events += 1;
         self.retired += self.scratch.len() as u64;
         self.done

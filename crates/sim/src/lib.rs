@@ -65,7 +65,7 @@ pub use frame::{
     Frame, FrameKind, FrameRecord, FrameTap, HostId, Proto, ETHER_OVERHEAD, MAX_FRAME, MIN_FRAME,
 };
 pub use linkstats::{LinkProbe, LinkSeries, LinkStats, LinkWindow};
-pub use queue::{BinaryHeapQueue, EventKey, EventQueue, KeyedQueue};
+pub use queue::{BinaryHeapQueue, EventKey, EventQueue, KeyedQueue, LaneQueue};
 pub use rates::{RATE_100M, RATE_10M, RATE_1G};
 pub use rng::SimRng;
 pub use spsc::{ring, RingReceiver, RingSender};

@@ -1,30 +1,46 @@
-//! A generic time-ordered event queue.
+//! Time-ordered event queues.
 //!
-//! Two implementations with one contract — earliest `(time, seq)` first,
-//! so events scheduled for the same instant pop in FIFO order:
+//! Four types, two orders. [`EventQueue`] and [`BinaryHeapQueue`] pop
+//! earliest `(time, seq)` first, so events scheduled for the same
+//! instant pop in FIFO (push) order; [`LaneQueue`] and [`KeyedQueue`]
+//! pop by an explicit [`EventKey`], so pop order is a pure function of
+//! the pushed keys. Which serves what:
 //!
-//! * [`EventQueue`] — a calendar (bucket-ring) queue tuned to the
-//!   simulator's nanosecond timebase. Events within a ~2 ms horizon land
-//!   in a ring of 1 µs-wide buckets (push O(1), pop scans one sparse
-//!   bucket); far-future events (TCP delayed-ACK and RTO timers live
-//!   hundreds of milliseconds out) sit in a binary-heap overflow and are
-//!   consulted on every pop so ordering is exact even when the horizon
-//!   has advanced past an overflow entry's slot. The current minimum is
-//!   cached so `peek_time` — called on every sequencer iteration — is a
-//!   field read.
-//! * [`BinaryHeapQueue`] — the original heap keyed by `(time, seq)`,
-//!   kept as the reference implementation: the equivalence proptest
-//!   below drives both with the same schedule and demands identical pop
-//!   order, and the `bench` experiment measures the calendar's
-//!   events/sec advantage against it.
+//! * [`EventQueue`] — TCP timers (`fxnet-proto`) and the legacy
+//!   [`crate::SwitchFabric`]. A calendar (bucket-ring) queue tuned to
+//!   the simulator's nanosecond timebase. Events within a ~2 ms horizon
+//!   land in a ring of 1 µs-wide buckets (push O(1), pop scans one
+//!   sparse bucket); far-future events (TCP delayed-ACK and RTO timers
+//!   live hundreds of milliseconds out) sit in a binary-heap overflow
+//!   and are consulted on every pop so ordering is exact even when the
+//!   horizon has advanced past an overflow entry's slot. The current
+//!   minimum is cached so `peek_time` — called on every sequencer
+//!   iteration — is a field read.
+//! * [`LaneQueue`] — the compiled fabric (`fxnet-topo`'s
+//!   `CompositeFabric`, and through it every `fxnet-shard` shard): its
+//!   only event list. Every event the fabric schedules is the
+//!   completion of a transmission on one simplex link, and a link
+//!   serialises one frame at a time, so each link's events are pushed
+//!   in strictly increasing key order. The pending set is therefore a
+//!   k-way merge of sorted runs: one FIFO ring per link (*lane*) and a
+//!   small heap holding only each non-empty lane's head key.
+//! * [`BinaryHeapQueue`] — oracle for [`EventQueue`]: the original heap
+//!   keyed by `(time, seq)`. The equivalence proptest below drives both
+//!   with the same schedule and demands identical pop order, and the
+//!   `bench` experiment measures the calendar's events/sec against it.
+//! * [`KeyedQueue`] — oracle for [`LaneQueue`]: one `BinaryHeap` of
+//!   every pending `(EventKey, event)`. The proptest below and
+//!   `tests/integration_shard.rs` hold the lanes to its pop order;
+//!   nothing in `src/` runs on it.
 //!
 //! Deterministic tie-breaking is essential: the whole simulator must be
 //! a pure function of its seed, and heap or bucket order alone is not
 //! stable.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 struct Entry<E> {
     time: SimTime,
@@ -391,6 +407,8 @@ impl<E> Ord for KeyedEntry<E> {
 /// order — the shard-safe counterpart of [`EventQueue`]. Pop order is a
 /// pure function of the pushed keys, so any partitioning of the pushes
 /// across shards that merges by key reproduces the sequential order.
+/// One heap of every pending entry: the reference [`LaneQueue`] is
+/// tested against.
 pub struct KeyedQueue<E> {
     heap: BinaryHeap<KeyedEntry<E>>,
     high_water: usize,
@@ -441,6 +459,89 @@ impl<E> KeyedQueue<E> {
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
+    }
+
+    /// Largest number of events ever pending at once.
+    pub fn high_water(&self) -> usize {
+        self.high_water
+    }
+}
+
+/// An [`EventKey`]-ordered queue for events that arrive as a fixed
+/// number of sorted runs (*lanes*): a FIFO ring per lane, and a heap of
+/// `(head key, lane)` with at most one entry per non-empty lane. Pop
+/// order is that of a [`KeyedQueue`] given the same pushes, but the heap
+/// that a pop sifts is as deep as the lane count, not the pending count.
+pub struct LaneQueue<E> {
+    lanes: Vec<VecDeque<(EventKey, E)>>,
+    /// The head key of every non-empty lane.
+    heads: BinaryHeap<Reverse<(EventKey, usize)>>,
+    len: usize,
+    high_water: usize,
+}
+
+impl<E> LaneQueue<E> {
+    /// An empty queue of `lanes` lanes.
+    pub fn new(lanes: usize) -> Self {
+        LaneQueue {
+            lanes: (0..lanes).map(|_| VecDeque::new()).collect(),
+            heads: BinaryHeap::with_capacity(lanes),
+            len: 0,
+            high_water: 0,
+        }
+    }
+
+    /// Schedule `event` under `key` on `lane`.
+    ///
+    /// # Panics
+    /// If `key` does not exceed the key last pushed on `lane` while that
+    /// push is still pending: the merge is only correct over sorted
+    /// lanes, so an out-of-order push is a bug in the caller.
+    pub fn push(&mut self, lane: usize, key: EventKey, event: E) {
+        let ring = &mut self.lanes[lane];
+        match ring.back() {
+            Some(&(tail, _)) => assert!(
+                key > tail,
+                "lane {lane}: pushed {key:?} behind its tail {tail:?}"
+            ),
+            None => self.heads.push(Reverse((key, lane))),
+        }
+        ring.push_back((key, event));
+        self.len += 1;
+        self.high_water = self.high_water.max(self.len);
+    }
+
+    /// Key of the earliest pending event.
+    pub fn peek_key(&self) -> Option<EventKey> {
+        self.heads.peek().map(|&Reverse((key, _))| key)
+    }
+
+    /// Remove and return the earliest pending event.
+    pub fn pop(&mut self) -> Option<(EventKey, E)> {
+        let mut head = self.heads.peek_mut()?;
+        let Reverse((head_key, lane)) = &mut *head;
+        let ring = &mut self.lanes[*lane];
+        let popped = ring.pop_front().expect("a lane in the heap is non-empty");
+        // Re-key the lane's slot in place: one sift instead of a pop and
+        // a push.
+        match ring.front() {
+            Some(&(next, _)) => *head_key = next,
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+        self.len -= 1;
+        Some(popped)
+    }
+
+    /// Number of pending events, across all lanes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the queue is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// Largest number of events ever pending at once.
@@ -673,6 +774,58 @@ mod tests {
                 prop_assert_eq!(&merged, &expect, "shards={}", shards);
             }
         }
+
+        /// The lanes against the heap they replaced: any number of
+        /// lanes, keys strictly increasing within a lane and tying
+        /// across lanes on time, on time and class, and on time, class
+        /// and major, pushes and pops interleaved — same `peek_key`,
+        /// same pop, same `len` at every step.
+        #[test]
+        fn lane_queue_matches_keyed_queue(
+            lanes in 1usize..9,
+            ops in prop::collection::vec(
+                // (push-vs-pop selector, lane selector, time step, sub-keys)
+                (0u8..100, 0usize..64, 0u64..3, 0u64..32),
+                1..400,
+            )
+        ) {
+            // `minor % MAX_LANES` names the lane, so keys stay unique
+            // across lanes, as the fabric's (stamp, hop) pairs are.
+            const MAX_LANES: u64 = 8;
+            let mut laned = LaneQueue::new(lanes);
+            let mut heap = KeyedQueue::new();
+            let mut tails: Vec<Option<EventKey>> = vec![None; lanes];
+            for (id, (sel, lane, dt, sub)) in ops.into_iter().enumerate() {
+                if sel < 60 {
+                    let lane = lane % lanes;
+                    let tail = tails[lane];
+                    let time = tail.map_or(0, |k| k.time.as_nanos()) + dt;
+                    let mut key = EventKey {
+                        time: SimTime::from_nanos(time),
+                        class: (sub % 2) as u8,
+                        major: sub / 2 % 4,
+                        minor: sub / 8 * MAX_LANES + lane as u64,
+                    };
+                    if let Some(tail) = tail.filter(|&tail| key <= tail) {
+                        key = EventKey { minor: tail.minor + MAX_LANES, ..tail };
+                    }
+                    tails[lane] = Some(key);
+                    laned.push(lane, key, id);
+                    heap.push(key, id);
+                } else {
+                    prop_assert_eq!(laned.peek_key(), heap.peek_key());
+                    prop_assert_eq!(laned.pop(), heap.pop());
+                }
+                prop_assert_eq!(laned.len(), heap.len());
+                prop_assert_eq!(laned.is_empty(), heap.is_empty());
+            }
+            prop_assert_eq!(laned.high_water(), heap.high_water());
+            while let Some(want) = heap.pop() {
+                prop_assert_eq!(laned.peek_key(), Some(want.0));
+                prop_assert_eq!(laned.pop(), Some(want));
+            }
+            prop_assert!(laned.is_empty() && laned.pop().is_none());
+        }
     }
 
     #[test]
@@ -700,5 +853,36 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "bus2");
         assert!(q.pop().is_none());
         assert_eq!(q.high_water(), 3);
+    }
+
+    #[test]
+    fn lane_queue_merges_lanes_and_reuses_a_drained_lane() {
+        let mut q = LaneQueue::new(3);
+        let at = |us, stamp| EventKey::calendar(SimTime::from_micros(us), stamp, 0);
+        q.push(0, at(4, 0), "a4");
+        q.push(2, at(1, 1), "c1");
+        q.push(0, at(9, 2), "a9");
+        q.push(2, at(4, 3), "c4");
+        assert_eq!((q.len(), q.high_water()), (4, 4));
+        assert_eq!(q.peek_key(), Some(at(1, 1)));
+        assert_eq!(q.pop().unwrap().1, "c1");
+        // Equal times: the lower stamp first, whatever the lane.
+        assert_eq!(q.pop().unwrap().1, "a4");
+        assert_eq!(q.pop().unwrap().1, "c4");
+        // Lane 2 is empty, so nothing pending constrains its next key.
+        q.push(2, at(2, 4), "c2");
+        assert_eq!(q.pop().unwrap().1, "c2");
+        assert_eq!(q.pop().unwrap().1, "a9");
+        assert!(q.is_empty() && q.pop().is_none() && q.peek_key().is_none());
+        assert_eq!(q.high_water(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "behind its tail")]
+    fn lane_queue_refuses_an_out_of_order_push() {
+        let mut q = LaneQueue::new(2);
+        q.push(1, EventKey::calendar(SimTime::from_micros(5), 0, 0), ());
+        q.push(0, EventKey::calendar(SimTime::from_micros(3), 1, 0), ());
+        q.push(1, EventKey::calendar(SimTime::from_micros(4), 2, 0), ());
     }
 }

@@ -7,12 +7,20 @@
 //! CSMA/CD machine with its own deterministic RNG stream — while switch
 //! and router ports and inter-node trunks generalize the
 //! [`fxnet_sim::SwitchFabric`] store-and-forward discipline (a free-time
-//! scalar per simplex link, output queuing on a [`KeyedQueue`] under the
-//! explicit [`EventKey`] order) to arbitrary hop counts. The key order —
-//! time, then calendar-before-bus, then fabric-entry stamp and per-frame
-//! hop — is a pure function of the offered load, which is what lets
+//! scalar per simplex link, output queuing under the explicit
+//! [`EventKey`] order) to arbitrary hop counts. The key order — time,
+//! then calendar-before-bus, then fabric-entry stamp and per-frame hop —
+//! is a pure function of the offered load, which is what lets
 //! `fxnet-shard` split one fabric across worker threads and still merge
 //! a byte-identical event stream.
+//!
+//! The event list is a [`LaneQueue`] with one lane per simplex link:
+//! lane `h` is host `h`'s uplink, `hosts + h` its downlink, and
+//! `2 * hosts + 2 * trunk + dir` one trunk direction (fed by `forward`
+//! when the hop is local, by `inject` when the trunk is cut). A link's
+//! free-time scalar moves forward by a positive transmit time at every
+//! use, so the keys pushed on one lane strictly increase, which is all
+//! the lanes need to merge into the key order (DESIGN.md §11).
 //!
 //! Token smuggling: the protocol layer correlates deliveries through
 //! `Frame::token`, but a multi-hop frame needs composite-side bookkeeping
@@ -37,7 +45,7 @@ use crate::spec::{NodeKind, TopologySpec, Trunk};
 use fxnet_sim::ethernet::Delivery;
 use fxnet_sim::{
     EtherBus, EtherConfig, EtherStats, EventKey, Frame, FrameMeta, FrameRecord, FrameTap,
-    KeyedQueue, LinkProbe, LinkStats, NicId, SimRng, SimTime, TxError,
+    LaneQueue, LinkProbe, LinkStats, NicId, SimRng, SimTime, TxError,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -203,7 +211,8 @@ pub struct CompositeFabric {
     down_free: Vec<SimTime>,
     /// Per trunk, per direction (0 = a→b): next free instant.
     trunk_free: Vec<[SimTime; 2]>,
-    events: KeyedQueue<TopoEvent>,
+    /// The event list, one lane per simplex link (see the module docs).
+    events: LaneQueue<TopoEvent>,
     /// Next fabric-entry stamp (when not overridden by a sharded owner).
     next_stamp: u64,
     /// Time of the last processed event (monotone; causality guard for
@@ -281,7 +290,7 @@ impl CompositeFabric {
             up_free: vec![SimTime::ZERO; hosts],
             down_free: vec![SimTime::ZERO; hosts],
             trunk_free: vec![[SimTime::ZERO; 2]; spec.trunks.len()],
-            events: KeyedQueue::new(),
+            events: LaneQueue::new(2 * hosts + 2 * spec.trunks.len()),
             next_stamp: 0,
             clock: SimTime::ZERO,
             scope: None,
@@ -447,6 +456,11 @@ impl CompositeFabric {
             .expect("live transit")
     }
 
+    /// Event-list lane of direction `dir` of trunk `trunk`.
+    fn trunk_lane(&self, trunk: usize, dir: usize) -> usize {
+        2 * self.spec.host_count() + 2 * trunk + dir
+    }
+
     /// Allocate the calendar key for the transit behind `token` at
     /// scheduled time `time`, bumping the transit's hop counter.
     fn calendar_key(&mut self, token: u64, time: SimTime) -> EventKey {
@@ -521,6 +535,7 @@ impl CompositeFabric {
                 t.best_access_ns = t.best_access_ns.max(wait);
                 let key = self.calendar_key(f.token, done + latency);
                 self.events.push(
+                    host,
                     key,
                     TopoEvent::AtNode {
                         node: src_node,
@@ -592,7 +607,11 @@ impl CompositeFabric {
                     t.meta.tx_ns += tx.as_nanos();
                     t.best_access_ns = t.best_access_ns.max(wait);
                     let key = self.calendar_key(f.token, done);
-                    self.events.push(key, TopoEvent::Deliver { frame: f });
+                    self.events.push(
+                        self.spec.host_count() + dst_host,
+                        key,
+                        TopoEvent::Deliver { frame: f },
+                    );
                 }
             }
             self.flows[node].frames_out += 1;
@@ -646,6 +665,7 @@ impl CompositeFabric {
             });
         } else {
             self.events.push(
+                self.trunk_lane(ti, dir),
                 key,
                 TopoEvent::AtNode {
                     node: far,
@@ -755,14 +775,25 @@ impl CompositeFabric {
     /// so a sharded owner can merge per-shard output streams globally.
     pub fn advance_keyed(&mut self, out: &mut Vec<Delivery>) -> Option<EventKey> {
         let k = self.next_key()?;
+        self.advance_at(k, out);
+        Some(k)
+    }
+
+    /// Process the next event, given its key: `k` must be what
+    /// [`CompositeFabric::next_key`] returns now. For a driver that has
+    /// already looked at the key to decide whether to advance (a sharded
+    /// owner picking the minimal shard, a drain worker checking its
+    /// horizon), so the scan over the segments is made once per event.
+    pub fn advance_at(&mut self, k: EventKey, out: &mut Vec<Delivery>) {
+        debug_assert_eq!(Some(k), self.next_key(), "stale event key");
         self.clock = k.time;
         if k.class == 0 {
-            let (_, ev) = self.events.pop()?;
+            let (_, ev) = self.events.pop().expect("calendar key has its event");
             match ev {
                 TopoEvent::AtNode { node, frame } => self.forward(node, frame, k.time),
                 TopoEvent::Deliver { frame } => self.finalize(k.time, frame, out),
             }
-            return Some(k);
+            return;
         }
         let node = usize::try_from(k.major).expect("node index");
         self.scratch.clear();
@@ -793,7 +824,6 @@ impl CompositeFabric {
             }
         }
         self.scratch = deliveries;
-        Some(k)
     }
 
     /// Scope this fabric to the nodes where `owned[n]` is true: frames
@@ -899,6 +929,7 @@ impl CompositeFabric {
         let mut f = cf.frame;
         f.token = self.transit_insert(cf.transit);
         self.events.push(
+            self.trunk_lane(cf.trunk, cf.dir),
             cf.key,
             TopoEvent::AtNode {
                 node: cf.node,
@@ -911,6 +942,13 @@ impl CompositeFabric {
     /// Time of the last processed event (the shard-local clock).
     pub fn clock(&self) -> SimTime {
         self.clock
+    }
+
+    /// Most scheduled events ever pending at once, summed over the
+    /// lanes of the event list (frames waiting on a segment's bus are
+    /// that bus's to count).
+    pub fn pending_high_water(&self) -> usize {
+        self.events.high_water()
     }
 
     /// Drain every pending event (test helper).
@@ -1162,6 +1200,77 @@ mod tests {
         let mut fab = CompositeFabric::new(spec.clone(), ether, 5);
         fab.set_scope(crate::Partition::new(spec, shards).owned_mask(s));
         fab
+    }
+
+    /// Drive `spec` cut into `shards` blocks the way the cooperative pull
+    /// loop does — advance the shard whose next key is least, inject what
+    /// crossed a cut at once — and return every processed key in order.
+    fn processed_keys(spec: &TopologySpec, ether: &EtherConfig, shards: usize) -> Vec<EventKey> {
+        let part = crate::Partition::new(spec, shards);
+        let mut fabs: Vec<CompositeFabric> = (0..part.shards)
+            .map(|s| {
+                if part.shards > 1 {
+                    scoped(spec, ether, shards, s)
+                } else {
+                    CompositeFabric::new(spec.clone(), ether, 5)
+                }
+            })
+            .collect();
+        // Every host sends to its mirror across the middle of the host
+        // list, four at an instant: every frame crosses every cut on its
+        // path, and uplinks, trunks and downlinks all queue.
+        let hosts = spec.host_count() as u32;
+        for i in 0..20 * hosts {
+            let src = i % hosts;
+            let f = tcp(src, (src + hosts / 2) % hosts, 60 + (i * 131) % 1200, 1);
+            let t = SimTime::from_micros(u64::from(i / (4 * hosts)) * 300);
+            fabs[part.host_shard[src as usize]].enqueue_stamped(NicId(src), f, t, u64::from(i));
+        }
+        let (mut keys, mut out, mut crossed) = (Vec::new(), Vec::new(), Vec::new());
+        while let Some((_, s)) = (0..fabs.len())
+            .filter_map(|s| fabs[s].next_key().map(|k| (k, s)))
+            .min()
+        {
+            keys.push(fabs[s].advance_keyed(&mut out).expect("peeked event"));
+            fabs[s].drain_outbox(&mut crossed);
+            for cf in crossed.drain(..) {
+                fabs[part.node_shard[cf.node()]].inject(cf);
+            }
+        }
+        let label = format!("{} @ {shards}", spec.label());
+        assert!(fabs.iter().all(CompositeFabric::idle), "{label}");
+        let lost: usize = fabs.iter().map(|f| f.errors().len()).sum();
+        assert_eq!(out.len() + lost, 20 * hosts as usize, "{label}");
+        assert_eq!(lost > 0, ether.drop_prob > 0.0, "{label}");
+        if spec.id == "trunk2" && shards == 1 {
+            // Every frame is enqueued before the first event runs and
+            // holds one scheduled event at a time.
+            assert_eq!(fabs[0].pending_high_water(), 20 * hosts as usize);
+        }
+        keys
+    }
+
+    /// The lanes merge to one strictly increasing key sequence on every
+    /// canonical topology — on `routed2` with a fifth of the segment
+    /// frames lost, and with every trunk cut so that `inject` feeds the
+    /// trunk lanes — and the cut fabric processes the very keys the whole
+    /// one does. (An out-of-order push would already have panicked in
+    /// `LaneQueue::push`.)
+    #[test]
+    fn processed_keys_strictly_increase_whole_and_cut() {
+        for spec in TopologySpec::sweep_set(4, RATE_10M) {
+            let ether = EtherConfig {
+                drop_prob: if spec.id == "routed2" { 0.2 } else { 0.0 },
+                ..EtherConfig::default()
+            };
+            let whole = processed_keys(&spec, &ether, 1);
+            assert!(!whole.is_empty());
+            for pair in whole.windows(2) {
+                assert!(pair[0] < pair[1], "{}: {pair:?}", spec.label());
+            }
+            let cut = processed_keys(&spec, &ether, spec.nodes.len());
+            assert_eq!(cut, whole, "{}", spec.label());
+        }
     }
 
     /// The entry → exit relation is read off the forwarding tables:

@@ -8,13 +8,16 @@
 //! these equalities also pin the sharded core to the pre-shard
 //! behavior bit for bit. The threaded drain, which no program runs, is
 //! held to the same rule on the load `repro analysis-scale` and the
-//! benchmark's `fabric-synth` offer it.
+//! benchmark's `fabric-synth` offer it — and on that load the order in
+//! which the fabric's per-link lanes release events is held to the pop
+//! order of `KeyedQueue`, the one heap the fabric ran on before.
 
 use fxnet::causal::{blame_value, blame_violation};
 use fxnet::mix::MixTenant;
 use fxnet::shard::ShardedFabric;
-use fxnet::sim::{EtherConfig, Frame, FrameKind, NicId};
+use fxnet::sim::{EtherConfig, Frame, FrameKind, KeyedQueue, NicId};
 use fxnet::telemetry::prometheus_text;
+use fxnet::topo::{CompositeFabric, Partition};
 use fxnet::watch::WatchConfig;
 use fxnet::{HostId, KernelKind, RunOptions, RunResult, SimTime, TestbedBuilder, TopologySpec};
 
@@ -178,15 +181,19 @@ fn watch_events_metrics_and_blame_are_byte_identical_across_shard_counts() {
     assert_eq!(base, watched_artifacts(4), "4 shards: artifacts diverged");
 }
 
+/// Hosts of the synth-shaped load, eight to a switch.
+const HOSTS: u32 = 16;
+
+fn synth_spec() -> TopologySpec {
+    TopologySpec::two_switches_trunk(HOSTS, fxnet::sim::RATE_10M)
+}
+
 /// The synth-shaped batch load: 16 hosts on two switches, rounds of one
 /// frame per host 700 µs apart in two burst groups 300 ms apart, every
 /// 16th frame to the mirror host across the trunk and the rest to a
 /// neighbour on the sender's own switch.
-fn synth_loaded(seed: u64, shards: usize) -> ShardedFabric {
-    const HOSTS: u32 = 16;
+fn offer_synth(spec: &TopologySpec, mut enqueue: impl FnMut(NicId, Frame, SimTime)) {
     const ROUNDS_PER_GROUP: u32 = 96;
-    let spec = TopologySpec::two_switches_trunk(HOSTS, fxnet::sim::RATE_10M);
-    let mut fab = ShardedFabric::new(spec.clone(), &EtherConfig::default(), seed, shards);
     for i in 0..2 * ROUNDS_PER_GROUP * HOSTS {
         let src = i % HOSTS;
         let dst = if i % 16 == 0 {
@@ -209,8 +216,14 @@ fn synth_loaded(seed: u64, shards: usize) -> ShardedFabric {
         let round = u64::from(i / HOSTS);
         let group = u64::from(ROUNDS_PER_GROUP);
         let t_us = (round / group) * (group * 700 + 300_000) + (round % group) * 700;
-        fab.enqueue(NicId(src), frame, SimTime::from_micros(t_us));
+        enqueue(NicId(src), frame, SimTime::from_micros(t_us));
     }
+}
+
+fn synth_loaded(seed: u64, shards: usize) -> ShardedFabric {
+    let spec = synth_spec();
+    let mut fab = ShardedFabric::new(spec.clone(), &EtherConfig::default(), seed, shards);
+    offer_synth(&spec, |nic, frame, t| fab.enqueue(nic, frame, t));
     fab
 }
 
@@ -235,5 +248,73 @@ fn threaded_drain_of_the_synth_load_is_identical_at_shard_counts_1_2() {
         // One frame a round crosses, all from sw0.
         let sent: Vec<u64> = got.per_shard.iter().map(|s| s.crossings_sent).collect();
         assert_eq!(sent, [2 * 96, 0], "seed={seed}");
+        // The whole load is enqueued before the drain and a frame holds
+        // one scheduled event at a time, so an event list peaks at once —
+        // except sw1's, which takes in the crossers as fast as sw0's
+        // thread sends them.
+        let peak = |o: &fxnet::shard::DrainOutcome| -> Vec<u64> {
+            o.per_shard.iter().map(|s| s.pending_high_water).collect()
+        };
+        assert_eq!(peak(&want), [2 * 96 * 16], "seed={seed}");
+        let split_peak = peak(&got);
+        assert_eq!(split_peak[0], 96 * 16, "seed={seed}");
+        assert!(
+            (96 * 16..=96 * 16 + 2 * 96).contains(&split_peak[1]),
+            "seed={seed}: {split_peak:?}"
+        );
+    }
+}
+
+/// The heap as an oracle. Drive the synth load through one whole fabric
+/// and through two scoped ones (least next key first, crossings injected
+/// at once — what the drain's merge reproduces), give every processed
+/// event's key to a `KeyedQueue`, and require the heap to pop them in the
+/// order the lanes released them; the deliveries are the threaded
+/// drain's.
+#[test]
+fn lanes_release_events_in_the_keyed_heaps_pop_order_at_shard_counts_1_2() {
+    let ether = EtherConfig::default();
+    for shards in [1usize, 2] {
+        let spec = synth_spec();
+        let part = Partition::new(&spec, shards);
+        assert_eq!(part.shards, shards);
+        let mut fabs: Vec<CompositeFabric> = (0..shards)
+            .map(|s| {
+                let mut fab = CompositeFabric::new(spec.clone(), &ether, 1998);
+                if shards > 1 {
+                    fab.set_scope(part.owned_mask(s));
+                }
+                fab
+            })
+            .collect();
+        let mut stamp = 0;
+        offer_synth(&spec, |nic, frame, t| {
+            fabs[part.host_shard[nic.0 as usize]].enqueue_stamped(nic, frame, t, stamp);
+            stamp += 1;
+        });
+        let mut oracle = KeyedQueue::new();
+        let (mut deliveries, mut crossed) = (Vec::new(), Vec::new());
+        while let Some((_, s)) = (0..shards)
+            .filter_map(|s| fabs[s].next_key().map(|k| (k, s)))
+            .min()
+        {
+            let key = fabs[s].advance_keyed(&mut deliveries).expect("peeked");
+            oracle.push(key, oracle.len());
+            fabs[s].drain_outbox(&mut crossed);
+            for cf in crossed.drain(..) {
+                fabs[part.node_shard[cf.node()]].inject(cf);
+            }
+        }
+        let processed = oracle.len();
+        let popped: Vec<usize> = std::iter::from_fn(|| oracle.pop())
+            .map(|(_, i)| i)
+            .collect();
+        assert!(
+            popped.iter().copied().eq(0..processed),
+            "{shards} shard(s): the heap pops the processed keys in another order"
+        );
+        let want = synth_loaded(1998, shards).drain_parallel();
+        assert_eq!(processed as u64, want.events, "{shards} shard(s)");
+        assert_eq!(deliveries, want.deliveries, "{shards} shard(s)");
     }
 }
