@@ -30,10 +30,11 @@
 //! `fabric-sweep` (the six programs across the four canonical
 //! topologies at 10/100/1000 Mb/s; fits burst period vs provided
 //! bandwidth, checks `c` stability and single-segment byte-identity,
-//! writes `out/fabric_sweep.json`), and `bench` (event-queue engines,
-//! parallel suite speedup, the columnar-vs-AoS analysis race, and the
-//! binary-vs-text trace-format race; writes `out/bench_repro.json` plus
-//! the four `analysis_*.md` transcripts it asserts byte-identical), and
+//! writes `out/fabric_sweep.json`), and `bench` (parallel suite
+//! speedup, the columnar-vs-AoS analysis race, the binary-vs-text
+//! trace-format race, and the shard drain; writes
+//! `out/bench_repro.json` plus the four `analysis_*.md` transcripts it
+//! asserts byte-identical), and
 //! `analysis-scale` (out-of-core analytics: synthesizes a chunked
 //! 10M-frame trace through the sharded trunk fabric — `--div N` scales
 //! it down to a floor of 500k — then races the streamed one-pass chunk
@@ -61,8 +62,7 @@ use fxnet::trace::{
 };
 use fxnet::{KernelKind, SimTime};
 use fxnet_bench::{
-    analysis_suite_aos, analysis_suite_columnar, bandwidth_row_bw, queue_benchmark, stats_row,
-    Experiments,
+    analysis_suite_aos, analysis_suite_columnar, bandwidth_row_bw, stats_row, Experiments,
 };
 use fxnet_harness::{timed, Pool};
 use serde::Value;
@@ -314,7 +314,7 @@ const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         id: "bench",
-        desc: "perf probes: queues, suite speedup, columnar analysis, trace IO",
+        desc: "perf probes: suite speedup, columnar analysis, trace IO, shard drain",
         run: bench_repro,
         ..NONE
     },
@@ -1916,29 +1916,13 @@ fn fabric_sweep(c: &mut Ctx) {
 }
 
 // --------------------------------------------------------------------
-// Perf probes: the event-queue engines and the parallel suite.
+// Perf probes: the parallel suite, the analysis and trace-IO races, the
+// shard drain.
 
 fn bench_repro(c: &mut Ctx) {
-    header("bench: queues, suite speedup, columnar analysis, trace IO");
+    header("bench: suite speedup, columnar analysis, trace IO, shard drain");
     let jobs = c.pool.jobs();
     let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    // Engine probe: the calendar queue against the reference heap on an
-    // identical simulator-shaped schedule.
-    let qb = queue_benchmark(300_000, 1024);
-    println!(
-        "event queues ({} ops, {} pending): calendar {:.1}M events/s vs heap {:.1}M events/s  ({:.2}x)",
-        qb.ops,
-        qb.pending,
-        qb.calendar_events_per_sec / 1e6,
-        qb.heap_events_per_sec / 1e6,
-        qb.ratio
-    );
-    assert!(
-        qb.ratio >= 1.1,
-        "the calendar queue must clear 1.1x the heap's events/sec (got {:.2}x)",
-        qb.ratio
-    );
 
     // Suite probe: the six measured programs, serial vs pooled, at a
     // bench scale (outer iterations >= /10, AIRSHED <= 10 hours) so the
@@ -2370,23 +2354,6 @@ fn bench_repro(c: &mut Ctx) {
                 ("fabrics".to_string(), Value::Object(shard_legs)),
             ]),
         ),
-        (
-            "queue".to_string(),
-            Value::Object(vec![
-                ("ops".to_string(), Value::U64(qb.ops)),
-                ("pending".to_string(), Value::U64(qb.pending as u64)),
-                (
-                    "heap_events_per_sec".to_string(),
-                    Value::F64(qb.heap_events_per_sec),
-                ),
-                (
-                    "calendar_events_per_sec".to_string(),
-                    Value::F64(qb.calendar_events_per_sec),
-                ),
-                ("ratio".to_string(), Value::F64(qb.ratio)),
-                ("ratio_floor".to_string(), Value::F64(1.1)),
-            ]),
-        ),
     ]);
     let path = c.exps.out_path("bench_repro.json");
     write_json_artifact(&path, &report).expect("write bench report");
@@ -2410,10 +2377,6 @@ fn bench_repro(c: &mut Ctx) {
         ("cores".to_string(), Value::U64(avail as u64)),
         ("shards".to_string(), Value::U64(c.shards as u64)),
         ("div".to_string(), Value::U64(div as u64)),
-        (
-            "calendar_events_per_sec".to_string(),
-            Value::F64(qb.calendar_events_per_sec),
-        ),
         ("suite_speedup".to_string(), Value::F64(speedup)),
         ("analysis_speedup".to_string(), Value::F64(col_speedup)),
         ("io_load_speedup".to_string(), Value::F64(io_speedup)),

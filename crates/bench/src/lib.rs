@@ -501,117 +501,6 @@ pub fn append_history_line(
     Ok(HistoryAppend { created, dropped })
 }
 
-/// Events/sec of the calendar `EventQueue` against the reference
-/// `BinaryHeapQueue`, driven by one identical simulator-shaped schedule
-/// (mostly MAC/segment-scale offsets inside the ring horizon, a few
-/// RTO-scale timers in the overflow).
-pub struct QueueBench {
-    /// Pushes + pops performed per engine.
-    pub ops: u64,
-    /// Steady-state pending events (the hold pattern).
-    pub pending: usize,
-    pub heap_events_per_sec: f64,
-    pub calendar_events_per_sec: f64,
-    /// `calendar_events_per_sec / heap_events_per_sec`.
-    pub ratio: f64,
-}
-
-/// Measure both event-queue implementations on the same deterministic
-/// schedule: prefill `pending` events, then hold that population for
-/// `ops` pop-push rounds, then drain. Best of three rounds per engine.
-pub fn queue_benchmark(ops: usize, pending: usize) -> QueueBench {
-    use fxnet::sim::{BinaryHeapQueue, EventQueue};
-    use fxnet::SimTime;
-
-    // One shared offset schedule (xorshift64*; fixed seed): ~70 %
-    // sub-frame MAC/segment offsets, ~25 % spanning a few ring buckets,
-    // ~5 % delayed-ACK/RTO-scale timers that land in the overflow.
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut next = move || {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    };
-    let offsets: Vec<u64> = (0..ops + pending)
-        .map(|_| {
-            let r = next();
-            match r % 100 {
-                0..=69 => 100 + r % 57_600,        // bit .. min-frame time
-                70..=94 => r % 1_200_000,          // up to one max frame
-                _ => 200_000_000 + r % 50_000_000, // delayed-ACK / RTO scale
-            }
-        })
-        .collect();
-
-    fn drive<Q>(
-        offsets: &[u64],
-        pending: usize,
-        push: impl Fn(&mut Q, SimTime, u64),
-        pop: impl Fn(&mut Q) -> Option<(SimTime, u64)>,
-        mut q: Q,
-    ) -> (u64, u64, std::time::Duration) {
-        let t0 = std::time::Instant::now();
-        let mut ops_done = 0u64;
-        let mut checksum = 0u64;
-        let mut clock = 0u64;
-        for (i, &off) in offsets.iter().enumerate() {
-            if i >= pending {
-                let (t, e) = pop(&mut q).expect("hold pattern keeps the queue non-empty");
-                clock = clock.max(t.as_nanos());
-                checksum = checksum.wrapping_add(t.as_nanos() ^ e);
-                ops_done += 1;
-            }
-            push(&mut q, SimTime::from_nanos(clock + off), i as u64);
-            ops_done += 1;
-        }
-        while let Some((t, e)) = pop(&mut q) {
-            checksum = checksum.wrapping_add(t.as_nanos() ^ e);
-            ops_done += 1;
-        }
-        (ops_done, checksum, t0.elapsed())
-    }
-
-    let mut heap_best = f64::INFINITY;
-    let mut cal_best = f64::INFINITY;
-    let mut total_ops = 0u64;
-    let mut checks = (0u64, 0u64);
-    for _ in 0..3 {
-        let (n, ck, dt) = drive(
-            &offsets,
-            pending,
-            |q: &mut BinaryHeapQueue<u64>, t, e| q.push(t, e),
-            |q| q.pop(),
-            BinaryHeapQueue::new(),
-        );
-        heap_best = heap_best.min(dt.as_secs_f64());
-        total_ops = n;
-        checks.0 = ck;
-        let (_, ck, dt) = drive(
-            &offsets,
-            pending,
-            |q: &mut EventQueue<u64>, t, e| q.push(t, e),
-            |q| q.pop(),
-            EventQueue::new(),
-        );
-        cal_best = cal_best.min(dt.as_secs_f64());
-        checks.1 = ck;
-    }
-    assert_eq!(
-        checks.0, checks.1,
-        "both engines must pop the identical schedule"
-    );
-    let heap_eps = total_ops as f64 / heap_best;
-    let cal_eps = total_ops as f64 / cal_best;
-    QueueBench {
-        ops: total_ops,
-        pending,
-        heap_events_per_sec: heap_eps,
-        calendar_events_per_sec: cal_eps,
-        ratio: cal_eps / heap_eps,
-    }
-}
-
 /// Format one table row of size/interarrival statistics.
 pub fn stats_row(label: &str, s: Option<Stats>) -> String {
     match s {
@@ -851,15 +740,6 @@ mod tests {
                 k.name()
             );
         }
-    }
-
-    #[test]
-    fn queue_benchmark_runs_identical_schedules() {
-        let qb = queue_benchmark(5_000, 128);
-        assert!(qb.ops > 10_000, "push+pop on both sides");
-        assert!(qb.heap_events_per_sec > 0.0);
-        assert!(qb.calendar_events_per_sec > 0.0);
-        assert!(qb.ratio > 0.0);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use fxnet_fx::{
 };
 use fxnet_proto::LinkKind;
 use fxnet_pvm::Route;
-use fxnet_sim::{FrameTap, SimTime, SwitchConfig};
+use fxnet_sim::{FrameTap, SimTime};
 use std::cell::RefCell;
 
 /// Builder for a [`Testbed`]: one fluent surface over everything the
@@ -99,7 +99,7 @@ impl TestbedBuilder {
     /// switch (per-host full-duplex 10 Mb/s ports) — the DESIGN.md §8
     /// ablation isolating the MAC layer's contribution to burst shaping.
     pub fn switched_fabric(mut self) -> TestbedBuilder {
-        self.cfg.pvm.net.link = LinkKind::Switched(SwitchConfig::default());
+        self.cfg.pvm.net.link = LinkKind::Switched;
         self
     }
 

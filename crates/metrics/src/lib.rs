@@ -17,7 +17,7 @@
 //! * **Matrices** ([`TrafficMatrices`]): hypersparse per-window
 //!   src×dst traffic matrices over the sorted host-pair id space, with
 //!   per-scale [`ScalingRelation`] summaries, Kepner style.
-//! * **Rollup** ([`rollup`]): topology-aware link → node → fabric
+//! * **Rollup** ([`mod@rollup`]): topology-aware link → node → fabric
 //!   aggregation and hotspot flagging — over threshold for `k`
 //!   consecutive windows, latched through the same
 //!   [`fxnet_trace::StreakLatch`] the bandwidth watcher uses, named to

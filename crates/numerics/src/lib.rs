@@ -3,7 +3,7 @@
 //! The dense-matrix numerics the measured Fx programs actually perform,
 //! implemented from scratch:
 //!
-//! * [`Complex`] and an iterative radix-2 [`fft`] — used both by the
+//! * [`Complex`] and an iterative radix-2 [`fft()`] — used both by the
 //!   2DFFT/T2DFFT kernels and by the trace analysis (the periodogram of
 //!   the instantaneous bandwidth is `|FFT|²`).
 //! * [`sor`] — the 5-point successive-overrelaxation stencil.

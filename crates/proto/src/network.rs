@@ -7,7 +7,7 @@ use fxnet_shard::ShardedFabric;
 use fxnet_sim::{
     ethernet::Delivery, CausalEvent, CauseId, EtherBus, EtherConfig, EtherStats, EventQueue, Frame,
     FrameKind, FrameMeta, FrameRecord, FrameTap, HostId, LinkStats, NicId, ProtoCause, SimRng,
-    SimTime, SwitchConfig, SwitchFabric,
+    SimTime, RATE_10M,
 };
 use fxnet_topo::{CompositeFabric, TopologySpec};
 /// Maximum TCP payload per segment (1500 B MTU − 40 B headers).
@@ -22,8 +22,10 @@ pub const MAX_UDP: usize = 1472;
 pub enum LinkKind {
     /// Single CSMA/CD collision domain (the measured environment).
     SharedBus,
-    /// Store-and-forward switch with per-host full-duplex ports.
-    Switched(SwitchConfig),
+    /// One store-and-forward switch with a full-duplex 10 Mb/s port per
+    /// host: [`TopologySpec::single_switch`] over however many hosts the
+    /// stack is built with.
+    Switched,
     /// A compiled multi-segment topology: segments, switches, routers,
     /// and trunks (`fxnet-topo`). A single-segment spec reproduces the
     /// `SharedBus` trace byte for byte.
@@ -48,11 +50,12 @@ pub struct NetConfig {
     pub rto: SimTime,
     /// Seed for the MAC backoff RNG.
     pub seed: u64,
-    /// Number of DES shards for multi-segment topologies. `1` runs the
-    /// legacy sequential fabric; `> 1` partitions the topology across
-    /// scoped shards (`fxnet-shard`) with byte-identical output. Ignored
-    /// for the shared bus and the switch counterfactual, which have no
-    /// partitionable structure.
+    /// Number of DES shards for compiled topologies. `1` runs the
+    /// sequential fabric; `> 1` partitions the topology across scoped
+    /// shards (`fxnet-shard`) with byte-identical output, clamped to the
+    /// spec's node count — so the one-switch counterfactual always runs
+    /// as one shard. Ignored for the shared bus, which is not a compiled
+    /// topology.
     pub shards: usize,
 }
 
@@ -189,12 +192,11 @@ enum Timer {
 }
 
 /// The frame-carrying fabric beneath the stack. (The bus variant is much
-/// larger than the switch; exactly one Fabric exists per Network, so the
-/// size difference is irrelevant.)
+/// larger than the two boxes; exactly one Fabric exists per Network, so
+/// the size difference is irrelevant.)
 #[allow(clippy::large_enum_variant)]
 enum Fabric {
     Bus(EtherBus),
-    Switch(SwitchFabric),
     Topo(Box<CompositeFabric>),
     /// A partitioned topology: the same compiled spec split across DES
     /// shards, byte-identical to `Topo` at every shard count.
@@ -205,7 +207,6 @@ impl Fabric {
     fn enqueue(&mut self, nic: NicId, frame: Frame, now: SimTime) {
         match self {
             Fabric::Bus(b) => b.enqueue(nic, frame, now),
-            Fabric::Switch(s) => s.enqueue(frame, now),
             Fabric::Topo(t) => t.enqueue(nic, frame, now),
             Fabric::Sharded(t) => t.enqueue(nic, frame, now),
         }
@@ -214,7 +215,6 @@ impl Fabric {
     fn next_event_time(&self) -> Option<SimTime> {
         match self {
             Fabric::Bus(b) => b.next_event_time(),
-            Fabric::Switch(s) => s.next_event_time(),
             Fabric::Topo(t) => t.next_event_time(),
             Fabric::Sharded(t) => t.next_event_time(),
         }
@@ -223,7 +223,6 @@ impl Fabric {
     fn advance(&mut self, out: &mut Vec<Delivery>) -> Option<SimTime> {
         match self {
             Fabric::Bus(b) => b.advance(out),
-            Fabric::Switch(s) => s.advance(out),
             Fabric::Topo(t) => t.advance(out),
             Fabric::Sharded(t) => t.advance(out),
         }
@@ -232,7 +231,6 @@ impl Fabric {
     fn idle(&self) -> bool {
         match self {
             Fabric::Bus(b) => b.idle(),
-            Fabric::Switch(s) => s.idle(),
             Fabric::Topo(t) => t.idle(),
             Fabric::Sharded(t) => t.idle(),
         }
@@ -241,7 +239,6 @@ impl Fabric {
     fn set_promiscuous(&mut self, on: bool) {
         match self {
             Fabric::Bus(b) => b.set_promiscuous(on),
-            Fabric::Switch(s) => s.set_promiscuous(on),
             Fabric::Topo(t) => t.set_promiscuous(on),
             Fabric::Sharded(t) => t.set_promiscuous(on),
         }
@@ -250,7 +247,6 @@ impl Fabric {
     fn set_tap(&mut self, tap: Option<FrameTap>) {
         match self {
             Fabric::Bus(b) => b.set_tap(tap),
-            Fabric::Switch(s) => s.set_tap(tap),
             Fabric::Topo(t) => t.set_tap(tap),
             Fabric::Sharded(t) => t.set_tap(tap),
         }
@@ -259,7 +255,6 @@ impl Fabric {
     fn trace(&self) -> &[FrameRecord] {
         match self {
             Fabric::Bus(b) => b.trace(),
-            Fabric::Switch(s) => s.trace(),
             Fabric::Topo(t) => t.trace(),
             Fabric::Sharded(t) => t.trace(),
         }
@@ -268,7 +263,6 @@ impl Fabric {
     fn take_trace(&mut self) -> Vec<FrameRecord> {
         match self {
             Fabric::Bus(b) => b.take_trace(),
-            Fabric::Switch(s) => s.take_trace(),
             Fabric::Topo(t) => t.take_trace(),
             Fabric::Sharded(t) => t.take_trace(),
         }
@@ -277,14 +271,6 @@ impl Fabric {
     fn stats(&self) -> EtherStats {
         match self {
             Fabric::Bus(b) => b.stats(),
-            Fabric::Switch(s) => {
-                let (frames, bytes) = s.stats();
-                EtherStats {
-                    frames_delivered: frames,
-                    bytes_delivered: bytes,
-                    ..EtherStats::default()
-                }
-            }
             Fabric::Topo(t) => t.stats(),
             Fabric::Sharded(t) => t.stats(),
         }
@@ -293,29 +279,24 @@ impl Fabric {
     fn host_count(&self) -> usize {
         match self {
             Fabric::Bus(b) => b.nic_count(),
-            Fabric::Switch(s) => s.port_count(),
             Fabric::Topo(t) => t.host_count(),
             Fabric::Sharded(t) => t.host_count(),
         }
     }
 
-    /// Errors surfaced for frames the fabric destroyed. The switched
-    /// fabric never destroys frames.
+    /// Errors surfaced for frames the fabric destroyed.
     fn errors(&self) -> &[(SimTime, Frame, fxnet_sim::TxError)] {
         match self {
             Fabric::Bus(b) => b.errors(),
-            Fabric::Switch(_) => &[],
             Fabric::Topo(t) => t.errors(),
             Fabric::Sharded(t) => t.errors(),
         }
     }
 
-    /// Enable/disable passive per-link sampling (no-op on the legacy
-    /// switch counterfactual, which has no link-level queues to observe).
+    /// Enable/disable passive per-link sampling.
     fn set_link_sampling(&mut self, bin_ns: Option<u64>) {
         match self {
             Fabric::Bus(b) => b.set_link_sampling(bin_ns),
-            Fabric::Switch(_) => {}
             Fabric::Topo(t) => t.set_link_sampling(bin_ns),
             Fabric::Sharded(t) => t.set_link_sampling(bin_ns),
         }
@@ -331,7 +312,6 @@ impl Fabric {
                     links: vec![("seg:bus".to_string(), series)],
                 })
             }
-            Fabric::Switch(_) => None,
             Fabric::Topo(t) => t.take_link_stats(),
             Fabric::Sharded(t) => t.take_link_stats(),
         }
@@ -372,35 +352,43 @@ pub struct Network {
 impl Network {
     /// Build a stack with `hosts` stations attached to a fresh bus.
     pub fn new(cfg: NetConfig, hosts: usize) -> Network {
-        let bus = match &cfg.link {
-            LinkKind::SharedBus => {
+        // `Switched` learns its port count here, as `SharedBus` does.
+        let spec = match &cfg.link {
+            LinkKind::SharedBus => None,
+            LinkKind::Switched => Some(TopologySpec::single_switch(hosts as u32, RATE_10M)),
+            LinkKind::Topology(spec) => Some(spec.clone()),
+        };
+        let bus = match spec {
+            None => {
                 let mut b = EtherBus::new(cfg.ether.clone(), SimRng::new(cfg.seed));
                 for _ in 0..hosts {
                     b.attach();
                 }
                 Fabric::Bus(b)
             }
-            LinkKind::Switched(sc) => Fabric::Switch(SwitchFabric::new(sc.clone(), hosts)),
-            LinkKind::Topology(spec) => {
+            Some(spec) => {
                 assert!(
                     spec.host_count() >= hosts,
                     "topology '{}' attaches {} hosts but the stack needs {hosts}",
                     spec.id,
                     spec.host_count(),
                 );
+                // `ShardedFabric` at one shard is `CompositeFabric`, and a
+                // `single_segment` spec is `EtherBus`, byte for byte, so
+                // one wrapper could carry all three and this enum could
+                // go. Tried and measured (ROADMAP item 2): every
+                // `benchmark/expected.json` digest held, but `bulk-bus`
+                // `wall_s` rose 3.4–4.9 % in the median (minimum 3.37 →
+                // 3.55 s, 3.42 → 3.84 s over 6 + 8 alternating pairs on 2
+                // vCPUs) and `airshed-trunk2` 2.12 → 2.27 s — the engine,
+                // PVM and TCP each peek the fabric once per event, so the
+                // wrapper's min-over-shards is paid three times.
                 if cfg.shards > 1 {
                     Fabric::Sharded(Box::new(ShardedFabric::new(
-                        spec.clone(),
-                        &cfg.ether,
-                        cfg.seed,
-                        cfg.shards,
+                        spec, &cfg.ether, cfg.seed, cfg.shards,
                     )))
                 } else {
-                    Fabric::Topo(Box::new(CompositeFabric::new(
-                        spec.clone(),
-                        &cfg.ether,
-                        cfg.seed,
-                    )))
+                    Fabric::Topo(Box::new(CompositeFabric::new(spec, &cfg.ether, cfg.seed)))
                 }
             }
         };
@@ -1285,33 +1273,43 @@ mod tests {
 
     #[test]
     fn switched_fabric_carries_tcp() {
-        let cfg = NetConfig {
-            link: LinkKind::Switched(fxnet_sim::SwitchConfig::default()),
-            ..NetConfig::default()
-        };
-        let mut n = Network::new(cfg, 4);
-        n.set_promiscuous(true);
-        let c1 = n.connect(HostId(0), HostId(1), SimTime::ZERO);
-        let c2 = n.connect(HostId(2), HostId(3), SimTime::ZERO);
-        let payload: Vec<u8> = (0..30_000u32).map(|i| i as u8).collect();
-        n.tcp_write(c1, HostId(0), Bytes::from(payload.clone()), SimTime::ZERO);
-        n.tcp_write(c2, HostId(2), Bytes::from(payload.clone()), SimTime::ZERO);
-        let ev = n.run_to_idle();
-        let mut got1 = Vec::new();
-        let mut got2 = Vec::new();
-        for e in &ev {
-            if let AppEvent::TcpData { conn, data, .. } = e {
-                if *conn == c1 {
-                    got1.extend_from_slice(data);
-                } else {
-                    got2.extend_from_slice(data);
+        // One shard is `CompositeFabric`; two requested is `ShardedFabric`
+        // clamped to the spec's one node. Same trace either way.
+        let mut traces = Vec::new();
+        for shards in [1, 2] {
+            let cfg = NetConfig {
+                link: LinkKind::Switched,
+                shards,
+                ..NetConfig::default()
+            };
+            let mut n = Network::new(cfg, 4);
+            assert_eq!(n.host_count(), 4);
+            n.set_promiscuous(true);
+            let c1 = n.connect(HostId(0), HostId(1), SimTime::ZERO);
+            let c2 = n.connect(HostId(2), HostId(3), SimTime::ZERO);
+            let payload: Vec<u8> = (0..30_000u32).map(|i| i as u8).collect();
+            n.tcp_write(c1, HostId(0), Bytes::from(payload.clone()), SimTime::ZERO);
+            n.tcp_write(c2, HostId(2), Bytes::from(payload.clone()), SimTime::ZERO);
+            let ev = n.run_to_idle();
+            let mut got1 = Vec::new();
+            let mut got2 = Vec::new();
+            for e in &ev {
+                if let AppEvent::TcpData { conn, data, .. } = e {
+                    if *conn == c1 {
+                        got1.extend_from_slice(data);
+                    } else {
+                        got2.extend_from_slice(data);
+                    }
                 }
             }
+            assert_eq!(got1, payload);
+            assert_eq!(got2, payload);
+            // No collisions on a switch.
+            assert_eq!(n.ether_stats().collisions, 0);
+            traces.push(n.take_trace());
         }
-        assert_eq!(got1, payload);
-        assert_eq!(got2, payload);
-        // No collisions on a switch.
-        assert_eq!(n.ether_stats().collisions, 0);
+        assert!(!traces[0].is_empty());
+        assert_eq!(traces[0], traces[1]);
     }
 
     #[test]

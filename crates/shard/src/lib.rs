@@ -198,17 +198,10 @@ impl ShardedFabric {
         self.events_processed
     }
 
-    fn shard_promiscuous(&self) -> bool {
-        self.promiscuous || self.tap.is_some()
-    }
-
-    /// Enable the merged promiscuous capture.
+    /// Enable the merged promiscuous capture. The shards themselves
+    /// never capture: pull mode builds each record from the delivery.
     pub fn set_promiscuous(&mut self, on: bool) {
         self.promiscuous = on;
-        let per_shard = self.shard_promiscuous();
-        for s in &mut self.shards {
-            s.set_promiscuous(per_shard);
-        }
     }
 
     /// Install (or remove) a live frame tap at the merged capture point.
@@ -216,10 +209,6 @@ impl ShardedFabric {
     /// sequential fabric's tap would.
     pub fn set_tap(&mut self, tap: Option<FrameTap>) {
         self.tap = tap;
-        let per_shard = self.shard_promiscuous();
-        for s in &mut self.shards {
-            s.set_promiscuous(per_shard);
-        }
     }
 
     /// Merged captured trace so far.
@@ -348,7 +337,7 @@ impl ShardedFabric {
     }
 
     /// Process exactly one fabric event — the globally minimal key across
-    /// shards — then route any crossings, harvest new trace records
+    /// shards — then route any crossings, capture the event's deliveries
     /// through the merged tap/trace, and harvest surfaced errors. The
     /// resulting streams are byte-identical at every shard count.
     pub fn advance(&mut self, out: &mut Vec<Delivery>) -> Option<SimTime> {
@@ -369,15 +358,16 @@ impl ShardedFabric {
             self.shards[target].inject(cf);
         }
         self.crossings = crossings;
-        // Trace/tap: the advanced shard captured any deliveries locally;
-        // replay them through the merged capture point in event order.
-        if !self.shards[s].trace().is_empty() {
-            for r in self.shards[s].take_trace() {
+        // Trace/tap: capture this event's deliveries at the merged
+        // capture point, as `CompositeFabric::finalize` would have.
+        if self.promiscuous || self.tap.is_some() {
+            for d in &out[before..] {
+                let record = FrameRecord::capture(d.time, &d.frame);
                 if let Some(tap) = &mut self.tap {
-                    tap(&r);
+                    tap(&record);
                 }
                 if self.promiscuous {
-                    self.trace.push(r);
+                    self.trace.push(record);
                 }
             }
         }

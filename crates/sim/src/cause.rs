@@ -169,9 +169,9 @@ pub struct FrameMeta {
     pub attempts: u32,
     /// Bottleneck inter-node trunk, encoded with [`FrameMeta::trunk_code`].
     /// 0 when the frame crossed no trunk, or when an access hop (its own
-    /// segment or port) out-waited every trunk it crossed. Single-hop
-    /// fabrics ([`crate::EtherBus`], [`crate::SwitchFabric`]) always
-    /// leave it 0.
+    /// segment or port) out-waited every trunk it crossed. A fabric with
+    /// no trunk ([`crate::EtherBus`], a one-switch topology) always
+    /// leaves it 0.
     pub trunk: u32,
 }
 

@@ -55,7 +55,6 @@ pub mod queue;
 pub mod rates;
 pub mod rng;
 pub mod spsc;
-pub mod switch;
 pub mod time;
 
 pub use cause::{AppCause, CausalEvent, Cause, CauseId, FrameMeta, ProtoCause};
@@ -65,9 +64,8 @@ pub use frame::{
     Frame, FrameKind, FrameRecord, FrameTap, HostId, Proto, ETHER_OVERHEAD, MAX_FRAME, MIN_FRAME,
 };
 pub use linkstats::{LinkProbe, LinkSeries, LinkStats, LinkWindow};
-pub use queue::{BinaryHeapQueue, EventKey, EventQueue, KeyedQueue, LaneQueue};
+pub use queue::{EventKey, EventQueue, KeyedQueue, LaneQueue};
 pub use rates::{RATE_100M, RATE_10M, RATE_1G};
 pub use rng::SimRng;
 pub use spsc::{ring, RingReceiver, RingSender};
-pub use switch::{SwitchConfig, SwitchFabric};
 pub use time::SimTime;

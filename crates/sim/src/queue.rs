@@ -1,21 +1,23 @@
 //! Time-ordered event queues.
 //!
-//! Four types, two orders. [`EventQueue`] and [`BinaryHeapQueue`] pop
-//! earliest `(time, seq)` first, so events scheduled for the same
-//! instant pop in FIFO (push) order; [`LaneQueue`] and [`KeyedQueue`]
-//! pop by an explicit [`EventKey`], so pop order is a pure function of
-//! the pushed keys. Which serves what:
+//! Three types, two orders. [`EventQueue`] pops earliest `(time, seq)`
+//! first, so events scheduled for the same instant pop in FIFO (push)
+//! order; [`LaneQueue`] and [`KeyedQueue`] pop by an explicit
+//! [`EventKey`], so pop order is a pure function of the pushed keys.
+//! Which serves what:
 //!
-//! * [`EventQueue`] — TCP timers (`fxnet-proto`) and the legacy
-//!   [`crate::SwitchFabric`]. A calendar (bucket-ring) queue tuned to
-//!   the simulator's nanosecond timebase. Events within a ~2 ms horizon
-//!   land in a ring of 1 µs-wide buckets (push O(1), pop scans one
-//!   sparse bucket); far-future events (TCP delayed-ACK and RTO timers
-//!   live hundreds of milliseconds out) sit in a binary-heap overflow
-//!   and are consulted on every pop so ordering is exact even when the
-//!   horizon has advanced past an overflow entry's slot. The current
-//!   minimum is cached so `peek_time` — called on every sequencer
-//!   iteration — is a field read.
+//! * [`EventQueue`] — TCP timers (`fxnet-proto`), and nothing else. A
+//!   calendar (bucket-ring) queue tuned to the simulator's nanosecond
+//!   timebase. Events within a ~2 ms horizon land in a ring of 1 µs-wide
+//!   buckets (push O(1), pop scans one sparse bucket); far-future events
+//!   (TCP delayed-ACK and RTO timers live hundreds of milliseconds out)
+//!   sit in a binary-heap overflow and are consulted on every pop so
+//!   ordering is exact even when the horizon has advanced past an
+//!   overflow entry's slot. The current minimum is cached so `peek_time`
+//!   — called on every sequencer iteration — is a field read. Its
+//!   oracle, a plain heap keyed by `(time, seq)`, lives in this module's
+//!   tests: the equivalence proptest drives both with the same schedule
+//!   and demands identical pop order.
 //! * [`LaneQueue`] — the compiled fabric (`fxnet-topo`'s
 //!   `CompositeFabric`, and through it every `fxnet-shard` shard): its
 //!   only event list. Every event the fabric schedules is the
@@ -24,10 +26,6 @@
 //!   in strictly increasing key order. The pending set is therefore a
 //!   k-way merge of sorted runs: one FIFO ring per link (*lane*) and a
 //!   small heap holding only each non-empty lane's head key.
-//! * [`BinaryHeapQueue`] — oracle for [`EventQueue`]: the original heap
-//!   keyed by `(time, seq)`. The equivalence proptest below drives both
-//!   with the same schedule and demands identical pop order, and the
-//!   `bench` experiment measures the calendar's events/sec against it.
 //! * [`KeyedQueue`] — oracle for [`LaneQueue`]: one `BinaryHeap` of
 //!   every pending `(EventKey, event)`. The proptest below and
 //!   `tests/integration_shard.rs` hold the lanes to its pop order;
@@ -69,64 +67,6 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// The original binary-heap event queue, kept as the reference
-/// implementation and benchmark baseline for [`EventQueue`].
-pub struct BinaryHeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-    high_water: usize,
-}
-
-impl<E> Default for BinaryHeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> BinaryHeapQueue<E> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        BinaryHeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            high_water: 0,
-        }
-    }
-
-    /// Schedule `event` at `time`.
-    pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { time, seq, event });
-        self.high_water = self.high_water.max(self.heap.len());
-    }
-
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Remove and return the earliest pending event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.time, e.event))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Largest number of events ever pending at once.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-}
-
 /// log2 of the bucket width in nanoseconds: 2^10 ns ≈ 1 µs. One 10 Mb/s
 /// bit time is 100 ns, a minimum frame 57.6 µs, a maximum frame 1.2 ms —
 /// so MAC- and segment-scale events spread across many buckets while a
@@ -151,7 +91,7 @@ struct CachedMin {
 
 /// Earliest-first event queue with stable FIFO order at equal times —
 /// the calendar-queue implementation (see the module docs for the
-/// design and [`BinaryHeapQueue`] for the reference baseline).
+/// design).
 pub struct EventQueue<E> {
     /// Ring of buckets; bucket `i` holds events whose tick maps to `i`.
     buckets: Vec<Vec<Entry<E>>>,
@@ -554,6 +494,45 @@ impl<E> LaneQueue<E> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The original event queue, one heap keyed by `(time, seq)`: the
+    /// reference [`EventQueue`] is held to in
+    /// `calendar_matches_binary_heap`.
+    struct BinaryHeapQueue<E> {
+        heap: BinaryHeap<Entry<E>>,
+        next_seq: u64,
+    }
+
+    impl<E> BinaryHeapQueue<E> {
+        fn new() -> Self {
+            BinaryHeapQueue {
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+            }
+        }
+
+        fn push(&mut self, time: SimTime, event: E) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(Entry { time, seq, event });
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.time)
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, E)> {
+            self.heap.pop().map(|e| (e.time, e.event))
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.heap.is_empty()
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {

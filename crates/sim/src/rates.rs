@@ -1,10 +1,11 @@
 //! Named link rates.
 //!
-//! Every layer that prices a link — the MAC (`EtherConfig`), the switch
-//! (`SwitchConfig`), the topology compiler (`fxnet-topo`), the QoS
-//! admission model, and the experiment harness — used to repeat the same
-//! `10_000_000`-style literals. They live here once, under the names the
-//! paper and its successors use for the Ethernet generations.
+//! Every layer that prices a link — the MAC (`EtherConfig`), the
+//! topology compiler (`fxnet-topo`), the protocol stack's one-switch
+//! counterfactual, the QoS admission model, and the experiment harness —
+//! used to repeat the same `10_000_000`-style literals. They live here
+//! once, under the names the paper and its successors use for the
+//! Ethernet generations.
 
 /// 10 Mb/s — classic shared Ethernet, the paper's measured fabric (§5.1).
 pub const RATE_10M: u64 = 10_000_000;

@@ -5,14 +5,15 @@
 //!
 //! Element reuse: every `Segment` node *is* an [`EtherBus`] — the full
 //! CSMA/CD machine with its own deterministic RNG stream — while switch
-//! and router ports and inter-node trunks generalize the
-//! [`fxnet_sim::SwitchFabric`] store-and-forward discipline (a free-time
-//! scalar per simplex link, output queuing under the explicit
-//! [`EventKey`] order) to arbitrary hop counts. The key order — time,
-//! then calendar-before-bus, then fabric-entry stamp and per-frame hop —
-//! is a pure function of the offered load, which is what lets
-//! `fxnet-shard` split one fabric across worker threads and still merge
-//! a byte-identical event stream.
+//! and router ports and inter-node trunks share one store-and-forward
+//! discipline (a free-time scalar per simplex link, output queuing under
+//! the explicit [`EventKey`] order) over arbitrary hop counts; its
+//! smallest case, [`TopologySpec::single_switch`], is the DESIGN.md §8
+//! switch counterfactual. The key order — time, then
+//! calendar-before-bus, then fabric-entry stamp and per-frame hop — is a
+//! pure function of the offered load, which is what lets `fxnet-shard`
+//! split one fabric across worker threads and still merge a
+//! byte-identical event stream.
 //!
 //! The event list is a [`LaneQueue`] with one lane per simplex link:
 //! lane `h` is host `h`'s uplink, `hosts + h` its downlink, and
@@ -1251,14 +1252,16 @@ mod tests {
     }
 
     /// The lanes merge to one strictly increasing key sequence on every
-    /// canonical topology — on `routed2` with a fifth of the segment
-    /// frames lost, and with every trunk cut so that `inject` feeds the
-    /// trunk lanes — and the cut fabric processes the very keys the whole
-    /// one does. (An out-of-order push would already have panicked in
-    /// `LaneQueue::push`.)
+    /// canonical topology and the one-switch star — on `routed2` with a
+    /// fifth of the segment frames lost, and with every trunk cut so that
+    /// `inject` feeds the trunk lanes — and the cut fabric processes the
+    /// very keys the whole one does. (An out-of-order push would already
+    /// have panicked in `LaneQueue::push`.)
     #[test]
     fn processed_keys_strictly_increase_whole_and_cut() {
-        for spec in TopologySpec::sweep_set(4, RATE_10M) {
+        let mut specs = TopologySpec::sweep_set(4, RATE_10M);
+        specs.push(TopologySpec::single_switch(4, RATE_10M));
+        for spec in specs {
             let ether = EtherConfig {
                 drop_prob: if spec.id == "routed2" { 0.2 } else { 0.0 },
                 ..EtherConfig::default()

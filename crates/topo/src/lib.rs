@@ -14,13 +14,13 @@
 //!
 //! - [`spec`] — the topology graph ([`TopologySpec`]), validation, and
 //!   BFS-derived forwarding tables, plus the four canonical shapes the
-//!   fabric bandwidth sweep exercises.
+//!   fabric bandwidth sweep exercises and the one-switch star of the
+//!   DESIGN.md §8 ablation.
 //! - [`fabric`] — the compiled [`CompositeFabric`]: per-segment
 //!   [`EtherBus`](fxnet_sim::EtherBus) instances, per-trunk output
 //!   queues on the calendar event queue, exact per-hop
 //!   [`FrameMeta`](fxnet_sim::FrameMeta) accounting, and deterministic
 //!   event ordering so traces are byte-identical across thread counts.
-
 //! - [`partition`] — the shard [`Partition`]: contiguous host-balanced
 //!   node blocks (one shard per switch subtree by default), cut trunks,
 //!   and per-direction inter-shard channel lookaheads for the
@@ -29,6 +29,8 @@
 pub mod fabric;
 pub mod partition;
 pub mod spec;
+// Tests only: the one-switch star against its closed forms.
+mod switch;
 
 pub use fabric::{CompositeFabric, CrossFrame, NodeFlow};
 pub use partition::{min_frame_tx, Partition, ShardChannel};

@@ -53,8 +53,9 @@ pub struct Trunk {
 /// A complete declarative topology.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TopologySpec {
-    /// Stable identifier for artifacts and ledgers ("single", "trunk2",
-    /// "tree2", "routed2", or anything a custom builder chooses).
+    /// Stable identifier for artifacts and ledgers ("single", "switch",
+    /// "trunk2", "tree2", "routed2", or anything a custom builder
+    /// chooses).
     pub id: String,
     pub nodes: Vec<Node>,
     pub trunks: Vec<Trunk>,
@@ -71,8 +72,8 @@ pub struct TopologySpec {
 /// cable plus PHY latency).
 pub const DEFAULT_PROP_DELAY: SimTime = SimTime::from_micros(1);
 
-/// Default switch forwarding latency — matches
-/// [`fxnet_sim::SwitchConfig::default`]'s `forward_latency`.
+/// Default switch forwarding latency: the gap between the end of a
+/// frame's arrival at a switch and the start of its next transmission.
 pub const DEFAULT_SWITCH_LATENCY: SimTime = SimTime::from_micros(10);
 
 /// Default router forwarding latency (software forwarding path).
@@ -87,6 +88,25 @@ impl TopologySpec {
             nodes: vec![Node {
                 name: "seg0".to_string(),
                 kind: NodeKind::Segment,
+                rate_bps,
+            }],
+            trunks: Vec::new(),
+            attachments: vec![0; hosts as usize],
+            switch_latency: DEFAULT_SWITCH_LATENCY,
+            router_latency: DEFAULT_ROUTER_LATENCY,
+        }
+    }
+
+    /// The switch counterfactual (DESIGN.md §8): every host on a
+    /// dedicated full-duplex port of one store-and-forward switch at
+    /// `rate_bps`. No collisions, no trunks; transfers between disjoint
+    /// host pairs proceed in parallel.
+    pub fn single_switch(hosts: u32, rate_bps: u64) -> TopologySpec {
+        TopologySpec {
+            id: "switch".to_string(),
+            nodes: vec![Node {
+                name: "sw0".to_string(),
+                kind: NodeKind::Switch,
                 rate_bps,
             }],
             trunks: Vec::new(),
@@ -186,7 +206,8 @@ impl TopologySpec {
     }
 
     /// The four canonical fabric-sweep topologies at one rate, in sweep
-    /// order.
+    /// order. (`single_switch` is the §8 ablation's fabric, not a sweep
+    /// member: the set feeds `fabric_sweep.json`.)
     pub fn sweep_set(hosts: u32, rate_bps: u64) -> Vec<TopologySpec> {
         vec![
             TopologySpec::single_segment(hosts, rate_bps),
@@ -317,6 +338,14 @@ mod tests {
         assert_eq!(s.nodes.len(), 1);
         assert!(s.trunks.is_empty());
         assert_eq!(s.label(), "single@10M");
+    }
+
+    #[test]
+    fn single_switch_is_one_switch_no_trunks() {
+        let s = TopologySpec::single_switch(4, RATE_10M);
+        assert_eq!((s.nodes.len(), s.nodes[0].kind), (1, NodeKind::Switch));
+        assert!(s.trunks.is_empty() && s.validate().is_ok());
+        assert_eq!(s.label(), "switch@10M");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! JSON text rendering and parsing for [`Value`](crate::Value) trees.
+//! JSON text rendering and parsing for [`Value`] trees.
 //!
 //! Rendering is deterministic: object key order is preserved, integers
 //! print exactly, and floats use Rust's shortest-roundtrip formatting.

@@ -138,6 +138,24 @@ fn switched_segments_isolate_tenants_from_each_other() {
 }
 
 #[test]
+fn switched_fabric_grows_with_the_packed_tenants() {
+    // Two two-rank tenants on a testbed configured for two hosts: the
+    // engine raises the host count to the four packed ranks, and the
+    // switch counterfactual gets its ports from that count, not from the
+    // builder's.
+    let tb = TestbedBuilder::quiet(2).switched_fabric().build();
+    assert_eq!(tb.config().hosts, 2);
+    let out = tb
+        .mix()
+        .tenant(shift("alpha", 2, 0))
+        .tenant(shift("beta", 2, 0))
+        .solo_baselines(false)
+        .run();
+    assert!(out.check_conservation() > 0);
+    assert!(out.tenants.iter().all(|t| !t.frames.is_empty()));
+}
+
+#[test]
 fn trunk_spanning_tenants_contend_only_on_the_trunk() {
     // Interleaved attachment pins each tenant across both switches
     // (alpha = hosts 0,1 → sw0,sw1; beta = hosts 2,3 → sw0,sw1): every
