@@ -1,9 +1,9 @@
 //! Criterion benches for the analysis pipeline (the paper's offline
 //! tooling): statistics, windowed bandwidth, periodograms, model fitting
 //! and regeneration, the QoS negotiation, and the columnar engine —
-//! store build, fused report vs the multi-pass legacy report, indexed
-//! connection views vs filtered copies, binary vs text trace IO, and
-//! the chunked-container (FXTC v2) cursor decode.
+//! store build, the report fold, indexed connection views vs filtered
+//! copies, binary vs text trace IO, and the chunked-container (FXTC v2)
+//! cursor decode.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fxnet::fx::Pattern;
@@ -89,29 +89,11 @@ fn bench_store_build(c: &mut Criterion) {
     });
 }
 
-fn bench_report_fused_vs_legacy(c: &mut Criterion) {
-    let tr = synthetic_trace(100_000);
-    let store = TraceStore::from_records(&tr);
+fn bench_report(c: &mut Criterion) {
+    let store = TraceStore::from_records(&synthetic_trace(100_000));
     let opts = ReportOptions::default();
-    // Spectrum `None`: the periodogram is computed identically by both
-    // paths and would swamp the comparison; this isolates the one fused
-    // traversal against the legacy pass-per-quantity structure.
-    c.bench_function("columnar/report_legacy_multipass", |b| {
-        b.iter(|| {
-            black_box(TraceReport::analyze_with_spectrum(
-                "bench", &tr, &opts, None,
-            ))
-        })
-    });
     c.bench_function("columnar/report_fused_view", |b| {
-        b.iter(|| {
-            black_box(TraceReport::analyze_view_with_spectrum(
-                "bench",
-                store.view(),
-                &opts,
-                None,
-            ))
-        })
+        b.iter(|| black_box(TraceReport::analyze_view("bench", store.view(), &opts)))
     });
 }
 
@@ -139,23 +121,22 @@ fn bench_connection_index_vs_copy(c: &mut Criterion) {
 fn bench_trace_io(c: &mut Criterion) {
     let tr = synthetic_trace(100_000);
     let store = TraceStore::from_records(&tr);
-    let mut binary = Vec::new();
-    io::write_store_binary(&mut binary, &store).expect("encode binary");
+    let dir = std::env::temp_dir().join(format!("fxnet-bench-io-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("bench dir");
+    let path = dir.join("trace.fxb");
+    c.bench_function("io/write_binary_100k_frames", |b| {
+        b.iter(|| io::save_store(&path, &store).expect("encode binary"))
+    });
+    let binary = std::fs::read(&path).expect("read back the binary trace");
     let mut text = Vec::new();
     io::write_trace(&mut text, &tr).expect("encode text");
-    c.bench_function("io/write_binary_100k_frames", |b| {
-        b.iter(|| {
-            let mut out = Vec::new();
-            io::write_store_binary(&mut out, &store).expect("encode binary");
-            black_box(out)
-        })
-    });
     c.bench_function("io/read_binary_100k_frames", |b| {
         b.iter(|| black_box(io::read_store_binary(&mut binary.as_slice()).expect("decode")))
     });
     c.bench_function("io/read_text_100k_frames", |b| {
         b.iter(|| black_box(io::read_trace(&mut text.as_slice()).expect("parse")))
     });
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn bench_chunk_cursor(c: &mut Criterion) {
@@ -196,7 +177,7 @@ criterion_group!(
     bench_periodogram,
     bench_model_fit_and_generate,
     bench_store_build,
-    bench_report_fused_vs_legacy,
+    bench_report,
     bench_connection_index_vs_copy,
     bench_trace_io,
     bench_chunk_cursor,

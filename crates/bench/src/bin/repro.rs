@@ -30,21 +30,19 @@
 //! `fabric-sweep` (the six programs across the four canonical
 //! topologies at 10/100/1000 Mb/s; fits burst period vs provided
 //! bandwidth, checks `c` stability and single-segment byte-identity,
-//! writes `out/fabric_sweep.json`), and `bench` (parallel suite
-//! speedup, the columnar-vs-AoS analysis race, the binary-vs-text
-//! trace-format race, and the shard drain; writes
-//! `out/bench_repro.json` plus the four `analysis_*.md` transcripts it
-//! asserts byte-identical), and
+//! writes `out/fabric_sweep.json`), `bench` (the shard-drain probe:
+//! one shard vs the clamped request on the two multi-switch fabrics,
+//! deliveries asserted identical; writes `out/bench_repro.json`), and
 //! `analysis-scale` (out-of-core analytics: synthesizes a chunked
 //! 10M-frame trace through the sharded trunk fabric — `--div N` scales
-//! it down to a floor of 500k — then races the streamed one-pass chunk
-//! scan against the materialize-then-analyze baseline, asserting
-//! byte-identical transcripts, `--jobs 1` identity, and O(chunk) peak
-//! memory; merges its section into `out/bench_repro.json`).
+//! it down to a floor of 500k — then runs the streamed one-pass chunk
+//! scan, asserting `--jobs 1` transcript identity and O(chunk) peak
+//! memory; merges its section into `out/bench_repro.json`). Absolute
+//! speed — of the scan, the figure suite, trace IO, the fabrics — is
+//! measured by `benchmark/`, not here.
 //!
-//! Prewarmed traces are cached on disk under `out/cache` keyed by
-//! program, scale, and seed — `--trace-format {binary,text}` picks the
-//! artifact encoding (default binary `.fxb`). A later run at the same
+//! Prewarmed traces are cached on disk under `out/cache` as `.fxb`
+//! files keyed by program, scale, and seed. A later run at the same
 //! scale serves store-only experiments from the cache instead of
 //! resimulating; a format-version bump invalidates stale artifacts.
 
@@ -57,13 +55,9 @@ use fxnet::spectral::{
 };
 use fxnet::telemetry::write_json_artifact;
 use fxnet::trace::PhaseBreakdown;
-use fxnet::trace::{
-    binned_bandwidth, load_store, save_store, Periodogram, TraceFormat, TraceStore,
-};
+use fxnet::trace::{binned_bandwidth, Periodogram, TraceStore};
 use fxnet::{KernelKind, SimTime};
-use fxnet_bench::{
-    analysis_suite_aos, analysis_suite_columnar, bandwidth_row_bw, stats_row, Experiments,
-};
+use fxnet_bench::{bandwidth_row_bw, stats_row, Experiments};
 use fxnet_harness::{timed, Pool};
 use serde::Value;
 use std::io::Write;
@@ -314,13 +308,13 @@ const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         id: "bench",
-        desc: "perf probes: suite speedup, columnar analysis, trace IO, shard drain",
+        desc: "perf probe: threaded shard drain, 1 shard vs 4 requested",
         run: bench_repro,
         ..NONE
     },
     Experiment {
         id: "analysis-scale",
-        desc: "out-of-core analytics: streamed chunk scan vs materialize-then-analyze",
+        desc: "out-of-core analytics: streamed chunk scan of a synthesized chunked trace",
         run: analysis_scale,
         ..NONE
     },
@@ -406,7 +400,6 @@ fn main() {
     let mut telemetry = false;
     let mut jobs = 1usize;
     let mut shards = 1usize;
-    let mut trace_format = TraceFormat::Binary;
     let mut exps: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -419,7 +412,6 @@ fn main() {
             "--seed" => seed = flag_value(&a, &mut args),
             "--jobs" => jobs = flag_value(&a, &mut args),
             "--shards" => shards = flag_value::<usize>(&a, &mut args).max(1),
-            "--trace-format" => trace_format = flag_value(&a, &mut args),
             "--telemetry" => telemetry = true,
             "--list" => {
                 list_experiments();
@@ -427,14 +419,13 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [--div N] [--hours H] [--out DIR] [--metrics-out DIR] [--seed N] [--jobs N] [--shards N] [--trace-format F] [--telemetry] [--list] <exp>...\n\
+                    "usage: repro [--div N] [--hours H] [--out DIR] [--metrics-out DIR] [--seed N] [--jobs N] [--shards N] [--telemetry] [--list] <exp>...\n\
                      `repro --list` prints every experiment id with its description\n\
                      sets: all (default) = every figure/table of the paper; all-extras = phases ablate-switch ablate-route ablate-p summary\n\
                      --seed N sets the simulation seed (default 1998); same seed, byte-identical output\n\
                      --jobs N fans independent runs across N workers (0 = all CPUs); output is byte-identical to --jobs 1\n\
                      --shards N partitions multi-segment topologies across N DES shards (default 1 = the legacy\n\
                      \u{20}                 sequential loop); output is byte-identical to --shards 1 at any count\n\
-                     --trace-format F caches prewarmed traces under out/cache as `binary` (.fxb, default) or `text` (.trace)\n\
                      --metrics-out DIR directs the watch/blame/fabric-health artifacts (default: the --out dir)\n\
                      \u{20}                 and writes a Prometheus snapshot repro_<exp>.prom per selected experiment\n\
                      --date S stamps the bench history ledger (out/bench_history.jsonl) with S\n\
@@ -480,7 +471,7 @@ fn main() {
             .with_seed(seed)
             .with_telemetry(telemetry)
             .with_shards(shards)
-            .with_trace_cache(trace_format),
+            .with_trace_cache(),
         pool: Pool::new(jobs),
         div,
         hours,
@@ -1916,84 +1907,13 @@ fn fabric_sweep(c: &mut Ctx) {
 }
 
 // --------------------------------------------------------------------
-// Perf probes: the parallel suite, the analysis and trace-IO races, the
-// shard drain.
+// Perf probe: the shard drain.
 
 fn bench_repro(c: &mut Ctx) {
-    header("bench: suite speedup, columnar analysis, trace IO, shard drain");
+    header("bench: shard drain");
     let jobs = c.pool.jobs();
     let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    // Suite probe: the six measured programs, serial vs pooled, at a
-    // bench scale (outer iterations >= /10, AIRSHED <= 10 hours) so the
-    // probe stays in seconds even at full paper --div.
-    let div = c.div.max(10);
-    let hours = c.hours.min(10);
     let seed = c.seed;
-    let out_dir = c.exps.out_dir.clone();
-    println!("suite: 6 programs at --div {div} / --hours {hours}, serial vs --jobs {jobs} ...");
-    let (mut serial, t_serial) = timed(|| {
-        let mut e = Experiments::new(div, hours, out_dir.clone()).with_seed(seed);
-        e.prewarm(&Pool::serial(), &KernelKind::ALL, true);
-        e
-    });
-    let (mut parallel, t_parallel) = timed(|| {
-        let mut e = Experiments::new(div, hours, out_dir.clone()).with_seed(seed);
-        e.prewarm(&c.pool, &KernelKind::ALL, true);
-        e
-    });
-    // Both caches are in hand: assert the determinism contract on the
-    // actual traces, not just wall clocks.
-    for k in KernelKind::ALL {
-        assert_eq!(
-            serial.kernel(k).trace,
-            parallel.kernel(k).trace,
-            "{} diverged under the pool",
-            k.name()
-        );
-    }
-    assert_eq!(
-        serial.airshed().trace,
-        parallel.airshed().trace,
-        "AIRSHED diverged under the pool"
-    );
-    let speedup = t_serial.as_secs_f64() / t_parallel.as_secs_f64();
-    println!(
-        "suite: serial {:.2}s, --jobs {jobs} {:.2}s  ({speedup:.2}x), traces byte-identical",
-        t_serial.as_secs_f64(),
-        t_parallel.as_secs_f64()
-    );
-    let enforce = jobs >= 4 && avail >= 4;
-    if enforce {
-        assert!(
-            speedup >= 1.8,
-            "suite speedup at --jobs {jobs} on {avail} CPUs must reach 1.8x (got {speedup:.2}x)"
-        );
-    } else {
-        println!(
-            "(speedup floor 1.8x enforced only with --jobs >= 4 on >= 4 CPUs; here jobs={jobs}, cpus={avail})"
-        );
-        println!("floor not enforced ({avail} cores)");
-    }
-
-    // Analysis leg: the full analysis suite (stats, interarrivals,
-    // binned bandwidth, bursts, spectrum, per-connection tables, the
-    // report row) over the six prewarmed programs — the columnar engine
-    // against the AoS baseline, best wall clock of three passes each.
-    // Each path analyzes its resident representation: the AoS baseline
-    // its record vec, the columnar engine its store (the one-time
-    // record→store conversion is timed separately below; trace-cache
-    // artifacts deserialize straight into stores without it).
-    let mut programs: Vec<(String, Vec<fxnet::FrameRecord>)> = Vec::new();
-    for k in KernelKind::ALL {
-        programs.push((k.name().to_string(), serial.kernel(k).trace.clone()));
-    }
-    programs.push(("AIRSHED".to_string(), serial.airshed().trace.clone()));
-    let frames_total: u64 = programs.iter().map(|(_, t)| t.len() as u64).sum();
-    println!(
-        "analysis: {} programs / {frames_total} frames, AoS vs columnar (best of 3) ...",
-        programs.len()
-    );
     fn best_of3<T>(mut f: impl FnMut() -> T) -> (T, f64) {
         let (first, d) = timed(&mut f);
         let mut out = first;
@@ -2007,117 +1927,6 @@ fn bench_repro(c: &mut Ctx) {
         }
         (out, best)
     }
-    let idx: Vec<usize> = (0..programs.len()).collect();
-    let (stores, t_build) = timed(|| {
-        programs
-            .iter()
-            .map(|(_, t)| TraceStore::from_records(t))
-            .collect::<Vec<TraceStore>>()
-    });
-    let t_build = t_build.as_secs_f64();
-    let (aos_outputs, t_aos) = best_of3(|| {
-        c.pool.map(idx.clone(), |i| {
-            let (name, trace) = &programs[i];
-            analysis_suite_aos(name, trace)
-        })
-    });
-    let (col_outputs, t_col) = best_of3(|| {
-        c.pool.map(idx.clone(), |i| {
-            let (name, _) = &programs[i];
-            analysis_suite_columnar(name, &stores[i])
-        })
-    });
-    let aos_md = aos_outputs.join("\n");
-    let col_md = col_outputs.join("\n");
-    assert_eq!(
-        aos_md, col_md,
-        "the columnar suite must be byte-identical to the AoS baseline"
-    );
-    let col_speedup = t_aos / t_col;
-    println!(
-        "analysis: AoS {t_aos:.3}s, columnar {t_col:.3}s  ({col_speedup:.2}x, store build {t_build:.3}s), outputs byte-identical"
-    );
-    assert!(
-        col_speedup >= 2.0,
-        "the columnar suite must clear 2x the AoS baseline (got {col_speedup:.2}x)"
-    );
-    let aos_path = c.exps.out_path("analysis_aos.md");
-    std::fs::write(&aos_path, &aos_md).expect("write analysis artifact");
-    let col_path = c.exps.out_path("analysis_columnar.md");
-    std::fs::write(&col_path, &col_md).expect("write analysis artifact");
-    println!("wrote {} and {}", aos_path.display(), col_path.display());
-
-    // IO leg: the same six traces on disk in both formats — file size,
-    // serial reload wall clock (best of 3), lossless round trips, and
-    // the suite rerun on each reload must reproduce the same bytes.
-    let mut text_bytes = 0u64;
-    let mut bin_bytes = 0u64;
-    let mut text_paths: Vec<std::path::PathBuf> = Vec::new();
-    let mut bin_paths: Vec<std::path::PathBuf> = Vec::new();
-    for ((name, _), store) in programs.iter().zip(&stores) {
-        let tp = c.exps.out_path(&format!("analysis.{name}.trace"));
-        save_store(&tp, store).expect("write text trace");
-        text_bytes += std::fs::metadata(&tp).expect("stat text trace").len();
-        text_paths.push(tp);
-        let bp = c.exps.out_path(&format!("analysis.{name}.fxb"));
-        save_store(&bp, store).expect("write binary trace");
-        bin_bytes += std::fs::metadata(&bp).expect("stat binary trace").len();
-        bin_paths.push(bp);
-    }
-    let (text_stores, t_text) = best_of3(|| {
-        text_paths
-            .iter()
-            .map(|p| load_store(p).expect("reload text trace"))
-            .collect::<Vec<_>>()
-    });
-    let (bin_stores, t_bin) = best_of3(|| {
-        bin_paths
-            .iter()
-            .map(|p| load_store(p).expect("reload binary trace"))
-            .collect::<Vec<_>>()
-    });
-    for ((orig, text), bin) in stores.iter().zip(&text_stores).zip(&bin_stores) {
-        assert_eq!(orig, text, "text round trip must be lossless");
-        assert_eq!(orig, bin, "binary round trip must be lossless");
-    }
-    let suite_of = |reloaded: &[TraceStore]| {
-        programs
-            .iter()
-            .zip(reloaded)
-            .map(|((n, _), s)| analysis_suite_columnar(n, s))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    let text_reload_md = suite_of(&text_stores);
-    let bin_reload_md = suite_of(&bin_stores);
-    assert_eq!(
-        text_reload_md, col_md,
-        "text reload must reanalyze identically"
-    );
-    assert_eq!(
-        bin_reload_md, col_md,
-        "binary reload must reanalyze identically"
-    );
-    let tr_path = c.exps.out_path("analysis_text_reload.md");
-    std::fs::write(&tr_path, &text_reload_md).expect("write analysis artifact");
-    let br_path = c.exps.out_path("analysis_binary_reload.md");
-    std::fs::write(&br_path, &bin_reload_md).expect("write analysis artifact");
-    println!("wrote {} and {}", tr_path.display(), br_path.display());
-    let size_ratio = text_bytes as f64 / bin_bytes as f64;
-    let io_speedup = t_text / t_bin;
-    println!(
-        "io: text {} KB vs binary {} KB ({size_ratio:.2}x smaller); reload text {t_text:.3}s vs binary {t_bin:.3}s ({io_speedup:.2}x faster)",
-        text_bytes / 1000,
-        bin_bytes / 1000
-    );
-    assert!(
-        size_ratio >= 2.0,
-        "the binary format must halve the text format on disk (got {size_ratio:.2}x)"
-    );
-    assert!(
-        io_speedup >= 3.0,
-        "binary load must clear 3x the text parser (got {io_speedup:.2}x)"
-    );
 
     // Shard leg: the partitioned DES core in threaded drain mode on the
     // two multi-switch sweep fabrics, one worker per shard under the
@@ -2287,61 +2096,6 @@ fn bench_repro(c: &mut Ctx) {
             Value::U64(avail as u64),
         ),
         (
-            "scale".to_string(),
-            Value::Object(vec![
-                ("div".to_string(), Value::U64(div as u64)),
-                ("airshed_hours".to_string(), Value::U64(hours as u64)),
-            ]),
-        ),
-        (
-            "suite".to_string(),
-            Value::Object(vec![
-                ("programs".to_string(), Value::U64(6)),
-                (
-                    "serial_wall_s".to_string(),
-                    Value::F64(t_serial.as_secs_f64()),
-                ),
-                (
-                    "parallel_wall_s".to_string(),
-                    Value::F64(t_parallel.as_secs_f64()),
-                ),
-                ("speedup".to_string(), Value::F64(speedup)),
-                ("speedup_floor".to_string(), Value::F64(1.8)),
-                ("speedup_enforced".to_string(), Value::Bool(enforce)),
-            ]),
-        ),
-        (
-            "analysis".to_string(),
-            Value::Object(vec![
-                ("programs".to_string(), Value::U64(programs.len() as u64)),
-                ("frames_total".to_string(), Value::U64(frames_total)),
-                ("aos_wall_s".to_string(), Value::F64(t_aos)),
-                ("columnar_wall_s".to_string(), Value::F64(t_col)),
-                ("store_build_wall_s".to_string(), Value::F64(t_build)),
-                ("speedup".to_string(), Value::F64(col_speedup)),
-                ("speedup_floor".to_string(), Value::F64(2.0)),
-                ("outputs_identical".to_string(), Value::Bool(true)),
-                (
-                    "io".to_string(),
-                    Value::Object(vec![
-                        ("text_bytes".to_string(), Value::U64(text_bytes)),
-                        ("binary_bytes".to_string(), Value::U64(bin_bytes)),
-                        ("size_ratio".to_string(), Value::F64(size_ratio)),
-                        ("size_ratio_floor".to_string(), Value::F64(2.0)),
-                        ("text_load_s".to_string(), Value::F64(t_text)),
-                        ("binary_load_s".to_string(), Value::F64(t_bin)),
-                        ("load_speedup".to_string(), Value::F64(io_speedup)),
-                        ("load_speedup_floor".to_string(), Value::F64(3.0)),
-                        ("reload_outputs_identical".to_string(), Value::Bool(true)),
-                    ]),
-                ),
-                (
-                    "trace_version".to_string(),
-                    Value::U64(u64::from(fxnet::trace::io::TRACE_VERSION)),
-                ),
-            ]),
-        ),
-        (
             "shard_bench".to_string(),
             Value::Object(vec![
                 (
@@ -2367,19 +2121,15 @@ fn bench_repro(c: &mut Ctx) {
             Value::Str(c.date.clone().unwrap_or_else(|| "unknown".to_string())),
         ),
         ("git_rev".to_string(), Value::Str(git_rev())),
-        // The fabric the probes ran on, so sweep perf stays attributable
-        // once multi-segment topologies enter the history.
+        // The fabrics the drain ran on, so the ratio stays attributable.
         (
             "fabric".to_string(),
-            Value::Str(fxnet::TopologySpec::single_segment(9, fxnet::sim::RATE_10M).label()),
+            Value::Str(shard_fabrics.map(|(name, _)| name).join("+")),
         ),
         ("jobs".to_string(), Value::U64(jobs as u64)),
         ("cores".to_string(), Value::U64(avail as u64)),
         ("shards".to_string(), Value::U64(c.shards as u64)),
-        ("div".to_string(), Value::U64(div as u64)),
-        ("suite_speedup".to_string(), Value::F64(speedup)),
-        ("analysis_speedup".to_string(), Value::F64(col_speedup)),
-        ("io_load_speedup".to_string(), Value::F64(io_speedup)),
+        ("div".to_string(), Value::U64(c.div as u64)),
         (
             "shard_drain_speedup".to_string(),
             Value::F64(shard_min_speedup),
@@ -2402,8 +2152,8 @@ fn bench_repro(c: &mut Ctx) {
 }
 
 // --------------------------------------------------------------------
-// Out-of-core analytics at scale: the streamed chunk scan raced
-// against the materialize-then-analyze baseline on a 10M-frame trace.
+// Out-of-core analytics at scale: the streamed chunk scan over a
+// synthesized 10M-frame trace.
 
 /// Hosts on the analysis-scale synthesis fabric.
 const SCALE_HOSTS: u32 = 16;
@@ -2419,9 +2169,9 @@ const SCALE_GAP_US: u64 = 300_000;
 
 fn analysis_scale(c: &mut Ctx) {
     use fxnet::sim::{EtherConfig, Frame, FrameKind, HostId, NicId};
-    use fxnet_bench::{materialized_scan, streamed_scan, ScanConfig, SCAN_CHUNK_FRAMES};
+    use fxnet_bench::{streamed_scan, ScanConfig, SCAN_CHUNK_FRAMES};
 
-    header("analysis-scale: streamed chunk scan vs materialize-then-analyze");
+    header("analysis-scale: streamed chunk scan of a chunked trace");
     let jobs = c.pool.jobs();
     let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
     let frames_target = (10_000_000 / c.div.max(1)).max(500_000) as u64;
@@ -2513,42 +2263,22 @@ fn analysis_scale(c: &mut Ctx) {
         path.display()
     );
 
-    // The race: identical analysis bundle, three ways — streamed at
-    // --jobs, the materialized baseline, and streamed at --jobs 1.
+    // The scan at --jobs and again at --jobs 1: the transcript may not
+    // depend on how many workers decoded the chunks.
     let cfg = ScanConfig::new("analysis-scale", base_hz);
-    println!("streamed scan (--jobs {jobs}) vs materialized baseline ...");
+    println!("streamed scan (--jobs {jobs}, then --jobs 1) ...");
     let (streamed, t_stream) =
         timed(|| streamed_scan(&path, &cfg, &c.pool).expect("streamed scan"));
-    let (mat, t_mat) = timed(|| materialized_scan(&path, &cfg).expect("materialized scan"));
     let serial = streamed_scan(&path, &cfg, &Pool::serial()).expect("serial streamed scan");
     assert_eq!(streamed.frames, frames);
-    assert_eq!(
-        streamed.rendered, mat.rendered,
-        "streamed scan must be byte-identical to the materialized baseline"
-    );
     assert_eq!(
         streamed.rendered, serial.rendered,
         "streamed scan at --jobs {jobs} must be byte-identical to --jobs 1"
     );
     let streamed_path = c.exps.out_path("analysis_scale_streamed.md");
     std::fs::write(&streamed_path, &streamed.rendered).expect("write streamed transcript");
-    let mat_path = c.exps.out_path("analysis_scale_materialized.md");
-    std::fs::write(&mat_path, &mat.rendered).expect("write materialized transcript");
-    println!(
-        "wrote {} and {}",
-        streamed_path.display(),
-        mat_path.display()
-    );
+    println!("wrote {}", streamed_path.display());
 
-    let speedup = t_mat.as_secs_f64() / t_stream.as_secs_f64();
-    let mem_ratio = mat.peak_resident_bytes as f64 / streamed.peak_resident_bytes.max(1) as f64;
-    println!(
-        "streamed {:.2}s vs materialized {:.2}s  ({speedup:.2}x); peak resident {:.1} MB vs {:.1} MB ({mem_ratio:.1}x), transcripts byte-identical (and at --jobs 1)",
-        t_stream.as_secs_f64(),
-        t_mat.as_secs_f64(),
-        streamed.peak_resident_bytes as f64 / 1e6,
-        mat.peak_resident_bytes as f64 / 1e6
-    );
     // Structural O(chunk) bound, enforced at every scale: at most two
     // decode rounds of `jobs` chunks are ever resident at once.
     let chunk_bytes_bound = 2 * jobs.max(1) as u64 * dir.max_chunk_frames() * 21;
@@ -2557,22 +2287,13 @@ fn analysis_scale(c: &mut Ctx) {
         "streamed scan held {} bytes resident, over the two-round bound {chunk_bytes_bound}",
         streamed.peak_resident_bytes
     );
-    let enforce = jobs >= 2 && avail >= 4 && frames >= 2_000_000;
-    if enforce {
-        assert!(
-            speedup >= 2.0,
-            "streamed scan must clear 2x the materialized baseline (got {speedup:.2}x)"
-        );
-        assert!(
-            mem_ratio >= 4.0,
-            "streamed peak memory must be 4x under the materialized store (got {mem_ratio:.1}x)"
-        );
-    } else {
-        println!(
-            "(floors speedup 2.0x / memory 4.0x enforced only with --jobs >= 2 on >= 4 CPUs at >= 2M frames; here jobs={jobs}, cpus={avail}, frames={frames})"
-        );
-        println!("floor not enforced ({avail} cores)");
-    }
+    println!(
+        "streamed {:.2}s; peak resident {:.1} MB of {:.1} MB of columns (two-round bound {:.1} MB); transcript byte-identical at --jobs 1",
+        t_stream.as_secs_f64(),
+        streamed.peak_resident_bytes as f64 / 1e6,
+        (frames * 21) as f64 / 1e6,
+        chunk_bytes_bound as f64 / 1e6
+    );
 
     // Merge this leg into bench_repro.json (replacing any stale
     // `analysis_scale` section) rather than clobbering the `bench`
@@ -2597,23 +2318,9 @@ fn analysis_scale(c: &mut Ctx) {
             Value::F64(t_stream.as_secs_f64()),
         ),
         (
-            "materialized_wall_s".to_string(),
-            Value::F64(t_mat.as_secs_f64()),
-        ),
-        ("speedup".to_string(), Value::F64(speedup)),
-        ("speedup_floor".to_string(), Value::F64(2.0)),
-        (
             "streamed_peak_resident_bytes".to_string(),
             Value::U64(streamed.peak_resident_bytes),
         ),
-        (
-            "materialized_peak_resident_bytes".to_string(),
-            Value::U64(mat.peak_resident_bytes),
-        ),
-        ("memory_ratio".to_string(), Value::F64(mem_ratio)),
-        ("memory_ratio_floor".to_string(), Value::F64(4.0)),
-        ("floors_enforced".to_string(), Value::Bool(enforce)),
-        ("outputs_identical".to_string(), Value::Bool(true)),
         ("jobs1_identical".to_string(), Value::Bool(true)),
     ]);
     let report_path = c.exps.out_path("bench_repro.json");
@@ -2646,10 +2353,9 @@ fn analysis_scale(c: &mut Ctx) {
         ("shards".to_string(), Value::U64(shards as u64)),
         ("div".to_string(), Value::U64(c.div as u64)),
         ("frames".to_string(), Value::U64(frames)),
-        ("analysis_scale_speedup".to_string(), Value::F64(speedup)),
         (
-            "analysis_scale_memory_ratio".to_string(),
-            Value::F64(mem_ratio),
+            "analysis_scale_streamed_wall_s".to_string(),
+            Value::F64(t_stream.as_secs_f64()),
         ),
     ]);
     let history = c.exps.out_path("bench_history.jsonl");

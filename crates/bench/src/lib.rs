@@ -8,14 +8,12 @@
 pub mod scan;
 
 pub use scan::{
-    materialized_scan, streamed_scan, ScanConfig, ScanOutcome, MATRIX_BASE_NS, MATRIX_SCALES,
-    SCAN_CHUNK_FRAMES,
+    streamed_scan, ScanConfig, ScanOutcome, MATRIX_BASE_NS, MATRIX_SCALES, SCAN_CHUNK_FRAMES,
 };
 
 use fxnet::apps::airshed::AirshedParams;
 use fxnet::trace::{
-    average_bandwidth, binned_bandwidth, connection, host_pairs, load_store, save_store,
-    Periodogram, ReportOptions, Stats, TraceFormat, TraceReport, TraceStore,
+    average_bandwidth, load_store, save_store, ReportOptions, Stats, StreamingReport, TraceStore,
 };
 use fxnet::{FrameRecord, HostId, KernelKind, RunResult, SimTime, TestbedBuilder};
 use fxnet_harness::Pool;
@@ -32,7 +30,7 @@ pub struct Experiments {
     seed: u64,
     telemetry: bool,
     shards: usize,
-    cache: Option<TraceFormat>,
+    cache: bool,
     kernels: HashMap<&'static str, RunResult<u64>>,
     airshed: Option<RunResult<u64>>,
     stores: HashMap<&'static str, TraceStore>,
@@ -50,7 +48,7 @@ impl Experiments {
             seed: 1998,
             telemetry: false,
             shards: 1,
-            cache: None,
+            cache: false,
             kernels: HashMap::new(),
             airshed: None,
             stores: HashMap::new(),
@@ -58,17 +56,16 @@ impl Experiments {
         }
     }
 
-    /// Persist every simulated trace as a cache artifact under
-    /// `out/cache/` in `format`, and serve later
-    /// [`Experiments::kernel_store`] / [`Experiments::airshed_store`]
-    /// calls from a valid artifact instead of re-simulating. File names
-    /// key the program, scale, and seed; binary artifacts additionally
-    /// carry the format version header, so bumping
+    /// Persist every simulated trace as a `.fxb` cache artifact under
+    /// `out/cache/`, and serve later [`Experiments::kernel_store`] /
+    /// [`Experiments::airshed_store`] calls from a valid artifact instead
+    /// of re-simulating. File names key the program, scale, and seed; the
+    /// artifacts carry the format version header, so bumping
     /// `fxnet_trace::io::TRACE_VERSION` invalidates every cached trace
     /// (the harness re-simulates and overwrites). Loading is skipped
     /// while telemetry is on: a cached trace cannot carry spans.
-    pub fn with_trace_cache(mut self, format: TraceFormat) -> Experiments {
-        self.cache = Some(format);
+    pub fn with_trace_cache(mut self) -> Experiments {
+        self.cache = true;
         self
     }
 
@@ -357,19 +354,21 @@ impl Experiments {
     }
 
     /// Cache-artifact path for a program: name, scale, and seed key the
-    /// file; the extension selects the on-disk format.
+    /// file.
     fn cache_path(&self, name: &str) -> Option<std::path::PathBuf> {
-        let fmt = self.cache?;
+        if !self.cache {
+            return None;
+        }
         let scale = if name == "AIRSHED" {
             format!("h{}", self.hours)
         } else {
             format!("d{}", self.div)
         };
-        Some(self.out_dir.join("cache").join(format!(
-            "{name}.{scale}.s{}.{}",
-            self.seed,
-            fmt.extension()
-        )))
+        Some(
+            self.out_dir
+                .join("cache")
+                .join(format!("{name}.{scale}.s{}.fxb", self.seed)),
+        )
     }
 
     /// Load a cached trace if the artifact exists and is valid. A bad
@@ -527,15 +526,12 @@ pub fn bandwidth_row_bw(label: &str, bw: Option<f64>) -> String {
 
 // --------------------------------------------------------------------
 // The analysis suite: one program's full offline analysis, rendered to
-// one deterministic string. The AoS and columnar paths fill the same
-// struct through the same render, so "byte-identical output" reduces to
-// the bitwise-identical numbers the equivalence tests already assert.
+// one deterministic string.
 
 /// Longest periodogram input the suite allows. The report and spike
 /// analyses clamp their bin so the series stays under this length —
-/// the FFT's cost is path-independent, and letting a 10-hour AIRSHED
-/// trace expand to millions of bins would only drown the signal the
-/// probe measures (trace passes and connection selection).
+/// letting a 10-hour AIRSHED trace expand to millions of bins would
+/// only drown the signal in FFT time.
 const SUITE_MAX_BINS: u64 = 1 << 12;
 
 fn suite_opts(span: SimTime) -> ReportOptions {
@@ -603,57 +599,20 @@ impl Suite {
     }
 }
 
-/// The suite on the legacy array-of-structs path: every kernel walks
-/// the record slice, and each per-connection analysis first *copies*
-/// its frames out with [`fxnet::trace::connection`] — the baseline the
-/// columnar engine is measured against.
-pub fn analysis_suite_aos(name: &str, trace: &[FrameRecord]) -> String {
-    let span = trace
-        .iter()
-        .fold(None, |acc: Option<(SimTime, SimTime)>, r| {
-            Some(match acc {
-                None => (r.time, r.time),
-                Some((lo, hi)) => (lo.min(r.time), hi.max(r.time)),
-            })
-        })
-        .map_or(SimTime::ZERO, |(lo, hi)| hi.saturating_sub(lo));
-    let opts = suite_opts(span);
-    let binned = binned_bandwidth(trace, opts.bin);
-    let spec = (!binned.is_empty()).then(|| Periodogram::compute(&binned, opts.bin));
-    // One slice pass per derived quantity — the legacy API has nothing
-    // to fuse them with — and a filtered copy per host pair.
-    let report = TraceReport::analyze_with_spectrum(name, trace, &opts, spec.as_ref());
-    let conns = host_pairs(trace)
-        .into_iter()
-        .map(|((s, d), n)| {
-            let c = connection(trace, s, d); // the copy the index removes
-            SuiteConnRow {
-                src: s.0,
-                dst: d.0,
-                frames: n,
-                sizes: Stats::packet_sizes(&c),
-                avg_bw: average_bandwidth(&c),
-            }
-        })
-        .collect();
-    suite_from(name, trace.len(), &opts, &report, spec.as_ref(), conns).render()
-}
-
-/// The suite on the columnar path: fused single-pass view kernels over
-/// the store's columns, zero-copy connection views from the index, and
-/// the one-pass [`TraceReport::analyze_view`]. Output is byte-identical
-/// to [`analysis_suite_aos`] on the same frames.
+/// One program's analysis suite over its columnar store: a bounds pass
+/// to size the bin, then **one** pass of the report fold, which hands
+/// back every aggregate quantity together with the periodogram the
+/// spike table reads; per-connection rows come from zero-copy views off
+/// the connection index.
 pub fn analysis_suite_columnar(name: &str, store: &TraceStore) -> String {
     let v = store.view();
     let span = v
         .time_bounds()
         .map_or(SimTime::ZERO, |(lo, hi)| hi.saturating_sub(lo));
     let opts = suite_opts(span);
-    let binned = v.binned_bandwidth(opts.bin);
-    let spec = (!binned.is_empty()).then(|| Periodogram::compute(&binned, opts.bin));
-    // One fused column pass for every aggregate quantity, and an index
-    // lookup (no copy, no scan) per host pair.
-    let report = TraceReport::analyze_view_with_spectrum(name, v, &opts, spec.as_ref());
+    let mut fold = StreamingReport::new(name, &opts);
+    fold.push_view(v);
+    let (report, _series, spec) = fold.finish_parts();
     let conns = store
         .host_pairs()
         .into_iter()
@@ -668,29 +627,15 @@ pub fn analysis_suite_columnar(name: &str, store: &TraceStore) -> String {
             }
         })
         .collect();
-    suite_from(name, v.len(), &opts, &report, spec.as_ref(), conns).render()
-}
-
-/// Fill the [`Suite`] from a computed report + spectrum. Both suite
-/// paths route through this, so byte-identical output reduces to the
-/// bitwise-identical numbers the equivalence tests already prove.
-fn suite_from(
-    name: &str,
-    frames: usize,
-    opts: &ReportOptions,
-    report: &TraceReport,
-    spec: Option<&Periodogram>,
-    conns: Vec<SuiteConnRow>,
-) -> Suite {
     Suite {
         name: name.to_string(),
-        frames,
+        frames: v.len(),
         bin_ns: opts.bin.as_nanos(),
         sizes: report.sizes,
         inter: report.interarrivals_ms,
         avg_bw: report.avg_bandwidth,
         bursts: report.bursts.as_ref().map_or(0, |b| b.count),
-        flatness: spec.map(Periodogram::flatness),
+        flatness: report.flatness,
         spikes: spec
             .map(|p| {
                 p.top_spikes(6, 0.25)
@@ -702,11 +647,92 @@ fn suite_from(
         report: report.markdown_row(),
         conns,
     }
+    .render()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use fxnet::trace::{
+        binned_bandwidth, connection, host_pairs, BurstProfile, Periodogram, TraceReport,
+    };
+
+    /// The report composed from the public slice kernels, one pass over
+    /// the records per quantity: the oracle for everything in this
+    /// crate that takes its report from the fold.
+    pub(crate) fn multipass_report(
+        label: &str,
+        trace: &[FrameRecord],
+        opts: &ReportOptions,
+    ) -> TraceReport {
+        let spec = (!trace.is_empty())
+            .then(|| Periodogram::compute(&binned_bandwidth(trace, opts.bin), opts.bin));
+        TraceReport {
+            label: label.to_string(),
+            frames: trace.len(),
+            span_s: match (trace.first(), trace.last()) {
+                (Some(a), Some(b)) => (b.time - a.time).as_secs_f64(),
+                _ => 0.0,
+            },
+            sizes: Stats::packet_sizes(trace),
+            interarrivals_ms: Stats::interarrivals_ms(trace),
+            avg_bandwidth: average_bandwidth(trace),
+            bursts: BurstProfile::of(trace, opts.burst_gap),
+            dominant_hz: spec
+                .as_ref()
+                .and_then(|s| s.dominant_frequency(opts.min_hz)),
+            flatness: spec.as_ref().map(Periodogram::flatness),
+        }
+    }
+
+    /// The suite on the array-of-structs path: every quantity walks the
+    /// record slice on its own, and each per-connection row first
+    /// *copies* its frames out with [`fxnet::trace::connection`]. It
+    /// renders through the same [`Suite`], so byte-identical output is
+    /// bitwise-identical numbers.
+    fn analysis_suite_aos(name: &str, trace: &[FrameRecord]) -> String {
+        let span = match (
+            trace.iter().map(|r| r.time).min(),
+            trace.iter().map(|r| r.time).max(),
+        ) {
+            (Some(lo), Some(hi)) => hi.saturating_sub(lo),
+            _ => SimTime::ZERO,
+        };
+        let opts = suite_opts(span);
+        let binned = binned_bandwidth(trace, opts.bin);
+        let spec = (!binned.is_empty()).then(|| Periodogram::compute(&binned, opts.bin));
+        let report = multipass_report(name, trace, &opts);
+        Suite {
+            name: name.to_string(),
+            frames: trace.len(),
+            bin_ns: opts.bin.as_nanos(),
+            sizes: report.sizes,
+            inter: report.interarrivals_ms,
+            avg_bw: report.avg_bandwidth,
+            bursts: report.bursts.as_ref().map_or(0, |b| b.count),
+            flatness: spec.as_ref().map(Periodogram::flatness),
+            spikes: spec
+                .iter()
+                .flat_map(|p| p.top_spikes(6, 0.25))
+                .map(|s| (s.freq, s.power))
+                .collect(),
+            report: report.markdown_row(),
+            conns: host_pairs(trace)
+                .into_iter()
+                .map(|((s, d), n)| {
+                    let c = connection(trace, s, d);
+                    SuiteConnRow {
+                        src: s.0,
+                        dst: d.0,
+                        frames: n,
+                        sizes: Stats::packet_sizes(&c),
+                        avg_bw: average_bandwidth(&c),
+                    }
+                })
+                .collect(),
+        }
+        .render()
+    }
 
     #[test]
     fn harness_caches_runs() {
@@ -768,10 +794,11 @@ mod tests {
         let bin = dir.join("suite.fxb");
         save_store(&txt, &store).expect("save text");
         save_store(&bin, &store).expect("save binary");
+        // The size relation `repro bench` used to assert as a floor.
         assert!(
-            std::fs::metadata(&bin).expect("bin meta").len()
-                < std::fs::metadata(&txt).expect("txt meta").len(),
-            "binary trace must be smaller than text"
+            2 * std::fs::metadata(&bin).expect("bin meta").len()
+                <= std::fs::metadata(&txt).expect("txt meta").len(),
+            "the binary trace must be at most half the text"
         );
         let from_txt = load_store(&txt).expect("load text");
         let from_bin = load_store(&bin).expect("load binary");
@@ -786,7 +813,7 @@ mod tests {
     fn trace_cache_serves_stores_and_version_bump_invalidates() {
         let dir = std::env::temp_dir().join(format!("fxnet-cachetest-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let mut a = Experiments::new(100, 1, &dir).with_trace_cache(TraceFormat::Binary);
+        let mut a = Experiments::new(100, 1, &dir).with_trace_cache();
         let fresh = a.kernel_store(KernelKind::Hist).clone();
         let path = dir.join("cache").join("HIST.d100.s1998.fxb");
         assert!(path.exists(), "the run must leave a cache artifact");
@@ -796,9 +823,9 @@ mod tests {
         // frames without simulating.
         let doctored = TraceStore::from_records(&fresh.to_records()[..10]);
         save_store(&path, &doctored).expect("doctor cache");
-        let mut b = Experiments::new(100, 1, &dir).with_trace_cache(TraceFormat::Binary);
+        let mut b = Experiments::new(100, 1, &dir).with_trace_cache();
         assert_eq!(*b.kernel_store(KernelKind::Hist), doctored);
-        let mut warm = Experiments::new(100, 1, &dir).with_trace_cache(TraceFormat::Binary);
+        let mut warm = Experiments::new(100, 1, &dir).with_trace_cache();
         warm.prewarm_suite(&Pool::serial(), &[], &[KernelKind::Hist], false, false);
         assert_eq!(*warm.store_of("HIST").expect("prewarmed"), doctored);
 
@@ -807,7 +834,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).expect("read cache");
         bytes[4] = bytes[4].wrapping_add(1);
         std::fs::write(&path, &bytes).expect("rewrite cache");
-        let mut c = Experiments::new(100, 1, &dir).with_trace_cache(TraceFormat::Binary);
+        let mut c = Experiments::new(100, 1, &dir).with_trace_cache();
         assert_eq!(
             *c.kernel_store(KernelKind::Hist),
             fresh,

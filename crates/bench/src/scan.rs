@@ -1,38 +1,41 @@
-//! The out-of-core analytics race: one streamed pass over a chunked
-//! (FXTC v2) trace versus the materialize-then-analyze baseline.
+//! The out-of-core analytics scan: one streamed pass over a chunked
+//! (FXTC v2) trace.
 //!
-//! Both paths compute the identical analysis bundle — the fused
-//! [`TraceReport`], the sliding-window bandwidth peak, Goertzel powers
-//! at the contract harmonics, and the Kepner-style
-//! [`ScalingRelation`] ladder over multi-temporal host-pair matrices —
-//! and render it to one canonical transcript. The contract is that the
-//! transcripts are **byte-identical**:
+//! The scan computes one analysis bundle — the [`TraceReport`] fold,
+//! the sliding-window bandwidth peak, Goertzel powers at the contract
+//! harmonics, and the Kepner-style [`ScalingRelation`] ladder over
+//! multi-temporal host-pair matrices — and renders it to one canonical
+//! transcript. Two contracts hold on the transcript:
 //!
-//! * streamed vs materialized (the kernels are bitwise twins, proven
-//!   by the `fxnet-trace` / `fxnet-metrics` property tests), and
-//! * streamed at any `--jobs` vs `--jobs 1` (chunks are *decoded* in
+//! * it is **byte-identical at any `--jobs`**: chunks are *decoded* in
 //!   parallel but *folded* strictly in directory order — Welford and
-//!   the burst merge are order-sensitive, so parallelism is confined
-//!   to the side with no float arithmetic).
+//!   the burst merge are order-sensitive, so parallelism is confined to
+//!   the side with no float arithmetic;
+//! * it equals, byte for byte, what loading the whole trace and running
+//!   the multi-pass slice kernels over it produces — the oracle in this
+//!   file's test module, which shares none of the folds' loops.
 //!
-//! Peak memory differs by design: the streamed scan holds at most two
-//! decode rounds of chunks (O(jobs · chunk)), the baseline holds every
-//! column of the trace at once.
+//! Peak memory is O(jobs · chunk): at most two decode rounds of chunks
+//! are resident at once, however long the trace.
+//!
+//! The file is outside input: a payload that fails to decode comes back
+//! as the [`TraceIoError`] the decoder raised, and frames out of capture
+//! order (which every fold below requires) as one naming the chunk —
+//! never a panic.
 
 use fxnet::metrics::{ScalingAccum, ScalingRelation};
 use fxnet::spectral::harmonic_powers;
 use fxnet::trace::{
-    load_store, read_chunk, read_chunk_directory, sliding_window_bandwidth, ChunkBuf, ChunkMeta,
-    ReportOptions, SlidingPeak, StreamingReport, TraceIoError, TraceReport,
+    read_chunk, read_chunk_directory, ChunkBuf, ChunkMeta, ReportOptions, SlidingPeak,
+    StreamingReport, TraceIoError, TraceReport,
 };
 use fxnet::SimTime;
 use fxnet_harness::Pool;
 use std::path::Path;
 
-/// Frames per chunk the `analysis-scale` writer uses: ~1.4 MB of
-/// decoded columns, big enough to amortize the varint decode, small
-/// enough that a decode round stays cache-friendly.
-pub const SCAN_CHUNK_FRAMES: usize = 65_536;
+/// Frames per chunk the `analysis-scale` writer uses: the size
+/// `save_store` cuts at, so every `.fxb` scans in the same rounds.
+pub const SCAN_CHUNK_FRAMES: usize = fxnet::trace::io::SAVE_CHUNK_FRAMES;
 
 /// Base matrix window: 1 ms, the finest rung of the ladder.
 pub const MATRIX_BASE_NS: u64 = 1_000_000;
@@ -41,7 +44,7 @@ pub const MATRIX_BASE_NS: u64 = 1_000_000;
 /// 1 ms → 10 ms → 100 ms → 1 s.
 pub const MATRIX_SCALES: [u64; 4] = [1, 10, 100, 1000];
 
-/// Everything both scan paths need to agree on up front.
+/// What to compute and how to label it.
 #[derive(Debug, Clone)]
 pub struct ScanConfig {
     /// Report label (appears in the rendered transcript).
@@ -78,14 +81,13 @@ impl ScanConfig {
     }
 }
 
-/// One scan path's full result: the analysis bundle, its canonical
-/// rendering, and the path's peak resident working set.
+/// The scan's full result: the analysis bundle, its canonical
+/// rendering, and the peak resident working set.
 #[derive(Debug, Clone)]
 pub struct ScanOutcome {
     /// Frames analyzed.
     pub frames: u64,
-    /// Chunks in the trace directory (0 for the materialized path,
-    /// which never consults the directory).
+    /// Chunks in the trace directory.
     pub chunks: usize,
     pub report: TraceReport,
     /// `(frequency_hz, power)` at each probed harmonic.
@@ -96,9 +98,8 @@ pub struct ScanOutcome {
     pub relations: Vec<ScalingRelation>,
     /// Canonical transcript — the byte-identity artifact.
     pub rendered: String,
-    /// Peak bytes of decoded frame columns held at once: in-flight
-    /// decode rounds for the streamed path, the whole store for the
-    /// materialized one.
+    /// Peak bytes of decoded frame columns held at once (the in-flight
+    /// decode rounds).
     pub peak_resident_bytes: u64,
 }
 
@@ -145,6 +146,23 @@ fn resident(bufs: &[ChunkBuf]) -> u64 {
     bufs.iter().map(ChunkBuf::resident_bytes).sum()
 }
 
+/// `Corrupt`, naming chunk `index`, unless `time_ns` continues capture
+/// order from `after_ns`. The report, sliding-window and matrix folds
+/// all assert that order; this check is what stands between them and a
+/// hostile file.
+fn check_capture_order(index: usize, after_ns: u64, time_ns: &[u64]) -> Result<u64, TraceIoError> {
+    let mut prev = after_ns;
+    for &t in time_ns {
+        if t < prev {
+            return Err(TraceIoError::Corrupt(format!(
+                "chunk {index} is out of capture order ({t} ns follows {prev} ns)"
+            )));
+        }
+        prev = t;
+    }
+    Ok(prev)
+}
+
 /// One streamed pass over a chunked trace: chunks are decoded in
 /// rounds of `pool.jobs()` on the worker pool while the previous round
 /// is folded — **in directory order, on one thread** — into the fused
@@ -165,38 +183,46 @@ pub fn streamed_scan(
     let mut sliding = SlidingPeak::new(cfg.window);
     let mut matrices = ScalingAccum::new(cfg.matrix_base_ns, &cfg.matrix_scales);
     let mut peak_resident = 0u64;
+    let mut folded = 0usize;
+    let mut last_ns = 0u64;
 
-    let decode = |round: &[ChunkMeta]| -> Vec<ChunkBuf> {
+    let decode = |round: &[ChunkMeta]| -> Result<Vec<ChunkBuf>, TraceIoError> {
         pool.map(round.to_vec(), |meta| {
             let mut buf = ChunkBuf::default();
-            read_chunk(path, &meta, &mut buf).expect("decode chunk");
-            buf
+            read_chunk(path, &meta, &mut buf).map(|()| buf)
         })
+        .into_iter()
+        .collect()
     };
 
     let mut rounds = dir.chunks.chunks(batch);
-    let mut current: Option<Vec<ChunkBuf>> = rounds.next().map(decode);
+    let mut current = rounds.next().map(decode).transpose()?;
     while let Some(bufs) = current {
         let next_metas = rounds.next();
         // Decode the next round on the pool while this thread folds the
-        // current one; the scope joins before anything is reordered.
+        // current one; the scope joins before anything is reordered (and
+        // before an error leaves it).
         let next = std::thread::scope(|s| {
             let prefetch = next_metas.map(|nm| s.spawn(|| decode(nm)));
             for buf in &bufs {
+                last_ns = check_capture_order(folded, last_ns, &buf.time_ns)?;
+                folded += 1;
                 report.push_chunk(&buf.time_ns, &buf.wire_len);
                 for (&t, &len) in buf.time_ns.iter().zip(&buf.wire_len) {
                     sliding.push(SimTime::from_nanos(t), len);
                 }
                 matrices.record_columns(&buf.time_ns, &buf.src, &buf.dst);
             }
-            prefetch.map(|h| h.join().expect("decode round"))
-        });
+            prefetch
+                .map(|h| h.join().expect("decode round"))
+                .transpose()
+        })?;
         let in_flight = resident(&bufs) + next.as_deref().map_or(0, resident);
         peak_resident = peak_resident.max(in_flight);
         current = next;
     }
 
-    let (trace_report, series) = report.finish_with_series();
+    let (trace_report, series, _) = report.finish_parts();
     let harmonics = harmonic_powers(&series, cfg.opts.bin, cfg.base_hz, &cfg.harmonics);
     let sliding_peak = sliding.peak();
     let relations = matrices.finalize();
@@ -220,65 +246,66 @@ pub fn streamed_scan(
     })
 }
 
-/// The baseline: materialize the whole trace, then run the classic
-/// multi-pass analyses over it — `analyze_view` (fused pass + binned
-/// pass), a third pass for the harmonic series, the full
-/// `sliding_window_bandwidth` vector reduced to its peak, and a final
-/// pass feeding the matrix ladder. Byte-identical transcript to
-/// [`streamed_scan`], at O(trace) peak memory.
-pub fn materialized_scan(path: &Path, cfg: &ScanConfig) -> Result<ScanOutcome, TraceIoError> {
-    let store = load_store(path)?;
-    let view = store.view();
-    let trace_report = TraceReport::analyze_view(&cfg.label, view, &cfg.opts);
-    let series = view.binned_bandwidth(cfg.opts.bin);
-    let harmonics = harmonic_powers(&series, cfg.opts.bin, cfg.base_hz, &cfg.harmonics);
-
-    // The legacy sliding probe materializes the whole per-packet vector
-    // (an AoS copy first) and only then reduces it.
-    let records = store.to_records();
-    let sliding = sliding_window_bandwidth(&records, cfg.window);
-    let sliding_peak = (!sliding.is_empty()).then(|| {
-        sliding
-            .iter()
-            .fold(f64::NEG_INFINITY, |m, &(_, bw)| m.max(bw))
-    });
-
-    let mut matrices = ScalingAccum::new(cfg.matrix_base_ns, &cfg.matrix_scales);
-    for r in store.iter() {
-        matrices.record(r.time.as_nanos(), r.src.0, r.dst.0);
-    }
-    let relations = matrices.finalize();
-
-    let frames = store.len() as u64;
-    let rendered = render(
-        cfg,
-        frames,
-        &trace_report,
-        sliding_peak,
-        &harmonics,
-        &relations,
-    );
-    Ok(ScanOutcome {
-        frames,
-        chunks: 0,
-        report: trace_report,
-        harmonics,
-        sliding_peak,
-        relations,
-        rendered,
-        peak_resident_bytes: store.column_bytes(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fxnet::trace::{save_store_chunked, TraceStore};
+    use crate::tests::multipass_report;
+    use fxnet::trace::{
+        binned_bandwidth, load_store, save_store_chunked, sliding_window_bandwidth, ChunkedWriter,
+        TraceStore,
+    };
     use fxnet::FrameRecord;
     use fxnet::{sim::Frame, sim::FrameKind, HostId};
 
-    fn bursty_store(n: usize) -> TraceStore {
-        let recs: Vec<FrameRecord> = (0..n)
+    /// The scan's oracle: materialize the whole trace, then run the
+    /// multi-pass analyses over its records — the report composed from
+    /// the slice kernels, a pass for the harmonic series, the full
+    /// `sliding_window_bandwidth` vector reduced to its peak, and a
+    /// frame-at-a-time pass feeding the matrix ladder. It shares none of
+    /// [`streamed_scan`]'s folds, at O(trace) peak memory.
+    fn materialized_scan(path: &Path, cfg: &ScanConfig) -> Result<ScanOutcome, TraceIoError> {
+        let store = load_store(path)?;
+        let records = store.to_records();
+        let trace_report = multipass_report(&cfg.label, &records, &cfg.opts);
+        let series = binned_bandwidth(&records, cfg.opts.bin);
+        let harmonics = harmonic_powers(&series, cfg.opts.bin, cfg.base_hz, &cfg.harmonics);
+
+        let sliding = sliding_window_bandwidth(&records, cfg.window);
+        let sliding_peak = (!sliding.is_empty()).then(|| {
+            sliding
+                .iter()
+                .fold(f64::NEG_INFINITY, |m, &(_, bw)| m.max(bw))
+        });
+
+        let mut matrices = ScalingAccum::new(cfg.matrix_base_ns, &cfg.matrix_scales);
+        for r in &records {
+            matrices.record(r.time.as_nanos(), r.src.0, r.dst.0);
+        }
+        let relations = matrices.finalize();
+
+        let frames = store.len() as u64;
+        let rendered = render(
+            cfg,
+            frames,
+            &trace_report,
+            sliding_peak,
+            &harmonics,
+            &relations,
+        );
+        Ok(ScanOutcome {
+            frames,
+            chunks: 0,
+            report: trace_report,
+            harmonics,
+            sliding_peak,
+            relations,
+            rendered,
+            peak_resident_bytes: store.column_bytes(),
+        })
+    }
+
+    fn bursty_records(n: usize) -> Vec<FrameRecord> {
+        (0..n)
             .map(|i| {
                 let group = i / 40;
                 let t = SimTime::from_micros((group * 500_000 + (i % 40) * 700) as u64);
@@ -292,14 +319,22 @@ mod tests {
                 );
                 FrameRecord::capture(t, &f)
             })
-            .collect();
-        TraceStore::from_records(&recs)
+            .collect()
+    }
+
+    fn bursty_store(n: usize) -> TraceStore {
+        TraceStore::from_records(&bursty_records(n))
+    }
+
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("fxnet-scan-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
     fn streamed_scan_matches_materialized_bytes() {
-        let dir = std::env::temp_dir().join(format!("fxnet-scan-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("match");
         let path = dir.join("scan.fxb");
         let store = bursty_store(5_000);
         save_store_chunked(&path, &store, 257).unwrap();
@@ -332,8 +367,7 @@ mod tests {
 
     #[test]
     fn empty_chunked_trace_scans_cleanly() {
-        let dir = std::env::temp_dir().join(format!("fxnet-scan-empty-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("empty");
         let path = dir.join("empty.fxb");
         save_store_chunked(&path, &TraceStore::from_records(&[]), 64).unwrap();
         let cfg = ScanConfig::new("empty", 1.0);
@@ -343,6 +377,107 @@ mod tests {
         assert_eq!(streamed.sliding_peak, None);
         assert!(streamed.harmonics.is_empty());
         assert_eq!(streamed.rendered, mat.rendered);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_flipped_payload_byte_is_an_error_not_a_panic() {
+        let dir = scratch_dir("flip");
+        let path = dir.join("flip.fxb");
+        let directory = save_store_chunked(&path, &bursty_store(120), 40).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let cfg = ScanConfig::new("flip", 2.0);
+        let clean = streamed_scan(&path, &cfg, &Pool::new(2)).unwrap().rendered;
+
+        // Every payload byte in turn. Most flips break a structural
+        // check (block id, length, varint framing, the directory's time
+        // span, capture order) and come back `Corrupt`; a flip confined
+        // to a size or host varint decodes to a different valid trace.
+        // What no flip may do is panic — on the pool or on this thread.
+        let (start, end) = (
+            directory.chunks[0].offset as usize,
+            (directory.chunks[2].offset + directory.chunks[2].len) as usize,
+        );
+        let mut rejected = 0usize;
+        for at in start..end {
+            let mut bad = good.clone();
+            bad[at] ^= 0x55;
+            std::fs::write(&path, &bad).unwrap();
+            for pool in [Pool::serial(), Pool::new(2)] {
+                match streamed_scan(&path, &cfg, &pool) {
+                    Err(TraceIoError::Corrupt(_)) => rejected += 1,
+                    Err(e) => panic!("byte {at}: expected Corrupt, got {e}"),
+                    Ok(_) => {}
+                }
+            }
+        }
+        // The first byte of each chunk is a block id, and a time-delta
+        // byte shifts every later timestamp off the directory's span.
+        assert!(rejected >= 2 * directory.len());
+        for at in [start, directory.chunks[1].offset as usize, start + 9] {
+            let mut bad = good.clone();
+            bad[at] ^= 0x55;
+            std::fs::write(&path, &bad).unwrap();
+            assert!(
+                matches!(
+                    streamed_scan(&path, &cfg, &Pool::new(2)),
+                    Err(TraceIoError::Corrupt(_))
+                ),
+                "byte {at}"
+            );
+        }
+
+        // A block length of all ones must not overflow the cursor.
+        let mut bad = good.clone();
+        bad[start + 1..start + 9].fill(0xff);
+        std::fs::write(&path, &bad).unwrap();
+        assert!(matches!(
+            streamed_scan(&path, &cfg, &Pool::serial()),
+            Err(TraceIoError::Corrupt(_))
+        ));
+
+        // And the untouched bytes still scan to the same transcript.
+        std::fs::write(&path, &good).unwrap();
+        assert_eq!(
+            streamed_scan(&path, &cfg, &Pool::new(2)).unwrap().rendered,
+            clean
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn chunks_out_of_capture_order_are_an_error_naming_the_chunk() {
+        let dir = scratch_dir("order");
+        let path = dir.join("order.fxb");
+        let recs = bursty_records(80);
+        let mut w = ChunkedWriter::create(&path).unwrap();
+        w.append_records(&recs[40..]).unwrap();
+        w.append_records(&recs[..40]).unwrap();
+        w.finish().unwrap();
+        // The container itself is sound — it loads — but no fold can
+        // take its second chunk after its first.
+        assert_eq!(load_store(&path).unwrap().len(), 80);
+        let cfg = ScanConfig::new("order", 2.0);
+        for pool in [Pool::serial(), Pool::new(3)] {
+            match streamed_scan(&path, &cfg, &pool) {
+                Err(TraceIoError::Corrupt(what)) => {
+                    assert!(what.contains("chunk 1"), "{what}");
+                    assert!(what.contains("capture order"), "{what}");
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
+
+        // Disorder inside one chunk is caught the same way.
+        let mut shuffled = recs[..40].to_vec();
+        shuffled.swap(5, 30);
+        let mut w = ChunkedWriter::create(&path).unwrap();
+        w.append_records(&shuffled).unwrap();
+        w.finish().unwrap();
+        assert!(matches!(
+            streamed_scan(&path, &cfg, &Pool::serial()),
+            Err(TraceIoError::Corrupt(what)) if what.contains("chunk 0")
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -20,7 +20,6 @@ fn a_bad_flag_value_exits_2_naming_flag_and_value() {
         ("--div", "1.5"),
         ("--jobs", "-1"),
         ("--hours", "ten"),
-        ("--trace-format", "bogus"),
     ] {
         let out = repro(&[flag, bad, "fig6"]);
         let err = String::from_utf8_lossy(&out.stderr);
@@ -41,7 +40,6 @@ fn a_missing_flag_value_exits_2_naming_the_flag() {
         "--div",
         "--jobs",
         "--hours",
-        "--trace-format",
         "--out",
         "--metrics-out",
         "--date",
@@ -71,8 +69,6 @@ fn good_values_are_taken() {
         "2",
         "--hours",
         "1",
-        "--trace-format",
-        "text",
         "--out",
         out_dir,
         "mix-admit",
@@ -82,4 +78,17 @@ fn good_values_are_taken() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("1/50"), "--div 50 is announced:\n{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_removed_trace_format_flag_is_rejected() {
+    // The cache has one format (`.fxb`); the knob that chose it is gone
+    // and must not be swallowed as if it still meant something.
+    for value in ["binary", "text"] {
+        let out = repro(&["--trace-format", value, "fig6"]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{value}: {err}");
+        assert!(err.contains("--trace-format"), "{value}: {err}");
+        assert!(out.stdout.is_empty(), "{value}: ran anyway");
+    }
 }

@@ -14,43 +14,10 @@
 //!
 //! Every frame goes to exactly one bucket, so conservation —
 //! `Σ per-tenant + background = total` — holds by construction and is
-//! re-checked by [`DemuxedTrace::check_conservation`].
+//! re-checked by [`DemuxedStore::check_conservation`].
 
 use crate::store::{TraceStore, TraceView};
 use fxnet_pvm::TenantMap;
-use fxnet_sim::FrameRecord;
-
-/// A promiscuous trace split by tenant.
-#[derive(Debug, Clone)]
-pub struct DemuxedTrace {
-    /// Per-tenant sub-traces, indexed like the map's slices; each keeps
-    /// the original capture order (time-sorted, as captured).
-    pub per_tenant: Vec<Vec<FrameRecord>>,
-    /// Frames attributable to no single tenant (daemon heartbeats across
-    /// ownership boundaries, idle-host chatter).
-    pub background: Vec<FrameRecord>,
-    /// Total frames in the input trace.
-    pub total: usize,
-}
-
-impl DemuxedTrace {
-    /// Frames attributed to tenant `i`.
-    pub fn tenant(&self, i: usize) -> &[FrameRecord] {
-        &self.per_tenant[i]
-    }
-
-    /// Verify that no frame was lost or double-attributed. Returns the
-    /// total again so callers can print it.
-    pub fn check_conservation(&self) -> usize {
-        let attributed: usize =
-            self.per_tenant.iter().map(Vec::len).sum::<usize>() + self.background.len();
-        assert_eq!(
-            attributed, self.total,
-            "demux lost or double-attributed frames"
-        );
-        self.total
-    }
-}
 
 /// A columnar trace split by tenant: row-index buckets over one shared
 /// [`TraceStore`] instead of per-tenant frame copies. Each bucket keeps
@@ -97,8 +64,7 @@ impl DemuxedStore<'_> {
 }
 
 /// Split a columnar `store` by tenant ownership in one pass over the
-/// host-id columns. Same attribution rule as [`demux`], but the buckets
-/// are row indices — no frame is copied.
+/// host-id columns. The buckets are row indices — no frame is copied.
 pub fn demux_store<'a>(store: &'a TraceStore, map: &TenantMap) -> DemuxedStore<'a> {
     let mut per_tenant: Vec<Vec<u32>> = vec![Vec::new(); map.len()];
     let mut background = Vec::new();
@@ -120,29 +86,11 @@ pub fn demux_store<'a>(store: &'a TraceStore, map: &TenantMap) -> DemuxedStore<'
     }
 }
 
-/// Split `trace` by tenant ownership. Frames are cloned into exactly one
-/// bucket each; input order is preserved within every bucket.
-pub fn demux(trace: &[FrameRecord], map: &TenantMap) -> DemuxedTrace {
-    let mut per_tenant: Vec<Vec<FrameRecord>> = vec![Vec::new(); map.len()];
-    let mut background = Vec::new();
-    for r in trace {
-        match (map.owner_of_host(r.src), map.owner_of_host(r.dst)) {
-            (Some(a), Some(b)) if a == b => per_tenant[a].push(*r),
-            _ => background.push(*r),
-        }
-    }
-    DemuxedTrace {
-        per_tenant,
-        background,
-        total: trace.len(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::select::{connection, host_pairs};
-    use fxnet_sim::{Frame, FrameKind, HostId, SimTime};
+    use crate::select::connection;
+    use fxnet_sim::{Frame, FrameKind, FrameRecord, HostId, SimTime};
 
     fn rec(src: u32, dst: u32, t_us: u64) -> FrameRecord {
         let f = Frame::tcp(HostId(src), HostId(dst), FrameKind::Data, 400, 0);
@@ -167,22 +115,22 @@ mod tests {
 
     #[test]
     fn interleaved_tenants_demux_into_disjoint_connection_sets() {
-        let tr = interleaved_trace();
-        let d = demux(&tr, &two_tenants());
+        let store = TraceStore::from_records(&interleaved_trace());
+        let d = demux_store(&store, &two_tenants());
         assert_eq!(d.check_conservation(), 200);
         assert_eq!(d.tenant(0).len(), 100);
         assert_eq!(d.tenant(1).len(), 100);
         assert!(d.background.is_empty());
         // The connection sets are disjoint: every host pair of tenant A
         // is absent from tenant B's sub-trace and vice versa.
-        let pairs_a: Vec<_> = host_pairs(d.tenant(0))
-            .into_iter()
-            .map(|(p, _)| p)
-            .collect();
-        let pairs_b: Vec<_> = host_pairs(d.tenant(1))
-            .into_iter()
-            .map(|(p, _)| p)
-            .collect();
+        let pairs_of = |i: usize| -> Vec<_> {
+            d.tenant(i)
+                .host_pairs()
+                .into_iter()
+                .map(|(p, _)| p)
+                .collect()
+        };
+        let (pairs_a, pairs_b) = (pairs_of(0), pairs_of(1));
         assert!(pairs_a.iter().all(|p| !pairs_b.contains(p)));
         assert_eq!(
             pairs_a,
@@ -196,11 +144,12 @@ mod tests {
         // with extraction from the tenant's own sub-trace: no frame of a
         // foreign tenant can alias into the connection.
         let tr = interleaved_trace();
-        let d = demux(&tr, &two_tenants());
+        let store = TraceStore::from_records(&tr);
+        let d = demux_store(&store, &two_tenants());
         for (src, dst) in [(0u32, 1u32), (1, 0), (2, 3), (3, 2)] {
             let whole = connection(&tr, HostId(src), HostId(dst));
             let owner = two_tenants().owner_of_host(HostId(src)).unwrap();
-            let sub = connection(d.tenant(owner), HostId(src), HostId(dst));
+            let sub = connection(&d.tenant(owner).to_records(), HostId(src), HostId(dst));
             assert_eq!(whole, sub, "connection {src}->{dst}");
             assert_eq!(whole.len(), 50);
         }
@@ -208,19 +157,14 @@ mod tests {
 
     #[test]
     fn no_frame_double_counted_under_conservation() {
-        // Sum of per-(src,dst) counts across buckets equals the input's
-        // per-pair counts exactly.
-        let tr = interleaved_trace();
-        let d = demux(&tr, &two_tenants());
-        let mut rebuilt: Vec<FrameRecord> = Vec::new();
-        for t in &d.per_tenant {
-            rebuilt.extend_from_slice(t);
-        }
-        rebuilt.extend_from_slice(&d.background);
-        rebuilt.sort_by_key(|r| (r.time, r.src, r.dst));
-        let mut orig = tr.clone();
-        orig.sort_by_key(|r| (r.time, r.src, r.dst));
-        assert_eq!(rebuilt, orig);
+        // The buckets partition the row numbers: concatenated and
+        // sorted they are exactly 0..n.
+        let store = TraceStore::from_records(&interleaved_trace());
+        let d = demux_store(&store, &two_tenants());
+        let mut rows: Vec<u32> = d.per_tenant.concat();
+        rows.extend_from_slice(&d.background);
+        rows.sort_unstable();
+        assert_eq!(rows, (0..store.len() as u32).collect::<Vec<_>>());
     }
 
     #[test]
@@ -232,26 +176,34 @@ mod tests {
             rec(4, 0, 2), // unowned idle host → A: background
             rec(2, 3, 3), // B
         ];
-        let d = demux(&tr, &map);
-        assert_eq!(d.tenant(0).len(), 1);
-        assert_eq!(d.tenant(1).len(), 1);
-        assert_eq!(d.background.len(), 2);
+        let store = TraceStore::from_records(&tr);
+        let d = demux_store(&store, &map);
+        assert_eq!(d.tenant(0).to_records(), [tr[0]]);
+        assert_eq!(d.tenant(1).to_records(), [tr[3]]);
+        assert_eq!(d.background_view().to_records(), tr[1..3]);
         d.check_conservation();
     }
 
     #[test]
     fn demux_store_matches_record_demux() {
+        // Against the rule written out over records: tenant `i` gets,
+        // in capture order, the frames whose two ends it both owns.
         let tr = interleaved_trace();
         let map = two_tenants();
         let store = TraceStore::from_records(&tr);
-        let legacy = demux(&tr, &map);
         let cols = demux_store(&store, &map);
-        assert_eq!(cols.check_conservation(), legacy.check_conservation());
         assert_eq!(cols.tenants(), 2);
         for i in 0..2 {
-            assert_eq!(cols.tenant(i).to_records(), legacy.tenant(i), "tenant {i}");
+            let want: Vec<FrameRecord> = tr
+                .iter()
+                .filter(|r| {
+                    map.owner_of_host(r.src) == Some(i) && map.owner_of_host(r.dst) == Some(i)
+                })
+                .copied()
+                .collect();
+            assert_eq!(cols.tenant(i).to_records(), want, "tenant {i}");
         }
-        assert_eq!(cols.background_view().to_records(), legacy.background);
+        assert!(cols.background_view().is_empty());
     }
 
     #[test]
@@ -268,9 +220,10 @@ mod tests {
 
     #[test]
     fn empty_trace_and_empty_map() {
-        let d = demux(&[], &two_tenants());
-        assert_eq!(d.check_conservation(), 0);
-        let d = demux(&interleaved_trace(), &TenantMap::default());
+        let empty = TraceStore::from_records(&[]);
+        assert_eq!(demux_store(&empty, &two_tenants()).check_conservation(), 0);
+        let store = TraceStore::from_records(&interleaved_trace());
+        let d = demux_store(&store, &TenantMap::default());
         assert_eq!(d.background.len(), 200);
         d.check_conservation();
     }

@@ -1,14 +1,16 @@
-//! Trace persistence in two formats, selected by file extension:
+//! Trace persistence, selected by file extension:
 //!
 //! * **Text** — one frame per line, `time_ns wire_len proto kind src
 //!   dst` (e.g. `1234567 1518 tcp data 0 1`): equivalent to the paper's
-//!   tcpdump output, diffable, greppable.
-//! * **Binary** (`.fxb` / `.bin`) — a compact columnar container for the
-//!   cache-scale traces the mixes produce. Layout:
+//!   tcpdump output, diffable, greppable. The export/import format.
+//! * **Binary** (`.fxb` / `.bin`) — FXTC, a compact columnar container.
+//!   Everything this crate *writes* is the chunked v2 layout; the
+//!   single-section v1 layout older builds wrote is still read.
 //!
 //!   ```text
-//!   magic "FXTC" | version u16 LE | flags u16 LE (0) | count u64 LE
-//!   then one block per column, in fixed order:
+//!   header, 16 bytes:
+//!       magic "FXTC" | version u16 LE | flags u16 LE (0) | count u64 LE
+//!   one block section = one block per column, in fixed order:
 //!       id u8 | payload length u64 LE | payload
 //!   id 1  time   zigzag LEB128 varints of consecutive wrapping deltas
 //!   id 2  size   LEB128 varints of wire_len
@@ -24,12 +26,11 @@
 //!   handle: a reader seeing a newer version returns
 //!   [`TraceIoError::Version`] and the caller regenerates the artifact.
 //!
-//! * **Chunked binary (FXTC v2)** — the out-of-core container for
-//!   traces too large to materialize. Same 16-byte header (version 2;
-//!   the count field is patched when the writer finishes), then the
-//!   chunk payloads back to back, each encoded exactly like a v1 block
-//!   section with its time-delta predecessor reset to zero — so every
-//!   chunk decodes independently. A fixed-size directory sits at the
+//!   **v1** is the header followed by one block section holding the
+//!   whole trace. **v2** is the header (the count field is patched when
+//!   the writer finishes), then one block section per chunk back to
+//!   back, each with its time-delta predecessor reset to zero — so every
+//!   chunk decodes independently — and a fixed-size directory at the
 //!   tail so appenders never rewrite data they already flushed:
 //!
 //!   ```text
@@ -39,13 +40,12 @@
 //!       dir_offset u64 | nchunks u64 | magic "FXTD"
 //!   ```
 //!
-//!   [`ChunkedWriter`] appends chunks as the simulator drains shards;
-//!   [`ChunkCursor`] streams them back one at a time with O(chunk)
-//!   peak memory; [`read_chunk`] decodes a single directory entry so a
-//!   worker pool can fan the scan out. [`read_store_binary`] accepts
-//!   both versions, so `load_store` on a v2 file still yields a fully
-//!   materialized [`TraceStore`] — that is the baseline the streamed
-//!   path races against.
+//!   [`ChunkedWriter`] appends chunks as the simulator drains shards and
+//!   [`save_store`] cuts a store into them; [`ChunkCursor`] streams them
+//!   back one at a time with O(chunk) peak memory; [`read_chunk`]
+//!   decodes a single directory entry so a worker pool can fan a scan
+//!   out. [`read_store_binary`] accepts both versions and yields a fully
+//!   materialized [`TraceStore`].
 
 use crate::store::{pack_tag, unpack_tag, TraceStore};
 use fxnet_sim::{FrameKind, FrameRecord, HostId, Proto, SimTime};
@@ -56,8 +56,6 @@ use std::path::Path;
 pub const TRACE_MAGIC: [u8; 4] = *b"FXTC";
 /// Highest binary trace format version this build reads.
 pub const TRACE_VERSION: u16 = 2;
-/// The single-shot columnar layout (whole trace, one block section).
-const TRACE_VERSION_V1: u16 = 1;
 /// The chunked layout with a tail directory.
 const TRACE_VERSION_CHUNKED: u16 = 2;
 /// Magic bytes closing a chunked trace's tail directory.
@@ -68,6 +66,10 @@ const CHUNK_META_BYTES: usize = 40;
 const CHUNK_TRAILER_BYTES: usize = 20;
 /// Bytes in the file header shared by both versions.
 const HEADER_BYTES: usize = 16;
+/// Frames per chunk [`save_store`] writes: ~1.4 MB of decoded columns,
+/// big enough to amortize the varint decode, small enough that a
+/// streamed scan's decode round stays cache-friendly.
+pub const SAVE_CHUNK_FRAMES: usize = 65_536;
 
 /// On-disk trace encoding, selected by file extension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,25 +87,6 @@ impl TraceFormat {
         match path.as_ref().extension().and_then(|e| e.to_str()) {
             Some("fxb") | Some("bin") => TraceFormat::Binary,
             _ => TraceFormat::Text,
-        }
-    }
-
-    /// Canonical file extension for this format.
-    pub fn extension(self) -> &'static str {
-        match self {
-            TraceFormat::Text => "trace",
-            TraceFormat::Binary => "fxb",
-        }
-    }
-}
-
-impl std::str::FromStr for TraceFormat {
-    type Err = String;
-    fn from_str(s: &str) -> Result<TraceFormat, String> {
-        match s {
-            "text" => Ok(TraceFormat::Text),
-            "binary" => Ok(TraceFormat::Binary),
-            other => Err(format!("unknown trace format {other:?} (text|binary)")),
         }
     }
 }
@@ -173,10 +156,14 @@ fn kind_str(k: FrameKind) -> &'static str {
     }
 }
 
-/// Write a trace to `w`, one record per line.
-pub fn write_trace(w: &mut impl Write, trace: &[FrameRecord]) -> std::io::Result<()> {
+/// Write records to `w`, one per line — the one place the text line
+/// format is produced.
+fn write_lines(
+    w: &mut impl Write,
+    records: impl Iterator<Item = FrameRecord>,
+) -> std::io::Result<()> {
     let mut buf = std::io::BufWriter::new(w);
-    for r in trace {
+    for r in records {
         writeln!(
             buf,
             "{} {} {} {} {} {}",
@@ -189,6 +176,11 @@ pub fn write_trace(w: &mut impl Write, trace: &[FrameRecord]) -> std::io::Result
         )?;
     }
     buf.flush()
+}
+
+/// Write a trace to `w`, one record per line.
+pub fn write_trace(w: &mut impl Write, trace: &[FrameRecord]) -> std::io::Result<()> {
+    write_lines(w, trace.iter().copied())
 }
 
 /// Read a trace written by [`write_trace`].
@@ -342,25 +334,6 @@ fn encode_columns(
     put_block(out, 5, &payload);
 }
 
-/// Serialize a store into the binary container (see the module docs for
-/// the layout). Writes the v1 single-shot layout so files produced here
-/// remain readable by older builds; use [`save_store_chunked`] or
-/// [`ChunkedWriter`] for the chunked v2 container.
-pub fn write_store_binary(w: &mut impl Write, store: &TraceStore) -> std::io::Result<()> {
-    let n = store.len();
-    let mut out = Vec::with_capacity(HEADER_BYTES + n * 4);
-    out.extend_from_slice(&header_bytes(TRACE_VERSION_V1, n as u64));
-    encode_columns(
-        &mut out,
-        &store.time_ns,
-        &store.wire_len,
-        &store.tag,
-        &store.src,
-        &store.dst,
-    );
-    w.write_all(&out)
-}
-
 fn get_block<'a>(buf: &'a [u8], pos: &mut usize, want_id: u8) -> Result<&'a [u8], TraceIoError> {
     let &id = buf
         .get(*pos)
@@ -376,10 +349,12 @@ fn get_block<'a>(buf: &'a [u8], pos: &mut usize, want_id: u8) -> Result<&'a [u8]
         .ok_or_else(|| TraceIoError::Corrupt("truncated block header".into()))?;
     *pos += 8;
     let len = u64::from_le_bytes(len_bytes.try_into().expect("8 bytes")) as usize;
-    let payload = buf
-        .get(*pos..*pos + len)
+    let end = pos
+        .checked_add(len)
+        .filter(|&end| end <= buf.len())
         .ok_or_else(|| TraceIoError::Corrupt("truncated block payload".into()))?;
-    *pos += len;
+    let payload = &buf[*pos..end];
+    *pos = end;
     Ok(payload)
 }
 
@@ -1008,27 +983,13 @@ pub fn read_chunk(
 
 // ---- path-level API ------------------------------------------------------
 
-/// Save a store to `path` in the format implied by its extension.
+/// Save a store to `path` in the format implied by its extension: the
+/// chunked v2 container (so every `.fxb` can be streamed back with a
+/// [`ChunkCursor`]) or text lines.
 pub fn save_store(path: impl AsRef<Path>, store: &TraceStore) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path.as_ref())?;
     match TraceFormat::for_path(path.as_ref()) {
-        TraceFormat::Binary => write_store_binary(&mut f, store),
-        TraceFormat::Text => {
-            let mut buf = std::io::BufWriter::new(f);
-            for r in store.iter() {
-                writeln!(
-                    buf,
-                    "{} {} {} {} {} {}",
-                    r.time.as_nanos(),
-                    r.wire_len,
-                    proto_str(r.proto),
-                    kind_str(r.kind),
-                    r.src.0,
-                    r.dst.0
-                )?;
-            }
-            buf.flush()
-        }
+        TraceFormat::Binary => save_store_chunked(path, store, SAVE_CHUNK_FRAMES).map(drop),
+        TraceFormat::Text => write_lines(&mut std::fs::File::create(path)?, store.iter()),
     }
 }
 
@@ -1070,6 +1031,23 @@ mod tests {
     use super::*;
     use fxnet_sim::Frame;
     use proptest::prelude::*;
+
+    /// The single-section layout older builds wrote: the shared header
+    /// at version 1, then one block section holding the whole trace.
+    /// Nothing outside this module writes it any more; it lives here so
+    /// the v1 *reader* stays proven.
+    fn encode_v1(store: &TraceStore) -> Vec<u8> {
+        let mut out = header_bytes(1, store.len() as u64).to_vec();
+        encode_columns(
+            &mut out,
+            &store.time_ns,
+            &store.wire_len,
+            &store.tag,
+            &store.src,
+            &store.dst,
+        );
+        out
+    }
 
     fn sample() -> Vec<FrameRecord> {
         vec![
@@ -1132,8 +1110,7 @@ mod tests {
     fn binary_round_trip() {
         let tr = sample();
         let store = TraceStore::from_records(&tr);
-        let mut buf = Vec::new();
-        write_store_binary(&mut buf, &store).unwrap();
+        let buf = encode_v1(&store);
         assert_eq!(&buf[0..4], &TRACE_MAGIC);
         let back = read_store_binary(&mut &buf[..]).unwrap();
         assert_eq!(back, store);
@@ -1155,10 +1132,6 @@ mod tests {
             TraceFormat::Text
         );
         assert_eq!(TraceFormat::for_path("SOR"), TraceFormat::Text);
-        assert_eq!(TraceFormat::Binary.extension(), "fxb");
-        assert_eq!("binary".parse::<TraceFormat>(), Ok(TraceFormat::Binary));
-        assert_eq!("text".parse::<TraceFormat>(), Ok(TraceFormat::Text));
-        assert!("pcap".parse::<TraceFormat>().is_err());
     }
 
     #[test]
@@ -1177,8 +1150,7 @@ mod tests {
     #[test]
     fn newer_version_is_rejected_for_cache_invalidation() {
         let store = TraceStore::from_records(&sample());
-        let mut buf = Vec::new();
-        write_store_binary(&mut buf, &store).unwrap();
+        let mut buf = encode_v1(&store);
         buf[4..6].copy_from_slice(&(TRACE_VERSION + 1).to_le_bytes());
         match read_store_binary(&mut &buf[..]) {
             Err(TraceIoError::Version { found, supported }) => {
@@ -1192,8 +1164,7 @@ mod tests {
     #[test]
     fn corrupt_binary_is_rejected() {
         let store = TraceStore::from_records(&sample());
-        let mut buf = Vec::new();
-        write_store_binary(&mut buf, &store).unwrap();
+        let buf = encode_v1(&store);
         // Bad magic.
         let mut bad = buf.clone();
         bad[0] = b'X';
@@ -1238,12 +1209,32 @@ mod tests {
     }
 
     #[test]
-    fn single_shot_writer_stays_on_v1_layout() {
-        let store = TraceStore::from_records(&sample());
-        let mut buf = Vec::new();
-        write_store_binary(&mut buf, &store).unwrap();
-        assert_eq!(u16::from_le_bytes([buf[4], buf[5]]), 1);
-        assert_eq!(read_store_binary(&mut &buf[..]).unwrap(), store);
+    fn save_store_writes_a_streamable_v2_container() {
+        let dir = std::env::temp_dir();
+        // Past one chunk, and once more with capture order destroyed:
+        // the container promises a lossless round trip either way.
+        let sorted = bursty(SAVE_CHUNK_FRAMES + 7);
+        let mut unsorted = bursty(40);
+        unsorted.reverse();
+        unsorted.swap(3, 30);
+        for (name, tr) in [("sorted", sorted), ("unsorted", unsorted)] {
+            let path = dir.join(format!("fxnet-save-store-{name}.fxb"));
+            let store = TraceStore::from_records(&tr);
+            save_store(&path, &store).unwrap();
+            let mut cursor = ChunkCursor::open(&path).unwrap();
+            assert_eq!(
+                cursor.directory().len(),
+                tr.len().div_ceil(SAVE_CHUNK_FRAMES),
+                "{name}"
+            );
+            let mut time_ns = Vec::new();
+            while let Some((_, buf)) = cursor.next_chunk().unwrap() {
+                time_ns.extend_from_slice(&buf.time_ns);
+            }
+            assert_eq!(time_ns, store.time_ns, "{name}");
+            assert_eq!(load_store(&path).unwrap(), store, "{name}");
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]
@@ -1255,7 +1246,7 @@ mod tests {
             let d = save_store_chunked(&path, &store, chunk_frames).unwrap();
             assert_eq!(d.frames(), 97);
             assert_eq!(d.len(), 97usize.div_ceil(chunk_frames));
-            // The v1-compatible loader materializes the whole thing.
+            // The whole-file loader materializes the whole thing.
             assert_eq!(load_store(&path).unwrap(), store, "chunk={chunk_frames}");
             // The cursor yields the same columns chunk by chunk.
             let mut cursor = ChunkCursor::open(&path).unwrap();
@@ -1401,8 +1392,7 @@ mod tests {
                 .collect();
             let store = TraceStore::from_records(&tr);
             // Binary: store -> bytes -> store, lossless.
-            let mut bin = Vec::new();
-            write_store_binary(&mut bin, &store).unwrap();
+            let bin = encode_v1(&store);
             let from_bin = read_store_binary(&mut &bin[..]).unwrap();
             prop_assert_eq!(&from_bin, &store);
             // Text: records -> lines -> records, and through the store.

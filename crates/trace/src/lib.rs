@@ -21,15 +21,21 @@
 //! * **Size populations** — exact packet-size histograms, used to verify
 //!   the trimodal distributions the paper describes for SOR/2DFFT/HIST.
 //!
-//! Analyses run over either representation: the legacy array-of-structs
-//! `Vec<FrameRecord>` slice kernels, or the columnar [`TraceStore`] —
+//! The store of record is the columnar [`TraceStore`] —
 //! structure-of-arrays columns with a one-pass connection index, whose
-//! [`TraceView`]s make `connection()`, `demux()`, and per-connection
-//! statistics zero-copy and whose kernels are single fused passes. The
-//! two paths share their arithmetic cores and produce bitwise-identical
-//! results; the columnar one is what the bench harness runs at scale.
-//! Traces persist as diffable text or as the compact binary columnar
-//! container in [`io`], selected by file extension.
+//! [`TraceView`]s make `connection()`, tenant demux, and per-connection
+//! statistics zero-copy. The per-trace report (sizes, interarrivals,
+//! bandwidth, bursts, spectrum summary) has **one** implementation:
+//! [`StreamingReport`], a fold over `(time_ns, wire_len)` samples that
+//! runs identically whether it is fed a whole view
+//! ([`TraceReport::analyze_view`]) or the chunks of a file too large to
+//! load. The single-quantity slice kernels over `&[FrameRecord]`
+//! ([`Stats::packet_sizes`], [`binned_bandwidth`], [`detect_bursts`], …)
+//! are thin wrappers over the same arithmetic cores as the view kernels
+//! and stay as the record-oriented API; composed, they are also the
+//! fold's test oracle. Traces persist as the chunked binary container
+//! in [`io`] or, for export and import, as diffable text — selected by
+//! file extension.
 
 //! ```
 //! use fxnet_sim::{Frame, FrameKind, FrameRecord, HostId, SimTime};
@@ -72,7 +78,7 @@ pub mod streaming;
 pub use bandwidth::{average_bandwidth, binned_bandwidth, sliding_window_bandwidth};
 pub use bursts::{detect_bursts, Burst, BurstProfile};
 pub use coherence::{correlation, mean_connection_correlation};
-pub use demux::{demux, demux_store, DemuxedStore, DemuxedTrace};
+pub use demux::{demux_store, DemuxedStore};
 pub use interference::{burst_collisions, slowdown, spectral_concentration, SpectralInterference};
 pub use io::{
     load_store, load_trace, read_chunk, read_chunk_directory, save_store, save_store_chunked,
@@ -80,7 +86,7 @@ pub use io::{
     TraceIoError,
 };
 pub use phases::{PhaseBreakdown, PhaseRow};
-pub use report::{markdown_table, markdown_table_views, ReportOptions, TraceReport};
+pub use report::{markdown_table_views, ReportOptions, TraceReport};
 pub use select::{connection, dominant_modes, host_pairs, size_population};
 pub use spectrum::{autocorrelation, Periodogram, Spike};
 pub use stats::Stats;

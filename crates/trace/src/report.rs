@@ -5,12 +5,11 @@
 //! fragment, so harnesses and downstream tools can emit EXPERIMENTS-style
 //! tables without reimplementing the formatting.
 
-use crate::bandwidth::{average_bandwidth, binned_bandwidth};
-use crate::bursts::{Burst, BurstProfile};
-use crate::spectrum::Periodogram;
-use crate::stats::{Stats, Welford};
+use crate::bursts::BurstProfile;
+use crate::stats::Stats;
 use crate::store::TraceView;
-use fxnet_sim::{FrameRecord, SimTime};
+use crate::streaming::StreamingReport;
+use fxnet_sim::SimTime;
 use std::fmt::Write;
 
 /// Options controlling the report.
@@ -35,7 +34,8 @@ impl Default for ReportOptions {
     }
 }
 
-/// All derived quantities for one trace, computed in one pass.
+/// All derived quantities for one trace, computed in one pass by
+/// [`StreamingReport`].
 #[derive(Debug, Clone)]
 pub struct TraceReport {
     pub label: String,
@@ -50,143 +50,16 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
-    /// Analyze `trace` under `opts`.
-    pub fn analyze(
-        label: impl Into<String>,
-        trace: &[FrameRecord],
-        opts: &ReportOptions,
-    ) -> TraceReport {
-        let spec = (!trace.is_empty())
-            .then(|| Periodogram::compute(&binned_bandwidth(trace, opts.bin), opts.bin));
-        Self::analyze_with_spectrum(label, trace, opts, spec.as_ref())
-    }
-
-    /// [`TraceReport::analyze`] with a caller-supplied spectrum of the
-    /// trace's `opts.bin`-binned bandwidth (or `None` for an empty
-    /// trace), for callers that already computed it and don't want the
-    /// binned series walked twice.
-    pub fn analyze_with_spectrum(
-        label: impl Into<String>,
-        trace: &[FrameRecord],
-        opts: &ReportOptions,
-        spec: Option<&Periodogram>,
-    ) -> TraceReport {
-        let span_s = match (trace.first(), trace.last()) {
-            (Some(a), Some(b)) => (b.time - a.time).as_secs_f64(),
-            _ => 0.0,
-        };
-        let (dominant_hz, flatness) = match spec {
-            None => (None, None),
-            Some(spec) => (spec.dominant_frequency(opts.min_hz), Some(spec.flatness())),
-        };
-        TraceReport {
-            label: label.into(),
-            frames: trace.len(),
-            span_s,
-            sizes: Stats::packet_sizes(trace),
-            interarrivals_ms: Stats::interarrivals_ms(trace),
-            avg_bandwidth: average_bandwidth(trace),
-            bursts: BurstProfile::of(trace, opts.burst_gap),
-            dominant_hz,
-            flatness,
-        }
-    }
-
-    /// Analyze a columnar [`TraceView`] under `opts`.
-    ///
-    /// Where [`TraceReport::analyze`] walks the record slice once per
-    /// derived quantity, this computes sizes, interarrivals, span, byte
-    /// total, lifetime bandwidth, and the burst segmentation in **one**
-    /// fused pass over the columns, then makes a second pass for the
-    /// binned series feeding the periodogram. The arithmetic matches the
-    /// legacy path operation for operation, so the resulting report is
-    /// bitwise-identical to `analyze` on the same frames.
+    /// Analyze a time-ordered [`TraceView`] under `opts`: the view's
+    /// samples pushed through [`StreamingReport`] as one chunk.
     pub fn analyze_view(
         label: impl Into<String>,
         view: TraceView<'_>,
         opts: &ReportOptions,
     ) -> TraceReport {
-        let spec = (!view.is_empty())
-            .then(|| Periodogram::compute(&view.binned_bandwidth(opts.bin), opts.bin));
-        Self::analyze_view_with_spectrum(label, view, opts, spec.as_ref())
-    }
-
-    /// [`TraceReport::analyze_view`] with a caller-supplied spectrum —
-    /// the columnar twin of [`TraceReport::analyze_with_spectrum`].
-    pub fn analyze_view_with_spectrum(
-        label: impl Into<String>,
-        view: TraceView<'_>,
-        opts: &ReportOptions,
-        spec: Option<&Periodogram>,
-    ) -> TraceReport {
-        let n = view.len();
-        let mut sizes = Welford::new();
-        let mut inter = Welford::new();
-        let mut bursts: Vec<Burst> = Vec::new();
-        let mut t_min = u64::MAX;
-        let mut t_max = 0u64;
-        let mut bytes = 0u64;
-        let mut first = 0u64;
-        let mut last = 0u64;
-        let mut prev: Option<u64> = None;
-        for (pos, r) in view.iter().enumerate() {
-            let t = r.time.as_nanos();
-            if pos == 0 {
-                first = t;
-            }
-            last = t;
-            t_min = t_min.min(t);
-            t_max = t_max.max(t);
-            bytes += u64::from(r.wire_len);
-            sizes.push(f64::from(r.wire_len));
-            if let Some(p) = prev {
-                inter.push((r.time - SimTime::from_nanos(p)).as_millis_f64());
-            }
-            prev = Some(t);
-            match bursts.last_mut() {
-                Some(b) if r.time.saturating_sub(b.end) <= opts.burst_gap => {
-                    b.end = r.time;
-                    b.bytes += u64::from(r.wire_len);
-                    b.packets += 1;
-                }
-                _ => bursts.push(Burst {
-                    start: r.time,
-                    end: r.time,
-                    bytes: u64::from(r.wire_len),
-                    packets: 1,
-                }),
-            }
-        }
-        let span_s = if n == 0 {
-            0.0
-        } else {
-            (SimTime::from_nanos(last) - SimTime::from_nanos(first)).as_secs_f64()
-        };
-        let avg_bandwidth = if n == 0 {
-            None
-        } else {
-            let span = (SimTime::from_nanos(t_max) - SimTime::from_nanos(t_min)).as_secs_f64();
-            if span <= 0.0 {
-                None
-            } else {
-                Some(bytes as f64 / span)
-            }
-        };
-        let (dominant_hz, flatness) = match spec {
-            None => (None, None),
-            Some(spec) => (spec.dominant_frequency(opts.min_hz), Some(spec.flatness())),
-        };
-        TraceReport {
-            label: label.into(),
-            frames: n,
-            span_s,
-            sizes: sizes.finish(),
-            interarrivals_ms: if n < 2 { None } else { inter.finish() },
-            avg_bandwidth,
-            bursts: BurstProfile::of_bursts(bursts),
-            dominant_hz,
-            flatness,
-        }
+        let mut fold = StreamingReport::new(label, opts);
+        fold.push_view(view);
+        fold.finish()
     }
 
     /// One markdown table row:
@@ -229,21 +102,7 @@ impl TraceReport {
     }
 }
 
-/// Render a full markdown table for several labelled traces.
-pub fn markdown_table<'a>(
-    rows: impl IntoIterator<Item = (&'a str, &'a [FrameRecord])>,
-    opts: &ReportOptions,
-) -> String {
-    let mut out = TraceReport::markdown_header();
-    for (label, trace) in rows {
-        let r = TraceReport::analyze(label, trace, opts);
-        write!(out, "\n{}", r.markdown_row()).expect("string write");
-    }
-    out
-}
-
-/// Render a full markdown table for several labelled columnar views —
-/// byte-identical to [`markdown_table`] over the same frames.
+/// Render a full markdown table for several labelled views.
 pub fn markdown_table_views<'a>(
     rows: impl IntoIterator<Item = (&'a str, TraceView<'a>)>,
     opts: &ReportOptions,
@@ -257,9 +116,52 @@ pub fn markdown_table_views<'a>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use fxnet_sim::{Frame, FrameKind, HostId};
+    use crate::bandwidth::{average_bandwidth, binned_bandwidth};
+    use crate::spectrum::Periodogram;
+    use crate::TraceStore;
+    use fxnet_sim::{Frame, FrameKind, FrameRecord, HostId};
+
+    /// The report composed kernel by kernel from the public slice
+    /// kernels, one pass over the records per quantity — the oracle the
+    /// fold is held to, sharing none of its loop.
+    pub(crate) fn slice_oracle(
+        label: &str,
+        trace: &[FrameRecord],
+        opts: &ReportOptions,
+    ) -> TraceReport {
+        let spec = (!trace.is_empty())
+            .then(|| Periodogram::compute(&binned_bandwidth(trace, opts.bin), opts.bin));
+        TraceReport {
+            label: label.to_string(),
+            frames: trace.len(),
+            span_s: match (trace.first(), trace.last()) {
+                (Some(a), Some(b)) => (b.time - a.time).as_secs_f64(),
+                _ => 0.0,
+            },
+            sizes: Stats::packet_sizes(trace),
+            interarrivals_ms: Stats::interarrivals_ms(trace),
+            avg_bandwidth: average_bandwidth(trace),
+            bursts: BurstProfile::of(trace, opts.burst_gap),
+            dominant_hz: spec
+                .as_ref()
+                .and_then(|s| s.dominant_frequency(opts.min_hz)),
+            flatness: spec.as_ref().map(Periodogram::flatness),
+        }
+    }
+
+    /// `{:?}` prints every `f64` in shortest round-trip form, so two
+    /// reports render alike exactly when every field matches bit for bit.
+    pub(crate) fn assert_reports_bitwise_equal(a: &TraceReport, b: &TraceReport) {
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(a.markdown_row(), b.markdown_row());
+    }
+
+    fn analyze(label: &str, trace: &[FrameRecord]) -> TraceReport {
+        let store = TraceStore::from_records(trace);
+        TraceReport::analyze_view(label, store.view(), &ReportOptions::default())
+    }
 
     /// 2 Hz burst train: 20-frame bursts spanning 190 ms every 500 ms
     /// (wide bursts so the fundamental dominates the harmonics).
@@ -279,8 +181,7 @@ mod tests {
 
     #[test]
     fn analyze_fills_every_field() {
-        let tr = burst_trace();
-        let r = TraceReport::analyze("demo", &tr, &ReportOptions::default());
+        let r = analyze("demo", &burst_trace());
         assert_eq!(r.frames, 200);
         assert!(r.span_s > 4.0);
         assert_eq!(r.sizes.unwrap().max, 1518.0);
@@ -297,8 +198,7 @@ mod tests {
 
     #[test]
     fn empty_trace_renders_dashes() {
-        let r = TraceReport::analyze("empty", &[], &ReportOptions::default());
-        let row = r.markdown_row();
+        let row = analyze("empty", &[]).markdown_row();
         assert!(
             row.contains("| empty | 0 | 0.0 | - | - | - | - | - |"),
             "{row}"
@@ -308,42 +208,20 @@ mod tests {
     #[test]
     fn analyze_view_is_bitwise_identical_to_analyze() {
         let tr = burst_trace();
-        let store = crate::TraceStore::from_records(&tr);
         let opts = ReportOptions::default();
-        let a = TraceReport::analyze("demo", &tr, &opts);
-        let v = TraceReport::analyze_view("demo", store.view(), &opts);
-        assert_eq!(a.frames, v.frames);
-        assert_eq!(a.span_s.to_bits(), v.span_s.to_bits());
-        assert_eq!(a.sizes, v.sizes);
-        assert_eq!(a.interarrivals_ms, v.interarrivals_ms);
-        assert_eq!(
-            a.avg_bandwidth.map(f64::to_bits),
-            v.avg_bandwidth.map(f64::to_bits)
-        );
-        assert_eq!(
-            a.dominant_hz.map(f64::to_bits),
-            v.dominant_hz.map(f64::to_bits)
-        );
-        assert_eq!(a.flatness.map(f64::to_bits), v.flatness.map(f64::to_bits));
-        assert_eq!(a.markdown_row(), v.markdown_row());
-        // And the table renderers agree end to end.
-        assert_eq!(
-            markdown_table([("t", tr.as_slice())], &opts),
-            markdown_table_views([("t", store.view())], &opts)
-        );
-        // Empty traces agree too.
-        let empty = crate::TraceStore::from_records(&[]);
-        assert_eq!(
-            TraceReport::analyze("e", &[], &opts).markdown_row(),
-            TraceReport::analyze_view("e", empty.view(), &opts).markdown_row()
+        assert_reports_bitwise_equal(&analyze("demo", &tr), &slice_oracle("demo", &tr, &opts));
+        assert_reports_bitwise_equal(&analyze("e", &[]), &slice_oracle("e", &[], &opts));
+        assert_reports_bitwise_equal(
+            &analyze("one", &tr[..1]),
+            &slice_oracle("one", &tr[..1], &opts),
         );
     }
 
     #[test]
     fn markdown_table_has_header_and_rows() {
-        let tr = burst_trace();
-        let table = markdown_table(
-            [("a", tr.as_slice()), ("b", tr.as_slice())],
+        let store = TraceStore::from_records(&burst_trace());
+        let table = markdown_table_views(
+            [("a", store.view()), ("b", store.view())],
             &ReportOptions::default(),
         );
         let lines: Vec<&str> = table.lines().collect();

@@ -29,8 +29,8 @@
 //! [`TraceView`] is the unit of analysis: either all rows or an indexed
 //! subset (a connection, a demuxed tenant). Its kernels are single fused
 //! passes over the columns and share their arithmetic cores with the
-//! legacy slice kernels, so both paths produce bitwise-identical
-//! results — the property the bench harness asserts byte for byte.
+//! slice kernels of the same name, so both produce bitwise-identical
+//! results — `tests/columnar_equiv.rs` holds them to it.
 //!
 //! `Vec<FrameRecord>` remains the compatibility edge:
 //! [`TraceStore::from_records`] / [`TraceStore::to_records`] and the
@@ -403,8 +403,8 @@ impl<'a> TraceView<'a> {
     }
 
     /// `(time_ns, wire_len)` samples in view order — the input shape of
-    /// the time-series kernels.
-    fn samples(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+    /// the time-series kernels and of the report fold.
+    pub(crate) fn samples(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
         self.row_ids()
             .map(move |i| (self.store.time_ns[i], self.store.wire_len[i]))
     }

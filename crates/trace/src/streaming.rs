@@ -1,16 +1,16 @@
-//! Out-of-core report folding: the chunk-at-a-time twin of
-//! [`TraceReport::analyze_view`].
+//! The report kernel: one fold over `(time_ns, wire_len)` samples in
+//! capture order.
 //!
-//! [`StreamingReport`] accepts `(time_ns, wire_len)` columns in capture
-//! order — whole chunks from a [`crate::ChunkCursor`], or single frames
-//! — and folds the same fused kernels the materialized path runs:
+//! [`StreamingReport`] is the only implementation of [`TraceReport`]:
+//! it accepts whole chunks from a [`crate::ChunkCursor`], a
+//! [`TraceView`] (which is how [`TraceReport::analyze_view`] runs — a
+//! materialized store is one chunk), or single frames, and folds
 //! Welford size/interarrival statistics, the lifetime byte/span totals,
 //! inline burst segmentation, and the anchored static binning that
-//! feeds the periodogram. Every operation is executed in the same
-//! order, on the same `f64` values, as `analyze_view` on a fully
-//! materialized store, so the finished [`TraceReport`] is
-//! **bitwise-identical** — the property the `analysis-scale` bench leg
-//! asserts at ten million frames.
+//! feeds the periodogram. The fold is sequential and keeps no per-chunk
+//! state, so how the samples were cut into pushes cannot change a bit
+//! of the result; `tests/columnar_equiv.rs` holds it, `to_bits` field
+//! by field, to the multi-pass report composed from the slice kernels.
 //!
 //! Peak state is O(output), not O(trace): the accumulator holds the
 //! running scalars, one `u64` per bandwidth bin, and one entry per
@@ -20,10 +20,11 @@ use crate::bursts::{Burst, BurstProfile};
 use crate::report::{ReportOptions, TraceReport};
 use crate::spectrum::Periodogram;
 use crate::stats::Welford;
+use crate::store::TraceView;
 use crate::stream::SlidingBandwidth;
 use fxnet_sim::SimTime;
 
-/// Cross-chunk fold of [`TraceReport::analyze_view`]'s fused pass.
+/// The report fold; see the module docs.
 #[derive(Debug, Clone)]
 pub struct StreamingReport {
     label: String,
@@ -132,11 +133,19 @@ impl StreamingReport {
         }
     }
 
-    /// Finish the fold, returning the report and the `opts.bin`-binned
-    /// bandwidth series it was derived from (bytes/second per bin) —
-    /// identical to `view.binned_bandwidth(opts.bin)` on the same
-    /// frames, so downstream spectral consumers need no second pass.
-    pub fn finish_with_series(self) -> (TraceReport, Vec<f64>) {
+    /// Fold every frame of `view`, in view order, as one chunk.
+    pub fn push_view(&mut self, view: TraceView<'_>) {
+        for (t, len) in view.samples() {
+            self.push(t, len);
+        }
+    }
+
+    /// Finish the fold, returning the report together with what it was
+    /// derived from: the `opts.bin`-binned bandwidth series (bytes/second
+    /// per bin, identical to `view.binned_bandwidth(opts.bin)` on the
+    /// same frames) and its periodogram (`None` for an empty trace) — so
+    /// spectral consumers need neither a second pass nor a second FFT.
+    pub fn finish_parts(self) -> (TraceReport, Vec<f64>, Option<Periodogram>) {
         let n = self.n;
         let span_s = if n == 0 {
             0.0
@@ -183,20 +192,20 @@ impl StreamingReport {
             dominant_hz,
             flatness,
         };
-        (report, series)
+        (report, series, spec)
     }
 
     /// Finish the fold, returning just the report.
     pub fn finish(self) -> TraceReport {
-        self.finish_with_series().0
+        self.finish_parts().0
     }
 }
 
 /// Running peak of the sliding-window bandwidth: the O(window) fold of
 /// the quantity `sliding_window_bandwidth` materializes as a full
-/// per-packet vector. Both the streamed and materialized `analysis-scale`
-/// paths push the same frames through the same
-/// [`SlidingBandwidth`] ring, so the peaks agree bitwise.
+/// per-packet vector. It pushes the frames through the same
+/// [`SlidingBandwidth`] ring, so the peak agrees bitwise with the
+/// maximum of that vector.
 #[derive(Debug, Clone)]
 pub struct SlidingPeak {
     ring: SlidingBandwidth,
@@ -230,9 +239,8 @@ impl SlidingPeak {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bandwidth::sliding_window_bandwidth;
-    use crate::report::markdown_table_views;
-    use crate::store::TraceStore;
+    use crate::bandwidth::{binned_bandwidth, sliding_window_bandwidth};
+    use crate::report::tests::{assert_reports_bitwise_equal, slice_oracle};
     use fxnet_sim::{Frame, FrameKind, FrameRecord, HostId, Proto};
     use proptest::prelude::*;
 
@@ -259,65 +267,50 @@ mod tests {
             .collect()
     }
 
-    fn assert_reports_bitwise_equal(a: &TraceReport, b: &TraceReport) {
-        assert_eq!(a.frames, b.frames);
-        assert_eq!(a.span_s.to_bits(), b.span_s.to_bits());
-        assert_eq!(a.sizes, b.sizes);
-        assert_eq!(a.interarrivals_ms, b.interarrivals_ms);
-        assert_eq!(
-            a.avg_bandwidth.map(f64::to_bits),
-            b.avg_bandwidth.map(f64::to_bits)
-        );
-        assert_eq!(
-            a.dominant_hz.map(f64::to_bits),
-            b.dominant_hz.map(f64::to_bits)
-        );
-        assert_eq!(a.flatness.map(f64::to_bits), b.flatness.map(f64::to_bits));
-        assert_eq!(a.markdown_row(), b.markdown_row());
-    }
-
-    #[test]
-    fn streamed_report_matches_materialized_exactly() {
-        let tr = burst_trace(500);
-        let store = TraceStore::from_records(&tr);
+    /// Fold `tr` cut at `bounds` (ascending, covering `0..=tr.len()`)
+    /// and hold report, series and spectrum to the slice oracle.
+    fn assert_chunking_matches_oracle(tr: &[FrameRecord], bounds: &[usize]) {
         let opts = ReportOptions::default();
-        let materialized = TraceReport::analyze_view("demo", store.view(), &opts);
-
-        for chunk in [1usize, 7, 100, 500, 1000] {
-            let mut s = StreamingReport::new("demo", &opts);
-            for slice in tr.chunks(chunk) {
-                let t: Vec<u64> = slice.iter().map(|r| r.time.as_nanos()).collect();
-                let w: Vec<u32> = slice.iter().map(|r| r.wire_len).collect();
-                s.push_chunk(&t, &w);
-            }
-            assert_eq!(s.frames(), 500);
-            let (streamed, series) = s.finish_with_series();
-            assert_reports_bitwise_equal(&streamed, &materialized);
-            let want = store.view().binned_bandwidth(opts.bin);
-            assert_eq!(series.len(), want.len(), "chunk={chunk}");
-            for (a, b) in series.iter().zip(&want) {
-                assert_eq!(a.to_bits(), b.to_bits(), "chunk={chunk}");
-            }
-            // The rendered table row is what the bench artifacts diff.
+        let mut s = StreamingReport::new("t", &opts);
+        for w in bounds.windows(2) {
+            let slice = &tr[w[0]..w[1]];
+            let t: Vec<u64> = slice.iter().map(|r| r.time.as_nanos()).collect();
+            let wl: Vec<u32> = slice.iter().map(|r| r.wire_len).collect();
+            s.push_chunk(&t, &wl);
+        }
+        assert_eq!(s.frames(), tr.len());
+        let (streamed, series, spec) = s.finish_parts();
+        assert_reports_bitwise_equal(&streamed, &slice_oracle("t", tr, &opts));
+        let want = binned_bandwidth(tr, opts.bin);
+        assert_eq!(
+            series.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+        );
+        assert_eq!(spec.is_some(), !tr.is_empty());
+        if let Some(spec) = spec {
             assert_eq!(
-                format!(
-                    "{}\n{}",
-                    TraceReport::markdown_header(),
-                    streamed.markdown_row()
-                ),
-                markdown_table_views([("demo", store.view())], &opts)
+                spec.total_power().to_bits(),
+                Periodogram::compute(&want, opts.bin)
+                    .total_power()
+                    .to_bits()
             );
         }
     }
 
     #[test]
+    fn streamed_report_matches_materialized_exactly() {
+        let tr = burst_trace(500);
+        for chunk in [1usize, 7, 100, 500, 1000] {
+            let mut bounds: Vec<usize> = (0..tr.len()).step_by(chunk).collect();
+            bounds.push(tr.len());
+            assert_chunking_matches_oracle(&tr, &bounds);
+        }
+    }
+
+    #[test]
     fn empty_stream_matches_empty_view() {
-        let opts = ReportOptions::default();
-        let empty = TraceStore::from_records(&[]);
-        let (streamed, series) = StreamingReport::new("e", &opts).finish_with_series();
-        let materialized = TraceReport::analyze_view("e", empty.view(), &opts);
-        assert_reports_bitwise_equal(&streamed, &materialized);
-        assert!(series.is_empty());
+        assert_chunking_matches_oracle(&[], &[0]);
+        assert_chunking_matches_oracle(&[], &[0, 0]);
     }
 
     #[test]
@@ -343,9 +336,8 @@ mod tests {
     }
 
     proptest! {
-        /// The satellite-task property: any chunking — 1-frame chunks,
-        /// one whole-trace chunk, anything between — folds to the exact
-        /// bits of the materialized report.
+        /// Any chunking — 1-frame chunks, one whole-trace chunk, anything
+        /// between — folds to the exact bits of the multi-pass oracle.
         #[test]
         fn any_chunking_is_bitwise_identical(
             times in prop::collection::vec(0u64..5_000_000_000u64, 0..120),
@@ -366,46 +358,12 @@ mod tests {
                     dst: HostId((t % 3) as u32),
                 })
                 .collect();
-            let store = TraceStore::from_records(&tr);
-            let opts = ReportOptions::default();
-            let materialized = TraceReport::analyze_view("p", store.view(), &opts);
-
             let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c % (tr.len() + 1)).collect();
             bounds.push(0);
             bounds.push(tr.len());
             bounds.sort_unstable();
             bounds.dedup();
-
-            let mut s = StreamingReport::new("p", &opts);
-            for w in bounds.windows(2) {
-                let slice = &tr[w[0]..w[1]];
-                let t: Vec<u64> = slice.iter().map(|r| r.time.as_nanos()).collect();
-                let wl: Vec<u32> = slice.iter().map(|r| r.wire_len).collect();
-                s.push_chunk(&t, &wl);
-            }
-            let (streamed, series) = s.finish_with_series();
-            prop_assert_eq!(streamed.frames, materialized.frames);
-            prop_assert_eq!(streamed.span_s.to_bits(), materialized.span_s.to_bits());
-            prop_assert_eq!(&streamed.sizes, &materialized.sizes);
-            prop_assert_eq!(&streamed.interarrivals_ms, &materialized.interarrivals_ms);
-            prop_assert_eq!(
-                streamed.avg_bandwidth.map(f64::to_bits),
-                materialized.avg_bandwidth.map(f64::to_bits)
-            );
-            prop_assert_eq!(
-                streamed.dominant_hz.map(f64::to_bits),
-                materialized.dominant_hz.map(f64::to_bits)
-            );
-            prop_assert_eq!(
-                streamed.flatness.map(f64::to_bits),
-                materialized.flatness.map(f64::to_bits)
-            );
-            prop_assert_eq!(streamed.markdown_row(), materialized.markdown_row());
-            let want = store.view().binned_bandwidth(opts.bin);
-            prop_assert_eq!(series.len(), want.len());
-            for (a, b) in series.iter().zip(&want) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
+            assert_chunking_matches_oracle(&tr, &bounds);
         }
     }
 }
