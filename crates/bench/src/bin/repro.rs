@@ -72,9 +72,6 @@ struct Ctx {
     div: usize,
     hours: usize,
     seed: u64,
-    /// DES shard count (`--shards`) for multi-segment topologies;
-    /// 1 = the legacy sequential fabric, output byte-identical either way.
-    shards: usize,
     metrics_out: Option<String>,
     /// Injected run date (`--date`) recorded in the bench history; kept
     /// out of every other artifact so output stays seed-deterministic.
@@ -399,7 +396,6 @@ fn main() {
     let mut seed = 1998u64;
     let mut telemetry = false;
     let mut jobs = 1usize;
-    let mut shards = 1usize;
     let mut exps: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -411,7 +407,6 @@ fn main() {
             "--date" => date = Some(flag_value(&a, &mut args)),
             "--seed" => seed = flag_value(&a, &mut args),
             "--jobs" => jobs = flag_value(&a, &mut args),
-            "--shards" => shards = flag_value::<usize>(&a, &mut args).max(1),
             "--telemetry" => telemetry = true,
             "--list" => {
                 list_experiments();
@@ -419,13 +414,11 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [--div N] [--hours H] [--out DIR] [--metrics-out DIR] [--seed N] [--jobs N] [--shards N] [--telemetry] [--list] <exp>...\n\
+                    "usage: repro [--div N] [--hours H] [--out DIR] [--metrics-out DIR] [--seed N] [--jobs N] [--telemetry] [--list] <exp>...\n\
                      `repro --list` prints every experiment id with its description\n\
                      sets: all (default) = every figure/table of the paper; all-extras = phases ablate-switch ablate-route ablate-p summary\n\
                      --seed N sets the simulation seed (default 1998); same seed, byte-identical output\n\
                      --jobs N fans independent runs across N workers (0 = all CPUs); output is byte-identical to --jobs 1\n\
-                     --shards N partitions multi-segment topologies across N DES shards (default 1 = the legacy\n\
-                     \u{20}                 sequential loop); output is byte-identical to --shards 1 at any count\n\
                      --metrics-out DIR directs the watch/blame/fabric-health artifacts (default: the --out dir)\n\
                      \u{20}                 and writes a Prometheus snapshot repro_<exp>.prom per selected experiment\n\
                      --date S stamps the bench history ledger (out/bench_history.jsonl) with S\n\
@@ -470,13 +463,11 @@ fn main() {
         exps: Experiments::new(div, hours, &out)
             .with_seed(seed)
             .with_telemetry(telemetry)
-            .with_shards(shards)
             .with_trace_cache(),
         pool: Pool::new(jobs),
         div,
         hours,
         seed,
-        shards,
         metrics_out,
         date,
     };
@@ -1641,17 +1632,14 @@ impl SweepProg {
         }
     }
 
-    /// Run on the legacy shared bus (`None`) or a compiled topology
-    /// partitioned across `shards` DES shards (byte-identical at any
-    /// count; the bus ignores it). Kernel scale is floored so the
-    /// 72-cell grid stays tractable at `--div 1` while still producing
-    /// several bursts per run.
+    /// Run on the legacy shared bus (`None`) or a compiled topology.
+    /// Kernel scale is floored so the 72-cell grid stays tractable at
+    /// `--div 1` while still producing several bursts per run.
     fn run(
         self,
         seed: u64,
         div: usize,
         spec: Option<fxnet::TopologySpec>,
-        shards: usize,
     ) -> fxnet::RunResult<u64> {
         use fxnet::TestbedBuilder;
         match self {
@@ -1661,14 +1649,14 @@ impl SweepProg {
                 } else {
                     div.max(20)
                 };
-                let mut b = TestbedBuilder::paper().seed(seed).shards(shards);
+                let mut b = TestbedBuilder::paper().seed(seed);
                 if let Some(s) = spec {
                     b = b.topology(s);
                 }
                 b.build().run_kernel(k, d).expect("sweep kernel run")
             }
             SweepProg::Shift => {
-                let mut b = TestbedBuilder::quiet(4).seed(seed).shards(shards);
+                let mut b = TestbedBuilder::quiet(4).seed(seed);
                 if let Some(s) = spec {
                     b = b.topology(s);
                 }
@@ -1739,7 +1727,6 @@ fn fabric_sweep(c: &mut Ctx) {
     use fxnet::TopologySpec;
     let seed = c.exps.seed();
     let div = c.div;
-    let shards = c.shards;
     let topo_ids: Vec<String> = TopologySpec::sweep_set(4, RATE_10M)
         .into_iter()
         .map(|s| s.id)
@@ -1753,7 +1740,7 @@ fn fabric_sweep(c: &mut Ctx) {
     // The legacy shared-bus trace per program: the paper path the
     // single-segment 10 Mb/s cell must reproduce byte for byte.
     let baselines = c.pool.map(SweepProg::ALL.to_vec(), move |p| {
-        p.run(seed, div, None, shards).trace
+        p.run(seed, div, None).trace
     });
 
     // The full grid in (program, topology, rate) order; the pool returns
@@ -1770,7 +1757,7 @@ fn fabric_sweep(c: &mut Ctx) {
     let cells = c.pool.map(grid, |(p, ti, rate)| {
         let spec = TopologySpec::sweep_set(p.hosts(), rate).swap_remove(ti);
         let keep_trace = ti == 0 && rate == RATE_10M;
-        let run = p.run(seed, div, Some(spec), shards);
+        let run = p.run(seed, div, Some(spec));
         let profile = BurstProfile::of(&run.trace, SimTime::from_millis(120));
         let mut pairs: Vec<(u32, u32)> = run
             .trace
@@ -2128,7 +2115,6 @@ fn bench_repro(c: &mut Ctx) {
         ),
         ("jobs".to_string(), Value::U64(jobs as u64)),
         ("cores".to_string(), Value::U64(avail as u64)),
-        ("shards".to_string(), Value::U64(c.shards as u64)),
         ("div".to_string(), Value::U64(c.div as u64)),
         (
             "shard_drain_speedup".to_string(),
@@ -2179,13 +2165,13 @@ fn analysis_scale(c: &mut Ctx) {
     // Synthesize the trace in waves through the sharded trunk fabric:
     // each wave drains grouped bursts (SCALE_ROUNDS_PER_GROUP rounds of
     // one frame per host, then a quiet gap) with every 16th frame
-    // crossing the trunk. Deliveries come out merged in time order at
-    // any shard count (the PR9 invariant), so the trace — and every
-    // analysis below — is seed-deterministic.
+    // crossing the trunk. Deliveries come out merged in the sequential
+    // fabric's order, so the trace — and every analysis below — is
+    // seed-deterministic.
     let spec = fxnet::TopologySpec::two_switches_trunk(SCALE_HOSTS, fxnet::sim::RATE_10M);
     let ether = EtherConfig::default();
-    let requested_shards = c.shards.max(2);
-    let probe = fxnet::shard::ShardedFabric::new(spec.clone(), &ether, c.seed, requested_shards);
+    // One shard per switch: all `trunk2` partitions into.
+    let probe = fxnet::shard::ShardedFabric::new(spec.clone(), &ether, c.seed, 2);
     let shards = probe.shard_count();
     let shard_of = probe.partition().host_shard.clone();
     let group_period_us = u64::from(SCALE_ROUNDS_PER_GROUP) * SCALE_ROUND_US + SCALE_GAP_US;
@@ -2204,8 +2190,7 @@ fn analysis_scale(c: &mut Ctx) {
         let mut wave = 0u64;
         while w.frames() < frames_target {
             let offset_ns = wave * wave_period_ns;
-            let mut fab =
-                fxnet::shard::ShardedFabric::new(spec.clone(), &ether, c.seed, requested_shards);
+            let mut fab = fxnet::shard::ShardedFabric::new(spec.clone(), &ether, c.seed, shards);
             for i in 0..(SCALE_ROUNDS_PER_WAVE * SCALE_HOSTS) {
                 let src = i % SCALE_HOSTS;
                 let dst = if i % 16 == 0 {
@@ -2405,7 +2390,7 @@ struct HealthCell {
 /// once bare (the purity baseline), once with the full weather map
 /// attached (frame tap + per-link sampling + causal capture). Asserts
 /// the traces byte-identical, then distills the instrumented run.
-fn health_cell(prog: SweepProg, seed: u64, div: usize, shards: usize) -> HealthCell {
+fn health_cell(prog: SweepProg, seed: u64, div: usize) -> HealthCell {
     use fxnet::causal::{chrome_trace, collective_paths, contended_intervals};
     use fxnet::metrics::{counter_events, FabricSampler, HotspotConfig, SamplerConfig};
     use fxnet::TestbedBuilder;
@@ -2417,7 +2402,6 @@ fn health_cell(prog: SweepProg, seed: u64, div: usize, shards: usize) -> HealthC
         }
         .seed(seed)
         .topology(spec.clone())
-        .shards(shards)
         .build();
         let cost = tb.config().cost.clone();
         let mix = tb
@@ -2528,14 +2512,13 @@ fn fabric_health(c: &mut Ctx) {
     use fxnet::telemetry::{labeled, write_prometheus, TelemetryRegistry};
     let div = c.div;
     let seed = c.exps.seed();
-    let shards = c.shards;
     println!(
         "(six programs, each alone on trunk2: 100 Mb/s edges, 10 Mb/s trunk, ranks split across the switches)"
     );
 
-    let cells = c.pool.map(SweepProg::ALL.to_vec(), move |p| {
-        health_cell(p, seed, div, shards)
-    });
+    let cells = c
+        .pool
+        .map(SweepProg::ALL.to_vec(), move |p| health_cell(p, seed, div));
 
     // The weather map and the causal layer must agree: across all six
     // programs the oversubscribed trunk is the one and only flagged

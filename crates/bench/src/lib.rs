@@ -13,7 +13,7 @@ pub use scan::{
 
 use fxnet::apps::airshed::AirshedParams;
 use fxnet::trace::{
-    average_bandwidth, load_store, save_store, ReportOptions, Stats, StreamingReport, TraceStore,
+    average_bandwidth, load_store, save_trace, ReportOptions, Stats, StreamingReport, TraceStore,
 };
 use fxnet::{FrameRecord, HostId, KernelKind, RunResult, SimTime, TestbedBuilder};
 use fxnet_harness::Pool;
@@ -29,12 +29,17 @@ pub struct Experiments {
     pub out_dir: std::path::PathBuf,
     seed: u64,
     telemetry: bool,
-    shards: usize,
     cache: bool,
     kernels: HashMap<&'static str, RunResult<u64>>,
     airshed: Option<RunResult<u64>>,
     stores: HashMap<&'static str, TraceStore>,
     airshed_cols: Option<TraceStore>,
+}
+
+/// What a program (`None` is AIRSHED) is called in `[run]` lines, cache
+/// file names and the run maps.
+fn program_name(program: Option<KernelKind>) -> &'static str {
+    program.map_or("AIRSHED", |k| k.name())
 }
 
 impl Experiments {
@@ -47,7 +52,6 @@ impl Experiments {
             out_dir: out_dir.into(),
             seed: 1998,
             telemetry: false,
-            shards: 1,
             cache: false,
             kernels: HashMap::new(),
             airshed: None,
@@ -90,21 +94,6 @@ impl Experiments {
         self.seed
     }
 
-    /// Set the DES shard count every run is made with (default 1, the
-    /// legacy sequential loop). Only multi-segment topologies partition;
-    /// the paper-path shared bus ignores it, and traces are
-    /// byte-identical at any count. Must be set before the first run is
-    /// cached.
-    pub fn with_shards(mut self, shards: usize) -> Experiments {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// The DES shard count runs are made with.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// Fill the run cache for `kernels` (and AIRSHED if `airshed`) by
     /// fanning the missing simulations across `pool`.
     ///
@@ -115,10 +104,6 @@ impl Experiments {
     /// `pool.jobs()`. Only the `[run]` progress lines on stderr may
     /// interleave differently.
     pub fn prewarm(&mut self, pool: &Pool, kernels: &[KernelKind], airshed: bool) {
-        enum Done {
-            Kernel(&'static str, RunResult<u64>),
-            Airshed(RunResult<u64>),
-        }
         let mut jobs: Vec<Option<KernelKind>> = kernels
             .iter()
             .filter(|k| !self.kernels.contains_key(k.name()))
@@ -142,55 +127,10 @@ impl Experiments {
             Some(KernelKind::Hist) => 5,
         };
         jobs.sort_by_key(weight);
-        let (div, hours, seed, telemetry, shards) =
-            (self.div, self.hours, self.seed, self.telemetry, self.shards);
-        let done = pool.map(jobs, |job| {
-            let t0 = std::time::Instant::now();
-            let tb = TestbedBuilder::paper()
-                .seed(seed)
-                .telemetry_enabled(telemetry)
-                .shards(shards)
-                .build();
-            let (name, run) = match job {
-                Some(k) => (
-                    k.name(),
-                    tb.run_kernel(k, div)
-                        .unwrap_or_else(|e| panic!("{}: {e}", k.name())),
-                ),
-                None => {
-                    let params = AirshedParams {
-                        hours,
-                        ..AirshedParams::paper()
-                    };
-                    (
-                        "AIRSHED",
-                        tb.run_airshed(params)
-                            .unwrap_or_else(|e| panic!("AIRSHED: {e}")),
-                    )
-                }
-            };
-            eprintln!(
-                "[run] {name}: {} frames, {:.1} s simulated, {:.1} s wall",
-                run.trace.len(),
-                run.finished_at.as_secs_f64(),
-                t0.elapsed().as_secs_f64()
-            );
-            match job {
-                Some(k) => Done::Kernel(k.name(), run),
-                None => Done::Airshed(run),
-            }
-        });
-        for d in done {
-            match d {
-                Done::Kernel(name, run) => {
-                    self.save_cached_trace(name, &run.trace);
-                    self.kernels.insert(name, run);
-                }
-                Done::Airshed(run) => {
-                    self.save_cached_trace("AIRSHED", &run.trace);
-                    self.airshed = Some(run);
-                }
-            }
+        let this = &*self;
+        let done = pool.map(jobs, |job| (job, this.simulate(job)));
+        for (job, run) in done {
+            self.keep(job, run);
         }
     }
 
@@ -234,27 +174,50 @@ impl Experiments {
         self.prewarm(pool, &sim, sim_airshed);
     }
 
+    /// Simulate one program (`None` is AIRSHED) on a fresh paper testbed
+    /// and report it on stderr. Reads the configuration only, so
+    /// [`Experiments::prewarm`] calls it from pool workers.
+    fn simulate(&self, program: Option<KernelKind>) -> RunResult<u64> {
+        let name = program_name(program);
+        let t0 = std::time::Instant::now();
+        let tb = TestbedBuilder::paper()
+            .seed(self.seed)
+            .telemetry_enabled(self.telemetry)
+            .build();
+        let run = match program {
+            Some(k) => tb.run_kernel(k, self.div),
+            None => tb.run_airshed(AirshedParams {
+                hours: self.hours,
+                ..AirshedParams::paper()
+            }),
+        }
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+        eprintln!(
+            "[run] {name}: {} frames, {:.1} s simulated, {:.1} s wall",
+            run.trace.len(),
+            run.finished_at.as_secs_f64(),
+            t0.elapsed().as_secs_f64()
+        );
+        run
+    }
+
+    /// Write a finished run's trace-cache artifact and keep the run.
+    fn keep(&mut self, program: Option<KernelKind>, run: RunResult<u64>) {
+        self.save_cached_trace(program_name(program), &run.trace);
+        match program {
+            Some(k) => {
+                self.kernels.insert(k.name(), run);
+            }
+            None => self.airshed = Some(run),
+        }
+    }
+
     /// The measured trace of a kernel (cached).
     pub fn kernel(&mut self, k: KernelKind) -> &RunResult<u64> {
         if !self.kernels.contains_key(k.name()) {
             eprintln!("[run] {} (paper scale / {}) ...", k.name(), self.div);
-            let t0 = std::time::Instant::now();
-            let run = TestbedBuilder::paper()
-                .seed(self.seed)
-                .telemetry_enabled(self.telemetry)
-                .shards(self.shards)
-                .build()
-                .run_kernel(k, self.div)
-                .unwrap_or_else(|e| panic!("{}: {e}", k.name()));
-            eprintln!(
-                "[run] {}: {} frames, {:.1} s simulated, {:.1} s wall",
-                k.name(),
-                run.trace.len(),
-                run.finished_at.as_secs_f64(),
-                t0.elapsed().as_secs_f64()
-            );
-            self.save_cached_trace(k.name(), &run.trace);
-            self.kernels.insert(k.name(), run);
+            let run = self.simulate(Some(k));
+            self.keep(Some(k), run);
         }
         &self.kernels[k.name()]
     }
@@ -262,27 +225,9 @@ impl Experiments {
     /// The measured AIRSHED trace (cached).
     pub fn airshed(&mut self) -> &RunResult<u64> {
         if self.airshed.is_none() {
-            let params = AirshedParams {
-                hours: self.hours,
-                ..AirshedParams::paper()
-            };
             eprintln!("[run] AIRSHED ({} hours) ...", self.hours);
-            let t0 = std::time::Instant::now();
-            let run = TestbedBuilder::paper()
-                .seed(self.seed)
-                .telemetry_enabled(self.telemetry)
-                .shards(self.shards)
-                .build()
-                .run_airshed(params)
-                .unwrap_or_else(|e| panic!("AIRSHED: {e}"));
-            eprintln!(
-                "[run] AIRSHED: {} frames, {:.1} s simulated, {:.1} s wall",
-                run.trace.len(),
-                run.finished_at.as_secs_f64(),
-                t0.elapsed().as_secs_f64()
-            );
-            self.save_cached_trace("AIRSHED", &run.trace);
-            self.airshed = Some(run);
+            let run = self.simulate(None);
+            self.keep(None, run);
         }
         self.airshed.as_ref().expect("just initialized")
     }
@@ -402,7 +347,7 @@ impl Experiments {
             return;
         };
         std::fs::create_dir_all(path.parent().expect("cache dir")).expect("create cache dir");
-        save_store(&path, &TraceStore::from_records(trace)).expect("write trace cache artifact");
+        save_trace(&path, trace).expect("write trace cache artifact");
         eprintln!("[cache] {name}: wrote {}", path.display());
     }
 
@@ -654,7 +599,8 @@ pub fn analysis_suite_columnar(name: &str, store: &TraceStore) -> String {
 pub(crate) mod tests {
     use super::*;
     use fxnet::trace::{
-        binned_bandwidth, connection, host_pairs, BurstProfile, Periodogram, TraceReport,
+        binned_bandwidth, connection, host_pairs, save_store, BurstProfile, Periodogram,
+        TraceReport,
     };
 
     /// The report composed from the public slice kernels, one pass over

@@ -16,7 +16,6 @@ fn repro(args: &[&str]) -> Output {
 fn a_bad_flag_value_exits_2_naming_flag_and_value() {
     for (flag, bad) in [
         ("--seed", "banana"),
-        ("--shards", "x"),
         ("--div", "1.5"),
         ("--jobs", "-1"),
         ("--hours", "ten"),
@@ -36,7 +35,6 @@ fn a_bad_flag_value_exits_2_naming_flag_and_value() {
 fn a_missing_flag_value_exits_2_naming_the_flag() {
     for flag in [
         "--seed",
-        "--shards",
         "--div",
         "--jobs",
         "--hours",
@@ -65,8 +63,6 @@ fn good_values_are_taken() {
         "50",
         "--jobs",
         "2",
-        "--shards",
-        "2",
         "--hours",
         "1",
         "--out",
@@ -80,15 +76,28 @@ fn good_values_are_taken() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A flag that no longer exists is a usage error like any unknown
+/// argument: exit 2, the flag named on stderr, nothing run.
+fn assert_removed_flag_is_rejected(flag: &str, values: &[&str]) {
+    for value in values {
+        let out = repro(&[flag, value, "fig6"]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {err}");
+        assert!(err.contains(flag), "{flag} {value}: {err}");
+        assert!(out.stdout.is_empty(), "{flag} {value}: ran anyway");
+    }
+}
+
 #[test]
 fn the_removed_trace_format_flag_is_rejected() {
     // The cache has one format (`.fxb`); the knob that chose it is gone
     // and must not be swallowed as if it still meant something.
-    for value in ["binary", "text"] {
-        let out = repro(&["--trace-format", value, "fig6"]);
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{value}: {err}");
-        assert!(err.contains("--trace-format"), "{value}: {err}");
-        assert!(out.stdout.is_empty(), "{value}: ran anyway");
-    }
+    assert_removed_flag_is_rejected("--trace-format", &["binary", "text"]);
+}
+
+#[test]
+fn the_removed_shards_flag_is_rejected() {
+    // Every compiled topology runs on the one sequential fabric; a shard
+    // count must not be swallowed as if it still selected something.
+    assert_removed_flag_is_rejected("--shards", &["1", "2"]);
 }

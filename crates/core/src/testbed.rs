@@ -11,8 +11,8 @@ use fxnet_sim::{FrameTap, SimTime};
 use std::cell::RefCell;
 
 /// Builder for a [`Testbed`]: one fluent surface over everything the
-/// experiments vary — topology, seed, telemetry, frame taps, DES shard
-/// count — replacing the old `with_*` constructor sprawl.
+/// experiments vary — topology, seed, telemetry, frame taps —
+/// replacing the old `with_*` constructor sprawl.
 ///
 /// ```
 /// use fxnet::TestbedBuilder;
@@ -146,16 +146,6 @@ impl TestbedBuilder {
     /// cannot perturb the simulation.
     pub fn tap(mut self, tap: FrameTap) -> TestbedBuilder {
         self.tap = Some(tap);
-        self
-    }
-
-    /// Partition multi-segment topologies across `n` DES shards
-    /// (`fxnet-shard`). `1` (the default) runs the legacy sequential
-    /// fabric; any count produces byte-identical traces, watch events,
-    /// causal DAGs, and metrics. Ignored by the shared bus and the
-    /// switch counterfactual.
-    pub fn shards(mut self, n: usize) -> TestbedBuilder {
-        self.cfg.pvm.net.shards = n.max(1);
         self
     }
 
@@ -361,27 +351,6 @@ mod tests {
         let n = *seen.lock().unwrap();
         tb.run_kernel(KernelKind::Seq, 100).unwrap();
         assert_eq!(*seen.lock().unwrap(), n);
-    }
-
-    #[test]
-    fn builder_shards_produce_identical_kernel_traces() {
-        let rate = fxnet_sim::RATE_10M;
-        let base = TestbedBuilder::paper()
-            .seed(7)
-            .topology(fxnet_topo::TopologySpec::two_switches_trunk(9, rate))
-            .build()
-            .run_kernel(KernelKind::Hist, 100)
-            .unwrap();
-        for shards in [2usize, 4] {
-            let run = TestbedBuilder::paper()
-                .seed(7)
-                .topology(fxnet_topo::TopologySpec::two_switches_trunk(9, rate))
-                .shards(shards)
-                .build()
-                .run_kernel(KernelKind::Hist, 100)
-                .unwrap();
-            assert_eq!(base.trace, run.trace, "{shards} shards");
-        }
     }
 
     #[test]

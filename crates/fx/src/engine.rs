@@ -335,11 +335,6 @@ pub struct RunOptions {
     /// the `fxnet-metrics` weather-map feed. Strictly observational: the
     /// trace is byte-identical with sampling on or off.
     pub sample_links: Option<u64>,
-    /// Override the DES shard count for this run (`fxnet-shard`). `0`
-    /// keeps [`fxnet_proto::NetConfig::shards`] as configured; any other
-    /// value replaces it. Only multi-segment topologies partition;
-    /// output is byte-identical at every shard count.
-    pub shards: usize,
 }
 
 impl RunOptions {
@@ -536,9 +531,6 @@ where
     }
     if opts.deschedule.is_some() {
         cfg.deschedule = opts.deschedule;
-    }
-    if opts.shards > 0 {
-        cfg.pvm.net.shards = opts.shards;
     }
     let tap = opts.tap;
     if groups.is_empty() {

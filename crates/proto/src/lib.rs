@@ -42,6 +42,9 @@
 //! assert_eq!(delivered, 4000);
 //! ```
 
+// Nothing in this crate uses `fxnet-shard`; Cargo.toml declares it only
+// because `benchmark/Cargo.lock` pins this crate's dependency list and the
+// benchmark runs `--locked` (ROADMAP item 3 drops it at the next re-lock).
 pub mod network;
 pub mod tcp;
 

@@ -3,7 +3,6 @@
 
 use crate::tcp::{ConnId, ConnState, Dir, TcpConn, WriteChunk};
 use bytes::Bytes;
-use fxnet_shard::ShardedFabric;
 use fxnet_sim::{
     ethernet::Delivery, CausalEvent, CauseId, EtherBus, EtherConfig, EtherStats, EventQueue, Frame,
     FrameKind, FrameMeta, FrameRecord, FrameTap, HostId, LinkStats, NicId, ProtoCause, SimRng,
@@ -50,13 +49,6 @@ pub struct NetConfig {
     pub rto: SimTime,
     /// Seed for the MAC backoff RNG.
     pub seed: u64,
-    /// Number of DES shards for compiled topologies. `1` runs the
-    /// sequential fabric; `> 1` partitions the topology across scoped
-    /// shards (`fxnet-shard`) with byte-identical output, clamped to the
-    /// spec's node count — so the one-switch counterfactual always runs
-    /// as one shard. Ignored for the shared bus, which is not a compiled
-    /// topology.
-    pub shards: usize,
 }
 
 impl Default for NetConfig {
@@ -70,7 +62,6 @@ impl Default for NetConfig {
             delack: SimTime::from_millis(200),
             rto: SimTime::from_millis(1000),
             seed: 0x5EED,
-            shards: 1,
         }
     }
 }
@@ -192,15 +183,12 @@ enum Timer {
 }
 
 /// The frame-carrying fabric beneath the stack. (The bus variant is much
-/// larger than the two boxes; exactly one Fabric exists per Network, so
-/// the size difference is irrelevant.)
+/// larger than the box; exactly one Fabric exists per Network, so the
+/// size difference is irrelevant.)
 #[allow(clippy::large_enum_variant)]
 enum Fabric {
     Bus(EtherBus),
     Topo(Box<CompositeFabric>),
-    /// A partitioned topology: the same compiled spec split across DES
-    /// shards, byte-identical to `Topo` at every shard count.
-    Sharded(Box<ShardedFabric>),
 }
 
 impl Fabric {
@@ -208,7 +196,6 @@ impl Fabric {
         match self {
             Fabric::Bus(b) => b.enqueue(nic, frame, now),
             Fabric::Topo(t) => t.enqueue(nic, frame, now),
-            Fabric::Sharded(t) => t.enqueue(nic, frame, now),
         }
     }
 
@@ -216,7 +203,6 @@ impl Fabric {
         match self {
             Fabric::Bus(b) => b.next_event_time(),
             Fabric::Topo(t) => t.next_event_time(),
-            Fabric::Sharded(t) => t.next_event_time(),
         }
     }
 
@@ -224,7 +210,6 @@ impl Fabric {
         match self {
             Fabric::Bus(b) => b.advance(out),
             Fabric::Topo(t) => t.advance(out),
-            Fabric::Sharded(t) => t.advance(out),
         }
     }
 
@@ -232,7 +217,6 @@ impl Fabric {
         match self {
             Fabric::Bus(b) => b.idle(),
             Fabric::Topo(t) => t.idle(),
-            Fabric::Sharded(t) => t.idle(),
         }
     }
 
@@ -240,7 +224,6 @@ impl Fabric {
         match self {
             Fabric::Bus(b) => b.set_promiscuous(on),
             Fabric::Topo(t) => t.set_promiscuous(on),
-            Fabric::Sharded(t) => t.set_promiscuous(on),
         }
     }
 
@@ -248,7 +231,6 @@ impl Fabric {
         match self {
             Fabric::Bus(b) => b.set_tap(tap),
             Fabric::Topo(t) => t.set_tap(tap),
-            Fabric::Sharded(t) => t.set_tap(tap),
         }
     }
 
@@ -256,7 +238,6 @@ impl Fabric {
         match self {
             Fabric::Bus(b) => b.trace(),
             Fabric::Topo(t) => t.trace(),
-            Fabric::Sharded(t) => t.trace(),
         }
     }
 
@@ -264,7 +245,6 @@ impl Fabric {
         match self {
             Fabric::Bus(b) => b.take_trace(),
             Fabric::Topo(t) => t.take_trace(),
-            Fabric::Sharded(t) => t.take_trace(),
         }
     }
 
@@ -272,7 +252,6 @@ impl Fabric {
         match self {
             Fabric::Bus(b) => b.stats(),
             Fabric::Topo(t) => t.stats(),
-            Fabric::Sharded(t) => t.stats(),
         }
     }
 
@@ -280,7 +259,6 @@ impl Fabric {
         match self {
             Fabric::Bus(b) => b.nic_count(),
             Fabric::Topo(t) => t.host_count(),
-            Fabric::Sharded(t) => t.host_count(),
         }
     }
 
@@ -289,7 +267,6 @@ impl Fabric {
         match self {
             Fabric::Bus(b) => b.errors(),
             Fabric::Topo(t) => t.errors(),
-            Fabric::Sharded(t) => t.errors(),
         }
     }
 
@@ -298,7 +275,6 @@ impl Fabric {
         match self {
             Fabric::Bus(b) => b.set_link_sampling(bin_ns),
             Fabric::Topo(t) => t.set_link_sampling(bin_ns),
-            Fabric::Sharded(t) => t.set_link_sampling(bin_ns),
         }
     }
 
@@ -313,7 +289,6 @@ impl Fabric {
                 })
             }
             Fabric::Topo(t) => t.take_link_stats(),
-            Fabric::Sharded(t) => t.take_link_stats(),
         }
     }
 }
@@ -373,23 +348,18 @@ impl Network {
                     spec.id,
                     spec.host_count(),
                 );
-                // `ShardedFabric` at one shard is `CompositeFabric`, and a
-                // `single_segment` spec is `EtherBus`, byte for byte, so
-                // one wrapper could carry all three and this enum could
-                // go. Tried and measured (ROADMAP item 2): every
+                // A `single_segment` spec is `EtherBus` byte for byte, so
+                // one type could carry both variants and this enum could
+                // go. Tried and measured in PR 15, with the then
+                // pull-capable `ShardedFabric` as the carrier: every
                 // `benchmark/expected.json` digest held, but `bulk-bus`
                 // `wall_s` rose 3.4–4.9 % in the median (minimum 3.37 →
                 // 3.55 s, 3.42 → 3.84 s over 6 + 8 alternating pairs on 2
                 // vCPUs) and `airshed-trunk2` 2.12 → 2.27 s — the engine,
-                // PVM and TCP each peek the fabric once per event, so the
-                // wrapper's min-over-shards is paid three times.
-                if cfg.shards > 1 {
-                    Fabric::Sharded(Box::new(ShardedFabric::new(
-                        spec, &cfg.ether, cfg.seed, cfg.shards,
-                    )))
-                } else {
-                    Fabric::Topo(Box::new(CompositeFabric::new(spec, &cfg.ether, cfg.seed)))
-                }
+                // PVM and TCP each peek the fabric once per event, so
+                // whatever the peek costs over the bus's is paid three
+                // times (ROADMAP, Parked).
+                Fabric::Topo(Box::new(CompositeFabric::new(spec, &cfg.ether, cfg.seed)))
             }
         };
         Network {
@@ -1273,43 +1243,35 @@ mod tests {
 
     #[test]
     fn switched_fabric_carries_tcp() {
-        // One shard is `CompositeFabric`; two requested is `ShardedFabric`
-        // clamped to the spec's one node. Same trace either way.
-        let mut traces = Vec::new();
-        for shards in [1, 2] {
-            let cfg = NetConfig {
-                link: LinkKind::Switched,
-                shards,
-                ..NetConfig::default()
-            };
-            let mut n = Network::new(cfg, 4);
-            assert_eq!(n.host_count(), 4);
-            n.set_promiscuous(true);
-            let c1 = n.connect(HostId(0), HostId(1), SimTime::ZERO);
-            let c2 = n.connect(HostId(2), HostId(3), SimTime::ZERO);
-            let payload: Vec<u8> = (0..30_000u32).map(|i| i as u8).collect();
-            n.tcp_write(c1, HostId(0), Bytes::from(payload.clone()), SimTime::ZERO);
-            n.tcp_write(c2, HostId(2), Bytes::from(payload.clone()), SimTime::ZERO);
-            let ev = n.run_to_idle();
-            let mut got1 = Vec::new();
-            let mut got2 = Vec::new();
-            for e in &ev {
-                if let AppEvent::TcpData { conn, data, .. } = e {
-                    if *conn == c1 {
-                        got1.extend_from_slice(data);
-                    } else {
-                        got2.extend_from_slice(data);
-                    }
+        let cfg = NetConfig {
+            link: LinkKind::Switched,
+            ..NetConfig::default()
+        };
+        let mut n = Network::new(cfg, 4);
+        assert_eq!(n.host_count(), 4);
+        n.set_promiscuous(true);
+        let c1 = n.connect(HostId(0), HostId(1), SimTime::ZERO);
+        let c2 = n.connect(HostId(2), HostId(3), SimTime::ZERO);
+        let payload: Vec<u8> = (0..30_000u32).map(|i| i as u8).collect();
+        n.tcp_write(c1, HostId(0), Bytes::from(payload.clone()), SimTime::ZERO);
+        n.tcp_write(c2, HostId(2), Bytes::from(payload.clone()), SimTime::ZERO);
+        let ev = n.run_to_idle();
+        let mut got1 = Vec::new();
+        let mut got2 = Vec::new();
+        for e in &ev {
+            if let AppEvent::TcpData { conn, data, .. } = e {
+                if *conn == c1 {
+                    got1.extend_from_slice(data);
+                } else {
+                    got2.extend_from_slice(data);
                 }
             }
-            assert_eq!(got1, payload);
-            assert_eq!(got2, payload);
-            // No collisions on a switch.
-            assert_eq!(n.ether_stats().collisions, 0);
-            traces.push(n.take_trace());
         }
-        assert!(!traces[0].is_empty());
-        assert_eq!(traces[0], traces[1]);
+        assert_eq!(got1, payload);
+        assert_eq!(got2, payload);
+        // No collisions on a switch.
+        assert_eq!(n.ether_stats().collisions, 0);
+        assert!(!n.take_trace().is_empty());
     }
 
     #[test]

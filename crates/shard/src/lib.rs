@@ -1,59 +1,51 @@
 //! # fxnet-shard
 //!
-//! The conservative sharded parallel DES core: one [`TopologySpec`]
-//! split by a [`Partition`] into scoped [`CompositeFabric`] shards, each
-//! owning the segments, switch ports, and calendar queue of its node
-//! block, exchanging frames that cross cut trunks as
-//! [`CrossFrame`]s.
+//! The conservative threaded drain of a partitioned fabric: one
+//! [`TopologySpec`] split by a [`Partition`] into scoped
+//! [`CompositeFabric`] shards, each owning the segments, switch ports
+//! and event lanes of its node block, exchanging frames that cross cut
+//! trunks as [`CrossFrame`]s.
 //!
-//! Two execution modes share the same shards:
+//! There is one mode, [`ShardedFabric::drain_parallel`], for batch
+//! workloads without delivery-time feedback (`repro analysis-scale`'s
+//! trace synthesis, `repro bench`'s shard leg, `benchmark/`'s
+//! `fabric-synth`, fabric soak tests): enqueue the whole offered load,
+//! then drain it with one worker thread per shard, a bounded SPSC ring
+//! per directed cut-trunk channel, and a lower-bound-timestamp protocol.
+//! Each channel carries a published LBTS, a lower bound on the arrival
+//! of every frame not yet pushed onto it, and a shard only processes
+//! events strictly below the minimum LBTS of its incoming channels. The
+//! protocol stack does not run on this crate: TCP feedback makes every
+//! delivery a synchronization point, so a program's compiled topology is
+//! one sequential `CompositeFabric` (DESIGN.md §13).
 //!
-//! * **Cooperative pull** ([`ShardedFabric::advance`]) — the protocol
-//!   stack's driver: single-threaded, one event per call, always
-//!   advancing the shard whose next [`EventKey`] is globally minimal and
-//!   routing crossings immediately. TCP feedback makes every delivery a
-//!   potential synchronization point, so the engine path stays
-//!   cooperative — what sharding buys it is the *order proof*: because
-//!   every shard orders events by the explicit key, the merged stream
-//!   (deliveries, trace, taps, errors) is byte-identical at any shard
-//!   count, including one.
-//! * **Threaded drain** ([`ShardedFabric::drain_parallel`]) — batch
-//!   workloads without delivery-time feedback (`repro analysis-scale`'s
-//!   trace synthesis, the `shard-bench` leg, fabric soak tests): one
-//!   worker thread per shard, a bounded SPSC ring per directed cut-trunk
-//!   channel, and a lower-bound-timestamp protocol. Each channel carries
-//!   a published LBTS, a lower bound on the arrival of every frame not
-//!   yet pushed onto it, and a shard only processes events strictly
-//!   below the minimum LBTS of its incoming channels.
+//! The bound is *exit-aware*. The whole offered load is enqueued before
+//! the workers start and the forwarding tables are static, so a shard
+//! knows which of the frames it holds will leave through which channel,
+//! and which incoming channels can feed which outgoing ones. It
+//! publishes, per outgoing channel, the earliest event at which a frame
+//! bound for *that* channel can next move — or the earliest arrival
+//! still to come on a channel that feeds it — plus the channel's
+//! lookahead (minimum-frame wire time, trunk propagation and the far
+//! node's store-and-forward latency: strictly positive). A channel
+//! nothing is bound for publishes ∞ at once, so a shard never waits on a
+//! neighbour that has nothing to send it, and quiet gaps are crossed in
+//! one step. Bounds are published from inside the run loop, at every
+//! crossing and every `PUBLISH_EVERY` events. The per-worker docs
+//! (`DrainWorker`) give the rule, its soundness and its progress
+//! argument; DESIGN.md §13 has the measurements.
 //!
-//!   The bound is *exit-aware*. The whole offered load is enqueued
-//!   before the workers start and the forwarding tables are static, so a
-//!   shard knows which of the frames it holds will leave through which
-//!   channel, and which incoming channels can feed which outgoing ones.
-//!   It publishes, per outgoing channel, the earliest event at which a
-//!   frame bound for *that* channel can next move — or the earliest
-//!   arrival still to come on a channel that feeds it — plus the
-//!   channel's lookahead (minimum-frame wire time, trunk propagation and
-//!   the far node's store-and-forward latency: strictly positive). A
-//!   channel nothing is bound for publishes ∞ at once, so a shard never
-//!   waits on a neighbour that has nothing to send it, and quiet gaps
-//!   are crossed in one step. Bounds are published from inside the run
-//!   loop, at every crossing and every `PUBLISH_EVERY` events. The
-//!   per-worker docs (`DrainWorker`) give the rule, its soundness and
-//!   its progress argument; DESIGN.md §13 has the measurements.
-//!
-//!   Deliveries and surfaced errors are tagged with their event key and
-//!   k-way merged afterwards: the result equals the pull-mode (and
-//!   sequential) order exactly.
+//! Deliveries and surfaced errors are tagged with their [`EventKey`] and
+//! k-way merged afterwards: every shard orders its events by the
+//! explicit key and stamps come from one global counter, so the result
+//! equals the sequential fabric's order exactly, at any shard count.
 
 use fxnet_sim::ethernet::Delivery;
 use fxnet_sim::{
-    ring, EtherConfig, EtherStats, EventKey, Frame, FrameRecord, FrameTap, LinkStats, NicId,
-    RingReceiver, RingSender, SimTime, TxError,
+    ring, EtherConfig, EtherStats, EventKey, Frame, NicId, RingReceiver, RingSender, SimTime,
+    TxError,
 };
-use fxnet_topo::{
-    CompositeFabric, CrossFrame, NodeFlow, NodeKind, Partition, ShardChannel, TopologySpec,
-};
+use fxnet_topo::{CompositeFabric, CrossFrame, NodeFlow, Partition, ShardChannel, TopologySpec};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bounded capacity of each inter-shard ring. A full ring backpressures
@@ -107,8 +99,9 @@ pub struct ShardDrainStats {
     pub pending_high_water: u64,
 }
 
-/// A partitioned [`CompositeFabric`] behind the same pull interface,
-/// plus the threaded drain mode.
+/// A partitioned [`CompositeFabric`]: load it with
+/// [`ShardedFabric::enqueue`], empty it with
+/// [`ShardedFabric::drain_parallel`].
 pub struct ShardedFabric {
     spec: TopologySpec,
     partition: Partition,
@@ -118,16 +111,10 @@ pub struct ShardedFabric {
     /// would assign.
     next_stamp: u64,
     /// Frames currently inside the fabric (enqueued, not yet delivered
-    /// or errored) — the drain-mode termination counter.
+    /// or errored) — the drain's termination counter.
     live: u64,
-    promiscuous: bool,
-    tap: Option<FrameTap>,
-    trace: Vec<FrameRecord>,
     errors: Vec<(SimTime, Frame, TxError)>,
     errors_seen: Vec<usize>,
-    crossings: Vec<CrossFrame>,
-    violations: u64,
-    events_processed: u64,
 }
 
 impl ShardedFabric {
@@ -156,14 +143,8 @@ impl ShardedFabric {
             shards: built,
             next_stamp: 0,
             live: 0,
-            promiscuous: false,
-            tap: None,
-            trace: Vec::new(),
             errors: Vec::new(),
             errors_seen: vec![0; n],
-            crossings: Vec::new(),
-            violations: 0,
-            events_processed: 0,
         }
     }
 
@@ -185,40 +166,6 @@ impl ShardedFabric {
     /// Number of hosts on the LAN.
     pub fn host_count(&self) -> usize {
         self.spec.host_count()
-    }
-
-    /// Causality violations observed so far (pull mode). Always zero —
-    /// crossings arrive strictly in the receiving shard's future.
-    pub fn violations(&self) -> u64 {
-        self.violations
-    }
-
-    /// Fabric events processed so far (pull mode).
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Enable the merged promiscuous capture. The shards themselves
-    /// never capture: pull mode builds each record from the delivery.
-    pub fn set_promiscuous(&mut self, on: bool) {
-        self.promiscuous = on;
-    }
-
-    /// Install (or remove) a live frame tap at the merged capture point.
-    /// The tap observes records in global event order, exactly as the
-    /// sequential fabric's tap would.
-    pub fn set_tap(&mut self, tap: Option<FrameTap>) {
-        self.tap = tap;
-    }
-
-    /// Merged captured trace so far.
-    pub fn trace(&self) -> &[FrameRecord] {
-        &self.trace
-    }
-
-    /// Take ownership of the merged captured trace.
-    pub fn take_trace(&mut self) -> Vec<FrameRecord> {
-        std::mem::take(&mut self.trace)
     }
 
     /// Merged surfaced errors, in global event order, original tokens
@@ -258,56 +205,6 @@ impl ShardedFabric {
         merged
     }
 
-    /// Enable or disable passive per-link sampling on every shard.
-    pub fn set_link_sampling(&mut self, bin_ns: Option<u64>) {
-        for s in &mut self.shards {
-            s.set_link_sampling(bin_ns);
-        }
-    }
-
-    /// Merged per-link sample series: every label is taken from the
-    /// shard responsible for it (the owner of the sending end of a trunk
-    /// direction, of a segment, of a host's attachment node), so the
-    /// merged stats equal the sequential fabric's.
-    pub fn take_link_stats(&mut self) -> Option<LinkStats> {
-        let per_shard: Vec<LinkStats> = self
-            .shards
-            .iter_mut()
-            .map(CompositeFabric::take_link_stats)
-            .collect::<Option<Vec<_>>>()?;
-        // Responsibility list, in the fixed label order of
-        // `CompositeFabric::take_link_stats`: trunk fwd/rev pairs, then
-        // segments, then switch/router host ports (up and down).
-        let mut resp = Vec::new();
-        for t in &self.spec.trunks {
-            resp.push(self.partition.node_shard[t.a]);
-            resp.push(self.partition.node_shard[t.b]);
-        }
-        for (i, node) in self.spec.nodes.iter().enumerate() {
-            if node.kind == NodeKind::Segment {
-                resp.push(self.partition.node_shard[i]);
-            }
-        }
-        for &node in &self.spec.attachments {
-            if self.spec.nodes[node].kind != NodeKind::Segment {
-                resp.push(self.partition.node_shard[node]);
-                resp.push(self.partition.node_shard[node]);
-            }
-        }
-        let bin_ns = per_shard[0].bin_ns;
-        let mut columns: Vec<Vec<Option<(String, fxnet_sim::LinkSeries)>>> = per_shard
-            .into_iter()
-            .map(|s| s.links.into_iter().map(Some).collect())
-            .collect();
-        debug_assert!(columns.iter().all(|c| c.len() == resp.len()));
-        let links = resp
-            .iter()
-            .enumerate()
-            .map(|(j, &owner)| columns[owner][j].take().expect("label present"))
-            .collect();
-        Some(LinkStats { bin_ns, links })
-    }
-
     /// Queue a frame from host `nic.0` at time `now`, assigning the next
     /// global fabric-entry stamp and routing to the owner shard.
     pub fn enqueue(&mut self, nic: NicId, frame: Frame, now: SimTime) {
@@ -323,82 +220,10 @@ impl ShardedFabric {
         self.shards.iter().all(CompositeFabric::idle)
     }
 
-    /// Time of the next fabric event across all shards.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.next_shard().map(|(k, _)| k.time)
-    }
-
-    fn next_shard(&self) -> Option<(EventKey, usize)> {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, f)| f.next_key().map(|k| (k, i)))
-            .min()
-    }
-
-    /// Process exactly one fabric event — the globally minimal key across
-    /// shards — then route any crossings, capture the event's deliveries
-    /// through the merged tap/trace, and harvest surfaced errors. The
-    /// resulting streams are byte-identical at every shard count.
-    pub fn advance(&mut self, out: &mut Vec<Delivery>) -> Option<SimTime> {
-        let (key, s) = self.next_shard()?;
-        let before = out.len();
-        self.shards[s].advance_at(key, out);
-        self.events_processed += 1;
-        let delivered = (out.len() - before) as u64;
-        // Crossings: inject into their target shards right away, before
-        // any later event can be processed there.
-        let mut crossings = std::mem::take(&mut self.crossings);
-        self.shards[s].drain_outbox(&mut crossings);
-        for cf in crossings.drain(..) {
-            let target = self.partition.node_shard[cf.node()];
-            if cf.arrival() < self.shards[target].clock() {
-                self.violations += 1;
-            }
-            self.shards[target].inject(cf);
-        }
-        self.crossings = crossings;
-        // Trace/tap: capture this event's deliveries at the merged
-        // capture point, as `CompositeFabric::finalize` would have.
-        if self.promiscuous || self.tap.is_some() {
-            for d in &out[before..] {
-                let record = FrameRecord::capture(d.time, &d.frame);
-                if let Some(tap) = &mut self.tap {
-                    tap(&record);
-                }
-                if self.promiscuous {
-                    self.trace.push(record);
-                }
-            }
-        }
-        // Errors: harvest what this shard surfaced during the event.
-        let errs = self.shards[s].errors();
-        let new_err = errs.len() - self.errors_seen[s];
-        if new_err > 0 {
-            self.errors.extend_from_slice(&errs[self.errors_seen[s]..]);
-            self.errors_seen[s] = errs.len();
-        }
-        self.live = self.live.saturating_sub(delivered + new_err as u64);
-        Some(key.time)
-    }
-
-    /// Drain every pending event cooperatively (test helper).
-    pub fn run_to_idle(&mut self) -> Vec<Delivery> {
-        let mut out = Vec::new();
-        while self.advance(&mut out).is_some() {}
-        out
-    }
-
     /// Drain every pending event with one worker thread per shard under
     /// the conservative exit-aware lookahead protocol, and merge the
-    /// deliveries into global event order. Requires a tap- and
-    /// capture-free fabric (batch mode: there is no single-threaded
-    /// observer to replay through).
+    /// deliveries into global event order.
     pub fn drain_parallel(&mut self) -> DrainOutcome {
-        assert!(
-            self.tap.is_none() && !self.promiscuous,
-            "drain mode is for batch (tap- and capture-free) workloads"
-        );
         let n = self.partition.shards;
         if n <= 1 {
             // One shard: the protocol degenerates to the sequential loop,
@@ -412,7 +237,6 @@ impl ShardedFabric {
             self.errors
                 .extend_from_slice(&fab.errors()[self.errors_seen[0]..]);
             self.errors_seen[0] = fab.errors().len();
-            self.events_processed += events;
             self.live = 0;
             return DrainOutcome {
                 deliveries,
@@ -497,8 +321,6 @@ impl ShardedFabric {
             error_runs.push(o.errors);
             self.errors_seen[s] = self.shards[s].errors().len();
         }
-        self.events_processed += out.events;
-        self.violations += out.violations;
         self.errors.append(&mut merge_runs(&error_runs));
         out.deliveries = merge_runs(&delivery_runs);
         out
@@ -891,54 +713,43 @@ mod tests {
         }
     }
 
-    /// The headline invariant: the sharded pull loop reproduces the
-    /// sequential fabric byte for byte — deliveries, promiscuous trace,
-    /// MAC statistics, and per-node flows — at shard counts 1..4, on
-    /// every sweep topology.
-    #[test]
-    fn pull_mode_matches_sequential_exactly() {
-        let ether = EtherConfig::default();
-        for spec in specs() {
-            let mut seq = CompositeFabric::new(spec.clone(), &ether, 11);
-            seq.set_promiscuous(true);
-            offer(|nic, f, t| seq.enqueue(nic, f, t), 4, 32);
-            let want = seq.run_to_idle();
-            for shards in 1..=4usize {
-                let mut fab = ShardedFabric::new(spec.clone(), &ether, 11, shards);
-                fab.set_promiscuous(true);
-                offer(|nic, f, t| fab.enqueue(nic, f, t), 4, 32);
-                let got = fab.run_to_idle();
-                let label = format!("{} @ {shards} shards", spec.label());
-                assert_same_deliveries(&got, &want, &label);
-                assert_eq!(fab.trace(), seq.trace(), "{label}");
-                assert_eq!(fab.stats(), seq.stats(), "{label}");
-                assert_eq!(fab.flows(), seq.flows(), "{label}");
-                assert_eq!(fab.violations(), 0, "{label}");
-                assert!(fab.idle(), "{label}");
-            }
-        }
+    /// The offered load on the sequential fabric the drain is held to:
+    /// the fabric, idle, and everything it delivered.
+    fn sequential(
+        spec: &TopologySpec,
+        ether: &EtherConfig,
+        seed: u64,
+        load: Load,
+        frames: u32,
+    ) -> (CompositeFabric, Vec<Delivery>) {
+        let mut seq = CompositeFabric::new(spec.clone(), ether, seed);
+        load(&mut |nic, f, t| seq.enqueue(nic, f, t), 4, frames);
+        let want = seq.run_to_idle();
+        (seq, want)
     }
 
-    /// The threaded drain merges to exactly the pull-mode (= sequential)
-    /// delivery stream, with zero causality violations, on every sweep
-    /// topology under all-pairs and all-crossing loads.
+    /// The threaded drain merges to exactly the sequential fabric's
+    /// delivery stream — per-hop `meta` included — with the same surfaced
+    /// errors, MAC statistics and per-node flows and zero causality
+    /// violations, on every sweep topology under all-pairs and
+    /// all-crossing loads. (Named for its first reference, the
+    /// cooperative pull loop, which was itself held to this one.)
     #[test]
     fn drain_parallel_matches_pull_mode() {
         let ether = EtherConfig::default();
         for spec in specs() {
             for (shape, load) in loads() {
+                let (seq, want) = sequential(&spec, &ether, 23, load, 40);
                 for shards in [1usize, 2, 4] {
-                    let mut pull = ShardedFabric::new(spec.clone(), &ether, 23, shards);
-                    load(&mut |nic, f, t| pull.enqueue(nic, f, t), 4, 40);
-                    let want = pull.run_to_idle();
                     let mut par = ShardedFabric::new(spec.clone(), &ether, 23, shards);
                     load(&mut |nic, f, t| par.enqueue(nic, f, t), 4, 40);
                     let outcome = par.drain_parallel();
                     let label = format!("{} {shape} @ {shards} shards", spec.label());
                     assert_eq!(outcome.violations, 0, "{label}");
                     assert_same_deliveries(&outcome.deliveries, &want, &label);
-                    assert_eq!(par.stats(), pull.stats(), "{label}");
-                    assert_eq!(par.errors(), pull.errors(), "{label}");
+                    assert_eq!(par.stats(), seq.stats(), "{label}");
+                    assert_eq!(par.errors(), seq.errors(), "{label}");
+                    assert_eq!(par.flows(), seq.flows(), "{label}");
                     assert!(par.idle(), "{label}");
                     // The per-shard health counters add up, and count
                     // every hop a frame makes across a cut.
@@ -977,71 +788,6 @@ mod tests {
         assert_eq!(runs[1], runs[2]);
     }
 
-    /// Merged link-sample series equal the sequential fabric's, label
-    /// for label and bin for bin.
-    #[test]
-    fn link_stats_merge_matches_sequential() {
-        let ether = EtherConfig::default();
-        let spec = TopologySpec::two_switches_trunk(4, RATE_10M);
-        let mut seq = CompositeFabric::new(spec.clone(), &ether, 9);
-        seq.set_link_sampling(Some(1_000_000));
-        offer(|nic, f, t| seq.enqueue(nic, f, t), 4, 36);
-        seq.run_to_idle();
-        let want = seq.take_link_stats().expect("sampling enabled");
-        let mut fab = ShardedFabric::new(spec, &ether, 9, 2);
-        fab.set_link_sampling(Some(1_000_000));
-        offer(|nic, f, t| fab.enqueue(nic, f, t), 4, 36);
-        fab.run_to_idle();
-        let got = fab.take_link_stats().expect("sampling enabled");
-        assert_eq!(got.bin_ns, want.bin_ns);
-        assert_eq!(got.links.len(), want.links.len());
-        for ((gl, gs), (wl, ws)) in got.links.iter().zip(&want.links) {
-            assert_eq!(gl, wl);
-            assert_eq!(gs, ws, "{gl}");
-        }
-    }
-
-    /// A tap on the sharded fabric observes the same records, in the
-    /// same order, as a tap on the sequential fabric.
-    #[test]
-    fn tap_order_matches_sequential() {
-        use std::sync::{Arc, Mutex};
-        let ether = EtherConfig::default();
-        let spec = TopologySpec::two_level_tree(4, RATE_10M);
-        let capture = |shards: Option<usize>| {
-            let seen = Arc::new(Mutex::new(Vec::new()));
-            let sink = Arc::clone(&seen);
-            let tap: FrameTap = Box::new(move |r| sink.lock().unwrap().push(*r));
-            match shards {
-                None => {
-                    let mut fab = CompositeFabric::new(spec.clone(), &ether, 3);
-                    fab.set_promiscuous(true);
-                    offer(|nic, f, t| fab.enqueue(nic, f, t), 4, 24);
-                    let mut out = Vec::new();
-                    let mut tap = tap;
-                    while fab.advance(&mut out).is_some() {
-                        for r in fab.take_trace() {
-                            tap(&r);
-                        }
-                    }
-                }
-                Some(n) => {
-                    let mut fab = ShardedFabric::new(spec.clone(), &ether, 3, n);
-                    fab.set_tap(Some(tap));
-                    offer(|nic, f, t| fab.enqueue(nic, f, t), 4, 24);
-                    fab.run_to_idle();
-                }
-            }
-            let records = seen.lock().unwrap().clone();
-            records
-        };
-        let want = capture(None);
-        assert!(!want.is_empty());
-        for n in [1usize, 2, 3] {
-            assert_eq!(capture(Some(n)), want, "{n} shards");
-        }
-    }
-
     /// More simultaneous crossings in each direction than two rings hold:
     /// a worker blocked on a full outgoing ring must keep draining its
     /// incoming ones, or both sides wait on each other forever.
@@ -1066,8 +812,9 @@ mod tests {
 
     /// Frames destroyed on a segment — cross-bound ones included — leave
     /// no pending-exit entry behind to hold a peer back: every drain of a
-    /// lossy routed fabric terminates, and equals the pull loop on
-    /// deliveries, surfaced errors, and MAC statistics.
+    /// lossy routed fabric terminates, and equals the sequential fabric
+    /// on deliveries, surfaced errors, MAC statistics and flows. (Named
+    /// for its first reference, as `drain_parallel_matches_pull_mode`.)
     #[test]
     fn lossy_segments_drain_like_pull_mode() {
         let ether = EtherConfig {
@@ -1076,20 +823,19 @@ mod tests {
         };
         let spec = TopologySpec::routed_two_subnets(4, RATE_10M);
         for (shape, load) in loads() {
+            let (seq, want) = sequential(&spec, &ether, 31, load, 80);
+            assert!(!seq.errors().is_empty(), "{shape}: the load loses frames");
+            assert_eq!(want.len() + seq.errors().len(), 80, "{shape}");
             for shards in [1usize, 2, 3] {
                 let label = format!("{} {shape} @ {shards} shards", spec.label());
-                let mut pull = ShardedFabric::new(spec.clone(), &ether, 31, shards);
-                load(&mut |nic, f, t| pull.enqueue(nic, f, t), 4, 80);
-                let want = pull.run_to_idle();
-                assert!(!pull.errors().is_empty(), "{label}: the load loses frames");
                 let mut par = ShardedFabric::new(spec.clone(), &ether, 31, shards);
                 load(&mut |nic, f, t| par.enqueue(nic, f, t), 4, 80);
                 let (par, outcome) = drain_within(par, 60, &label);
                 assert_eq!(outcome.violations, 0, "{label}");
                 assert_same_deliveries(&outcome.deliveries, &want, &label);
-                assert_eq!(par.errors(), pull.errors(), "{label}");
-                assert_eq!(par.stats(), pull.stats(), "{label}");
-                assert_eq!(want.len() + par.errors().len(), 80, "{label}");
+                assert_eq!(par.errors(), seq.errors(), "{label}");
+                assert_eq!(par.stats(), seq.stats(), "{label}");
+                assert_eq!(par.flows(), seq.flows(), "{label}");
                 assert!(par.idle(), "{label}");
             }
         }
@@ -1097,9 +843,10 @@ mod tests {
 
     proptest! {
         /// The conservative lookahead never admits a frame earlier than
-        /// the receiving shard's local clock: zero violations for random
-        /// offered loads of both shapes on every sweep topology, pull and
-        /// threaded alike.
+        /// the receiving shard's local clock, and the merge is the
+        /// sequential fabric's stream: zero violations and equal
+        /// deliveries for random offered loads of both shapes on every
+        /// sweep topology.
         #[test]
         fn lookahead_never_violates_causality(
             seed in 0u64..1_000,
@@ -1108,15 +855,14 @@ mod tests {
         ) {
             let ether = EtherConfig::default();
             for spec in specs() {
-                for (_, load) in loads() {
-                    let mut fab = ShardedFabric::new(spec.clone(), &ether, seed, shards);
-                    load(&mut |nic, f, t| fab.enqueue(nic, f, t), 4, frames);
-                    fab.run_to_idle();
-                    prop_assert_eq!(fab.violations(), 0);
+                for (shape, load) in loads() {
+                    let (_, want) = sequential(&spec, &ether, seed, load, frames);
                     let mut par = ShardedFabric::new(spec.clone(), &ether, seed, shards);
                     load(&mut |nic, f, t| par.enqueue(nic, f, t), 4, frames);
                     let out = par.drain_parallel();
                     prop_assert_eq!(out.violations, 0);
+                    let label = format!("{} {shape} @ {shards} shards", spec.label());
+                    assert_same_deliveries(&out.deliveries, &want, &label);
                 }
             }
         }

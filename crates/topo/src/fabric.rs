@@ -1203,9 +1203,10 @@ mod tests {
         fab
     }
 
-    /// Drive `spec` cut into `shards` blocks the way the cooperative pull
-    /// loop does — advance the shard whose next key is least, inject what
-    /// crossed a cut at once — and return every processed key in order.
+    /// Drive `spec` cut into `shards` blocks in the order the threaded
+    /// drain's merge reproduces — advance the shard whose next key is
+    /// least, inject what crossed a cut at once — and return every
+    /// processed key in order.
     fn processed_keys(spec: &TopologySpec, ether: &EtherConfig, shards: usize) -> Vec<EventKey> {
         let part = crate::Partition::new(spec, shards);
         let mut fabs: Vec<CompositeFabric> = (0..part.shards)

@@ -1004,10 +1004,18 @@ pub fn load_store(path: impl AsRef<Path>) -> Result<TraceStore, TraceIoError> {
     }
 }
 
-/// Save a trace to a file path, text or binary by extension.
+/// Save a trace to a file path, text or binary by extension. The
+/// binary file is the one [`save_store`] writes for the same records,
+/// chunk by chunk, without building a store (no connection index).
 pub fn save_trace(path: impl AsRef<Path>, trace: &[FrameRecord]) -> std::io::Result<()> {
     match TraceFormat::for_path(path.as_ref()) {
-        TraceFormat::Binary => save_store(path, &TraceStore::from_records(trace)),
+        TraceFormat::Binary => {
+            let mut w = ChunkedWriter::create(path)?;
+            for batch in trace.chunks(SAVE_CHUNK_FRAMES) {
+                w.append_records(batch)?;
+            }
+            w.finish().map(drop)
+        }
         TraceFormat::Text => {
             let mut f = std::fs::File::create(path)?;
             write_trace(&mut f, trace)
@@ -1234,6 +1242,29 @@ mod tests {
             assert_eq!(time_ns, store.time_ns, "{name}");
             assert_eq!(load_store(&path).unwrap(), store, "{name}");
             let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn save_trace_writes_the_file_save_store_writes_without_a_store() {
+        let dir = std::env::temp_dir();
+        // Empty, one chunk, and past one chunk (a short last chunk).
+        for n in [0, 40, SAVE_CHUNK_FRAMES + 7] {
+            let tr = bursty(n);
+            let direct = dir.join(format!("fxnet-save-trace-{n}.fxb"));
+            let via_store = dir.join(format!("fxnet-save-trace-{n}-store.fxb"));
+            save_trace(&direct, &tr).unwrap();
+            let store = TraceStore::from_records(&tr);
+            save_store(&via_store, &store).unwrap();
+            assert_eq!(
+                std::fs::read(&direct).unwrap(),
+                std::fs::read(&via_store).unwrap(),
+                "{n} frames"
+            );
+            assert_eq!(load_store(&direct).unwrap(), store, "{n} frames");
+            assert_eq!(load_trace(&direct).unwrap(), tr, "{n} frames");
+            let _ = std::fs::remove_file(&direct);
+            let _ = std::fs::remove_file(&via_store);
         }
     }
 
