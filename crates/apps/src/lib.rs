@@ -32,7 +32,8 @@ pub mod seq;
 pub mod sor;
 pub mod t2dfft;
 
-use fxnet_fx::{run_single, FxnetResult, RunOptions, RunResult, SpmdConfig};
+use fxnet_fx::{run_single, FxnetResult, RankCtx, RunOptions, RunResult, SpmdConfig};
+use std::sync::Arc;
 
 /// The five kernels, for harnesses that sweep over all of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,40 +99,45 @@ impl KernelKind {
         iter_div: usize,
         opts: RunOptions,
     ) -> FxnetResult<RunResult<u64>> {
+        let prog = self.rank_program(iter_div);
+        run_single(cfg, move |ctx| prog(ctx), opts)
+    }
+
+    /// The kernel's SPMD rank program at paper scale, with the outer
+    /// iteration count divided by `iter_div` (1 = the full measured
+    /// run). Every kernel returns a `u64` checksum, so outcomes are
+    /// comparable across kernels and tenants.
+    pub fn rank_program(&self, iter_div: usize) -> Arc<dyn Fn(&mut RankCtx) -> u64 + Send + Sync> {
         let d = iter_div.max(1);
         match self {
             KernelKind::Sor => {
                 let mut p = sor::SorParams::paper();
                 p.steps = (p.steps / d).max(1);
-                run_single(cfg, move |ctx| sor::sor_rank(ctx, &p), opts)
+                Arc::new(move |ctx| sor::sor_rank(ctx, &p))
             }
             KernelKind::Fft2d => {
                 let mut p = fft2d::FftParams::paper();
                 p.iters = (p.iters / d).max(1);
-                run_single(cfg, move |ctx| fft2d::fft2d_rank(ctx, &p), opts)
+                Arc::new(move |ctx| fft2d::fft2d_rank(ctx, &p))
             }
             KernelKind::T2dfft => {
                 let mut p = t2dfft::T2dfftParams::paper();
                 p.iters = (p.iters / d).max(1);
-                run_single(cfg, move |ctx| t2dfft::t2dfft_rank(ctx, &p), opts)
+                Arc::new(move |ctx| t2dfft::t2dfft_rank(ctx, &p))
             }
             KernelKind::Seq => {
                 let mut p = seq::SeqParams::paper();
                 p.iters = (p.iters / d).max(1);
-                run_single(cfg, move |ctx| seq::seq_rank(ctx, &p), opts)
+                Arc::new(move |ctx| seq::seq_rank(ctx, &p))
             }
             KernelKind::Hist => {
                 let mut p = hist::HistParams::paper();
                 p.iters = (p.iters / d).max(1);
-                run_single(
-                    cfg,
-                    move |ctx| {
-                        let h = hist::hist_rank(ctx, &p);
-                        let as_f64: Vec<f64> = h.iter().map(|&v| f64::from(v)).collect();
-                        checksum(&as_f64)
-                    },
-                    opts,
-                )
+                Arc::new(move |ctx| {
+                    let h = hist::hist_rank(ctx, &p);
+                    let as_f64: Vec<f64> = h.iter().map(|&v| f64::from(v)).collect();
+                    checksum(&as_f64)
+                })
             }
         }
     }

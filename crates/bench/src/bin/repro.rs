@@ -30,16 +30,14 @@
 //! `fabric-sweep` (the six programs across the four canonical
 //! topologies at 10/100/1000 Mb/s; fits burst period vs provided
 //! bandwidth, checks `c` stability and single-segment byte-identity,
-//! writes `out/fabric_sweep.json`), `bench` (the shard-drain probe:
-//! one shard vs the clamped request on the two multi-switch fabrics,
-//! deliveries asserted identical; writes `out/bench_repro.json`), and
-//! `analysis-scale` (out-of-core analytics: synthesizes a chunked
-//! 10M-frame trace through the sharded trunk fabric — `--div N` scales
-//! it down to a floor of 500k — then runs the streamed one-pass chunk
-//! scan, asserting `--jobs 1` transcript identity and O(chunk) peak
-//! memory; merges its section into `out/bench_repro.json`). Absolute
-//! speed — of the scan, the figure suite, trace IO, the fabrics — is
-//! measured by `benchmark/`, not here.
+//! writes `out/fabric_sweep.json`), and `analysis-scale` (out-of-core
+//! analytics: synthesizes a chunked 10M-frame trace through the
+//! sharded trunk fabric — `--div N` scales it down to a floor of 500k —
+//! then runs the streamed one-pass chunk scan, asserting `--jobs 1`
+//! transcript identity and O(chunk) peak memory; its two artifacts are
+//! seed-deterministic). Speed — of the shard drain, the scan, the
+//! figure suite, trace IO, the fabrics — is measured by `benchmark/`,
+//! not here: `repro` writes no wall-clock artifact.
 //!
 //! Prewarmed traces are cached on disk under `out/cache` as `.fxb`
 //! files keyed by program, scale, and seed. A later run at the same
@@ -61,6 +59,7 @@ use fxnet_bench::{bandwidth_row_bw, stats_row, Experiments};
 use fxnet_harness::{timed, Pool};
 use serde::Value;
 use std::io::Write;
+use std::num::NonZeroUsize;
 
 const BIN: SimTime = SimTime(10_000_000); // the paper's 10 ms window
 
@@ -73,9 +72,6 @@ struct Ctx {
     hours: usize,
     seed: u64,
     metrics_out: Option<String>,
-    /// Injected run date (`--date`) recorded in the bench history; kept
-    /// out of every other artifact so output stays seed-deterministic.
-    date: Option<String>,
 }
 
 /// One experiment: a stable id, what it is, which selection sets it
@@ -304,12 +300,6 @@ const REGISTRY: &[Experiment] = &[
         ..NONE
     },
     Experiment {
-        id: "bench",
-        desc: "perf probe: threaded shard drain, 1 shard vs 4 requested",
-        run: bench_repro,
-        ..NONE
-    },
-    Experiment {
         id: "analysis-scale",
         desc: "out-of-core analytics: streamed chunk scan of a synthesized chunked trace",
         run: analysis_scale,
@@ -392,7 +382,6 @@ fn main() {
     let mut hours = 100usize;
     let mut out = "out".to_string();
     let mut metrics_out: Option<String> = None;
-    let mut date: Option<String> = None;
     let mut seed = 1998u64;
     let mut telemetry = false;
     let mut jobs = 1usize;
@@ -400,11 +389,11 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--div" => div = flag_value(&a, &mut args),
-            "--hours" => hours = flag_value(&a, &mut args),
+            // Zero is a usage error too: the runners divide by `Ctx.div`.
+            "--div" => div = flag_value::<NonZeroUsize>(&a, &mut args).get(),
+            "--hours" => hours = flag_value::<NonZeroUsize>(&a, &mut args).get(),
             "--out" => out = flag_value(&a, &mut args),
             "--metrics-out" => metrics_out = Some(flag_value(&a, &mut args)),
-            "--date" => date = Some(flag_value(&a, &mut args)),
             "--seed" => seed = flag_value(&a, &mut args),
             "--jobs" => jobs = flag_value(&a, &mut args),
             "--telemetry" => telemetry = true,
@@ -421,7 +410,6 @@ fn main() {
                      --jobs N fans independent runs across N workers (0 = all CPUs); output is byte-identical to --jobs 1\n\
                      --metrics-out DIR directs the watch/blame/fabric-health artifacts (default: the --out dir)\n\
                      \u{20}                 and writes a Prometheus snapshot repro_<exp>.prom per selected experiment\n\
-                     --date S stamps the bench history ledger (out/bench_history.jsonl) with S\n\
                      --telemetry collects spans/counters and writes out/telemetry_<exp>.json"
                 );
                 return;
@@ -469,7 +457,6 @@ fn main() {
         hours,
         seed,
         metrics_out,
-        date,
     };
     if div != 1 {
         println!(
@@ -1894,250 +1881,6 @@ fn fabric_sweep(c: &mut Ctx) {
 }
 
 // --------------------------------------------------------------------
-// Perf probe: the shard drain.
-
-fn bench_repro(c: &mut Ctx) {
-    header("bench: shard drain");
-    let jobs = c.pool.jobs();
-    let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let seed = c.seed;
-    fn best_of3<T>(mut f: impl FnMut() -> T) -> (T, f64) {
-        let (first, d) = timed(&mut f);
-        let mut out = first;
-        let mut best = d.as_secs_f64();
-        for _ in 0..2 {
-            let (again, d) = timed(&mut f);
-            if d.as_secs_f64() < best {
-                best = d.as_secs_f64();
-                out = again;
-            }
-        }
-        (out, best)
-    }
-
-    // Shard leg: the partitioned DES core in threaded drain mode on the
-    // two multi-switch sweep fabrics, one worker per shard under the
-    // null-message protocol. The offered load is mostly shard-local
-    // (a trickle of trunk crossings keeps the cut channels honest) and
-    // is fixed by the clamped partition up front, so the 1-shard and
-    // n-shard runs drain the identical frame list — which also lets the
-    // leg re-assert the headline invariant: merged deliveries identical.
-    use fxnet::sim::{EtherConfig, Frame, FrameKind, HostId, NicId};
-    let shard_hosts = 8u32;
-    let shard_frames = 60_000u32;
-    let requested_shards = 4usize;
-    let shard_fabrics = [
-        (
-            "trunk2",
-            fxnet::TopologySpec::two_switches_trunk(shard_hosts, fxnet::sim::RATE_10M),
-        ),
-        (
-            "tree2",
-            fxnet::TopologySpec::two_level_tree(shard_hosts, fxnet::sim::RATE_10M),
-        ),
-    ];
-    println!(
-        "shard drain: {shard_frames} frames x 2 fabrics, 1 shard vs {requested_shards} requested (best of 3) ..."
-    );
-    let shard_enforce = avail >= 4;
-    let mut shard_min_speedup = f64::INFINITY;
-    let mut shard_legs: Vec<(String, Value)> = Vec::new();
-    for (fabric_name, spec) in &shard_fabrics {
-        let ether = EtherConfig::default();
-        let probe = fxnet::shard::ShardedFabric::new(spec.clone(), &ether, seed, requested_shards);
-        let clamped = probe.shard_count();
-        let shard_of = probe.partition().host_shard.clone();
-        let mut load: Vec<(NicId, Frame, SimTime)> = Vec::new();
-        for i in 0..shard_frames {
-            let src = i % shard_hosts;
-            let dst = if i % 16 == 0 {
-                // Cross the cut: the far block's mirror host.
-                let d = (src + shard_hosts / 2) % shard_hosts;
-                if d == src {
-                    (d + 1) % shard_hosts
-                } else {
-                    d
-                }
-            } else {
-                // Nearest neighbor inside the same shard block.
-                let mut d = (src + 1) % shard_hosts;
-                while d == src || shard_of[d as usize] != shard_of[src as usize] {
-                    d = (d + 1) % shard_hosts;
-                }
-                d
-            };
-            let f = Frame::tcp(
-                HostId(src),
-                HostId(dst),
-                FrameKind::Data,
-                200 + (i * 97) % 1200,
-                u64::from(i) + 1,
-            );
-            let t = SimTime::from_micros(u64::from(i / shard_hosts) * 700);
-            load.push((NicId(src), f, t));
-        }
-        let drain_run = |n: usize| {
-            let mut fab = fxnet::shard::ShardedFabric::new(spec.clone(), &ether, seed, n);
-            for (nic, f, t) in &load {
-                fab.enqueue(*nic, *f, *t);
-            }
-            fab.drain_parallel()
-        };
-        let (base, t_base) = best_of3(|| drain_run(1));
-        let (sharded, t_shard) = best_of3(|| drain_run(clamped));
-        assert_eq!(
-            sharded.violations, 0,
-            "{fabric_name}: the lookahead must never admit a late frame"
-        );
-        assert_eq!(
-            base.deliveries.len(),
-            sharded.deliveries.len(),
-            "{fabric_name}: drain modes must agree on delivery count"
-        );
-        for (a, b) in base.deliveries.iter().zip(&sharded.deliveries) {
-            assert_eq!(a.time, b.time, "{fabric_name}: delivery order diverged");
-            assert_eq!(a.frame, b.frame, "{fabric_name}: delivery order diverged");
-        }
-        let base_eps = base.events as f64 / t_base;
-        let shard_eps = sharded.events as f64 / t_shard;
-        let ratio = shard_eps / base_eps;
-        shard_min_speedup = shard_min_speedup.min(ratio);
-        // Per shard: events/null rounds/crossings sent/ring-full
-        // stalls/event-list high water.
-        let per_shard: Vec<String> = sharded
-            .per_shard
-            .iter()
-            .map(|s| {
-                format!(
-                    "{}/{}/{}/{}/{}",
-                    s.events,
-                    s.null_rounds,
-                    s.crossings_sent,
-                    s.ring_full_stalls,
-                    s.pending_high_water
-                )
-            })
-            .collect();
-        println!(
-            "shard drain {fabric_name}: 1 shard {:.2}M events/s, {clamped} shards {:.2}M events/s  ({ratio:.2}x), {} deliveries identical; per shard events/null/sent/stalls/pending {}",
-            base_eps / 1e6,
-            shard_eps / 1e6,
-            base.deliveries.len(),
-            per_shard.join(" ")
-        );
-        shard_legs.push((
-            (*fabric_name).to_string(),
-            Value::Object(vec![
-                ("shards".to_string(), Value::U64(clamped as u64)),
-                ("frames".to_string(), Value::U64(u64::from(shard_frames))),
-                ("events".to_string(), Value::U64(sharded.events)),
-                ("base_events_per_sec".to_string(), Value::F64(base_eps)),
-                ("sharded_events_per_sec".to_string(), Value::F64(shard_eps)),
-                ("speedup".to_string(), Value::F64(ratio)),
-                ("violations".to_string(), Value::U64(sharded.violations)),
-                ("null_rounds".to_string(), Value::U64(sharded.null_rounds)),
-                (
-                    "per_shard".to_string(),
-                    Value::Array(
-                        sharded
-                            .per_shard
-                            .iter()
-                            .map(|s| {
-                                Value::Object(vec![
-                                    ("events".to_string(), Value::U64(s.events)),
-                                    ("null_rounds".to_string(), Value::U64(s.null_rounds)),
-                                    ("crossings_sent".to_string(), Value::U64(s.crossings_sent)),
-                                    (
-                                        "ring_full_stalls".to_string(),
-                                        Value::U64(s.ring_full_stalls),
-                                    ),
-                                    (
-                                        "pending_high_water".to_string(),
-                                        Value::U64(s.pending_high_water),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("deliveries_identical".to_string(), Value::Bool(true)),
-            ]),
-        ));
-    }
-    if shard_enforce {
-        assert!(
-            shard_min_speedup >= 1.3,
-            "sharded drain must clear 1.3x the sequential loop on >= 4 CPUs (got {shard_min_speedup:.2}x)"
-        );
-    } else {
-        println!(
-            "(shard speedup floor 1.3x enforced only on >= 4 CPUs; here cpus={avail}, measured {shard_min_speedup:.2}x)"
-        );
-        println!("floor not enforced ({avail} cores)");
-    }
-
-    let report = Value::Object(vec![
-        ("jobs".to_string(), Value::U64(jobs as u64)),
-        (
-            "available_parallelism".to_string(),
-            Value::U64(avail as u64),
-        ),
-        (
-            "shard_bench".to_string(),
-            Value::Object(vec![
-                (
-                    "requested_shards".to_string(),
-                    Value::U64(requested_shards as u64),
-                ),
-                ("speedup_floor".to_string(), Value::F64(1.3)),
-                ("speedup_enforced".to_string(), Value::Bool(shard_enforce)),
-                ("min_speedup".to_string(), Value::F64(shard_min_speedup)),
-                ("fabrics".to_string(), Value::Object(shard_legs)),
-            ]),
-        ),
-    ]);
-    let path = c.exps.out_path("bench_repro.json");
-    write_json_artifact(&path, &report).expect("write bench report");
-    println!("wrote {}", path.display());
-
-    // Append this run to the bench history ledger — one JSON line per
-    // run, never overwritten, so regressions show up as a time series.
-    let line = Value::Object(vec![
-        (
-            "date".to_string(),
-            Value::Str(c.date.clone().unwrap_or_else(|| "unknown".to_string())),
-        ),
-        ("git_rev".to_string(), Value::Str(git_rev())),
-        // The fabrics the drain ran on, so the ratio stays attributable.
-        (
-            "fabric".to_string(),
-            Value::Str(shard_fabrics.map(|(name, _)| name).join("+")),
-        ),
-        ("jobs".to_string(), Value::U64(jobs as u64)),
-        ("cores".to_string(), Value::U64(avail as u64)),
-        ("div".to_string(), Value::U64(c.div as u64)),
-        (
-            "shard_drain_speedup".to_string(),
-            Value::F64(shard_min_speedup),
-        ),
-    ]);
-    let history = c.exps.out_path("bench_history.jsonl");
-    let appended = fxnet_bench::append_history_line(&history, &serde::json::to_string(&line))
-        .expect("append bench history");
-    if appended.created {
-        println!("seeded fresh history ledger {}", history.display());
-    }
-    if appended.dropped > 0 {
-        eprintln!(
-            "warning: dropped {} malformed line(s) from {} before appending",
-            appended.dropped,
-            history.display()
-        );
-    }
-    println!("appended run summary to {}", history.display());
-}
-
-// --------------------------------------------------------------------
 // Out-of-core analytics at scale: the streamed chunk scan over a
 // synthesized 10M-frame trace.
 
@@ -2159,8 +1902,7 @@ fn analysis_scale(c: &mut Ctx) {
 
     header("analysis-scale: streamed chunk scan of a chunked trace");
     let jobs = c.pool.jobs();
-    let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let frames_target = (10_000_000 / c.div.max(1)).max(500_000) as u64;
+    let frames_target = (10_000_000 / c.div).max(500_000) as u64;
 
     // Synthesize the trace in waves through the sharded trunk fabric:
     // each wave drains grouped bursts (SCALE_ROUNDS_PER_GROUP rounds of
@@ -2185,6 +1927,8 @@ fn analysis_scale(c: &mut Ctx) {
         "synthesizing >= {frames_target} frames through {} ({shards} shards) ...",
         spec.label()
     );
+    // Per-shard drain health, summed over the waves (high water: the max).
+    let mut health = vec![fxnet::shard::ShardDrainStats::default(); shards];
     let (dir, t_synth) = timed(|| {
         let mut w = fxnet::trace::ChunkedWriter::create(&path).expect("create chunked trace");
         let mut wave = 0u64;
@@ -2223,6 +1967,13 @@ fn analysis_scale(c: &mut Ctx) {
             }
             let res = fab.drain_parallel();
             assert_eq!(res.violations, 0, "synthesis drain admitted a late frame");
+            for (sum, s) in health.iter_mut().zip(&res.per_shard) {
+                sum.events += s.events;
+                sum.null_rounds += s.null_rounds;
+                sum.crossings_sent += s.crossings_sent;
+                sum.ring_full_stalls += s.ring_full_stalls;
+                sum.pending_high_water = sum.pending_high_water.max(s.pending_high_water);
+            }
             let records: Vec<fxnet::FrameRecord> = res
                 .deliveries
                 .iter()
@@ -2247,6 +1998,16 @@ fn analysis_scale(c: &mut Ctx) {
         t_synth.as_secs_f64(),
         path.display()
     );
+    // Only events and crossings are functions of the load; the rest follow
+    // thread timing, which is why this is stdout and never an artifact.
+    print!("drain, per shard events/null/sent/stalls/pending:");
+    for s in &health {
+        print!(
+            " {}/{}/{}/{}/{}",
+            s.events, s.null_rounds, s.crossings_sent, s.ring_full_stalls, s.pending_high_water
+        );
+    }
+    println!();
 
     // The scan at --jobs and again at --jobs 1: the transcript may not
     // depend on how many workers decoded the chunks.
@@ -2279,77 +2040,6 @@ fn analysis_scale(c: &mut Ctx) {
         (frames * 21) as f64 / 1e6,
         chunk_bytes_bound as f64 / 1e6
     );
-
-    // Merge this leg into bench_repro.json (replacing any stale
-    // `analysis_scale` section) rather than clobbering the `bench`
-    // leg's report when both ran.
-    let section = Value::Object(vec![
-        ("frames".to_string(), Value::U64(frames)),
-        ("chunks".to_string(), Value::U64(dir.len() as u64)),
-        (
-            "chunk_frames".to_string(),
-            Value::U64(SCAN_CHUNK_FRAMES as u64),
-        ),
-        ("jobs".to_string(), Value::U64(jobs as u64)),
-        ("cores".to_string(), Value::U64(avail as u64)),
-        ("shards".to_string(), Value::U64(shards as u64)),
-        ("base_hz".to_string(), Value::F64(base_hz)),
-        (
-            "synth_wall_s".to_string(),
-            Value::F64(t_synth.as_secs_f64()),
-        ),
-        (
-            "streamed_wall_s".to_string(),
-            Value::F64(t_stream.as_secs_f64()),
-        ),
-        (
-            "streamed_peak_resident_bytes".to_string(),
-            Value::U64(streamed.peak_resident_bytes),
-        ),
-        ("jobs1_identical".to_string(), Value::Bool(true)),
-    ]);
-    let report_path = c.exps.out_path("bench_repro.json");
-    let mut root = std::fs::read_to_string(&report_path)
-        .ok()
-        .and_then(|s| serde::json::parse(&s).ok())
-        .and_then(|v| match v {
-            Value::Object(kvs) => Some(kvs),
-            _ => None,
-        })
-        .unwrap_or_default();
-    root.retain(|(k, _)| k != "analysis_scale");
-    root.push(("analysis_scale".to_string(), section));
-    write_json_artifact(&report_path, &Value::Object(root)).expect("write bench report");
-    println!("merged analysis_scale into {}", report_path.display());
-
-    let line = Value::Object(vec![
-        (
-            "date".to_string(),
-            Value::Str(c.date.clone().unwrap_or_else(|| "unknown".to_string())),
-        ),
-        ("git_rev".to_string(), Value::Str(git_rev())),
-        (
-            "experiment".to_string(),
-            Value::Str("analysis-scale".to_string()),
-        ),
-        ("fabric".to_string(), Value::Str(spec.label())),
-        ("jobs".to_string(), Value::U64(jobs as u64)),
-        ("cores".to_string(), Value::U64(avail as u64)),
-        ("shards".to_string(), Value::U64(shards as u64)),
-        ("div".to_string(), Value::U64(c.div as u64)),
-        ("frames".to_string(), Value::U64(frames)),
-        (
-            "analysis_scale_streamed_wall_s".to_string(),
-            Value::F64(t_stream.as_secs_f64()),
-        ),
-    ]);
-    let history = c.exps.out_path("bench_history.jsonl");
-    let appended = fxnet_bench::append_history_line(&history, &serde::json::to_string(&line))
-        .expect("append bench history");
-    if appended.created {
-        println!("seeded fresh history ledger {}", history.display());
-    }
-    println!("appended run summary to {}", history.display());
 }
 
 // --------------------------------------------------------------------
@@ -2713,17 +2403,4 @@ fn fabric_health(c: &mut Ctx) {
         prom_path.display(),
         trace_path.display()
     );
-}
-
-/// Current git revision, for the bench history ledger; "unknown" when
-/// the binary runs outside a work tree.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
 }

@@ -1,5 +1,6 @@
-//! Shared experiment-harness code for the `repro` binary and the
-//! Criterion benches: cached kernel/AIRSHED runs and table formatting.
+//! Shared experiment-harness code for the `repro` binary and
+//! `benchmark/`: cached kernel/AIRSHED runs, table formatting, the
+//! figure suite and the streamed chunk scan.
 //!
 //! The experiment index lives in DESIGN.md §4; `repro --help` lists the
 //! experiment ids. Paper-vs-measured numbers are recorded in
@@ -12,9 +13,7 @@ pub use scan::{
 };
 
 use fxnet::apps::airshed::AirshedParams;
-use fxnet::trace::{
-    average_bandwidth, load_store, save_trace, ReportOptions, Stats, StreamingReport, TraceStore,
-};
+use fxnet::trace::{load_store, save_trace, ReportOptions, Stats, StreamingReport, TraceStore};
 use fxnet::{FrameRecord, HostId, KernelKind, RunResult, SimTime, TestbedBuilder};
 use fxnet_harness::Pool;
 use std::collections::HashMap;
@@ -393,58 +392,6 @@ impl Experiments {
     }
 }
 
-/// Outcome of an [`append_history_line`] call.
-pub struct HistoryAppend {
-    /// The ledger was absent or empty and got seeded with the header.
-    pub created: bool,
-    /// Malformed (non-comment, non-JSON) lines dropped from the
-    /// existing file before appending.
-    pub dropped: usize,
-}
-
-/// Header comment seeding a fresh bench-history ledger.
-pub const HISTORY_HEADER: &str =
-    "# fxnet bench history: one JSON object per run; `#` lines are comments";
-
-/// Append one JSON line to the bench-history ledger at `path`.
-///
-/// An absent or empty ledger is seeded with [`HISTORY_HEADER`] first.
-/// Malformed lines already in the file — e.g. a truncated tail left by
-/// a killed run — are dropped (counted in [`HistoryAppend::dropped`])
-/// rather than corrupting the append, so the new line always lands on
-/// a ledger whose every non-comment line parses as JSON.
-pub fn append_history_line(
-    path: &std::path::Path,
-    json_line: &str,
-) -> std::io::Result<HistoryAppend> {
-    let existing = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(e),
-    };
-    let created = existing.trim().is_empty();
-    let mut out = String::new();
-    let mut dropped = 0usize;
-    if created {
-        out.push_str(HISTORY_HEADER);
-        out.push('\n');
-    } else {
-        for line in existing.lines() {
-            let t = line.trim();
-            if t.is_empty() || t.starts_with('#') || serde::json::parse(t).is_ok() {
-                out.push_str(line);
-                out.push('\n');
-            } else {
-                dropped += 1;
-            }
-        }
-    }
-    out.push_str(json_line.trim_end());
-    out.push('\n');
-    std::fs::write(path, out)?;
-    Ok(HistoryAppend { created, dropped })
-}
-
 /// Format one table row of size/interarrival statistics.
 pub fn stats_row(label: &str, s: Option<Stats>) -> String {
     match s {
@@ -457,11 +404,6 @@ pub fn stats_row(label: &str, s: Option<Stats>) -> String {
 }
 
 /// Format one average-bandwidth row (KB/s).
-pub fn bandwidth_row(label: &str, trace: &[FrameRecord]) -> String {
-    bandwidth_row_bw(label, average_bandwidth(trace))
-}
-
-/// Format one average-bandwidth row from an already-computed value.
 pub fn bandwidth_row_bw(label: &str, bw: Option<f64>) -> String {
     match bw {
         Some(bw) => format!("{label:<10} {:>10.1}", bw / 1000.0),
@@ -599,8 +541,8 @@ pub fn analysis_suite_columnar(name: &str, store: &TraceStore) -> String {
 pub(crate) mod tests {
     use super::*;
     use fxnet::trace::{
-        binned_bandwidth, connection, host_pairs, save_store, BurstProfile, Periodogram,
-        TraceReport,
+        average_bandwidth, binned_bandwidth, connection, host_pairs, save_store, BurstProfile,
+        Periodogram, TraceReport,
     };
 
     /// The report composed from the public slice kernels, one pass over
@@ -740,7 +682,6 @@ pub(crate) mod tests {
         let bin = dir.join("suite.fxb");
         save_store(&txt, &store).expect("save text");
         save_store(&bin, &store).expect("save binary");
-        // The size relation `repro bench` used to assert as a floor.
         assert!(
             2 * std::fs::metadata(&bin).expect("bin meta").len()
                 <= std::fs::metadata(&txt).expect("txt meta").len(),
@@ -791,54 +732,6 @@ pub(crate) mod tests {
             fresh,
             "the re-simulation must overwrite the stale artifact"
         );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn history_append_seeds_an_absent_or_empty_ledger() {
-        let dir = std::env::temp_dir().join(format!("fxnet-hist-seed-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench_history.jsonl");
-        std::fs::remove_file(&path).ok();
-        let a = append_history_line(&path, "{\"run\":1}").unwrap();
-        assert!(a.created);
-        assert_eq!(a.dropped, 0);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, format!("{HISTORY_HEADER}\n{{\"run\":1}}\n"));
-        // An empty file seeds too.
-        std::fs::write(&path, "").unwrap();
-        assert!(append_history_line(&path, "{\"run\":2}").unwrap().created);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with(HISTORY_HEADER));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn history_append_drops_malformed_tails_and_keeps_good_lines() {
-        let dir = std::env::temp_dir().join(format!("fxnet-hist-mal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench_history.jsonl");
-        std::fs::write(
-            &path,
-            format!("{HISTORY_HEADER}\n{{\"run\":1}}\n{{\"run\":2}}\n{{\"trunc"),
-        )
-        .unwrap();
-        let a = append_history_line(&path, "{\"run\":3}").unwrap();
-        assert!(!a.created);
-        assert_eq!(a.dropped, 1, "the truncated tail is dropped");
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(
-            text,
-            format!("{HISTORY_HEADER}\n{{\"run\":1}}\n{{\"run\":2}}\n{{\"run\":3}}\n")
-        );
-        // Every non-comment line of the repaired ledger parses as JSON.
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            assert!(serde::json::parse(line).is_ok(), "{line}");
-        }
-        // A second append is a pure append: nothing created or dropped.
-        let b = append_history_line(&path, "{\"run\":4}").unwrap();
-        assert!(!b.created);
-        assert_eq!(b.dropped, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

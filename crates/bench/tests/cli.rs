@@ -19,6 +19,9 @@ fn a_bad_flag_value_exits_2_naming_flag_and_value() {
         ("--div", "1.5"),
         ("--jobs", "-1"),
         ("--hours", "ten"),
+        // Zero would divide the iteration counts by nothing.
+        ("--div", "0"),
+        ("--hours", "0"),
     ] {
         let out = repro(&[flag, bad, "fig6"]);
         let err = String::from_utf8_lossy(&out.stderr);
@@ -40,7 +43,6 @@ fn a_missing_flag_value_exits_2_naming_the_flag() {
         "--hours",
         "--out",
         "--metrics-out",
-        "--date",
     ] {
         let out = repro(&["fig6", flag]);
         let err = String::from_utf8_lossy(&out.stderr);
@@ -100,4 +102,31 @@ fn the_removed_shards_flag_is_rejected() {
     // Every compiled topology runs on the one sequential fabric; a shard
     // count must not be swallowed as if it still selected something.
     assert_removed_flag_is_rejected("--shards", &["1", "2"]);
+}
+
+#[test]
+fn the_removed_date_flag_is_rejected() {
+    // `repro` writes no wall-clock ledger; the flag that dated its lines
+    // must not be swallowed as if something still recorded it.
+    assert_removed_flag_is_rejected("--date", &["2026-10-02"]);
+}
+
+#[test]
+fn the_removed_bench_experiment_is_an_unknown_id() {
+    // Speed is `benchmark/`'s job: `bench` is not an experiment.
+    let out = repro(&["bench"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("unknown experiment id(s): bench"), "{err}");
+    assert!(out.stdout.is_empty(), "ran anyway");
+
+    let list = repro(&["--list"]);
+    assert_eq!(list.status.code(), Some(0));
+    let listed = String::from_utf8_lossy(&list.stdout);
+    let ids: Vec<&str> = listed
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert!(ids.contains(&"analysis-scale"), "{ids:?}");
+    assert!(!ids.contains(&"bench"), "{ids:?}");
 }

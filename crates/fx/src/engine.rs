@@ -311,7 +311,7 @@ impl Deschedule {
 }
 
 /// Per-call options for [`run`] that are not part of the simulated
-/// configuration proper: hooks and overrides that must not force the
+/// configuration proper: observation hooks that must not force the
 /// config out of `Clone + Debug` (taps are neither) and that callers
 /// routinely want to vary without rebuilding a [`SpmdConfig`].
 #[derive(Default)]
@@ -321,10 +321,6 @@ pub struct RunOptions {
     /// every delivered frame as it is captured; it cannot perturb the
     /// simulation, so the trace is byte-identical with and without one.
     pub tap: Option<fxnet_sim::FrameTap>,
-    /// Override [`SpmdConfig::telemetry`] for this run only.
-    pub telemetry: Option<bool>,
-    /// Override [`SpmdConfig::deschedule`] for this run only.
-    pub deschedule: Option<DescheduleConfig>,
     /// Capture causal provenance: tag every frame with the application
     /// op (or protocol artifact) that caused it and record every send op.
     /// Forces telemetry on (phase spans carry the phase sequence the
@@ -519,18 +515,12 @@ pub fn run<T>(
 where
     T: Send + 'static,
 {
-    if let Some(t) = opts.telemetry {
-        cfg.telemetry = t;
-    }
     let causal = opts.causal;
     if causal {
         // Cause ids reference phase-span sequence numbers, which only
         // flow when telemetry is on. Telemetry is itself non-perturbing,
         // so the trace stays byte-identical.
         cfg.telemetry = true;
-    }
-    if opts.deschedule.is_some() {
-        cfg.deschedule = opts.deschedule;
     }
     let tap = opts.tap;
     if groups.is_empty() {
@@ -1435,20 +1425,18 @@ mod tests {
 
     #[test]
     fn run_options_override_telemetry() {
-        let cfg = quiet_cfg(1);
+        let mut cfg = quiet_cfg(1);
         assert!(!cfg.telemetry);
+        cfg.telemetry = true;
         let res = run(
             cfg,
             vec![GroupSpec::single(1, |ctx: &mut RankCtx| {
                 ctx.phase("solve", |c| c.compute_time(SimTime::from_millis(1)));
             })],
-            RunOptions {
-                telemetry: Some(true),
-                ..RunOptions::default()
-            },
+            RunOptions::default(),
         )
         .expect("valid config");
-        let tel = res.telemetry.expect("telemetry forced on via options");
+        let tel = res.telemetry.expect("telemetry switched on in the config");
         assert!(tel.spans.iter().any(|s| s.name == "compute"));
     }
 

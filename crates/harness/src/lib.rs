@@ -176,8 +176,7 @@ impl<'p, K: Ord + Send, T: Send> Sweep<'p, K, T> {
     }
 }
 
-/// Run `f` and return its result with the wall-clock time it took — the
-/// one-liner behind every perf probe in the bench harness.
+/// Run `f` and return its result with the wall-clock time it took.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let t0 = Instant::now();
     let out = f();

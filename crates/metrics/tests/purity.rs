@@ -35,7 +35,6 @@ fn sampler_attach_detach_leaves_traces_byte_identical() {
                     tap: Some(sampler.tap()),
                     causal: true,
                     sample_links: Some(sampler.bin_ns()),
-                    ..RunOptions::default()
                 };
                 let sampled = tb.run_kernel_opts(kernel, 200, opts).unwrap();
 

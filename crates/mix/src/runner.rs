@@ -363,7 +363,6 @@ impl Mix {
                 tap,
                 causal,
                 sample_links,
-                ..RunOptions::default()
             },
         )
         .unwrap_or_else(|e| panic!("{e}"));

@@ -1,9 +1,8 @@
 //! Tenant descriptions: what each co-scheduled program runs, and the
 //! `[l(P), b(P), c]` descriptor it hands the QoS admission controller.
 
-use fxnet_apps::{checksum, fft2d, hist, seq, sor, t2dfft, KernelKind};
+use fxnet_apps::{fft2d, hist, seq, sor, t2dfft, KernelKind};
 use fxnet_fx::{shift, CostModel, Pattern, RankCtx};
-use fxnet_pvm::MessageBuilder;
 use fxnet_qos::AppDescriptor;
 use fxnet_sim::SimTime;
 use std::sync::Arc;
@@ -90,40 +89,7 @@ impl TenantProgram {
     /// so outcomes are comparable across tenants.
     pub fn rank_program(&self) -> Arc<dyn Fn(&mut RankCtx) -> u64 + Send + Sync> {
         match *self {
-            TenantProgram::Kernel { kind, div } => {
-                let d = div.max(1);
-                match kind {
-                    KernelKind::Sor => {
-                        let mut p = sor::SorParams::paper();
-                        p.steps = (p.steps / d).max(1);
-                        Arc::new(move |ctx| sor::sor_rank(ctx, &p))
-                    }
-                    KernelKind::Fft2d => {
-                        let mut p = fft2d::FftParams::paper();
-                        p.iters = (p.iters / d).max(1);
-                        Arc::new(move |ctx| fft2d::fft2d_rank(ctx, &p))
-                    }
-                    KernelKind::T2dfft => {
-                        let mut p = t2dfft::T2dfftParams::paper();
-                        p.iters = (p.iters / d).max(1);
-                        Arc::new(move |ctx| t2dfft::t2dfft_rank(ctx, &p))
-                    }
-                    KernelKind::Seq => {
-                        let mut p = seq::SeqParams::paper();
-                        p.iters = (p.iters / d).max(1);
-                        Arc::new(move |ctx| seq::seq_rank(ctx, &p))
-                    }
-                    KernelKind::Hist => {
-                        let mut p = hist::HistParams::paper();
-                        p.iters = (p.iters / d).max(1);
-                        Arc::new(move |ctx| {
-                            let h = hist::hist_rank(ctx, &p);
-                            let as_f64: Vec<f64> = h.iter().map(|&v| f64::from(v)).collect();
-                            checksum(&as_f64)
-                        })
-                    }
-                }
-            }
+            TenantProgram::Kernel { kind, div } => kind.rank_program(div),
             TenantProgram::Shift {
                 work_s,
                 bytes,
@@ -228,29 +194,6 @@ impl MixTenant {
             burst: Box::new(move |p| ((burst(p) as f64 * scale).round() as u64).max(1)),
         }
     }
-}
-
-/// A trivially small two-rank ping program used by tests.
-pub fn tiny_exchange(rounds: usize) -> Arc<dyn Fn(&mut RankCtx) -> u64 + Send + Sync> {
-    Arc::new(move |ctx| {
-        let me = ctx.rank();
-        let mut acc = 0u64;
-        for round in 0..rounds {
-            if me == 0 {
-                let mut b = MessageBuilder::new(round as i32);
-                b.pack_u32(&[round as u32]);
-                ctx.send(1, b.finish());
-                acc += u64::from(ctx.recv(1).reader().u32s(1)[0]);
-            } else {
-                let got = ctx.recv(0).reader().u32s(1)[0];
-                let mut b = MessageBuilder::new(round as i32);
-                b.pack_u32(&[got + 1]);
-                ctx.send(0, b.finish());
-                acc += u64::from(got);
-            }
-        }
-        acc
-    })
 }
 
 #[cfg(test)]

@@ -34,14 +34,15 @@
 //! assert!(deal.timing.t_interval > 0.0);
 //! ```
 
+// Nothing in this crate uses `fxnet-topo`; Cargo.toml declares it only
+// because `benchmark/Cargo.lock` pins this crate's dependency list and the
+// benchmark runs `--locked` (ROADMAP item 3 drops it at the next re-lock).
 pub mod descriptor;
 pub mod estimate;
-pub mod fabric;
 pub mod negotiate;
 pub mod network;
 
 pub use descriptor::{AppDescriptor, BurstTiming, ContractTerms};
 pub use estimate::{estimate_descriptor, TrafficEstimate};
-pub use fabric::FabricQos;
 pub use negotiate::{negotiate, Negotiation};
 pub use network::QosNetwork;

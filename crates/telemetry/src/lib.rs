@@ -17,10 +17,13 @@
 //! * [`run`] — the per-run container and the JSON export path shared by
 //!   all `out/telemetry_<exp>.json` artifacts.
 //!
-//! Only `parking_lot` and `serde` (plus `fxnet-sim` for time/frame
-//! types) are dependencies; the layer adds nothing to the simulation
-//! itself and, when disabled, costs nothing on the hot path.
+//! Only `serde` (plus `fxnet-sim` for time/frame types) is used; the
+//! layer adds nothing to the simulation itself and, when disabled,
+//! costs nothing on the hot path.
 
+// Nothing in this crate uses `parking_lot`; Cargo.toml declares it only
+// because `benchmark/Cargo.lock` pins this crate's dependency list and the
+// benchmark runs `--locked` (ROADMAP item 3 drops it at the next re-lock).
 pub mod attribution;
 pub mod profile;
 pub mod prometheus;
@@ -33,4 +36,4 @@ pub use profile::{EventClass, SimProfile, TimingHistogram};
 pub use prometheus::{labeled, parse_prometheus, prometheus_text, write_prometheus};
 pub use registry::TelemetryRegistry;
 pub use run::{write_json_artifact, RunTelemetry};
-pub use span::{SpanCollector, SpanKind, SpanRecord};
+pub use span::{SpanKind, SpanRecord};

@@ -53,61 +53,9 @@ impl SpanRecord {
     }
 }
 
-/// Accumulates spans during a run; one per engine.
-///
-/// The engine is the only writer, but the collector sits behind a
-/// `parking_lot` mutex so the registry snapshot can be assembled from the
-/// sequencer thread while rank threads are still winding down.
-#[derive(Debug, Default)]
-pub struct SpanCollector {
-    spans: parking_lot::Mutex<Vec<SpanRecord>>,
-}
-
-impl SpanCollector {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn record(&self, span: SpanRecord) {
-        self.spans.lock().push(span);
-    }
-
-    /// Drain all recorded spans, ordered by (begin, rank, name) so the
-    /// output is independent of record interleaving.
-    pub fn into_spans(self) -> Vec<SpanRecord> {
-        let mut spans = self.spans.into_inner();
-        spans.sort_by(|a, b| {
-            (a.begin, a.rank, &a.name, a.end).cmp(&(b.begin, b.rank, &b.name, b.end))
-        });
-        spans
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn collector_orders_spans() {
-        let c = SpanCollector::new();
-        for (rank, begin) in [(1u32, 50u64), (0, 10), (0, 50)] {
-            c.record(SpanRecord {
-                rank,
-                name: "x".into(),
-                kind: SpanKind::Compute,
-                begin: SimTime::from_nanos(begin),
-                end: SimTime::from_nanos(begin + 5),
-            });
-        }
-        let spans = c.into_spans();
-        assert_eq!(
-            spans
-                .iter()
-                .map(|s| (s.begin.as_nanos(), s.rank))
-                .collect::<Vec<_>>(),
-            vec![(10, 0), (50, 0), (50, 1)]
-        );
-    }
 
     #[test]
     fn span_round_trips_through_json() {
