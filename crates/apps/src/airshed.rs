@@ -114,18 +114,24 @@ fn layer_stiffness(p: &AirshedParams, l: usize) -> Lu {
     Lu::factor(stiffness_matrix(p.fe_dim, 0.5 + 0.1 * l as f64)).expect("diagonally dominant")
 }
 
-/// Horizontal transport on a layer-layout block: one backsolve per
-/// (layer, species), writing the solution back into the leading `fe_dim`
-/// grid points.
-fn transport_block(block: &mut [f64], p: &AirshedParams, llo: usize, lhi: usize, lus: &[Lu]) {
-    let mut buf = vec![0.0f64; p.fe_dim];
-    for l in llo..lhi {
-        let lu = &lus[l - llo];
-        for sp in 0..p.species {
-            let base = ((l - llo) * p.species + sp) * p.grid;
-            buf.copy_from_slice(&block[base..base + p.fe_dim]);
-            lu.solve(&mut buf);
-            block[base..base + p.fe_dim].copy_from_slice(&buf);
+/// Horizontal transport on a layer-layout block whose layers `lus`
+/// factors in order: one backsolve per (layer, species), a layer's
+/// species solved together as the columns of one `fe_dim × species`
+/// system, writing the solution back into the leading `fe_dim` grid
+/// points.
+fn transport_block(block: &mut [f64], p: &AirshedParams, lus: &[Lu]) {
+    let mut rhs = vec![0.0f64; p.fe_dim * p.species];
+    for (layer, lu) in block.chunks_exact_mut(p.species * p.grid).zip(lus) {
+        for (sp, conc) in layer.chunks_exact(p.grid).enumerate() {
+            for (gp, &v) in conc[..p.fe_dim].iter().enumerate() {
+                rhs[gp * p.species + sp] = v;
+            }
+        }
+        lu.solve_many(&mut rhs, p.species);
+        for (sp, conc) in layer.chunks_exact_mut(p.grid).enumerate() {
+            for (gp, v) in conc[..p.fe_dim].iter_mut().enumerate() {
+                *v = rhs[gp * p.species + sp];
+            }
         }
     }
 }
@@ -177,7 +183,7 @@ pub fn airshed_rank(ctx: &mut RankCtx, p: &AirshedParams) -> u64 {
             let tag = (hour * p.steps + step) as i32;
 
             // Horizontal transport (local in the layer distribution).
-            transport_block(&mut c, p, llo, lhi, &lus);
+            transport_block(&mut c, p, &lus);
             ctx.compute_time(p.transport);
 
             // Forward transpose: layer layout → grid layout. Data moves
@@ -269,7 +275,7 @@ pub fn airshed_rank(ctx: &mut RankCtx, p: &AirshedParams) -> u64 {
             ctx.phase_end();
 
             // Second horizontal transport of the step.
-            transport_block(&mut c, p, llo, lhi, &lus);
+            transport_block(&mut c, p, &lus);
             ctx.compute_time(p.transport);
         }
     }
@@ -282,7 +288,7 @@ pub fn airshed_sequential(p: &AirshedParams, np: usize) -> Vec<u64> {
     for _hour in 0..p.hours {
         let lus: Vec<Lu> = (0..p.layers).map(|l| layer_stiffness(p, l)).collect();
         for _step in 0..p.steps {
-            transport_block(&mut c, p, 0, p.layers, &lus);
+            transport_block(&mut c, p, &lus);
             // In the sequential reference the "transpose" is the identity
             // on data, but the f32 wire rounding still applies; chemistry
             // runs on the full grid width.
@@ -293,7 +299,7 @@ pub fn airshed_sequential(p: &AirshedParams, np: usize) -> Vec<u64> {
             for v in c.iter_mut() {
                 *v = round_wire(*v);
             }
-            transport_block(&mut c, p, 0, p.layers, &lus);
+            transport_block(&mut c, p, &lus);
         }
     }
     let ldist = BlockDist::new(p.layers, np);
@@ -396,7 +402,7 @@ mod tests {
         let mut block = init_layer_block(&p, 0, p.layers);
         let orig = block.clone();
         let lus: Vec<Lu> = (0..p.layers).map(|l| layer_stiffness(&p, l)).collect();
-        transport_block(&mut block, &p, 0, p.layers, &lus);
+        transport_block(&mut block, &p, &lus);
         for l in 0..p.layers {
             for sp in 0..p.species {
                 let base = (l * p.species + sp) * p.grid;

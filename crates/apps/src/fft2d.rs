@@ -10,7 +10,7 @@
 //! processors — which is why 2DFFT's *aggregate* spectrum is the clean
 //! one (paper §6.1).
 
-use crate::checksum;
+use crate::checksum_f32;
 use fxnet_fx::{BlockDist, RankCtx};
 use fxnet_numerics::fft::{fft, fft_flops};
 use fxnet_numerics::Complex;
@@ -142,8 +142,7 @@ pub fn fft2d_rank(ctx: &mut RankCtx, p: &FftParams) -> u64 {
         ctx.compute_flops(rows as u64 * fft_flops(p.n));
     }
 
-    let as_f64: Vec<f64> = local.iter().map(|&v| f64::from(v)).collect();
-    checksum(&as_f64)
+    checksum_f32(&local)
 }
 
 /// Sequential reference: per-rank checksums of the identical computation.
@@ -165,11 +164,7 @@ pub fn fft2d_sequential(p: &FftParams, np: usize) -> Vec<u64> {
     }
     let dist = BlockDist::new(n, np);
     (0..np)
-        .map(|r| {
-            let seg = &m[dist.lo(r) * n * 2..dist.hi(r) * n * 2];
-            let as_f64: Vec<f64> = seg.iter().map(|&v| f64::from(v)).collect();
-            checksum(&as_f64)
-        })
+        .map(|r| checksum_f32(&m[dist.lo(r) * n * 2..dist.hi(r) * n * 2]))
         .collect()
 }
 

@@ -146,8 +146,19 @@ impl KernelKind {
 /// A stable checksum over a float slice, used as the rank return value so
 /// integration tests can compare distributed and sequential results.
 pub fn checksum(values: &[f64]) -> u64 {
+    fold_bits(values.iter().copied())
+}
+
+/// [`checksum`] of a single-precision slice, each value widened to `f64`
+/// on the way in: what `checksum` returns for the widened copy, without
+/// making one.
+pub fn checksum_f32(values: &[f32]) -> u64 {
+    fold_bits(values.iter().map(|&v| f64::from(v)))
+}
+
+fn fold_bits(values: impl Iterator<Item = f64>) -> u64 {
     let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
-    for &v in values {
+    for v in values {
         acc ^= v.to_bits();
         acc = acc.wrapping_mul(0x1000_0000_01b3);
     }
@@ -168,5 +179,13 @@ mod tests {
     fn checksum_is_order_sensitive() {
         assert_ne!(checksum(&[1.0, 2.0]), checksum(&[2.0, 1.0]));
         assert_eq!(checksum(&[1.0, 2.0]), checksum(&[1.0, 2.0]));
+    }
+
+    #[test]
+    fn checksum_f32_is_the_checksum_of_the_widened_copy() {
+        let values = [0.0f32, -0.0, 1.5, -3.25e-7, f32::MAX, f32::MIN_POSITIVE];
+        let widened: Vec<f64> = values.iter().map(|&v| f64::from(v)).collect();
+        assert_eq!(checksum_f32(&values), checksum(&widened));
+        assert_eq!(checksum_f32(&[]), checksum(&[]));
     }
 }

@@ -9,8 +9,8 @@
 //! sizes are not trimodal (paper §4, §6.1) and its spectra are the least
 //! clean.
 
-use crate::checksum;
-use crate::fft2d::fft_rows;
+use crate::checksum_f32;
+use crate::fft2d::{fft_rows, initial_block};
 use fxnet_fx::{BlockDist, RankCtx};
 use fxnet_numerics::fft::fft_flops;
 use fxnet_pvm::MessageBuilder;
@@ -52,9 +52,11 @@ pub fn t2dfft_rank(ctx: &mut RankCtx, p: &T2dfftParams) -> u64 {
         // Sender half: row FFTs over owned rows, then ship column blocks.
         let (lo, hi) = (dist.lo(me), dist.hi(me));
         let rows = hi - lo;
+        let initial = initial_block(p.n, lo, hi);
+        let mut local = initial.clone();
         let mut acc = 0u64;
         for iter in 0..p.iters {
-            let mut local = crate::fft2d::initial_block(p.n, lo, hi);
+            local.copy_from_slice(&initial);
             fft_rows(&mut local, p.n);
             ctx.compute_flops(rows as u64 * fft_flops(p.n));
             // Shift schedule across the partition: round r sends to
@@ -89,9 +91,13 @@ pub fn t2dfft_rank(ctx: &mut RankCtx, p: &T2dfftParams) -> u64 {
         let col_rank = me - h;
         let (lo, hi) = (dist.lo(col_rank), dist.hi(col_rank));
         let width = hi - lo; // columns owned, i.e. rows of the transposed block
-        let mut final_sum = 0u64;
+        if p.iters == 0 {
+            return 0;
+        }
+        // Every iteration overwrites the whole block, so one allocation
+        // serves them all and only the last result needs a checksum.
+        let mut block = vec![0.0f32; width * p.n * 2];
         for _iter in 0..p.iters {
-            let mut block = vec![0.0f32; width * p.n * 2];
             ctx.phase_begin("pipeline_transpose");
             for r in 0..h {
                 // Inverse of the sender schedule: in round r, sender
@@ -113,10 +119,8 @@ pub fn t2dfft_rank(ctx: &mut RankCtx, p: &T2dfftParams) -> u64 {
             ctx.phase_end();
             fft_rows(&mut block, p.n);
             ctx.compute_flops(width as u64 * fft_flops(p.n));
-            let as_f64: Vec<f64> = block.iter().map(|&v| f64::from(v)).collect();
-            final_sum = checksum(&as_f64);
         }
-        final_sum
+        checksum_f32(&block)
     }
 }
 
@@ -125,7 +129,7 @@ pub fn t2dfft_rank(ctx: &mut RankCtx, p: &T2dfftParams) -> u64 {
 pub fn t2dfft_sequential(p: &T2dfftParams, np: usize) -> Vec<u64> {
     let h = np / 2;
     let n = p.n;
-    let mut m = crate::fft2d::initial_block(n, 0, n);
+    let mut m = initial_block(n, 0, n);
     fft_rows(&mut m, n);
     let mut t = vec![0.0f32; n * n * 2];
     for r in 0..n {
@@ -138,9 +142,7 @@ pub fn t2dfft_sequential(p: &T2dfftParams, np: usize) -> Vec<u64> {
     let dist = BlockDist::new(n, h);
     let mut out = vec![0u64; np];
     for cr in 0..h {
-        let seg = &t[dist.lo(cr) * n * 2..dist.hi(cr) * n * 2];
-        let as_f64: Vec<f64> = seg.iter().map(|&v| f64::from(v)).collect();
-        out[h + cr] = checksum(&as_f64);
+        out[h + cr] = checksum_f32(&t[dist.lo(cr) * n * 2..dist.hi(cr) * n * 2]);
     }
     // Senders return their accumulated block length.
     for (sr, slot) in out.iter_mut().take(h).enumerate() {

@@ -13,6 +13,13 @@
 //!   transport applies per layer and species.
 //! * [`Matrix`] — a minimal row-major dense matrix.
 //!
+//! The kernels are bit-stable across optimisation: the planned FFT and
+//! the multi-column backsolve ([`linalg::Lu::solve_many`]) return the
+//! bits of the textbook loops they replaced, which survive as test-only
+//! oracles beside them. The programs' rank checksums are pinned
+//! (`benchmark/expected.json`, `tests/integration_*.rs`), so a change
+//! here may reorder independent operations but never one value's own.
+//!
 //! The SPMD applications in `fxnet-apps` run these kernels *for real* on
 //! their block-distributed data and exchange actual bytes through the
 //! simulated network; integration tests check their results against the

@@ -59,6 +59,11 @@ impl Matrix {
         &self.data
     }
 
+    /// The underlying row-major storage, mutably.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Matrix–vector product.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols);

@@ -141,3 +141,38 @@ fn connection_traffic_mirrors_aggregate_population() {
         s_all.avg
     );
 }
+
+#[test]
+fn rank_checksums_are_pinned() {
+    // The per-rank `results` as `Lu::factor`/`solve` produced them before
+    // either was tuned, at `tiny()` and at the 5 hours `benchmark/`
+    // digests at 1/20 scale: a change that moves one low bit of a
+    // factorization or a backsolve fails here.
+    let tb = TestbedBuilder::paper().seed(1998).build();
+    let tiny = tb.run_airshed(AirshedParams::tiny()).unwrap().results;
+    assert_eq!(
+        tiny,
+        [
+            0x76f384cd7f659551,
+            0x652b225d94d245e1,
+            0x7dc3f9b5210290be,
+            0x8239baca1efbd2dc
+        ],
+        "tiny()"
+    );
+    let scaled = AirshedParams {
+        hours: 5,
+        ..AirshedParams::paper()
+    };
+    let scaled = tb.run_airshed(scaled).unwrap().results;
+    assert_eq!(
+        scaled,
+        [
+            0x0813bf9bedef46cf,
+            0xf443a3fa1d39623e,
+            0x9f791e4e0dd83204,
+            0xd9b1971582f2fd5e
+        ],
+        "1/20 scale"
+    );
+}

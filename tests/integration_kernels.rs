@@ -328,3 +328,113 @@ fn all_to_all_uses_all_pairs_neighbor_does_not() {
     // Neighbor: only adjacent pairs (plus their ACK channels) = 6.
     assert_eq!(pairs(KernelKind::Sor), 6);
 }
+
+#[test]
+fn rank_checksums_are_pinned() {
+    // The rank-side numerics are bit-stable across optimisation: these
+    // are the per-rank `results` of the five kernels as the kernels stood
+    // before any of them was tuned, at `tiny()` and at the 1/20 scale
+    // `benchmark/expected.json` digests. A change that moves one low bit
+    // of an FFT, a sweep or a histogram fails here.
+    use fxnet::apps::{checksum, fft2d, hist, seq, sor, t2dfft};
+    let quiet = || Testbed::quiet(4);
+    let tiny: [(&str, Vec<u64>); 5] = [
+        ("SOR", {
+            let p = sor::SorParams::tiny();
+            quiet().run(move |ctx| sor::sor_rank(ctx, &p)).results
+        }),
+        ("2DFFT", {
+            let p = fft2d::FftParams::tiny();
+            quiet().run(move |ctx| fft2d::fft2d_rank(ctx, &p)).results
+        }),
+        ("T2DFFT", {
+            let p = t2dfft::T2dfftParams::tiny();
+            quiet().run(move |ctx| t2dfft::t2dfft_rank(ctx, &p)).results
+        }),
+        ("SEQ", {
+            let p = seq::SeqParams::tiny();
+            quiet().run(move |ctx| seq::seq_rank(ctx, &p)).results
+        }),
+        ("HIST", {
+            let p = hist::HistParams::tiny();
+            let run = quiet().run(move |ctx| {
+                let h = hist::hist_rank(ctx, &p);
+                checksum(&h.iter().map(|&v| f64::from(v)).collect::<Vec<_>>())
+            });
+            run.results
+        }),
+    ];
+    let tiny_want: [[u64; 4]; 5] = [
+        [
+            0x01cdac40736bb725,
+            0xbee5abd8736bb725,
+            0x0387ac18736bb725,
+            0xa2574858736bb725,
+        ],
+        [
+            0x79a4639f2c7ced25,
+            0xbdf1267a0c7ced25,
+            0x7cd832940c7ced25,
+            0x299771950c7ced25,
+        ],
+        [
+            0x0000000000000200,
+            0x0000000000000200,
+            0x0925d710b36bb725,
+            0x1d4cf430f36bb725,
+        ],
+        [
+            0x9038afb960ff6465,
+            0x2538afb960ff6465,
+            0xf266afb960ff6465,
+            0x06ecafb960ff6465,
+        ],
+        [
+            0xf2fc6fb960ff6465,
+            0xf2fc6fb960ff6465,
+            0xf2fc6fb960ff6465,
+            0xf2fc6fb960ff6465,
+        ],
+    ];
+    for ((name, got), want) in tiny.iter().zip(&tiny_want) {
+        assert_eq!(got.as_slice(), want, "{name} at tiny()");
+    }
+
+    let tb = TestbedBuilder::paper().seed(1998).build();
+    let scaled_want: [[u64; 4]; 5] = [
+        [
+            0x8cb1547ea5b62325,
+            0x53aa262ea5b62325,
+            0x39aba92ea5b62325,
+            0x8530c12ea5b62325,
+        ],
+        [
+            0x4d2b2c3c074a2325,
+            0x08b00b37474a2325,
+            0xf90c34fc274a2325,
+            0x465dfb7f474a2325,
+        ],
+        [
+            0x0000000000140000,
+            0x0000000000140000,
+            0x524f432fea722325,
+            0x355a2ef3ca722325,
+        ],
+        [
+            0x83dcc59d61083025,
+            0x4993c59d61083025,
+            0x896fc59d61083025,
+            0xfff8c59d61083025,
+        ],
+        [
+            0x6d7e28b97d054b25,
+            0x6d7e28b97d054b25,
+            0x6d7e28b97d054b25,
+            0x6d7e28b97d054b25,
+        ],
+    ];
+    for (k, want) in KernelKind::ALL.iter().zip(&scaled_want) {
+        let got = tb.run_kernel(*k, 20).unwrap().results;
+        assert_eq!(got.as_slice(), want, "{} at 1/20 scale", k.name());
+    }
+}
