@@ -63,9 +63,10 @@ impl Experiments {
     /// `out/cache/`, and serve later [`Experiments::kernel_store`] /
     /// [`Experiments::airshed_store`] calls from a valid artifact instead
     /// of re-simulating. File names key the program, scale, and seed; the
-    /// artifacts carry the format version header, so bumping
-    /// `fxnet_trace::io::TRACE_VERSION` invalidates every cached trace
-    /// (the harness re-simulates and overwrites). Loading is skipped
+    /// artifacts carry the format version header, and a header at any
+    /// version but `fxnet_trace::io::TRACE_VERSION` — an older build's
+    /// artifact included — is a miss (the harness re-simulates and
+    /// overwrites). Loading is skipped
     /// while telemetry is on: a cached trace cannot carry spans.
     pub fn with_trace_cache(mut self) -> Experiments {
         self.cache = true;
@@ -540,6 +541,7 @@ pub fn analysis_suite_columnar(name: &str, store: &TraceStore) -> String {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use fxnet::trace::io::TRACE_VERSION;
     use fxnet::trace::{
         average_bandwidth, binned_bandwidth, connection, host_pairs, save_store, BurstProfile,
         Periodogram, TraceReport,
@@ -675,23 +677,13 @@ pub(crate) mod tests {
         assert_eq!(aos, col, "AoS and columnar suites must render identically");
         assert!(aos.contains("### connections"));
 
-        // Round trip through both on-disk formats; the reloaded suites
+        // Round trip through the on-disk container; the reloaded suite
         // must also match byte for byte.
         std::fs::create_dir_all(&dir).expect("create dir");
-        let txt = dir.join("suite.trace");
         let bin = dir.join("suite.fxb");
-        save_store(&txt, &store).expect("save text");
         save_store(&bin, &store).expect("save binary");
-        assert!(
-            2 * std::fs::metadata(&bin).expect("bin meta").len()
-                <= std::fs::metadata(&txt).expect("txt meta").len(),
-            "the binary trace must be at most half the text"
-        );
-        let from_txt = load_store(&txt).expect("load text");
         let from_bin = load_store(&bin).expect("load binary");
-        assert_eq!(from_txt, store);
         assert_eq!(from_bin, store);
-        assert_eq!(analysis_suite_columnar("HIST", &from_txt), aos);
         assert_eq!(analysis_suite_columnar("HIST", &from_bin), aos);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -716,22 +708,25 @@ pub(crate) mod tests {
         warm.prewarm_suite(&Pool::serial(), &[], &[KernelKind::Hist], false, false);
         assert_eq!(*warm.store_of("HIST").expect("prewarmed"), doctored);
 
-        // Bump the version header: the artifact must be rejected, the
-        // harness re-simulates, and the rewritten artifact is valid.
-        let mut bytes = std::fs::read(&path).expect("read cache");
-        bytes[4] = bytes[4].wrapping_add(1);
-        std::fs::write(&path, &bytes).expect("rewrite cache");
-        let mut c = Experiments::new(100, 1, &dir).with_trace_cache();
-        assert_eq!(
-            *c.kernel_store(KernelKind::Hist),
-            fresh,
-            "a version-invalidated artifact must fall back to the simulation"
-        );
-        assert_eq!(
-            load_store(&path).expect("rewritten artifact"),
-            fresh,
-            "the re-simulation must overwrite the stale artifact"
-        );
+        // Move the version header, forward and then back to what an
+        // older build wrote: either way the artifact must be rejected,
+        // the harness re-simulates, and the rewritten artifact is valid.
+        for stale in [TRACE_VERSION + 1, 1] {
+            let mut bytes = std::fs::read(&path).expect("read cache");
+            bytes[4..6].copy_from_slice(&stale.to_le_bytes());
+            std::fs::write(&path, &bytes).expect("rewrite cache");
+            let mut c = Experiments::new(100, 1, &dir).with_trace_cache();
+            assert_eq!(
+                *c.kernel_store(KernelKind::Hist),
+                fresh,
+                "a version-{stale} artifact must fall back to the simulation"
+            );
+            assert_eq!(
+                load_store(&path).expect("rewritten artifact"),
+                fresh,
+                "the re-simulation must overwrite the stale artifact"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

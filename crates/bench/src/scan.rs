@@ -19,9 +19,10 @@
 //! are resident at once, however long the trace.
 //!
 //! The file is outside input: a payload that fails to decode comes back
-//! as the [`TraceIoError`] the decoder raised, and frames out of capture
-//! order (which every fold below requires) as one naming the chunk —
-//! never a panic.
+//! as the [`TraceIoError`] the decoder raised, frames out of capture
+//! order (which every fold below requires) as one naming the chunk, and
+//! a time span too long to bin as one naming the span — never a panic
+//! or an allocation the file's length does not justify.
 
 use fxnet::metrics::{ScalingAccum, ScalingRelation};
 use fxnet::spectral::harmonic_powers;
@@ -141,6 +142,30 @@ fn render(
     out
 }
 
+/// Most bandwidth bins one scan will fold. The report's bin vector
+/// grows with the *span* of the timestamps, not with the frame count,
+/// so a two-frame file can ask for any allocation it likes; 2^22 bins
+/// is 11.6 h of capture at the paper's 10 ms bin, six times its longest
+/// trace (AIRSHED's 100 simulated hours).
+const MAX_SCAN_BINS: u64 = 1 << 22;
+
+/// `Corrupt`, naming the span, if the time span the directory
+/// advertises would need more than [`MAX_SCAN_BINS`] bins of `bin_ns`.
+/// Decode holds every chunk to its directory entry and the fold takes
+/// chunks only in capture order, so no folded timestamp lies outside
+/// the span checked here.
+fn check_span(chunks: &[ChunkMeta], bin_ns: u64) -> Result<(), TraceIoError> {
+    let lo = chunks.iter().map(|c| c.t_min_ns).min().unwrap_or(0);
+    let hi = chunks.iter().map(|c| c.t_max_ns).max().unwrap_or(0);
+    let bins = hi.saturating_sub(lo) / bin_ns + 1;
+    if bins > MAX_SCAN_BINS {
+        return Err(TraceIoError::Corrupt(format!(
+            "time span {lo}..{hi} ns needs {bins} bins of {bin_ns} ns (this scan folds at most {MAX_SCAN_BINS})"
+        )));
+    }
+    Ok(())
+}
+
 /// Sum of decoded column bytes across a decode round.
 fn resident(bufs: &[ChunkBuf]) -> u64 {
     bufs.iter().map(ChunkBuf::resident_bytes).sum()
@@ -180,6 +205,8 @@ pub fn streamed_scan(
     let batch = pool.jobs().max(1);
 
     let mut report = StreamingReport::new(&cfg.label, &cfg.opts);
+    // After `new`, which asserts the bin width this divides by.
+    check_span(&dir.chunks, cfg.opts.bin.as_nanos())?;
     let mut sliding = SlidingPeak::new(cfg.window);
     let mut matrices = ScalingAccum::new(cfg.matrix_base_ns, &cfg.matrix_scales);
     let mut peak_resident = 0u64;
@@ -441,6 +468,50 @@ mod tests {
         assert_eq!(
             streamed_scan(&path, &cfg, &Pool::new(2)).unwrap().rendered,
             clean
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_absurd_time_span_is_an_error_not_an_allocation() {
+        let dir = scratch_dir("span");
+        let path = dir.join("span.fxb");
+        let at = |ns: u64| {
+            let f = Frame::tcp(HostId(0), HostId(1), FrameKind::Data, 1460, 1);
+            FrameRecord::capture(SimTime::from_nanos(ns), &f)
+        };
+        let cfg = ScanConfig::new("span", 2.0);
+        let far = 1u64 << 62;
+        // Structurally valid files — they load — whose frames are 146
+        // years apart: in one chunk, in two, and with the far frame in a
+        // middle chunk where the first and last entries alone would hide
+        // it. Folding any of them would ask for 4.6e11 bins (3.7 TB).
+        let layouts: [&[&[u64]]; 3] = [&[&[0, far]], &[&[0], &[far]], &[&[0], &[far], &[5]]];
+        for chunks in layouts {
+            let mut w = ChunkedWriter::create(&path).unwrap();
+            for times in chunks {
+                let records: Vec<FrameRecord> = times.iter().map(|&ns| at(ns)).collect();
+                w.append_records(&records).unwrap();
+            }
+            w.finish().unwrap();
+            assert_eq!(load_store(&path).unwrap().len(), chunks.concat().len());
+            for pool in [Pool::serial(), Pool::new(2)] {
+                match streamed_scan(&path, &cfg, &pool) {
+                    Err(TraceIoError::Corrupt(what)) => {
+                        assert!(what.contains("time span"), "{what}");
+                        assert!(what.contains(&far.to_string()), "{what}");
+                    }
+                    other => panic!("expected Corrupt, got {other:?}"),
+                }
+            }
+        }
+        // The bound is on the span, not on where the trace starts.
+        let mut w = ChunkedWriter::create(&path).unwrap();
+        w.append_records(&[at(far), at(far + 1_000_000)]).unwrap();
+        w.finish().unwrap();
+        assert_eq!(
+            streamed_scan(&path, &cfg, &Pool::serial()).unwrap().frames,
+            2
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,111 +1,80 @@
-//! Trace persistence, selected by file extension:
+//! Trace persistence: FXTC, one compact columnar container, chunked so
+//! it can be appended to while a simulation drains and streamed back
+//! one chunk at a time. Every trace file the repo writes or reads —
+//! cache artifacts, `analysis-scale`, the benchmark's scan input — is
+//! this format; the file extension selects nothing.
 //!
-//! * **Text** — one frame per line, `time_ns wire_len proto kind src
-//!   dst` (e.g. `1234567 1518 tcp data 0 1`): equivalent to the paper's
-//!   tcpdump output, diffable, greppable. The export/import format.
-//! * **Binary** (`.fxb` / `.bin`) — FXTC, a compact columnar container.
-//!   Everything this crate *writes* is the chunked v2 layout; the
-//!   single-section v1 layout older builds wrote is still read.
+//! ```text
+//! header, 16 bytes:
+//!     magic "FXTC" | version u16 LE (2) | flags u16 LE (0) | count u64 LE
+//! per chunk, back to back, one block per column in fixed order:
+//!     id u8 | payload length u64 LE | payload
+//! id 1  time   zigzag LEB128 varints of consecutive wrapping deltas
+//! id 2  size   LEB128 varints of wire_len
+//! id 3  tag    raw bytes, proto/kind packed as in the TraceStore
+//! id 4  src    LEB128 varints of host ids
+//! id 5  dst    LEB128 varints of host ids
+//! directory, 40 bytes LE per chunk:
+//!     frames u64 | t_min_ns u64 | t_max_ns u64 | offset u64 | len u64
+//! trailer, 20 bytes:
+//!     dir_offset u64 | nchunks u64 | magic "FXTD"
+//! ```
 //!
-//!   ```text
-//!   header, 16 bytes:
-//!       magic "FXTC" | version u16 LE | flags u16 LE (0) | count u64 LE
-//!   one block section = one block per column, in fixed order:
-//!       id u8 | payload length u64 LE | payload
-//!   id 1  time   zigzag LEB128 varints of consecutive wrapping deltas
-//!   id 2  size   LEB128 varints of wire_len
-//!   id 3  tag    raw bytes, proto/kind packed as in the TraceStore
-//!   id 4  src    LEB128 varints of host ids
-//!   id 5  dst    LEB128 varints of host ids
-//!   ```
+//! Time deltas are the *wrapping* `u64` difference of consecutive
+//! timestamps, zigzag-mapped so small forward **and** backward steps
+//! both encode short — a bijection on `u64`, so even unsorted traces
+//! round-trip losslessly. Each chunk's delta predecessor starts at
+//! zero, so every chunk decodes independently, and the directory sits
+//! at the tail so appenders never rewrite data they already flushed
+//! (the header's count field is patched when the writer finishes). The
+//! version field is the cache-invalidation handle: a reader seeing any
+//! version but [`TRACE_VERSION`] returns [`TraceIoError::Version`] and
+//! the caller regenerates the artifact.
 //!
-//!   Time deltas are the *wrapping* `u64` difference of consecutive
-//!   timestamps, zigzag-mapped so small forward **and** backward steps
-//!   both encode short — a bijection on `u64`, so even unsorted traces
-//!   round-trip losslessly. The version field is the cache-invalidation
-//!   handle: a reader seeing a newer version returns
-//!   [`TraceIoError::Version`] and the caller regenerates the artifact.
-//!
-//!   **v1** is the header followed by one block section holding the
-//!   whole trace. **v2** is the header (the count field is patched when
-//!   the writer finishes), then one block section per chunk back to
-//!   back, each with its time-delta predecessor reset to zero — so every
-//!   chunk decodes independently — and a fixed-size directory at the
-//!   tail so appenders never rewrite data they already flushed:
-//!
-//!   ```text
-//!   per chunk, 40 bytes LE:
-//!       frames u64 | t_min_ns u64 | t_max_ns u64 | offset u64 | len u64
-//!   trailer, 20 bytes:
-//!       dir_offset u64 | nchunks u64 | magic "FXTD"
-//!   ```
-//!
-//!   [`ChunkedWriter`] appends chunks as the simulator drains shards and
-//!   [`save_store`] cuts a store into them; [`ChunkCursor`] streams them
-//!   back one at a time with O(chunk) peak memory; [`read_chunk`]
-//!   decodes a single directory entry so a worker pool can fan a scan
-//!   out. [`read_store_binary`] accepts both versions and yields a fully
-//!   materialized [`TraceStore`].
+//! [`ChunkedWriter`] appends chunks as the simulator drains shards and
+//! [`save_store`] cuts a store into them. There is one way in:
+//! [`ChunkCursor`] validates the header and directory and streams the
+//! chunks back with O(chunk) peak memory; [`load_store`] is that cursor
+//! folded into a fully materialized [`TraceStore`], and [`read_chunk`]
+//! decodes a single directory entry so a worker pool can fan a scan
+//! out.
 
 use crate::store::{pack_tag, unpack_tag, TraceStore};
-use fxnet_sim::{FrameKind, FrameRecord, HostId, Proto, SimTime};
-use std::io::{BufRead, Read, Seek, SeekFrom, Write};
+use fxnet_sim::FrameRecord;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-/// Magic bytes opening a binary trace file.
+/// Magic bytes opening a trace file.
 pub const TRACE_MAGIC: [u8; 4] = *b"FXTC";
-/// Highest binary trace format version this build reads.
+/// The one trace format version this build writes and reads.
 pub const TRACE_VERSION: u16 = 2;
-/// The chunked layout with a tail directory.
-const TRACE_VERSION_CHUNKED: u16 = 2;
-/// Magic bytes closing a chunked trace's tail directory.
+/// Magic bytes closing a trace's tail directory.
 pub const CHUNK_DIR_MAGIC: [u8; 4] = *b"FXTD";
 /// Bytes per directory entry: frames, t_min_ns, t_max_ns, offset, len.
 const CHUNK_META_BYTES: usize = 40;
 /// Bytes in the trailer: dir_offset, nchunks, magic.
 const CHUNK_TRAILER_BYTES: usize = 20;
-/// Bytes in the file header shared by both versions.
+/// Bytes in the file header.
 const HEADER_BYTES: usize = 16;
 /// Frames per chunk [`save_store`] writes: ~1.4 MB of decoded columns,
 /// big enough to amortize the varint decode, small enough that a
 /// streamed scan's decode round stays cache-friendly.
 pub const SAVE_CHUNK_FRAMES: usize = 65_536;
 
-/// On-disk trace encoding, selected by file extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// Line-oriented `time_ns wire_len proto kind src dst`.
-    Text,
-    /// Columnar container with varint-delta times (`.fxb`).
-    Binary,
-}
-
-impl TraceFormat {
-    /// Format implied by `path`'s extension: `.fxb` and `.bin` are
-    /// binary, everything else is text.
-    pub fn for_path(path: impl AsRef<Path>) -> TraceFormat {
-        match path.as_ref().extension().and_then(|e| e.to_str()) {
-            Some("fxb") | Some("bin") => TraceFormat::Binary,
-            _ => TraceFormat::Text,
-        }
-    }
-}
-
-/// Error from parsing a saved trace.
+/// Error from reading a saved trace.
 #[derive(Debug)]
 pub enum TraceIoError {
     Io(std::io::Error),
-    /// Malformed line, with its (1-based) line number.
-    Parse(usize, String),
-    /// The file is not a binary trace (bad magic).
+    /// The file is not a trace (bad magic).
     Magic,
-    /// Binary header carries an unsupported version — the signal cached
-    /// artifacts use to invalidate themselves across format revisions.
+    /// The header carries a version other than the one this build reads
+    /// — the signal cached artifacts use to invalidate themselves
+    /// across format revisions.
     Version {
         found: u16,
         supported: u16,
     },
-    /// Structurally invalid binary payload.
+    /// Structurally invalid file.
     Corrupt(String),
 }
 
@@ -113,13 +82,10 @@ impl std::fmt::Display for TraceIoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TraceIoError::Io(e) => write!(f, "trace I/O: {e}"),
-            TraceIoError::Parse(line, text) => {
-                write!(f, "trace parse error at line {line}: {text}")
-            }
             TraceIoError::Magic => write!(f, "not a binary trace (bad magic)"),
             TraceIoError::Version { found, supported } => write!(
                 f,
-                "binary trace version {found} unsupported (this build reads <= {supported})"
+                "binary trace version {found} unsupported (this build reads only version {supported})"
             ),
             TraceIoError::Corrupt(what) => write!(f, "corrupt binary trace: {what}"),
         }
@@ -139,105 +105,6 @@ impl From<TraceIoError> for fxnet_sim::FxnetError {
         fxnet_sim::FxnetError::Io(e.to_string())
     }
 }
-
-fn proto_str(p: Proto) -> &'static str {
-    match p {
-        Proto::Tcp => "tcp",
-        Proto::Udp => "udp",
-    }
-}
-
-fn kind_str(k: FrameKind) -> &'static str {
-    match k {
-        FrameKind::Data => "data",
-        FrameKind::Ack => "ack",
-        FrameKind::Syn => "syn",
-        FrameKind::Datagram => "dgram",
-    }
-}
-
-/// Write records to `w`, one per line — the one place the text line
-/// format is produced.
-fn write_lines(
-    w: &mut impl Write,
-    records: impl Iterator<Item = FrameRecord>,
-) -> std::io::Result<()> {
-    let mut buf = std::io::BufWriter::new(w);
-    for r in records {
-        writeln!(
-            buf,
-            "{} {} {} {} {} {}",
-            r.time.as_nanos(),
-            r.wire_len,
-            proto_str(r.proto),
-            kind_str(r.kind),
-            r.src.0,
-            r.dst.0
-        )?;
-    }
-    buf.flush()
-}
-
-/// Write a trace to `w`, one record per line.
-pub fn write_trace(w: &mut impl Write, trace: &[FrameRecord]) -> std::io::Result<()> {
-    write_lines(w, trace.iter().copied())
-}
-
-/// Read a trace written by [`write_trace`].
-pub fn read_trace(r: &mut impl BufRead) -> Result<Vec<FrameRecord>, TraceIoError> {
-    let mut out = Vec::new();
-    for (i, line) in r.lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut f = line.split_ascii_whitespace();
-        let bad = || TraceIoError::Parse(i + 1, line.to_string());
-        let time = f
-            .next()
-            .and_then(|s| s.parse::<u64>().ok())
-            .ok_or_else(bad)?;
-        let wire_len = f
-            .next()
-            .and_then(|s| s.parse::<u32>().ok())
-            .ok_or_else(bad)?;
-        let proto = match f.next().ok_or_else(bad)? {
-            "tcp" => Proto::Tcp,
-            "udp" => Proto::Udp,
-            _ => return Err(bad()),
-        };
-        let kind = match f.next().ok_or_else(bad)? {
-            "data" => FrameKind::Data,
-            "ack" => FrameKind::Ack,
-            "syn" => FrameKind::Syn,
-            "dgram" => FrameKind::Datagram,
-            _ => return Err(bad()),
-        };
-        let src = f
-            .next()
-            .and_then(|s| s.parse::<u32>().ok())
-            .ok_or_else(bad)?;
-        let dst = f
-            .next()
-            .and_then(|s| s.parse::<u32>().ok())
-            .ok_or_else(bad)?;
-        if f.next().is_some() {
-            return Err(bad());
-        }
-        out.push(FrameRecord {
-            time: SimTime::from_nanos(time),
-            wire_len,
-            proto,
-            kind,
-            src: HostId(src),
-            dst: HostId(dst),
-        });
-    }
-    Ok(out)
-}
-
-// ---- binary format -------------------------------------------------------
 
 fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -284,18 +151,17 @@ fn put_block(out: &mut Vec<u8>, id: u8, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-fn header_bytes(version: u16, count: u64) -> [u8; HEADER_BYTES] {
+fn header_bytes(count: u64) -> [u8; HEADER_BYTES] {
     let mut h = [0u8; HEADER_BYTES];
     h[0..4].copy_from_slice(&TRACE_MAGIC);
-    h[4..6].copy_from_slice(&version.to_le_bytes());
+    h[4..6].copy_from_slice(&TRACE_VERSION.to_le_bytes());
     h[6..8].copy_from_slice(&0u16.to_le_bytes());
     h[8..16].copy_from_slice(&count.to_le_bytes());
     h
 }
 
-/// Encode one block section (the five v1 column blocks) into `out`.
-/// The time-delta predecessor starts at zero, so a section is
-/// self-contained: v1 files hold exactly one, v2 files one per chunk.
+/// Encode one chunk (the five column blocks) into `out`. The
+/// time-delta predecessor starts at zero, so a chunk is self-contained.
 fn encode_columns(
     out: &mut Vec<u8>,
     time_ns: &[u64],
@@ -379,9 +245,9 @@ fn varint_column_into<T>(
     Ok(())
 }
 
-/// Decoded columns for one chunk (or one whole v1 trace). The vectors
-/// are cleared and refilled on every decode, so a long scan reuses one
-/// allocation per column instead of churning the allocator per chunk.
+/// Decoded columns for one chunk. The vectors are cleared and refilled
+/// on every decode, so a long scan reuses one allocation per column
+/// instead of churning the allocator per chunk.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ChunkBuf {
     pub time_ns: Vec<u64>,
@@ -420,8 +286,8 @@ impl ChunkBuf {
     }
 }
 
-/// Decode one block section (five column blocks, exactly filling
-/// `buf`) into a reused [`ChunkBuf`].
+/// Decode one chunk (five column blocks, exactly filling `buf`) into a
+/// reused [`ChunkBuf`].
 fn decode_columns_into(buf: &[u8], count: usize, out: &mut ChunkBuf) -> Result<(), TraceIoError> {
     out.clear();
     let mut pos = 0usize;
@@ -478,73 +344,7 @@ fn decode_columns_into(buf: &[u8], count: usize, out: &mut ChunkBuf) -> Result<(
     Ok(())
 }
 
-/// Deserialize a binary trace container (either version) into a store.
-pub fn read_store_binary(r: &mut impl Read) -> Result<TraceStore, TraceIoError> {
-    let mut buf = Vec::new();
-    r.read_to_end(&mut buf)?;
-    if buf.len() < HEADER_BYTES {
-        return Err(TraceIoError::Corrupt("header too short".into()));
-    }
-    if buf[0..4] != TRACE_MAGIC {
-        return Err(TraceIoError::Magic);
-    }
-    let version = u16::from_le_bytes(buf[4..6].try_into().expect("2 bytes"));
-    if version > TRACE_VERSION {
-        return Err(TraceIoError::Version {
-            found: version,
-            supported: TRACE_VERSION,
-        });
-    }
-    let count = u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes")) as usize;
-    if count > buf.len() {
-        // Every frame costs at least one byte per column, so a count
-        // beyond the file size is corruption, not a big trace.
-        return Err(TraceIoError::Corrupt(
-            "frame count exceeds file size".into(),
-        ));
-    }
-
-    if version == TRACE_VERSION_CHUNKED {
-        let dir = parse_directory_from_slice(&buf, count as u64)?;
-        let mut all = ChunkBuf::default();
-        let mut chunk = ChunkBuf::default();
-        all.time_ns.reserve(count);
-        all.wire_len.reserve(count);
-        all.tag.reserve(count);
-        all.src.reserve(count);
-        all.dst.reserve(count);
-        for meta in &dir.chunks {
-            let (start, end) = (meta.offset as usize, (meta.offset + meta.len) as usize);
-            decode_chunk_payload(&buf[start..end], meta, &mut chunk)?;
-            all.time_ns.extend_from_slice(&chunk.time_ns);
-            all.wire_len.extend_from_slice(&chunk.wire_len);
-            all.tag.extend_from_slice(&chunk.tag);
-            all.src.extend_from_slice(&chunk.src);
-            all.dst.extend_from_slice(&chunk.dst);
-        }
-        return Ok(TraceStore::from_columns(
-            all.time_ns,
-            all.wire_len,
-            all.tag,
-            all.src,
-            all.dst,
-        ));
-    }
-
-    let mut cols = ChunkBuf::default();
-    decode_columns_into(&buf[HEADER_BYTES..], count, &mut cols)?;
-    Ok(TraceStore::from_columns(
-        cols.time_ns,
-        cols.wire_len,
-        cols.tag,
-        cols.src,
-        cols.dst,
-    ))
-}
-
-// ---- chunked container (FXTC v2) -----------------------------------------
-
-/// One entry of the v2 tail directory: where a chunk lives and what it
+/// One entry of the tail directory: where a chunk lives and what it
 /// spans, enough to schedule a scan without touching the payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkMeta {
@@ -587,37 +387,9 @@ impl ChunkDirectory {
     }
 }
 
-fn parse_trailer(trailer: &[u8]) -> Result<(u64, u64), TraceIoError> {
-    debug_assert_eq!(trailer.len(), CHUNK_TRAILER_BYTES);
-    if trailer[16..20] != CHUNK_DIR_MAGIC {
-        return Err(TraceIoError::Corrupt(
-            "chunk directory trailer magic missing".into(),
-        ));
-    }
-    let dir_offset = u64::from_le_bytes(trailer[0..8].try_into().expect("8 bytes"));
-    let nchunks = u64::from_le_bytes(trailer[8..16].try_into().expect("8 bytes"));
-    Ok((dir_offset, nchunks))
-}
-
-fn parse_dir_entries(bytes: &[u8], nchunks: usize) -> Result<Vec<ChunkMeta>, TraceIoError> {
-    debug_assert_eq!(bytes.len(), nchunks * CHUNK_META_BYTES);
-    let mut chunks = Vec::with_capacity(nchunks);
-    for e in bytes.chunks_exact(CHUNK_META_BYTES) {
-        let word = |i: usize| u64::from_le_bytes(e[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
-        chunks.push(ChunkMeta {
-            frames: word(0),
-            t_min_ns: word(1),
-            t_max_ns: word(2),
-            offset: word(3),
-            len: word(4),
-        });
-    }
-    Ok(chunks)
-}
-
-/// Structural validation shared by the in-memory and file readers:
-/// chunks must tile `[header, dir_offset)` contiguously and account for
-/// exactly the header's frame count.
+/// Structural validation of a parsed directory: chunks must tile
+/// `[header, dir_offset)` contiguously and account for exactly the
+/// header's frame count.
 fn validate_directory(
     chunks: &[ChunkMeta],
     count: u64,
@@ -667,27 +439,6 @@ fn validate_directory(
     Ok(())
 }
 
-/// Parse and validate the tail directory of a fully buffered v2 file.
-fn parse_directory_from_slice(buf: &[u8], count: u64) -> Result<ChunkDirectory, TraceIoError> {
-    if buf.len() < HEADER_BYTES + CHUNK_TRAILER_BYTES {
-        return Err(TraceIoError::Corrupt("chunked trace too short".into()));
-    }
-    let (dir_offset, nchunks) = parse_trailer(&buf[buf.len() - CHUNK_TRAILER_BYTES..])?;
-    let dir_bytes = (nchunks as usize)
-        .checked_mul(CHUNK_META_BYTES)
-        .filter(|&d| {
-            dir_offset as usize >= HEADER_BYTES
-                && dir_offset as usize + d + CHUNK_TRAILER_BYTES == buf.len()
-        })
-        .ok_or_else(|| TraceIoError::Corrupt("chunk directory does not fit the file".into()))?;
-    let chunks = parse_dir_entries(
-        &buf[dir_offset as usize..dir_offset as usize + dir_bytes],
-        nchunks as usize,
-    )?;
-    validate_directory(&chunks, count, dir_offset)?;
-    Ok(ChunkDirectory { chunks })
-}
-
 /// Decode one chunk payload and cross-check it against its directory
 /// entry (frame count and time span must match what was advertised).
 fn decode_chunk_payload(
@@ -724,10 +475,10 @@ pub struct ChunkedWriter {
 }
 
 impl ChunkedWriter {
-    /// Create `path` and write the v2 header with a zero frame count.
+    /// Create `path` and write the header with a zero frame count.
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<ChunkedWriter> {
         let mut file = std::fs::File::create(path.as_ref())?;
-        file.write_all(&header_bytes(TRACE_VERSION_CHUNKED, 0))?;
+        file.write_all(&header_bytes(0))?;
         Ok(ChunkedWriter {
             file,
             dir: Vec::new(),
@@ -781,17 +532,6 @@ impl ChunkedWriter {
         Ok(())
     }
 
-    /// Append a whole store as one chunk.
-    pub fn append_store(&mut self, store: &TraceStore) -> std::io::Result<()> {
-        self.append_columns(
-            &store.time_ns,
-            &store.wire_len,
-            &store.tag,
-            &store.src,
-            &store.dst,
-        )
-    }
-
     /// Append captured records as one chunk, without building a store
     /// (no connection index — the writer is on the simulator's path).
     pub fn append_records(&mut self, records: &[FrameRecord]) -> std::io::Result<()> {
@@ -843,8 +583,7 @@ impl ChunkedWriter {
     }
 }
 
-/// Save a store to `path` in the chunked v2 container, `chunk_frames`
-/// frames per chunk.
+/// Save a store to `path`, `chunk_frames` frames per chunk.
 pub fn save_store_chunked(
     path: impl AsRef<Path>,
     store: &TraceStore,
@@ -867,19 +606,19 @@ pub fn save_store_chunked(
     w.finish()
 }
 
-/// Read and validate only the header and tail directory of a chunked
-/// trace — O(directory) I/O, no chunk payloads touched.
+/// Read and validate only the header and tail directory of a trace —
+/// O(directory) I/O, no chunk payloads touched.
 pub fn read_chunk_directory(path: impl AsRef<Path>) -> Result<ChunkDirectory, TraceIoError> {
     let mut file = std::fs::File::open(path.as_ref())?;
-    open_directory(&mut file).map(|(dir, _)| dir)
+    open_directory(&mut file)
 }
 
-/// Shared open path: validates header + trailer + directory using only
-/// seeks, returning the directory and the header frame count.
-fn open_directory(file: &mut std::fs::File) -> Result<(ChunkDirectory, u64), TraceIoError> {
+/// The one open path: checks the header, then hands the frame count it
+/// carries to [`read_directory`]. Seeks only; no payload is read.
+fn open_directory(file: &mut std::fs::File) -> Result<ChunkDirectory, TraceIoError> {
     let file_len = file.seek(SeekFrom::End(0))?;
-    if file_len < (HEADER_BYTES + CHUNK_TRAILER_BYTES) as u64 {
-        return Err(TraceIoError::Corrupt("chunked trace too short".into()));
+    if file_len < HEADER_BYTES as u64 {
+        return Err(TraceIoError::Corrupt("header too short".into()));
     }
     let mut header = [0u8; HEADER_BYTES];
     file.seek(SeekFrom::Start(0))?;
@@ -888,35 +627,67 @@ fn open_directory(file: &mut std::fs::File) -> Result<(ChunkDirectory, u64), Tra
         return Err(TraceIoError::Magic);
     }
     let version = u16::from_le_bytes(header[4..6].try_into().expect("2 bytes"));
-    if version > TRACE_VERSION {
+    if version != TRACE_VERSION {
         return Err(TraceIoError::Version {
             found: version,
             supported: TRACE_VERSION,
         });
     }
-    if version != TRACE_VERSION_CHUNKED {
-        return Err(TraceIoError::Corrupt(format!(
-            "not a chunked trace (version {version}); load it with load_store instead"
-        )));
-    }
     let count = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
+    read_directory(file, file_len, count)
+}
+
+/// Parse the trailer and the directory it points at, and validate the
+/// directory against the file length and the header's frame count.
+/// Everything read is sized by `file_len`, never by a word from the
+/// file.
+fn read_directory(
+    file: &mut std::fs::File,
+    file_len: u64,
+    count: u64,
+) -> Result<ChunkDirectory, TraceIoError> {
+    if file_len < (HEADER_BYTES + CHUNK_TRAILER_BYTES) as u64 {
+        return Err(TraceIoError::Corrupt("trace too short".into()));
+    }
     let mut trailer = [0u8; CHUNK_TRAILER_BYTES];
     file.seek(SeekFrom::End(-(CHUNK_TRAILER_BYTES as i64)))?;
     file.read_exact(&mut trailer)?;
-    let (dir_offset, nchunks) = parse_trailer(&trailer)?;
-    let dir_bytes = (nchunks as usize)
-        .checked_mul(CHUNK_META_BYTES)
+    if trailer[16..20] != CHUNK_DIR_MAGIC {
+        return Err(TraceIoError::Corrupt(
+            "chunk directory trailer magic missing".into(),
+        ));
+    }
+    let dir_offset = u64::from_le_bytes(trailer[0..8].try_into().expect("8 bytes"));
+    let nchunks = u64::from_le_bytes(trailer[8..16].try_into().expect("8 bytes"));
+    let dir_bytes = nchunks
+        .checked_mul(CHUNK_META_BYTES as u64)
         .filter(|&d| {
             dir_offset >= HEADER_BYTES as u64
-                && dir_offset + d as u64 + CHUNK_TRAILER_BYTES as u64 == file_len
+                && dir_offset
+                    .checked_add(d)
+                    .and_then(|end| end.checked_add(CHUNK_TRAILER_BYTES as u64))
+                    == Some(file_len)
         })
         .ok_or_else(|| TraceIoError::Corrupt("chunk directory does not fit the file".into()))?;
-    let mut dir_raw = vec![0u8; dir_bytes];
+    let mut dir_raw = vec![0u8; dir_bytes as usize];
     file.seek(SeekFrom::Start(dir_offset))?;
     file.read_exact(&mut dir_raw)?;
-    let chunks = parse_dir_entries(&dir_raw, nchunks as usize)?;
+    let chunks: Vec<ChunkMeta> = dir_raw
+        .chunks_exact(CHUNK_META_BYTES)
+        .map(|e| {
+            let word =
+                |i: usize| u64::from_le_bytes(e[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
+            ChunkMeta {
+                frames: word(0),
+                t_min_ns: word(1),
+                t_max_ns: word(2),
+                offset: word(3),
+                len: word(4),
+            }
+        })
+        .collect();
     validate_directory(&chunks, count, dir_offset)?;
-    Ok((ChunkDirectory { chunks }, count))
+    Ok(ChunkDirectory { chunks })
 }
 
 /// Streaming reader over a chunked trace: yields decoded column slices
@@ -932,10 +703,10 @@ pub struct ChunkCursor {
 }
 
 impl ChunkCursor {
-    /// Open a chunked (v2) trace, validating header and directory.
+    /// Open a trace, validating header and directory.
     pub fn open(path: impl AsRef<Path>) -> Result<ChunkCursor, TraceIoError> {
         let mut file = std::fs::File::open(path.as_ref())?;
-        let (dir, _count) = open_directory(&mut file)?;
+        let dir = open_directory(&mut file)?;
         Ok(ChunkCursor {
             file,
             dir,
@@ -981,71 +752,66 @@ pub fn read_chunk(
     decode_chunk_payload(&raw, meta, out)
 }
 
-// ---- path-level API ------------------------------------------------------
-
-/// Save a store to `path` in the format implied by its extension: the
-/// chunked v2 container (so every `.fxb` can be streamed back with a
-/// [`ChunkCursor`]) or text lines.
+/// Save a store to `path`, [`SAVE_CHUNK_FRAMES`] frames per chunk.
 pub fn save_store(path: impl AsRef<Path>, store: &TraceStore) -> std::io::Result<()> {
-    match TraceFormat::for_path(path.as_ref()) {
-        TraceFormat::Binary => save_store_chunked(path, store, SAVE_CHUNK_FRAMES).map(drop),
-        TraceFormat::Text => write_lines(&mut std::fs::File::create(path)?, store.iter()),
-    }
+    save_store_chunked(path, store, SAVE_CHUNK_FRAMES).map(drop)
 }
 
-/// Load a store from `path` in the format implied by its extension.
+/// Load a whole trace into a store: a [`ChunkCursor`] fold, so the
+/// bytes become columns by the same validation and decode a streamed
+/// scan uses. The up-front reservation is bounded by the validated
+/// directory (a chunk never claims more frames than it has bytes, and
+/// the chunks tile the file), so a hostile count cannot ask for more
+/// than a small multiple of the file's own length.
 pub fn load_store(path: impl AsRef<Path>) -> Result<TraceStore, TraceIoError> {
-    let f = std::fs::File::open(path.as_ref()).map_err(TraceIoError::Io)?;
-    match TraceFormat::for_path(path.as_ref()) {
-        TraceFormat::Binary => read_store_binary(&mut std::io::BufReader::new(f)),
-        TraceFormat::Text => Ok(TraceStore::from_records(&read_trace(
-            &mut std::io::BufReader::new(f),
-        )?)),
+    let mut cursor = ChunkCursor::open(path)?;
+    let count = cursor.directory().frames() as usize;
+    let mut all = ChunkBuf::default();
+    all.time_ns.reserve(count);
+    all.wire_len.reserve(count);
+    all.tag.reserve(count);
+    all.src.reserve(count);
+    all.dst.reserve(count);
+    while let Some((_, chunk)) = cursor.next_chunk()? {
+        all.time_ns.extend_from_slice(&chunk.time_ns);
+        all.wire_len.extend_from_slice(&chunk.wire_len);
+        all.tag.extend_from_slice(&chunk.tag);
+        all.src.extend_from_slice(&chunk.src);
+        all.dst.extend_from_slice(&chunk.dst);
     }
+    Ok(TraceStore::from_columns(
+        all.time_ns,
+        all.wire_len,
+        all.tag,
+        all.src,
+        all.dst,
+    ))
 }
 
-/// Save a trace to a file path, text or binary by extension. The
-/// binary file is the one [`save_store`] writes for the same records,
-/// chunk by chunk, without building a store (no connection index).
+/// Save captured records to `path`: the file [`save_store`] writes for
+/// the same records, chunk by chunk, without building a store (no
+/// connection index).
 pub fn save_trace(path: impl AsRef<Path>, trace: &[FrameRecord]) -> std::io::Result<()> {
-    match TraceFormat::for_path(path.as_ref()) {
-        TraceFormat::Binary => {
-            let mut w = ChunkedWriter::create(path)?;
-            for batch in trace.chunks(SAVE_CHUNK_FRAMES) {
-                w.append_records(batch)?;
-            }
-            w.finish().map(drop)
-        }
-        TraceFormat::Text => {
-            let mut f = std::fs::File::create(path)?;
-            write_trace(&mut f, trace)
-        }
+    let mut w = ChunkedWriter::create(path)?;
+    for batch in trace.chunks(SAVE_CHUNK_FRAMES) {
+        w.append_records(batch)?;
     }
-}
-
-/// Load a trace from a file path, text or binary by extension.
-pub fn load_trace(path: impl AsRef<Path>) -> Result<Vec<FrameRecord>, TraceIoError> {
-    match TraceFormat::for_path(path.as_ref()) {
-        TraceFormat::Binary => Ok(load_store(path)?.to_records()),
-        TraceFormat::Text => {
-            let f = std::fs::File::open(path).map_err(TraceIoError::Io)?;
-            read_trace(&mut std::io::BufReader::new(f))
-        }
-    }
+    w.finish().map(drop)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fxnet_sim::Frame;
+    use fxnet_sim::{Frame, FrameKind, HostId, Proto, SimTime};
     use proptest::prelude::*;
 
-    /// The single-section layout older builds wrote: the shared header
-    /// at version 1, then one block section holding the whole trace.
-    /// Nothing outside this module writes it any more; it lives here so
-    /// the v1 *reader* stays proven.
+    /// The single-section layout builds before the chunked container
+    /// wrote: the header at version 1, then one chunk's blocks holding
+    /// the whole trace, no directory. Nothing reads it any more; it
+    /// lives here so the tests have a real v1 artifact to *reject*.
     fn encode_v1(store: &TraceStore) -> Vec<u8> {
-        let mut out = header_bytes(1, store.len() as u64).to_vec();
+        let mut out = header_bytes(store.len() as u64).to_vec();
+        out[4..6].copy_from_slice(&1u16.to_le_bytes());
         encode_columns(
             &mut out,
             &store.time_ns,
@@ -1055,6 +821,28 @@ mod tests {
             &store.dst,
         );
         out
+    }
+
+    fn temp(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("fxnet-trace-io-{}-{name}", std::process::id()))
+    }
+
+    /// `bytes` as a file handed to the one loader.
+    fn load_bytes(name: &str, bytes: &[u8]) -> Result<TraceStore, TraceIoError> {
+        let path = temp(name);
+        std::fs::write(&path, bytes).unwrap();
+        let loaded = load_store(&path);
+        let _ = std::fs::remove_file(&path);
+        loaded
+    }
+
+    /// The bytes `save_store` writes for `store`.
+    fn saved_bytes(name: &str, store: &TraceStore) -> Vec<u8> {
+        let path = temp(name);
+        save_store(&path, store).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        bytes
     }
 
     fn sample() -> Vec<FrameRecord> {
@@ -1075,41 +863,11 @@ mod tests {
     }
 
     #[test]
-    fn round_trip() {
-        let tr = sample();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &tr).unwrap();
-        let back = read_trace(&mut &buf[..]).unwrap();
-        assert_eq!(back, tr);
-    }
-
-    #[test]
-    fn comments_and_blank_lines_skipped() {
-        let text = "# header\n\n5000 1518 tcp data 0 1\n";
-        let tr = read_trace(&mut text.as_bytes()).unwrap();
-        assert_eq!(tr.len(), 1);
-        assert_eq!(tr[0].wire_len, 1518);
-    }
-
-    #[test]
-    fn malformed_lines_error_with_position() {
-        let text = "5000 1518 tcp data 0 1\nnot a frame\n";
-        match read_trace(&mut text.as_bytes()) {
-            Err(TraceIoError::Parse(2, _)) => {}
-            other => panic!("expected parse error at line 2, got {other:?}"),
-        }
-        let trailing = "5000 1518 tcp data 0 1 junk\n";
-        assert!(read_trace(&mut trailing.as_bytes()).is_err());
-        let bad_proto = "5000 1518 icmp data 0 1\n";
-        assert!(read_trace(&mut bad_proto.as_bytes()).is_err());
-    }
-
-    #[test]
     fn file_round_trip() {
-        let path = std::env::temp_dir().join("fxnet-trace-io-test.txt");
+        let path = temp("file-round-trip.fxb");
         let tr = sample();
         save_trace(&path, &tr).unwrap();
-        let back = load_trace(&path).unwrap();
+        let back = load_store(&path).unwrap().to_records();
         assert_eq!(back, tr);
         let _ = std::fs::remove_file(&path);
     }
@@ -1118,49 +876,34 @@ mod tests {
     fn binary_round_trip() {
         let tr = sample();
         let store = TraceStore::from_records(&tr);
-        let buf = encode_v1(&store);
+        let buf = saved_bytes("binary-round-trip", &store);
         assert_eq!(&buf[0..4], &TRACE_MAGIC);
-        let back = read_store_binary(&mut &buf[..]).unwrap();
+        let back = load_bytes("binary-round-trip", &buf).unwrap();
         assert_eq!(back, store);
         assert_eq!(back.to_records(), tr);
     }
 
     #[test]
-    fn format_selected_by_extension() {
-        assert_eq!(
-            TraceFormat::for_path("out/cache/SOR.fxb"),
-            TraceFormat::Binary
-        );
-        assert_eq!(
-            TraceFormat::for_path("out/cache/SOR.bin"),
-            TraceFormat::Binary
-        );
-        assert_eq!(
-            TraceFormat::for_path("out/cache/SOR.trace"),
-            TraceFormat::Text
-        );
-        assert_eq!(TraceFormat::for_path("SOR"), TraceFormat::Text);
-    }
-
-    #[test]
     fn binary_file_round_trip_via_extension() {
-        let dir = std::env::temp_dir();
+        // The extension selects nothing: every path gets the container.
         let tr = sample();
-        for name in ["fxnet-trace-io-test.fxb", "fxnet-trace-io-test.trace"] {
-            let path = dir.join(name);
+        let mut written = Vec::new();
+        for name in ["via-extension.fxb", "via-extension.trace"] {
+            let path = temp(name);
             save_trace(&path, &tr).unwrap();
-            assert_eq!(load_trace(&path).unwrap(), tr, "{name}");
             assert_eq!(load_store(&path).unwrap().to_records(), tr, "{name}");
+            written.push(std::fs::read(&path).unwrap());
             let _ = std::fs::remove_file(&path);
         }
+        assert_eq!(written[0], written[1]);
     }
 
     #[test]
     fn newer_version_is_rejected_for_cache_invalidation() {
         let store = TraceStore::from_records(&sample());
-        let mut buf = encode_v1(&store);
+        let mut buf = saved_bytes("newer-version", &store);
         buf[4..6].copy_from_slice(&(TRACE_VERSION + 1).to_le_bytes());
-        match read_store_binary(&mut &buf[..]) {
+        match load_bytes("newer-version", &buf) {
             Err(TraceIoError::Version { found, supported }) => {
                 assert_eq!(found, TRACE_VERSION + 1);
                 assert_eq!(supported, TRACE_VERSION);
@@ -1170,27 +913,49 @@ mod tests {
     }
 
     #[test]
+    fn a_v1_artifact_and_a_text_file_are_typed_errors() {
+        // What an older build may have left in a cache directory.
+        let v1 = encode_v1(&TraceStore::from_records(&sample()));
+        match load_bytes("v1-artifact", &v1) {
+            Err(e @ TraceIoError::Version { found: 1, .. }) => {
+                let said = e.to_string();
+                assert!(said.contains("reads only version 2"), "{said}");
+            }
+            other => panic!("expected version error, got {other:?}"),
+        }
+        let text = b"5000 1518 tcp data 0 1\n9000 58 tcp ack 1 0\n";
+        assert!(matches!(
+            load_bytes("text-lines", text),
+            Err(TraceIoError::Magic)
+        ));
+        assert!(matches!(
+            load_bytes("short-text", b"# empty\n"),
+            Err(TraceIoError::Corrupt(_))
+        ));
+    }
+
+    #[test]
     fn corrupt_binary_is_rejected() {
         let store = TraceStore::from_records(&sample());
-        let buf = encode_v1(&store);
+        let buf = saved_bytes("corrupt-binary", &store);
         // Bad magic.
         let mut bad = buf.clone();
         bad[0] = b'X';
         assert!(matches!(
-            read_store_binary(&mut &bad[..]),
+            load_bytes("corrupt-binary", &bad),
             Err(TraceIoError::Magic)
         ));
-        // Truncation anywhere in the payload.
+        // Truncation in the header, in the payload, and in the trailer.
         for cut in [8usize, 17, buf.len() - 1] {
             assert!(
-                read_store_binary(&mut &buf[..cut]).is_err(),
+                load_bytes("corrupt-binary", &buf[..cut]).is_err(),
                 "truncated at {cut}"
             );
         }
         // Trailing garbage.
         let mut long = buf.clone();
         long.push(0);
-        assert!(read_store_binary(&mut &long[..]).is_err());
+        assert!(load_bytes("corrupt-binary", &long).is_err());
     }
 
     fn bursty(n: usize) -> Vec<FrameRecord> {
@@ -1261,8 +1026,9 @@ mod tests {
                 std::fs::read(&via_store).unwrap(),
                 "{n} frames"
             );
-            assert_eq!(load_store(&direct).unwrap(), store, "{n} frames");
-            assert_eq!(load_trace(&direct).unwrap(), tr, "{n} frames");
+            let loaded = load_store(&direct).unwrap();
+            assert_eq!(loaded, store, "{n} frames");
+            assert_eq!(loaded.to_records(), tr, "{n} frames");
             let _ = std::fs::remove_file(&direct);
             let _ = std::fs::remove_file(&via_store);
         }
@@ -1304,8 +1070,15 @@ mod tests {
         let mut w = ChunkedWriter::create(&path).unwrap();
         w.append_records(&tr[..25]).unwrap();
         w.append_records(&[]).unwrap(); // empty batch skipped
-        w.append_store(&TraceStore::from_records(&tr[25..]))
-            .unwrap();
+        let rest = TraceStore::from_records(&tr[25..]);
+        w.append_columns(
+            &rest.time_ns,
+            &rest.wire_len,
+            &rest.tag,
+            &rest.src,
+            &rest.dst,
+        )
+        .unwrap();
         assert_eq!(w.frames(), 60);
         assert_eq!(w.chunks(), 2);
         let dir = w.finish().unwrap();
@@ -1349,10 +1122,7 @@ mod tests {
         let reject = |bytes: &[u8], what: &str| {
             std::fs::write(&path, bytes).unwrap();
             assert!(ChunkCursor::open(&path).is_err(), "cursor accepts {what}");
-            assert!(
-                read_store_binary(&mut &bytes[..]).is_err(),
-                "loader accepts {what}"
-            );
+            assert!(load_store(&path).is_err(), "loader accepts {what}");
         };
 
         // Trailer magic clobbered.
@@ -1376,9 +1146,10 @@ mod tests {
         // Unfinished file: header + one payload, no trailer (writer
         // dropped before finish).
         let mut w = ChunkedWriter::create(&path).unwrap();
-        w.append_store(&store).unwrap();
+        w.append_records(&store.to_records()).unwrap();
         drop(w);
         assert!(ChunkCursor::open(&path).is_err());
+        assert!(load_store(&path).is_err());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1397,44 +1168,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn binary_and_text_round_trips_agree(
-            times in prop::collection::vec(0u64..u64::MAX / 2, 1..50),
-            sizes in prop::collection::vec(58u32..1519, 1..50),
-            hosts in prop::collection::vec((0u32..16, 0u32..16), 1..50),
-        ) {
-            let tr: Vec<FrameRecord> = times
-                .iter()
-                .zip(sizes.iter().cycle())
-                .zip(hosts.iter().cycle())
-                .map(|((&t, &sz), &(a, b))| FrameRecord {
-                    time: SimTime::from_nanos(t),
-                    wire_len: sz,
-                    proto: if t % 2 == 0 { Proto::Tcp } else { Proto::Udp },
-                    kind: match t % 4 {
-                        0 => FrameKind::Data,
-                        1 => FrameKind::Ack,
-                        2 => FrameKind::Syn,
-                        _ => FrameKind::Datagram,
-                    },
-                    src: HostId(a),
-                    dst: HostId(b),
-                })
-                .collect();
-            let store = TraceStore::from_records(&tr);
-            // Binary: store -> bytes -> store, lossless.
-            let bin = encode_v1(&store);
-            let from_bin = read_store_binary(&mut &bin[..]).unwrap();
-            prop_assert_eq!(&from_bin, &store);
-            // Text: records -> lines -> records, and through the store.
-            let mut txt = Vec::new();
-            write_trace(&mut txt, &tr).unwrap();
-            let from_txt = read_trace(&mut &txt[..]).unwrap();
-            prop_assert_eq!(&from_txt, &tr);
-            // Both paths land on the same frames.
-            prop_assert_eq!(from_bin.to_records(), from_txt);
-        }
-
         #[test]
         fn arbitrary_records_round_trip(
             times in prop::collection::vec(0u64..u64::MAX / 2, 1..50),
@@ -1459,9 +1192,11 @@ mod tests {
                     dst: HostId(b),
                 })
                 .collect();
-            let mut buf = Vec::new();
-            write_trace(&mut buf, &tr).unwrap();
-            let back = read_trace(&mut &buf[..]).unwrap();
+            // Records -> file -> records, with no store built to write.
+            let path = temp("prop-records.fxb");
+            save_trace(&path, &tr).unwrap();
+            let back = load_store(&path).unwrap().to_records();
+            let _ = std::fs::remove_file(&path);
             prop_assert_eq!(back, tr);
         }
 

@@ -33,9 +33,8 @@
 //! ([`Stats::packet_sizes`], [`binned_bandwidth`], [`detect_bursts`], …)
 //! are thin wrappers over the same arithmetic cores as the view kernels
 //! and stay as the record-oriented API; composed, they are also the
-//! fold's test oracle. Traces persist as the chunked binary container
-//! in [`io`] or, for export and import, as diffable text — selected by
-//! file extension.
+//! fold's test oracle. Traces persist in one format: the chunked
+//! binary container in [`io`].
 
 //! ```
 //! use fxnet_sim::{Frame, FrameKind, FrameRecord, HostId, SimTime};
@@ -81,9 +80,8 @@ pub use coherence::{correlation, mean_connection_correlation};
 pub use demux::{demux_store, DemuxedStore};
 pub use interference::{burst_collisions, slowdown, spectral_concentration, SpectralInterference};
 pub use io::{
-    load_store, load_trace, read_chunk, read_chunk_directory, save_store, save_store_chunked,
-    save_trace, ChunkBuf, ChunkCursor, ChunkDirectory, ChunkMeta, ChunkedWriter, TraceFormat,
-    TraceIoError,
+    load_store, read_chunk, read_chunk_directory, save_store, save_store_chunked, save_trace,
+    ChunkBuf, ChunkCursor, ChunkDirectory, ChunkMeta, ChunkedWriter, TraceIoError,
 };
 pub use phases::{PhaseBreakdown, PhaseRow};
 pub use report::{markdown_table_views, ReportOptions, TraceReport};

@@ -279,9 +279,9 @@ fn trace_survives_a_save_load_round_trip() {
     // The tcpdump-equivalent persistence (§5.3's offline workflow): a
     // measured trace written to disk and reloaded analyzes identically.
     let run = run(KernelKind::Hist);
-    let path = std::env::temp_dir().join("fxnet-integration-trace.txt");
+    let path = std::env::temp_dir().join("fxnet-integration-trace.fxb");
     fxnet::trace::save_trace(&path, &run.trace).expect("save");
-    let back = fxnet::trace::load_trace(&path).expect("load");
+    let back = fxnet::trace::load_store(&path).expect("load").to_records();
     assert_eq!(back, run.trace);
     let a = Stats::packet_sizes(&run.trace);
     let b = Stats::packet_sizes(&back);
