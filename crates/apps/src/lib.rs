@@ -78,16 +78,7 @@ impl KernelKind {
     }
 
     /// Run the kernel at paper scale, scaled down by `iter_div` on the
-    /// outer iteration count (1 = the full measured run).
-    ///
-    /// # Errors
-    /// Propagates any [`fxnet_fx::FxnetError`] from the engine (invalid
-    /// config, deadlock, runaway clock).
-    pub fn run_paper(&self, cfg: SpmdConfig, iter_div: usize) -> FxnetResult<RunResult<u64>> {
-        self.run_paper_opts(cfg, iter_div, RunOptions::default())
-    }
-
-    /// Like [`KernelKind::run_paper`], with explicit [`RunOptions`]
+    /// outer iteration count (1 = the full measured run), under `opts`
     /// (frame tap, telemetry, causal capture, deschedule injection).
     ///
     /// # Errors

@@ -317,15 +317,22 @@ impl Experiments {
     }
 
     /// Load a cached trace if the artifact exists and is valid. A bad
-    /// magic, a corrupt payload, or — the deliberate invalidation path —
-    /// a version header this build does not support all count as a miss,
-    /// and the caller re-simulates.
+    /// magic, a corrupt payload, a time span the figures could not bin
+    /// (they size a vector from it) or — the deliberate invalidation
+    /// path — a version header this build does not support all count as
+    /// a miss, and the caller re-simulates.
     fn load_cached_store(&self, name: &str) -> Option<TraceStore> {
         if self.telemetry {
             return None;
         }
         let path = self.cache_path(name)?;
-        match load_store(&path) {
+        let loaded = load_store(&path).and_then(|s| {
+            let (lo, hi) = s.view().time_bounds().unwrap_or_default();
+            let bin = ReportOptions::default().bin;
+            scan::check_time_span(lo.as_nanos(), hi.as_nanos(), bin.as_nanos())?;
+            Ok(s)
+        });
+        match loaded {
             Ok(s) => {
                 eprintln!("[cache] {name}: {} frames from {}", s.len(), path.display());
                 Some(s)
@@ -727,6 +734,37 @@ pub(crate) mod tests {
                 "the re-simulation must overwrite the stale artifact"
             );
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A cache artifact is outside input: two structurally valid frames
+    /// at 0 and 2^62 ns would have `binned_bandwidth` size a vector of
+    /// 4.6e11 bins. It must be a miss like any other invalid artifact.
+    #[test]
+    fn a_cache_artifact_with_an_absurd_time_span_is_a_miss() {
+        let dir = std::env::temp_dir().join(format!("fxnet-cachespan-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut a = Experiments::new(100, 1, &dir).with_trace_cache();
+        let fresh = a.kernel_store(KernelKind::Hist).clone();
+        let path = dir.join("cache").join("HIST.d100.s1998.fxb");
+
+        let mut frames = fresh.to_records()[..2].to_vec();
+        frames[0].time = SimTime::ZERO;
+        frames[1].time = SimTime::from_nanos(1 << 62);
+        save_store(&path, &TraceStore::from_records(&frames)).expect("doctor cache");
+        let wide = load_store(&path).expect("the container itself is valid");
+        assert_eq!(wide.len(), 2);
+
+        let mut b = Experiments::new(100, 1, &dir).with_trace_cache();
+        assert_eq!(*b.kernel_store(KernelKind::Hist), fresh);
+        assert_eq!(load_store(&path).expect("rewritten artifact"), fresh);
+
+        // The longest span the bound admits is still served from the file.
+        frames[1].time = SimTime::from_nanos(((1 << 22) - 1) * 10_000_000);
+        let widest = TraceStore::from_records(&frames);
+        save_store(&path, &widest).expect("doctor cache");
+        let mut c = Experiments::new(100, 1, &dir).with_trace_cache();
+        assert_eq!(*c.kernel_store(KernelKind::Hist), widest);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -142,7 +142,7 @@ fn render(
     out
 }
 
-/// Most bandwidth bins one scan will fold. The report's bin vector
+/// Most bandwidth bins one trace file may ask for. A bin vector
 /// grows with the *span* of the timestamps, not with the frame count,
 /// so a two-frame file can ask for any allocation it likes; 2^22 bins
 /// is 11.6 h of capture at the paper's 10 ms bin, six times its longest
@@ -157,10 +157,18 @@ const MAX_SCAN_BINS: u64 = 1 << 22;
 fn check_span(chunks: &[ChunkMeta], bin_ns: u64) -> Result<(), TraceIoError> {
     let lo = chunks.iter().map(|c| c.t_min_ns).min().unwrap_or(0);
     let hi = chunks.iter().map(|c| c.t_max_ns).max().unwrap_or(0);
-    let bins = hi.saturating_sub(lo) / bin_ns + 1;
+    check_time_span(lo, hi, bin_ns)
+}
+
+/// `Corrupt`, naming the span, if binning `lo_ns..=hi_ns` at `bin_ns`
+/// would take more than [`MAX_SCAN_BINS`] bins: the one bound on a bin
+/// vector sized from timestamps a file supplied, for the streamed scan
+/// and for a loaded cache artifact alike.
+pub(crate) fn check_time_span(lo_ns: u64, hi_ns: u64, bin_ns: u64) -> Result<(), TraceIoError> {
+    let bins = hi_ns.saturating_sub(lo_ns) / bin_ns + 1;
     if bins > MAX_SCAN_BINS {
         return Err(TraceIoError::Corrupt(format!(
-            "time span {lo}..{hi} ns needs {bins} bins of {bin_ns} ns (this scan folds at most {MAX_SCAN_BINS})"
+            "time span {lo_ns}..{hi_ns} ns needs {bins} bins of {bin_ns} ns (at most {MAX_SCAN_BINS} are binned)"
         )));
     }
     Ok(())

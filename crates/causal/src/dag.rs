@@ -140,11 +140,6 @@ impl CauseDag {
         }
     }
 
-    /// The op index frame `i` resolves to, if its chain ends at an op.
-    pub fn op_of(&self, i: usize) -> Option<usize> {
-        self.op_of_event[i]
-    }
-
     /// Check byte conservation: for every op, the distinct data bytes
     /// delivered under its cause (TCP segments deduplicated by
     /// `(conn, dir, seq)`; UDP grams delivered exactly once) must equal

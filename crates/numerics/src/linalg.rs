@@ -127,16 +127,6 @@ impl Lu {
             row[first..first + width].copy_from_slice(&lanes[..width]);
         }
     }
-
-    /// Approximate flop count of one `solve`.
-    pub fn solve_flops(&self) -> u64 {
-        2 * (self.n() as u64).pow(2)
-    }
-
-    /// Approximate flop count of one `factor` of size `n`.
-    pub fn factor_flops(n: usize) -> u64 {
-        2 * (n as u64).pow(3) / 3
-    }
 }
 
 /// Assemble a 1-D Poisson-like stiffness matrix of dimension `n` with

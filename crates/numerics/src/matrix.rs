@@ -49,11 +49,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Row `r` as a mutable slice.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// The underlying row-major storage.
     pub fn as_slice(&self) -> &[f64] {
         &self.data

@@ -132,8 +132,6 @@ enum TokenInfo {
 struct TokenTable {
     slots: Vec<Option<TokenInfo>>,
     free: Vec<u32>,
-    live: usize,
-    high_water: usize,
 }
 
 impl TokenTable {
@@ -148,8 +146,6 @@ impl TokenTable {
                 self.slots.len() - 1
             }
         };
-        self.live += 1;
-        self.high_water = self.high_water.max(self.live);
         slot as u64 + 1
     }
 
@@ -157,7 +153,6 @@ impl TokenTable {
         let idx = usize::try_from(token.checked_sub(1)?).ok()?;
         let info = self.slots.get_mut(idx)?.take()?;
         self.free.push(idx as u32);
-        self.live -= 1;
         Some(info)
     }
 }
@@ -482,12 +477,6 @@ impl Network {
 
     fn token(&mut self, info: TokenInfo) -> u64 {
         self.tokens.insert(info)
-    }
-
-    /// Largest number of frame tokens (frames in flight) ever live at
-    /// once — a direct read of the slab's high-water mark.
-    pub fn token_high_water(&self) -> usize {
-        self.tokens.high_water
     }
 
     fn nic(h: HostId) -> NicId {
@@ -1405,6 +1394,46 @@ mod tests {
         n.tcp_write(c, HostId(0), Bytes::from(vec![7u8; 5000]), SimTime::ZERO);
         let ev = n.run_to_idle();
         assert_eq!(collect_tcp_data(&ev), vec![7u8; 5000]);
+    }
+
+    #[test]
+    fn timers_armed_for_the_same_nanosecond_fire_in_arm_order() {
+        // Every frame is lost, so both SYNs of host 0 time out, and their
+        // retry timers were armed for the same instant. A NIC transmits
+        // in FIFO order, so the order the retries are lost on the wire
+        // is the order the timers fired. Destinations run 2 then 1 so
+        // that no ordering by connection endpoint gives the same answer.
+        let cfg = NetConfig {
+            ether: EtherConfig {
+                drop_prob: 1.0,
+                ..EtherConfig::default()
+            },
+            ..NetConfig::default()
+        };
+        let rto = cfg.rto;
+        let mut n = Network::new(cfg, 3);
+        n.connect(HostId(0), HostId(2), SimTime::ZERO);
+        n.connect(HostId(0), HostId(1), SimTime::ZERO);
+        let mut out = Vec::new();
+        while n.next_event_time().is_some_and(|t| t < rto + rto) {
+            n.advance(&mut out);
+        }
+        assert_eq!(n.timer_high_water(), 2);
+        let lost: Vec<(bool, HostId)> = n
+            .bus
+            .errors()
+            .iter()
+            .map(|&(t, frame, _)| (t >= rto, frame.dst))
+            .collect();
+        assert_eq!(
+            lost,
+            [
+                (false, HostId(2)),
+                (false, HostId(1)),
+                (true, HostId(2)),
+                (true, HostId(1)),
+            ]
+        );
     }
 
     mod properties {

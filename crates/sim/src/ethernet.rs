@@ -282,11 +282,6 @@ impl EtherBus {
         self.current.is_none() && self.nics.iter().all(|n| n.queue.is_empty())
     }
 
-    /// Total queued frames across all stations.
-    pub fn queued_frames(&self) -> usize {
-        self.nics.iter().map(|n| n.queue.len()).sum()
-    }
-
     /// Effective transmission start instant for station `i`, if it has a
     /// frame pending: it must be ready, the medium must be free, and the
     /// inter-frame gap observed.

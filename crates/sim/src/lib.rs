@@ -22,8 +22,10 @@
 //!   carrier sense, deference, inter-frame gap, collisions among stations
 //!   that attempt transmission simultaneously, jam, and truncated binary
 //!   exponential backoff.
-//! * [`EventQueue`] — a generic time-ordered event queue with stable FIFO
-//!   ordering among simultaneous events, used by the protocol layers.
+//! * [`EventQueue`] — a time-ordered event queue (a binary heap) with
+//!   stable FIFO ordering among simultaneous events; `fxnet-proto`'s
+//!   TCP timers run on it. [`LaneQueue`] is the compiled fabric's event
+//!   list and [`KeyedQueue`] its oracle (see [`queue`]).
 //! * [`CauseId`] / [`CausalEvent`] — compact causal provenance ids and
 //!   the tagged delivery stream the protocol layer can optionally emit
 //!   (one event per trace row, zero perturbation of timing or trace).

@@ -1,23 +1,23 @@
-//! Time-ordered event queues.
+//! Time-ordered event queues: one heap and one lane merge.
 //!
-//! Three types, two orders. [`EventQueue`] pops earliest `(time, seq)`
-//! first, so events scheduled for the same instant pop in FIFO (push)
-//! order; [`LaneQueue`] and [`KeyedQueue`] pop by an explicit
-//! [`EventKey`], so pop order is a pure function of the pushed keys.
-//! Which serves what:
+//! [`EventQueue`] and [`KeyedQueue`] are the same `BinaryHeap` under two
+//! key disciplines; [`LaneQueue`] is a k-way merge of sorted runs. Which
+//! serves what:
 //!
-//! * [`EventQueue`] — TCP timers (`fxnet-proto`), and nothing else. A
-//!   calendar (bucket-ring) queue tuned to the simulator's nanosecond
-//!   timebase. Events within a ~2 ms horizon land in a ring of 1 µs-wide
-//!   buckets (push O(1), pop scans one sparse bucket); far-future events
-//!   (TCP delayed-ACK and RTO timers live hundreds of milliseconds out)
-//!   sit in a binary-heap overflow and are consulted on every pop so
-//!   ordering is exact even when the horizon has advanced past an
-//!   overflow entry's slot. The current minimum is cached so `peek_time`
-//!   — called on every sequencer iteration — is a field read. Its
-//!   oracle, a plain heap keyed by `(time, seq)`, lives in this module's
-//!   tests: the equivalence proptest drives both with the same schedule
-//!   and demands identical pop order.
+//! * [`EventQueue`] — TCP timers (`fxnet-proto`), and nothing else. The
+//!   key is `(time, push sequence)`, so events scheduled for the same
+//!   instant pop in FIFO (push) order. Delayed-ACK and retransmit timers
+//!   sit 200 ms and 1 s out, with tens to a few hundred pending at once:
+//!   the traffic a plain heap is good at. Until PR 23 this type was a
+//!   calendar queue (a 2.1 ms ring of 1 µs buckets plus an overflow
+//!   heap), sized for the MAC-scale events that have since moved to the
+//!   fabrics; every timer push landed beyond its horizon. Two
+//!   measurements disagreed about it. `benchmark/`'s hold model (1024
+//!   pending, MAC-scale offsets) read about 52 M ops/s for the calendar
+//!   against 26 M for this heap; replaying 2DFFT + T2DFFT's TCP traffic
+//!   through a bare `Network` (`proto.replay_s`) took about 0.34 s on
+//!   the calendar against 0.25 s on the heap. The program is the one
+//!   that counts, so the heap is the queue.
 //! * [`LaneQueue`] — the compiled fabric (`fxnet-topo`'s
 //!   `CompositeFabric`, and through it every `fxnet-shard` shard): its
 //!   only event list. Every event the fabric schedules is the
@@ -26,85 +26,47 @@
 //!   in strictly increasing key order. The pending set is therefore a
 //!   k-way merge of sorted runs: one FIFO ring per link (*lane*) and a
 //!   small heap holding only each non-empty lane's head key.
-//! * [`KeyedQueue`] — oracle for [`LaneQueue`]: one `BinaryHeap` of
-//!   every pending `(EventKey, event)`. The proptest below and
-//!   `tests/integration_shard.rs` hold the lanes to its pop order;
-//!   nothing in `src/` runs on it.
+//! * [`KeyedQueue`] — oracle for [`LaneQueue`]: the heap keyed by an
+//!   explicit [`EventKey`], so pop order is a pure function of the
+//!   pushed keys. The proptest below and `tests/integration_shard.rs`
+//!   hold the lanes to its pop order; nothing in `src/` runs on it.
 //!
 //! Deterministic tie-breaking is essential: the whole simulator must be
-//! a pure function of its seed, and heap or bucket order alone is not
-//! stable.
+//! a pure function of its seed, and heap order alone is not stable.
 
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
+/// One pending event of a heap-backed queue, ordered by `key` alone and
+/// inverted: `BinaryHeap` is a max-heap and the queues pop the least key.
+struct Pending<K, E> {
+    key: K,
     event: E,
 }
 
-impl<E> PartialEq for Entry<E> {
+impl<K: Ord, E> PartialEq for Pending<K, E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
+impl<K: Ord, E> Eq for Pending<K, E> {}
+impl<K: Ord, E> PartialOrd for Pending<K, E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for Entry<E> {
+impl<K: Ord, E> Ord for Pending<K, E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key.cmp(&self.key)
     }
 }
 
-/// log2 of the bucket width in nanoseconds: 2^10 ns ≈ 1 µs. One 10 Mb/s
-/// bit time is 100 ns, a minimum frame 57.6 µs, a maximum frame 1.2 ms —
-/// so MAC- and segment-scale events spread across many buckets while a
-/// full frame transmission still fits inside the ring horizon.
-const BUCKET_SHIFT: u32 = 10;
-/// Ring size (power of two). Horizon = 2048 × 1 µs ≈ 2.1 ms.
-const NUM_BUCKETS: usize = 2048;
-
-/// Where the cached minimum entry currently lives.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum MinLoc {
-    Ring(usize),
-    Overflow,
-}
-
-#[derive(Clone, Copy)]
-struct CachedMin {
-    time: SimTime,
-    seq: u64,
-    loc: MinLoc,
-}
-
-/// Earliest-first event queue with stable FIFO order at equal times —
-/// the calendar-queue implementation (see the module docs for the
-/// design).
+/// Earliest-first event queue with stable FIFO order at equal times: a
+/// heap keyed by `(time, push sequence)`.
 pub struct EventQueue<E> {
-    /// Ring of buckets; bucket `i` holds events whose tick maps to `i`.
-    buckets: Vec<Vec<Entry<E>>>,
-    /// Tick (`time >> BUCKET_SHIFT`) of the cursor bucket.
-    base_tick: u64,
-    /// Ring index of the bucket holding tick `base_tick`.
-    cursor: usize,
-    /// Events pending in the ring.
-    ring_len: usize,
-    /// Far-future events (tick ≥ base_tick + NUM_BUCKETS at push time).
-    overflow: BinaryHeap<Entry<E>>,
-    /// Cached minimum of the whole queue; `None` only when empty.
-    min: Option<CachedMin>,
+    heap: BinaryHeap<Pending<(SimTime, u64), E>>,
     next_seq: u64,
     high_water: usize,
 }
@@ -115,22 +77,11 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-fn tick_of(t: SimTime) -> u64 {
-    t.as_nanos() >> BUCKET_SHIFT
-}
-
 impl<E> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
-        let mut buckets = Vec::with_capacity(NUM_BUCKETS);
-        buckets.resize_with(NUM_BUCKETS, Vec::new);
         EventQueue {
-            buckets,
-            base_tick: 0,
-            cursor: 0,
-            ring_len: 0,
-            overflow: BinaryHeap::new(),
-            min: None,
+            heap: BinaryHeap::new(),
             next_seq: 0,
             high_water: 0,
         }
@@ -138,129 +89,35 @@ impl<E> EventQueue<E> {
 
     /// Schedule `event` at `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
+        let key = (time, self.next_seq);
         self.next_seq += 1;
-        // Clamp ticks before the cursor into the cursor bucket: every
-        // earlier bucket is empty by invariant, the per-bucket min scan
-        // orders by (time, seq), so a "late" push still pops in exact
-        // global order relative to everything still pending.
-        let tick = tick_of(time).max(self.base_tick);
-        let loc = if tick < self.base_tick + NUM_BUCKETS as u64 {
-            let b = (tick % NUM_BUCKETS as u64) as usize;
-            self.buckets[b].push(Entry { time, seq, event });
-            self.ring_len += 1;
-            MinLoc::Ring(b)
-        } else {
-            self.overflow.push(Entry { time, seq, event });
-            MinLoc::Overflow
-        };
-        match self.min {
-            Some(m) if (m.time, m.seq) <= (time, seq) => {}
-            _ => self.min = Some(CachedMin { time, seq, loc }),
-        }
-        self.high_water = self.high_water.max(self.len());
+        self.heap.push(Pending { key, event });
+        self.high_water = self.high_water.max(self.heap.len());
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.min.map(|m| m.time)
+        self.heap.peek().map(|e| e.key.0)
     }
 
     /// Remove and return the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let m = self.min.take()?;
-        let out = match m.loc {
-            MinLoc::Ring(b) => {
-                let bucket = &mut self.buckets[b];
-                let i = bucket
-                    .iter()
-                    .position(|e| e.seq == m.seq)
-                    .expect("cached min present in its bucket");
-                let e = bucket.swap_remove(i);
-                self.ring_len -= 1;
-                (e.time, e.event)
-            }
-            MinLoc::Overflow => {
-                let e = self.overflow.pop().expect("cached min in overflow");
-                (e.time, e.event)
-            }
-        };
-        self.recompute_min();
-        Some(out)
+        self.heap.pop().map(|e| (e.key.0, e.event))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.ring_len + self.overflow.len()
+        self.heap.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Largest number of events ever pending at once.
     pub fn high_water(&self) -> usize {
         self.high_water
-    }
-
-    /// Rebuild the cached minimum after a pop: advance the cursor to the
-    /// first non-empty bucket (rebasing the ring onto the overflow heap
-    /// when the ring drains), min-scan that bucket, and compare against
-    /// the overflow head — an overflow entry can precede ring entries
-    /// once the horizon has advanced past its original slot.
-    fn recompute_min(&mut self) {
-        if self.ring_len == 0 {
-            // Rebase: jump the ring to the overflow's earliest tick and
-            // pull everything within the new horizon into buckets. Each
-            // event migrates at most once, so the cost amortizes.
-            if let Some(head) = self.overflow.peek() {
-                self.base_tick = tick_of(head.time);
-                self.cursor = (self.base_tick % NUM_BUCKETS as u64) as usize;
-                let horizon = self.base_tick + NUM_BUCKETS as u64;
-                while self
-                    .overflow
-                    .peek()
-                    .is_some_and(|e| tick_of(e.time) < horizon)
-                {
-                    let e = self.overflow.pop().expect("peeked");
-                    let b = (tick_of(e.time) % NUM_BUCKETS as u64) as usize;
-                    self.buckets[b].push(e);
-                    self.ring_len += 1;
-                }
-            } else {
-                self.min = None;
-                return;
-            }
-        }
-        // Advance the cursor to the first non-empty bucket. Total cursor
-        // movement per ring sweep is NUM_BUCKETS, amortized over pops.
-        while self.buckets[self.cursor].is_empty() {
-            self.cursor = (self.cursor + 1) % NUM_BUCKETS;
-            self.base_tick += 1;
-        }
-        let bucket = &self.buckets[self.cursor];
-        let mut best = (bucket[0].time, bucket[0].seq);
-        for e in &bucket[1..] {
-            if (e.time, e.seq) < best {
-                best = (e.time, e.seq);
-            }
-        }
-        let mut min = CachedMin {
-            time: best.0,
-            seq: best.1,
-            loc: MinLoc::Ring(self.cursor),
-        };
-        if let Some(h) = self.overflow.peek() {
-            if (h.time, h.seq) < (min.time, min.seq) {
-                min = CachedMin {
-                    time: h.time,
-                    seq: h.seq,
-                    loc: MinLoc::Overflow,
-                };
-            }
-        }
-        self.min = Some(min);
     }
 }
 
@@ -320,29 +177,6 @@ impl EventKey {
     }
 }
 
-struct KeyedEntry<E> {
-    key: EventKey,
-    event: E,
-}
-
-impl<E> PartialEq for KeyedEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<E> Eq for KeyedEntry<E> {}
-impl<E> PartialOrd for KeyedEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for KeyedEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap; invert for earliest-key-first.
-        other.key.cmp(&self.key)
-    }
-}
-
 /// An event queue ordered by explicit [`EventKey`] rather than insertion
 /// order — the shard-safe counterpart of [`EventQueue`]. Pop order is a
 /// pure function of the pushed keys, so any partitioning of the pushes
@@ -350,7 +184,7 @@ impl<E> Ord for KeyedEntry<E> {
 /// One heap of every pending entry: the reference [`LaneQueue`] is
 /// tested against.
 pub struct KeyedQueue<E> {
-    heap: BinaryHeap<KeyedEntry<E>>,
+    heap: BinaryHeap<Pending<EventKey, E>>,
     high_water: usize,
 }
 
@@ -372,7 +206,7 @@ impl<E> KeyedQueue<E> {
     /// Schedule `event` under `key`. Keys must be unique per queue — the
     /// fabric guarantees this via the (stamp, hop) pair.
     pub fn push(&mut self, key: EventKey, event: E) {
-        self.heap.push(KeyedEntry { key, event });
+        self.heap.push(Pending { key, event });
         self.high_water = self.high_water.max(self.heap.len());
     }
 
@@ -495,45 +329,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The original event queue, one heap keyed by `(time, seq)`: the
-    /// reference [`EventQueue`] is held to in
-    /// `calendar_matches_binary_heap`.
-    struct BinaryHeapQueue<E> {
-        heap: BinaryHeap<Entry<E>>,
-        next_seq: u64,
-    }
-
-    impl<E> BinaryHeapQueue<E> {
-        fn new() -> Self {
-            BinaryHeapQueue {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
-            }
-        }
-
-        fn push(&mut self, time: SimTime, event: E) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.heap.push(Entry { time, seq, event });
-        }
-
-        fn peek_time(&self) -> Option<SimTime> {
-            self.heap.peek().map(|e| e.time)
-        }
-
-        fn pop(&mut self) -> Option<(SimTime, E)> {
-            self.heap.pop().map(|e| (e.time, e.event))
-        }
-
-        fn len(&self) -> usize {
-            self.heap.len()
-        }
-
-        fn is_empty(&self) -> bool {
-            self.heap.is_empty()
-        }
-    }
-
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
@@ -571,9 +366,8 @@ mod tests {
     }
 
     #[test]
-    fn far_future_timers_cross_the_horizon() {
-        // RTO-scale events land in the overflow and must interleave
-        // exactly with ring events as the cursor advances to them.
+    fn far_future_timers_interleave_with_near_events() {
+        // RTO- and delayed-ACK-scale events next to a microsecond one.
         let mut q = EventQueue::new();
         q.push(SimTime::from_millis(1000), "rto");
         q.push(SimTime::from_micros(3), "mac");
@@ -586,9 +380,9 @@ mod tests {
     }
 
     #[test]
-    fn push_before_cursor_still_orders_correctly() {
-        // Advance the cursor past t=0, then push an "old" timestamp: it
-        // must pop before everything later-scheduled that remains.
+    fn push_earlier_than_the_last_pop_still_orders_correctly() {
+        // Pop past t=0, then push an "old" timestamp: it must pop
+        // before everything later-scheduled that remains.
         let mut q = EventQueue::new();
         q.push(SimTime::from_millis(5), "later");
         q.push(SimTime::from_millis(1), "first");
@@ -599,7 +393,7 @@ mod tests {
     }
 
     #[test]
-    fn high_water_counts_ring_and_overflow() {
+    fn high_water_counts_near_and_far_events() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_micros(1), 0);
         q.push(SimTime::from_secs(5), 1);
@@ -643,58 +437,54 @@ mod tests {
             }
         }
 
-        /// The tentpole equivalence property: an interleaved schedule of
-        /// pushes (spanning sub-bucket ties, ring distances, and
-        /// overflow-horizon distances) and pops drives the calendar
-        /// queue and the reference heap identically — same pop order,
-        /// same times, same lengths, including ties.
+        /// Pop order against an independent oracle: the pending
+        /// `(time, push index)` pairs kept in push order and stably
+        /// sorted by time alone, so ties stay in push order with no
+        /// sequence number and no heap involved. Pushes (same-instant
+        /// ties, microseconds, timer distances, and instants earlier
+        /// than the last pop) interleave with pops — same `peek_time`,
+        /// same pop, same `len` at every step, same `high_water`.
         #[test]
-        fn calendar_matches_binary_heap(
+        fn pop_order_matches_a_stable_sort(
             ops in prop::collection::vec(
                 // (push-vs-pop selector, time-offset class, raw offset)
-                (0u8..100, 0u8..3, 0u64..4_000),
+                (0u8..100, 0u8..4, 0u64..4_000),
                 1..300,
             )
         ) {
-            let mut cal = EventQueue::new();
-            let mut heap = BinaryHeapQueue::new();
-            let mut clock = 0u64; // monotone base, like the simulator's
-            let mut id = 0usize;
-            for (sel, class, raw) in ops {
+            let mut q = EventQueue::new();
+            let mut pending: Vec<(SimTime, usize)> = Vec::new();
+            let mut high_water = 0;
+            let mut clock = 0u64; // time of the last pop
+            for (id, (sel, class, raw)) in ops.into_iter().enumerate() {
                 if sel < 65 {
-                    // Class 0: same-bucket ties; 1: within the ring
-                    // horizon; 2: far future (overflow).
-                    let offset = match class {
-                        0 => raw % 8,
-                        1 => raw * 500,                // ≤ 2 ms
-                        _ => 10_000_000 + raw * 1_000, // ≥ 10 ms out
+                    let t = match class {
+                        0 => clock + raw % 8,
+                        1 => clock + raw * 500,                // ≤ 2 ms
+                        2 => clock + 10_000_000 + raw * 1_000, // ≥ 10 ms out
+                        _ => clock.saturating_sub(raw * 500),  // before the last pop
                     };
-                    let t = SimTime::from_nanos(clock + offset);
-                    cal.push(t, id);
-                    heap.push(t, id);
-                    id += 1;
+                    q.push(SimTime::from_nanos(t), id);
+                    pending.push((SimTime::from_nanos(t), id));
+                    high_water = high_water.max(pending.len());
                 } else {
-                    prop_assert_eq!(cal.peek_time(), heap.peek_time());
-                    let a = cal.pop();
-                    let b = heap.pop();
-                    match (a, b) {
-                        (Some((ta, ea)), Some((tb, eb))) => {
-                            prop_assert_eq!(ta, tb);
-                            prop_assert_eq!(ea, eb);
-                            clock = clock.max(ta.as_nanos());
-                        }
-                        (None, None) => {}
-                        other => prop_assert!(false, "diverged: {other:?}"),
+                    pending.sort_by_key(|&(t, _)| t);
+                    prop_assert_eq!(q.peek_time(), pending.first().map(|&(t, _)| t));
+                    let want = (!pending.is_empty()).then(|| pending.remove(0));
+                    prop_assert_eq!(q.pop(), want);
+                    if let Some((t, _)) = want {
+                        clock = t.as_nanos();
                     }
                 }
-                prop_assert_eq!(cal.len(), heap.len());
+                prop_assert_eq!(q.len(), pending.len());
+                prop_assert_eq!(q.is_empty(), pending.is_empty());
             }
-            // Drain both; the full remaining order must agree.
-            while let (Some((ta, ea)), Some((tb, eb))) = (cal.pop(), heap.pop()) {
-                prop_assert_eq!(ta, tb);
-                prop_assert_eq!(ea, eb);
+            prop_assert_eq!(q.high_water(), high_water);
+            pending.sort_by_key(|&(t, _)| t);
+            for want in pending {
+                prop_assert_eq!(q.pop(), Some(want));
             }
-            prop_assert!(cal.is_empty() && heap.is_empty());
+            prop_assert!(q.is_empty() && q.pop().is_none());
         }
 
         /// Merge-by-key is partition-independent: splitting a set of

@@ -88,7 +88,6 @@ pub struct StreamBinner {
     cur_idx: u64,
     cur_bytes: u64,
     pending: VecDeque<f64>,
-    closed: u64,
 }
 
 impl StreamBinner {
@@ -102,7 +101,6 @@ impl StreamBinner {
             cur_idx: 0,
             cur_bytes: 0,
             pending: VecDeque::new(),
-            closed: 0,
         }
     }
 
@@ -115,7 +113,6 @@ impl StreamBinner {
         assert!(idx >= self.cur_idx, "frames must arrive in time order");
         while self.cur_idx < idx {
             self.pending.push_back(self.cur_bytes as f64 / self.bin_s);
-            self.closed += 1;
             self.cur_bytes = 0;
             self.cur_idx += 1;
         }
@@ -125,11 +122,6 @@ impl StreamBinner {
     /// The next closed bin's bandwidth (bytes/second), oldest first.
     pub fn pop_closed(&mut self) -> Option<f64> {
         self.pending.pop_front()
-    }
-
-    /// Total bins closed so far (whether or not popped).
-    pub fn closed_count(&self) -> u64 {
-        self.closed
     }
 
     /// Close the final (possibly partial) bin and return every bin not

@@ -393,11 +393,6 @@ impl StreamWatch {
         &self.events
     }
 
-    /// Frames observed so far.
-    pub fn frames_seen(&self) -> u64 {
-        self.frames
-    }
-
     /// Close every open structure, reconcile the tracked spectral peaks
     /// against the batch definition, and produce the report.
     pub fn finalize(mut self) -> WatchReport {
