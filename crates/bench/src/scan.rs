@@ -285,6 +285,7 @@ pub fn streamed_scan(
 mod tests {
     use super::*;
     use crate::tests::multipass_report;
+    use fxnet::metrics::MatrixAccum;
     use fxnet::trace::{
         binned_bandwidth, load_store, save_store_chunked, sliding_window_bandwidth, ChunkedWriter,
         TraceStore,
@@ -295,9 +296,10 @@ mod tests {
     /// The scan's oracle: materialize the whole trace, then run the
     /// multi-pass analyses over its records — the report composed from
     /// the slice kernels, a pass for the harmonic series, the full
-    /// `sliding_window_bandwidth` vector reduced to its peak, and a
-    /// frame-at-a-time pass feeding the matrix ladder. It shares none of
-    /// [`streamed_scan`]'s folds, at O(trace) peak memory.
+    /// `sliding_window_bandwidth` vector reduced to its peak, and the
+    /// materialized matrix ladder (`MatrixAccum`, every window kept)
+    /// reduced to its summaries. It shares none of [`streamed_scan`]'s
+    /// folds, at O(trace) peak memory.
     fn materialized_scan(path: &Path, cfg: &ScanConfig) -> Result<ScanOutcome, TraceIoError> {
         let store = load_store(path)?;
         let records = store.to_records();
@@ -312,11 +314,9 @@ mod tests {
                 .fold(f64::NEG_INFINITY, |m, &(_, bw)| m.max(bw))
         });
 
-        let mut matrices = ScalingAccum::new(cfg.matrix_base_ns, &cfg.matrix_scales);
-        for r in &records {
-            matrices.record(r.time.as_nanos(), r.src.0, r.dst.0);
-        }
-        let relations = matrices.finalize();
+        let mut matrices = MatrixAccum::new(cfg.matrix_base_ns);
+        matrices.record_trace(&records);
+        let relations = matrices.finalize(&cfg.matrix_scales).summaries();
 
         let frames = store.len() as u64;
         let rendered = render(

@@ -15,6 +15,15 @@
 //! per-scale [`ScalingRelation`] summaries report how packets per
 //! window, distinct pairs and the max-degree host grow with window
 //! width — the scaling relations hypersparse traffic analysis plots.
+//!
+//! Two accumulators fill the ladder. [`MatrixAccum`] keeps every
+//! touched window in maps and is the reference: the weather map reads
+//! its matrices, and its summaries are the oracle. [`ScalingAccum`]
+//! emits the same summaries from a time-ordered stream while holding
+//! one open window per scale, each as ascending `(pair, packets)` runs:
+//! the finest is built by sorting the frames' packed keys once when it
+//! closes, each coarser one by merging the closed windows of the scale
+//! below it.
 
 use fxnet_sim::{FrameRecord, SimTime};
 use fxnet_trace::TraceStore;
@@ -143,15 +152,33 @@ impl WindowMatrix {
     /// out-degree over active pairs) in this window, with its degree;
     /// smallest host id wins ties. `None` when the window is empty.
     pub fn max_degree(&self, space: &PairSpace) -> Option<(u32, u32)> {
-        let mut deg: BTreeMap<u32, u32> = BTreeMap::new();
-        for &id in &self.pair_ids {
-            let (s, d) = space.pair(id);
-            *deg.entry(s).or_default() += 1;
-            *deg.entry(d).or_default() += 1;
-        }
-        deg.into_iter()
-            .max_by_key(|&(h, d)| (d, std::cmp::Reverse(h)))
+        let pairs = self.pair_ids.iter().map(|&id| space.pair(id));
+        max_degree_of(pairs, &mut Vec::new())
     }
+}
+
+/// The host on the most of `pairs` (each distinct; a pair counts for
+/// its source and for its destination) with that degree, the smallest
+/// host id winning ties; `None` for no pairs. `hosts` is scratch.
+fn max_degree_of(
+    pairs: impl Iterator<Item = (u32, u32)>,
+    hosts: &mut Vec<u32>,
+) -> Option<(u32, u32)> {
+    hosts.clear();
+    for (s, d) in pairs {
+        hosts.push(s);
+        hosts.push(d);
+    }
+    hosts.sort_unstable();
+    let mut best: Option<(u32, u32)> = None;
+    for run in hosts.chunk_by(|a, b| a == b) {
+        let degree = run.len() as u32;
+        // Hosts ascend, so only a strictly greater degree displaces.
+        if best.is_none_or(|(_, d)| degree > d) {
+            best = Some((run[0], degree));
+        }
+    }
+    best
 }
 
 /// The matrices of one resolution: window index (at this scale) →
@@ -230,7 +257,7 @@ impl TrafficMatrices {
                     .unwrap_or((0, 0));
                 ScalingRelation {
                     scale: sm.scale,
-                    window_ns: self.bin_ns * sm.scale,
+                    window_ns: window_ns(self.bin_ns, sm.scale),
                     windows: n,
                     total_packets: total,
                     max_packets,
@@ -252,6 +279,33 @@ impl TrafficMatrices {
     pub fn base(&self) -> &ScaleMatrices {
         &self.scales[0]
     }
+}
+
+/// Panic unless `scales` is a ladder both accumulators can fill:
+/// non-empty, starting at 1 or more, every scale a proper multiple of
+/// the one below it, so that each coarse window is a whole number of
+/// fine ones.
+fn check_ladder(scales: &[u64]) {
+    let first = *scales.first().expect("a scale ladder needs a scale");
+    assert!(
+        first >= 1,
+        "a scale ladder starts at 1 or more, not {first}"
+    );
+    for w in scales.windows(2) {
+        assert!(
+            w[1] > w[0] && w[1] % w[0] == 0,
+            "each scale must be a proper multiple of the one below it: {} follows {}",
+            w[1],
+            w[0]
+        );
+    }
+}
+
+/// Width of a window `scale` base windows wide.
+fn window_ns(bin_ns: u64, scale: u64) -> u64 {
+    bin_ns
+        .checked_mul(scale)
+        .unwrap_or_else(|| panic!("a window of {scale} x {bin_ns} ns overflows u64"))
 }
 
 /// Per-pair packet and byte counts of one accumulating window.
@@ -303,9 +357,10 @@ impl MatrixAccum {
             .sum()
     }
 
-    /// Build the pair space and the matrix ladder. `scales` must be
-    /// strictly increasing starting at 1, like the ring ladder.
+    /// Build the pair space and the matrix ladder. `scales` must start
+    /// at 1 or more, each a proper multiple of the one below it.
     pub fn finalize(self, scales: &[u64]) -> TrafficMatrices {
+        check_ladder(scales);
         let space = PairSpace::from_pairs(
             self.windows
                 .values()
@@ -345,32 +400,76 @@ impl MatrixAccum {
 /// [`MatrixAccum`] keeps every touched base window until `finalize` —
 /// O(span) memory, which at ten million frames over minutes of
 /// simulated time is the store all over again. This accumulator
-/// produces the **same** [`ScalingRelation`] vector (bitwise — the
-/// means divide the same integers) while holding only the *open*
-/// window of each scale: frames must arrive in non-decreasing time
-/// order (the capture invariant), so when a window's index moves on,
-/// the window is folded into its scale's running summary and freed.
-/// Counts are additive, so feeding every scale directly from frames
-/// equals the coarse-from-fine merge `MatrixAccum::finalize` performs.
+/// produces the **same** [`ScalingRelation`] vector while holding only
+/// the *open* window of each scale. Frames must arrive in
+/// non-decreasing time order (the capture invariant), so a window is
+/// complete the moment a frame lands beyond its last nanosecond.
 ///
-/// Peak memory is O(pairs active in the widest open window) — bounded
-/// by the host-pair space, independent of trace length.
+/// **Sorted runs.** A frame costs one push of its packed key
+/// (`src << 32 | dst`) onto the key buffer of the open finest window;
+/// whether it belongs there is one comparison against that window's
+/// cached last nanosecond. When the finest window closes the buffer is
+/// sorted and run-length encoded into ascending `(pair, packets)` runs
+/// — the window's hypersparse matrix built from sorted tuples in one
+/// step.
+///
+/// **The cascade.** A closing window is summarised from its runs and
+/// then merged, two sorted lists into one, into the open window of the
+/// scale above, which closes in turn once the frame lies beyond it too.
+/// Every coarse window is therefore the sum of its fine windows — the
+/// coarse-from-fine merge `MatrixAccum::finalize` performs, without the
+/// windows kept — and the 1 s window is touched once per 100 ms window,
+/// not once per frame. The ladder must nest for that: every scale a
+/// multiple of the one below it.
+///
+/// **Why the result is bitwise equal.** Per scale the summary is a
+/// handful of integers — windows, packets, distinct pairs and their
+/// maxima — plus the max-degree host. The integers count the same sets
+/// whichever order the counts were added in, the two means divide the
+/// same integers, windows close in ascending order so the later window
+/// still wins degree ties, and within a window `max_degree_of` is the
+/// count `WindowMatrix::max_degree` uses.
+///
+/// **Memory.** The key buffer has a fixed capacity and compacts itself
+/// into the finest window's runs whenever it fills, so a million frames
+/// sharing one millisecond cost no more than their distinct pairs. Peak
+/// memory is that buffer plus O(pairs active in the widest open window)
+/// — bounded by the host-pair space, independent of trace length.
 #[derive(Debug)]
 pub struct ScalingAccum {
-    bin_ns: u64,
+    /// Packed keys of the frames pushed since the last compaction, all
+    /// inside the open finest window; never grows past `KEY_CAPACITY`.
+    keys: Vec<u64>,
     scales: Vec<ScaleAccum>,
-    prev_ns: Option<u64>,
+    /// The key buffer's runs, on their way into the finest window.
+    fresh: Vec<PairRun>,
+    /// Merge scratch, swapped with the window it is merged into.
+    merged: Vec<PairRun>,
+    /// Degree-count scratch.
+    hosts: Vec<u32>,
+    prev_ns: u64,
     frames: u64,
 }
 
-/// An open window: its index and per-pair packet counts.
-type OpenWindow = (u64, BTreeMap<(u32, u32), u64>);
+/// Frames buffered before the key buffer compacts itself (32 KiB).
+const KEY_CAPACITY: usize = 4096;
 
-/// One scale's open window and running summary.
+/// A packed host pair (`src << 32 | dst`, so runs sort in `(src, dst)`
+/// order) and its packets in one window.
+type PairRun = (u64, u64);
+
+/// One scale's open window and running summary. A scale always has an
+/// open window — the one holding time zero until a frame moves it — and
+/// a window without frames closes without being counted.
 #[derive(Debug)]
 struct ScaleAccum {
     scale: u64,
-    open: Option<OpenWindow>,
+    window_ns: u64,
+    /// The last nanosecond inside the open window, saturating: a window
+    /// reaching past `u64::MAX` holds every later frame.
+    last_ns: u64,
+    /// The open window's matrix, ascending by pair.
+    runs: Vec<PairRun>,
     windows: u64,
     total_packets: u64,
     max_packets: u64,
@@ -382,26 +481,17 @@ struct ScaleAccum {
 }
 
 impl ScaleAccum {
-    fn close_open(&mut self) {
-        let Some((_, counts)) = self.open.take() else {
-            return;
-        };
-        let packets: u64 = counts.values().sum();
-        let nnz = counts.len() as u64;
+    /// Fold the open window's runs into the running summary.
+    fn summarise_open(&mut self, hosts: &mut Vec<u32>) {
+        let packets: u64 = self.runs.iter().map(|&(_, n)| n).sum();
+        let nnz = self.runs.len() as u64;
         self.windows += 1;
         self.total_packets += packets;
         self.max_packets = self.max_packets.max(packets);
         self.sum_nnz += nnz;
         self.max_nnz = self.max_nnz.max(nnz);
-        let mut deg: BTreeMap<u32, u32> = BTreeMap::new();
-        for &(s, d) in counts.keys() {
-            *deg.entry(s).or_default() += 1;
-            *deg.entry(d).or_default() += 1;
-        }
-        if let Some((h, d)) = deg
-            .into_iter()
-            .max_by_key(|&(h, d)| (d, std::cmp::Reverse(h)))
-        {
+        let pairs = self.runs.iter().map(|&(key, _)| unpack(key));
+        if let Some((h, d)) = max_degree_of(pairs, hosts) {
             // Windows close in ascending order, so taking the later
             // window on ties replicates max_by_key's last-max-wins over
             // the window sequence.
@@ -414,33 +504,82 @@ impl ScaleAccum {
             }
         }
     }
+
+    /// Move the open window to the one holding `time_ns`.
+    fn open_at(&mut self, time_ns: u64) {
+        let start = time_ns - time_ns % self.window_ns;
+        self.last_ns = start.saturating_add(self.window_ns - 1);
+    }
+}
+
+fn pack(src: u32, dst: u32) -> u64 {
+    u64::from(src) << 32 | u64::from(dst)
+}
+
+fn unpack(key: u64) -> (u32, u32) {
+    ((key >> 32) as u32, key as u32)
+}
+
+/// Add the ascending runs of `from` into the ascending runs of `into`,
+/// through `scratch`.
+fn merge_runs(into: &mut Vec<PairRun>, from: &[PairRun], scratch: &mut Vec<PairRun>) {
+    scratch.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < into.len() && j < from.len() {
+        let (a, b) = (into[i], from[j]);
+        match a.0.cmp(&b.0) {
+            std::cmp::Ordering::Less => {
+                scratch.push(a);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                scratch.push(b);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                scratch.push((a.0, a.1 + b.1));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    scratch.extend_from_slice(&into[i..]);
+    scratch.extend_from_slice(&from[j..]);
+    std::mem::swap(into, scratch);
 }
 
 impl ScalingAccum {
     /// An empty accumulator over base windows of `bin_ns` at the given
-    /// width-multiple ladder (strictly increasing, starting at 1).
+    /// width-multiple ladder (starting at 1 or more, every scale a
+    /// proper multiple of the one below it).
     pub fn new(bin_ns: u64, scales: &[u64]) -> ScalingAccum {
-        assert!(!scales.is_empty(), "at least one scale");
-        assert!(
-            scales.windows(2).all(|w| w[0] < w[1]),
-            "scales must be strictly increasing"
-        );
-        ScalingAccum {
-            bin_ns: bin_ns.max(1),
-            scales: scales
-                .iter()
-                .map(|&scale| ScaleAccum {
+        check_ladder(scales);
+        let bin_ns = bin_ns.max(1);
+        let scales: Vec<ScaleAccum> = scales
+            .iter()
+            .map(|&scale| {
+                let window_ns = window_ns(bin_ns, scale);
+                ScaleAccum {
                     scale,
-                    open: None,
+                    window_ns,
+                    last_ns: window_ns - 1,
+                    runs: Vec::new(),
                     windows: 0,
                     total_packets: 0,
                     max_packets: 0,
                     sum_nnz: 0,
                     max_nnz: 0,
                     best: None,
-                })
-                .collect(),
-            prev_ns: None,
+                }
+            })
+            .collect();
+        ScalingAccum {
+            keys: Vec::with_capacity(KEY_CAPACITY),
+            scales,
+            fresh: Vec::new(),
+            merged: Vec::new(),
+            hosts: Vec::new(),
+            prev_ns: 0,
             frames: 0,
         }
     }
@@ -448,37 +587,100 @@ impl ScalingAccum {
     /// Count one delivered frame. Frames must arrive in non-decreasing
     /// time order — the spill-free window retirement depends on it.
     pub fn record(&mut self, time_ns: u64, src: u32, dst: u32) {
-        if let Some(p) = self.prev_ns {
-            assert!(
-                time_ns >= p,
-                "ScalingAccum requires time-ordered frames ({time_ns} after {p})"
-            );
-        }
-        self.prev_ns = Some(time_ns);
-        let w = time_ns / self.bin_ns;
-        for sa in &mut self.scales {
-            let ws = w / sa.scale;
-            match &mut sa.open {
-                Some((open_w, counts)) if *open_w == ws => {
-                    *counts.entry((src, dst)).or_default() += 1;
-                }
-                _ => {
-                    sa.close_open();
-                    let mut counts = BTreeMap::new();
-                    counts.insert((src, dst), 1u64);
-                    sa.open = Some((ws, counts));
-                }
-            }
-        }
-        self.frames += 1;
+        self.record_columns(&[time_ns], &[src], &[dst]);
     }
 
-    /// Count one decoded chunk of columns.
+    /// Count one decoded chunk of columns, a whole same-window run of
+    /// frames at a time.
     pub fn record_columns(&mut self, time_ns: &[u64], src: &[u32], dst: &[u32]) {
         assert!(time_ns.len() == src.len() && time_ns.len() == dst.len());
-        for i in 0..time_ns.len() {
-            self.record(time_ns[i], src[i], dst[i]);
+        let mut at = 0;
+        while at < time_ns.len() {
+            // A frame beyond the open window is later than every frame
+            // in it; one out of order lands in a run, and is caught there.
+            if time_ns[at] > self.scales[0].last_ns {
+                self.roll(time_ns[at]);
+            }
+            let last_ns = self.scales[0].last_ns;
+            let rest = &time_ns[at..];
+            let run = rest.iter().position(|&t| t > last_ns).unwrap_or(rest.len());
+            self.check_order(&rest[..run]);
+            self.push_keys(&src[at..at + run], &dst[at..at + run]);
+            at += run;
         }
+        self.frames += time_ns.len() as u64;
+    }
+
+    /// Panic unless `times` carries on from the last frame in
+    /// non-decreasing order.
+    fn check_order(&mut self, times: &[u64]) {
+        for &t in times {
+            assert!(
+                t >= self.prev_ns,
+                "ScalingAccum requires time-ordered frames ({t} after {})",
+                self.prev_ns
+            );
+            self.prev_ns = t;
+        }
+    }
+
+    /// Buffer the keys of frames inside the open finest window,
+    /// compacting whenever the buffer fills.
+    fn push_keys(&mut self, mut src: &[u32], mut dst: &[u32]) {
+        while !src.is_empty() {
+            let take = src.len().min(KEY_CAPACITY - self.keys.len());
+            self.keys.extend(
+                src[..take]
+                    .iter()
+                    .zip(&dst[..take])
+                    .map(|(&s, &d)| pack(s, d)),
+            );
+            (src, dst) = (&src[take..], &dst[take..]);
+            if self.keys.len() == KEY_CAPACITY {
+                self.compact();
+            }
+        }
+    }
+
+    /// Sort and run-length encode the buffered keys and add them to
+    /// the finest window's runs.
+    fn compact(&mut self) {
+        self.keys.sort_unstable();
+        self.fresh.clear();
+        let runs = self.keys.chunk_by(|a, b| a == b);
+        self.fresh
+            .extend(runs.map(|run| (run[0], run.len() as u64)));
+        self.keys.clear();
+        merge_runs(&mut self.scales[0].runs, &self.fresh, &mut self.merged);
+    }
+
+    /// Close every window `time_ns` lies beyond, finest first, and open
+    /// the windows holding it. The ladder nests, so the first scale
+    /// whose open window still holds `time_ns` ends the walk.
+    fn roll(&mut self, time_ns: u64) {
+        self.compact();
+        for k in 0..self.scales.len() {
+            if time_ns <= self.scales[k].last_ns {
+                break;
+            }
+            self.close(k);
+            self.scales[k].open_at(time_ns);
+        }
+    }
+
+    /// Summarise scale `k`'s open window and hand its runs to the scale
+    /// above.
+    fn close(&mut self, k: usize) {
+        let (lower, upper) = self.scales.split_at_mut(k + 1);
+        let closing = &mut lower[k];
+        if closing.runs.is_empty() {
+            return;
+        }
+        closing.summarise_open(&mut self.hosts);
+        if let Some(above) = upper.first_mut() {
+            merge_runs(&mut above.runs, &closing.runs, &mut self.merged);
+        }
+        closing.runs.clear();
     }
 
     /// Total frames recorded so far.
@@ -490,14 +692,17 @@ impl ScalingAccum {
     /// first — equal to `MatrixAccum::finalize(scales).summaries()` on
     /// the same frames.
     pub fn finalize(mut self) -> Vec<ScalingRelation> {
+        self.compact();
+        for k in 0..self.scales.len() {
+            self.close(k);
+        }
         self.scales
-            .iter_mut()
+            .iter()
             .map(|sa| {
-                sa.close_open();
                 let (max_degree_host, max_degree) = sa.best.unwrap_or((0, 0));
                 ScalingRelation {
                     scale: sa.scale,
-                    window_ns: self.bin_ns * sa.scale,
+                    window_ns: sa.window_ns,
                     windows: sa.windows,
                     total_packets: sa.total_packets,
                     max_packets: sa.max_packets,
@@ -517,6 +722,12 @@ impl ScalingAccum {
                 }
             })
             .collect()
+    }
+
+    /// Allocated capacity of the key buffer.
+    #[cfg(test)]
+    fn key_capacity(&self) -> usize {
+        self.keys.capacity()
     }
 }
 
@@ -593,19 +804,17 @@ mod tests {
         assert_eq!(s[1].window_ns, 10_000_000);
     }
 
-    #[test]
-    fn scaling_accum_matches_materialized_summaries() {
-        let scales = [1u64, 10, 100, 1000];
-        let mut acc = MatrixAccum::new(1_000_000);
-        let mut stream = ScalingAccum::new(1_000_000, &scales);
-        for ms in 0..500u64 {
-            let (s, d) = ((ms % 5) as u32, ((ms % 5 + 1 + ms % 3) % 5) as u32);
-            let t = SimTime::from_millis(ms) + SimTime::from_micros(ms % 900);
-            acc.record(t, s, d, 100 + ms);
-            stream.record(t.as_nanos(), s, d);
+    /// Feed both accumulators the same frames and hold the streamed
+    /// summaries to the materialized ones, means to the bit.
+    fn assert_matches_oracle(bin_ns: u64, scales: &[u64], frames: &[(u64, u32, u32)]) {
+        let mut acc = MatrixAccum::new(bin_ns);
+        let mut stream = ScalingAccum::new(bin_ns, scales);
+        for &(t, s, d) in frames {
+            acc.record(SimTime::from_nanos(t), s, d, 60);
+            stream.record(t, s, d);
         }
-        assert_eq!(stream.frames(), 500);
-        let want = acc.finalize(&scales).summaries();
+        assert_eq!(stream.frames(), frames.len() as u64);
+        let want = acc.finalize(scales).summaries();
         let got = stream.finalize();
         assert_eq!(got, want);
         // Means must match to the bit, not approximately.
@@ -616,6 +825,18 @@ mod tests {
                 b.mean_distinct_pairs.to_bits()
             );
         }
+    }
+
+    #[test]
+    fn scaling_accum_matches_materialized_summaries() {
+        let frames: Vec<(u64, u32, u32)> = (0..500u64)
+            .map(|ms| {
+                let t = SimTime::from_millis(ms) + SimTime::from_micros(ms % 900);
+                let (s, d) = ((ms % 5) as u32, ((ms % 5 + 1 + ms % 3) % 5) as u32);
+                (t.as_nanos(), s, d)
+            })
+            .collect();
+        assert_matches_oracle(1_000_000, &[1, 10, 100, 1000], &frames);
     }
 
     #[test]
@@ -640,30 +861,146 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "time-ordered")]
+    #[should_panic(expected = "time-ordered frames (4999999 after 5000000)")]
     fn scaling_accum_rejects_time_travel() {
         let mut s = ScalingAccum::new(1_000_000, &[1]);
         s.record(5_000_000, 0, 1);
         s.record(4_999_999, 0, 1);
     }
 
+    #[test]
+    #[should_panic(expected = "time-ordered frames (4999999 after 5000000)")]
+    fn scaling_accum_rejects_time_travel_inside_a_chunk() {
+        let mut s = ScalingAccum::new(1_000_000, &[1, 10]);
+        s.record_columns(&[1_000, 5_000_000, 4_999_999], &[0; 3], &[1; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "time-ordered frames (4999999 after 5000000)")]
+    fn scaling_accum_rejects_time_travel_across_chunks() {
+        let mut s = ScalingAccum::new(1_000_000, &[1, 10]);
+        s.record_columns(&[1_000, 5_000_000], &[0; 2], &[1; 2]);
+        s.record_columns(&[4_999_999, 6_000_000], &[0; 2], &[1; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "starts at 1 or more, not 0")]
+    fn a_ladder_starting_at_zero_is_rejected() {
+        ScalingAccum::new(1_000_000, &[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "starts at 1 or more, not 0")]
+    fn a_materialized_ladder_starting_at_zero_is_rejected() {
+        MatrixAccum::new(1_000_000).finalize(&[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "proper multiple of the one below it: 20 follows 15")]
+    fn a_ladder_that_does_not_nest_is_rejected() {
+        ScalingAccum::new(1_000_000, &[1, 15, 20]);
+    }
+
+    #[test]
+    #[should_panic(expected = "proper multiple of the one below it: 1 follows 10")]
+    fn a_descending_ladder_is_rejected() {
+        ScalingAccum::new(1_000_000, &[10, 1]);
+    }
+
+    #[test]
+    fn a_window_of_one_million_frames_stays_bounded() {
+        const N: usize = 1_000_000;
+        let pairs = [(7u32, 2u32), (0, 9), (7, 7)];
+        let times = vec![3_500_000u64; N];
+        let src: Vec<u32> = (0..N).map(|i| pairs[i % 3].0).collect();
+        let dst: Vec<u32> = (0..N).map(|i| pairs[i % 3].1).collect();
+        let scales = [1u64, 10];
+        let mut stream = ScalingAccum::new(1_000_000, &scales);
+        let capacity = stream.key_capacity();
+        assert!((KEY_CAPACITY..N / 100).contains(&capacity));
+        stream.record_columns(&times, &src, &dst);
+        assert_eq!(
+            stream.key_capacity(),
+            capacity,
+            "the key buffer compacts, it does not grow"
+        );
+        let mut acc = MatrixAccum::new(1_000_000);
+        for i in 0..N {
+            acc.record(SimTime::from_nanos(times[i]), src[i], dst[i], 60);
+        }
+        assert_eq!(stream.finalize(), acc.finalize(&scales).summaries());
+    }
+
+    #[test]
+    fn a_chunk_cut_anywhere_matches_the_per_frame_feed() {
+        // 2.5 frames to the millisecond: cuts fall inside base windows,
+        // on their edges, and on 10 ms edges.
+        let times: Vec<u64> = (0..60u64).map(|i| i * 400_000).collect();
+        let src: Vec<u32> = (0..60u32).map(|i| i % 4).collect();
+        let dst: Vec<u32> = (0..60u32).map(|i| (i + 1 + i % 3) % 5).collect();
+        let scales = [1u64, 10];
+        let mut per_frame = ScalingAccum::new(1_000_000, &scales);
+        for i in 0..60 {
+            per_frame.record(times[i], src[i], dst[i]);
+        }
+        let want = per_frame.finalize();
+        for cut in 0..=60 {
+            let mut cols = ScalingAccum::new(1_000_000, &scales);
+            cols.record_columns(&times[..cut], &src[..cut], &dst[..cut]);
+            cols.record_columns(&times[cut..], &src[cut..], &dst[cut..]);
+            assert_eq!(cols.frames(), 60);
+            assert_eq!(cols.finalize(), want, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn windows_reaching_the_end_of_time_saturate() {
+        // One window is all of time but its last nanosecond.
+        let late = [
+            (0, 1, 2),
+            (5, 2, 1),
+            (u64::MAX - 1, 1, 2),
+            (u64::MAX, 3, 1),
+            (u64::MAX, 1, 3),
+        ];
+        assert_matches_oracle(u64::MAX, &[1], &late);
+        // The last millisecond, and the coarser windows holding it, end
+        // past u64::MAX.
+        let end = [
+            (u64::MAX - 2_000_000, 0, 1),
+            (u64::MAX - 1, 1, 0),
+            (u64::MAX, 1, 0),
+            (u64::MAX, 0, 1),
+        ];
+        assert_matches_oracle(1_000_000, &[1, 10, 100, 1000], &end);
+    }
+
     proptest! {
         /// The streaming scaling fold equals the materialized ladder's
-        /// summaries on arbitrary time-ordered traffic.
+        /// summaries on arbitrary time-ordered traffic: hosts at both
+        /// ends of each half of the packed key, self-pairs, and gaps
+        /// that skip whole windows of every scale.
         #[test]
         fn scaling_accum_equals_materialized_on_arbitrary_traffic(
-            frames in prop::collection::vec((0u64..2_000_000, 0u32..6, 0u32..6), 0..150),
+            frames in prop::collection::vec((0u64..9, 0u64..3_000_000, 0usize..6, 0usize..6), 0..150),
         ) {
-            let mut times: Vec<u64> = frames.iter().map(|&(us, _, _)| us * 1000).collect();
-            times.sort_unstable();
-            let scales = [1u64, 10, 100];
-            let mut acc = MatrixAccum::new(1_000_000);
-            let mut stream = ScalingAccum::new(1_000_000, &scales);
-            for (&t, &(_, s, d)) in times.iter().zip(&frames) {
-                acc.record(SimTime::from_nanos(t), s, d, 60);
-                stream.record(t, s, d);
-            }
-            prop_assert_eq!(stream.finalize(), acc.finalize(&scales).summaries());
+            const HOSTS: [u32; 6] = [0, 1, 5, 65_535, 65_536, u32::MAX];
+            let mut t = 0u64;
+            let frames: Vec<(u64, u32, u32)> = frames
+                .iter()
+                .map(|&(kind, ns, s, d)| {
+                    // Mostly inside a few base windows; otherwise past
+                    // whole 10 ms, 100 ms or 1 s windows.
+                    t += match kind {
+                        0..=5 => ns,
+                        6 => 10_000_000 + 10 * ns,
+                        7 => 100_000_000 + 100 * ns,
+                        _ => 1_000_000_000 + 1000 * ns,
+                    };
+                    (t, HOSTS[s], HOSTS[d])
+                })
+                .collect();
+            assert_matches_oracle(1_000_000, &[1, 10, 100, 1000], &frames);
         }
 
         /// Conservation across the ladder on arbitrary traffic: every
