@@ -2,13 +2,20 @@
 //!
 //! Each rank runs as a real OS thread executing straight-line SPMD code
 //! against a [`RankCtx`]. A conservative sequencer on the calling thread
-//! owns the simulated clock: it collects one pending request per live
-//! rank, then repeatedly either executes the request with the earliest
-//! local clock or advances the network simulation by one event, whichever
-//! is earlier in simulated time. Rank threads therefore run concurrently
-//! on the host machine, but every simulation decision is made from a
-//! fully collected, deterministically ordered state — two runs with the
-//! same configuration produce byte-identical packet traces.
+//! owns the simulated clock. Ranks *post* requests: one that carries
+//! nothing back (compute, send, barrier, span) returns at once, so a rank
+//! runs ahead of the sequencer until it needs a message, has 64 posts
+//! unanswered, or would have more than a socket buffer of sends
+//! unanswered. The sequencer files each rank's posts in order and admits
+//! one at a time per rank. It executes the admitted request with the
+//! earliest `(clock, rank)` or advances the network by one event,
+//! whichever is earlier in simulated time — as soon as that choice is
+//! decided. A rank whose next post has not arrived will run it at the
+//! clock its last answer fixed, so whatever is strictly earlier goes
+//! ahead without it. The decisions and their order are exactly those of
+//! a sequencer that first collects every rank's next request, so however
+//! the host schedules the threads, two runs with the same configuration
+//! produce byte-identical packet traces.
 //!
 //! The engine also implements *deschedule injection*: the paper observed
 //! (§6) that when the OS deschedules one processor, the fixed synchronous
@@ -23,9 +30,14 @@ use fxnet_sim::{
     CausalEvent, CauseId, EtherStats, FrameRecord, FxnetError, FxnetResult, SimRng, SimTime,
 };
 use fxnet_telemetry::{EventClass, RunTelemetry, SimProfile, SpanKind, SpanRecord};
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Posts a rank may have unanswered before it waits for the oldest.
+const POST_WINDOW: usize = 64;
 
 /// Involuntary OS descheduling model.
 #[derive(Debug, Clone)]
@@ -142,7 +154,10 @@ enum Request {
     SpanBegin(&'static str),
     /// Close the most recent open span on this rank.
     SpanEnd,
+    /// The program returned and every earlier post was answered.
     Done,
+    /// The program panicked; the run re-raises this payload.
+    Panicked(Box<dyn Any + Send>),
 }
 
 enum Reply {
@@ -163,8 +178,19 @@ pub struct RankCtx {
     base: u32,
     cost: CostModel,
     telemetry: bool,
+    /// [`SpmdConfig::socket_buf`]: the send bytes this rank may have
+    /// posted and not yet seen sequenced.
+    socket_buf: u64,
     tx: Sender<(u32, Request)>,
     rx: Receiver<Reply>,
+    /// Send `wire_len` of each unanswered post, oldest first (0 for a
+    /// post that is not a send).
+    unanswered: VecDeque<u64>,
+    /// Sum of `unanswered`.
+    unanswered_bytes: u64,
+    /// Most posts and most send bytes ever unanswered at once.
+    #[cfg(test)]
+    high_water: (usize, u64),
 }
 
 impl RankCtx {
@@ -183,13 +209,63 @@ impl RankCtx {
         &self.cost
     }
 
-    fn request(&mut self, r: Request) -> Reply {
+    fn submit(&self, r: Request) {
         self.tx
             .send((self.base + self.rank, r))
             .expect("engine terminated while rank still running");
+    }
+
+    fn reply(&self) -> Reply {
         self.rx
             .recv()
             .expect("engine terminated while rank still running")
+    }
+
+    /// Post a request that carries nothing back, `bytes` being its send
+    /// `wire_len`. It returns without waiting for the sequencer unless
+    /// [`POST_WINDOW`] posts are unanswered or the post would leave more
+    /// than `socket_buf` send bytes unanswered; a send larger than the
+    /// whole buffer therefore waits for its own answer.
+    fn post(&mut self, r: Request, bytes: u64) {
+        while !self.unanswered.is_empty()
+            && (self.unanswered.len() >= POST_WINDOW
+                || self.unanswered_bytes + bytes > self.socket_buf)
+        {
+            self.await_oldest();
+        }
+        self.submit(r);
+        self.unanswered.push_back(bytes);
+        self.unanswered_bytes += bytes;
+        #[cfg(test)]
+        {
+            self.high_water.0 = self.high_water.0.max(self.unanswered.len());
+            self.high_water.1 = self.high_water.1.max(self.unanswered_bytes);
+        }
+        if self.unanswered_bytes > self.socket_buf {
+            self.await_oldest();
+        }
+    }
+
+    /// Wait for the answer to the oldest unanswered post.
+    fn await_oldest(&mut self) {
+        let Reply::Proceed = self.reply() else {
+            unreachable!("only a recv is answered with a message")
+        };
+        let bytes = self.unanswered.pop_front().expect("an unanswered post");
+        self.unanswered_bytes -= bytes;
+    }
+
+    /// Wait until every post is answered.
+    fn drain(&mut self) {
+        while !self.unanswered.is_empty() {
+            self.await_oldest();
+        }
+    }
+
+    /// The most posts and most send bytes this rank has had unanswered.
+    #[cfg(test)]
+    fn high_water(&self) -> (usize, u64) {
+        self.high_water
     }
 
     /// Spend a local computation phase of `n` floating-point operations.
@@ -205,48 +281,70 @@ impl RankCtx {
     }
 
     /// Spend an explicit amount of local computation time.
+    ///
+    /// Returns as soon as the request is posted: the rank's clock (and
+    /// any deschedule delay) is advanced by the sequencer in program
+    /// order, so the rank's own code never needs the answer. Like every
+    /// one-way post, it waits only while 64 earlier posts are unanswered.
     pub fn compute_time(&mut self, d: SimTime) {
         if d == SimTime::ZERO {
             return;
         }
-        let _ = self.request(Request::Compute(d));
+        self.post(Request::Compute(d), 0);
     }
 
-    /// Send a message to `dst` (asynchronous, PVM semantics: returns once
-    /// the message is handed to the transport).
+    /// Send a message to `dst` (asynchronous, PVM semantics: the message
+    /// is handed to the transport in program order).
+    ///
+    /// Returns before the send is sequenced, unless 64 posts are
+    /// unanswered or this message would leave more than
+    /// [`SpmdConfig::socket_buf`] bytes of this rank's sends unanswered:
+    /// then it waits for earlier posts first, and a message larger than
+    /// the whole buffer waits for its own answer. A rank therefore runs
+    /// ahead by at most one socket buffer, the blocking socket write the
+    /// sequencer already models by holding a send while the host's TCP
+    /// backlog exceeds the buffer.
     pub fn send(&mut self, dst: u32, msg: OutMessage) {
         assert!(dst < self.p && dst != self.rank);
         let dst = self.base + dst;
-        let _ = self.request(Request::Send { dst, msg });
+        let bytes = msg.wire_len() as u64;
+        self.post(Request::Send { dst, msg }, bytes);
     }
 
     /// Block until a message from `src` arrives.
     pub fn recv(&mut self, src: u32) -> Message {
         assert!(src < self.p && src != self.rank);
         let src = self.base + src;
-        match self.request(Request::Recv { src }) {
+        self.submit(Request::Recv { src });
+        self.drain();
+        match self.reply() {
             Reply::Message(m) => m,
             Reply::Proceed => unreachable!("recv must return a message"),
         }
     }
 
-    /// Global barrier across all ranks.
+    /// Barrier across the ranks of this rank's group.
+    ///
+    /// A one-way post: the rank's code runs on past it at once, while the
+    /// sequencer holds the rank's later requests until every rank of the
+    /// group has reached the barrier in simulated time.
     pub fn barrier(&mut self) {
-        let _ = self.request(Request::Barrier);
+        self.post(Request::Barrier, 0);
     }
 
     /// Open a named collective phase span (telemetry). Spans cost no
-    /// simulated time; when telemetry is off this is a no-op.
+    /// simulated time; when telemetry is off this is a no-op, otherwise a
+    /// one-way post.
     pub fn phase_begin(&mut self, name: &'static str) {
         if self.telemetry {
-            let _ = self.request(Request::SpanBegin(name));
+            self.post(Request::SpanBegin(name), 0);
         }
     }
 
     /// Close the most recently opened phase span on this rank.
     pub fn phase_end(&mut self) {
         if self.telemetry {
-            let _ = self.request(Request::SpanEnd);
+            self.post(Request::SpanEnd, 0);
         }
     }
 
@@ -261,9 +359,10 @@ impl RankCtx {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RankState {
-    /// Reply sent; the rank thread is executing and will request again.
+    /// The last request is answered and the next not yet admitted; that
+    /// next request runs at the rank's current clock.
     Waiting,
-    /// A request is queued for sequencing.
+    /// A request is admitted for sequencing.
     Ready,
     /// Blocked in `recv(src)`.
     BlockedRecv(u32),
@@ -447,11 +546,13 @@ impl<T> MultiRunResult<T> {
 }
 
 /// Abandon a failed run: leak both channel endpoints so rank threads
-/// blocked in `request()` park quietly forever instead of panicking on a
-/// closed channel, and detach their join handles. The threads are leaked
-/// — an accepted cost on the error path, where the run's outcome is
-/// already lost; a panicking teardown would spray every rank's panic
-/// output over the caller's terminal instead.
+/// waiting for an answer — in `recv`, behind a full post window or
+/// socket-buffer credit, or draining before `Done` — park quietly forever
+/// instead of panicking on a closed channel, and detach their join
+/// handles. Posts still filed for sequencing are dropped unexecuted. The
+/// threads are leaked — an accepted cost on the error path, where the
+/// run's outcome is already lost; a panicking teardown would spray every
+/// rank's panic output over the caller's terminal instead.
 fn abandon<T>(
     req_rx: Receiver<(u32, Request)>,
     reply_txs: Vec<Sender<Reply>>,
@@ -460,6 +561,13 @@ fn abandon<T>(
     std::mem::forget(req_rx);
     std::mem::forget(reply_txs);
     drop(handles);
+}
+
+/// Answer a rank. A rank whose program panicked dropped its reply
+/// channel right after posting [`Request::Panicked`], which is what the
+/// run reports, so a failed send here is not an error of its own.
+fn answer(tx: &Sender<Reply>, reply: Reply) {
+    let _ = tx.send(reply);
 }
 
 /// Sugar for the single-program case of [`run`]: one group named "main"
@@ -504,9 +612,9 @@ where
 /// [`FxnetError::InvalidConfig`] for an empty group list or a zero-rank
 /// group; [`FxnetError::Deadlock`] when no rank can run and the network
 /// is idle; [`FxnetError::SimTimeExceeded`] when a rank's clock passes
-/// `cfg.max_sim_time`. A panic *inside a rank's program* is still
-/// propagated as a panic (it is a bug in the caller's code, not a
-/// simulation outcome).
+/// `cfg.max_sim_time`. A panic *inside a rank's program* is re-raised on
+/// the calling thread with the rank's own payload, and the other ranks are
+/// abandoned (it is a bug in the caller's code, not a simulation outcome).
 pub fn run<T>(
     mut cfg: SpmdConfig,
     groups: Vec<GroupSpec<T>>,
@@ -572,19 +680,36 @@ where
                 base: slice.base,
                 cost: cfg.cost.clone(),
                 telemetry: cfg.telemetry,
+                socket_buf: cfg.socket_buf,
                 tx: req_tx.clone(),
                 rx: rrx,
+                unanswered: VecDeque::new(),
+                unanswered_bytes: 0,
+                #[cfg(test)]
+                high_water: (0, 0),
             };
             let program = Arc::clone(&program);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("spmd-rank-{}", slice.base + local))
                     .spawn(move || {
-                        let out = program(&mut ctx);
-                        // Signal completion; ignore failure if the engine
-                        // already tore down due to another rank's panic.
-                        let _ = ctx.tx.send((ctx.base + ctx.rank, Request::Done));
-                        out
+                        // Every rank ends with exactly one terminal post,
+                        // so the sequencer never waits on a rank that is
+                        // gone. Failed posts mean the run was already
+                        // abandoned.
+                        match std::panic::catch_unwind(AssertUnwindSafe(|| program(&mut ctx))) {
+                            Ok(out) => {
+                                ctx.drain();
+                                let _ = ctx.tx.send((ctx.base + ctx.rank, Request::Done));
+                                Some(out)
+                            }
+                            Err(payload) => {
+                                let _ = ctx
+                                    .tx
+                                    .send((ctx.base + ctx.rank, Request::Panicked(payload)));
+                                None
+                            }
+                        }
                     })
                     .expect("spawn rank thread"),
             );
@@ -594,7 +719,9 @@ where
 
     let mut clocks: Vec<SimTime> = (0..p).map(|r| groups[group_of[r]].start).collect();
     let mut states = vec![RankState::Waiting; p];
-    let mut pending: Vec<Option<Request>> = (0..p).map(|_| None).collect();
+    // Posts that have arrived and are not yet executed, per rank, in
+    // program order; a `Ready` rank's request is at the front.
+    let mut intake: Vec<VecDeque<Request>> = (0..p).map(|_| VecDeque::new()).collect();
     let mut mailbox: HashMap<(u32, u32), VecDeque<(SimTime, Message)>> = HashMap::new();
     let mut barrier_waiters: Vec<Vec<u32>> = vec![Vec::new(); groups.len()];
     let mut engine_rng = SimRng::new(cfg.seed);
@@ -645,35 +772,39 @@ where
             });
         }
         states[r] = RankState::Waiting;
-        reply_txs[r]
-            .send(Reply::Message(msg))
-            .expect("rank thread alive");
+        answer(&reply_txs[r], Reply::Message(msg));
     };
 
+    // Set when the last turn could decide nothing without another post.
+    let mut starved = false;
     loop {
-        // Phase 1: every non-blocked, non-done rank must have a request in
-        // hand before we sequence anything.
-        while states.contains(&RankState::Waiting) {
-            match req_rx.recv() {
-                Ok((rank, req)) => {
-                    let r = rank as usize;
-                    debug_assert_eq!(states[r], RankState::Waiting);
-                    if matches!(req, Request::Done) {
+        // Intake: file every post that has arrived, waiting for one if
+        // the last turn was starved. A panic ends the run at once.
+        let mut next = if starved {
+            Some(req_rx.recv().expect("a waiting rank posts again"))
+        } else {
+            req_rx.try_recv().ok()
+        };
+        while let Some((rank, req)) = next {
+            if let Request::Panicked(payload) = req {
+                abandon(req_rx, reply_txs, handles);
+                std::panic::resume_unwind(payload);
+            }
+            intake[rank as usize].push_back(req);
+            next = req_rx.try_recv().ok();
+        }
+        starved = false;
+        // Admission: each waiting rank's next post, if it has arrived.
+        for r in 0..p {
+            if states[r] == RankState::Waiting {
+                match intake[r].front() {
+                    Some(Request::Done) => {
+                        intake[r].pop_front();
                         states[r] = RankState::Done;
                         done_at[r] = clocks[r];
-                    } else {
-                        states[r] = RankState::Ready;
-                        pending[r] = Some(req);
                     }
-                }
-                Err(_) => {
-                    // A rank thread died without Done: surface its panic.
-                    for h in handles {
-                        if let Err(e) = h.join() {
-                            std::panic::resume_unwind(e);
-                        }
-                    }
-                    panic!("rank channel closed without completion");
+                    Some(_) => states[r] = RankState::Ready,
+                    None => {}
                 }
             }
         }
@@ -685,19 +816,36 @@ where
             break;
         }
 
-        // Phase 2: pick the next action in simulated-time order.
-        let mut best: Option<usize> = None;
-        for r in 0..p {
-            if states[r] == RankState::Ready && best.is_none_or(|b| clocks[r] < clocks[b]) {
-                best = Some(r);
-            }
-        }
+        // Pick the next action in simulated-time order, but only once it
+        // is decided. A rank still `Waiting` runs its next request at its
+        // current clock, so it bounds both choices from below: a ready
+        // rank goes first only if it beats every waiting rank in
+        // `(clock, rank)` order, and the network only if its next event
+        // is strictly earlier than every waiting clock. Advancing the
+        // network also needs a rank that is ready or blocked; with only
+        // waiting ranks left, they may all be about to finish, and then
+        // the event belongs to the uncounted drain after the loop.
+        let horizon = (0..p)
+            .filter(|&r| states[r] == RankState::Waiting)
+            .map(|r| (clocks[r], r))
+            .min();
+        let best = (0..p)
+            .filter(|&r| states[r] == RankState::Ready)
+            .min_by_key(|&r| (clocks[r], r));
         let t_net = pvm.next_event_time();
-        let rank_first = match (best, t_net) {
-            (Some(r), Some(tn)) => clocks[r] <= tn,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => {
+        let rank_first = best.filter(|&r| {
+            horizon.is_none_or(|h| (clocks[r], r) < h) && t_net.is_none_or(|t| clocks[r] <= t)
+        });
+        if rank_first.is_none() {
+            let net_first = t_net.is_some_and(|t| horizon.is_none_or(|(c, _)| t < c))
+                && states
+                    .iter()
+                    .any(|s| !matches!(s, RankState::Waiting | RankState::Done));
+            if !net_first {
+                if horizon.is_some() {
+                    starved = true;
+                    continue;
+                }
                 let blocked: Vec<String> = states
                     .iter()
                     .enumerate()
@@ -707,7 +855,7 @@ where
                 abandon(req_rx, reply_txs, handles);
                 return Err(FxnetError::Deadlock(blocked.join("\n")));
             }
-        };
+        }
 
         let t0 = if cfg.telemetry {
             Some(Instant::now())
@@ -715,9 +863,8 @@ where
             None
         };
         let mut class = EventClass::NetAdvance;
-        if rank_first {
-            let r = best.expect("rank_first implies a ready rank");
-            let req = pending[r].take().expect("ready rank has request");
+        if let Some(r) = rank_first {
+            let req = intake[r].pop_front().expect("ready rank has request");
             if clocks[r] > cfg.max_sim_time {
                 abandon(req_rx, reply_txs, handles);
                 return Err(FxnetError::SimTimeExceeded {
@@ -744,7 +891,7 @@ where
                         });
                     }
                     states[r] = RankState::Waiting;
-                    reply_txs[r].send(Reply::Proceed).expect("rank alive");
+                    answer(&reply_txs[r], Reply::Proceed);
                 }
                 Request::Send { dst, msg } => {
                     class = EventClass::Send;
@@ -781,7 +928,7 @@ where
                         }
                     } else {
                         states[r] = RankState::Waiting;
-                        reply_txs[r].send(Reply::Proceed).expect("rank alive");
+                        answer(&reply_txs[r], Reply::Proceed);
                     }
                 }
                 Request::Recv { src } => {
@@ -838,7 +985,7 @@ where
                                 });
                             }
                             states[w] = RankState::Waiting;
-                            reply_txs[w].send(Reply::Proceed).expect("rank alive");
+                            answer(&reply_txs[w], Reply::Proceed);
                         }
                         barrier_waiters[gi].clear();
                     }
@@ -848,7 +995,7 @@ where
                     phase_seq[r] += 1;
                     open_spans[r].push((name, clocks[r]));
                     states[r] = RankState::Waiting;
-                    reply_txs[r].send(Reply::Proceed).expect("rank alive");
+                    answer(&reply_txs[r], Reply::Proceed);
                 }
                 Request::SpanEnd => {
                     class = EventClass::Span;
@@ -862,9 +1009,9 @@ where
                         });
                     }
                     states[r] = RankState::Waiting;
-                    reply_txs[r].send(Reply::Proceed).expect("rank alive");
+                    answer(&reply_txs[r], Reply::Proceed);
                 }
-                Request::Done => unreachable!("handled at intake"),
+                Request::Done | Request::Panicked(_) => unreachable!("handled at intake"),
             }
         } else {
             deliveries.clear();
@@ -909,7 +1056,7 @@ where
                             });
                         }
                         states[r] = RankState::Waiting;
-                        reply_txs[r].send(Reply::Proceed).expect("rank alive");
+                        answer(&reply_txs[r], Reply::Proceed);
                     }
                 }
             }
@@ -939,7 +1086,12 @@ where
     let _ = pvm.finish();
     let mut results: VecDeque<T> = handles
         .into_iter()
-        .map(|h| h.join().expect("rank panicked after completion"))
+        .map(|h| {
+            h.join()
+                .ok()
+                .flatten()
+                .expect("a rank that posted Done returns its result")
+        })
         .collect();
     let finished_at = clocks.iter().copied().max().unwrap_or(SimTime::ZERO);
     let group_results: Vec<GroupRunResult<T>> = groups
@@ -1283,6 +1435,173 @@ mod tests {
             "{err:?}"
         );
         assert!(err.to_string().contains("max_sim_time"));
+    }
+
+    #[test]
+    fn runaway_guard_trips_on_a_request_queued_behind_posts() {
+        // Rank 0 holds the sequencer at t = 0 (it is waiting with the
+        // lower id) while rank 1 posts all ten computes; the third of
+        // them crosses the limit from the intake queue. The sleep only
+        // makes that schedule likely: the error is the same under any.
+        let mut cfg = quiet_cfg(2);
+        cfg.max_sim_time = SimTime::from_secs(1);
+        let err = run(
+            cfg,
+            vec![GroupSpec::single(2, |ctx: &mut RankCtx| {
+                if ctx.rank() == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                } else {
+                    for _ in 0..10 {
+                        ctx.compute_time(SimTime::from_secs(1));
+                    }
+                }
+            })],
+            RunOptions::default(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FxnetError::SimTimeExceeded { rank: 1, at, .. } if at == SimTime::from_secs(2)
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn deadlock_waits_for_a_rank_still_computing() {
+        // Ranks 0 and 1 block on each other at once; rank 2 is still busy
+        // on the host. The run must neither hang nor call the deadlock
+        // before rank 2 has finished. The outcome must hold under every
+        // schedule; the sleep makes the hard one, rank 2 still running
+        // after the others have blocked, the likely one.
+        let err = run(
+            quiet_cfg(3),
+            vec![GroupSpec::single(3, |ctx: &mut RankCtx| match ctx.rank() {
+                0 => drop(ctx.recv(1)),
+                1 => drop(ctx.recv(0)),
+                _ => {
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    ctx.compute_time(SimTime::from_secs(1));
+                }
+            })],
+            RunOptions::default(),
+        )
+        .unwrap_err();
+        let FxnetError::Deadlock(who) = &err else {
+            panic!("{err:?}")
+        };
+        assert!(who.contains("rank 0: BlockedRecv(1)"), "{who}");
+        assert!(who.contains("rank 1: BlockedRecv(0)"), "{who}");
+        assert!(!who.contains("rank 2"), "{who}");
+    }
+
+    #[test]
+    fn blocked_ranks_wait_for_a_rank_still_computing() {
+        // The same shape without the bug: the late rank is the one both
+        // others wait for, so declaring a deadlock early would be wrong.
+        let res = run_one(quiet_cfg(3), |ctx| {
+            if ctx.rank() == 2 {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                ctx.compute_time(SimTime::from_secs(1));
+                ctx.send(0, f64_msg(0, &[1.0]));
+                ctx.send(1, f64_msg(0, &[2.0]));
+                0.0
+            } else {
+                ctx.recv(2).reader().f64s(1)[0]
+            }
+        });
+        assert_eq!(res.results, vec![1.0, 2.0, 0.0]);
+        assert!(res.finished_at > SimTime::from_secs(1));
+    }
+
+    #[test]
+    fn one_way_posts_stay_within_the_window_and_the_socket_buffer() {
+        // 100,000 eight-byte sends and nobody receiving: the sender runs
+        // ahead of the sequencer, but never by more than the post window
+        // or, with a buffer below 64 such sends, by more than the buffer.
+        for socket_buf in [64 * 1024, 1000] {
+            let mut cfg = quiet_cfg(2);
+            cfg.socket_buf = socket_buf;
+            let res = run_one(cfg, |ctx| {
+                if ctx.rank() == 0 {
+                    for i in 0..100_000 {
+                        ctx.send(1, f64_msg(i, &[0.0]));
+                    }
+                }
+                ctx.high_water()
+            });
+            let (posts, bytes) = res.results[0];
+            assert!(posts <= POST_WINDOW, "{posts} posts unanswered");
+            assert!(bytes <= socket_buf, "{bytes} B unanswered");
+        }
+        // A message larger than the whole buffer is its own round trip.
+        let mut cfg = quiet_cfg(2);
+        cfg.socket_buf = 1000;
+        let res = run_one(cfg, |ctx| {
+            if ctx.rank() == 0 {
+                for i in 0..5 {
+                    ctx.compute_time(SimTime::from_millis(1));
+                    ctx.send(1, f64_msg(i, &[0.0; 200]));
+                }
+            } else {
+                for _ in 0..5 {
+                    let _ = ctx.recv(0);
+                }
+            }
+            ctx.high_water()
+        });
+        assert_eq!(res.results[0], (1, 1600 + 24));
+    }
+
+    /// The message a rank's panic carried, as `run` re-raised it.
+    fn panic_text(payload: Box<dyn Any + Send>) -> String {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .expect("a string payload")
+    }
+
+    #[test]
+    fn a_panicking_rank_is_re_raised_not_hung() {
+        let caught = std::panic::catch_unwind(|| {
+            run(
+                quiet_cfg(2),
+                vec![GroupSpec::single(2, |ctx: &mut RankCtx| {
+                    if ctx.rank() == 0 {
+                        let _ = ctx.recv(1);
+                    } else {
+                        panic!("rank 1 gave up");
+                    }
+                })],
+                RunOptions::default(),
+            )
+        });
+        assert_eq!(panic_text(caught.unwrap_err()), "rank 1 gave up");
+    }
+
+    #[test]
+    fn a_panic_right_after_a_one_way_send_is_re_raised() {
+        // The send may be sequenced after the rank has unwound; its
+        // answer then finds no one, which must not mask the panic.
+        let caught = std::panic::catch_unwind(|| {
+            run(
+                quiet_cfg(2),
+                vec![GroupSpec::single(2, |ctx: &mut RankCtx| {
+                    if ctx.rank() == 0 {
+                        ctx.send(1, f64_msg(0, &[1.0]));
+                        panic!("rank {} broke after sending", ctx.rank());
+                    }
+                    let _ = ctx.recv(0);
+                })],
+                RunOptions::default(),
+            )
+        });
+        assert_eq!(
+            panic_text(caught.unwrap_err()),
+            "rank 0 broke after sending"
+        );
     }
 
     #[test]
