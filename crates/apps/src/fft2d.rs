@@ -78,9 +78,17 @@ fn gather_block(local: &[f32], n: usize, rows: usize, c0: usize, c1: usize) -> V
     out
 }
 
-/// Write a received block (global rows `r0..r1`, this rank's columns
-/// `lo..hi`, row-major) into the transposed local layout.
-fn scatter_transposed(
+/// Rows per strip of [`scatter_transposed`].
+const STRIP: usize = 16;
+
+/// Write a received block (global rows `r0..r1`, `width` of this rank's
+/// columns, row-major) into the transposed local layout, where global
+/// row `r` of local column `c` lands at local row `c`, column `r`.
+///
+/// The block is walked in strips of [`STRIP`] rows, so each write is a
+/// contiguous run of up to `STRIP` complex values instead of one value
+/// per `n`-stride.
+pub(crate) fn scatter_transposed(
     next: &mut [f32],
     n: usize,
     r0: usize,
@@ -88,14 +96,17 @@ fn scatter_transposed(
     vals: &[f32],
     width: usize,
 ) {
-    let mut it = vals.chunks_exact(2);
-    for r in r0..r1 {
+    // Callers size `vals` from the same block bounds; a mismatch is a
+    // distribution bug that would otherwise scatter garbage.
+    assert_eq!(vals.len(), (r1 - r0) * width * 2, "block size mismatch");
+    for s0 in (r0..r1).step_by(STRIP) {
+        let s1 = (s0 + STRIP).min(r1);
         for c in 0..width {
-            let pair = it.next().expect("block size mismatch");
-            // Local row c (the global column minus this rank's lo), column r.
-            let idx = (c * n + r) * 2;
-            next[idx] = pair[0];
-            next[idx + 1] = pair[1];
+            let run = &mut next[(c * n + s0) * 2..(c * n + s1) * 2];
+            for (k, pair) in run.chunks_exact_mut(2).enumerate() {
+                let at = ((s0 - r0 + k) * width + c) * 2;
+                pair.copy_from_slice(&vals[at..at + 2]);
+            }
         }
     }
 }
@@ -227,6 +238,36 @@ mod tests {
             }
         }
         assert_eq!(pairs.len(), 12, "all-to-all must use all P(P-1) pairs");
+    }
+
+    #[test]
+    fn tiled_scatter_matches_the_naive_loop() {
+        let naive = |next: &mut [f32], n: usize, r0: usize, r1: usize, vals: &[f32], width| {
+            let mut it = vals.chunks_exact(2);
+            for r in r0..r1 {
+                for c in 0..width {
+                    let pair = it.next().unwrap();
+                    next[(c * n + r) * 2] = pair[0];
+                    next[(c * n + r) * 2 + 1] = pair[1];
+                }
+            }
+        };
+        for (n, r0, rows, width) in [
+            (8, 3, 1, 5),
+            (16, 2, 6, 3),
+            (40, 5, 17, 9),
+            (160, 7, 130, 33),
+        ] {
+            let vals: Vec<f32> = (0..rows * width * 2)
+                .map(|i| i as f32 * 0.37 - 1.0)
+                .collect();
+            let mut want = vec![f32::NAN; width * n * 2];
+            let mut got = want.clone();
+            naive(&mut want, n, r0, r0 + rows, &vals, width);
+            scatter_transposed(&mut got, n, r0, r0 + rows, &vals, width);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{rows} rows × {width} columns");
+        }
     }
 
     #[test]

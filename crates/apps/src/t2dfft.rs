@@ -10,7 +10,7 @@
 //! clean.
 
 use crate::checksum_f32;
-use crate::fft2d::{fft_rows, initial_block};
+use crate::fft2d::{fft_rows, initial_block, scatter_transposed};
 use fxnet_fx::{BlockDist, RankCtx};
 use fxnet_numerics::fft::fft_flops;
 use fxnet_pvm::MessageBuilder;
@@ -106,15 +106,7 @@ pub fn t2dfft_rank(ctx: &mut RankCtx, p: &T2dfftParams) -> u64 {
                 let (slo, shi) = (dist.lo(src), dist.hi(src));
                 let m = ctx.recv(src as u32);
                 let vals = m.reader().f32s((shi - slo) * width * 2);
-                let mut it = vals.chunks_exact(2);
-                for row in slo..shi {
-                    for c in 0..width {
-                        let pair = it.next().expect("block size");
-                        let idx = (c * p.n + row) * 2;
-                        block[idx] = pair[0];
-                        block[idx + 1] = pair[1];
-                    }
-                }
+                scatter_transposed(&mut block, p.n, slo, shi, &vals, width);
             }
             ctx.phase_end();
             fft_rows(&mut block, p.n);

@@ -64,8 +64,8 @@ impl CostModel {
     /// whole payload plus one write; multi-pack messages (T2DFFT) skip the
     /// copy but pay one write per fragment.
     pub fn send_overhead(&self, msg: &OutMessage) -> SimTime {
-        let writes = SimTime(self.per_write.as_nanos() * msg.frags.len() as u64);
-        if msg.frags.len() == 1 {
+        let writes = SimTime(self.per_write.as_nanos() * msg.frag_count() as u64);
+        if msg.frag_count() == 1 {
             self.per_message + writes + self.mem(msg.payload_len() as u64)
         } else {
             self.per_message + writes

@@ -1,7 +1,9 @@
 //! The PVM system: tasks, routing, daemons, and the event pump.
 
-use crate::message::{Message, OutMessage, StreamParser, FRAG_HEADER, MAGIC};
-use bytes::{BufMut, Bytes, BytesMut};
+use crate::message::{
+    le_u32, put_le_words, Message, MessageBuilder, OutMessage, StreamParser, MAGIC,
+};
+use bytes::Bytes;
 use fxnet_proto::{AppEvent, ConnId, Dir, NetConfig, Network};
 use fxnet_sim::{CausalEvent, CauseId, EtherStats, FrameRecord, HostId, ProtoCause, SimTime};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -119,7 +121,11 @@ impl PvmSystem {
     /// `n_tasks` of `n_hosts` workstations (extra hosts model the idle
     /// office machines sharing the paper's LAN, including the tracer).
     pub fn new(cfg: PvmConfig, n_tasks: u32, n_hosts: u32) -> PvmSystem {
-        assert!(n_tasks >= 1 && n_hosts >= n_tasks);
+        // Task `t` lives on host `t`, so every task needs a host of its own.
+        assert!(
+            n_tasks >= 1 && n_hosts >= n_tasks,
+            "{n_tasks} tasks need 1..={n_hosts} hosts"
+        );
         let net = Network::new(cfg.net.clone(), n_hosts as usize);
         let next_heartbeat = cfg.heartbeat;
         PvmSystem {
@@ -146,7 +152,8 @@ impl PvmSystem {
 
     /// Host a task runs on.
     pub fn host_of(&self, t: TaskId) -> HostId {
-        assert!(t.0 < self.n_tasks);
+        // A task id past the machine would name an idle host, not a task.
+        assert!(t.0 < self.n_tasks, "no task {} of {}", t.0, self.n_tasks);
         HostId(t.0)
     }
 
@@ -255,6 +262,7 @@ impl PvmSystem {
         msg: OutMessage,
         cause: CauseId,
     ) -> u64 {
+        // No connection or daemon pair exists from a host to itself.
         assert_ne!(src, dst, "self-sends are host-local IPC, never on the wire");
         self.msg_seq += 1;
         let seq = self.msg_seq;
@@ -266,9 +274,8 @@ impl PvmSystem {
                 let (ha, hb) = (self.host_of(src), self.host_of(dst));
                 let conn = self.direct_conn(ha, hb, now);
                 let stagger = self.cfg.frag_stagger;
-                self.stats.fragments_sent += msg.frags.len() as u64;
-                for i in 0..msg.frags.len() {
-                    let wire = msg.encode_frag(i, src.0, seq);
+                self.stats.fragments_sent += msg.frag_count() as u64;
+                for (i, wire) in msg.into_wire(src.0, seq).enumerate() {
                     let t = now + SimTime(stagger.as_nanos() * i as u64);
                     transport_bytes += wire.len() as u64;
                     self.net.tcp_write_caused(conn, ha, wire, t, cause);
@@ -276,35 +283,20 @@ impl PvmSystem {
             }
             Route::Daemon => {
                 // The local daemon re-fragments the flattened message into
-                // MTU-sized datagrams and relays with stop-and-wait.
-                let body: Vec<u8> = msg.frags.iter().flat_map(|f| f.iter().copied()).collect();
-                let chunks: Vec<&[u8]> = if body.is_empty() {
-                    vec![&[][..]]
-                } else {
-                    body.chunks(self.cfg.daemon_frag).collect()
-                };
-                let n = chunks.len();
-                let mut grams = VecDeque::with_capacity(n);
-                for (i, c) in chunks.iter().enumerate() {
-                    let mut flags = 0u32;
-                    if i == 0 {
-                        flags |= 0b01;
-                    }
-                    if i + 1 == n {
-                        flags |= 0b10;
-                    }
-                    let mut b = BytesMut::with_capacity(FRAG_HEADER + c.len());
-                    b.put_u32_le(MAGIC);
-                    b.put_u32_le(seq);
-                    b.put_u32_le(c.len() as u32);
-                    b.put_u32_le(flags);
-                    b.put_i32_le(msg.tag);
-                    b.put_u32_le(src.0);
-                    b.extend_from_slice(c);
-                    let gram = b.freeze();
-                    transport_bytes += gram.len() as u64;
-                    grams.push_back((gram, cause));
+                // MTU-sized datagrams, each a fragment with the same header,
+                // and relays them with stop-and-wait.
+                let mut body = Vec::with_capacity(msg.payload_len());
+                for data in msg.payloads() {
+                    body.extend_from_slice(data);
                 }
+                let mut relay = MessageBuilder::new(msg.tag).multi_pack();
+                for c in body.chunks(self.cfg.daemon_frag) {
+                    relay.pack_bytes(c);
+                }
+                let grams = relay.finish().into_wire(src.0, seq).map(|gram| {
+                    transport_bytes += gram.len() as u64;
+                    (gram, cause)
+                });
                 let key = (src.0, dst.0);
                 self.daemon_out.entry(key).or_default().extend(grams);
                 // First hop: task → local daemon costs one IPC latency.
@@ -343,15 +335,10 @@ impl PvmSystem {
     /// Returns the event time, or `None` when idle.
     pub fn advance(&mut self, out: &mut Vec<MsgDelivery>) -> Option<SimTime> {
         let t_net = self.net.next_event_time();
-        let t_hb = self.next_heartbeat;
-        let hb_first = match (t_net, t_hb) {
-            (None, None) => return None,
-            (Some(_), None) => false,
-            (None, Some(_)) => true,
-            (Some(tn), Some(th)) => th < tn,
-        };
-        if hb_first {
-            let t = t_hb.expect("checked");
+        let hb_first = self
+            .next_heartbeat
+            .filter(|&th| t_net.is_none_or(|tn| th < tn));
+        if let Some(t) = hb_first {
             self.emit_heartbeats(t);
             self.next_heartbeat = self.cfg.heartbeat.map(|p| t + p);
             return Some(t);
@@ -379,15 +366,13 @@ impl PvmSystem {
         let payload_len = self.cfg.heartbeat_payload.max(8);
         let n_hosts = self.net.host_count() as u32;
         for h in 1..n_hosts {
-            let mut b = BytesMut::with_capacity(payload_len);
-            b.put_u32_le(MAGIC_HB);
-            b.put_u32_le(h);
-            b.resize(payload_len, 0);
+            let mut b = vec![0; payload_len];
+            put_le_words(&mut b, &[MAGIC_HB, h]);
             self.stats.heartbeats += 1;
             self.net.udp_send_caused(
                 HostId(h),
                 HostId(0),
-                b.freeze(),
+                Bytes::from(b),
                 t,
                 CauseId::protocol(ProtoCause::Heartbeat),
             );
@@ -428,7 +413,9 @@ impl PvmSystem {
                 dst,
                 data,
             } => {
-                let magic = u32::from_le_bytes(data[0..4].try_into().unwrap());
+                // Every datagram on this stack comes from this module and
+                // opens with a magic word, so it is at least four bytes.
+                let magic = le_u32(data, 0);
                 if magic == MAGIC_HB {
                     return; // state chatter only
                 }
@@ -440,18 +427,17 @@ impl PvmSystem {
                     self.pump_daemon_pair(key, t);
                     return;
                 }
+                // Heartbeats, acks and relayed fragments are the only datagrams.
                 debug_assert_eq!(magic, MAGIC);
                 // A relayed fragment at the destination daemon: ack it and
                 // feed the reassembler.
-                let mut ack = BytesMut::with_capacity(12);
+                let mut ack = vec![0; 12];
+                put_le_words(&mut ack, &[MAGIC_ACK, le_u32(data, 4), 0]);
                 self.stats.daemon_acks += 1;
-                ack.put_u32_le(MAGIC_ACK);
-                ack.put_u32_le(u32::from_le_bytes(data[4..8].try_into().unwrap()));
-                ack.put_u32_le(0);
                 self.net.udp_send_caused(
                     *dst,
                     *src,
-                    ack.freeze(),
+                    Bytes::from(ack),
                     *time + self.cfg.daemon_proc,
                     CauseId::protocol(ProtoCause::DaemonAck),
                 );
@@ -478,7 +464,6 @@ impl PvmSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::MessageBuilder;
     use fxnet_sim::{FrameKind, Proto};
 
     fn direct_cfg() -> PvmConfig {
@@ -611,6 +596,44 @@ mod tests {
             datagrams >= 2 && datagrams.is_multiple_of(2),
             "{datagrams} datagrams"
         );
+    }
+
+    #[test]
+    fn daemon_route_delivers_the_direct_routes_bodies() {
+        let run = |route| {
+            let cfg = PvmConfig {
+                route,
+                heartbeat: None,
+                daemon_frag: 1000,
+                ..PvmConfig::default()
+            };
+            let mut p = PvmSystem::new(cfg, 3, 3);
+            let mut multi = MessageBuilder::new(4).multi_pack();
+            for i in 0..7u32 {
+                multi.pack_u32(&vec![i; 359]);
+            }
+            let msgs = [
+                msg_of(1, &(0..500).map(f64::from).collect::<Vec<_>>()),
+                MessageBuilder::new(2).finish(),
+                msg_of(3, &[2.5]),
+                multi.finish(),
+            ];
+            for (i, m) in msgs.into_iter().enumerate() {
+                let t = SimTime::from_millis(i as u64);
+                p.send(t, TaskId(i as u32 % 2), TaskId(2), m);
+            }
+            let mut got: Vec<(u32, i32, Bytes)> = p
+                .finish()
+                .into_iter()
+                .map(|d| (d.src.0, d.msg.tag, d.msg.body))
+                .collect();
+            got.sort_by_key(|&(_, tag, _)| tag);
+            got
+        };
+        let direct = run(Route::Direct);
+        assert_eq!(direct.len(), 4);
+        assert_eq!(direct[3].2.len(), 7 * 359 * 4);
+        assert_eq!(run(Route::Daemon), direct);
     }
 
     #[test]

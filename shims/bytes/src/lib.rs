@@ -1,9 +1,9 @@
 //! Offline shim for the `bytes` crate (1.x API subset).
 //!
-//! [`Bytes`] is an immutable, cheaply clonable byte buffer (backed by
-//! `Arc<[u8]>` plus a range, so `clone` and `slice` are O(1) like the real
-//! crate); [`BytesMut`] is a growable buffer backed by `Vec<u8>`. Only the
-//! methods this workspace uses are provided.
+//! [`Bytes`] is an immutable, cheaply clonable byte buffer backed by an
+//! `Arc<Vec<u8>>` plus a range. As in the real crate, `From<Vec<u8>>`
+//! takes the vector's buffer without copying it, and `clone` and `slice`
+//! are O(1). Only the methods this workspace uses are provided.
 
 use std::ops::{Deref, RangeBounds};
 use std::sync::Arc;
@@ -11,7 +11,7 @@ use std::sync::Arc;
 /// Immutable shared byte buffer.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -79,12 +79,12 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
+/// Takes ownership of the vector's buffer: no byte is copied.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        let data: Arc<[u8]> = v.into();
-        let end = data.len();
+        let end = v.len();
         Bytes {
-            data,
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -123,135 +123,28 @@ impl std::fmt::Debug for Bytes {
     }
 }
 
-/// Growable byte buffer.
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    buf: Vec<u8>,
-}
-
-impl BytesMut {
-    pub fn new() -> Self {
-        BytesMut { buf: Vec::new() }
-    }
-
-    pub fn with_capacity(n: usize) -> Self {
-        BytesMut {
-            buf: Vec::with_capacity(n),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    pub fn extend_from_slice(&mut self, s: &[u8]) {
-        self.buf.extend_from_slice(s);
-    }
-
-    pub fn resize(&mut self, new_len: usize, value: u8) {
-        self.buf.resize(new_len, value);
-    }
-
-    pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional);
-    }
-
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-
-    /// Split off and return the first `at` bytes, leaving the rest.
-    pub fn split_to(&mut self, at: usize) -> BytesMut {
-        assert!(at <= self.buf.len(), "split_to out of bounds");
-        let rest = self.buf.split_off(at);
-        let head = std::mem::replace(&mut self.buf, rest);
-        BytesMut { buf: head }
-    }
-
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.buf)
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl From<Vec<u8>> for BytesMut {
-    fn from(v: Vec<u8>) -> Self {
-        BytesMut { buf: v }
-    }
-}
-
-impl std::fmt::Debug for BytesMut {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "BytesMut({} bytes)", self.len())
-    }
-}
-
-/// Little-endian append operations (`bytes::BufMut` subset).
-pub trait BufMut {
-    fn put_slice(&mut self, s: &[u8]);
-
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-    fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    fn put_i32_le(&mut self, v: i32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    fn put_f64_le(&mut self, v: f64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, s: &[u8]) {
-        self.extend_from_slice(s);
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, s: &[u8]) {
-        self.extend_from_slice(s);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn build_freeze_slice() {
-        let mut b = BytesMut::with_capacity(16);
-        b.put_u32_le(0xDEAD_BEEF);
-        b.put_i32_le(-7);
-        b.extend_from_slice(&[1, 2, 3]);
-        assert_eq!(b.len(), 11);
-        let head = b.split_to(4);
-        assert_eq!(&head[..], &0xDEAD_BEEFu32.to_le_bytes());
-        let frozen = b.freeze();
-        assert_eq!(frozen.len(), 7);
-        let tail = frozen.slice(4..);
+    fn from_vec_keeps_the_buffer() {
+        let v = vec![1u8, 2, 3, 4, 5];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr);
+        assert_eq!(&b[..], &[1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn slice_shares_the_buffer() {
+        let b = Bytes::from(vec![9u8, 8, 7, 1, 2, 3]);
+        let tail = b.slice(3..);
         assert_eq!(&tail[..], &[1, 2, 3]);
+        assert_eq!(tail.as_ptr(), b[3..].as_ptr());
         assert_eq!(tail, Bytes::from(vec![1, 2, 3]));
+        let mid = tail.slice(1..=1);
+        assert_eq!(&mid[..], &[2]);
+        assert!(tail.slice(3..).is_empty());
     }
 }
