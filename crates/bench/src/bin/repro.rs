@@ -53,7 +53,7 @@ use fxnet::spectral::{
 };
 use fxnet::telemetry::write_json_artifact;
 use fxnet::trace::PhaseBreakdown;
-use fxnet::trace::{binned_bandwidth, Periodogram, TraceStore};
+use fxnet::trace::{Periodogram, TraceStore};
 use fxnet::{KernelKind, SimTime};
 use fxnet_bench::{bandwidth_row_bw, stats_row, Experiments};
 use fxnet_harness::{timed, Pool};
@@ -699,7 +699,9 @@ fn ablate_p(c: &mut Ctx) {
                     let _ = ctx.recv((me + np - 1) % np);
                 }
             });
-            let profile = fxnet::trace::BurstProfile::of(&run.trace, SimTime::from_millis(300))
+            let profile = TraceStore::from_records(&run.trace)
+                .view()
+                .burst_profile(SimTime::from_millis(300))
                 .expect("bursts");
             let measured = profile.intervals.map_or(f64::NAN, |i| i.avg);
             let app =
@@ -1490,7 +1492,10 @@ fn model(c: &mut Ctx) {
             &mut rng,
         );
         if !synth.is_empty() {
-            let sp = Periodogram::compute(&binned_bandwidth(&synth, BIN), BIN);
+            let series = TraceStore::from_records(&synth)
+                .view()
+                .binned_bandwidth(BIN);
+            let sp = Periodogram::compute(&series, BIN);
             println!(
                 "        regenerated: dominant {:.2} Hz vs measured {:.2} Hz",
                 sp.dominant_frequency(0.15).unwrap_or(0.0),
@@ -1560,10 +1565,11 @@ fn baseline(c: &mut Ctx) {
     let vbr = onoff_vbr_trace(400_000.0, 0.4, 0.6, 1000, dur, &mut rng);
     let ss = self_similar_trace(16, 40_000.0, 1.5, 0.5, 800, dur, &mut rng);
     for (name, tr) in [("VBR on/off", vbr), ("self-similar", ss)] {
-        let series = binned_bandwidth(&tr, BIN);
+        let store = TraceStore::from_records(&tr);
+        let series = store.view().binned_bandwidth(BIN);
         let spec = Periodogram::compute(&series, BIN);
         let conc = FourierModel::from_periodogram(&spec, 8, 0.1).captured_power_fraction(&spec);
-        let coarse = binned_bandwidth(&tr, SimTime::from_millis(50));
+        let coarse = store.view().binned_bandwidth(SimTime::from_millis(50));
         rows.push((
             name.to_string(),
             spec.flatness(),
@@ -1710,7 +1716,6 @@ fn fabric_sweep(c: &mut Ctx) {
     header("Fabric sweep: burst period vs provided bandwidth");
     use fxnet::sim::rates::{bytes_per_sec, rate_label, SWEEP_RATES};
     use fxnet::sim::{Proto, RATE_10M};
-    use fxnet::trace::BurstProfile;
     use fxnet::TopologySpec;
     let seed = c.exps.seed();
     let div = c.div;
@@ -1745,7 +1750,9 @@ fn fabric_sweep(c: &mut Ctx) {
         let spec = TopologySpec::sweep_set(p.hosts(), rate).swap_remove(ti);
         let keep_trace = ti == 0 && rate == RATE_10M;
         let run = p.run(seed, div, Some(spec));
-        let profile = BurstProfile::of(&run.trace, SimTime::from_millis(120));
+        let profile = TraceStore::from_records(&run.trace)
+            .view()
+            .burst_profile(SimTime::from_millis(120));
         let mut pairs: Vec<(u32, u32)> = run
             .trace
             .iter()

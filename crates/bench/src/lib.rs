@@ -549,32 +549,28 @@ pub fn analysis_suite_columnar(name: &str, store: &TraceStore) -> String {
 pub(crate) mod tests {
     use super::*;
     use fxnet::trace::io::TRACE_VERSION;
-    use fxnet::trace::{
-        average_bandwidth, binned_bandwidth, connection, host_pairs, save_store, BurstProfile,
-        Periodogram, TraceReport,
-    };
+    use fxnet::trace::{save_store, Periodogram, TraceReport, TraceView};
 
-    /// The report composed from the public slice kernels, one pass over
-    /// the records per quantity: the oracle for everything in this
-    /// crate that takes its report from the fold.
+    /// The report composed from the view kernels, one pass over the view
+    /// per quantity: the oracle for everything in this crate that takes
+    /// its report from the fold.
     pub(crate) fn multipass_report(
         label: &str,
-        trace: &[FrameRecord],
+        view: TraceView<'_>,
         opts: &ReportOptions,
     ) -> TraceReport {
-        let spec = (!trace.is_empty())
-            .then(|| Periodogram::compute(&binned_bandwidth(trace, opts.bin), opts.bin));
+        let spec = (!view.is_empty())
+            .then(|| Periodogram::compute(&view.binned_bandwidth(opts.bin), opts.bin));
         TraceReport {
             label: label.to_string(),
-            frames: trace.len(),
-            span_s: match (trace.first(), trace.last()) {
-                (Some(a), Some(b)) => (b.time - a.time).as_secs_f64(),
-                _ => 0.0,
-            },
-            sizes: Stats::packet_sizes(trace),
-            interarrivals_ms: Stats::interarrivals_ms(trace),
-            avg_bandwidth: average_bandwidth(trace),
-            bursts: BurstProfile::of(trace, opts.burst_gap),
+            frames: view.len(),
+            span_s: view
+                .time_bounds()
+                .map_or(0.0, |(a, b)| (b - a).as_secs_f64()),
+            sizes: view.packet_sizes(),
+            interarrivals_ms: view.interarrivals_ms(),
+            avg_bandwidth: view.average_bandwidth(),
+            bursts: view.burst_profile(opts.burst_gap),
             dominant_hz: spec
                 .as_ref()
                 .and_then(|s| s.dominant_frequency(opts.min_hz)),
@@ -582,26 +578,22 @@ pub(crate) mod tests {
         }
     }
 
-    /// The suite on the array-of-structs path: every quantity walks the
-    /// record slice on its own, and each per-connection row first
-    /// *copies* its frames out with [`fxnet::trace::connection`]. It
-    /// renders through the same [`Suite`], so byte-identical output is
+    /// The suite the multi-pass way: every aggregate quantity is its own
+    /// pass of a view kernel instead of one pass of the fold. It renders
+    /// through the same [`Suite`], so byte-identical output is
     /// bitwise-identical numbers.
-    fn analysis_suite_aos(name: &str, trace: &[FrameRecord]) -> String {
-        let span = match (
-            trace.iter().map(|r| r.time).min(),
-            trace.iter().map(|r| r.time).max(),
-        ) {
-            (Some(lo), Some(hi)) => hi.saturating_sub(lo),
-            _ => SimTime::ZERO,
-        };
+    fn analysis_suite_multipass(name: &str, store: &TraceStore) -> String {
+        let v = store.view();
+        let span = v
+            .time_bounds()
+            .map_or(SimTime::ZERO, |(lo, hi)| hi.saturating_sub(lo));
         let opts = suite_opts(span);
-        let binned = binned_bandwidth(trace, opts.bin);
+        let binned = v.binned_bandwidth(opts.bin);
         let spec = (!binned.is_empty()).then(|| Periodogram::compute(&binned, opts.bin));
-        let report = multipass_report(name, trace, &opts);
+        let report = multipass_report(name, v, &opts);
         Suite {
             name: name.to_string(),
-            frames: trace.len(),
+            frames: v.len(),
             bin_ns: opts.bin.as_nanos(),
             sizes: report.sizes,
             inter: report.interarrivals_ms,
@@ -614,16 +606,17 @@ pub(crate) mod tests {
                 .map(|s| (s.freq, s.power))
                 .collect(),
             report: report.markdown_row(),
-            conns: host_pairs(trace)
+            conns: v
+                .host_pairs()
                 .into_iter()
                 .map(|((s, d), n)| {
-                    let c = connection(trace, s, d);
+                    let c = store.connection(s, d);
                     SuiteConnRow {
                         src: s.0,
                         dst: d.0,
                         frames: n,
-                        sizes: Stats::packet_sizes(&c),
-                        avg_bw: average_bandwidth(&c),
+                        sizes: c.packet_sizes(),
+                        avg_bw: c.average_bandwidth(),
                     }
                 })
                 .collect(),
@@ -679,9 +672,12 @@ pub(crate) mod tests {
         let mut e = Experiments::new(100, 1, &dir);
         let trace = e.kernel(KernelKind::Hist).trace.clone();
         let store = TraceStore::from_records(&trace);
-        let aos = analysis_suite_aos("HIST", &trace);
+        let aos = analysis_suite_multipass("HIST", &store);
         let col = analysis_suite_columnar("HIST", &store);
-        assert_eq!(aos, col, "AoS and columnar suites must render identically");
+        assert_eq!(
+            aos, col,
+            "multi-pass and fold suites must render identically"
+        );
         assert!(aos.contains("### connections"));
 
         // Round trip through the on-disk container; the reloaded suite

@@ -12,8 +12,8 @@
 //!   the burst merge are order-sensitive, so parallelism is confined to
 //!   the side with no float arithmetic;
 //! * it equals, byte for byte, what loading the whole trace and running
-//!   the multi-pass slice kernels over it produces — the oracle in this
-//!   file's test module, which shares none of the folds' loops.
+//!   one view-kernel pass per quantity over it produces — the oracle in
+//!   this file's test module, which shares none of the folds' loops.
 //!
 //! Peak memory is O(jobs · chunk): at most two decode rounds of chunks
 //! are resident at once, however long the trace.
@@ -286,28 +286,25 @@ mod tests {
     use super::*;
     use crate::tests::multipass_report;
     use fxnet::metrics::MatrixAccum;
-    use fxnet::trace::{
-        binned_bandwidth, load_store, save_store_chunked, sliding_window_bandwidth, ChunkedWriter,
-        TraceStore,
-    };
+    use fxnet::trace::{load_store, save_store_chunked, ChunkedWriter, TraceStore};
     use fxnet::FrameRecord;
     use fxnet::{sim::Frame, sim::FrameKind, HostId};
 
     /// The scan's oracle: materialize the whole trace, then run the
-    /// multi-pass analyses over its records — the report composed from
-    /// the slice kernels, a pass for the harmonic series, the full
+    /// multi-pass analyses over its view — the report composed from the
+    /// view kernels, a pass for the harmonic series, the full
     /// `sliding_window_bandwidth` vector reduced to its peak, and the
     /// materialized matrix ladder (`MatrixAccum`, every window kept)
     /// reduced to its summaries. It shares none of [`streamed_scan`]'s
     /// folds, at O(trace) peak memory.
     fn materialized_scan(path: &Path, cfg: &ScanConfig) -> Result<ScanOutcome, TraceIoError> {
         let store = load_store(path)?;
-        let records = store.to_records();
-        let trace_report = multipass_report(&cfg.label, &records, &cfg.opts);
-        let series = binned_bandwidth(&records, cfg.opts.bin);
+        let view = store.view();
+        let trace_report = multipass_report(&cfg.label, view, &cfg.opts);
+        let series = view.binned_bandwidth(cfg.opts.bin);
         let harmonics = harmonic_powers(&series, cfg.opts.bin, cfg.base_hz, &cfg.harmonics);
 
-        let sliding = sliding_window_bandwidth(&records, cfg.window);
+        let sliding = view.sliding_window_bandwidth(cfg.window);
         let sliding_peak = (!sliding.is_empty()).then(|| {
             sliding
                 .iter()
@@ -315,7 +312,9 @@ mod tests {
         });
 
         let mut matrices = MatrixAccum::new(cfg.matrix_base_ns);
-        matrices.record_trace(&records);
+        for r in view.iter() {
+            matrices.record(r.time, r.src.0, r.dst.0, u64::from(r.wire_len));
+        }
         let relations = matrices.finalize(&cfg.matrix_scales).summaries();
 
         let frames = store.len() as u64;

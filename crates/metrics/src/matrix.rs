@@ -25,7 +25,7 @@
 //! closes, each coarser one by merging the closed windows of the scale
 //! below it.
 
-use fxnet_sim::{FrameRecord, SimTime};
+use fxnet_sim::SimTime;
 use fxnet_trace::TraceStore;
 use std::collections::BTreeMap;
 
@@ -339,13 +339,6 @@ impl MatrixAccum {
             .or_default();
         cell.0 += 1;
         cell.1 += wire;
-    }
-
-    /// Count a whole trace.
-    pub fn record_trace(&mut self, trace: &[FrameRecord]) {
-        for r in trace {
-            self.record(r.time, r.src.0, r.dst.0, u64::from(r.wire_len));
-        }
     }
 
     /// Total frames recorded so far.
@@ -734,8 +727,14 @@ impl ScalingAccum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fxnet_sim::{FrameKind, HostId, Proto};
+    use fxnet_sim::{FrameKind, FrameRecord, HostId, Proto};
     use proptest::prelude::*;
+
+    fn record_all(acc: &mut MatrixAccum, trace: &[FrameRecord]) {
+        for r in trace {
+            acc.record(r.time, r.src.0, r.dst.0, u64::from(r.wire_len));
+        }
+    }
 
     fn rec(ms: u64, src: u32, dst: u32, len: u32) -> FrameRecord {
         FrameRecord {
@@ -757,7 +756,7 @@ mod tests {
             rec(3, 2, 0, 60),
         ];
         let mut acc = MatrixAccum::new(1_000_000);
-        acc.record_trace(&trace);
+        record_all(&mut acc, &trace);
         let m = acc.finalize(&[1]);
         let store = TraceStore::from_records(&trace);
         assert_eq!(m.space, PairSpace::from_store(&store));
@@ -770,12 +769,15 @@ mod tests {
     fn window_matrices_are_hypersparse_and_fold_exactly() {
         let mut acc = MatrixAccum::new(1_000_000);
         // Windows 0 and 1 (1 ms), then a lone frame at 15 ms.
-        acc.record_trace(&[
-            rec(0, 0, 1, 100),
-            rec(0, 1, 0, 60),
-            rec(1, 0, 1, 100),
-            rec(15, 2, 3, 500),
-        ]);
+        record_all(
+            &mut acc,
+            &[
+                rec(0, 0, 1, 100),
+                rec(0, 1, 0, 60),
+                rec(1, 0, 1, 100),
+                rec(15, 2, 3, 500),
+            ],
+        );
         let m = acc.finalize(&[1, 10]);
         assert_eq!(m.base().windows.len(), 3);
         assert_eq!(m.scales[1].windows.len(), 2);
@@ -792,7 +794,10 @@ mod tests {
     fn scaling_relations_conserve_and_widen() {
         let mut acc = MatrixAccum::new(1_000_000);
         for ms in 0..50 {
-            acc.record_trace(&[rec(ms, ms as u32 % 4, (ms as u32 + 1) % 4, 100)]);
+            record_all(
+                &mut acc,
+                &[rec(ms, ms as u32 % 4, (ms as u32 + 1) % 4, 100)],
+            );
         }
         let m = acc.finalize(&[1, 10]);
         let s = m.summaries();

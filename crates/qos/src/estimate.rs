@@ -12,8 +12,8 @@
 
 use crate::descriptor::AppDescriptor;
 use fxnet_fx::Pattern;
-use fxnet_sim::{FrameRecord, SimTime};
-use fxnet_trace::BurstProfile;
+use fxnet_sim::SimTime;
+use fxnet_trace::{BurstProfile, TraceView};
 
 /// Point estimates extracted from one measured run at a known `P`.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -44,13 +44,14 @@ pub enum BurstScaling {
 }
 
 /// Extract point estimates from a trace measured at `p` processors,
-/// segmenting bursts separated by at least `gap`. Returns `None` when the
-/// trace has fewer than two bursts (no interval to measure).
-pub fn estimate_traffic(trace: &[FrameRecord], p: u32, gap: SimTime) -> Option<TrafficEstimate> {
-    let profile = BurstProfile::of(trace, gap)?;
-    let intervals = profile.intervals?;
-    let bursts = fxnet_trace::detect_bursts(trace, gap);
+/// segmenting its bursts once, split at quiet gaps longer than `gap`.
+/// Returns `None` when the trace has fewer than two bursts (no interval
+/// to measure).
+pub fn estimate_traffic(trace: TraceView<'_>, p: u32, gap: SimTime) -> Option<TrafficEstimate> {
+    let bursts = trace.detect_bursts(gap);
     let t_burst = bursts.iter().map(|b| b.duration()).sum::<f64>() / bursts.len() as f64;
+    let profile = BurstProfile::of_bursts(bursts)?;
+    let intervals = profile.intervals?;
     Some(TrafficEstimate {
         p,
         burst_bytes: profile.sizes.avg,
@@ -94,7 +95,12 @@ mod tests {
     use super::*;
     use crate::negotiate::negotiate;
     use crate::network::QosNetwork;
-    use fxnet_sim::{Frame, FrameKind, HostId};
+    use fxnet_sim::{Frame, FrameKind, FrameRecord, HostId};
+    use fxnet_trace::TraceStore;
+
+    fn estimate(tr: &[FrameRecord], p: u32, gap: SimTime) -> Option<TrafficEstimate> {
+        estimate_traffic(TraceStore::from_records(tr).view(), p, gap)
+    }
 
     /// A synthetic shift-pattern trace: bursts of `frames` full packets
     /// every `period_ms`, alternating over the ring connections.
@@ -123,7 +129,7 @@ mod tests {
     fn estimates_recover_synthetic_parameters() {
         // 800 ms period, 200 ms bursts of 100 full frames.
         let tr = shift_trace(10, 100, 800, 200);
-        let est = estimate_traffic(&tr, 4, SimTime::from_millis(100)).unwrap();
+        let est = estimate(&tr, 4, SimTime::from_millis(100)).unwrap();
         assert_eq!(est.p, 4);
         assert!(
             (est.t_interval - 0.8).abs() < 0.05,
@@ -139,14 +145,14 @@ mod tests {
     #[test]
     fn too_few_bursts_is_none() {
         let tr = shift_trace(1, 10, 800, 200);
-        assert!(estimate_traffic(&tr, 4, SimTime::from_millis(100)).is_none());
-        assert!(estimate_traffic(&[], 4, SimTime::from_millis(100)).is_none());
+        assert!(estimate(&tr, 4, SimTime::from_millis(100)).is_none());
+        assert!(estimate(&[], 4, SimTime::from_millis(100)).is_none());
     }
 
     #[test]
     fn descriptor_reproduces_measured_point() {
         let tr = shift_trace(10, 100, 800, 200);
-        let est = estimate_traffic(&tr, 4, SimTime::from_millis(100)).unwrap();
+        let est = estimate(&tr, 4, SimTime::from_millis(100)).unwrap();
         let app = estimate_descriptor(&est, Pattern::Shift { k: 1 }, BurstScaling::Constant);
         // At the measured P, the descriptor's l matches the estimate.
         assert!(((app.local)(4) - est.local_s).abs() < 1e-9);
@@ -159,7 +165,7 @@ mod tests {
     #[test]
     fn fixed_total_scaling_shrinks_bursts_with_connections() {
         let tr = shift_trace(10, 100, 800, 200);
-        let est = estimate_traffic(&tr, 4, SimTime::from_millis(100)).unwrap();
+        let est = estimate(&tr, 4, SimTime::from_millis(100)).unwrap();
         let app = estimate_descriptor(&est, Pattern::AllToAll, BurstScaling::FixedTotal);
         assert!((app.burst)(8) < (app.burst)(4));
     }
@@ -167,7 +173,7 @@ mod tests {
     #[test]
     fn measured_descriptor_is_negotiable() {
         let tr = shift_trace(10, 100, 800, 200);
-        let est = estimate_traffic(&tr, 4, SimTime::from_millis(100)).unwrap();
+        let est = estimate(&tr, 4, SimTime::from_millis(100)).unwrap();
         let app = estimate_descriptor(&est, Pattern::Shift { k: 1 }, BurstScaling::Constant);
         let deal = negotiate(&app, &QosNetwork::ethernet_10mbps(), 1..=16).expect("admissible");
         assert!(deal.p >= 1);

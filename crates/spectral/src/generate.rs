@@ -93,7 +93,7 @@ pub fn synthesize_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fxnet_trace::{binned_bandwidth, Periodogram};
+    use fxnet_trace::{Periodogram, TraceStore};
 
     fn model_with(mean: f64, freq: f64, amp: f64) -> FourierModel {
         FourierModel {
@@ -135,7 +135,9 @@ mod tests {
             &SynthConfig::default(),
             &mut rng,
         );
-        let series = binned_bandwidth(&tr, SimTime::from_millis(10));
+        let series = TraceStore::from_records(&tr)
+            .view()
+            .binned_bandwidth(SimTime::from_millis(10));
         let p = Periodogram::compute(&series, SimTime::from_millis(10));
         let f = p.dominant_frequency(0.5).unwrap();
         assert!((f - 4.0).abs() < 0.2, "regenerated dominant {f} Hz");

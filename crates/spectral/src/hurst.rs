@@ -53,7 +53,7 @@ mod tests {
     use super::*;
     use crate::media::self_similar_trace;
     use fxnet_sim::{SimRng, SimTime};
-    use fxnet_trace::binned_bandwidth;
+    use fxnet_trace::TraceStore;
 
     #[test]
     fn iid_noise_has_h_near_half() {
@@ -81,7 +81,9 @@ mod tests {
             SimTime::from_secs(240),
             &mut rng,
         );
-        let series = binned_bandwidth(&tr, SimTime::from_millis(100));
+        let series = TraceStore::from_records(&tr)
+            .view()
+            .binned_bandwidth(SimTime::from_millis(100));
         let h = hurst_aggregated_variance(&series).unwrap();
         assert!(h > 0.6, "self-similar H = {h}");
     }

@@ -119,7 +119,7 @@ pub fn self_similar_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fxnet_trace::{binned_bandwidth, Periodogram};
+    use fxnet_trace::{Periodogram, TraceStore};
 
     const BIN: SimTime = SimTime(10_000_000);
 
@@ -129,7 +129,10 @@ mod tests {
         let bytes: u64 = tr.iter().map(|r| u64::from(r.wire_len)).sum();
         assert!((bytes as f64 / 10.0 - 100_000.0).abs() < 2000.0);
         // Perfectly regular interarrivals.
-        let s = fxnet_trace::Stats::interarrivals_ms(&tr).unwrap();
+        let s = TraceStore::from_records(&tr)
+            .view()
+            .interarrivals_ms()
+            .unwrap();
         assert!(s.sd < 1e-6, "CBR jitter {}", s.sd);
     }
 
@@ -138,10 +141,14 @@ mod tests {
         let mut rng = SimRng::new(11);
         let vbr = onoff_vbr_trace(400_000.0, 0.3, 0.7, 1000, SimTime::from_secs(30), &mut rng);
         let cbr = cbr_trace(120_000.0, 1000, SimTime::from_secs(30));
-        let b_vbr = fxnet_trace::Stats::interarrivals_ms(&vbr)
+        let b_vbr = TraceStore::from_records(&vbr)
+            .view()
+            .interarrivals_ms()
             .unwrap()
             .burstiness();
-        let b_cbr = fxnet_trace::Stats::interarrivals_ms(&cbr)
+        let b_cbr = TraceStore::from_records(&cbr)
+            .view()
+            .interarrivals_ms()
             .unwrap()
             .burstiness();
         assert!(b_vbr > 5.0 * b_cbr, "vbr {b_vbr} vs cbr {b_cbr}");
@@ -154,7 +161,7 @@ mod tests {
         // on/off media traffic of the same average rate.
         let mut rng = SimRng::new(5);
         let vbr = onoff_vbr_trace(500_000.0, 0.4, 0.6, 1000, SimTime::from_secs(60), &mut rng);
-        let vbr_series = binned_bandwidth(&vbr, BIN);
+        let vbr_series = TraceStore::from_records(&vbr).view().binned_bandwidth(BIN);
         let periodic: Vec<f64> = (0..vbr_series.len())
             .map(|i| if (i / 20) % 5 == 0 { 1_000_000.0 } else { 0.0 })
             .collect();

@@ -1,137 +1,117 @@
-//! Bandwidth series: lifetime average, sliding-window instantaneous
-//! bandwidth, and the statically binned series used for spectra.
+//! Lifetime bandwidth and the batch side of static binning.
+//!
+//! [`Lifetime`] is the one accumulator behind the lifetime average
+//! (Figure 5) — [`crate::TraceView::average_bandwidth`],
+//! [`crate::TraceView::time_bounds`] and the report fold all push into
+//! it. [`binned_from`] runs [`crate::StreamBinner`] over a view, with a
+//! sort for the rare view that is not in time order.
 
-use fxnet_sim::{FrameRecord, SimTime};
+use crate::stream::StreamBinner;
+use fxnet_sim::SimTime;
 
-/// One fused pass over `(time_ns, wire_len)` samples: min time, max
-/// time, and byte total folded together. Shared by the legacy slice
-/// kernel and the columnar [`crate::TraceView`] so both produce
-/// bitwise-identical results.
-pub(crate) fn average_from(samples: impl Iterator<Item = (u64, u32)>) -> Option<f64> {
-    let mut t_min = u64::MAX;
-    let mut t_max = 0u64;
-    let mut bytes = 0u64;
-    let mut n = 0usize;
-    for (t, len) in samples {
-        n += 1;
-        t_min = t_min.min(t);
-        t_max = t_max.max(t);
-        bytes += u64::from(len);
-    }
-    if n == 0 {
-        return None;
-    }
-    let span = (SimTime::from_nanos(t_max) - SimTime::from_nanos(t_min)).as_secs_f64();
-    if span <= 0.0 {
-        return None;
-    }
-    Some(bytes as f64 / span)
+/// Lifetime totals of a frame stream: earliest and latest capture time
+/// and bytes carried. Accepts frames in any order, so an unsorted view
+/// yields its true lifetime rather than a wrong (or negative) span.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lifetime {
+    n: usize,
+    t_min: u64,
+    t_max: u64,
+    bytes: u64,
 }
 
-/// Average bandwidth in bytes/second over the lifetime of the trace
-/// (Figure 5's quantity). `None` for traces spanning zero time.
-///
-/// The span comes from the *observed* min/max times — not the first and
-/// last records — folded into the same pass as the byte sum, so unsorted
-/// traces yield the true lifetime rather than a wrong (or negative)
-/// span.
-pub fn average_bandwidth(trace: &[FrameRecord]) -> Option<f64> {
-    average_from(trace.iter().map(|r| (r.time.as_nanos(), r.wire_len)))
+impl Lifetime {
+    pub(crate) fn new() -> Lifetime {
+        Lifetime {
+            n: 0,
+            t_min: u64::MAX,
+            t_max: 0,
+            bytes: 0,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn push(&mut self, time_ns: u64, wire_len: u32) {
+        self.n += 1;
+        self.t_min = self.t_min.min(time_ns);
+        self.t_max = self.t_max.max(time_ns);
+        self.bytes += u64::from(wire_len);
+    }
+
+    /// Earliest and latest capture time, `None` before any frame.
+    pub(crate) fn bounds(&self) -> Option<(SimTime, SimTime)> {
+        (self.n > 0).then(|| {
+            (
+                SimTime::from_nanos(self.t_min),
+                SimTime::from_nanos(self.t_max),
+            )
+        })
+    }
+
+    /// Average bandwidth in bytes/second over the observed lifetime;
+    /// `None` for streams spanning zero time.
+    pub(crate) fn average(&self) -> Option<f64> {
+        let (lo, hi) = self.bounds()?;
+        let span = (hi - lo).as_secs_f64();
+        (span > 0.0).then(|| self.bytes as f64 / span)
+    }
 }
 
-/// Instantaneous average bandwidth over a `window` sliding one packet at
-/// a time (Figures 6 and 10): for each packet arrival `t`, the bytes
-/// received in `(t − window, t]` divided by the window length. Returns
-/// `(time, bytes_per_second)` points.
-///
-/// Delegates to the streaming [`crate::stream::SlidingBandwidth`] ring,
-/// so the batch and live-observer paths share one window semantics: a
-/// window reaching before the first packet (or a whole trace shorter
-/// than one window) holds fewer bytes but is still divided by the full
-/// window length.
-pub fn sliding_window_bandwidth(trace: &[FrameRecord], window: SimTime) -> Vec<(SimTime, f64)> {
-    let mut ring = crate::stream::SlidingBandwidth::new(window);
-    trace
-        .iter()
-        .map(|r| (r.time, ring.push(r.time, r.wire_len)))
-        .collect()
-}
-
-/// One-pass static binning over `(time_ns, wire_len)` samples, shared by
-/// the legacy slice kernel and the columnar [`crate::TraceView`].
-///
-/// The bin grid is anchored at the minimum observed time. For
-/// time-ordered input (the capture invariant — every simulator trace) the
-/// first sample *is* the minimum, so the whole computation — min, max,
-/// and bin fill — happens in a single pass, growing the bin vector as
-/// later samples land. Out-of-order input is detected on the fly (a
-/// sample earlier than the provisional anchor) and triggers one
-/// corrective fill pass against the true minimum; `make` must therefore
-/// yield the same samples each time it is called.
+/// Static binning of `(time_ns, wire_len)` samples on the grid anchored
+/// at the earliest one. A time-ordered stream (every capture) is one
+/// pass through a [`StreamBinner`]. A sample out of time order is
+/// detected on the fly, and the samples are then binned once more after
+/// a sort: integer byte sums do not depend on the order they are added
+/// in. `make` must yield the same samples each time it is called.
 pub(crate) fn binned_from<I>(mut make: impl FnMut() -> I, bin: SimTime) -> Vec<f64>
 where
     I: Iterator<Item = (u64, u32)>,
 {
-    let bin_ns = bin.as_nanos();
-    assert!(bin_ns > 0);
-    let mut it = make();
-    let Some((anchor, first_len)) = it.next() else {
-        return Vec::new();
-    };
-    let mut t_min = anchor;
-    let mut t_max = anchor;
-    let mut bytes: Vec<u64> = vec![u64::from(first_len)];
-    let mut anchored = true;
-    for (t, len) in it {
-        t_min = t_min.min(t);
-        t_max = t_max.max(t);
-        if t < anchor {
-            anchored = false;
-        }
-        if anchored {
-            let idx = ((t - anchor) / bin_ns) as usize;
-            if idx >= bytes.len() {
-                bytes.resize(idx + 1, 0);
-            }
-            bytes[idx] += u64::from(len);
-        }
-    }
-    let nbins = ((t_max - t_min) / bin_ns + 1) as usize;
-    if anchored {
-        bytes.resize(nbins, 0);
-    } else {
-        // Rare out-of-order path: the provisional anchor was not the
-        // minimum, so the grid phase was wrong — refill once.
-        bytes = vec![0u64; nbins];
-        for (t, len) in make() {
-            bytes[((t - t_min) / bin_ns) as usize] += u64::from(len);
-        }
-    }
-    let bin_s = bin.as_secs_f64();
-    bytes.into_iter().map(|b| b as f64 / bin_s).collect()
+    bin_ordered(make(), bin).unwrap_or_else(|| {
+        let mut sorted: Vec<(u64, u32)> = make().collect();
+        sorted.sort_unstable_by_key(|&(t, _)| t);
+        bin_ordered(sorted.into_iter(), bin).expect("sorted samples are in time order")
+    })
 }
 
-/// Bandwidth binned on static `bin`-long intervals starting at the first
-/// packet (bytes/second per bin). "Because a power spectrum computation
-/// requires evenly spaced input data, the input bandwidth was computed
-/// along static 10 ms intervals by including all packets that arrived
-/// during the interval" (§6.1).
-pub fn binned_bandwidth(trace: &[FrameRecord], bin: SimTime) -> Vec<f64> {
-    binned_from(
-        || trace.iter().map(|r| (r.time.as_nanos(), r.wire_len)),
-        bin,
-    )
+/// Bin a stream through a [`StreamBinner`]; `None` at the first sample
+/// earlier than its predecessor.
+fn bin_ordered(samples: impl Iterator<Item = (u64, u32)>, bin: SimTime) -> Option<Vec<f64>> {
+    let mut binner = StreamBinner::new(bin);
+    let mut last = 0u64;
+    for (t, len) in samples {
+        if t < last {
+            return None;
+        }
+        last = t;
+        binner.push(SimTime::from_nanos(t), len);
+    }
+    Some(binner.finish())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use fxnet_sim::{Frame, FrameKind, HostId};
+    use crate::TraceStore;
+    use fxnet_sim::{Frame, FrameKind, FrameRecord, HostId, SimTime};
     use proptest::prelude::*;
 
     fn rec(t: SimTime, size: u32) -> FrameRecord {
         let f = Frame::tcp(HostId(0), HostId(1), FrameKind::Data, size - 58, 0);
         FrameRecord::capture(t, &f)
+    }
+
+    fn average_bandwidth(tr: &[FrameRecord]) -> Option<f64> {
+        TraceStore::from_records(tr).view().average_bandwidth()
+    }
+
+    fn binned_bandwidth(tr: &[FrameRecord], bin: SimTime) -> Vec<f64> {
+        TraceStore::from_records(tr).view().binned_bandwidth(bin)
+    }
+
+    fn sliding_window_bandwidth(tr: &[FrameRecord], window: SimTime) -> Vec<(SimTime, f64)> {
+        TraceStore::from_records(tr)
+            .view()
+            .sliding_window_bandwidth(window)
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! sizes and spacing.
 
 use crate::stats::Stats;
-use fxnet_sim::{FrameRecord, SimTime};
+use fxnet_sim::SimTime;
 
 /// One detected burst.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,38 +26,52 @@ pub struct Burst {
 impl Burst {
     /// Burst length in seconds (the paper's `t_b`).
     pub fn duration(&self) -> f64 {
-        (self.end - self.start).as_secs_f64()
+        self.end.saturating_sub(self.start).as_secs_f64()
     }
 }
 
-/// One-pass burst segmentation over `(time_ns, wire_len)` samples —
-/// the shared core behind the legacy slice kernel and the columnar
-/// [`crate::TraceView`].
-pub(crate) fn bursts_from(samples: impl Iterator<Item = (u64, u32)>, gap: SimTime) -> Vec<Burst> {
-    let mut out: Vec<Burst> = Vec::new();
-    for (t, len) in samples {
-        let time = SimTime::from_nanos(t);
-        match out.last_mut() {
-            Some(b) if time.saturating_sub(b.end) <= gap => {
+/// The one burst rule, incremental: a frame no more than `gap` after
+/// the open burst's last frame joins it; otherwise it closes that burst
+/// and opens the next. [`crate::TraceView::detect_bursts`], the report
+/// fold and `fxnet-watch`'s live estimator all fold through it.
+///
+/// Frames are expected in capture order; one earlier than the open
+/// burst's end (an unsorted view) joins that burst.
+#[derive(Debug, Clone)]
+pub struct BurstSegmenter {
+    gap: SimTime,
+    open: Option<Burst>,
+}
+
+impl BurstSegmenter {
+    /// Split bursts at quiet gaps longer than `gap`.
+    pub fn new(gap: SimTime) -> BurstSegmenter {
+        BurstSegmenter { gap, open: None }
+    }
+
+    /// Account one frame; returns the burst it closed, if any.
+    #[inline]
+    pub fn push(&mut self, time: SimTime, wire_len: u32) -> Option<Burst> {
+        if let Some(b) = &mut self.open {
+            if time.saturating_sub(b.end) <= self.gap {
                 b.end = time;
-                b.bytes += u64::from(len);
+                b.bytes += u64::from(wire_len);
                 b.packets += 1;
+                return None;
             }
-            _ => out.push(Burst {
-                start: time,
-                end: time,
-                bytes: u64::from(len),
-                packets: 1,
-            }),
         }
+        self.open.replace(Burst {
+            start: time,
+            end: time,
+            bytes: u64::from(wire_len),
+            packets: 1,
+        })
     }
-    out
-}
 
-/// Segment `trace` into bursts: consecutive packets closer than `gap`
-/// belong to the same burst.
-pub fn detect_bursts(trace: &[FrameRecord], gap: SimTime) -> Vec<Burst> {
-    bursts_from(trace.iter().map(|r| (r.time.as_nanos(), r.wire_len)), gap)
+    /// Close the open burst at end of stream, if there is one.
+    pub fn finish(&mut self) -> Option<Burst> {
+        self.open.take()
+    }
 }
 
 /// Burst-level summary of a trace.
@@ -73,14 +87,9 @@ pub struct BurstProfile {
 }
 
 impl BurstProfile {
-    /// Profile the bursts of `trace` using `gap` as the separator.
-    /// `None` if the trace is empty.
-    pub fn of(trace: &[FrameRecord], gap: SimTime) -> Option<BurstProfile> {
-        BurstProfile::of_bursts(detect_bursts(trace, gap))
-    }
-
-    /// Profile an already-detected burst list (the columnar path detects
-    /// bursts from a view, then summarizes them here).
+    /// Profile a detected burst list, in time order; `None` if it is
+    /// empty. [`crate::TraceView::burst_profile`] and the report fold
+    /// both summarize here.
     pub fn of_bursts(bursts: Vec<Burst>) -> Option<BurstProfile> {
         let sizes = Stats::of(bursts.iter().map(|b| b.bytes as f64))?;
         let intervals = if bursts.len() >= 2 {
@@ -113,7 +122,16 @@ impl BurstProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fxnet_sim::{Frame, FrameKind, HostId};
+    use crate::TraceStore;
+    use fxnet_sim::{Frame, FrameKind, FrameRecord, HostId};
+
+    fn detect_bursts(tr: &[FrameRecord], gap: SimTime) -> Vec<Burst> {
+        TraceStore::from_records(tr).view().detect_bursts(gap)
+    }
+
+    fn profile(tr: &[FrameRecord], gap: SimTime) -> Option<BurstProfile> {
+        TraceStore::from_records(tr).view().burst_profile(gap)
+    }
 
     fn rec(t_us: u64, size: u32) -> FrameRecord {
         let f = Frame::tcp(HostId(0), HostId(1), FrameKind::Data, size - 58, 0);
@@ -151,7 +169,7 @@ mod tests {
 
     #[test]
     fn constant_burst_sizes_have_zero_cv() {
-        let p = BurstProfile::of(&regular_trace(), SimTime::from_millis(10)).unwrap();
+        let p = profile(&regular_trace(), SimTime::from_millis(10)).unwrap();
         assert_eq!(p.count, 3);
         assert!(p.size_cv() < 1e-9);
         let iv = p.intervals.unwrap();
@@ -169,19 +187,19 @@ mod tests {
             }
             t += 100_000 * (i as u64 + 1);
         }
-        let p = BurstProfile::of(&tr, SimTime::from_millis(10)).unwrap();
+        let p = profile(&tr, SimTime::from_millis(10)).unwrap();
         assert_eq!(p.count, 5);
         assert!(p.size_cv() > 0.5, "cv {}", p.size_cv());
     }
 
     #[test]
     fn empty_trace_is_none() {
-        assert!(BurstProfile::of(&[], SimTime::from_millis(10)).is_none());
+        assert!(profile(&[], SimTime::from_millis(10)).is_none());
     }
 
     #[test]
     fn single_packet_trace() {
-        let p = BurstProfile::of(&[rec(0, 500)], SimTime::from_millis(10)).unwrap();
+        let p = profile(&[rec(0, 500)], SimTime::from_millis(10)).unwrap();
         assert_eq!(p.count, 1);
         assert!(p.intervals.is_none());
     }

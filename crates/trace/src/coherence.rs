@@ -7,9 +7,9 @@
 //! of different connections, and the mean pairwise correlation over all
 //! busy connections of a trace.
 
-use crate::bandwidth::binned_bandwidth;
-use crate::select::host_pairs;
-use fxnet_sim::{FrameRecord, SimTime};
+use crate::store::TraceView;
+use crate::stream::bin_index;
+use fxnet_sim::SimTime;
 
 /// Pearson correlation of two equal-sampled series, compared over their
 /// common prefix. `None` if either side is constant or too short.
@@ -37,33 +37,31 @@ pub fn correlation(a: &[f64], b: &[f64]) -> Option<f64> {
 
 /// Mean pairwise correlation of the binned bandwidth of every connection
 /// carrying at least `min_frames` frames. All per-connection series are
-/// binned on the same absolute time base so "in phase" is meaningful.
+/// placed on the same absolute time base so "in phase" is meaningful.
 /// `None` if fewer than two connections qualify.
+///
+/// Connections are zero-copy views off the store's connection index, so
+/// `view` must cover its whole store (it panics otherwise).
 pub fn mean_connection_correlation(
-    trace: &[FrameRecord],
+    view: TraceView<'_>,
     bin: SimTime,
     min_frames: usize,
 ) -> Option<f64> {
-    if trace.is_empty() {
-        return None;
-    }
-    let t0 = trace[0].time;
-    let span_bins =
-        ((trace.last().expect("nonempty").time - t0).as_nanos() / bin.as_nanos() + 1) as usize;
+    let store = view.store();
+    assert_eq!(view.len(), store.len(), "a whole-store view");
+    let (t0, t_end) = view.time_bounds()?;
+    let bin_ns = bin.as_nanos();
+    let span_bins = (bin_index(t_end.as_nanos(), t0.as_nanos(), bin_ns) + 1) as usize;
     let mut series: Vec<Vec<f64>> = Vec::new();
-    for ((src, dst), count) in host_pairs(trace) {
+    for ((src, dst), count) in view.host_pairs() {
         if count < min_frames {
             continue;
         }
-        let conn: Vec<FrameRecord> = trace
-            .iter()
-            .filter(|r| r.src == src && r.dst == dst)
-            .copied()
-            .collect();
+        let conn = store.connection(src, dst);
         // Rebase onto the shared time origin: prepend the offset.
-        let offset_bins = ((conn[0].time - t0).as_nanos() / bin.as_nanos()) as usize;
-        let mut s = vec![0.0; offset_bins];
-        s.extend(binned_bandwidth(&conn, bin));
+        let first = conn.record(0).time.as_nanos();
+        let mut s = vec![0.0; bin_index(first, t0.as_nanos(), bin_ns) as usize];
+        s.extend(conn.binned_bandwidth(bin));
         s.resize(span_bins, 0.0);
         series.push(s);
     }
@@ -86,7 +84,12 @@ pub fn mean_connection_correlation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fxnet_sim::{Frame, FrameKind, HostId};
+    use crate::TraceStore;
+    use fxnet_sim::{Frame, FrameKind, FrameRecord, HostId};
+
+    fn mean_correlation(tr: &[FrameRecord], bin: SimTime, min_frames: usize) -> Option<f64> {
+        mean_connection_correlation(TraceStore::from_records(tr).view(), bin, min_frames)
+    }
 
     fn rec(src: u32, dst: u32, t_ms: u64, size: u32) -> FrameRecord {
         let f = Frame::tcp(HostId(src), HostId(dst), FrameKind::Data, size - 58, 0);
@@ -123,7 +126,7 @@ mod tests {
             }
         }
         tr.sort_by_key(|r| r.time);
-        let c = mean_connection_correlation(&tr, SimTime::from_millis(10), 5).unwrap();
+        let c = mean_correlation(&tr, SimTime::from_millis(10), 5).unwrap();
         assert!(c > 0.8, "in-phase correlation {c}");
     }
 
@@ -137,7 +140,7 @@ mod tests {
             }
         }
         tr.sort_by_key(|r| r.time);
-        let c = mean_connection_correlation(&tr, SimTime::from_millis(10), 5).unwrap();
+        let c = mean_correlation(&tr, SimTime::from_millis(10), 5).unwrap();
         assert!(c < 0.1, "anti-phase correlation {c}");
     }
 
@@ -150,11 +153,22 @@ mod tests {
         tr.push(rec(2, 3, 55, 1000)); // one stray frame
         tr.sort_by_key(|r| r.time);
         // Only one connection qualifies → no pairwise correlation.
-        assert!(mean_connection_correlation(&tr, SimTime::from_millis(10), 5).is_none());
+        assert!(mean_correlation(&tr, SimTime::from_millis(10), 5).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "a whole-store view")]
+    fn a_subset_view_is_rejected() {
+        // The connections would come from the whole store, not the subset.
+        let tr: Vec<FrameRecord> = (0..4)
+            .map(|i| rec(i % 2, 1 - i % 2, i as u64, 100))
+            .collect();
+        let store = TraceStore::from_records(&tr);
+        mean_connection_correlation(store.select(&[0, 1]), SimTime::from_millis(10), 1);
     }
 
     #[test]
     fn empty_trace_is_none() {
-        assert!(mean_connection_correlation(&[], SimTime::from_millis(10), 1).is_none());
+        assert!(mean_correlation(&[], SimTime::from_millis(10), 1).is_none());
     }
 }

@@ -89,7 +89,6 @@ pub fn demux_store<'a>(store: &'a TraceStore, map: &TenantMap) -> DemuxedStore<'
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::select::connection;
     use fxnet_sim::{Frame, FrameKind, FrameRecord, HostId, SimTime};
 
     fn rec(src: u32, dst: u32, t_us: u64) -> FrameRecord {
@@ -140,16 +139,18 @@ mod tests {
 
     #[test]
     fn connection_extraction_from_demuxed_equals_whole_trace_extraction() {
-        // `select::connection` on the full interleaved capture must agree
+        // The connection of the full interleaved capture must agree
         // with extraction from the tenant's own sub-trace: no frame of a
         // foreign tenant can alias into the connection.
         let tr = interleaved_trace();
         let store = TraceStore::from_records(&tr);
         let d = demux_store(&store, &two_tenants());
         for (src, dst) in [(0u32, 1u32), (1, 0), (2, 3), (3, 2)] {
-            let whole = connection(&tr, HostId(src), HostId(dst));
+            let whole = store.connection(HostId(src), HostId(dst)).to_records();
             let owner = two_tenants().owner_of_host(HostId(src)).unwrap();
-            let sub = connection(&d.tenant(owner).to_records(), HostId(src), HostId(dst));
+            let sub = TraceStore::from_records(&d.tenant(owner).to_records())
+                .connection(HostId(src), HostId(dst))
+                .to_records();
             assert_eq!(whole, sub, "connection {src}->{dst}");
             assert_eq!(whole.len(), 50);
         }

@@ -34,7 +34,7 @@ pub fn slowdown(mixed_secs: f64, solo_secs: f64) -> f64 {
 
 /// Count bursts of `a` that overlap in time with at least one burst of
 /// `b`. Both inputs must be start-ordered (as produced by
-/// [`crate::detect_bursts`]); the sweep is O(|a| + |b|).
+/// [`crate::TraceView::detect_bursts`]); the sweep is O(|a| + |b|).
 pub fn burst_collisions(a: &[Burst], b: &[Burst]) -> usize {
     let mut collisions = 0;
     let mut j = 0;

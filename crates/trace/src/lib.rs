@@ -24,21 +24,24 @@
 //! The store of record is the columnar [`TraceStore`] —
 //! structure-of-arrays columns with a one-pass connection index, whose
 //! [`TraceView`]s make `connection()`, tenant demux, and per-connection
-//! statistics zero-copy. The per-trace report (sizes, interarrivals,
-//! bandwidth, bursts, spectrum summary) has **one** implementation:
+//! statistics zero-copy. The view kernels ([`TraceView::packet_sizes`],
+//! [`TraceView::binned_bandwidth`], [`TraceView::detect_bursts`], …) are
+//! the analysis API; a run's `Vec<FrameRecord>` becomes one store with
+//! [`TraceStore::from_records`]. Each quantity has one rule, one
+//! accumulator that the view kernel, the report fold and the live
+//! observer in `fxnet-watch` all push into: one burst segmenter
+//! ([`BurstSegmenter`]), one anchored binner ([`StreamBinner`]), one
+//! sliding window ([`SlidingBandwidth`]). The per-trace report (sizes,
+//! interarrivals, bandwidth, bursts, spectrum summary) is
 //! [`StreamingReport`], a fold over `(time_ns, wire_len)` samples that
 //! runs identically whether it is fed a whole view
 //! ([`TraceReport::analyze_view`]) or the chunks of a file too large to
-//! load. The single-quantity slice kernels over `&[FrameRecord]`
-//! ([`Stats::packet_sizes`], [`binned_bandwidth`], [`detect_bursts`], …)
-//! are thin wrappers over the same arithmetic cores as the view kernels
-//! and stay as the record-oriented API; composed, they are also the
-//! fold's test oracle. Traces persist in one format: the chunked
-//! binary container in [`io`].
-
+//! load. Traces persist in one format: the chunked binary container in
+//! [`io`].
+//!
 //! ```
 //! use fxnet_sim::{Frame, FrameKind, FrameRecord, HostId, SimTime};
-//! use fxnet_trace::{binned_bandwidth, Periodogram, Stats};
+//! use fxnet_trace::{Periodogram, TraceStore};
 //!
 //! // A 2 Hz burst train of full frames: 20-packet bursts spanning
 //! // 200 ms, repeating every 500 ms.
@@ -49,17 +52,18 @@
 //!         FrameRecord::capture(t, &f)
 //!     })
 //!     .collect();
-//! let sizes = Stats::packet_sizes(&trace).unwrap();
+//! let store = TraceStore::from_records(&trace);
+//! let sizes = store.view().packet_sizes().unwrap();
 //! assert_eq!(sizes.max, 1518.0);
 //! let spectrum = Periodogram::compute(
-//!     &binned_bandwidth(&trace, SimTime::from_millis(10)),
+//!     &store.view().binned_bandwidth(SimTime::from_millis(10)),
 //!     SimTime::from_millis(10),
 //! );
 //! let f0 = spectrum.dominant_frequency(0.5).unwrap();
 //! assert!((f0 - 2.0).abs() < 0.1);
 //! ```
 
-pub mod bandwidth;
+mod bandwidth;
 pub mod bursts;
 pub mod coherence;
 pub mod demux;
@@ -67,15 +71,13 @@ pub mod interference;
 pub mod io;
 pub mod phases;
 pub mod report;
-pub mod select;
 pub mod spectrum;
 pub mod stats;
 pub mod store;
 pub mod stream;
 pub mod streaming;
 
-pub use bandwidth::{average_bandwidth, binned_bandwidth, sliding_window_bandwidth};
-pub use bursts::{detect_bursts, Burst, BurstProfile};
+pub use bursts::{Burst, BurstProfile, BurstSegmenter};
 pub use coherence::{correlation, mean_connection_correlation};
 pub use demux::{demux_store, DemuxedStore};
 pub use interference::{burst_collisions, slowdown, spectral_concentration, SpectralInterference};
@@ -85,7 +87,6 @@ pub use io::{
 };
 pub use phases::{PhaseBreakdown, PhaseRow};
 pub use report::{markdown_table_views, ReportOptions, TraceReport};
-pub use select::{connection, dominant_modes, host_pairs, size_population};
 pub use spectrum::{autocorrelation, Periodogram, Spike};
 pub use stats::Stats;
 pub use store::{TraceStore, TraceView};

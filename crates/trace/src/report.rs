@@ -118,32 +118,32 @@ pub fn markdown_table_views<'a>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::bandwidth::{average_bandwidth, binned_bandwidth};
     use crate::spectrum::Periodogram;
     use crate::TraceStore;
     use fxnet_sim::{Frame, FrameKind, FrameRecord, HostId};
 
-    /// The report composed kernel by kernel from the public slice
-    /// kernels, one pass over the records per quantity — the oracle the
-    /// fold is held to, sharing none of its loop.
-    pub(crate) fn slice_oracle(
+    /// The report composed kernel by kernel from the view kernels, one
+    /// pass over the view per quantity. The kernels share the fold's
+    /// accumulators but none of its loop, so agreement says the fold
+    /// interleaves them correctly; `tests/columnar_equiv.rs` holds both
+    /// to record-wise reference code.
+    pub(crate) fn view_oracle(
         label: &str,
-        trace: &[FrameRecord],
+        view: TraceView<'_>,
         opts: &ReportOptions,
     ) -> TraceReport {
-        let spec = (!trace.is_empty())
-            .then(|| Periodogram::compute(&binned_bandwidth(trace, opts.bin), opts.bin));
+        let spec = (!view.is_empty())
+            .then(|| Periodogram::compute(&view.binned_bandwidth(opts.bin), opts.bin));
         TraceReport {
             label: label.to_string(),
-            frames: trace.len(),
-            span_s: match (trace.first(), trace.last()) {
-                (Some(a), Some(b)) => (b.time - a.time).as_secs_f64(),
-                _ => 0.0,
-            },
-            sizes: Stats::packet_sizes(trace),
-            interarrivals_ms: Stats::interarrivals_ms(trace),
-            avg_bandwidth: average_bandwidth(trace),
-            bursts: BurstProfile::of(trace, opts.burst_gap),
+            frames: view.len(),
+            span_s: view
+                .time_bounds()
+                .map_or(0.0, |(a, b)| (b - a).as_secs_f64()),
+            sizes: view.packet_sizes(),
+            interarrivals_ms: view.interarrivals_ms(),
+            avg_bandwidth: view.average_bandwidth(),
+            bursts: view.burst_profile(opts.burst_gap),
             dominant_hz: spec
                 .as_ref()
                 .and_then(|s| s.dominant_frequency(opts.min_hz)),
@@ -207,14 +207,15 @@ pub(crate) mod tests {
 
     #[test]
     fn analyze_view_is_bitwise_identical_to_analyze() {
-        let tr = burst_trace();
         let opts = ReportOptions::default();
-        assert_reports_bitwise_equal(&analyze("demo", &tr), &slice_oracle("demo", &tr, &opts));
-        assert_reports_bitwise_equal(&analyze("e", &[]), &slice_oracle("e", &[], &opts));
-        assert_reports_bitwise_equal(
-            &analyze("one", &tr[..1]),
-            &slice_oracle("one", &tr[..1], &opts),
-        );
+        let tr = burst_trace();
+        for (label, part) in [("demo", &tr[..]), ("e", &[]), ("one", &tr[..1])] {
+            let store = TraceStore::from_records(part);
+            assert_reports_bitwise_equal(
+                &analyze(label, part),
+                &view_oracle(label, store.view(), &opts),
+            );
+        }
     }
 
     #[test]

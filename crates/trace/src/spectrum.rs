@@ -73,11 +73,6 @@ impl Periodogram {
         i as f64 * self.df
     }
 
-    /// The Nyquist frequency.
-    pub fn nyquist(&self) -> f64 {
-        self.freq(self.power.len() - 1)
-    }
-
     /// The complex Fourier coefficient at bin `i`.
     pub fn coeff(&self, i: usize) -> Complex {
         self.coeffs[i]
@@ -227,7 +222,7 @@ mod tests {
         let p = Periodogram::compute(&vec![0.0; 1000], dt);
         // Padded to 1024 bins → df = 100/1024 Hz, Nyquist 50 Hz.
         assert!((p.df - 100.0 / 1024.0).abs() < 1e-9);
-        assert!((p.nyquist() - 50.0).abs() < 0.1);
+        assert!((p.freq(p.power.len() - 1) - 50.0).abs() < 0.1);
     }
 
     #[test]

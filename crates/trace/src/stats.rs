@@ -1,6 +1,6 @@
 //! Min/max/average/standard-deviation summaries.
 
-use fxnet_sim::FrameRecord;
+use fxnet_sim::SimTime;
 
 /// Summary statistics over a sample, as the paper's tables report them.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -16,10 +16,9 @@ pub struct Stats {
 /// Welford's online min/max/mean/variance accumulator.
 ///
 /// This is the *single* arithmetic core behind every `Stats` in the
-/// crate: the legacy slice kernels and the fused columnar kernels both
-/// push their samples through it in the same order, so the two paths
-/// produce bitwise-identical `f64` results — which is what lets the
-/// bench harness assert byte-identical reports between them.
+/// crate: the [`crate::TraceView`] kernels and the report fold push
+/// their samples through it in the same order, so the two paths produce
+/// bitwise-identical `f64` results.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Welford {
     n: usize,
@@ -40,6 +39,7 @@ impl Welford {
         }
     }
 
+    #[inline]
     pub(crate) fn push(&mut self, v: f64) {
         self.n += 1;
         let d = v - self.mean;
@@ -63,6 +63,42 @@ impl Welford {
     }
 }
 
+/// Interarrival statistics in milliseconds (Figures 4 and 9) over a
+/// time-ordered stream of capture times; `None` before two frames.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Interarrivals {
+    prev: Option<u64>,
+    gaps: Welford,
+}
+
+impl Interarrivals {
+    pub(crate) fn new() -> Interarrivals {
+        Interarrivals {
+            prev: None,
+            gaps: Welford::new(),
+        }
+    }
+
+    /// Account one capture time. Panics if it precedes the previous one:
+    /// the gap would be negative, and `u64` arithmetic would wrap it.
+    #[inline]
+    pub(crate) fn push(&mut self, time_ns: u64) {
+        if let Some(p) = self.prev {
+            assert!(
+                time_ns >= p,
+                "frames must be time-ordered ({time_ns} ns after {p} ns)"
+            );
+            self.gaps
+                .push((SimTime::from_nanos(time_ns) - SimTime::from_nanos(p)).as_millis_f64());
+        }
+        self.prev = Some(time_ns);
+    }
+
+    pub(crate) fn finish(self) -> Option<Stats> {
+        self.gaps.finish()
+    }
+}
+
 impl Stats {
     /// Compute over an iterator of samples. Returns `None` when empty.
     pub fn of(values: impl IntoIterator<Item = f64>) -> Option<Stats> {
@@ -72,24 +108,6 @@ impl Stats {
             w.push(v);
         }
         w.finish()
-    }
-
-    /// Packet-size statistics in bytes (Figures 3 and 8).
-    pub fn packet_sizes(trace: &[FrameRecord]) -> Option<Stats> {
-        Stats::of(trace.iter().map(|r| f64::from(r.wire_len)))
-    }
-
-    /// Packet interarrival statistics in milliseconds (Figures 4 and 9).
-    /// Needs at least two packets.
-    pub fn interarrivals_ms(trace: &[FrameRecord]) -> Option<Stats> {
-        if trace.len() < 2 {
-            return None;
-        }
-        Stats::of(
-            trace
-                .windows(2)
-                .map(|w| (w[1].time - w[0].time).as_millis_f64()),
-        )
     }
 
     /// The max/avg ratio the paper uses as its burstiness indicator.
@@ -105,12 +123,17 @@ impl Stats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fxnet_sim::{Frame, FrameKind, FrameRecord, HostId, SimTime};
+    use crate::TraceStore;
+    use fxnet_sim::{Frame, FrameKind, FrameRecord, HostId};
     use proptest::prelude::*;
 
     fn rec(t_ms: u64, size: u32) -> FrameRecord {
         let f = Frame::tcp(HostId(0), HostId(1), FrameKind::Data, size - 58, 0);
         FrameRecord::capture(SimTime::from_millis(t_ms), &f)
+    }
+
+    fn store(tr: &[FrameRecord]) -> TraceStore {
+        TraceStore::from_records(tr)
     }
 
     #[test]
@@ -131,7 +154,7 @@ mod tests {
     #[test]
     fn packet_sizes_use_wire_length() {
         let tr = vec![rec(0, 58), rec(1, 1518)];
-        let s = Stats::packet_sizes(&tr).unwrap();
+        let s = store(&tr).view().packet_sizes().unwrap();
         assert_eq!(s.min, 58.0);
         assert_eq!(s.max, 1518.0);
         assert_eq!(s.avg, 788.0);
@@ -140,7 +163,7 @@ mod tests {
     #[test]
     fn interarrivals_in_ms() {
         let tr = vec![rec(0, 100), rec(10, 100), rec(40, 100)];
-        let s = Stats::interarrivals_ms(&tr).unwrap();
+        let s = store(&tr).view().interarrivals_ms().unwrap();
         assert_eq!(s.min, 10.0);
         assert_eq!(s.max, 30.0);
         assert_eq!(s.avg, 20.0);
@@ -149,8 +172,18 @@ mod tests {
 
     #[test]
     fn interarrivals_need_two_packets() {
-        assert!(Stats::interarrivals_ms(&[rec(0, 100)]).is_none());
-        assert!(Stats::interarrivals_ms(&[]).is_none());
+        assert!(store(&[rec(0, 100)]).view().interarrivals_ms().is_none());
+        assert!(store(&[]).view().interarrivals_ms().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "frames must be time-ordered")]
+    fn interarrivals_reject_an_unordered_view() {
+        // Frames at 2, 1 and 3 ms: the 2 → 1 gap is negative, and an
+        // optimised build would otherwise report it as ~1.8e13 ms.
+        store(&[rec(2, 100), rec(1, 100), rec(3, 100)])
+            .view()
+            .interarrivals_ms();
     }
 
     #[test]

@@ -27,10 +27,11 @@
 //! re-counting frames.
 //!
 //! [`TraceView`] is the unit of analysis: either all rows or an indexed
-//! subset (a connection, a demuxed tenant). Its kernels are single fused
-//! passes over the columns and share their arithmetic cores with the
-//! slice kernels of the same name, so both produce bitwise-identical
-//! results — `tests/columnar_equiv.rs` holds them to it.
+//! subset (a connection, a demuxed tenant). Its kernels are the crate's
+//! analysis API, each a single pass over the columns through the one
+//! accumulator the report fold and the live observer share for that
+//! quantity; `tests/columnar_equiv.rs` holds them, `to_bits`, to
+//! record-wise reference code of its own.
 //!
 //! `Vec<FrameRecord>` remains the compatibility edge:
 //! [`TraceStore::from_records`] / [`TraceStore::to_records`] and the
@@ -39,9 +40,9 @@
 //! Row numbers are `u32`: a trace is bounded well below 4 billion frames
 //! (the 100 Mb/s mixes top out in the tens of millions).
 
-use crate::bandwidth::{average_from, binned_from};
-use crate::bursts::{bursts_from, Burst, BurstProfile};
-use crate::stats::{Stats, Welford};
+use crate::bandwidth::{binned_from, Lifetime};
+use crate::bursts::{Burst, BurstProfile, BurstSegmenter};
+use crate::stats::{Interarrivals, Stats, Welford};
 use crate::stream::SlidingBandwidth;
 use fxnet_sim::{FrameKind, FrameRecord, HostId, Proto, SimTime};
 use std::collections::BTreeMap;
@@ -363,9 +364,16 @@ enum Rows<'a> {
 }
 
 /// A zero-copy analysis window over a [`TraceStore`]: either the whole
-/// trace or an indexed row subset. Every kernel below is one fused pass
-/// over the columns, sharing its arithmetic core with the legacy slice
-/// kernel of the same name so the two paths agree bit for bit.
+/// trace or an indexed row subset. Every kernel below is one pass over
+/// the columns.
+///
+/// Views of a capture are in time order, and the time-series kernels
+/// rely on it: [`TraceView::interarrivals_ms`] and
+/// [`TraceView::sliding_window_bandwidth`] panic on a frame earlier than
+/// its predecessor, and [`TraceView::detect_bursts`] lets such a frame
+/// join the open burst. [`TraceView::time_bounds`],
+/// [`TraceView::average_bandwidth`] and [`TraceView::binned_bandwidth`]
+/// accept any order.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceView<'a> {
     store: &'a TraceStore,
@@ -428,14 +436,15 @@ impl<'a> TraceView<'a> {
     /// the time column; the view need not be time-ordered. `None` for an
     /// empty view.
     pub fn time_bounds(&self) -> Option<(SimTime, SimTime)> {
-        let mut bounds: Option<(u64, u64)> = None;
-        for (t, _) in self.samples() {
-            bounds = Some(match bounds {
-                None => (t, t),
-                Some((lo, hi)) => (lo.min(t), hi.max(t)),
-            });
+        self.lifetime().bounds()
+    }
+
+    fn lifetime(&self) -> Lifetime {
+        let mut life = Lifetime::new();
+        for (t, len) in self.samples() {
+            life.push(t, len);
         }
-        bounds.map(|(lo, hi)| (SimTime::from_nanos(lo), SimTime::from_nanos(hi)))
+        life
     }
 
     /// Total bytes carried by the view's frames.
@@ -456,39 +465,40 @@ impl<'a> TraceView<'a> {
     }
 
     /// Packet interarrival statistics in milliseconds (Figures 4 and 9);
-    /// one pass over the time column. Needs at least two packets.
+    /// one pass over the time column. Needs at least two packets. Panics
+    /// if the view is not in time order.
     pub fn interarrivals_ms(&self) -> Option<Stats> {
-        if self.len() < 2 {
-            return None;
-        }
-        let mut w = Welford::new();
-        let mut prev: Option<u64> = None;
+        let mut gaps = Interarrivals::new();
         for (t, _) in self.samples() {
-            if let Some(p) = prev {
-                w.push((SimTime::from_nanos(t) - SimTime::from_nanos(p)).as_millis_f64());
-            }
-            prev = Some(t);
+            gaps.push(t);
         }
-        w.finish()
+        gaps.finish()
     }
 
     /// Lifetime average bandwidth in bytes/second (Figure 5): min/max
-    /// time and byte total folded into one pass. `None` for views
-    /// spanning zero time.
+    /// time and byte total folded into one pass, in any frame order.
+    /// `None` for views spanning zero time.
     pub fn average_bandwidth(&self) -> Option<f64> {
-        average_from(self.samples())
+        self.lifetime().average()
     }
 
-    /// Statically binned bandwidth (bytes/second per `bin`), the
-    /// spectra's input series (§6.1); one fused pass for time-ordered
-    /// views.
+    /// Bandwidth binned on static `bin`-long intervals starting at the
+    /// first packet (bytes/second per bin), the spectra's input series:
+    /// "because a power spectrum computation requires evenly spaced
+    /// input data, the input bandwidth was computed along static 10 ms
+    /// intervals by including all packets that arrived during the
+    /// interval" (§6.1). One pass through [`crate::StreamBinner`] for a
+    /// time-ordered view; any other view is binned from its earliest
+    /// frame after a sort.
     pub fn binned_bandwidth(&self, bin: SimTime) -> Vec<f64> {
         binned_from(|| self.samples(), bin)
     }
 
     /// Instantaneous bandwidth over a `window` sliding one packet at a
-    /// time (Figures 6 and 10), via the same streaming ring as the live
-    /// observer.
+    /// time (Figures 6 and 10): for each packet arrival `t`, the bytes
+    /// received in `(t − window, t]` divided by the window length, via
+    /// the same streaming ring as the live observer. Panics if the view
+    /// is not in time order.
     pub fn sliding_window_bandwidth(&self, window: SimTime) -> Vec<(SimTime, f64)> {
         let mut ring = SlidingBandwidth::new(window);
         self.samples()
@@ -499,9 +509,16 @@ impl<'a> TraceView<'a> {
             .collect()
     }
 
-    /// Segment the view into bursts (packets closer than `gap` merge).
+    /// Segment the view into bursts: consecutive packets no more than
+    /// `gap` apart belong to the same burst.
     pub fn detect_bursts(&self, gap: SimTime) -> Vec<Burst> {
-        bursts_from(self.samples(), gap)
+        let mut segmenter = BurstSegmenter::new(gap);
+        let mut bursts: Vec<Burst> = self
+            .samples()
+            .filter_map(|(t, len)| segmenter.push(SimTime::from_nanos(t), len))
+            .collect();
+        bursts.extend(segmenter.finish());
+        bursts
     }
 
     /// Burst-level summary; `None` for an empty view.
@@ -509,7 +526,8 @@ impl<'a> TraceView<'a> {
         BurstProfile::of_bursts(self.detect_bursts(gap))
     }
 
-    /// Exact packet-size population `(wire size, count)`, ascending.
+    /// Exact packet-size population `(wire size, count)`, ascending. Used
+    /// to verify the trimodal distributions of §6.1.
     pub fn size_population(&self) -> Vec<(u32, usize)> {
         let mut m: BTreeMap<u32, usize> = BTreeMap::new();
         for i in self.row_ids() {
@@ -551,10 +569,6 @@ impl<'a> TraceView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        average_bandwidth, binned_bandwidth, connection, detect_bursts, host_pairs,
-        size_population, sliding_window_bandwidth,
-    };
     use fxnet_sim::Frame;
 
     fn rec(src: u32, dst: u32, size: u32, t_us: u64) -> FrameRecord {
@@ -605,16 +619,34 @@ mod tests {
         assert_eq!(tr.iter().copied().collect::<TraceStore>(), store);
     }
 
+    /// Every `src → dst` frame, copied out of the records.
+    fn copied_connection(tr: &[FrameRecord], s: u32, d: u32) -> Vec<FrameRecord> {
+        tr.iter()
+            .filter(|r| r.src == HostId(s) && r.dst == HostId(d))
+            .copied()
+            .collect()
+    }
+
     #[test]
     fn connection_view_matches_legacy_copy() {
         let tr = mixed_trace();
         let store = TraceStore::from_records(&tr);
         for (s, d) in [(0u32, 1u32), (1, 0), (2, 3), (3, 2), (7, 9)] {
-            let legacy = connection(&tr, HostId(s), HostId(d));
+            let legacy = copied_connection(&tr, s, d);
             let view = store.connection(HostId(s), HostId(d));
             assert_eq!(view.to_records(), legacy, "connection {s}->{d}");
-            assert_eq!(view.packet_sizes(), Stats::packet_sizes(&legacy));
-            assert_eq!(view.interarrivals_ms(), Stats::interarrivals_ms(&legacy));
+            assert_eq!(
+                view.packet_sizes(),
+                Stats::of(legacy.iter().map(|r| f64::from(r.wire_len)))
+            );
+            assert_eq!(
+                view.interarrivals_ms(),
+                Stats::of(
+                    legacy
+                        .windows(2)
+                        .map(|w| (w[1].time - w[0].time).as_millis_f64())
+                )
+            );
         }
     }
 
@@ -622,31 +654,43 @@ mod tests {
     fn host_pairs_come_from_the_index() {
         let tr = mixed_trace();
         let store = TraceStore::from_records(&tr);
-        assert_eq!(store.host_pairs(), host_pairs(&tr));
-        assert_eq!(store.view().host_pairs(), host_pairs(&tr));
+        let mut counted: BTreeMap<(HostId, HostId), usize> = BTreeMap::new();
+        for r in &tr {
+            *counted.entry((r.src, r.dst)).or_insert(0) += 1;
+        }
+        let counted: Vec<_> = counted.into_iter().collect();
+        assert_eq!(store.host_pairs(), counted);
+        assert_eq!(store.view().host_pairs(), counted);
         // A subset view recounts only its rows.
         let conn = store.connection(HostId(2), HostId(3));
         assert_eq!(conn.host_pairs(), vec![((HostId(2), HostId(3)), 10)]);
     }
 
+    /// The record-wise definitions live in `tests/columnar_equiv.rs`;
+    /// here the whole-store view (`Rows::All`) is held to an indexed view
+    /// of every row (`Rows::Idx`), the two ways a view reads the columns.
     #[test]
     fn whole_view_kernels_match_legacy() {
         let tr = mixed_trace();
         let store = TraceStore::from_records(&tr);
-        let v = store.view();
+        let all: Vec<u32> = (0..tr.len() as u32).collect();
+        let (v, idx) = (store.view(), store.select(&all));
         let bin = SimTime::from_millis(1);
         let gap = SimTime::from_micros(20);
-        assert_eq!(v.packet_sizes(), Stats::packet_sizes(&tr));
-        assert_eq!(v.interarrivals_ms(), Stats::interarrivals_ms(&tr));
-        assert_eq!(v.average_bandwidth(), average_bandwidth(&tr));
-        assert_eq!(v.binned_bandwidth(bin), binned_bandwidth(&tr, bin));
+        assert_eq!(v.to_records(), idx.to_records());
+        assert_eq!(v.packet_sizes(), idx.packet_sizes());
+        assert_eq!(v.interarrivals_ms(), idx.interarrivals_ms());
+        assert_eq!(v.average_bandwidth(), idx.average_bandwidth());
+        assert_eq!(v.binned_bandwidth(bin), idx.binned_bandwidth(bin));
         assert_eq!(
             v.sliding_window_bandwidth(bin),
-            sliding_window_bandwidth(&tr, bin)
+            idx.sliding_window_bandwidth(bin)
         );
-        assert_eq!(v.detect_bursts(gap), detect_bursts(&tr, gap));
-        assert_eq!(v.size_population(), size_population(&tr));
+        assert_eq!(v.detect_bursts(gap), idx.detect_bursts(gap));
+        assert_eq!(v.size_population(), idx.size_population());
+        assert_eq!(v.host_pairs(), idx.host_pairs());
         assert_eq!(v.bytes(), tr.iter().map(|r| u64::from(r.wire_len)).sum());
+        assert_eq!(idx.bytes(), v.bytes());
     }
 
     #[test]
@@ -669,6 +713,62 @@ mod tests {
         assert!(v.average_bandwidth().is_none());
         assert_eq!(v.binned_bandwidth(SimTime::from_millis(10)).len(), 1);
         assert_eq!(v.detect_bursts(SimTime::from_millis(1)).len(), 1);
+    }
+
+    #[test]
+    fn connection_is_directional() {
+        let tr = vec![
+            rec(0, 1, 100, 0),
+            rec(1, 0, 100, 1),
+            rec(0, 1, 200, 2),
+            rec(0, 2, 300, 3),
+        ];
+        let store = TraceStore::from_records(&tr);
+        let c = store.connection(HostId(0), HostId(1));
+        assert_eq!(c.len(), 2);
+        assert!(c.iter().all(|r| r.src == HostId(0) && r.dst == HostId(1)));
+    }
+
+    #[test]
+    fn host_pairs_counts() {
+        let tr = vec![rec(0, 1, 100, 0), rec(0, 1, 100, 1), rec(2, 3, 100, 2)];
+        let store = TraceStore::from_records(&tr);
+        assert_eq!(
+            store.view().host_pairs(),
+            vec![((HostId(0), HostId(1)), 2), ((HostId(2), HostId(3)), 1)]
+        );
+    }
+
+    #[test]
+    fn size_population_ascending() {
+        let tr = vec![rec(0, 1, 1518, 0), rec(0, 1, 58, 1), rec(0, 1, 1518, 2)];
+        let store = TraceStore::from_records(&tr);
+        assert_eq!(store.view().size_population(), vec![(58, 1), (1518, 2)]);
+    }
+
+    #[test]
+    fn dominant_modes_filters_rare_sizes() {
+        let mut tr = Vec::new();
+        for i in 0..45 {
+            tr.push(rec(0, 1, 1518, i));
+        }
+        for i in 0..45 {
+            tr.push(rec(0, 1, 58, 100 + i));
+        }
+        for i in 0..10 {
+            tr.push(rec(0, 1, 700, 200 + i));
+        }
+        let store = TraceStore::from_records(&tr);
+        assert_eq!(store.view().dominant_modes(0.08), vec![58, 700, 1518]);
+        assert_eq!(store.view().dominant_modes(0.2), vec![58, 1518]);
+    }
+
+    #[test]
+    fn empty_trace() {
+        let store = TraceStore::from_records(&[]);
+        assert!(store.view().host_pairs().is_empty());
+        assert!(store.view().size_population().is_empty());
+        assert!(store.view().dominant_modes(0.1).is_empty());
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Streaming (single-pass, O(1) amortized per frame) bandwidth state.
 //!
-//! The batch analyses in [`crate::bandwidth`] re-scan a finished trace;
-//! the live observer in `fxnet-watch` sees one frame at a time and may
-//! never hold the whole trace. Both must agree exactly, so the batch
-//! functions are thin wrappers over the incremental structures here:
-//! [`SlidingBandwidth`] is the ring behind `sliding_window_bandwidth`,
-//! and [`StreamBinner`] reproduces `binned_bandwidth` bin for bin on any
-//! time-ordered stream. Window semantics live in exactly one place —
-//! there is no batch/streaming edge-case drift to fix twice.
+//! The windowed bandwidth quantities have one implementation each,
+//! here, and every consumer folds frames through it: the
+//! [`crate::TraceView`] kernels, the report fold
+//! ([`crate::StreamingReport`]) and the live observer in `fxnet-watch`,
+//! which sees one frame at a time and may never hold the whole trace.
+//! [`SlidingBandwidth`] is the 10 ms window sliding one packet at a time
+//! (Figures 6 and 10); [`StreamBinner`] the static bins anchored at the
+//! first frame that the spectra are computed from (§6.1). Window and bin
+//! semantics live in exactly one place — there is no batch/streaming
+//! edge-case drift to fix twice.
 
 use fxnet_sim::SimTime;
 use std::collections::VecDeque;
@@ -61,11 +63,6 @@ impl SlidingBandwidth {
         self.bytes as f64 / self.w_secs
     }
 
-    /// Bytes currently inside the window.
-    pub fn bytes_in_window(&self) -> u64 {
-        self.bytes
-    }
-
     /// Frames currently inside the window.
     pub fn len(&self) -> usize {
         self.ring.len()
@@ -77,14 +74,15 @@ impl SlidingBandwidth {
     }
 }
 
-/// Incremental static binning: reproduces [`crate::binned_bandwidth`]
-/// (bins anchored at the first frame, bytes per bin divided by the bin
-/// length) over a time-ordered stream, closing bins as frames pass them.
+/// Incremental static binning: bins of `bin` simulated time anchored
+/// at the first frame, bytes per bin divided by the bin length, closed
+/// as frames pass them. This is the one binning rule: the report fold
+/// and [`crate::TraceView::binned_bandwidth`] fold through it too.
 #[derive(Debug, Clone)]
 pub struct StreamBinner {
     bin_ns: u64,
     bin_s: f64,
-    t0: Option<SimTime>,
+    t0: Option<u64>,
     cur_idx: u64,
     cur_bytes: u64,
     pending: VecDeque<f64>,
@@ -106,10 +104,13 @@ impl StreamBinner {
 
     /// Account one frame. Bins strictly before the frame's bin close and
     /// become available from [`StreamBinner::pop_closed`]. Panics if the
-    /// stream runs backwards past a closed bin.
+    /// frame precedes the first frame or falls in an already closed bin.
+    #[inline]
     pub fn push(&mut self, time: SimTime, wire_len: u32) {
-        let t0 = *self.t0.get_or_insert(time);
-        let idx = (time - t0).as_nanos() / self.bin_ns;
+        let t = time.as_nanos();
+        let t0 = *self.t0.get_or_insert(t);
+        assert!(t >= t0, "frames must arrive in time order");
+        let idx = bin_index(t, t0, self.bin_ns);
         assert!(idx >= self.cur_idx, "frames must arrive in time order");
         while self.cur_idx < idx {
             self.pending.push_back(self.cur_bytes as f64 / self.bin_s);
@@ -126,13 +127,20 @@ impl StreamBinner {
 
     /// Close the final (possibly partial) bin and return every bin not
     /// yet popped. The result appended to the already-popped bins equals
-    /// `binned_bandwidth` on the same frames exactly.
+    /// [`crate::TraceView::binned_bandwidth`] on the same frames exactly.
     pub fn finish(mut self) -> Vec<f64> {
         if self.t0.is_some() {
             self.pending.push_back(self.cur_bytes as f64 / self.bin_s);
         }
-        self.pending.into_iter().collect()
+        self.pending.into()
     }
+}
+
+/// Index of the `bin_ns`-long bin holding `t_ns` on a grid anchored at
+/// `anchor_ns`; the caller guarantees `t_ns >= anchor_ns`.
+#[inline]
+pub(crate) fn bin_index(t_ns: u64, anchor_ns: u64, bin_ns: u64) -> u64 {
+    (t_ns - anchor_ns) / bin_ns
 }
 
 /// A latched consecutive-breach detector: fires once when a condition
@@ -200,7 +208,7 @@ impl StreakLatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bandwidth::{binned_bandwidth, sliding_window_bandwidth};
+    use crate::TraceStore;
     use fxnet_sim::{Frame, FrameKind, FrameRecord, HostId};
     use proptest::prelude::*;
 
@@ -213,7 +221,9 @@ mod tests {
     fn ring_matches_batch_on_a_regular_trace() {
         let tr: Vec<FrameRecord> = (0..50).map(|i| rec(i * 3_000, 500 + i as u32)).collect();
         let w = SimTime::from_millis(10);
-        let batch = sliding_window_bandwidth(&tr, w);
+        let batch = TraceStore::from_records(&tr)
+            .view()
+            .sliding_window_bandwidth(w);
         let mut ring = SlidingBandwidth::new(w);
         for (r, (bt, bv)) in tr.iter().zip(batch) {
             let v = ring.push(r.time, r.wire_len);
@@ -229,7 +239,9 @@ mod tests {
         // partial-window renormalization at either edge.
         let tr = vec![rec(0, 1000), rec(2_000, 1000), rec(4_000, 1000)];
         let w = SimTime::from_millis(10);
-        let batch = sliding_window_bandwidth(&tr, w);
+        let batch = TraceStore::from_records(&tr)
+            .view()
+            .sliding_window_bandwidth(w);
         assert_eq!(batch[0].1, 100_000.0);
         assert_eq!(batch[1].1, 200_000.0);
         assert_eq!(batch[2].1, 300_000.0);
@@ -238,7 +250,6 @@ mod tests {
             assert_eq!(ring.push(r.time, r.wire_len), *bv);
         }
         assert_eq!(ring.len(), 3, "nothing evicted");
-        assert_eq!(ring.bytes_in_window(), 3000);
     }
 
     #[test]
@@ -260,7 +271,7 @@ mod tests {
             rec(47_000, 200),
         ];
         let bin = SimTime::from_millis(10);
-        let batch = binned_bandwidth(&tr, bin);
+        let batch = TraceStore::from_records(&tr).view().binned_bandwidth(bin);
         let mut b = StreamBinner::new(bin);
         let mut got = Vec::new();
         for r in &tr {
@@ -295,7 +306,29 @@ mod tests {
     fn binner_empty_stream() {
         let b = StreamBinner::new(SimTime::from_millis(10));
         assert_eq!(b.finish(), Vec::<f64>::new());
-        assert!(binned_bandwidth(&[], SimTime::from_millis(10)).is_empty());
+        assert!(TraceStore::default()
+            .view()
+            .binned_bandwidth(SimTime::from_millis(10))
+            .is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "frames must arrive in time order")]
+    fn binner_rejects_a_frame_before_the_first() {
+        // Without the check, `time - t0` wraps in optimised builds and
+        // the bin loop allocates until the process aborts.
+        let mut b = StreamBinner::new(SimTime::from_millis(10));
+        b.push(SimTime::from_micros(1_000), 100);
+        b.push(SimTime::from_micros(500), 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "frames must arrive in time order")]
+    fn binner_rejects_a_frame_in_a_closed_bin() {
+        let mut b = StreamBinner::new(SimTime::from_millis(10));
+        b.push(SimTime::from_millis(1), 100);
+        b.push(SimTime::from_millis(25), 100);
+        b.push(SimTime::from_millis(5), 100);
     }
 
     proptest! {
@@ -314,12 +347,13 @@ mod tests {
                 .map(|(&t, &s)| rec(t, s))
                 .collect();
             let w = SimTime::from_millis(10);
-            let batch = sliding_window_bandwidth(&tr, w);
+            let store = TraceStore::from_records(&tr);
+            let batch = store.view().sliding_window_bandwidth(w);
             let mut ring = SlidingBandwidth::new(w);
             for (r, (_, bv)) in tr.iter().zip(&batch) {
                 prop_assert_eq!(ring.push(r.time, r.wire_len), *bv);
             }
-            let bbatch = binned_bandwidth(&tr, w);
+            let bbatch = store.view().binned_bandwidth(w);
             let mut binner = StreamBinner::new(w);
             let mut got = Vec::new();
             for r in &tr {

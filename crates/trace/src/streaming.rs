@@ -4,24 +4,26 @@
 //! [`StreamingReport`] is the only implementation of [`TraceReport`]:
 //! it accepts whole chunks from a [`crate::ChunkCursor`], a
 //! [`TraceView`] (which is how [`TraceReport::analyze_view`] runs — a
-//! materialized store is one chunk), or single frames, and folds
-//! Welford size/interarrival statistics, the lifetime byte/span totals,
-//! inline burst segmentation, and the anchored static binning that
-//! feeds the periodogram. The fold is sequential and keeps no per-chunk
-//! state, so how the samples were cut into pushes cannot change a bit
-//! of the result; `tests/columnar_equiv.rs` holds it, `to_bits` field
-//! by field, to the multi-pass report composed from the slice kernels.
+//! materialized store is one chunk), or single frames. Each quantity is
+//! folded through the same accumulator the [`TraceView`] kernel of that
+//! name uses: Welford size and interarrival statistics, the lifetime
+//! byte/span totals, the [`BurstSegmenter`], and the [`StreamBinner`]
+//! that feeds the periodogram. The fold is sequential and keeps no
+//! per-chunk state, so how the samples were cut into pushes cannot
+//! change a bit of the result; `tests/columnar_equiv.rs` holds it,
+//! `to_bits` field by field, to record-wise reference code.
 //!
 //! Peak state is O(output), not O(trace): the accumulator holds the
-//! running scalars, one `u64` per bandwidth bin, and one entry per
+//! running scalars, one `f64` per bandwidth bin, and one entry per
 //! detected burst. No per-frame data survives the push.
 
-use crate::bursts::{Burst, BurstProfile};
+use crate::bandwidth::Lifetime;
+use crate::bursts::{Burst, BurstProfile, BurstSegmenter};
 use crate::report::{ReportOptions, TraceReport};
 use crate::spectrum::Periodogram;
-use crate::stats::Welford;
+use crate::stats::{Interarrivals, Welford};
 use crate::store::TraceView;
-use crate::stream::SlidingBandwidth;
+use crate::stream::{SlidingBandwidth, StreamBinner};
 use fxnet_sim::SimTime;
 
 /// The report fold; see the module docs.
@@ -31,37 +33,26 @@ pub struct StreamingReport {
     opts: ReportOptions,
     n: usize,
     sizes: Welford,
-    inter: Welford,
+    inter: Interarrivals,
+    life: Lifetime,
+    segmenter: BurstSegmenter,
     bursts: Vec<Burst>,
-    t_min: u64,
-    t_max: u64,
-    bytes: u64,
-    first: u64,
-    last: u64,
-    prev: Option<u64>,
-    bin_anchor: Option<u64>,
-    bin_bytes: Vec<u64>,
+    binner: StreamBinner,
 }
 
 impl StreamingReport {
     /// Start an empty fold for a trace labelled `label`.
     pub fn new(label: impl Into<String>, opts: &ReportOptions) -> StreamingReport {
-        assert!(opts.bin.as_nanos() > 0);
         StreamingReport {
             label: label.into(),
             opts: opts.clone(),
             n: 0,
             sizes: Welford::new(),
-            inter: Welford::new(),
+            inter: Interarrivals::new(),
+            life: Lifetime::new(),
+            segmenter: BurstSegmenter::new(opts.burst_gap),
             bursts: Vec::new(),
-            t_min: u64::MAX,
-            t_max: 0,
-            bytes: 0,
-            first: 0,
-            last: 0,
-            prev: None,
-            bin_anchor: None,
-            bin_bytes: Vec::new(),
+            binner: StreamBinner::new(opts.bin),
         }
     }
 
@@ -71,57 +62,17 @@ impl StreamingReport {
     }
 
     /// Fold one frame. Frames must arrive in non-decreasing time order
-    /// (the capture invariant every simulator trace satisfies); the
-    /// single-pass binning below depends on it.
+    /// (the capture invariant every simulator trace satisfies); a frame
+    /// earlier than its predecessor panics.
     pub fn push(&mut self, time_ns: u64, wire_len: u32) {
-        if let Some(p) = self.prev {
-            assert!(
-                time_ns >= p,
-                "StreamingReport requires time-ordered frames ({time_ns} after {p})"
-            );
-        }
-        let t = time_ns;
-        if self.n == 0 {
-            self.first = t;
-        }
-        self.last = t;
-        self.t_min = self.t_min.min(t);
-        self.t_max = self.t_max.max(t);
-        self.bytes += u64::from(wire_len);
+        self.inter.push(time_ns);
         self.sizes.push(f64::from(wire_len));
-        if let Some(p) = self.prev {
-            self.inter
-                .push((SimTime::from_nanos(t) - SimTime::from_nanos(p)).as_millis_f64());
+        self.life.push(time_ns, wire_len);
+        let time = SimTime::from_nanos(time_ns);
+        if let Some(b) = self.segmenter.push(time, wire_len) {
+            self.bursts.push(b);
         }
-        self.prev = Some(t);
-        let time = SimTime::from_nanos(t);
-        match self.bursts.last_mut() {
-            Some(b) if time.saturating_sub(b.end) <= self.opts.burst_gap => {
-                b.end = time;
-                b.bytes += u64::from(wire_len);
-                b.packets += 1;
-            }
-            _ => self.bursts.push(Burst {
-                start: time,
-                end: time,
-                bytes: u64::from(wire_len),
-                packets: 1,
-            }),
-        }
-        let bin_ns = self.opts.bin.as_nanos();
-        match self.bin_anchor {
-            None => {
-                self.bin_anchor = Some(t);
-                self.bin_bytes.push(u64::from(wire_len));
-            }
-            Some(anchor) => {
-                let idx = ((t - anchor) / bin_ns) as usize;
-                if idx >= self.bin_bytes.len() {
-                    self.bin_bytes.resize(idx + 1, 0);
-                }
-                self.bin_bytes[idx] += u64::from(wire_len);
-            }
-        }
+        self.binner.push(time, wire_len);
         self.n += 1;
     }
 
@@ -145,35 +96,10 @@ impl StreamingReport {
     /// per bin, identical to `view.binned_bandwidth(opts.bin)` on the
     /// same frames) and its periodogram (`None` for an empty trace) — so
     /// spectral consumers need neither a second pass nor a second FFT.
-    pub fn finish_parts(self) -> (TraceReport, Vec<f64>, Option<Periodogram>) {
-        let n = self.n;
-        let span_s = if n == 0 {
-            0.0
-        } else {
-            (SimTime::from_nanos(self.last) - SimTime::from_nanos(self.first)).as_secs_f64()
-        };
-        let avg_bandwidth = if n == 0 {
-            None
-        } else {
-            let span =
-                (SimTime::from_nanos(self.t_max) - SimTime::from_nanos(self.t_min)).as_secs_f64();
-            if span <= 0.0 {
-                None
-            } else {
-                Some(self.bytes as f64 / span)
-            }
-        };
-        let series: Vec<f64> = if n == 0 {
-            Vec::new()
-        } else {
-            let bin_ns = self.opts.bin.as_nanos();
-            let nbins = ((self.t_max - self.t_min) / bin_ns + 1) as usize;
-            let mut bin_bytes = self.bin_bytes;
-            bin_bytes.resize(nbins, 0);
-            let bin_s = self.opts.bin.as_secs_f64();
-            bin_bytes.into_iter().map(|b| b as f64 / bin_s).collect()
-        };
-        let spec = (n != 0).then(|| Periodogram::compute(&series, self.opts.bin));
+    pub fn finish_parts(mut self) -> (TraceReport, Vec<f64>, Option<Periodogram>) {
+        self.bursts.extend(self.segmenter.finish());
+        let series = self.binner.finish();
+        let spec = (self.n != 0).then(|| Periodogram::compute(&series, self.opts.bin));
         let (dominant_hz, flatness) = match &spec {
             None => (None, None),
             Some(spec) => (
@@ -183,11 +109,14 @@ impl StreamingReport {
         };
         let report = TraceReport {
             label: self.label,
-            frames: n,
-            span_s,
+            frames: self.n,
+            span_s: self
+                .life
+                .bounds()
+                .map_or(0.0, |(first, last)| (last - first).as_secs_f64()),
             sizes: self.sizes.finish(),
-            interarrivals_ms: if n < 2 { None } else { self.inter.finish() },
-            avg_bandwidth,
+            interarrivals_ms: self.inter.finish(),
+            avg_bandwidth: self.life.average(),
             bursts: BurstProfile::of_bursts(self.bursts),
             dominant_hz,
             flatness,
@@ -202,8 +131,8 @@ impl StreamingReport {
 }
 
 /// Running peak of the sliding-window bandwidth: the O(window) fold of
-/// the quantity `sliding_window_bandwidth` materializes as a full
-/// per-packet vector. It pushes the frames through the same
+/// the quantity [`TraceView::sliding_window_bandwidth`] materializes as
+/// a full per-packet vector. It pushes the frames through the same
 /// [`SlidingBandwidth`] ring, so the peak agrees bitwise with the
 /// maximum of that vector.
 #[derive(Debug, Clone)]
@@ -239,8 +168,8 @@ impl SlidingPeak {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bandwidth::{binned_bandwidth, sliding_window_bandwidth};
-    use crate::report::tests::{assert_reports_bitwise_equal, slice_oracle};
+    use crate::report::tests::{assert_reports_bitwise_equal, view_oracle};
+    use crate::TraceStore;
     use fxnet_sim::{Frame, FrameKind, FrameRecord, HostId, Proto};
     use proptest::prelude::*;
 
@@ -268,7 +197,8 @@ mod tests {
     }
 
     /// Fold `tr` cut at `bounds` (ascending, covering `0..=tr.len()`)
-    /// and hold report, series and spectrum to the slice oracle.
+    /// and hold report, series and spectrum to the multi-pass view
+    /// oracle.
     fn assert_chunking_matches_oracle(tr: &[FrameRecord], bounds: &[usize]) {
         let opts = ReportOptions::default();
         let mut s = StreamingReport::new("t", &opts);
@@ -280,8 +210,9 @@ mod tests {
         }
         assert_eq!(s.frames(), tr.len());
         let (streamed, series, spec) = s.finish_parts();
-        assert_reports_bitwise_equal(&streamed, &slice_oracle("t", tr, &opts));
-        let want = binned_bandwidth(tr, opts.bin);
+        let store = TraceStore::from_records(tr);
+        assert_reports_bitwise_equal(&streamed, &view_oracle("t", store.view(), &opts));
+        let want = store.view().binned_bandwidth(opts.bin);
         assert_eq!(
             series.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -330,7 +261,9 @@ mod tests {
         for r in &tr {
             peak.push(r.time, r.wire_len);
         }
-        let full = sliding_window_bandwidth(&tr, window);
+        let full = TraceStore::from_records(&tr)
+            .view()
+            .sliding_window_bandwidth(window);
         let want = full.iter().fold(f64::NEG_INFINITY, |m, &(_, v)| m.max(v));
         assert_eq!(peak.peak().unwrap().to_bits(), want.to_bits());
     }

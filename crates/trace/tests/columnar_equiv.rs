@@ -1,23 +1,23 @@
-//! Columnar-vs-slice equivalence: every analysis kernel must produce
-//! identical results on a [`TraceStore`] view and on the
-//! `&[FrameRecord]` slice kernels — bitwise for the `f64` outputs, since
-//! both share one arithmetic core. Covers unsorted and single-frame
-//! traces, and the round trip through the on-disk container.
+//! Independent oracles: every [`TraceView`] kernel and the report fold
+//! ([`StreamingReport`], which is all [`TraceReport::analyze_view`] is)
+//! are held, `to_bits` on every float, to record-wise reference code
+//! written out below. The references walk a `&[FrameRecord]` the
+//! obvious way, one function per quantity, and call nothing of the
+//! crate under test but its output types and [`Periodogram`] (the
+//! spectrum of a series, not a trace quantity). Covers sorted, unsorted,
+//! empty, single-frame and equal-timestamp traces, any chunking of the
+//! fold, and the round trip through the on-disk container.
 //!
-//! This file also holds the oracles of the two paths that have a single
-//! implementation in `src/`: the report fold ([`StreamingReport`], which
-//! is all [`TraceReport::analyze_view`] is) against the multi-pass report
-//! composed from the slice kernels, and [`demux_store`] against the
-//! attribution rule written out over records.
+//! [`demux_store`] is held the same way to the attribution rule written
+//! out over records.
 
 use fxnet_sim::{FrameKind, FrameRecord, HostId, Proto, SimTime};
 use fxnet_trace::{
-    average_bandwidth, binned_bandwidth, connection, demux_store, detect_bursts, dominant_modes,
-    host_pairs, load_store, markdown_table_views, save_store, size_population,
-    sliding_window_bandwidth, BurstProfile, Periodogram, ReportOptions, Stats, StreamingReport,
-    TraceReport, TraceStore,
+    demux_store, load_store, markdown_table_views, save_store, Burst, BurstProfile, Periodogram,
+    ReportOptions, Stats, StreamingReport, TraceReport, TraceStore,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const BIN: SimTime = SimTime::from_millis(10);
 const GAP: SimTime = SimTime::from_millis(5);
@@ -44,6 +44,183 @@ fn trace_from(parts: &[(u64, u32, u32, u32)]) -> Vec<FrameRecord> {
         .collect()
 }
 
+// ---- Record-wise reference code -------------------------------------
+
+/// Min/max/mean/population sd by Welford's recurrence, the method the
+/// crate documents for every `Stats`; `None` for no samples.
+fn ref_stats(values: impl IntoIterator<Item = f64>) -> Option<Stats> {
+    let (mut n, mut mean, mut m2) = (0usize, 0.0f64, 0.0f64);
+    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+    for v in values {
+        n += 1;
+        let d = v - mean;
+        mean += d / n as f64;
+        m2 += d * (v - mean);
+        min = min.min(v);
+        max = max.max(v);
+    }
+    (n > 0).then(|| Stats {
+        min,
+        max,
+        avg: mean,
+        sd: (m2 / n as f64).max(0.0).sqrt(),
+        count: n,
+    })
+}
+
+/// Packet sizes in bytes (Figures 3 and 8).
+fn ref_packet_sizes(tr: &[FrameRecord]) -> Option<Stats> {
+    ref_stats(tr.iter().map(|r| f64::from(r.wire_len)))
+}
+
+/// Gaps between consecutive captures in milliseconds (Figures 4 and 9).
+fn ref_interarrivals_ms(tr: &[FrameRecord]) -> Option<Stats> {
+    ref_stats(
+        tr.windows(2)
+            .map(|w| (w[1].time.as_nanos() - w[0].time.as_nanos()) as f64 / 1e6),
+    )
+}
+
+/// Bytes over the span from the earliest to the latest capture
+/// (Figure 5); `None` for a zero span.
+fn ref_average_bandwidth(tr: &[FrameRecord]) -> Option<f64> {
+    let lo = tr.iter().map(|r| r.time).min()?;
+    let hi = tr.iter().map(|r| r.time).max()?;
+    let bytes: u64 = tr.iter().map(|r| u64::from(r.wire_len)).sum();
+    let span = (hi - lo).as_secs_f64();
+    (span > 0.0).then(|| bytes as f64 / span)
+}
+
+/// Bytes per `bin`-long interval from the earliest capture, over the
+/// bin length (§6.1).
+fn ref_binned_bandwidth(tr: &[FrameRecord], bin: SimTime) -> Vec<f64> {
+    let Some(lo) = tr.iter().map(|r| r.time.as_nanos()).min() else {
+        return Vec::new();
+    };
+    let hi = tr.iter().map(|r| r.time.as_nanos()).max().unwrap();
+    let bin_ns = bin.as_nanos();
+    let mut bytes = vec![0u64; ((hi - lo) / bin_ns + 1) as usize];
+    for r in tr {
+        bytes[((r.time.as_nanos() - lo) / bin_ns) as usize] += u64::from(r.wire_len);
+    }
+    bytes
+        .into_iter()
+        .map(|b| b as f64 / bin.as_secs_f64())
+        .collect()
+}
+
+/// At each capture `t`, the bytes captured so far in `(t − window, t]`
+/// over the window length (Figures 6 and 10).
+fn ref_sliding_window_bandwidth(tr: &[FrameRecord], window: SimTime) -> Vec<(SimTime, f64)> {
+    (0..tr.len())
+        .map(|i| {
+            let t = tr[i].time;
+            let bytes: u64 = tr[..=i]
+                .iter()
+                .filter(|r| r.time + window > t)
+                .map(|r| u64::from(r.wire_len))
+                .sum();
+            (t, bytes as f64 / window.as_secs_f64())
+        })
+        .collect()
+}
+
+/// Bursts: a frame no more than `gap` after the open burst's last frame
+/// (a frame earlier than it counts as no gap at all) joins the burst.
+fn ref_bursts(tr: &[FrameRecord], gap: SimTime) -> Vec<Burst> {
+    let mut out: Vec<Burst> = Vec::new();
+    for r in tr {
+        match out.last_mut() {
+            Some(b) if r.time.as_nanos().saturating_sub(b.end.as_nanos()) <= gap.as_nanos() => {
+                b.end = r.time;
+                b.bytes += u64::from(r.wire_len);
+                b.packets += 1;
+            }
+            _ => out.push(Burst {
+                start: r.time,
+                end: r.time,
+                bytes: u64::from(r.wire_len),
+                packets: 1,
+            }),
+        }
+    }
+    out
+}
+
+/// Burst sizes and start-to-start intervals.
+fn ref_burst_profile(tr: &[FrameRecord], gap: SimTime) -> Option<BurstProfile> {
+    let bursts = ref_bursts(tr, gap);
+    Some(BurstProfile {
+        sizes: ref_stats(bursts.iter().map(|b| b.bytes as f64))?,
+        intervals: ref_stats(
+            bursts
+                .windows(2)
+                .map(|w| (w[1].start - w[0].start).as_secs_f64()),
+        ),
+        count: bursts.len(),
+    })
+}
+
+/// `(wire size, frames)`, ascending by size.
+fn ref_size_population(tr: &[FrameRecord]) -> Vec<(u32, usize)> {
+    let mut m: BTreeMap<u32, usize> = BTreeMap::new();
+    for r in tr {
+        *m.entry(r.wire_len).or_insert(0) += 1;
+    }
+    m.into_iter().collect()
+}
+
+/// Sizes carried by at least `frac` of the frames.
+fn ref_dominant_modes(tr: &[FrameRecord], frac: f64) -> Vec<u32> {
+    ref_size_population(tr)
+        .into_iter()
+        .filter(|&(_, c)| c as f64 / tr.len().max(1) as f64 >= frac)
+        .map(|(s, _)| s)
+        .collect()
+}
+
+/// `(src, dst)` pairs with frame counts, ascending.
+fn ref_host_pairs(tr: &[FrameRecord]) -> Vec<((HostId, HostId), usize)> {
+    let mut m: BTreeMap<(HostId, HostId), usize> = BTreeMap::new();
+    for r in tr {
+        *m.entry((r.src, r.dst)).or_insert(0) += 1;
+    }
+    m.into_iter().collect()
+}
+
+/// The paper's connection: every frame from `src` to `dst`, copied out.
+fn ref_connection(tr: &[FrameRecord], src: HostId, dst: HostId) -> Vec<FrameRecord> {
+    tr.iter()
+        .filter(|r| r.src == src && r.dst == dst)
+        .copied()
+        .collect()
+}
+
+/// The report the slow way: one reference pass over the records per
+/// quantity.
+fn multipass_report(label: &str, tr: &[FrameRecord], opts: &ReportOptions) -> TraceReport {
+    let spec = (!tr.is_empty())
+        .then(|| Periodogram::compute(&ref_binned_bandwidth(tr, opts.bin), opts.bin));
+    TraceReport {
+        label: label.to_string(),
+        frames: tr.len(),
+        span_s: match (tr.first(), tr.last()) {
+            (Some(a), Some(b)) => (b.time - a.time).as_secs_f64(),
+            _ => 0.0,
+        },
+        sizes: ref_packet_sizes(tr),
+        interarrivals_ms: ref_interarrivals_ms(tr),
+        avg_bandwidth: ref_average_bandwidth(tr),
+        bursts: ref_burst_profile(tr, opts.burst_gap),
+        dominant_hz: spec
+            .as_ref()
+            .and_then(|s| s.dominant_frequency(opts.min_hz)),
+        flatness: spec.as_ref().map(Periodogram::flatness),
+    }
+}
+
+// ---- Comparisons ----------------------------------------------------
+
 fn stats_bits(s: Option<Stats>) -> Option<(u64, u64, u64, u64, usize)> {
     s.map(|s| {
         (
@@ -56,29 +233,8 @@ fn stats_bits(s: Option<Stats>) -> Option<(u64, u64, u64, u64, usize)> {
     })
 }
 
-/// The report the slow way: one pass over the records per quantity,
-/// through the public slice kernels only. It shares the fold's
-/// arithmetic cores but none of its loop, so agreement says the fold
-/// interleaves them correctly.
-fn multipass_report(label: &str, tr: &[FrameRecord], opts: &ReportOptions) -> TraceReport {
-    let spec =
-        (!tr.is_empty()).then(|| Periodogram::compute(&binned_bandwidth(tr, opts.bin), opts.bin));
-    TraceReport {
-        label: label.to_string(),
-        frames: tr.len(),
-        span_s: match (tr.first(), tr.last()) {
-            (Some(a), Some(b)) => (b.time - a.time).as_secs_f64(),
-            _ => 0.0,
-        },
-        sizes: Stats::packet_sizes(tr),
-        interarrivals_ms: Stats::interarrivals_ms(tr),
-        avg_bandwidth: average_bandwidth(tr),
-        bursts: BurstProfile::of(tr, opts.burst_gap),
-        dominant_hz: spec
-            .as_ref()
-            .and_then(|s| s.dominant_frequency(opts.min_hz)),
-        flatness: spec.as_ref().map(Periodogram::flatness),
-    }
+fn series_bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 fn profile_bits(p: &Option<BurstProfile>) -> Option<impl PartialEq + std::fmt::Debug> {
@@ -112,9 +268,9 @@ fn assert_reports_bitwise_equal(got: &TraceReport, want: &TraceReport) {
     assert_eq!(got.markdown_row(), want.markdown_row());
 }
 
-/// Hold the fold to the multi-pass oracle on a time-ordered trace: as
-/// one chunk (`analyze_view`), cut at `cuts` into pushed chunks, and on
-/// every connection sub-view against the copied-out connection.
+/// Hold the fold to the multi-pass reference on a time-ordered trace:
+/// as one chunk (`analyze_view`), cut at `cuts` into pushed chunks, and
+/// on every connection sub-view against the copied-out connection.
 fn assert_fold_matches_multipass(tr: &[FrameRecord], cuts: &[usize]) {
     let opts = ReportOptions::default();
     let store = TraceStore::from_records(tr);
@@ -142,11 +298,8 @@ fn assert_fold_matches_multipass(tr: &[FrameRecord], cuts: &[usize]) {
     }
     let (got, series, spec) = fold.finish_parts();
     assert_reports_bitwise_equal(&got, &want);
-    let want_series = binned_bandwidth(tr, opts.bin);
-    assert_eq!(
-        series.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-        want_series.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-    );
+    let want_series = ref_binned_bandwidth(tr, opts.bin);
+    assert_eq!(series_bits(&series), series_bits(&want_series));
     assert_eq!(
         spec.map(|s| s.total_power().to_bits()),
         (!tr.is_empty()).then(|| Periodogram::compute(&want_series, opts.bin)
@@ -157,7 +310,7 @@ fn assert_fold_matches_multipass(tr: &[FrameRecord], cuts: &[usize]) {
     for ((s, d), _) in store.host_pairs() {
         assert_reports_bitwise_equal(
             &TraceReport::analyze_view("c", store.connection(s, d), &opts),
-            &multipass_report("c", &connection(tr, s, d), &opts),
+            &multipass_report("c", &ref_connection(tr, s, d), &opts),
         );
     }
 }
@@ -181,10 +334,11 @@ fn reference_demux(
     (per_tenant, background)
 }
 
-/// Assert every kernel agrees between the slice path and the columnar
-/// view, bit for bit. `sorted` gates the kernels that assume capture
-/// order (sliding window's ring and the report fold assert monotone
-/// time).
+/// Assert every view kernel agrees with its reference, bit for bit.
+/// `sorted` gates the kernels that require capture order (the
+/// interarrival gaps, the sliding window's ring and the report fold
+/// panic on time travel) and the burst intervals, which subtract
+/// consecutive starts.
 fn assert_kernels_agree(tr: &[FrameRecord], sorted: bool) {
     let store = TraceStore::from_records(tr);
     let v = store.view();
@@ -192,58 +346,62 @@ fn assert_kernels_agree(tr: &[FrameRecord], sorted: bool) {
     assert_eq!(store.to_records(), tr, "record round trip");
     assert_eq!(
         stats_bits(v.packet_sizes()),
-        stats_bits(Stats::packet_sizes(tr))
+        stats_bits(ref_packet_sizes(tr))
     );
     assert_eq!(
         v.average_bandwidth().map(f64::to_bits),
-        average_bandwidth(tr).map(f64::to_bits)
+        ref_average_bandwidth(tr).map(f64::to_bits)
     );
-    let (vb, lb) = (v.binned_bandwidth(BIN), binned_bandwidth(tr, BIN));
     assert_eq!(
-        vb.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-        lb.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-        "binned series"
+        v.time_bounds(),
+        tr.iter()
+            .map(|r| r.time)
+            .min()
+            .zip(tr.iter().map(|r| r.time).max())
     );
-    // The spectrum input series being identical makes the periodogram
-    // identical; spot-check the total power anyway.
-    if !vb.is_empty() {
-        assert_eq!(
-            Periodogram::compute(&vb, BIN).total_power().to_bits(),
-            Periodogram::compute(&lb, BIN).total_power().to_bits()
-        );
-    }
-    assert_eq!(v.detect_bursts(GAP), detect_bursts(tr, GAP));
+    let (vb, rb) = (v.binned_bandwidth(BIN), ref_binned_bandwidth(tr, BIN));
+    assert_eq!(series_bits(&vb), series_bits(&rb), "binned series");
+    assert_eq!(v.detect_bursts(GAP), ref_bursts(tr, GAP));
     if sorted {
-        // Burst intervals subtract consecutive start times, which (like
-        // the legacy path) assumes capture order.
-        let (vp, lp) = (v.burst_profile(GAP), BurstProfile::of(tr, GAP));
         assert_eq!(
-            vp.as_ref().map(|p| (stats_bits(Some(p.sizes)), p.count)),
-            lp.as_ref().map(|p| (stats_bits(Some(p.sizes)), p.count))
+            profile_bits(&v.burst_profile(GAP)),
+            profile_bits(&ref_burst_profile(tr, GAP))
         );
     }
-    assert_eq!(v.size_population(), size_population(tr));
-    assert_eq!(v.dominant_modes(0.1), dominant_modes(tr, 0.1));
-    assert_eq!(v.host_pairs(), host_pairs(tr));
-    assert_eq!(store.host_pairs(), host_pairs(tr));
+    assert_eq!(v.size_population(), ref_size_population(tr));
+    assert_eq!(v.dominant_modes(0.1), ref_dominant_modes(tr, 0.1));
+    assert_eq!(v.host_pairs(), ref_host_pairs(tr));
+    assert_eq!(store.host_pairs(), ref_host_pairs(tr));
     for &((s, d), n) in &store.host_pairs() {
-        let legacy = connection(tr, s, d);
+        let copied = ref_connection(tr, s, d);
         let view = store.connection(s, d);
         assert_eq!(view.len(), n);
-        assert_eq!(view.to_records(), legacy);
+        assert_eq!(view.to_records(), copied);
         assert_eq!(
             stats_bits(view.packet_sizes()),
-            stats_bits(Stats::packet_sizes(&legacy))
+            stats_bits(ref_packet_sizes(&copied))
+        );
+        assert_eq!(
+            series_bits(&view.binned_bandwidth(BIN)),
+            series_bits(&ref_binned_bandwidth(&copied, BIN))
         );
     }
     if sorted {
         assert_eq!(
             stats_bits(v.interarrivals_ms()),
-            stats_bits(Stats::interarrivals_ms(tr))
+            stats_bits(ref_interarrivals_ms(tr))
+        );
+        let (vs, rs) = (
+            v.sliding_window_bandwidth(BIN),
+            ref_sliding_window_bandwidth(tr, BIN),
         );
         assert_eq!(
-            v.sliding_window_bandwidth(BIN),
-            sliding_window_bandwidth(tr, BIN)
+            vs.iter()
+                .map(|&(t, x)| (t, x.to_bits()))
+                .collect::<Vec<_>>(),
+            rs.iter()
+                .map(|&(t, x)| (t, x.to_bits()))
+                .collect::<Vec<_>>()
         );
         assert_fold_matches_multipass(tr, &[1, tr.len() / 2]);
     }
@@ -262,6 +420,57 @@ fn empty_trace_agrees() {
 #[test]
 fn two_identical_timestamps_agree() {
     assert_kernels_agree(&trace_from(&[(7, 100, 0, 1), (7, 200, 1, 0)]), true);
+}
+
+#[test]
+fn gaps_of_exactly_the_burst_gap_and_one_nanosecond_more_agree() {
+    // Spacings of `GAP` (merge) and `GAP + 1 ns` (split), on and off
+    // the `BIN` grid.
+    let mut t = 0u64;
+    let mut parts = Vec::new();
+    for i in 0..12u64 {
+        parts.push((t, 100 + i as u32, (i % 2) as u32, 1 - (i % 2) as u32));
+        t += GAP.as_nanos() + (i % 3 == 1) as u64;
+    }
+    let tr: Vec<FrameRecord> = trace_from(&parts)
+        .into_iter()
+        .zip(&parts)
+        .map(|(r, &(ns, ..))| FrameRecord {
+            time: SimTime::from_nanos(ns),
+            ..r
+        })
+        .collect();
+    assert_eq!(ref_bursts(&tr, GAP).len(), 5);
+    assert_kernels_agree(&tr, true);
+}
+
+#[test]
+fn frames_on_bin_and_window_edges_agree() {
+    // One nanosecond either side of each `BIN` edge past the first
+    // frame, and pairs exactly one window apart (the earlier one leaves
+    // the sliding window).
+    let t0 = 3_000_000u64;
+    let bin = BIN.as_nanos();
+    let mut times = vec![t0];
+    for k in 1..6u64 {
+        times.extend([t0 + k * bin - 1, t0 + k * bin, t0 + k * bin + 1]);
+    }
+    let tr: Vec<FrameRecord> = times
+        .iter()
+        .enumerate()
+        .map(|(i, &ns)| FrameRecord {
+            time: SimTime::from_nanos(ns),
+            wire_len: 60 + 7 * i as u32,
+            proto: Proto::Tcp,
+            kind: FrameKind::Data,
+            src: HostId(0),
+            dst: HostId(1 + (i % 2) as u32),
+        })
+        .collect();
+    assert_kernels_agree(&tr, true);
+    let mut shuffled = tr.clone();
+    shuffled.reverse();
+    assert_kernels_agree(&shuffled, false);
 }
 
 #[test]
@@ -297,7 +506,7 @@ fn demux_agrees_with_legacy_on_interleaved_tenants() {
         assert_eq!(&cols.tenant(i).to_records(), want);
         assert_eq!(
             stats_bits(cols.tenant(i).packet_sizes()),
-            stats_bits(Stats::packet_sizes(want))
+            stats_bits(ref_packet_sizes(want))
         );
     }
     assert_eq!(cols.background_view().to_records(), background);

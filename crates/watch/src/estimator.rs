@@ -1,36 +1,16 @@
-//! Streaming burst detection and live `[l, b, c]` estimation.
+//! Live `[l, b, c]` estimation over streaming burst detection.
 //!
-//! The batch path (`fxnet_trace::detect_bursts` followed by
+//! The batch path (`TraceView::detect_bursts` followed by
 //! `fxnet_qos::estimate::estimate_traffic`) needs the whole trace in
 //! memory. The watcher instead folds each frame into running sums as it
-//! arrives: a burst is open while consecutive frames are closer than the
-//! configured quiet gap, and closes — updating the running estimate —
-//! when the gap is exceeded or the stream ends. Same burst boundary rule
-//! as the batch detector, O(1) state per stream.
+//! arrives, through the same [`BurstSegmenter`] the batch detector runs:
+//! a burst is open while consecutive frames are no more than the
+//! configured quiet gap apart, and closes — updating the running
+//! estimate — when the gap is exceeded or the stream ends. O(1) state
+//! per stream.
 
 use fxnet_sim::SimTime;
-
-/// A completed burst, reported as it closes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClosedBurst {
-    /// First frame's timestamp.
-    pub start: SimTime,
-    /// Last frame's timestamp.
-    pub end: SimTime,
-    /// Wire bytes carried.
-    pub bytes: u64,
-    /// Frames carried.
-    pub frames: u64,
-    /// Index of this burst in its stream (0-based).
-    pub index: u64,
-}
-
-impl ClosedBurst {
-    /// Burst length in seconds.
-    pub fn duration_s(&self) -> f64 {
-        (self.end.saturating_sub(self.start)).as_secs_f64()
-    }
-}
+use fxnet_trace::{Burst, BurstSegmenter};
 
 /// The live traffic estimate, in the vocabulary of the QoS descriptor:
 /// the tenant *behaves as if* it had handed the network this `[l, b, c]`.
@@ -54,8 +34,7 @@ pub struct LiveEstimate {
 /// O(1)-state streaming burst detector with running `[l, b, c]` sums.
 #[derive(Debug, Clone)]
 pub struct BurstEstimator {
-    gap: SimTime,
-    cur: Option<(SimTime, SimTime, u64, u64)>, // (start, last, bytes, frames)
+    segmenter: BurstSegmenter,
     prev_start: Option<SimTime>,
     closed: u64,
     sum_burst_s: f64,
@@ -65,12 +44,11 @@ pub struct BurstEstimator {
 }
 
 impl BurstEstimator {
-    /// A detector splitting bursts at quiet gaps of at least `gap`.
+    /// A detector splitting bursts at quiet gaps longer than `gap`.
     pub fn new(gap: SimTime) -> BurstEstimator {
         assert!(gap > SimTime::ZERO, "burst gap must be positive");
         BurstEstimator {
-            gap,
-            cur: None,
+            segmenter: BurstSegmenter::new(gap),
             prev_start: None,
             closed: 0,
             sum_burst_s: 0.0,
@@ -80,47 +58,30 @@ impl BurstEstimator {
         }
     }
 
-    /// Fold one frame in; returns the burst this frame closed, if any.
-    pub fn push(&mut self, time: SimTime, wire_len: u32) -> Option<ClosedBurst> {
-        if let Some((_, last, bytes, frames)) = &mut self.cur {
-            if time.saturating_sub(*last) <= self.gap {
-                *last = time;
-                *bytes += u64::from(wire_len);
-                *frames += 1;
-                return None;
-            }
-        }
-        let closed = self
-            .cur
-            .take()
-            .map(|(start, last, bytes, frames)| self.close(start, last, bytes, frames));
-        self.cur = Some((time, time, u64::from(wire_len), 1));
-        closed
+    /// Fold one frame in; returns the burst this frame closed, if any,
+    /// with its 0-based index in the stream.
+    pub fn push(&mut self, time: SimTime, wire_len: u32) -> Option<(u64, Burst)> {
+        let b = self.segmenter.push(time, wire_len)?;
+        Some(self.close(b))
     }
 
     /// Close the trailing burst at end of stream, if one is open.
-    pub fn finish(&mut self) -> Option<ClosedBurst> {
-        let (start, last, bytes, frames) = self.cur.take()?;
-        Some(self.close(start, last, bytes, frames))
+    pub fn finish(&mut self) -> Option<(u64, Burst)> {
+        let b = self.segmenter.finish()?;
+        Some(self.close(b))
     }
 
-    fn close(&mut self, start: SimTime, end: SimTime, bytes: u64, frames: u64) -> ClosedBurst {
-        let b = ClosedBurst {
-            start,
-            end,
-            bytes,
-            frames,
-            index: self.closed,
-        };
+    fn close(&mut self, b: Burst) -> (u64, Burst) {
+        let index = self.closed;
         self.closed += 1;
-        self.sum_burst_s += b.duration_s();
-        self.sum_bytes += bytes as f64;
+        self.sum_burst_s += b.duration();
+        self.sum_bytes += b.bytes as f64;
         if let Some(prev) = self.prev_start {
-            self.sum_interval_s += (start.saturating_sub(prev)).as_secs_f64();
+            self.sum_interval_s += (b.start.saturating_sub(prev)).as_secs_f64();
             self.intervals += 1;
         }
-        self.prev_start = Some(start);
-        b
+        self.prev_start = Some(b.start);
+        (index, b)
     }
 
     /// Completed bursts so far.
@@ -167,14 +128,14 @@ mod tests {
         // Two frames 1 ms apart, then a 50 ms gap, then one more.
         assert!(e.push(ms(0), 1000).is_none());
         assert!(e.push(ms(1), 1000).is_none());
-        let b = e.push(ms(51), 500).expect("gap closes the first burst");
+        let (index, b) = e.push(ms(51), 500).expect("gap closes the first burst");
         assert_eq!(b.bytes, 2000);
-        assert_eq!(b.frames, 2);
-        assert_eq!(b.index, 0);
+        assert_eq!(b.packets, 2);
+        assert_eq!(index, 0);
         assert_eq!((b.start, b.end), (ms(0), ms(1)));
-        let tail = e.finish().expect("trailing burst");
+        let (index, tail) = e.finish().expect("trailing burst");
         assert_eq!(tail.bytes, 500);
-        assert_eq!(tail.index, 1);
+        assert_eq!(index, 1);
         assert!(e.finish().is_none());
     }
 
@@ -217,6 +178,65 @@ mod tests {
         assert!(closed.is_some(), "spacing beyond the gap must split");
     }
 
+    /// One trace, three detectors — the view kernel, the report fold and
+    /// the live estimator — split it at the same frames: a gap of exactly
+    /// `gap` merges, `gap + 1 ns` splits.
+    #[test]
+    fn view_fold_and_estimator_agree_on_the_gap_boundary() {
+        use fxnet_sim::{Frame, FrameKind, FrameRecord, HostId};
+        use fxnet_trace::{ReportOptions, TraceReport, TraceStore};
+        let gap = ms(10);
+        let one_ns = SimTime::from_nanos(1);
+        let mut times = vec![SimTime::ZERO, gap];
+        times.push(times[1] + gap + one_ns);
+        times.push(times[2] + SimTime::from_micros(1));
+        times.push(times[3] + gap + one_ns);
+        times.push(times[4] + gap);
+        let trace: Vec<FrameRecord> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| {
+                let f = Frame::tcp(HostId(0), HostId(1), FrameKind::Data, 100 * i as u32, 0);
+                FrameRecord::capture(t, &f)
+            })
+            .collect();
+        let store = TraceStore::from_records(&trace);
+
+        let batch = store.view().detect_bursts(gap);
+        let spans: Vec<(SimTime, SimTime)> = batch.iter().map(|b| (b.start, b.end)).collect();
+        assert_eq!(
+            spans,
+            vec![
+                (times[0], times[1]),
+                (times[2], times[3]),
+                (times[4], times[5])
+            ]
+        );
+
+        let opts = ReportOptions {
+            burst_gap: gap,
+            ..ReportOptions::default()
+        };
+        let folded = TraceReport::analyze_view("t", store.view(), &opts)
+            .bursts
+            .expect("bursts");
+        let want = store.view().burst_profile(gap).expect("bursts");
+        assert_eq!(folded.count, 3);
+        assert_eq!(
+            (folded.count, folded.sizes, folded.intervals),
+            (want.count, want.sizes, want.intervals)
+        );
+
+        let mut e = BurstEstimator::new(gap);
+        let mut live: Vec<Burst> = trace
+            .iter()
+            .filter_map(|r| e.push(r.time, r.wire_len))
+            .map(|(_, b)| b)
+            .collect();
+        live.extend(e.finish().map(|(_, b)| b));
+        assert_eq!(live, batch);
+    }
+
     #[test]
     fn streaming_bursts_equal_batch_bursts() {
         use fxnet_sim::{Frame, FrameKind, HostId};
@@ -229,21 +249,18 @@ mod tests {
             trace.push(fxnet_sim::FrameRecord::capture(SimTime::from_micros(t), &f));
         }
         let gap = ms(2);
-        let batch = fxnet_trace::detect_bursts(&trace, gap);
-        // The columnar view runs the same merge rule over the time and
-        // size columns — all three detectors must agree exactly.
-        let store = fxnet_trace::TraceStore::from_records(&trace);
-        assert_eq!(store.view().detect_bursts(gap), batch);
+        let batch = fxnet_trace::TraceStore::from_records(&trace)
+            .view()
+            .detect_bursts(gap);
         let mut e = BurstEstimator::new(gap);
-        let mut stream: Vec<ClosedBurst> = trace
+        let mut stream: Vec<(u64, Burst)> = trace
             .iter()
             .filter_map(|r| e.push(r.time, r.wire_len))
             .collect();
         stream.extend(e.finish());
-        assert_eq!(stream.len(), batch.len());
-        for (s, b) in stream.iter().zip(&batch) {
-            assert_eq!((s.start, s.end, s.bytes), (b.start, b.end, b.bytes));
-            assert_eq!(s.frames as usize, b.packets);
-        }
+        let indices: Vec<u64> = stream.iter().map(|&(i, _)| i).collect();
+        assert_eq!(indices, (0..batch.len() as u64).collect::<Vec<_>>());
+        let bursts: Vec<Burst> = stream.into_iter().map(|(_, b)| b).collect();
+        assert_eq!(bursts, batch);
     }
 }

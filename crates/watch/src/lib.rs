@@ -37,7 +37,7 @@ pub mod recorder;
 pub mod watch;
 
 pub use config::WatchConfig;
-pub use estimator::{BurstEstimator, ClosedBurst, LiveEstimate};
+pub use estimator::{BurstEstimator, LiveEstimate};
 pub use event::{to_jsonl, EventKind, WatchEvent};
 pub use recorder::FlightRecorder;
 pub use watch::{SpectralPeak, StreamWatch, TenantContract, TenantReport, WatchReport};

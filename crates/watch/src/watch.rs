@@ -12,14 +12,14 @@
 //! a pure function of the frame stream (deterministic under `--seed`).
 
 use crate::config::WatchConfig;
-use crate::estimator::{BurstEstimator, ClosedBurst, LiveEstimate};
+use crate::estimator::{BurstEstimator, LiveEstimate};
 use crate::event::{to_jsonl, EventKind, WatchEvent};
 use crate::recorder::FlightRecorder;
 use fxnet_qos::ContractTerms;
 use fxnet_sim::{FrameRecord, SimTime};
 use fxnet_spectral::{goertzel_power, padded_bin, SlidingDft};
 use fxnet_telemetry::TelemetryRegistry;
-use fxnet_trace::{SlidingBandwidth, StreakLatch, StreamBinner};
+use fxnet_trace::{Burst, SlidingBandwidth, StreakLatch, StreamBinner};
 use std::collections::BTreeMap;
 
 /// What one tenant promised the admission controller, in plain numbers.
@@ -160,15 +160,6 @@ impl WatchReport {
     }
 }
 
-/// Per-connection streaming burst state.
-#[derive(Debug, Clone)]
-struct ConnState {
-    est: BurstEstimator,
-    prev_end: Option<SimTime>,
-    sum_gap_s: f64,
-    gaps: u64,
-}
-
 /// Everything the watcher tracks per tenant.
 struct TenantState {
     contract: TenantContract,
@@ -185,7 +176,8 @@ struct TenantState {
     anomalies: u64,
     anomalies_total: u64,
     estimator: BurstEstimator,
-    conns: BTreeMap<(u32, u32), ConnState>,
+    /// Per-connection streaming burst detection.
+    conns: BTreeMap<(u32, u32), BurstEstimator>,
     bytes: u64,
     frames: u64,
     peak_bw: f64,
@@ -343,30 +335,17 @@ impl StreamWatch {
             while let Some(bin) = t.binner.pop_closed() {
                 tenant_bin(cfg, t, bin, &mut pending);
             }
-            if let Some(burst) = t.estimator.push(r.time, r.wire_len) {
-                tenant_burst(cfg, t, &burst, &mut pending);
+            if let Some((index, burst)) = t.estimator.push(r.time, r.wire_len) {
+                tenant_burst(cfg, t, index, &burst, &mut pending);
             }
 
-            let key = (r.src.0, r.dst.0);
-            let closed = {
-                let c = t.conns.entry(key).or_insert_with(|| ConnState {
-                    est: BurstEstimator::new(cfg.burst_gap),
-                    prev_end: None,
-                    sum_gap_s: 0.0,
-                    gaps: 0,
-                });
-                let cb = c.est.push(r.time, r.wire_len);
-                if let Some(b) = cb {
-                    if let Some(pe) = c.prev_end {
-                        c.sum_gap_s += (b.start.saturating_sub(pe)).as_secs_f64();
-                        c.gaps += 1;
-                    }
-                    c.prev_end = Some(b.end);
-                }
-                cb
-            };
-            if let Some(b) = closed {
-                conn_burst(cfg, t, &b, &mut pending);
+            let closed = t
+                .conns
+                .entry((r.src.0, r.dst.0))
+                .or_insert_with(|| BurstEstimator::new(cfg.burst_gap))
+                .push(r.time, r.wire_len);
+            if let Some((index, b)) = closed {
+                conn_burst(cfg, t, index, &b, &mut pending);
             }
         }
         self.flush(ti, r.time, pending);
@@ -414,25 +393,13 @@ impl StreamWatch {
                 for bin in binner.finish() {
                     tenant_bin(cfg, t, bin, &mut pending);
                 }
-                if let Some(b) = t.estimator.finish() {
-                    tenant_burst(cfg, t, &b, &mut pending);
+                if let Some((index, b)) = t.estimator.finish() {
+                    tenant_burst(cfg, t, index, &b, &mut pending);
                 }
-                let closed: Vec<ClosedBurst> = t
-                    .conns
-                    .values_mut()
-                    .filter_map(|c| {
-                        let cb = c.est.finish();
-                        if let Some(b) = cb {
-                            if let Some(pe) = c.prev_end {
-                                c.sum_gap_s += (b.start.saturating_sub(pe)).as_secs_f64();
-                                c.gaps += 1;
-                            }
-                        }
-                        cb
-                    })
-                    .collect();
-                for b in closed {
-                    conn_burst(cfg, t, &b, &mut pending);
+                let closed: Vec<(u64, Burst)> =
+                    t.conns.values_mut().filter_map(|c| c.finish()).collect();
+                for (index, b) in closed {
+                    conn_burst(cfg, t, index, &b, &mut pending);
                 }
             }
             self.flush(ti, end, pending);
@@ -578,16 +545,17 @@ fn cycles_spanned(d: f64, t_interval: f64) -> f64 {
 fn tenant_burst(
     cfg: &WatchConfig,
     t: &mut TenantState,
-    b: &ClosedBurst,
+    index: u64,
+    b: &Burst,
     pending: &mut Vec<Pending>,
 ) {
     // The first burst carries enrollment/startup chatter; skip it.
-    if b.index == 0 {
+    if index == 0 {
         return;
     }
     let claimed_cycle =
         t.contract.terms.burst_bytes as f64 * f64::from(t.contract.terms.connections);
-    let cycles = cycles_spanned(b.duration_s(), t.contract.terms.t_interval);
+    let cycles = cycles_spanned(b.duration(), t.contract.terms.t_interval);
     let limit = cfg.burst_tolerance * claimed_cycle * cycles;
     if b.bytes as f64 > limit && t.latch.latch_now() {
         t.violations += 1;
@@ -598,7 +566,7 @@ fn tenant_burst(
             limit,
             detail: format!(
                 "burst {} carried {} B over {:.0} claimed cycle(s) of {:.0} B ({} conns x {} B, tolerance {:.1}x)",
-                b.index,
+                index,
                 b.bytes,
                 cycles,
                 claimed_cycle,
@@ -611,11 +579,17 @@ fn tenant_burst(
 }
 
 /// Per-connection burst anomaly check on one closed connection burst.
-fn conn_burst(cfg: &WatchConfig, t: &mut TenantState, b: &ClosedBurst, pending: &mut Vec<Pending>) {
-    if b.index == 0 {
+fn conn_burst(
+    cfg: &WatchConfig,
+    t: &mut TenantState,
+    index: u64,
+    b: &Burst,
+    pending: &mut Vec<Pending>,
+) {
+    if index == 0 {
         return;
     }
-    let cycles = cycles_spanned(b.duration_s(), t.contract.terms.t_interval);
+    let cycles = cycles_spanned(b.duration(), t.contract.terms.t_interval);
     let limit = cfg.burst_tolerance * t.contract.terms.burst_bytes as f64 * cycles;
     if b.bytes as f64 > limit {
         t.anomalies_total += 1;
@@ -628,7 +602,7 @@ fn conn_burst(cfg: &WatchConfig, t: &mut TenantState, b: &ClosedBurst, pending: 
                 limit,
                 detail: format!(
                     "connection burst {} of {} B exceeds {:.1}x the claimed b(P) = {} B",
-                    b.index, b.bytes, cfg.burst_tolerance, t.contract.terms.burst_bytes
+                    index, b.bytes, cfg.burst_tolerance, t.contract.terms.burst_bytes
                 ),
             });
         }

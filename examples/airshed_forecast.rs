@@ -7,7 +7,7 @@
 //! ```
 
 use fxnet::apps::airshed::AirshedParams;
-use fxnet::trace::{average_bandwidth, binned_bandwidth, Periodogram, Stats};
+use fxnet::trace::{Periodogram, TraceStore};
 use fxnet::{SimTime, Testbed};
 use std::io::Write;
 
@@ -31,8 +31,10 @@ fn main() {
         run.finished_at.as_secs_f64() / hours as f64
     );
 
-    let s = Stats::packet_sizes(&run.trace).expect("trace");
-    let i = Stats::interarrivals_ms(&run.trace).expect("trace");
+    let store = TraceStore::from_records(&run.trace);
+    let trace = store.view();
+    let s = trace.packet_sizes().expect("trace");
+    let i = trace.interarrivals_ms().expect("trace");
     println!(
         "packet sizes  B : min {:.0} max {:.0} avg {:.0} sd {:.0}",
         s.min, s.max, s.avg, s.sd
@@ -47,13 +49,13 @@ fn main() {
     );
     println!(
         "average bandwidth: {:.1} KB/s (paper: 32.7 KB/s aggregate)",
-        average_bandwidth(&run.trace).expect("trace") / 1000.0
+        trace.average_bandwidth().expect("trace") / 1000.0
     );
 
     // The three timescales: hour (~1/66 Hz), chemistry step (~0.2 Hz),
     // horizontal transport (~5 Hz).
     let bin = SimTime::from_millis(10);
-    let series = binned_bandwidth(&run.trace, bin);
+    let series = trace.binned_bandwidth(bin);
     let spec = Periodogram::compute(&series, bin);
     println!("\nspectral peaks by band:");
     for (label, lo, hi) in [

@@ -14,7 +14,7 @@
 use fxnet::fx::{broadcast, neighbor_exchange, reduce_tree, Pattern};
 use fxnet::qos::{negotiate, AppDescriptor, QosNetwork};
 use fxnet::spectral::FourierModel;
-use fxnet::trace::{average_bandwidth, binned_bandwidth, BurstProfile, Periodogram, Stats};
+use fxnet::trace::{Periodogram, TraceStore};
 use fxnet::{SimTime, Testbed};
 
 const N: usize = 256; // block edge per rank
@@ -75,18 +75,20 @@ fn main() {
             .collect::<Vec<_>>()
     );
 
-    let s = Stats::packet_sizes(&run.trace).expect("traffic");
+    let store = TraceStore::from_records(&run.trace);
+    let trace = store.view();
+    let s = trace.packet_sizes().expect("traffic");
     println!(
         "packet sizes: min {:.0} max {:.0} avg {:.0}",
         s.min, s.max, s.avg
     );
     println!(
         "average bandwidth: {:.1} KB/s",
-        average_bandwidth(&run.trace).unwrap_or(0.0) / 1000.0
+        trace.average_bandwidth().unwrap_or(0.0) / 1000.0
     );
 
     let bin = SimTime::from_millis(10);
-    let series = binned_bandwidth(&run.trace, bin);
+    let series = trace.binned_bandwidth(bin);
     let spec = Periodogram::compute(&series, bin);
     if let Some(f) = spec.dominant_frequency(0.2) {
         println!(
@@ -101,7 +103,7 @@ fn main() {
         model.reconstruction_error(&series, bin)
     );
 
-    if let Some(profile) = BurstProfile::of(&run.trace, SimTime::from_millis(50)) {
+    if let Some(profile) = trace.burst_profile(SimTime::from_millis(50)) {
         println!(
             "bursts: {} of {:.1} KB avg (size CV {:.3} — constant bursts)",
             profile.count,

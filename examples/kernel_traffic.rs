@@ -7,10 +7,7 @@
 //! # writes out/<kernel>.bw and out/<kernel>.spectrum
 //! ```
 
-use fxnet::trace::{
-    average_bandwidth, binned_bandwidth, host_pairs, size_population, sliding_window_bandwidth,
-    Periodogram, Stats,
-};
+use fxnet::trace::{Periodogram, TraceStore};
 use fxnet::{HostId, KernelKind, SimTime, Testbed};
 use std::io::Write;
 
@@ -39,9 +36,11 @@ fn main() {
     );
 
     // Aggregate rows (Figures 3–5).
-    let s = Stats::packet_sizes(&run.trace).expect("trace");
-    let i = Stats::interarrivals_ms(&run.trace).expect("trace");
-    let bw = average_bandwidth(&run.trace).expect("trace");
+    let store = TraceStore::from_records(&run.trace);
+    let trace = store.view();
+    let s = trace.packet_sizes().expect("trace");
+    let i = trace.interarrivals_ms().expect("trace");
+    let bw = trace.average_bandwidth().expect("trace");
     println!("\naggregate:");
     println!(
         "  sizes  B : min {:.0} max {:.0} avg {:.0} sd {:.0}",
@@ -54,8 +53,8 @@ fn main() {
     println!("  avg bw   : {:.1} KB/s", bw / 1000.0);
 
     // Representative connection (paper §6.1): host 0 → host 1.
-    let conn = fxnet::trace::connection(&run.trace, HostId(0), HostId(1));
-    if let (Some(cs), Some(ci)) = (Stats::packet_sizes(&conn), Stats::interarrivals_ms(&conn)) {
+    let conn = store.connection(HostId(0), HostId(1));
+    if let (Some(cs), Some(ci)) = (conn.packet_sizes(), conn.interarrivals_ms()) {
         println!("connection h0->h1:");
         println!(
             "  sizes  B : min {:.0} max {:.0} avg {:.0} sd {:.0}",
@@ -65,14 +64,14 @@ fn main() {
             "  inter ms : min {:.1} max {:.1} avg {:.2} sd {:.2}",
             ci.min, ci.max, ci.avg, ci.sd
         );
-        if let Some(cbw) = average_bandwidth(&conn) {
+        if let Some(cbw) = conn.average_bandwidth() {
             println!("  avg bw   : {:.1} KB/s", cbw / 1000.0);
         }
     }
 
     // Size population (trimodality check).
     println!("\npacket-size population (top 6):");
-    let mut pop = size_population(&run.trace);
+    let mut pop = trace.size_population();
     pop.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
     for (sz, c) in pop.iter().take(6) {
         println!("  {sz:>5} B  ×{c}");
@@ -80,7 +79,7 @@ fn main() {
 
     // Busiest pairs.
     println!("\nbusiest host pairs:");
-    let mut pairs = host_pairs(&run.trace);
+    let mut pairs = trace.host_pairs();
     pairs.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
     for ((a, b), c) in pairs.iter().take(6) {
         println!("  {a} -> {b}: {c} frames");
@@ -89,12 +88,12 @@ fn main() {
     // Series + spectrum dumps.
     std::fs::create_dir_all("out").expect("create out/");
     let bin = SimTime::from_millis(10);
-    let win = sliding_window_bandwidth(&run.trace, bin);
+    let win = trace.sliding_window_bandwidth(bin);
     let mut f = std::fs::File::create(format!("out/{}.bw", kernel.name())).expect("open");
     for (t, v) in &win {
         writeln!(f, "{:.4} {:.1}", t.as_secs_f64(), v / 1000.0).expect("write");
     }
-    let series = binned_bandwidth(&run.trace, bin);
+    let series = trace.binned_bandwidth(bin);
     let spec = Periodogram::compute(&series, bin);
     let mut f = std::fs::File::create(format!("out/{}.spectrum", kernel.name())).expect("open");
     for idx in 0..spec.power.len() {

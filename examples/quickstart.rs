@@ -9,7 +9,7 @@
 //! rows the paper's tables report: packet sizes, interarrivals, average
 //! bandwidth, and the dominant spectral frequency.
 
-use fxnet::trace::{average_bandwidth, binned_bandwidth, Periodogram, Stats};
+use fxnet::trace::{Periodogram, TraceStore};
 use fxnet::{KernelKind, SimTime, TestbedBuilder};
 
 fn main() {
@@ -25,12 +25,15 @@ fn main() {
         run.finished_at.as_secs_f64()
     );
 
-    let sizes = Stats::packet_sizes(&run.trace).expect("nonempty trace");
+    // One columnar store per run; every analysis is a view kernel.
+    let store = TraceStore::from_records(&run.trace);
+    let trace = store.view();
+    let sizes = trace.packet_sizes().expect("nonempty trace");
     println!(
         "packet size  (B):  min {:>5.0}  max {:>5.0}  avg {:>6.1}  sd {:>6.1}",
         sizes.min, sizes.max, sizes.avg, sizes.sd
     );
-    let inter = Stats::interarrivals_ms(&run.trace).expect("nonempty trace");
+    let inter = trace.interarrivals_ms().expect("nonempty trace");
     println!(
         "interarrival (ms): min {:>5.1}  max {:>5.1}  avg {:>6.2}  sd {:>6.2}  (max/avg = {:.0})",
         inter.min,
@@ -39,10 +42,10 @@ fn main() {
         inter.sd,
         inter.burstiness()
     );
-    let bw = average_bandwidth(&run.trace).expect("nonempty trace");
+    let bw = trace.average_bandwidth().expect("nonempty trace");
     println!("average bandwidth: {:.1} KB/s", bw / 1000.0);
 
-    let series = binned_bandwidth(&run.trace, SimTime::from_millis(10));
+    let series = trace.binned_bandwidth(SimTime::from_millis(10));
     let spec = Periodogram::compute(&series, SimTime::from_millis(10));
     if let Some(f) = spec.dominant_frequency(0.2) {
         println!(

@@ -12,18 +12,19 @@
 use fxnet::sim::SimRng;
 use fxnet::spectral::generate::SynthConfig;
 use fxnet::spectral::{synthesize_trace, FourierModel};
-use fxnet::trace::{average_bandwidth, binned_bandwidth, Periodogram};
+use fxnet::trace::{Periodogram, TraceStore};
 use fxnet::{KernelKind, SimTime, Testbed};
 
 fn main() {
     println!("measuring 2DFFT...");
     let run = Testbed::paper().run_kernel(KernelKind::Fft2d, 10).unwrap();
     let bin = SimTime::from_millis(10);
-    let series = binned_bandwidth(&run.trace, bin);
+    let store = TraceStore::from_records(&run.trace);
+    let series = store.view().binned_bandwidth(bin);
     let spec = Periodogram::compute(&series, bin);
     println!(
         "measured: {:.1} KB/s average, dominant {:.2} Hz",
-        average_bandwidth(&run.trace).unwrap() / 1000.0,
+        store.view().average_bandwidth().unwrap() / 1000.0,
         spec.dominant_frequency(0.1).unwrap_or(0.0)
     );
 
@@ -47,7 +48,9 @@ fn main() {
         &SynthConfig::default(),
         &mut rng,
     );
-    let synth_series = binned_bandwidth(&synth, bin);
+    let synth_series = TraceStore::from_records(&synth)
+        .view()
+        .binned_bandwidth(bin);
     let synth_spec = Periodogram::compute(&synth_series, bin);
     println!("\nsynthetic trace: {} frames", synth.len());
     println!(

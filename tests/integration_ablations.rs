@@ -3,7 +3,7 @@
 
 use fxnet::pvm::MessageBuilder;
 use fxnet::qos::{AppDescriptor, QosNetwork};
-use fxnet::trace::{average_bandwidth, BurstProfile, Stats};
+use fxnet::trace::TraceStore;
 use fxnet::{KernelKind, SimTime, Testbed, TestbedBuilder};
 
 #[test]
@@ -32,8 +32,14 @@ fn switched_fabric_speeds_up_the_all_to_all() {
         "volumes should be comparable: bus {b}, switch {s}"
     );
     // And the aggregate bandwidth the program achieves rises.
-    let bw_bus = average_bandwidth(&bus.trace).unwrap();
-    let bw_sw = average_bandwidth(&sw.trace).unwrap();
+    let bw_bus = TraceStore::from_records(&bus.trace)
+        .view()
+        .average_bandwidth()
+        .unwrap();
+    let bw_sw = TraceStore::from_records(&sw.trace)
+        .view()
+        .average_bandwidth()
+        .unwrap();
     assert!(bw_sw > bw_bus, "switch bw {bw_sw:.0} vs bus {bw_bus:.0}");
 }
 
@@ -47,7 +53,9 @@ fn switched_fabric_preserves_results_and_periodicity() {
         .build()
         .run_kernel(KernelKind::Hist, 10)
         .unwrap();
-    let series = fxnet::trace::binned_bandwidth(&sw.trace, SimTime::from_millis(10));
+    let series = TraceStore::from_records(&sw.trace)
+        .view()
+        .binned_bandwidth(SimTime::from_millis(10));
     let quiet = series.iter().filter(|&&v| v < 1000.0).count();
     assert!(
         quiet * 10 > series.len() * 3,
@@ -99,7 +107,10 @@ fn measured_burst_interval_tracks_the_qos_model() {
     let work = SimTime::from_secs(8);
     let n_bytes = 200_000usize;
     let run = Testbed::quiet(p).run(shift_program(p, work, n_bytes, 10));
-    let profile = BurstProfile::of(&run.trace, SimTime::from_millis(300)).expect("bursts");
+    let profile = TraceStore::from_records(&run.trace)
+        .view()
+        .burst_profile(SimTime::from_millis(300))
+        .expect("bursts");
     let measured_tbi = profile.intervals.expect("multiple bursts").avg;
 
     let app = AppDescriptor::scalable(
@@ -122,7 +133,10 @@ fn burst_sizes_are_constant_for_the_shift_program() {
     // One of the paper's headline properties: the parallel program's
     // burst size is fixed by the program.
     let run = Testbed::quiet(4).run(shift_program(4, SimTime::from_secs(8), 150_000, 8));
-    let profile = BurstProfile::of(&run.trace, SimTime::from_millis(300)).expect("bursts");
+    let profile = TraceStore::from_records(&run.trace)
+        .view()
+        .burst_profile(SimTime::from_millis(300))
+        .expect("bursts");
     assert!(
         profile.size_cv() < 0.25,
         "burst size CV {:.3} too high for constant bursts",
@@ -137,7 +151,10 @@ fn more_processors_shrink_the_interval_until_bandwidth_binds() {
     let mut intervals = Vec::new();
     for p in [2u32, 4, 8] {
         let run = Testbed::quiet(p).run(shift_program(p, SimTime::from_secs(6), 400_000, 6));
-        let profile = BurstProfile::of(&run.trace, SimTime::from_millis(200)).expect("bursts");
+        let profile = TraceStore::from_records(&run.trace)
+            .view()
+            .burst_profile(SimTime::from_millis(200))
+            .expect("bursts");
         intervals.push((p, profile.intervals.expect("cycles").avg));
     }
     // Compute share falls 3s → 0.75s, but the burst share rises; the
@@ -173,7 +190,9 @@ fn burst_period_depends_on_network_bandwidth() {
         .build()
         .run(prog);
     let tbi = |run: &fxnet::RunResult<()>| {
-        BurstProfile::of(&run.trace, SimTime::from_millis(100))
+        TraceStore::from_records(&run.trace)
+            .view()
+            .burst_profile(SimTime::from_millis(100))
             .and_then(|p| p.intervals.map(|i| i.avg))
             .expect("bursts")
     };
@@ -199,7 +218,12 @@ fn descriptor_estimated_from_a_real_trace_predicts_the_run() {
     let work = SimTime::from_secs(8); // 2 s per rank per cycle
     let n_bytes = 200_000usize;
     let run = Testbed::quiet(p).run(shift_program(p, work, n_bytes, 10));
-    let est = estimate_traffic(&run.trace, p, SimTime::from_millis(300)).expect("bursts");
+    let est = estimate_traffic(
+        TraceStore::from_records(&run.trace).view(),
+        p,
+        SimTime::from_millis(300),
+    )
+    .expect("bursts");
     // Recovered local computation ≈ W/P = 2 s.
     assert!(
         (est.local_s - 2.0).abs() < 0.5,
@@ -241,18 +265,22 @@ fn deschedule_merges_adjacent_bursts() {
         .run_kernel(KernelKind::Fft2d, 20)
         .unwrap();
     let gap = SimTime::from_millis(120);
-    let n_clean = BurstProfile::of(&clean.trace, gap).unwrap().count;
-    let n_merged = BurstProfile::of(&merged.trace, gap).unwrap().count;
+    let (clean, merged) = (
+        TraceStore::from_records(&clean.trace),
+        TraceStore::from_records(&merged.trace),
+    );
+    let profile_clean = clean.view().burst_profile(gap).unwrap();
+    let profile_merged = merged.view().burst_profile(gap).unwrap();
+    let (n_clean, n_merged) = (profile_clean.count, profile_merged.count);
     // Stalls insert silence, so bursts can also split; what must grow is
     // the spread of burst sizes (merged phases double up).
-    let cv_clean = BurstProfile::of(&clean.trace, gap).unwrap().size_cv();
-    let cv_merged = BurstProfile::of(&merged.trace, gap).unwrap().size_cv();
+    let (cv_clean, cv_merged) = (profile_clean.size_cv(), profile_merged.size_cv());
     assert!(
         cv_merged > cv_clean || n_merged < n_clean,
         "descheduling should disturb the burst structure \
          (count {n_clean}->{n_merged}, cv {cv_clean:.3}->{cv_merged:.3})"
     );
-    let i_clean = Stats::interarrivals_ms(&clean.trace).unwrap().max;
-    let i_merged = Stats::interarrivals_ms(&merged.trace).unwrap().max;
+    let i_clean = clean.view().interarrivals_ms().unwrap().max;
+    let i_merged = merged.view().interarrivals_ms().unwrap().max;
     assert!(i_merged > i_clean);
 }

@@ -2,7 +2,7 @@
 //! (Figures 10–11) at a reduced hour count.
 
 use fxnet::apps::airshed::AirshedParams;
-use fxnet::trace::{average_bandwidth, binned_bandwidth, Periodogram, Stats};
+use fxnet::trace::{Periodogram, TraceStore};
 use fxnet::{RunResult, SimTime, TestbedBuilder};
 use std::sync::OnceLock;
 
@@ -21,6 +21,12 @@ fn run() -> &'static RunResult<u64> {
     })
 }
 
+/// The run's frames as one columnar store, built once.
+fn store() -> &'static TraceStore {
+    static STORE: OnceLock<TraceStore> = OnceLock::new();
+    STORE.get_or_init(|| TraceStore::from_records(&run().trace))
+}
+
 const BIN: SimTime = SimTime(10_000_000);
 
 #[test]
@@ -34,7 +40,7 @@ fn hour_length_is_near_66_seconds() {
 
 #[test]
 fn packet_population_matches_figure_8_shape() {
-    let s = Stats::packet_sizes(&run().trace).expect("traffic");
+    let s = store().view().packet_sizes().expect("traffic");
     assert_eq!(s.min, 58.0);
     assert_eq!(s.max, 1518.0);
     // Bulk transposes → large average with a big ACK population.
@@ -45,7 +51,7 @@ fn packet_population_matches_figure_8_shape() {
 fn interarrivals_are_extremely_bursty() {
     // Figure 9: max and average interarrival an order of magnitude above
     // the kernels'; max/avg ratio very high (long preprocess silences).
-    let s = Stats::interarrivals_ms(&run().trace).expect("traffic");
+    let s = store().view().interarrivals_ms().expect("traffic");
     assert!(s.max > 10_000.0, "max interarrival {:.0} ms", s.max);
     assert!(s.burstiness() > 100.0, "max/avg {:.0}", s.burstiness());
 }
@@ -54,7 +60,7 @@ fn interarrivals_are_extremely_bursty() {
 fn average_bandwidth_is_low_despite_big_bursts() {
     // §6.2: 32.7 KB/s aggregate — far below the line rate because of the
     // long quiet preprocessing phases. Accept the band 10–200 KB/s.
-    let bw = average_bandwidth(&run().trace).expect("traffic") / 1000.0;
+    let bw = store().view().average_bandwidth().expect("traffic") / 1000.0;
     assert!((10.0..=200.0).contains(&bw), "aggregate {bw:.1} KB/s");
 }
 
@@ -62,7 +68,7 @@ fn average_bandwidth_is_low_despite_big_bursts() {
 fn bursts_come_in_k_pairs_per_hour() {
     // Figure 10: each hour shows 5 pairs of transpose peaks. Count burst
     // onsets (quiet → busy transitions) in the binned series.
-    let series = binned_bandwidth(&run().trace, BIN);
+    let series = store().view().binned_bandwidth(BIN);
     let threshold = 50_000.0;
     let mut bursts = 0;
     let mut in_burst = false;
@@ -95,7 +101,7 @@ fn bursts_come_in_k_pairs_per_hour() {
 fn spectrum_shows_three_timescales() {
     // Figure 11: peaks near 0.015 Hz (hour), 0.2 Hz (chemistry step) and
     // ~5 Hz (transport) — each band's peak must stand out within it.
-    let series = binned_bandwidth(&run().trace, BIN);
+    let series = store().view().binned_bandwidth(BIN);
     let spec = Periodogram::compute(&series, BIN);
     let band_peak = |lo: f64, hi: f64| -> (f64, f64) {
         let mut best = (lo, 0.0);
@@ -128,10 +134,11 @@ fn spectrum_shows_three_timescales() {
 fn connection_traffic_mirrors_aggregate_population() {
     // §6.2: "the packet size distribution for the single connection is
     // very similar to the aggregate packet distribution".
-    let tr = &run().trace;
-    let conn = fxnet::trace::connection(tr, fxnet::HostId(0), fxnet::HostId(1));
-    let s_all = Stats::packet_sizes(tr).unwrap();
-    let s_conn = Stats::packet_sizes(&conn).unwrap();
+    let s_all = store().view().packet_sizes().unwrap();
+    let s_conn = store()
+        .connection(fxnet::HostId(0), fxnet::HostId(1))
+        .packet_sizes()
+        .unwrap();
     assert_eq!(s_conn.min, s_all.min);
     assert_eq!(s_conn.max, s_all.max);
     assert!(

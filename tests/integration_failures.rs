@@ -3,7 +3,7 @@
 
 use fxnet::apps::sor::{sor_rank, sor_sequential, SorParams};
 use fxnet::apps::KernelKind;
-use fxnet::trace::{binned_bandwidth, Stats};
+use fxnet::trace::TraceStore;
 use fxnet::{SimTime, Testbed, TestbedBuilder};
 
 #[test]
@@ -30,8 +30,16 @@ fn deschedule_injection_stalls_the_synchronous_schedule() {
         slowed.finished_at,
         clean.finished_at
     );
-    let g_clean = Stats::interarrivals_ms(&clean.trace).unwrap().max;
-    let g_slow = Stats::interarrivals_ms(&slowed.trace).unwrap().max;
+    let g_clean = TraceStore::from_records(&clean.trace)
+        .view()
+        .interarrivals_ms()
+        .unwrap()
+        .max;
+    let g_slow = TraceStore::from_records(&slowed.trace)
+        .view()
+        .interarrivals_ms()
+        .unwrap()
+        .max;
     assert!(
         g_slow > g_clean,
         "stalls must appear as longer silent gaps ({g_slow:.0} vs {g_clean:.0} ms)"
@@ -122,7 +130,9 @@ fn burst_structure_survives_mild_loss() {
         .build()
         .run_kernel(KernelKind::Hist, 10)
         .unwrap();
-    let series = binned_bandwidth(&run.trace, SimTime::from_millis(10));
+    let series = TraceStore::from_records(&run.trace)
+        .view()
+        .binned_bandwidth(SimTime::from_millis(10));
     let quiet = series.iter().filter(|&&v| v < 1000.0).count();
     assert!(quiet * 10 > series.len(), "quiet gaps must persist");
 }

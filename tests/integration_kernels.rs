@@ -2,10 +2,7 @@
 //! simulated testbed and their traffic exhibits the paper's qualitative
 //! results (§6.1) at reduced iteration counts.
 
-use fxnet::trace::{
-    average_bandwidth, binned_bandwidth, connection, dominant_modes, size_population, Periodogram,
-    Stats,
-};
+use fxnet::trace::{Periodogram, TraceStore};
 use fxnet::{HostId, KernelKind, RunResult, SimTime, Testbed, TestbedBuilder};
 use std::sync::OnceLock;
 
@@ -32,6 +29,14 @@ fn run(kernel: KernelKind) -> &'static RunResult<u64> {
     })
 }
 
+/// Each kernel's frames as one columnar store, built once.
+fn store(kernel: KernelKind) -> &'static TraceStore {
+    static STORES: [OnceLock<TraceStore>; 5] = [const { OnceLock::new() }; 5];
+    let i = KernelKind::ALL.iter().position(|&k| k == kernel);
+    STORES[i.expect("one of the five kernels")]
+        .get_or_init(|| TraceStore::from_records(&run(kernel).trace))
+}
+
 const BIN: SimTime = SimTime(10_000_000);
 
 #[test]
@@ -44,7 +49,7 @@ fn packet_sizes_span_58_to_1518_for_bulk_kernels() {
         KernelKind::T2dfft,
         KernelKind::Hist,
     ] {
-        let s = Stats::packet_sizes(&run(k).trace).expect("traffic");
+        let s = store(k).view().packet_sizes().expect("traffic");
         assert_eq!(s.min, 58.0, "{}: min", k.name());
         assert_eq!(s.max, 1518.0, "{}: max", k.name());
     }
@@ -53,7 +58,10 @@ fn packet_sizes_span_58_to_1518_for_bulk_kernels() {
 #[test]
 fn seq_packets_are_tiny() {
     // Figure 3: SEQ spans 58..90 bytes only (element messages + ACKs).
-    let s = Stats::packet_sizes(&run(KernelKind::Seq).trace).expect("traffic");
+    let s = store(KernelKind::Seq)
+        .view()
+        .packet_sizes()
+        .expect("traffic");
     assert_eq!(s.min, 58.0);
     assert_eq!(s.max, 90.0);
     assert!(s.avg > 58.0 && s.avg < 90.0);
@@ -65,8 +73,7 @@ fn bulk_single_fragment_kernels_are_trimodal() {
     // distribution of packet sizes is trimodal": full frames, one
     // remainder size, and ACKs dominate.
     for k in [KernelKind::Fft2d, KernelKind::Sor, KernelKind::Hist] {
-        let tr = &run(k).trace;
-        let modes = dominant_modes(tr, 0.05);
+        let modes = store(k).view().dominant_modes(0.05);
         assert!(
             modes.contains(&58) && modes.contains(&1518),
             "{}: dominant modes {modes:?} must include ACKs and full frames",
@@ -85,7 +92,9 @@ fn t2dfft_has_broader_size_mix_than_2dfft() {
     // §4: T2DFFT's fragment-list messages produce "the variety of packet
     // sizes" — more distinct data-frame sizes than 2DFFT's copy-loop.
     let distinct = |k: KernelKind| {
-        size_population(&run(k).trace)
+        store(k)
+            .view()
+            .size_population()
             .into_iter()
             .filter(|&(sz, _)| sz > 90) // ignore ACK/ctrl populations
             .count()
@@ -102,7 +111,7 @@ fn t2dfft_has_broader_size_mix_than_2dfft() {
 fn interarrival_max_to_avg_ratio_is_high() {
     // Figure 4's burstiness observation: max/avg ≫ 1 for every kernel.
     for k in KernelKind::ALL {
-        let s = Stats::interarrivals_ms(&run(k).trace).expect("traffic");
+        let s = store(k).view().interarrivals_ms().expect("traffic");
         assert!(
             s.burstiness() > 5.0,
             "{}: max/avg = {:.1} not bursty",
@@ -116,7 +125,7 @@ fn interarrival_max_to_avg_ratio_is_high() {
 fn bandwidth_ordering_matches_figure_5() {
     // 2DFFT and T2DFFT are the heavy kernels; SOR is tiny; nobody
     // saturates the 1.25 MB/s line rate.
-    let bw = |k: KernelKind| average_bandwidth(&run(k).trace).expect("traffic");
+    let bw = |k: KernelKind| store(k).view().average_bandwidth().expect("traffic");
     let sor = bw(KernelKind::Sor);
     let fft = bw(KernelKind::Fft2d);
     let tfft = bw(KernelKind::T2dfft);
@@ -138,7 +147,7 @@ fn traffic_is_periodic_bursts_with_quiet_gaps() {
     // Figure 6: substantial portions of time with virtually no bandwidth
     // (compute phases) interleaved with intense bursts.
     for k in [KernelKind::Fft2d, KernelKind::Hist, KernelKind::Sor] {
-        let series = binned_bandwidth(&run(k).trace, BIN);
+        let series = store(k).view().binned_bandwidth(BIN);
         let quiet = series.iter().filter(|&&v| v < 1000.0).count();
         let busy = series.iter().filter(|&&v| v > 100_000.0).count();
         assert!(
@@ -155,7 +164,7 @@ fn traffic_is_periodic_bursts_with_quiet_gaps() {
 /// strong spectral peaks (the dominant bin may be a harmonic, as the
 /// paper's own SEQ spectrum shows with its dominant 4 Hz *harmonic*).
 fn fundamental(k: KernelKind, min_hz: f64) -> f64 {
-    let series = binned_bandwidth(&run(k).trace, BIN);
+    let series = store(k).view().binned_bandwidth(BIN);
     let spec = Periodogram::compute(&series, BIN);
     let spikes = spec.top_spikes(8, min_hz.max(4.0 * spec.df));
     let peak = spikes.iter().map(|s| s.power).fold(0.0, f64::max);
@@ -195,10 +204,9 @@ fn sor_connection_traffic_is_strongly_periodic() {
     // considerable periodicity". The time-domain statement: the
     // connection's bandwidth autocorrelation has a strong peak at the
     // step period.
-    let tr = &run(KernelKind::Sor).trace;
-    let conn_tr = connection(tr, HostId(1), HostId(2));
-    assert!(!conn_tr.is_empty(), "representative connection is silent");
-    let series = binned_bandwidth(&conn_tr, BIN);
+    let conn = store(KernelKind::Sor).connection(HostId(1), HostId(2));
+    assert!(!conn.is_empty(), "representative connection is silent");
+    let series = conn.binned_bandwidth(BIN);
     // Look for a repeat between 0.5 s and 8 s (the step period).
     let acf = fxnet::trace::autocorrelation(&series, 800.min(series.len() - 1));
     let peak = acf.iter().enumerate().skip(50).map(|(l, &v)| (l, v)).fold(
@@ -226,7 +234,7 @@ fn all_to_all_connections_act_in_phase() {
     // all-to-all tightly synchronizes all processors, so its busy
     // connections' bandwidth series correlate positively; media-style
     // independent sources would not.
-    let tcp: Vec<fxnet::FrameRecord> = run(KernelKind::Fft2d)
+    let tcp: TraceStore = run(KernelKind::Fft2d)
         .trace
         .iter()
         .filter(|r| r.proto == fxnet::sim::Proto::Tcp)
@@ -235,9 +243,10 @@ fn all_to_all_connections_act_in_phase() {
     // Phase alignment lives at burst scale: at fine bins the shared
     // medium *serializes* the connections (near-zero correlation), while
     // at ~quarter-period bins their on/off phases align.
-    let coarse = fxnet::trace::mean_connection_correlation(&tcp, SimTime::from_millis(500), 200)
-        .expect("busy connections");
-    let fine = fxnet::trace::mean_connection_correlation(&tcp, SimTime::from_millis(10), 200)
+    let coarse =
+        fxnet::trace::mean_connection_correlation(tcp.view(), SimTime::from_millis(500), 200)
+            .expect("busy connections");
+    let fine = fxnet::trace::mean_connection_correlation(tcp.view(), SimTime::from_millis(10), 200)
         .expect("busy connections");
     assert!(coarse > 0.15, "burst-scale correlation {coarse:.3}");
     assert!(
@@ -281,11 +290,12 @@ fn trace_survives_a_save_load_round_trip() {
     let run = run(KernelKind::Hist);
     let path = std::env::temp_dir().join("fxnet-integration-trace.fxb");
     fxnet::trace::save_trace(&path, &run.trace).expect("save");
-    let back = fxnet::trace::load_store(&path).expect("load").to_records();
-    assert_eq!(back, run.trace);
-    let a = Stats::packet_sizes(&run.trace);
-    let b = Stats::packet_sizes(&back);
-    assert_eq!(a, b);
+    let back = fxnet::trace::load_store(&path).expect("load");
+    assert_eq!(back.to_records(), run.trace);
+    assert_eq!(
+        back.view().packet_sizes(),
+        store(KernelKind::Hist).view().packet_sizes()
+    );
     let _ = std::fs::remove_file(&path);
 }
 
@@ -312,13 +322,14 @@ fn all_to_all_uses_all_pairs_neighbor_does_not() {
     // Consider only the kernels' TCP traffic: daemon heartbeats add UDP
     // pairs on any LAN.
     let pairs = |k: KernelKind| {
-        let tcp: Vec<fxnet::FrameRecord> = run(k)
+        let tcp: TraceStore = run(k)
             .trace
             .iter()
             .filter(|r| r.proto == fxnet::sim::Proto::Tcp)
             .copied()
             .collect();
-        fxnet::trace::host_pairs(&tcp)
+        tcp.view()
+            .host_pairs()
             .into_iter()
             .filter(|&((a, b), _)| a.0 < 4 && b.0 < 4)
             .count()

@@ -7,7 +7,7 @@ use fxnet::spectral::{
     cbr_trace, hurst_aggregated_variance, onoff_vbr_trace, self_similar_trace, synthesize_trace,
     FourierModel,
 };
-use fxnet::trace::{binned_bandwidth, Periodogram};
+use fxnet::trace::{Periodogram, TraceStore};
 use fxnet::{KernelKind, RunResult, SimTime, TestbedBuilder};
 use std::sync::OnceLock;
 
@@ -24,9 +24,15 @@ fn hist_run() -> &'static RunResult<u64> {
     })
 }
 
+/// The HIST run's frames as one columnar store, built once.
+fn hist_store() -> &'static TraceStore {
+    static STORE: OnceLock<TraceStore> = OnceLock::new();
+    STORE.get_or_init(|| TraceStore::from_records(&hist_run().trace))
+}
+
 #[test]
 fn truncated_model_converges_on_measured_kernel_traffic() {
-    let series = binned_bandwidth(&hist_run().trace, BIN);
+    let series = hist_store().view().binned_bandwidth(BIN);
     let spec = Periodogram::compute(&series, BIN);
     // Zero-padding the non-power-of-two series makes the expansion only
     // approximately orthogonal, so allow a small tolerance per step but
@@ -47,7 +53,7 @@ fn truncated_model_converges_on_measured_kernel_traffic() {
 
 #[test]
 fn model_fundamental_matches_measured_dominant_frequency() {
-    let series = binned_bandwidth(&hist_run().trace, BIN);
+    let series = hist_store().view().binned_bandwidth(BIN);
     let spec = Periodogram::compute(&series, BIN);
     let dominant = spec.dominant_frequency(0.2).expect("spectrum");
     let model = FourierModel::from_periodogram(&spec, 8, 0.2);
@@ -60,7 +66,7 @@ fn model_fundamental_matches_measured_dominant_frequency() {
 
 #[test]
 fn regenerated_traffic_reproduces_the_periodicity() {
-    let series = binned_bandwidth(&hist_run().trace, BIN);
+    let series = hist_store().view().binned_bandwidth(BIN);
     let spec = Periodogram::compute(&series, BIN);
     let model = FourierModel::from_periodogram(&spec, 16, 0.1);
     let mut rng = SimRng::new(5);
@@ -71,7 +77,12 @@ fn regenerated_traffic_reproduces_the_periodicity() {
         &mut rng,
     );
     assert!(!synth.is_empty());
-    let synth_spec = Periodogram::compute(&binned_bandwidth(&synth, BIN), BIN);
+    let synth_spec = Periodogram::compute(
+        &TraceStore::from_records(&synth)
+            .view()
+            .binned_bandwidth(BIN),
+        BIN,
+    );
     let f_meas = spec.dominant_frequency(0.2).unwrap();
     let f_synth = synth_spec.dominant_frequency(0.2).unwrap();
     assert!(
@@ -86,7 +97,10 @@ fn parallel_traffic_is_spikier_than_media_traffic() {
     // concentrates in a few discrete harmonics; random on/off media
     // traffic spreads energy across the band.
     let concentration = |trace: &[fxnet::FrameRecord]| {
-        let spec = Periodogram::compute(&binned_bandwidth(trace, BIN), BIN);
+        let spec = Periodogram::compute(
+            &TraceStore::from_records(trace).view().binned_bandwidth(BIN),
+            BIN,
+        );
         FourierModel::from_periodogram(&spec, 8, 0.1).captured_power_fraction(&spec)
     };
     let kernel_c = concentration(&hist_run().trace);
@@ -106,7 +120,10 @@ fn media_traffic_lacks_the_kernels_discrete_harmonics() {
     // at its packet rate only; self-similar spreads energy broadly. Use
     // captured-power-in-8-spikes as the concentration metric.
     let concentration = |trace: &[fxnet::FrameRecord]| {
-        let spec = Periodogram::compute(&binned_bandwidth(trace, BIN), BIN);
+        let spec = Periodogram::compute(
+            &TraceStore::from_records(trace).view().binned_bandwidth(BIN),
+            BIN,
+        );
         FourierModel::from_periodogram(&spec, 8, 0.1).captured_power_fraction(&spec)
     };
     let kernel_c = concentration(&hist_run().trace);
@@ -129,7 +146,9 @@ fn media_traffic_lacks_the_kernels_discrete_harmonics() {
 
 #[test]
 fn hurst_separates_self_similar_from_periodic_kernel_traffic() {
-    let series = binned_bandwidth(&hist_run().trace, SimTime::from_millis(50));
+    let series = hist_store()
+        .view()
+        .binned_bandwidth(SimTime::from_millis(50));
     let h_kernel = hurst_aggregated_variance(&series);
     let mut rng = SimRng::new(31);
     let ss = self_similar_trace(
@@ -141,7 +160,12 @@ fn hurst_separates_self_similar_from_periodic_kernel_traffic() {
         SimTime::from_secs(200),
         &mut rng,
     );
-    let h_ss = hurst_aggregated_variance(&binned_bandwidth(&ss, SimTime::from_millis(50))).unwrap();
+    let h_ss = hurst_aggregated_variance(
+        &TraceStore::from_records(&ss)
+            .view()
+            .binned_bandwidth(SimTime::from_millis(50)),
+    )
+    .unwrap();
     assert!(h_ss > 0.6, "self-similar H = {h_ss}");
     if let Some(h) = h_kernel {
         // Periodic traffic decorrelates under aggregation: H well below
@@ -153,7 +177,10 @@ fn hurst_separates_self_similar_from_periodic_kernel_traffic() {
 #[test]
 fn cbr_has_single_spectral_line_not_burst_harmonics() {
     let cbr = cbr_trace(200_000.0, 1000, SimTime::from_secs(30));
-    let spec = Periodogram::compute(&binned_bandwidth(&cbr, BIN), BIN);
+    let spec = Periodogram::compute(
+        &TraceStore::from_records(&cbr).view().binned_bandwidth(BIN),
+        BIN,
+    );
     // CBR at 200 packets/s sampled in 10 ms bins is essentially constant:
     // almost no AC energy at all compared to its DC level.
     let ac = spec.total_power().sqrt();

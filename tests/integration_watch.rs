@@ -8,9 +8,7 @@
 use fxnet::mix::MixTenant;
 use fxnet::spectral::{goertzel_power, padded_bin};
 use fxnet::telemetry::prometheus_text;
-use fxnet::trace::{
-    binned_bandwidth, sliding_window_bandwidth, Periodogram, SlidingBandwidth, StreamBinner,
-};
+use fxnet::trace::{Periodogram, SlidingBandwidth, StreamBinner, TraceStore};
 use fxnet::watch::{EventKind, WatchConfig, WatchReport};
 use fxnet::{FrameRecord, KernelKind, SimTime, TestbedBuilder};
 
@@ -49,7 +47,9 @@ fn six_programs() -> Vec<(String, Vec<FrameRecord>)> {
 #[test]
 fn streaming_binned_bandwidth_matches_batch_on_all_six_programs() {
     for (name, trace) in six_programs() {
-        let batch = binned_bandwidth(&trace, BIN);
+        let batch = TraceStore::from_records(&trace)
+            .view()
+            .binned_bandwidth(BIN);
         let mut binner = StreamBinner::new(BIN);
         let mut streamed = Vec::new();
         for r in &trace {
@@ -72,7 +72,9 @@ fn streaming_binned_bandwidth_matches_batch_on_all_six_programs() {
 #[test]
 fn streaming_window_bandwidth_matches_batch_on_all_six_programs() {
     for (name, trace) in six_programs() {
-        let batch = sliding_window_bandwidth(&trace, BIN);
+        let batch = TraceStore::from_records(&trace)
+            .view()
+            .sliding_window_bandwidth(BIN);
         assert_eq!(batch.len(), trace.len(), "{name}: one point per frame");
         let mut win = SlidingBandwidth::new(BIN);
         for (i, r) in trace.iter().enumerate() {
@@ -89,7 +91,9 @@ fn streaming_window_bandwidth_matches_batch_on_all_six_programs() {
 #[test]
 fn goertzel_power_matches_the_fft_periodogram_on_all_six_programs() {
     for (name, trace) in six_programs() {
-        let series = binned_bandwidth(&trace, BIN);
+        let series = TraceStore::from_records(&trace)
+            .view()
+            .binned_bandwidth(BIN);
         let spec = Periodogram::compute(&series, BIN);
         // The bins a live watcher would track: the spectral peaks the
         // batch analysis reports, plus fixed low bins and Nyquist.
