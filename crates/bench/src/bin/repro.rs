@@ -51,7 +51,7 @@ use fxnet::spectral::generate::SynthConfig;
 use fxnet::spectral::{
     hurst_aggregated_variance, onoff_vbr_trace, self_similar_trace, synthesize_trace, FourierModel,
 };
-use fxnet::telemetry::write_json_artifact;
+use fxnet::telemetry::{write_json_artifact, TraceEvent};
 use fxnet::trace::PhaseBreakdown;
 use fxnet::trace::{Periodogram, TraceStore};
 use fxnet::{KernelKind, SimTime};
@@ -539,16 +539,16 @@ fn phases(c: &mut Ctx) {
         let bd = PhaseBreakdown::compute(&run.trace, &tel.spans, ranks, BIN);
         programs.push(("AIRSHED".to_string(), bd, tel.to_value()));
     }
-    for (name, bd, tel_value) in programs {
+    #[derive(serde::Serialize)]
+    struct ProgramPhases {
+        phases: PhaseBreakdown,
+        telemetry: Value,
+    }
+    for (name, phases, telemetry) in programs {
         println!("\n{name}:");
-        print!("{}", bd.table());
-        entries.push((
-            name,
-            Value::Object(vec![
-                ("phases".to_string(), serde::Serialize::to_value(&bd)),
-                ("telemetry".to_string(), tel_value),
-            ]),
-        ));
+        print!("{}", phases.table());
+        let entry = ProgramPhases { phases, telemetry };
+        entries.push((name, serde::Serialize::to_value(&entry)));
     }
     let path = ctx.out_path("telemetry_phases.json");
     write_json_artifact(&path, &Value::Object(entries)).expect("write telemetry artifact");
@@ -967,7 +967,8 @@ fn watch_live(c: &mut Ctx) {
 fn blame_attrib(c: &mut Ctx) {
     header("Causal provenance: who caused the violation, where the time went");
     use fxnet::causal::{
-        blame_value, blame_violation, chrome_trace, collective_paths, dag_value, CauseDag,
+        blame_violation, chrome_trace, collective_paths, dag_value, CauseDag, CollectivePath,
+        ViolationBlame,
     };
     use fxnet::mix::MixTenant;
     use fxnet::watch::WatchConfig;
@@ -1166,29 +1167,34 @@ fn blame_attrib(c: &mut Ctx) {
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| ctx.out_dir.clone());
     std::fs::create_dir_all(&dir).expect("create artifacts dir");
-    let blame_path = dir.join("blame.json");
-    let combined = Value::Object(vec![
-        ("blame".to_string(), blame_value(&blame)),
-        (
-            "critical_paths".to_string(),
-            fxnet::causal::paths_value(&paths),
-        ),
-        ("dag".to_string(), dag_value(&dag, &out.map)),
-        (
-            "trunk".to_string(),
-            Value::Object(vec![
-                ("link".to_string(), Value::Str(trunk_link)),
-                (
-                    "paths_blocked".to_string(),
-                    Value::U64(trunk_paths.len() as u64),
-                ),
-                ("paths_total".to_string(), Value::U64(tpaths.len() as u64)),
-            ]),
-        ),
-    ]);
-    write_json_artifact(&blame_path, &combined).expect("write blame report");
+    #[derive(serde::Serialize)]
+    struct BlameReport {
+        blame: ViolationBlame,
+        critical_paths: Vec<CollectivePath>,
+        dag: Value,
+        trunk: TrunkBlame,
+    }
+    #[derive(serde::Serialize)]
+    struct TrunkBlame {
+        link: String,
+        paths_blocked: usize,
+        paths_total: usize,
+    }
     let trace_path = dir.join("blame_trace.json");
     write_json_artifact(&trace_path, &chrome_trace(&paths, &out.map)).expect("write chrome trace");
+    let blame_path = dir.join("blame.json");
+    let trunk = TrunkBlame {
+        link: trunk_link,
+        paths_blocked: trunk_paths.len(),
+        paths_total: tpaths.len(),
+    };
+    let report = BlameReport {
+        blame,
+        critical_paths: paths,
+        dag: dag_value(&dag, &out.map),
+        trunk,
+    };
+    write_json_artifact(&blame_path, &report).expect("write blame report");
     println!(
         "wrote {} and {} (load the trace at ui.perfetto.dev)",
         blame_path.display(),
@@ -1775,8 +1781,39 @@ fn fabric_sweep(c: &mut Ctx) {
     let fmt_period = |p: Option<f64>| p.map_or_else(|| "--".to_string(), |v| format!("{v:.4}"));
     let n_rates = SWEEP_RATES.len();
     let per_prog = topo_ids.len() * n_rates;
+    #[derive(serde::Serialize)]
+    struct SweepReport {
+        rates_bps: Vec<u64>,
+        topologies: Vec<String>,
+        programs: Vec<SweepProgram>,
+    }
+    #[derive(serde::Serialize)]
+    struct SweepProgram {
+        name: &'static str,
+        connections: usize,
+        pattern_stable: bool,
+        baseline_identical: bool,
+        topologies: Vec<SweepTopology>,
+    }
+    #[derive(serde::Serialize)]
+    struct SweepTopology {
+        topology: String,
+        fit_local_s: f64,
+        fit_burst_bytes: f64,
+        cells: Vec<SweepRate>,
+    }
+    #[derive(serde::Serialize)]
+    struct SweepRate {
+        rate: String,
+        rate_bps: u64,
+        frames: usize,
+        wire_bytes: u64,
+        collisions: u64,
+        bursts: usize,
+        burst_period_s: Option<f64>,
+    }
     let mut violations: Vec<String> = Vec::new();
-    let mut programs_json: Vec<Value> = Vec::new();
+    let mut programs = Vec::new();
     println!("\nfitted burst-period/bandwidth table (t_bi in seconds):");
     println!("program   topology    t_bi@10M   t_bi@100M     t_bi@1G   fit l(s)   fit N(KB)");
     for (pi, p) in SweepProg::ALL.iter().enumerate() {
@@ -1792,7 +1829,7 @@ fn fabric_sweep(c: &mut Ctx) {
             "{}: single@10M must reproduce the legacy bus trace",
             p.name()
         );
-        let mut topo_json: Vec<Value> = Vec::new();
+        let mut topologies = Vec::new();
         for (ti, id) in topo_ids.iter().enumerate() {
             let row = &prog[ti * n_rates..(ti + 1) * n_rates];
             let points: Vec<(f64, f64)> = row
@@ -1823,44 +1860,33 @@ fn fabric_sweep(c: &mut Ctx) {
                 fit_l,
                 fit_n / 1000.0,
             );
-            topo_json.push(Value::Object(vec![
-                ("topology".to_string(), Value::Str(id.clone())),
-                ("fit_local_s".to_string(), Value::F64(fit_l)),
-                ("fit_burst_bytes".to_string(), Value::F64(fit_n)),
-                (
-                    "cells".to_string(),
-                    Value::Array(
-                        row.iter()
-                            .zip(&SWEEP_RATES)
-                            .map(|(cell, &r)| {
-                                Value::Object(vec![
-                                    ("rate".to_string(), Value::Str(rate_label(r))),
-                                    ("rate_bps".to_string(), Value::U64(r)),
-                                    ("frames".to_string(), Value::U64(cell.frames as u64)),
-                                    ("wire_bytes".to_string(), Value::U64(cell.wire_bytes)),
-                                    ("collisions".to_string(), Value::U64(cell.collisions)),
-                                    ("bursts".to_string(), Value::U64(cell.bursts as u64)),
-                                    (
-                                        "burst_period_s".to_string(),
-                                        cell.period.map_or(Value::Null, Value::F64),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]));
+            let cells = row
+                .iter()
+                .zip(&SWEEP_RATES)
+                .map(|(cell, &r)| SweepRate {
+                    rate: rate_label(r),
+                    rate_bps: r,
+                    frames: cell.frames,
+                    wire_bytes: cell.wire_bytes,
+                    collisions: cell.collisions,
+                    bursts: cell.bursts,
+                    burst_period_s: cell.period,
+                })
+                .collect();
+            topologies.push(SweepTopology {
+                topology: id.clone(),
+                fit_local_s: fit_l,
+                fit_burst_bytes: fit_n,
+                cells,
+            });
         }
-        programs_json.push(Value::Object(vec![
-            ("name".to_string(), Value::Str(p.name().to_string())),
-            (
-                "connections".to_string(),
-                Value::U64(prog[0].pairs.len() as u64),
-            ),
-            ("pattern_stable".to_string(), Value::Bool(stable)),
-            ("baseline_identical".to_string(), Value::Bool(identical)),
-            ("topologies".to_string(), Value::Array(topo_json)),
-        ]));
+        programs.push(SweepProgram {
+            name: p.name(),
+            connections: prog[0].pairs.len(),
+            pattern_stable: stable,
+            baseline_identical: identical,
+            topologies,
+        });
     }
     assert!(
         violations.is_empty(),
@@ -1871,17 +1897,11 @@ fn fabric_sweep(c: &mut Ctx) {
     println!("single@10M reproduces the paper-path trace byte for byte: yes");
     println!("burst period shrinks monotonically with provided bandwidth: yes");
 
-    let report = Value::Object(vec![
-        (
-            "rates_bps".to_string(),
-            Value::Array(SWEEP_RATES.iter().map(|&r| Value::U64(r)).collect()),
-        ),
-        (
-            "topologies".to_string(),
-            Value::Array(topo_ids.iter().cloned().map(Value::Str).collect()),
-        ),
-        ("programs".to_string(), Value::Array(programs_json)),
-    ]);
+    let report = SweepReport {
+        rates_bps: SWEEP_RATES.to_vec(),
+        topologies: topo_ids,
+        programs,
+    };
     let path = c.exps.out_path("fabric_sweep.json");
     write_json_artifact(&path, &report).expect("write fabric sweep artifact");
     println!("wrote {}", path.display());
@@ -2080,7 +2100,7 @@ struct HealthCell {
     measured_bw: f64,
     headroom: f64,
     /// Perfetto events: critical-path slices + weather counter tracks.
-    trace_events: Vec<Value>,
+    trace_events: Vec<TraceEvent>,
 }
 
 /// Run one program alone on the oversubscribed trunk2 fabric, twice:
@@ -2169,9 +2189,7 @@ fn health_cell(prog: SweepProg, seed: u64, div: usize) -> HealthCell {
     let measured_bw = t.avg_bw.unwrap_or(0.0);
     let headroom = terms.headroom(measured_bw);
 
-    let Value::Array(mut trace_events) = chrome_trace(&paths, &out.map) else {
-        unreachable!("chrome_trace builds an event array");
-    };
+    let mut trace_events = chrome_trace(&paths, &out.map);
     trace_events.extend(counter_events(&report));
 
     HealthCell {
@@ -2188,24 +2206,10 @@ fn health_cell(prog: SweepProg, seed: u64, div: usize) -> HealthCell {
     }
 }
 
-/// Re-home a Chrome trace event onto process `pid` (the per-program
-/// track in the merged fabric-health Perfetto file).
-fn with_pid(e: Value, pid: u64) -> Value {
-    let Value::Object(mut fields) = e else {
-        return e;
-    };
-    for (k, v) in fields.iter_mut() {
-        if k == "pid" {
-            *v = Value::U64(pid);
-        }
-    }
-    Value::Object(fields)
-}
-
 fn fabric_health(c: &mut Ctx) {
     header("Fabric health: the weather map on the oversubscribed trunk");
     use fxnet::causal::intervals_overlap;
-    use fxnet::metrics::{fill_registry_labeled, report_jsonl, report_value};
+    use fxnet::metrics::{fill_registry_labeled, report_jsonl, FabricRollup, ScalingRelation};
     use fxnet::telemetry::{labeled, write_prometheus, TelemetryRegistry};
     let div = c.div;
     let seed = c.exps.seed();
@@ -2285,75 +2289,6 @@ fn fabric_health(c: &mut Ctx) {
         .unwrap_or_else(|| c.exps.out_dir.clone());
     std::fs::create_dir_all(&dir).expect("create artifacts dir");
 
-    // fabric_health.json: the summary — per program the rollup (link /
-    // node / fabric health + hotspots), the scaling relations, the
-    // contended intervals, and the tenant's contract headroom. The
-    // per-window ring stream goes to the JSONL instead.
-    let programs: Vec<Value> = cells
-        .iter()
-        .map(|cell| {
-            let rv = report_value(&cell.report);
-            Value::Object(vec![
-                ("prog".to_string(), Value::Str(cell.prog.to_string())),
-                ("frames".to_string(), Value::U64(cell.frames as u64)),
-                (
-                    "trunk_paths".to_string(),
-                    Value::U64(cell.trunk_paths as u64),
-                ),
-                (
-                    "paths_total".to_string(),
-                    Value::U64(cell.paths_total as u64),
-                ),
-                (
-                    "contended_intervals_ns".to_string(),
-                    Value::Array(
-                        cell.contended
-                            .iter()
-                            .map(|&(b, e)| {
-                                Value::Array(vec![
-                                    Value::U64(b.as_nanos()),
-                                    Value::U64(e.as_nanos()),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "tenant".to_string(),
-                    Value::Object(vec![
-                        (
-                            "admitted_mean_load".to_string(),
-                            Value::F64(cell.admitted_load),
-                        ),
-                        ("measured_mean_bw".to_string(), Value::F64(cell.measured_bw)),
-                        ("headroom".to_string(), Value::F64(cell.headroom)),
-                    ]),
-                ),
-                (
-                    "scaling".to_string(),
-                    rv.get("traffic")
-                        .and_then(|t| t.get("scaling"))
-                        .cloned()
-                        .unwrap_or(Value::Null),
-                ),
-                (
-                    "rollup".to_string(),
-                    rv.get("rollup").cloned().unwrap_or(Value::Null),
-                ),
-            ])
-        })
-        .collect();
-    let json = Value::Object(vec![
-        (
-            "fabric".to_string(),
-            Value::Str("trunk2:oversubscribed".to_string()),
-        ),
-        ("hotspot".to_string(), Value::Str(HOT_TRUNK.to_string())),
-        ("programs".to_string(), Value::Array(programs)),
-    ]);
-    let json_path = dir.join("fabric_health.json");
-    write_json_artifact(&json_path, &json).expect("write fabric health report");
-
     // fabric_health.jsonl: the full weather stream — meta header,
     // per-window link lines, scaling lines, hotspot lines — of the
     // program that heated the trunk the most.
@@ -2391,17 +2326,71 @@ fn fabric_health(c: &mut Ctx) {
     // fabric_health_trace.json: one Perfetto file, six processes — each
     // program's critical-path slices with the weather counter tracks
     // (util/depth per link) underneath them.
-    let mut events: Vec<Value> = Vec::new();
-    for (i, cell) in cells.iter().enumerate() {
-        events.extend(
-            cell.trace_events
-                .iter()
-                .cloned()
-                .map(|e| with_pid(e, i as u64)),
-        );
-    }
+    let events: Vec<TraceEvent> = cells
+        .iter()
+        .enumerate()
+        .flat_map(|(i, cell)| {
+            cell.trace_events.iter().map(move |e| TraceEvent {
+                pid: i as u64,
+                ..e.clone()
+            })
+        })
+        .collect();
     let trace_path = dir.join("fabric_health_trace.json");
-    write_json_artifact(&trace_path, &Value::Array(events)).expect("write perfetto trace");
+    write_json_artifact(&trace_path, &events).expect("write perfetto trace");
+
+    // fabric_health.json: the summary — per program the rollup (link /
+    // node / fabric health + hotspots), the scaling relations, the
+    // contended intervals, and the tenant's contract headroom. The
+    // per-window ring stream goes to the JSONL instead. Written last, it
+    // takes the cells' reports over.
+    #[derive(serde::Serialize)]
+    struct HealthReport {
+        fabric: &'static str,
+        hotspot: &'static str,
+        programs: Vec<HealthProgram>,
+    }
+    #[derive(serde::Serialize)]
+    struct HealthProgram {
+        prog: &'static str,
+        frames: usize,
+        trunk_paths: usize,
+        paths_total: usize,
+        contended_intervals_ns: Vec<(SimTime, SimTime)>,
+        tenant: TenantHeadroom,
+        scaling: Vec<ScalingRelation>,
+        rollup: FabricRollup,
+    }
+    #[derive(serde::Serialize)]
+    struct TenantHeadroom {
+        admitted_mean_load: f64,
+        measured_mean_bw: f64,
+        headroom: f64,
+    }
+    let programs = cells
+        .into_iter()
+        .map(|cell| HealthProgram {
+            prog: cell.prog,
+            frames: cell.frames,
+            trunk_paths: cell.trunk_paths,
+            paths_total: cell.paths_total,
+            contended_intervals_ns: cell.contended,
+            tenant: TenantHeadroom {
+                admitted_mean_load: cell.admitted_load,
+                measured_mean_bw: cell.measured_bw,
+                headroom: cell.headroom,
+            },
+            scaling: cell.report.scaling,
+            rollup: cell.report.rollup,
+        })
+        .collect();
+    let json = HealthReport {
+        fabric: "trunk2:oversubscribed",
+        hotspot: HOT_TRUNK,
+        programs,
+    };
+    let json_path = dir.join("fabric_health.json");
+    write_json_artifact(&json_path, &json).expect("write fabric health report");
 
     println!(
         "wrote {}, {}, {} and {} (load the trace at ui.perfetto.dev)",

@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// One causing chain: a tenant's rank and what it contributed to the
 /// flight-recorder window.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct BlameChain {
     /// Tenant display name (or `tenant-N` if the map does not cover the
     /// cause's tenant index).
@@ -25,25 +25,29 @@ pub struct BlameChain {
     pub bytes: u64,
 }
 
-/// A contract violation resolved to its causes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A contract violation resolved to its causes. Serializes as
+/// `blame.json`'s `blame`: `accused_tenant`, `time_ns`, `window_frames`.
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct ViolationBlame {
     /// The tenant the watcher accused.
+    #[serde(rename = "accused_tenant")]
     pub tenant: String,
     /// Which contract check fired.
     pub check: String,
     /// When it fired.
+    #[serde(rename = "time_ns")]
     pub time: SimTime,
     /// Flight-recorder frames in the event.
+    #[serde(rename = "window_frames")]
     pub window: usize,
     /// Whether the recorder window was located in the causal stream.
     /// The watcher and the causal capture observe the same delivery
     /// stream, so this only fails if the event came from another run.
     pub matched: bool,
-    /// Causing chains, heaviest wire-byte contributor first.
-    pub chains: Vec<BlameChain>,
     /// Window frames with protocol causes (ACKs, SYNs, heartbeats).
     pub protocol_frames: u32,
+    /// Causing chains, heaviest wire-byte contributor first.
+    pub chains: Vec<BlameChain>,
 }
 
 impl ViolationBlame {

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 /// The straggler's elapsed time split into six exhaustive segments.
 /// By construction the six fields sum exactly to the instance's
 /// `elapsed_ns` — nothing is dropped and nothing is double-counted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize)]
 pub struct SegmentBreakdown {
     /// Local computation inside the collective window.
     pub compute_ns: u64,
@@ -43,11 +43,14 @@ impl SegmentBreakdown {
 
 /// The critical path of one collective instance: the rank every other
 /// participant waited for, and where its time went.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Serializes as a `blame.json` critical path: `name` under
+/// `collective`, the window as `begin_ns` / `end_ns`.
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct CollectivePath {
     /// Tenant (group) display name.
     pub tenant: String,
     /// Collective span name ("boundary_exchange", "transpose", ...).
+    #[serde(rename = "collective")]
     pub name: String,
     /// Zero-based occurrence of this collective on the tenant's ranks.
     pub instance: u32,
@@ -55,8 +58,10 @@ pub struct CollectivePath {
     /// waited for.
     pub straggler_rank: u32,
     /// Straggler window start.
+    #[serde(rename = "begin_ns")]
     pub begin: SimTime,
     /// Straggler window end (= the collective's completion).
+    #[serde(rename = "end_ns")]
     pub end: SimTime,
     /// Straggler span duration.
     pub elapsed_ns: u64,

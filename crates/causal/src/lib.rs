@@ -28,9 +28,9 @@
 //! * [`blame_violation`] — a watcher contract violation's
 //!   flight-recorder frames resolved to the causing tenant → rank → op
 //!   chains.
-//! * [`export`] — deterministic JSON values for all of the above plus a
-//!   Chrome trace-event (Perfetto-loadable) timeline of the critical
-//!   paths.
+//! * [`export`] — the cause DAG as JSON and the critical paths as a
+//!   Chrome trace-event (Perfetto-loadable) timeline; the path and blame
+//!   types serialize themselves.
 
 pub mod blame;
 pub mod critical;
@@ -42,5 +42,5 @@ pub use critical::{
     collective_paths, contended_intervals, intervals_overlap, CollectivePath, SegmentBreakdown,
 };
 pub use dag::{CauseDag, ConservationError, ConservationReport, Provenance};
-pub use export::{blame_value, chrome_trace, dag_value, paths_value};
+pub use export::{chrome_trace, dag_value};
 pub use fxnet_sim::{AppCause, CausalEvent, Cause, CauseId, FrameMeta, ProtoCause};

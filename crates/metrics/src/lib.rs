@@ -23,9 +23,9 @@
 //!   [`fxnet_trace::StreakLatch`] the bandwidth watcher uses, named to
 //!   match causal `blocking_link` labels for interval cross-checks.
 //!
-//! [`FabricSampler`] ties the channels together; [`export`] renders
-//! deterministic JSON / JSONL / Prometheus / Perfetto-counter
-//! artifacts.
+//! [`FabricSampler`] ties the channels together. The report's types
+//! serialize themselves; [`export`] adds the JSONL weather stream, the
+//! Prometheus snapshot and the Perfetto counter tracks.
 
 pub mod export;
 pub mod matrix;
@@ -33,9 +33,7 @@ pub mod rings;
 pub mod rollup;
 pub mod sampler;
 
-pub use export::{
-    counter_events, fill_registry, fill_registry_labeled, report_jsonl, report_value,
-};
+pub use export::{counter_events, fill_registry, fill_registry_labeled, report_jsonl};
 pub use matrix::{
     MatrixAccum, PairSpace, ScalingAccum, ScalingRelation, TrafficMatrices, WindowMatrix,
 };

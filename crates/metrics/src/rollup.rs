@@ -80,16 +80,17 @@ pub struct GroupHealth {
 }
 
 /// A latched hotspot: one link (direction-stripped) that stayed over
-/// threshold for at least `k` consecutive detection windows.
-/// (Exported through [`crate::export`]'s hand-built JSON — the interval
-/// tuples have no derive support in the offline serde shim.)
-#[derive(Debug, Clone, PartialEq)]
+/// threshold for at least `k` consecutive detection windows. Serializes
+/// with nanosecond keys (`flagged_at_ns`, `intervals_ns`), as
+/// `fabric_health.json` and the weather stream carry it.
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct Hotspot {
     /// Direction-stripped link label (`trunk:n0-n1`, `seg:seg0`,
     /// `host:h3`), comparable to causal `blocking_link` names.
     pub link: String,
     /// Simulated time the flag latched (end of the k-th window of the
     /// first qualifying streak).
+    #[serde(rename = "flagged_at_ns")]
     pub flagged_at: SimTime,
     /// All flagged window indices (detection level), ascending — every
     /// window belonging to a streak of length ≥ k, both directions
@@ -98,6 +99,7 @@ pub struct Hotspot {
     /// The flagged windows as merged half-open simulated-time
     /// intervals, ready for overlap checks against causal
     /// `contended_intervals`.
+    #[serde(rename = "intervals_ns")]
     pub intervals: Vec<(SimTime, SimTime)>,
     /// Highest utilization inside the flagged windows.
     pub peak_utilization: f64,
@@ -107,7 +109,7 @@ pub struct Hotspot {
 
 /// The complete rollup: per-direction health, per-node and fabric
 /// aggregates, and the latched hotspots.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct FabricRollup {
     /// Detection window width, ns.
     pub window_ns: u64,

@@ -14,8 +14,10 @@
 //! * [`profile`] — simulator self-profiling (wall-clock per simulated
 //!   second, events/sec, per-event-type timing histograms); deliberately
 //!   excluded from the deterministic JSON artifact.
-//! * [`run`] — the per-run container and the JSON export path shared by
-//!   all `out/telemetry_<exp>.json` artifacts.
+//! * [`run`] — the per-run container and the one JSON / JSONL writer
+//!   every artifact goes through.
+//! * [`trace_event`] — the one Chrome trace-event record every Perfetto
+//!   artifact is made of.
 //!
 //! Only `serde` (plus `fxnet-sim` for time/frame types) is used; the
 //! layer adds nothing to the simulation itself and, when disabled,
@@ -30,10 +32,12 @@ pub mod prometheus;
 pub mod registry;
 pub mod run;
 pub mod span;
+pub mod trace_event;
 
 pub use attribution::{attribute_collectives, AttributedTrace};
 pub use profile::{EventClass, SimProfile, TimingHistogram};
 pub use prometheus::{labeled, parse_prometheus, prometheus_text, write_prometheus};
 pub use registry::TelemetryRegistry;
-pub use run::{write_json_artifact, RunTelemetry};
+pub use run::{to_jsonl, write_json_artifact, RunTelemetry};
 pub use span::{SpanKind, SpanRecord};
+pub use trace_event::{TraceArgs, TraceEvent};

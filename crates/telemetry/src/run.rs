@@ -40,11 +40,11 @@ impl RunTelemetry {
     }
 }
 
-/// Write a JSON value to `path` (pretty, trailing newline), creating
+/// Write `value` as JSON to `path` (pretty, trailing newline), creating
 /// parent directories as needed.
 pub fn write_json_artifact(
     path: impl AsRef<std::path::Path>,
-    value: &Value,
+    value: &(impl Serialize + ?Sized),
 ) -> std::io::Result<()> {
     let path = path.as_ref();
     if let Some(parent) = path.parent() {
@@ -53,6 +53,17 @@ pub fn write_json_artifact(
     let mut text = serde::json::to_string_pretty(value);
     text.push('\n');
     std::fs::write(path, text)
+}
+
+/// Render records as JSON Lines: one compact JSON value per line, in
+/// order. Deterministic because the serializer keeps field order.
+pub fn to_jsonl<T: Serialize>(records: impl IntoIterator<Item = T>) -> String {
+    let mut out = String::new();
+    for r in records {
+        out.push_str(&serde::json::to_string(&r));
+        out.push('\n');
+    }
+    out
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Structured watcher events and their JSONL rendering.
+//! Structured watcher events; [`fxnet_telemetry::to_jsonl`] renders
+//! them one per line.
 
 use fxnet_sim::{FrameRecord, SimTime};
 
@@ -49,18 +50,6 @@ pub struct WatchEvent {
     pub flight_recorder: Vec<FrameRecord>,
 }
 
-/// Render events as JSON Lines: one compact JSON object per line, in
-/// emission order. Deterministic because the serde shim preserves field
-/// order and the watcher's state is a pure function of the frame stream.
-pub fn to_jsonl(events: &[WatchEvent]) -> String {
-    let mut out = String::new();
-    for e in events {
-        out.push_str(&serde::json::to_string(e));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,7 +82,7 @@ mod tests {
             event(EventKind::ContractViolation),
             event(EventKind::BurstAnomaly),
         ];
-        let text = to_jsonl(&events);
+        let text = fxnet_telemetry::to_jsonl(&events);
         assert_eq!(text.lines().count(), 2);
         for (line, orig) in text.lines().zip(&events) {
             let back: WatchEvent = serde::json::from_str(line).unwrap();

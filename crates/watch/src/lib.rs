@@ -38,6 +38,6 @@ pub mod watch;
 
 pub use config::WatchConfig;
 pub use estimator::{BurstEstimator, LiveEstimate};
-pub use event::{to_jsonl, EventKind, WatchEvent};
+pub use event::{EventKind, WatchEvent};
 pub use recorder::FlightRecorder;
 pub use watch::{SpectralPeak, StreamWatch, TenantContract, TenantReport, WatchReport};

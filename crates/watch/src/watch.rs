@@ -13,7 +13,7 @@
 
 use crate::config::WatchConfig;
 use crate::estimator::{BurstEstimator, LiveEstimate};
-use crate::event::{to_jsonl, EventKind, WatchEvent};
+use crate::event::{EventKind, WatchEvent};
 use crate::recorder::FlightRecorder;
 use fxnet_qos::ContractTerms;
 use fxnet_sim::{FrameRecord, SimTime};
@@ -100,7 +100,7 @@ pub struct WatchReport {
 impl WatchReport {
     /// Events rendered as JSON Lines.
     pub fn events_jsonl(&self) -> String {
-        to_jsonl(&self.events)
+        fxnet_telemetry::to_jsonl(&self.events)
     }
 
     /// `ContractViolation` events for `tenant`.

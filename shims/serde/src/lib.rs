@@ -9,7 +9,11 @@
 //! plus a [`json`] module that renders a `Value` to JSON text (compact or
 //! pretty) and parses JSON text back. The derive macros re-exported from
 //! `serde_derive` generate these impls for named-field structs, newtype
-//! structs, and unit-variant enums — the shapes this workspace uses.
+//! structs, and unit-variant enums — the shapes this workspace uses —
+//! honouring the field attributes `#[serde(rename = "..")]` and
+//! `#[serde(skip_serializing_if = "Option::is_none")]`. Every other
+//! `#[serde(...)]` key is a compile error, never silently ignored
+//! (`DERIVE.md` holds the doctests that pin this).
 //!
 //! Object key order is preserved as written by the serializer, and every
 //! derive emits fields in declaration order, so serialized output is fully
@@ -247,6 +251,20 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 
+impl<A: Serialize, B: Serialize> Serialize for (A, B) {
+    fn to_value(&self) -> Value {
+        Value::Array(vec![self.0.to_value(), self.1.to_value()])
+    }
+}
+impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        match v.as_array() {
+            Some([a, b]) => Ok((A::from_value(a)?, B::from_value(b)?)),
+            _ => Err(Error::expected("a 2-element array", v)),
+        }
+    }
+}
+
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
@@ -286,3 +304,8 @@ impl Deserialize for Value {
 }
 
 pub mod json;
+
+/// The derive's attribute contract, run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../DERIVE.md")]
+pub struct DeriveContract;

@@ -7,20 +7,23 @@
 //!
 //! * named-field structs          → JSON object, declaration order
 //! * newtype structs `S(T)`       → the inner value, transparently
-//! * tuple structs `S(A, B, ..)`  → JSON array
 //! * unit-only enums              → the variant name as a JSON string
 //!
-//! Generics and data-carrying enum variants are rejected with a clear
-//! compile error rather than silently mis-serialized.
+//! Two field attributes are honoured, spelled as upstream spells them:
+//! `#[serde(rename = "key")]` and
+//! `#[serde(skip_serializing_if = "Option::is_none")]`. Any other
+//! `#[serde(...)]` key, a `#[serde(...)]` on the item or a variant, other
+//! struct shapes, generics and data-carrying enum variants are rejected
+//! with a clear compile error rather than silently mis-serialized.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, Which::Serialize)
 }
 
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     expand(input, Which::Deserialize)
 }
@@ -31,10 +34,24 @@ enum Which {
     Deserialize,
 }
 
+/// A `#[serde(...)]` field attribute the shim implements.
+#[derive(PartialEq)]
+enum Attr {
+    Rename(String),
+    SkipNone,
+}
+
+/// One named field: its Rust name, its JSON key, and whether a `None`
+/// value is left out of the object.
+struct Field {
+    name: String,
+    key: String,
+    skip_none: bool,
+}
+
 enum Shape {
-    Named(Vec<String>),
-    Tuple(usize),
-    Unit,
+    Named(Vec<Field>),
+    Newtype,
     Enum(Vec<String>),
 }
 
@@ -47,6 +64,7 @@ fn expand(input: TokenStream, which: Which) -> TokenStream {
     let item = match parse_item(input) {
         Ok(item) => item,
         Err(msg) => {
+            let msg = format!("serde shim derive: {msg}");
             return format!("compile_error!({msg:?});").parse().unwrap();
         }
     };
@@ -60,53 +78,53 @@ fn expand(input: TokenStream, which: Which) -> TokenStream {
 fn parse_item(input: TokenStream) -> Result<Item, String> {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
-    skip_attrs_and_vis(&tokens, &mut i);
+    if !parse_attrs_and_vis(&tokens, &mut i)?.is_empty() {
+        return Err("container `#[serde(...)]` attributes are not supported".into());
+    }
     let keyword = match tokens.get(i) {
         Some(TokenTree::Ident(id)) => id.to_string(),
-        _ => return Err("serde shim derive: expected `struct` or `enum`".into()),
+        _ => return Err("expected `struct` or `enum`".into()),
     };
-    i += 1;
-    let name = match tokens.get(i) {
+    let name = match tokens.get(i + 1) {
         Some(TokenTree::Ident(id)) => id.to_string(),
-        _ => return Err("serde shim derive: expected type name".into()),
+        _ => return Err("expected type name".into()),
     };
-    i += 1;
-    if matches!(&tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
-        return Err(format!(
-            "serde shim derive: generic type `{name}` is not supported"
-        ));
-    }
-    let shape = match keyword.as_str() {
-        "struct" => match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Shape::Named(parse_named_fields(g.stream())?)
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Shape::Tuple(count_tuple_fields(g.stream()))
-            }
-            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Shape::Unit,
-            _ => return Err(format!("serde shim derive: unsupported struct `{name}`")),
-        },
-        "enum" => match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Shape::Enum(parse_unit_variants(g.stream(), &name)?)
-            }
-            _ => return Err(format!("serde shim derive: unsupported enum `{name}`")),
-        },
-        other => {
+    let (delimiter, body): (_, Vec<TokenTree>) = match tokens.get(i + 2) {
+        Some(TokenTree::Punct(p)) if p.as_char() == '<' => {
+            return Err(format!("generic type `{name}` is not supported"))
+        }
+        Some(TokenTree::Group(g)) => (g.delimiter(), g.stream().into_iter().collect()),
+        _ => (Delimiter::None, Vec::new()),
+    };
+    let shape = match (keyword.as_str(), delimiter) {
+        ("struct", Delimiter::Brace) => Shape::Named(parse_named_fields(&body)?),
+        ("struct", Delimiter::Parenthesis) if is_newtype(&body)? => Shape::Newtype,
+        ("enum", Delimiter::Brace) => Shape::Enum(parse_unit_variants(&body, &name)?),
+        _ => {
             return Err(format!(
-                "serde shim derive: cannot derive for `{other}` items"
+                "`{name}`: only named-field and newtype structs are supported"
             ))
         }
     };
     Ok(Item { name, shape })
 }
 
-/// Advance past any `#[...]` attributes and a `pub` / `pub(...)` visibility.
-fn skip_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) {
+/// Advance past any `#[...]` attributes and a `pub` / `pub(...)`
+/// visibility, returning the `#[serde(...)]` attributes among them.
+/// Other attributes (docs, lints) pass.
+fn parse_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) -> Result<Vec<Attr>, String> {
+    let mut attrs = Vec::new();
     loop {
         match tokens.get(*i) {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
+                if let Some(TokenTree::Group(g)) = tokens.get(*i + 1) {
+                    let inner: Vec<TokenTree> = g.stream().into_iter().collect();
+                    if let [TokenTree::Ident(id), TokenTree::Group(args)] = &inner[..] {
+                        if id.to_string() == "serde" {
+                            attrs.extend(parse_serde_args(args.stream())?);
+                        }
+                    }
+                }
                 *i += 2; // '#' then the bracketed group
             }
             Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
@@ -116,109 +134,132 @@ fn skip_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) {
                     *i += 1;
                 }
             }
-            _ => break,
+            _ => return Ok(attrs),
         }
     }
 }
 
-/// Field names of `{ a: T, b: U, .. }`, skipping types with angle-bracket
-/// depth tracking so `BTreeMap<String, u64>` does not split on its comma.
-fn parse_named_fields(stream: TokenStream) -> Result<Vec<String>, String> {
+/// The `key = "value"` list inside `#[serde(...)]`. Only the two
+/// attributes this shim implements are accepted; any other key is an
+/// error, never silently ignored.
+fn parse_serde_args(stream: TokenStream) -> Result<Vec<Attr>, String> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
+    let mut attrs = Vec::new();
+    for arg in tokens.split(|t| matches!(t, TokenTree::Punct(p) if p.as_char() == ',')) {
+        let (key, value) = match arg {
+            [] => continue,
+            [TokenTree::Ident(k), TokenTree::Punct(eq), TokenTree::Literal(v)]
+                if eq.as_char() == '=' =>
+            {
+                (k.to_string(), v.to_string())
+            }
+            [TokenTree::Ident(k), ..] => (k.to_string(), String::new()),
+            _ => return Err("malformed `#[serde(...)]` attribute".into()),
+        };
+        let value = value
+            .strip_prefix('"')
+            .and_then(|v| v.strip_suffix('"'))
+            .filter(|v| !v.contains('\\'));
+        attrs.push(match (key.as_str(), value) {
+            ("rename", Some(v)) => Attr::Rename(v.to_string()),
+            ("skip_serializing_if", Some("Option::is_none")) => Attr::SkipNone,
+            _ => {
+                return Err(format!(
+                    "`#[serde({key})]` is not supported; only `rename = \"..\"` and `skip_serializing_if = \"Option::is_none\"` are"
+                ))
+            }
+        });
+    }
+    Ok(attrs)
+}
+
+/// Advance past one field type and its trailing comma, tracking angle
+/// brackets so `BTreeMap<String, u64>` does not split on its comma.
+fn skip_type(tokens: &[TokenTree], i: &mut usize) {
+    let mut depth = 0i32;
+    while let Some(t) = tokens.get(*i) {
+        *i += 1;
+        if let TokenTree::Punct(p) = t {
+            match p.as_char() {
+                '<' => depth += 1,
+                '>' => depth -= 1,
+                ',' if depth == 0 => return,
+                _ => {}
+            }
+        }
+    }
+}
+
+/// Fields of `{ a: T, b: U, .. }`.
+fn parse_named_fields(tokens: &[TokenTree]) -> Result<Vec<Field>, String> {
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        skip_attrs_and_vis(&tokens, &mut i);
+        let attrs = parse_attrs_and_vis(tokens, &mut i)?;
         let name = match tokens.get(i) {
             Some(TokenTree::Ident(id)) => id.to_string(),
             None => break,
-            _ => return Err("serde shim derive: expected field name".into()),
+            _ => return Err("expected field name".into()),
         };
-        i += 1;
-        match tokens.get(i) {
-            Some(TokenTree::Punct(p)) if p.as_char() == ':' => i += 1,
-            _ => return Err(format!("serde shim derive: expected `:` after `{name}`")),
+        match tokens.get(i + 1) {
+            Some(TokenTree::Punct(p)) if p.as_char() == ':' => i += 2,
+            _ => return Err(format!("expected `:` after `{name}`")),
         }
-        let mut depth = 0i32;
-        while let Some(t) = tokens.get(i) {
-            if let TokenTree::Punct(p) = t {
-                match p.as_char() {
-                    '<' => depth += 1,
-                    '>' => depth -= 1,
-                    ',' if depth == 0 => {
-                        i += 1;
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-        fields.push(name);
+        skip_type(tokens, &mut i);
+        let key = attrs.iter().find_map(|a| match a {
+            Attr::Rename(key) => Some(key.clone()),
+            Attr::SkipNone => None,
+        });
+        fields.push(Field {
+            key: key.unwrap_or_else(|| name.clone()),
+            name,
+            skip_none: attrs.contains(&Attr::SkipNone),
+        });
     }
     Ok(fields)
 }
 
-fn count_tuple_fields(stream: TokenStream) -> usize {
-    let mut depth = 0i32;
-    let mut fields = 0usize;
-    let mut saw_any = false;
-    for t in stream {
-        if let TokenTree::Punct(p) = &t {
-            match p.as_char() {
-                '<' => depth += 1,
-                '>' => depth -= 1,
-                ',' if depth == 0 => {
-                    fields += 1;
-                    saw_any = false;
-                    continue;
-                }
-                _ => {}
-            }
-        }
-        saw_any = true;
+/// Whether `( .. )` holds exactly one field, which takes no attributes.
+fn is_newtype(tokens: &[TokenTree]) -> Result<bool, String> {
+    let mut i = 0;
+    if !parse_attrs_and_vis(tokens, &mut i)?.is_empty() {
+        return Err("`#[serde(...)]` on a newtype field is not supported".into());
     }
-    fields + usize::from(saw_any)
+    skip_type(tokens, &mut i);
+    Ok(i > 0 && i >= tokens.len())
 }
 
-fn parse_unit_variants(stream: TokenStream, enum_name: &str) -> Result<Vec<String>, String> {
-    let tokens: Vec<TokenTree> = stream.into_iter().collect();
+fn parse_unit_variants(tokens: &[TokenTree], enum_name: &str) -> Result<Vec<String>, String> {
     let mut variants = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        skip_attrs_and_vis(&tokens, &mut i);
+        if !parse_attrs_and_vis(tokens, &mut i)?.is_empty() {
+            return Err(format!(
+                "variant `#[serde(...)]` attributes in `{enum_name}` are not supported"
+            ));
+        }
         let name = match tokens.get(i) {
             Some(TokenTree::Ident(id)) => id.to_string(),
             None => break,
-            _ => return Err(format!("serde shim derive: bad variant in `{enum_name}`")),
+            _ => return Err(format!("bad variant in `{enum_name}`")),
         };
         i += 1;
         match tokens.get(i) {
-            None => {
-                variants.push(name);
-                break;
-            }
-            Some(TokenTree::Punct(p)) if p.as_char() == ',' => {
-                i += 1;
-            }
-            Some(TokenTree::Punct(p)) if p.as_char() == '=' => {
-                // Skip an explicit discriminant.
-                i += 1;
-                loop {
-                    match tokens.get(i) {
-                        None => break,
-                        Some(TokenTree::Punct(p)) if p.as_char() == ',' => break,
-                        _ => i += 1,
+            None | Some(TokenTree::Punct(_)) => {
+                // `,`, or `= discriminant` up to the next `,`.
+                while let Some(t) = tokens.get(i) {
+                    i += 1;
+                    if matches!(t, TokenTree::Punct(p) if p.as_char() == ',') {
+                        break;
                     }
                 }
-                i += 1;
             }
             Some(TokenTree::Group(_)) => {
                 return Err(format!(
-                    "serde shim derive: enum `{enum_name}` has data-carrying variant `{name}`; only unit variants are supported"
+                    "enum `{enum_name}` has data-carrying variant `{name}`; only unit variants are supported"
                 ));
             }
-            _ => return Err(format!("serde shim derive: bad token in `{enum_name}`")),
+            _ => return Err(format!("bad token in `{enum_name}`")),
         }
         variants.push(name);
     }
@@ -229,24 +270,25 @@ fn render_serialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.shape {
         Shape::Named(fields) => {
-            let entries: Vec<String> = fields
+            let pushes: String = fields
                 .iter()
-                .map(|f| {
-                    format!(
-                        "(::std::string::String::from({f:?}), serde::Serialize::to_value(&self.{f}))"
-                    )
+                .map(|Field { name: f, key, skip_none }| {
+                    let push = format!(
+                        "fields.push((::std::string::String::from({key:?}), serde::Serialize::to_value(&self.{f})));"
+                    );
+                    if *skip_none {
+                        format!("if ::std::option::Option::is_some(&self.{f}) {{ {push} }}")
+                    } else {
+                        push
+                    }
                 })
                 .collect();
-            format!("serde::Value::Object(::std::vec![{}])", entries.join(", "))
+            format!(
+                "let mut fields = ::std::vec::Vec::with_capacity({}); {pushes} serde::Value::Object(fields)",
+                fields.len()
+            )
         }
-        Shape::Tuple(1) => "serde::Serialize::to_value(&self.0)".to_string(),
-        Shape::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|k| format!("serde::Serialize::to_value(&self.{k})"))
-                .collect();
-            format!("serde::Value::Array(::std::vec![{}])", items.join(", "))
-        }
-        Shape::Unit => "serde::Value::Null".to_string(),
+        Shape::Newtype => "serde::Serialize::to_value(&self.0)".to_string(),
         Shape::Enum(variants) => {
             let arms: Vec<String> = variants
                 .iter()
@@ -269,9 +311,9 @@ fn render_deserialize(item: &Item) -> String {
         Shape::Named(fields) => {
             let inits: Vec<String> = fields
                 .iter()
-                .map(|f| {
+                .map(|Field { name: f, key, .. }| {
                     format!(
-                        "{f}: serde::Deserialize::from_value(v.get({f:?}).unwrap_or(&serde::Value::Null))?"
+                        "{f}: serde::Deserialize::from_value(v.get({key:?}).unwrap_or(&serde::Value::Null))?"
                     )
                 })
                 .collect();
@@ -280,23 +322,9 @@ fn render_deserialize(item: &Item) -> String {
                 inits.join(", ")
             )
         }
-        Shape::Tuple(1) => {
+        Shape::Newtype => {
             format!("::std::result::Result::Ok({name}(serde::Deserialize::from_value(v)?))")
         }
-        Shape::Tuple(n) => {
-            let gets: Vec<String> = (0..*n)
-                .map(|k| {
-                    format!(
-                        "serde::Deserialize::from_value(items.get({k}).unwrap_or(&serde::Value::Null))?"
-                    )
-                })
-                .collect();
-            format!(
-                "let items = v.as_array().ok_or_else(|| serde::Error::expected(\"array\", v))?;\n         ::std::result::Result::Ok({name}({}))",
-                gets.join(", ")
-            )
-        }
-        Shape::Unit => format!("::std::result::Result::Ok({name})"),
         Shape::Enum(variants) => {
             let arms: Vec<String> = variants
                 .iter()
