@@ -8,7 +8,7 @@
 //!
 //! Every experiment lives in one declarative [`REGISTRY`] entry — a
 //! stable id, a one-line description, which selection sets it belongs
-//! to, the programs it reads from the shared run cache, and the runner
+//! to, the programs whose runs it reads, and the runner
 //! — so `--list`, `--help`, dispatch, and prewarming all derive from
 //! the same table (DESIGN.md §4).
 //!
@@ -17,7 +17,7 @@
 //! `--out DIR` sets the series/spectra output directory (default
 //! `out/`); `--seed N` sets the simulation seed (default 1998) — the
 //! same seed reproduces every trace and table byte for byte. `--jobs N`
-//! fans the independent simulations (the cached programs, the ablation
+//! fans the independent simulations (the shared program runs, the ablation
 //! and admission sweeps) across N workers; output stays byte-identical
 //! to `--jobs 1` because results are collected in job order, never
 //! completion order.
@@ -39,10 +39,9 @@
 //! figure suite, trace IO, the fabrics — is measured by `benchmark/`,
 //! not here: `repro` writes no wall-clock artifact.
 //!
-//! Prewarmed traces are cached on disk under `out/cache` as `.fxb`
-//! files keyed by program, scale, and seed. A later run at the same
-//! scale serves store-only experiments from the cache instead of
-//! resimulating; a format-version bump invalidates stale artifacts.
+//! Every figure comes from a run this process simulated: `repro` keeps
+//! no trace on disk between invocations, so a rerun into the same
+//! `--out` prints and writes the same bytes as the first run.
 
 use fxnet::fx::Pattern;
 use fxnet::qos::{negotiate, AppDescriptor, QosNetwork};
@@ -63,7 +62,7 @@ use std::num::NonZeroUsize;
 
 const BIN: SimTime = SimTime(10_000_000); // the paper's 10 ms window
 
-/// Everything an experiment runner gets: the shared run cache, the
+/// Everything an experiment runner gets: the shared program runs, the
 /// worker pool, and the raw CLI knobs.
 struct Ctx {
     exps: Experiments,
@@ -75,7 +74,7 @@ struct Ctx {
 }
 
 /// One experiment: a stable id, what it is, which selection sets it
-/// belongs to, what it reads from the shared run cache, and how to run
+/// belongs to, which shared program runs it reads, and how to run
 /// it. The whole CLI — `--list`, dispatch order, prewarming — derives
 /// from this table.
 struct Experiment {
@@ -85,29 +84,22 @@ struct Experiment {
     in_all: bool,
     /// Member of `all-extras`.
     extra: bool,
-    /// Kernels whose full [`fxnet::RunResult`] the runner reads (wall
-    /// clock, Ethernet counters, telemetry) — always simulated.
+    /// Kernels whose runs (or the columnar stores built from them) the
+    /// runner reads.
     needs_kernels: &'static [KernelKind],
-    /// Kernels the runner only analyzes through columnar stores — a
-    /// valid trace-cache artifact satisfies these without a simulation.
-    needs_stores: &'static [KernelKind],
-    /// Whether the runner reads the shared AIRSHED run.
+    /// Whether the runner reads the shared AIRSHED run or its store.
     needs_airshed: bool,
-    /// Whether the runner reads the AIRSHED columnar store.
-    needs_airshed_store: bool,
     run: fn(&mut Ctx),
 }
 
-/// Registry shorthand: no cached programs needed.
+/// Registry shorthand: no shared program runs needed.
 const NONE: Experiment = Experiment {
     id: "",
     desc: "",
     in_all: false,
     extra: false,
     needs_kernels: &[],
-    needs_stores: &[],
     needs_airshed: false,
-    needs_airshed_store: false,
     run: fig1,
 };
 
@@ -124,7 +116,7 @@ const REGISTRY: &[Experiment] = &[
         id: "fig3",
         desc: "packet size statistics for Fx kernels",
         in_all: true,
-        needs_stores: &KernelKind::ALL,
+        needs_kernels: &KernelKind::ALL,
         run: fig3,
         ..NONE
     },
@@ -132,7 +124,7 @@ const REGISTRY: &[Experiment] = &[
         id: "fig4",
         desc: "packet interarrival statistics for Fx kernels",
         in_all: true,
-        needs_stores: &KernelKind::ALL,
+        needs_kernels: &KernelKind::ALL,
         run: fig4,
         ..NONE
     },
@@ -140,7 +132,7 @@ const REGISTRY: &[Experiment] = &[
         id: "fig5",
         desc: "average bandwidth for Fx kernels",
         in_all: true,
-        needs_stores: &KernelKind::ALL,
+        needs_kernels: &KernelKind::ALL,
         run: fig5,
         ..NONE
     },
@@ -148,7 +140,7 @@ const REGISTRY: &[Experiment] = &[
         id: "fig6",
         desc: "instantaneous bandwidth of Fx kernels (series files)",
         in_all: true,
-        needs_stores: &KernelKind::ALL,
+        needs_kernels: &KernelKind::ALL,
         run: fig6,
         ..NONE
     },
@@ -156,7 +148,7 @@ const REGISTRY: &[Experiment] = &[
         id: "fig7",
         desc: "power spectra of kernel bandwidth (spectrum files)",
         in_all: true,
-        needs_stores: &KernelKind::ALL,
+        needs_kernels: &KernelKind::ALL,
         run: fig7,
         ..NONE
     },
@@ -164,7 +156,7 @@ const REGISTRY: &[Experiment] = &[
         id: "fig8",
         desc: "packet size statistics for AIRSHED",
         in_all: true,
-        needs_airshed_store: true,
+        needs_airshed: true,
         run: fig8,
         ..NONE
     },
@@ -172,7 +164,7 @@ const REGISTRY: &[Experiment] = &[
         id: "fig9",
         desc: "packet interarrival statistics for AIRSHED",
         in_all: true,
-        needs_airshed_store: true,
+        needs_airshed: true,
         run: fig9,
         ..NONE
     },
@@ -180,7 +172,7 @@ const REGISTRY: &[Experiment] = &[
         id: "airshed-avg",
         desc: "AIRSHED average bandwidth (§6.2)",
         in_all: true,
-        needs_airshed_store: true,
+        needs_airshed: true,
         run: airshed_avg,
         ..NONE
     },
@@ -189,7 +181,6 @@ const REGISTRY: &[Experiment] = &[
         desc: "instantaneous bandwidth of AIRSHED (series files)",
         in_all: true,
         needs_airshed: true,
-        needs_airshed_store: true,
         run: fig10,
         ..NONE
     },
@@ -197,7 +188,7 @@ const REGISTRY: &[Experiment] = &[
         id: "fig11",
         desc: "power spectrum of AIRSHED bandwidth",
         in_all: true,
-        needs_airshed_store: true,
+        needs_airshed: true,
         run: fig11,
         ..NONE
     },
@@ -205,7 +196,7 @@ const REGISTRY: &[Experiment] = &[
         id: "model",
         desc: "truncated Fourier-series models of kernel bandwidth (§7.2)",
         in_all: true,
-        needs_stores: &[KernelKind::Fft2d, KernelKind::Hist, KernelKind::Seq],
+        needs_kernels: &[KernelKind::Fft2d, KernelKind::Hist, KernelKind::Seq],
         run: model,
         ..NONE
     },
@@ -220,7 +211,7 @@ const REGISTRY: &[Experiment] = &[
         id: "baseline",
         desc: "parallel-program vs media traffic (§1/§8)",
         in_all: true,
-        needs_stores: &[KernelKind::Fft2d, KernelKind::Hist],
+        needs_kernels: &[KernelKind::Fft2d, KernelKind::Hist],
         run: baseline,
         ..NONE
     },
@@ -237,8 +228,8 @@ const REGISTRY: &[Experiment] = &[
         id: "summary",
         desc: "one-page markdown summary of every measured program",
         extra: true,
-        needs_stores: &KernelKind::ALL,
-        needs_airshed_store: true,
+        needs_kernels: &KernelKind::ALL,
+        needs_airshed: true,
         run: summary,
         ..NONE
     },
@@ -308,19 +299,19 @@ const REGISTRY: &[Experiment] = &[
 ];
 
 /// The uniform `--metrics-out` snapshot: one Prometheus-text file per
-/// experiment, carrying the run parameters and, for every program the
-/// experiment pulled through the shared run cache, its frame count and
-/// finish time — plus, when `--telemetry` is on, the engine's counter
-/// registry under a `prog` label. Deterministic: cache order is sorted
-/// and jobs never enter the snapshot, so the bytes match at any
-/// `--jobs`.
+/// experiment, carrying the run parameters and, for every program run
+/// so far, its frame count and finish time — plus, when `--telemetry`
+/// is on, the engine's counter registry under a `prog` label.
+/// Deterministic: runs are listed in sorted order and jobs never enter
+/// the snapshot, so the bytes match at any `--jobs` and across reruns
+/// into the same directory.
 fn write_metrics_snapshot(ctx: &Ctx, id: &str, dir: &str) {
     use fxnet::telemetry::{labeled, write_prometheus, TelemetryRegistry};
     let mut reg = TelemetryRegistry::new();
     reg.set_gauge("repro_div", ctx.div as f64);
     reg.set_gauge("repro_hours", ctx.hours as f64);
     reg.set_gauge("repro_seed", ctx.seed as f64);
-    for (name, run) in ctx.exps.cached_runs() {
+    for (name, run) in ctx.exps.runs() {
         let l = [("prog", name)];
         reg.set_counter(
             labeled("repro_run_frames_total", &l),
@@ -450,8 +441,7 @@ fn main() {
     let mut ctx = Ctx {
         exps: Experiments::new(div, hours, &out)
             .with_seed(seed)
-            .with_telemetry(telemetry)
-            .with_trace_cache(),
+            .with_telemetry(telemetry),
         pool: Pool::new(jobs),
         div,
         hours,
@@ -464,36 +454,18 @@ fn main() {
         );
     }
 
-    // Prewarm the union of what the selected experiments read from the
-    // shared cache, fanned across the pool. The cache is keyed by
-    // program, so every analysis afterwards prints the same bytes at
-    // any --jobs; only the [run]/[cache] progress lines on stderr
-    // interleave. Experiments that only read the columnar store can be
-    // satisfied by the on-disk trace cache; ones that read the full
-    // RunResult (finished_at, telemetry) always simulate.
-    let mut run_kernels: Vec<KernelKind> = Vec::new();
-    let mut store_kernels: Vec<KernelKind> = Vec::new();
-    for e in &selected {
-        for k in e.needs_kernels {
-            if !run_kernels.contains(k) {
-                run_kernels.push(*k);
-            }
-        }
-        for k in e.needs_stores {
-            if !store_kernels.contains(k) {
-                store_kernels.push(*k);
-            }
+    // Prewarm the union of the programs the selected experiments read,
+    // fanned across the pool. Runs are keyed by program, so every
+    // analysis afterwards prints the same bytes at any --jobs; only the
+    // [run] progress lines on stderr interleave.
+    let mut kernels: Vec<KernelKind> = Vec::new();
+    for k in selected.iter().flat_map(|e| e.needs_kernels) {
+        if !kernels.contains(k) {
+            kernels.push(*k);
         }
     }
-    let airshed_run = selected.iter().any(|e| e.needs_airshed);
-    let airshed_store = selected.iter().any(|e| e.needs_airshed_store);
-    ctx.exps.prewarm_suite(
-        &ctx.pool,
-        &run_kernels,
-        &store_kernels,
-        airshed_run,
-        airshed_store,
-    );
+    let airshed = selected.iter().any(|e| e.needs_airshed);
+    ctx.exps.prewarm(&ctx.pool, &kernels, airshed);
 
     for e in &selected {
         (e.run)(&mut ctx);
@@ -506,7 +478,7 @@ fn main() {
     }
 
     // Telemetry artifacts: one deterministic JSON (spans + counter
-    // registry of every cached run) per requested experiment id.
+    // registry of every run) per requested experiment id.
     // `phases` writes its own, richer artifact.
     if telemetry {
         for e in exps.iter().filter(|e| e.as_str() != "phases") {
@@ -563,9 +535,8 @@ fn summary(c: &mut Ctx) {
     header("Summary: all measured programs (markdown)");
     use fxnet::trace::{markdown_table_views, ReportOptions};
     let opts = ReportOptions::default();
-    // Materialize every store (simulated or served from the trace
-    // cache), then borrow them all at once for the one-table render —
-    // no cloned traces, just views.
+    // Materialize every store, then borrow them all at once for the
+    // one-table render — no cloned traces, just views.
     let mut names: Vec<&'static str> = Vec::new();
     for k in KernelKind::ALL {
         ctx.kernel_store(k);
@@ -1291,8 +1262,12 @@ fn fig5(c: &mut Ctx) {
 // --------------------------------------------------------------------
 // Figures 6–7: instantaneous bandwidth + spectra.
 
+// Both dumps write through a `BufWriter` (one `write` per 8 KiB, not per
+// line) and flush it explicitly, so a failed final write still panics
+// instead of being dropped with the writer.
+
 fn dump_series(path: &std::path::Path, series: &[(SimTime, f64)], max_t: f64) {
-    let mut f = std::fs::File::create(path).expect("create series file");
+    let mut f = std::io::BufWriter::new(std::fs::File::create(path).expect("create series file"));
     for (t, v) in series {
         let ts = t.as_secs_f64();
         if ts > max_t {
@@ -1300,10 +1275,11 @@ fn dump_series(path: &std::path::Path, series: &[(SimTime, f64)], max_t: f64) {
         }
         writeln!(f, "{ts:.4} {:.2}", v / 1000.0).expect("write");
     }
+    f.flush().expect("write");
 }
 
 fn dump_spectrum(path: &std::path::Path, spec: &Periodogram, max_hz: f64) {
-    let mut f = std::fs::File::create(path).expect("create spectrum file");
+    let mut f = std::io::BufWriter::new(std::fs::File::create(path).expect("create spectrum file"));
     for i in 0..spec.power.len() {
         let hz = spec.freq(i);
         if hz > max_hz {
@@ -1311,6 +1287,7 @@ fn dump_spectrum(path: &std::path::Path, spec: &Periodogram, max_hz: f64) {
         }
         writeln!(f, "{hz:.5} {:.4e}", spec.power[i]).expect("write");
     }
+    f.flush().expect("write");
 }
 
 fn fig6(c: &mut Ctx) {

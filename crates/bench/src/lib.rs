@@ -1,6 +1,6 @@
 //! Shared experiment-harness code for the `repro` binary and
-//! `benchmark/`: cached kernel/AIRSHED runs, table formatting, the
-//! figure suite and the streamed chunk scan.
+//! `benchmark/`: the kernel/AIRSHED runs of one process, table
+//! formatting, the figure suite and the streamed chunk scan.
 //!
 //! The experiment index lives in DESIGN.md §4; `repro --help` lists the
 //! experiment ids. Paper-vs-measured numbers are recorded in
@@ -13,12 +13,14 @@ pub use scan::{
 };
 
 use fxnet::apps::airshed::AirshedParams;
-use fxnet::trace::{load_store, save_trace, ReportOptions, Stats, StreamingReport, TraceStore};
-use fxnet::{FrameRecord, HostId, KernelKind, RunResult, SimTime, TestbedBuilder};
+use fxnet::trace::{ReportOptions, Stats, StreamingReport, TraceStore};
+use fxnet::{HostId, KernelKind, RunResult, SimTime, TestbedBuilder};
 use fxnet_harness::Pool;
 use std::collections::HashMap;
 
-/// Lazily runs and caches the measured programs for one harness process.
+/// Lazily runs the measured programs, once each, for one harness
+/// process. Every run and every store it serves was simulated by this
+/// process.
 pub struct Experiments {
     /// Outer-iteration divisor (1 = full paper scale).
     pub div: usize,
@@ -28,15 +30,14 @@ pub struct Experiments {
     pub out_dir: std::path::PathBuf,
     seed: u64,
     telemetry: bool,
-    cache: bool,
     kernels: HashMap<&'static str, RunResult<u64>>,
     airshed: Option<RunResult<u64>>,
     stores: HashMap<&'static str, TraceStore>,
     airshed_cols: Option<TraceStore>,
 }
 
-/// What a program (`None` is AIRSHED) is called in `[run]` lines, cache
-/// file names and the run maps.
+/// What a program (`None` is AIRSHED) is called in `[run]` lines and
+/// the run maps.
 fn program_name(program: Option<KernelKind>) -> &'static str {
     program.map_or("AIRSHED", |k| k.name())
 }
@@ -51,7 +52,6 @@ impl Experiments {
             out_dir: out_dir.into(),
             seed: 1998,
             telemetry: false,
-            cache: false,
             kernels: HashMap::new(),
             airshed: None,
             stores: HashMap::new(),
@@ -59,31 +59,17 @@ impl Experiments {
         }
     }
 
-    /// Persist every simulated trace as a `.fxb` cache artifact under
-    /// `out/cache/`, and serve later [`Experiments::kernel_store`] /
-    /// [`Experiments::airshed_store`] calls from a valid artifact instead
-    /// of re-simulating. File names key the program, scale, and seed; the
-    /// artifacts carry the format version header, and a header at any
-    /// version but `fxnet_trace::io::TRACE_VERSION` — an older build's
-    /// artifact included — is a miss (the harness re-simulates and
-    /// overwrites). Loading is skipped
-    /// while telemetry is on: a cached trace cannot carry spans.
-    pub fn with_trace_cache(mut self) -> Experiments {
-        self.cache = true;
-        self
-    }
-
     /// Collect telemetry (phase spans + counter registry) on every run.
-    /// Must be set before the first run is cached; the packet traces are
-    /// identical either way.
+    /// Must be set before the first run; the packet traces are identical
+    /// either way.
     pub fn with_telemetry(mut self, on: bool) -> Experiments {
         self.telemetry = on;
         self
     }
 
     /// Override the simulation seed (default 1998, the paper's year).
-    /// Must be set before the first run is cached: same seed, same
-    /// byte-identical traces and tables.
+    /// Must be set before the first run: same seed, same byte-identical
+    /// traces and tables.
     pub fn with_seed(mut self, seed: u64) -> Experiments {
         self.seed = seed;
         self
@@ -94,12 +80,12 @@ impl Experiments {
         self.seed
     }
 
-    /// Fill the run cache for `kernels` (and AIRSHED if `airshed`) by
-    /// fanning the missing simulations across `pool`.
+    /// Run `kernels` (and AIRSHED if `airshed`) by fanning the missing
+    /// simulations across `pool`.
     ///
     /// Each program is an independent run of a fixed `(seed, config)`,
-    /// so warming them in parallel yields byte-identical caches to the
-    /// lazy serial fills — the analyses that later read the cache print
+    /// so warming them in parallel yields byte-identical runs to the
+    /// lazy serial fills — the analyses that later read them print
     /// the same tables and write the same artifacts regardless of
     /// `pool.jobs()`. Only the `[run]` progress lines on stderr may
     /// interleave differently.
@@ -134,46 +120,6 @@ impl Experiments {
         }
     }
 
-    /// Like [`Experiments::prewarm`], but splits the programs by what
-    /// their experiments actually read: `runs`/`airshed_run` need the
-    /// full [`RunResult`] (wall clock, Ethernet counters, telemetry) and
-    /// always simulate; `stores`/`airshed_store` only analyze the trace,
-    /// so a valid cache artifact satisfies them without a simulation.
-    /// Cache misses (absent, corrupt, or version-invalidated files) fall
-    /// back to simulating through the pool.
-    pub fn prewarm_suite(
-        &mut self,
-        pool: &Pool,
-        runs: &[KernelKind],
-        stores: &[KernelKind],
-        airshed_run: bool,
-        airshed_store: bool,
-    ) {
-        let mut sim: Vec<KernelKind> = runs.to_vec();
-        for k in stores {
-            if sim.contains(k)
-                || self.kernels.contains_key(k.name())
-                || self.stores.contains_key(k.name())
-            {
-                continue;
-            }
-            match self.load_cached_store(k.name()) {
-                Some(s) => {
-                    self.stores.insert(k.name(), s);
-                }
-                None => sim.push(*k),
-            }
-        }
-        let mut sim_airshed = airshed_run;
-        if airshed_store && !sim_airshed && self.airshed.is_none() && self.airshed_cols.is_none() {
-            match self.load_cached_store("AIRSHED") {
-                Some(s) => self.airshed_cols = Some(s),
-                None => sim_airshed = true,
-            }
-        }
-        self.prewarm(pool, &sim, sim_airshed);
-    }
-
     /// Simulate one program (`None` is AIRSHED) on a fresh paper testbed
     /// and report it on stderr. Reads the configuration only, so
     /// [`Experiments::prewarm`] calls it from pool workers.
@@ -201,9 +147,8 @@ impl Experiments {
         run
     }
 
-    /// Write a finished run's trace-cache artifact and keep the run.
+    /// Keep a finished run.
     fn keep(&mut self, program: Option<KernelKind>, run: RunResult<u64>) {
-        self.save_cached_trace(program_name(program), &run.trace);
         match program {
             Some(k) => {
                 self.kernels.insert(k.name(), run);
@@ -212,7 +157,7 @@ impl Experiments {
         }
     }
 
-    /// The measured trace of a kernel (cached).
+    /// The measured trace of a kernel (simulated on first use).
     pub fn kernel(&mut self, k: KernelKind) -> &RunResult<u64> {
         if !self.kernels.contains_key(k.name()) {
             eprintln!("[run] {} (paper scale / {}) ...", k.name(), self.div);
@@ -222,7 +167,7 @@ impl Experiments {
         &self.kernels[k.name()]
     }
 
-    /// The measured AIRSHED trace (cached).
+    /// The measured AIRSHED trace (simulated on first use).
     pub fn airshed(&mut self) -> &RunResult<u64> {
         if self.airshed.is_none() {
             eprintln!("[run] AIRSHED ({} hours) ...", self.hours);
@@ -232,42 +177,25 @@ impl Experiments {
         self.airshed.as_ref().expect("just initialized")
     }
 
-    /// Columnar store of a kernel's trace (cached): built from the
-    /// in-memory run if one exists, else loaded from a valid trace-cache
-    /// artifact, else simulated fresh.
+    /// Columnar store of a kernel's trace, built once from its run.
     pub fn kernel_store(&mut self, k: KernelKind) -> &TraceStore {
         if !self.stores.contains_key(k.name()) {
-            let store = if let Some(run) = self.kernels.get(k.name()) {
-                TraceStore::from_records(&run.trace)
-            } else if let Some(s) = self.load_cached_store(k.name()) {
-                s
-            } else {
-                TraceStore::from_records(&self.kernel(k).trace)
-            };
+            let store = TraceStore::from_records(&self.kernel(k).trace);
             self.stores.insert(k.name(), store);
         }
         &self.stores[k.name()]
     }
 
-    /// Columnar store of the AIRSHED trace (cached; same fallback chain
-    /// as [`Experiments::kernel_store`]).
+    /// Columnar store of the AIRSHED trace, built once from its run.
     pub fn airshed_store(&mut self) -> &TraceStore {
         if self.airshed_cols.is_none() {
-            let store = if let Some(run) = self.airshed.as_ref() {
-                TraceStore::from_records(&run.trace)
-            } else if let Some(s) = self.load_cached_store("AIRSHED") {
-                s
-            } else {
-                TraceStore::from_records(&self.airshed().trace)
-            };
-            self.airshed_cols = Some(store);
+            self.airshed_cols = Some(TraceStore::from_records(&self.airshed().trace));
         }
         self.airshed_cols.as_ref().expect("just initialized")
     }
 
-    /// A store already materialized by [`Experiments::kernel_store`],
-    /// [`Experiments::airshed_store`], or
-    /// [`Experiments::prewarm_suite`], by program name (`"AIRSHED"` for
+    /// A store already materialized by [`Experiments::kernel_store`] or
+    /// [`Experiments::airshed_store`], by program name (`"AIRSHED"` for
     /// the AIRSHED run). Takes `&self`, so several programs' views can
     /// be alive at once.
     pub fn store_of(&self, name: &str) -> Option<&TraceStore> {
@@ -290,76 +218,8 @@ impl Experiments {
         }
     }
 
-    /// The representative connection's frames, materialized (§6.1).
-    /// Prefer [`Experiments::representative_pair`] plus
-    /// [`TraceStore::connection`] for the zero-copy view.
-    pub fn representative_connection(&mut self, k: KernelKind) -> Option<Vec<FrameRecord>> {
-        let (src, dst) = Self::representative_pair(k)?;
-        Some(self.kernel_store(k).connection(src, dst).to_records())
-    }
-
-    /// Cache-artifact path for a program: name, scale, and seed key the
-    /// file.
-    fn cache_path(&self, name: &str) -> Option<std::path::PathBuf> {
-        if !self.cache {
-            return None;
-        }
-        let scale = if name == "AIRSHED" {
-            format!("h{}", self.hours)
-        } else {
-            format!("d{}", self.div)
-        };
-        Some(
-            self.out_dir
-                .join("cache")
-                .join(format!("{name}.{scale}.s{}.fxb", self.seed)),
-        )
-    }
-
-    /// Load a cached trace if the artifact exists and is valid. A bad
-    /// magic, a corrupt payload, a time span the figures could not bin
-    /// (they size a vector from it) or — the deliberate invalidation
-    /// path — a version header this build does not support all count as
-    /// a miss, and the caller re-simulates.
-    fn load_cached_store(&self, name: &str) -> Option<TraceStore> {
-        if self.telemetry {
-            return None;
-        }
-        let path = self.cache_path(name)?;
-        let loaded = load_store(&path).and_then(|s| {
-            let (lo, hi) = s.view().time_bounds().unwrap_or_default();
-            let bin = ReportOptions::default().bin;
-            scan::check_time_span(lo.as_nanos(), hi.as_nanos(), bin.as_nanos())?;
-            Ok(s)
-        });
-        match loaded {
-            Ok(s) => {
-                eprintln!("[cache] {name}: {} frames from {}", s.len(), path.display());
-                Some(s)
-            }
-            Err(e) => {
-                if path.exists() {
-                    eprintln!(
-                        "[cache] {name}: re-simulating, {} invalid: {e}",
-                        path.display()
-                    );
-                }
-                None
-            }
-        }
-    }
-
-    fn save_cached_trace(&self, name: &str, trace: &[FrameRecord]) {
-        let Some(path) = self.cache_path(name) else {
-            return;
-        };
-        std::fs::create_dir_all(path.parent().expect("cache dir")).expect("create cache dir");
-        save_trace(&path, trace).expect("write trace cache artifact");
-        eprintln!("[cache] {name}: wrote {}", path.display());
-    }
-
     /// Deterministic telemetry JSON (spans + counter registry) for every
-    /// cached run, keyed by program name. Runs made without telemetry
+    /// run made so far, keyed by program name. Runs made without telemetry
     /// are omitted.
     pub fn telemetry_value(&self) -> serde::Value {
         let mut names: Vec<&&str> = self.kernels.keys().collect();
@@ -383,10 +243,10 @@ impl Experiments {
         self.out_dir.join(name)
     }
 
-    /// Every cached full run — kernels in sorted name order, then
+    /// Every run made so far — kernels in sorted name order, then
     /// AIRSHED — for uniform metrics snapshots over whatever the
-    /// selected experiments pulled through the cache.
-    pub fn cached_runs(&self) -> Vec<(&str, &RunResult<u64>)> {
+    /// selected experiments ran.
+    pub fn runs(&self) -> Vec<(&str, &RunResult<u64>)> {
         let mut names: Vec<&&str> = self.kernels.keys().collect();
         names.sort();
         let mut out: Vec<(&str, &RunResult<u64>)> = names
@@ -548,8 +408,7 @@ pub fn analysis_suite_columnar(name: &str, store: &TraceStore) -> String {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use fxnet::trace::io::TRACE_VERSION;
-    use fxnet::trace::{save_store, Periodogram, TraceReport, TraceView};
+    use fxnet::trace::{load_store, save_store, Periodogram, TraceReport, TraceView};
 
     /// The report composed from the view kernels, one pass over the view
     /// per quantity: the oracle for everything in this crate that takes
@@ -634,15 +493,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn representative_connections_follow_the_paper() {
-        let mut e = Experiments::new(100, 1, std::env::temp_dir().join("fxnet-test-out"));
-        assert!(e.representative_connection(KernelKind::Seq).is_none());
-        assert!(e.representative_connection(KernelKind::Hist).is_none());
-        let sor = e.representative_connection(KernelKind::Sor).unwrap();
-        assert!(sor.iter().all(|r| r.src == HostId(1) && r.dst == HostId(2)));
-    }
-
-    #[test]
     fn prewarm_matches_the_lazy_serial_fill() {
         let out = std::env::temp_dir().join("fxnet-test-out");
         let mut lazy = Experiments::new(100, 1, &out);
@@ -652,7 +502,7 @@ pub(crate) mod tests {
             assert_eq!(
                 lazy.kernel(k).trace,
                 warm.kernel(k).trace,
-                "{}: prewarmed cache must be byte-identical",
+                "{}: prewarmed runs must be byte-identical",
                 k.name()
             );
         }
@@ -692,84 +542,31 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn trace_cache_serves_stores_and_version_bump_invalidates() {
-        let dir = std::env::temp_dir().join(format!("fxnet-cachetest-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let mut a = Experiments::new(100, 1, &dir).with_trace_cache();
-        let fresh = a.kernel_store(KernelKind::Hist).clone();
-        let path = dir.join("cache").join("HIST.d100.s1998.fxb");
-        assert!(path.exists(), "the run must leave a cache artifact");
-
-        // Prove the cache is actually read: doctor the artifact to a
-        // truncated trace and watch a fresh harness serve the doctored
-        // frames without simulating.
-        let doctored = TraceStore::from_records(&fresh.to_records()[..10]);
-        save_store(&path, &doctored).expect("doctor cache");
-        let mut b = Experiments::new(100, 1, &dir).with_trace_cache();
-        assert_eq!(*b.kernel_store(KernelKind::Hist), doctored);
-        let mut warm = Experiments::new(100, 1, &dir).with_trace_cache();
-        warm.prewarm_suite(&Pool::serial(), &[], &[KernelKind::Hist], false, false);
-        assert_eq!(*warm.store_of("HIST").expect("prewarmed"), doctored);
-
-        // Move the version header, forward and then back to what an
-        // older build wrote: either way the artifact must be rejected,
-        // the harness re-simulates, and the rewritten artifact is valid.
-        for stale in [TRACE_VERSION + 1, 1] {
-            let mut bytes = std::fs::read(&path).expect("read cache");
-            bytes[4..6].copy_from_slice(&stale.to_le_bytes());
-            std::fs::write(&path, &bytes).expect("rewrite cache");
-            let mut c = Experiments::new(100, 1, &dir).with_trace_cache();
-            assert_eq!(
-                *c.kernel_store(KernelKind::Hist),
-                fresh,
-                "a version-{stale} artifact must fall back to the simulation"
-            );
-            assert_eq!(
-                load_store(&path).expect("rewritten artifact"),
-                fresh,
-                "the re-simulation must overwrite the stale artifact"
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A cache artifact is outside input: two structurally valid frames
-    /// at 0 and 2^62 ns would have `binned_bandwidth` size a vector of
-    /// 4.6e11 bins. It must be a miss like any other invalid artifact.
-    #[test]
-    fn a_cache_artifact_with_an_absurd_time_span_is_a_miss() {
-        let dir = std::env::temp_dir().join(format!("fxnet-cachespan-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let mut a = Experiments::new(100, 1, &dir).with_trace_cache();
-        let fresh = a.kernel_store(KernelKind::Hist).clone();
-        let path = dir.join("cache").join("HIST.d100.s1998.fxb");
-
-        let mut frames = fresh.to_records()[..2].to_vec();
-        frames[0].time = SimTime::ZERO;
-        frames[1].time = SimTime::from_nanos(1 << 62);
-        save_store(&path, &TraceStore::from_records(&frames)).expect("doctor cache");
-        let wide = load_store(&path).expect("the container itself is valid");
-        assert_eq!(wide.len(), 2);
-
-        let mut b = Experiments::new(100, 1, &dir).with_trace_cache();
-        assert_eq!(*b.kernel_store(KernelKind::Hist), fresh);
-        assert_eq!(load_store(&path).expect("rewritten artifact"), fresh);
-
-        // The longest span the bound admits is still served from the file.
-        frames[1].time = SimTime::from_nanos(((1 << 22) - 1) * 10_000_000);
-        let widest = TraceStore::from_records(&frames);
-        save_store(&path, &widest).expect("doctor cache");
-        let mut c = Experiments::new(100, 1, &dir).with_trace_cache();
-        assert_eq!(*c.kernel_store(KernelKind::Hist), widest);
-        std::fs::remove_dir_all(&dir).ok();
+    fn representative_connections_follow_the_paper() {
+        let mut e = Experiments::new(100, 1, std::env::temp_dir().join("fxnet-test-out"));
+        assert!(Experiments::representative_pair(KernelKind::Seq).is_none());
+        assert!(Experiments::representative_pair(KernelKind::Hist).is_none());
+        let (src, dst) = Experiments::representative_pair(KernelKind::Sor).unwrap();
+        assert_eq!((src, dst), (HostId(1), HostId(2)));
+        let sor = e.kernel_store(KernelKind::Sor).connection(src, dst);
+        assert!(!sor.is_empty());
+        assert!(sor
+            .to_records()
+            .iter()
+            .all(|r| r.src == src && r.dst == dst));
     }
 
     #[test]
     fn representative_pairs_match_the_materialized_connections() {
         let mut e = Experiments::new(100, 1, std::env::temp_dir().join("fxnet-test-out"));
-        assert!(Experiments::representative_pair(KernelKind::Seq).is_none());
         let (src, dst) = Experiments::representative_pair(KernelKind::Sor).unwrap();
-        let conn = e.representative_connection(KernelKind::Sor).unwrap();
+        let conn: Vec<_> = e
+            .kernel(KernelKind::Sor)
+            .trace
+            .iter()
+            .filter(|r| r.src == src && r.dst == dst)
+            .copied()
+            .collect();
         assert_eq!(
             e.kernel_store(KernelKind::Sor)
                 .connection(src, dst)

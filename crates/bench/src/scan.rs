@@ -150,25 +150,18 @@ fn render(
 const MAX_SCAN_BINS: u64 = 1 << 22;
 
 /// `Corrupt`, naming the span, if the time span the directory
-/// advertises would need more than [`MAX_SCAN_BINS`] bins of `bin_ns`.
+/// advertises would need more than [`MAX_SCAN_BINS`] bins of `bin_ns`:
+/// the one bound on a bin vector sized from timestamps a file supplied.
 /// Decode holds every chunk to its directory entry and the fold takes
 /// chunks only in capture order, so no folded timestamp lies outside
 /// the span checked here.
 fn check_span(chunks: &[ChunkMeta], bin_ns: u64) -> Result<(), TraceIoError> {
     let lo = chunks.iter().map(|c| c.t_min_ns).min().unwrap_or(0);
     let hi = chunks.iter().map(|c| c.t_max_ns).max().unwrap_or(0);
-    check_time_span(lo, hi, bin_ns)
-}
-
-/// `Corrupt`, naming the span, if binning `lo_ns..=hi_ns` at `bin_ns`
-/// would take more than [`MAX_SCAN_BINS`] bins: the one bound on a bin
-/// vector sized from timestamps a file supplied, for the streamed scan
-/// and for a loaded cache artifact alike.
-pub(crate) fn check_time_span(lo_ns: u64, hi_ns: u64, bin_ns: u64) -> Result<(), TraceIoError> {
-    let bins = hi_ns.saturating_sub(lo_ns) / bin_ns + 1;
+    let bins = hi.saturating_sub(lo) / bin_ns + 1;
     if bins > MAX_SCAN_BINS {
         return Err(TraceIoError::Corrupt(format!(
-            "time span {lo_ns}..{hi_ns} ns needs {bins} bins of {bin_ns} ns (at most {MAX_SCAN_BINS} are binned)"
+            "time span {lo}..{hi} ns needs {bins} bins of {bin_ns} ns (at most {MAX_SCAN_BINS} are binned)"
         )));
     }
     Ok(())

@@ -92,8 +92,8 @@ fn assert_removed_flag_is_rejected(flag: &str, values: &[&str]) {
 
 #[test]
 fn the_removed_trace_format_flag_is_rejected() {
-    // The cache has one format (`.fxb`); the knob that chose it is gone
-    // and must not be swallowed as if it still meant something.
+    // There is one trace format (`.fxb`); the knob that chose it is
+    // gone and must not be swallowed as if it still meant something.
     assert_removed_flag_is_rejected("--trace-format", &["binary", "text"]);
 }
 

@@ -477,6 +477,26 @@ mod tests {
     }
 
     #[test]
+    fn an_invalid_topology_is_a_typed_error_not_a_panic() {
+        let rate = fxnet_sim::RATE_10M;
+        let mut zero_rate = fxnet_topo::TopologySpec::two_switches_trunk(9, rate);
+        zero_rate.nodes[1].rate_bps = 0;
+        let mut dangling = fxnet_topo::TopologySpec::two_switches_trunk(9, rate);
+        dangling.trunks[0].b = dangling.nodes.len();
+        for spec in [zero_rate, dangling] {
+            let err = TestbedBuilder::paper()
+                .topology(spec)
+                .build()
+                .run_kernel(KernelKind::Hist, 100)
+                .unwrap_err();
+            assert!(
+                matches!(err, fxnet_fx::FxnetError::InvalidConfig(_)),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn invalid_testbed_surfaces_a_typed_error() {
         let mut tb = Testbed::quiet(4);
         tb.config_mut().hosts = 2; // fewer hosts than ranks

@@ -731,10 +731,11 @@ where
 /// `fxnet-harness`).
 ///
 /// # Errors
-/// [`FxnetError::InvalidConfig`] for an empty group list or a zero-rank
-/// group; [`FxnetError::Deadlock`] when no rank can run and the network
-/// is idle; [`FxnetError::SimTimeExceeded`] when a rank's clock, or the
-/// network's next event while ranks are blocked, passes
+/// [`FxnetError::InvalidConfig`] for an empty group list, a zero-rank
+/// group, or a topology that fails `TopologySpec::validate` or attaches
+/// too few hosts; [`FxnetError::Deadlock`] when no rank can run and the
+/// network is idle; [`FxnetError::SimTimeExceeded`] when a rank's clock,
+/// or the network's next event while ranks are blocked, passes
 /// `cfg.max_sim_time`; [`FxnetError::Io`] when a rank thread cannot be
 /// spawned. A panic *inside a rank's program* is re-raised on
 /// the calling thread with the rank's own payload, and the other ranks are
@@ -767,10 +768,12 @@ where
     let map = TenantMap::pack(groups.iter().map(|g| (g.name.clone(), g.p)));
     let total = map.total_ranks();
     let hosts = cfg.hosts.max(total);
-    // A declarative topology fixes host placement: its attachment list
-    // must cover every workstation this run will stand up, or rank→NIC
-    // mapping would fall off the spec.
+    // A declarative topology must compile, and it fixes host placement:
+    // its attachment list must cover every workstation this run will
+    // stand up, or rank→NIC mapping would fall off the spec.
     if let fxnet_proto::LinkKind::Topology(spec) = &cfg.pvm.net.link {
+        spec.validate()
+            .map_err(|e| FxnetError::InvalidConfig(format!("topology '{}': {e}", spec.id)))?;
         if (spec.host_count() as u32) < hosts {
             return Err(FxnetError::InvalidConfig(format!(
                 "topology '{}' attaches {} hosts but the run needs {hosts}",

@@ -1,8 +1,8 @@
 //! Trace persistence: FXTC, one compact columnar container, chunked so
 //! it can be appended to while a simulation drains and streamed back
 //! one chunk at a time. Every trace file the repo writes or reads —
-//! cache artifacts, `analysis-scale`, the benchmark's scan input — is
-//! this format; the file extension selects nothing.
+//! `analysis-scale`, the benchmark's scan input — is this format; the
+//! file extension selects nothing.
 //!
 //! ```text
 //! header, 16 bytes:
@@ -26,10 +26,9 @@
 //! round-trip losslessly. Each chunk's delta predecessor starts at
 //! zero, so every chunk decodes independently, and the directory sits
 //! at the tail so appenders never rewrite data they already flushed
-//! (the header's count field is patched when the writer finishes). The
-//! version field is the cache-invalidation handle: a reader seeing any
-//! version but [`TRACE_VERSION`] returns [`TraceIoError::Version`] and
-//! the caller regenerates the artifact.
+//! (the header's count field is patched when the writer finishes). A
+//! reader seeing any version but [`TRACE_VERSION`] returns
+//! [`TraceIoError::Version`].
 //!
 //! [`ChunkedWriter`] appends chunks as the simulator drains shards and
 //! [`save_store`] cuts a store into them. There is one way in:
@@ -68,8 +67,7 @@ pub enum TraceIoError {
     /// The file is not a trace (bad magic).
     Magic,
     /// The header carries a version other than the one this build reads
-    /// — the signal cached artifacts use to invalidate themselves
-    /// across format revisions.
+    /// — a file from another format revision.
     Version {
         found: u16,
         supported: u16,
@@ -788,17 +786,6 @@ pub fn load_store(path: impl AsRef<Path>) -> Result<TraceStore, TraceIoError> {
     ))
 }
 
-/// Save captured records to `path`: the file [`save_store`] writes for
-/// the same records, chunk by chunk, without building a store (no
-/// connection index).
-pub fn save_trace(path: impl AsRef<Path>, trace: &[FrameRecord]) -> std::io::Result<()> {
-    let mut w = ChunkedWriter::create(path)?;
-    for batch in trace.chunks(SAVE_CHUNK_FRAMES) {
-        w.append_records(batch)?;
-    }
-    w.finish().map(drop)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -866,7 +853,7 @@ mod tests {
     fn file_round_trip() {
         let path = temp("file-round-trip.fxb");
         let tr = sample();
-        save_trace(&path, &tr).unwrap();
+        save_store(&path, &TraceStore::from_records(&tr)).unwrap();
         let back = load_store(&path).unwrap().to_records();
         assert_eq!(back, tr);
         let _ = std::fs::remove_file(&path);
@@ -890,7 +877,7 @@ mod tests {
         let mut written = Vec::new();
         for name in ["via-extension.fxb", "via-extension.trace"] {
             let path = temp(name);
-            save_trace(&path, &tr).unwrap();
+            save_store(&path, &TraceStore::from_records(&tr)).unwrap();
             assert_eq!(load_store(&path).unwrap().to_records(), tr, "{name}");
             written.push(std::fs::read(&path).unwrap());
             let _ = std::fs::remove_file(&path);
@@ -914,7 +901,7 @@ mod tests {
 
     #[test]
     fn a_v1_artifact_and_a_text_file_are_typed_errors() {
-        // What an older build may have left in a cache directory.
+        // What an older build may have written.
         let v1 = encode_v1(&TraceStore::from_records(&sample()));
         match load_bytes("v1-artifact", &v1) {
             Err(e @ TraceIoError::Version { found: 1, .. }) => {
@@ -1011,14 +998,18 @@ mod tests {
     }
 
     #[test]
-    fn save_trace_writes_the_file_save_store_writes_without_a_store() {
+    fn appended_records_write_the_file_save_store_writes() {
         let dir = std::env::temp_dir();
         // Empty, one chunk, and past one chunk (a short last chunk).
         for n in [0, 40, SAVE_CHUNK_FRAMES + 7] {
             let tr = bursty(n);
-            let direct = dir.join(format!("fxnet-save-trace-{n}.fxb"));
-            let via_store = dir.join(format!("fxnet-save-trace-{n}-store.fxb"));
-            save_trace(&direct, &tr).unwrap();
+            let direct = dir.join(format!("fxnet-append-records-{n}.fxb"));
+            let via_store = dir.join(format!("fxnet-append-records-{n}-store.fxb"));
+            let mut w = ChunkedWriter::create(&direct).unwrap();
+            for batch in tr.chunks(SAVE_CHUNK_FRAMES) {
+                w.append_records(batch).unwrap();
+            }
+            w.finish().unwrap();
             let store = TraceStore::from_records(&tr);
             save_store(&via_store, &store).unwrap();
             assert_eq!(
@@ -1192,9 +1183,9 @@ mod tests {
                     dst: HostId(b),
                 })
                 .collect();
-            // Records -> file -> records, with no store built to write.
+            // Records -> file -> records.
             let path = temp("prop-records.fxb");
-            save_trace(&path, &tr).unwrap();
+            save_store(&path, &TraceStore::from_records(&tr)).unwrap();
             let back = load_store(&path).unwrap().to_records();
             let _ = std::fs::remove_file(&path);
             prop_assert_eq!(back, tr);

@@ -82,8 +82,8 @@ pub use coherence::{correlation, mean_connection_correlation};
 pub use demux::{demux_store, DemuxedStore};
 pub use interference::{burst_collisions, slowdown, spectral_concentration, SpectralInterference};
 pub use io::{
-    load_store, read_chunk, read_chunk_directory, save_store, save_store_chunked, save_trace,
-    ChunkBuf, ChunkCursor, ChunkDirectory, ChunkMeta, ChunkedWriter, TraceIoError,
+    load_store, read_chunk, read_chunk_directory, save_store, save_store_chunked, ChunkBuf,
+    ChunkCursor, ChunkDirectory, ChunkMeta, ChunkedWriter, TraceIoError,
 };
 pub use phases::{PhaseBreakdown, PhaseRow};
 pub use report::{markdown_table_views, ReportOptions, TraceReport};

@@ -89,16 +89,20 @@ fn main() {
     std::fs::create_dir_all("out").expect("create out/");
     let bin = SimTime::from_millis(10);
     let win = trace.sliding_window_bandwidth(bin);
-    let mut f = std::fs::File::create(format!("out/{}.bw", kernel.name())).expect("open");
+    let bw = std::fs::File::create(format!("out/{}.bw", kernel.name())).expect("open");
+    let mut f = std::io::BufWriter::new(bw);
     for (t, v) in &win {
         writeln!(f, "{:.4} {:.1}", t.as_secs_f64(), v / 1000.0).expect("write");
     }
+    f.flush().expect("write");
     let series = trace.binned_bandwidth(bin);
     let spec = Periodogram::compute(&series, bin);
-    let mut f = std::fs::File::create(format!("out/{}.spectrum", kernel.name())).expect("open");
+    let spectrum = std::fs::File::create(format!("out/{}.spectrum", kernel.name())).expect("open");
+    let mut f = std::io::BufWriter::new(spectrum);
     for idx in 0..spec.power.len() {
         writeln!(f, "{:.4} {:.3e}", spec.freq(idx), spec.power[idx]).expect("write");
     }
+    f.flush().expect("write");
     println!("\nwrote out/{0}.bw and out/{0}.spectrum", kernel.name());
     if let Some(fd) = spec.dominant_frequency(0.1) {
         println!("dominant frequency: {fd:.2} Hz");

@@ -289,7 +289,8 @@ fn trace_survives_a_save_load_round_trip() {
     // measured trace written to disk and reloaded analyzes identically.
     let run = run(KernelKind::Hist);
     let path = std::env::temp_dir().join("fxnet-integration-trace.fxb");
-    fxnet::trace::save_trace(&path, &run.trace).expect("save");
+    fxnet::trace::save_store(&path, &fxnet::trace::TraceStore::from_records(&run.trace))
+        .expect("save");
     let back = fxnet::trace::load_store(&path).expect("load");
     assert_eq!(back.to_records(), run.trace);
     assert_eq!(
