@@ -497,6 +497,19 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_deschedule_mean_is_a_typed_error_not_a_panic() {
+        let err = TestbedBuilder::paper()
+            .deschedule(SimTime::ZERO, SimTime::from_millis(10))
+            .build()
+            .run_kernel(KernelKind::Hist, 100)
+            .unwrap_err();
+        assert!(
+            matches!(err, fxnet_fx::FxnetError::InvalidConfig(_)),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn invalid_testbed_surfaces_a_typed_error() {
         let mut tb = Testbed::quiet(4);
         tb.config_mut().hosts = 2; // fewer hosts than ranks

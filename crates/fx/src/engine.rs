@@ -6,16 +6,23 @@
 //! nothing back (compute, send, barrier, span) returns at once, so a rank
 //! runs ahead of the sequencer until it needs a message, has 64 posts
 //! unanswered, or would have more than a socket buffer of sends
-//! unanswered. The sequencer files each rank's posts in order and admits
-//! one at a time per rank. It executes the admitted request with the
-//! earliest `(clock, rank)` or advances the network by one event,
-//! whichever is earlier in simulated time — as soon as that choice is
-//! decided. A rank whose next post has not arrived will run it at the
-//! clock its last answer fixed, so whatever is strictly earlier goes
-//! ahead without it. The decisions and their order are exactly those of
-//! a sequencer that first collects every rank's next request, so however
-//! the host schedules the threads, two runs with the same configuration
-//! produce byte-identical packet traces.
+//! unanswered. The sequencer keeps one record per rank: its clock, its
+//! state and an intake queue of the posts that have arrived, in program
+//! order. A rank is *ready* when it is waiting with an admitted request,
+//! the post at the front of its intake. The sequencer executes the ready
+//! rank's request with the earliest `(clock, rank)` or advances the
+//! network by one event, whichever is earlier in simulated time — as
+//! soon as that choice is decided. A waiting rank whose next post has
+//! not arrived will run it at the clock its last answer fixed, so
+//! whatever is strictly earlier goes ahead without it. The decisions and
+//! their order are exactly those of a sequencer that first collects
+//! every rank's next request, so however the host schedules the threads,
+//! two runs with the same configuration produce byte-identical packet
+//! traces.
+//!
+//! Every answer follows one resume rule: end the rank's blocked interval
+//! (a span of the kind of the state it leaves), set its clock, mark it
+//! waiting and answer its box.
 //!
 //! Threads wake only when they can proceed. The sequencer answers a
 //! rank's posts by counting them in the rank's answer box and unparks
@@ -100,6 +107,8 @@ impl AnswerBox {
                 return (answered, parked);
             }
             parked = true;
+            #[cfg(test)]
+            jitter::point();
             std::thread::park();
         }
     }
@@ -296,6 +305,8 @@ impl RankCtx {
     /// this rank's post. Once a run is abandoned the channel is closed:
     /// the post goes nowhere and the rank parks at its next wait.
     fn submit(&self, r: Request) {
+        #[cfg(test)]
+        jitter::point();
         let me = (self.base + self.rank) as usize;
         let terminal = matches!(r, Request::Done | Request::Panicked(_));
         if self.tx.send((me as u32, r)).is_err() {
@@ -474,11 +485,10 @@ impl RankCtx {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RankState {
-    /// The last request is answered and the next not yet admitted; that
-    /// next request runs at the rank's current clock.
+    /// The last request is answered. The next one runs at the rank's
+    /// current clock; the rank is ready once it is admitted, at the front
+    /// of the rank's intake.
     Waiting,
-    /// A request is admitted for sequencing.
-    Ready,
     /// Blocked in `recv(src)`.
     BlockedRecv(u32),
     /// Blocked in `send` waiting for socket-buffer space.
@@ -487,6 +497,84 @@ enum RankState {
     BlockedBarrier,
     /// Finished.
     Done,
+}
+
+/// The sequencer's record of one rank.
+struct Rank {
+    /// Global rank.
+    id: u32,
+    /// Index of the rank's group in the spec list.
+    group: usize,
+    clock: SimTime,
+    state: RankState,
+    /// Posts that have arrived and are not yet executed, in program order.
+    intake: VecDeque<Request>,
+    answers: Arc<AnswerBox>,
+    desched: Option<Deschedule>,
+    /// The clock at which the rank finished.
+    done_at: SimTime,
+    /// Causal: the sequence number of the rank's next send op, and of its
+    /// last phase span.
+    op_seq: u32,
+    phase_seq: u32,
+    /// Telemetry: the collective spans still open, where the current
+    /// blocked interval began, the time blocked so far and the closed
+    /// spans. All stay empty when telemetry is off.
+    open_spans: Vec<(&'static str, SimTime)>,
+    blocked_since: Option<SimTime>,
+    blocked_ns: u64,
+    spans: Vec<SpanRecord>,
+}
+
+impl Rank {
+    /// Waiting, with its next request admitted.
+    fn ready(&self) -> bool {
+        self.state == RankState::Waiting && !self.intake.is_empty()
+    }
+
+    /// Block the rank in `state` from its clock on.
+    fn block(&mut self, state: RankState, telemetry: bool) {
+        self.state = state;
+        if telemetry {
+            self.blocked_since = Some(self.clock);
+        }
+    }
+
+    /// The resume rule: answer the rank's request at `at`, with the
+    /// message a `recv` waits for. A blocked interval ends at `at`, as a
+    /// span of the kind of the state the rank leaves.
+    fn resume(&mut self, at: SimTime, msg: Option<Message>) {
+        self.clock = at;
+        if let Some(begin) = self.blocked_since.take() {
+            let kind = match self.state {
+                RankState::BlockedRecv(_) => SpanKind::BlockedRecv,
+                RankState::BlockedSend => SpanKind::BlockedSend,
+                // Only `block` sets `blocked_since`: a barrier.
+                _ => SpanKind::Barrier,
+            };
+            self.blocked_ns += (at - begin).as_nanos();
+            self.span(kind, kind.label(), begin);
+        }
+        self.state = RankState::Waiting;
+        self.answers.answer(msg);
+    }
+
+    /// Resume a rank whose `recv` is answered by `msg`, delivered at `t`.
+    fn deliver(&mut self, t: SimTime, msg: Message, cost: &CostModel) {
+        let at = self.clock.max(t) + cost.recv_overhead(msg.body.len());
+        self.resume(at, Some(msg));
+    }
+
+    /// Close a span of `kind` that began at `begin`, at the rank's clock.
+    fn span(&mut self, kind: SpanKind, name: &str, begin: SimTime) {
+        self.spans.push(SpanRecord {
+            rank: self.id,
+            name: name.to_string(),
+            kind,
+            begin,
+            end: self.clock,
+        });
+    }
 }
 
 struct Deschedule {
@@ -679,14 +767,14 @@ fn abandon<T>(handles: Vec<std::thread::JoinHandle<T>>) {
 /// the run.
 fn file_posts(
     rx: &Receiver<(u32, Request)>,
-    intake: &mut [VecDeque<Request>],
+    ranks: &mut [Rank],
 ) -> Result<usize, Box<dyn Any + Send>> {
     let mut filed = 0;
     while let Ok((rank, req)) = rx.try_recv() {
         if let Request::Panicked(payload) = req {
             return Err(payload);
         }
-        intake[rank as usize].push_back(req);
+        ranks[rank as usize].intake.push_back(req);
         filed += 1;
     }
     Ok(filed)
@@ -732,10 +820,11 @@ where
 ///
 /// # Errors
 /// [`FxnetError::InvalidConfig`] for an empty group list, a zero-rank
-/// group, or a topology that fails `TopologySpec::validate` or attaches
-/// too few hosts; [`FxnetError::Deadlock`] when no rank can run and the
-/// network is idle; [`FxnetError::SimTimeExceeded`] when a rank's clock,
-/// or the network's next event while ranks are blocked, passes
+/// group, a deschedule with a zero mean, or a topology that fails
+/// `TopologySpec::validate` or attaches too few hosts;
+/// [`FxnetError::Deadlock`] when no rank can run and the network is idle;
+/// [`FxnetError::SimTimeExceeded`] when a rank's clock, or the network's
+/// next event while ranks are blocked, passes
 /// `cfg.max_sim_time`; [`FxnetError::Io`] when a rank thread cannot be
 /// spawned. A panic *inside a rank's program* is re-raised on
 /// the calling thread with the rank's own payload, and the other ranks are
@@ -765,6 +854,17 @@ where
             g.name
         )));
     }
+    // A zero mean would ask the deschedule sampler for an exponential
+    // with no rate.
+    if cfg
+        .deschedule
+        .as_ref()
+        .is_some_and(|d| d.mean_cpu_between == SimTime::ZERO)
+    {
+        return Err(FxnetError::InvalidConfig(
+            "deschedule mean_cpu_between is zero".into(),
+        ));
+    }
     let map = TenantMap::pack(groups.iter().map(|g| (g.name.clone(), g.p)));
     let total = map.total_ranks();
     let hosts = cfg.hosts.max(total);
@@ -789,24 +889,18 @@ where
     pvm.set_link_sampling(opts.sample_links);
 
     let p = total as usize;
-    // Global rank → group index: the blocks are packed in spec order
-    // from task 0.
-    let group_of: Vec<usize> = map
-        .slices()
-        .iter()
-        .enumerate()
-        .flat_map(|(gi, slice)| std::iter::repeat_n(gi, slice.p as usize))
-        .collect();
     let (req_tx, req_rx) = unbounded::<(u32, Request)>();
     let bell = Arc::new(SequencerBell {
         need: AtomicUsize::new(NOBODY),
         sequencer: std::thread::current(),
     });
-    let mut answers: Vec<Arc<AnswerBox>> = Vec::with_capacity(p);
+    let mut engine_rng = SimRng::new(cfg.seed);
+    let mut ranks: Vec<Rank> = Vec::with_capacity(p);
     let mut handles = Vec::with_capacity(p);
     for (gi, slice) in map.slices().iter().enumerate() {
         let program = Arc::clone(&groups[gi].program);
         for local in 0..slice.p {
+            let id = slice.base + local;
             let answer_box = Arc::new(AnswerBox::default());
             let mut ctx = RankCtx {
                 rank: local,
@@ -827,11 +921,15 @@ where
                 parks: 0,
             };
             let program = Arc::clone(&program);
+            #[cfg(test)]
+            let jitter = jitter::fork(u64::from(id));
             // A rank thread that cannot be spawned fails the run; the
             // ranks already running are abandoned as on any error.
             let handle = std::thread::Builder::new()
-                .name(format!("spmd-rank-{}", slice.base + local))
+                .name(format!("spmd-rank-{id}"))
                 .spawn(move || {
+                    #[cfg(test)]
+                    jitter::install(jitter);
                     // Every rank ends with exactly one terminal post, so
                     // the sequencer never waits on a rank that is gone.
                     match std::panic::catch_unwind(AssertUnwindSafe(|| program(&mut ctx))) {
@@ -847,69 +945,42 @@ where
                     }
                 })?;
             answer_box.rank.get_or_init(|| handle.thread().clone());
-            answers.push(answer_box);
             handles.push(handle);
+            ranks.push(Rank {
+                id,
+                group: gi,
+                clock: groups[gi].start,
+                state: RankState::Waiting,
+                intake: VecDeque::new(),
+                answers: answer_box,
+                desched: cfg
+                    .deschedule
+                    .as_ref()
+                    .map(|d| Deschedule::new(d, engine_rng.fork(u64::from(id)))),
+                done_at: SimTime::ZERO,
+                op_seq: 0,
+                phase_seq: 0,
+                open_spans: Vec::new(),
+                blocked_since: None,
+                blocked_ns: 0,
+                spans: Vec::new(),
+            });
         }
     }
     drop(req_tx);
 
-    let mut clocks: Vec<SimTime> = (0..p).map(|r| groups[group_of[r]].start).collect();
-    let mut states = vec![RankState::Waiting; p];
-    // Posts that have arrived and are not yet executed, per rank, in
-    // program order; a `Ready` rank's request is at the front.
-    let mut intake: Vec<VecDeque<Request>> = (0..p).map(|_| VecDeque::new()).collect();
     let mut mailbox: HashMap<(u32, u32), VecDeque<(SimTime, Message)>> = HashMap::new();
-    let mut barrier_waiters: Vec<Vec<u32>> = vec![Vec::new(); groups.len()];
-    let mut engine_rng = SimRng::new(cfg.seed);
-    let mut desched: Vec<Option<Deschedule>> = (0..p)
-        .map(|r| {
-            cfg.deschedule
-                .as_ref()
-                .map(|d| Deschedule::new(d, engine_rng.fork(r as u64)))
-        })
-        .collect();
+    let mut barrier_waiters: Vec<Vec<usize>> = vec![Vec::new(); groups.len()];
     let mut deliveries: Vec<MsgDelivery> = Vec::new();
-    let mut done_at = vec![SimTime::ZERO; p];
-
-    // Causal state; all of it stays empty when capture is off.
+    // Causal ops; empty when capture is off.
     let mut ops: Vec<AppOp> = Vec::new();
-    let mut op_seq = vec![0u32; p];
-    let mut phase_seq = vec![0u32; p];
 
     // Telemetry state; all of it stays empty when cfg.telemetry is off.
     let run_start = Instant::now();
-    let mut spans: Vec<SpanRecord> = Vec::new();
-    let mut open_spans: Vec<Vec<(&'static str, SimTime)>> = vec![Vec::new(); p];
-    let mut blocked_since: Vec<Option<(SpanKind, SimTime)>> = vec![None; p];
     let mut event_counts = [0u64; EventClass::ALL.len()];
     let mut profile = SimProfile::default();
     let mut mailbox_high_water = 0usize;
     let mut mailbox_len = 0usize;
-
-    let wake = |rank: u32,
-                t_deliver: SimTime,
-                msg: Message,
-                clocks: &mut [SimTime],
-                states: &mut [RankState],
-                answers: &[Arc<AnswerBox>],
-                cost: &CostModel,
-                blocked_since: &mut [Option<(SpanKind, SimTime)>],
-                spans: &mut Vec<SpanRecord>| {
-        let r = rank as usize;
-        let overhead = cost.recv_overhead(msg.body.len());
-        clocks[r] = clocks[r].max(t_deliver) + overhead;
-        if let Some((kind, begin)) = blocked_since[r].take() {
-            spans.push(SpanRecord {
-                rank,
-                name: kind.label().to_string(),
-                kind,
-                begin,
-                end: clocks[r],
-            });
-        }
-        states[r] = RankState::Waiting;
-        answers[r].answer(Some(msg));
-    };
 
     // Set when the last turn could decide nothing without another post:
     // the rank whose post it needs, or `ANY_POST`.
@@ -918,7 +989,9 @@ where
         // Intake: file every post that has arrived. A panic ends the run
         // at once. A starved sequencer published whose post it needs
         // before this look, and parks unless that post is among them.
-        let filed = match file_posts(&req_rx, &mut intake) {
+        #[cfg(test)]
+        jitter::point();
+        let filed = match file_posts(&req_rx, &mut ranks) {
             Ok(filed) => filed,
             Err(payload) => {
                 abandon(handles);
@@ -929,7 +1002,7 @@ where
             let arrived = if need == ANY_POST {
                 filed > 0
             } else {
-                !intake[need].is_empty()
+                !ranks[need].intake.is_empty()
             };
             if !arrived {
                 std::thread::park();
@@ -938,57 +1011,61 @@ where
             bell.need.store(NOBODY, SeqCst);
             starved_for = None;
         }
-        // Admission: each waiting rank's next post, if it has arrived.
-        for r in 0..p {
-            if states[r] == RankState::Waiting {
-                match intake[r].front() {
-                    Some(Request::Done) => {
-                        intake[r].pop_front();
-                        states[r] = RankState::Done;
-                        done_at[r] = clocks[r];
-                    }
-                    Some(_) => states[r] = RankState::Ready,
-                    None => {}
-                }
+
+        // One pass over the records. A waiting rank whose next post is
+        // `Done` finishes. Of the ranks left, the horizon is the least
+        // `(clock, rank)` of those waiting with no post, `best` the least
+        // of the ready ones, and the run is engaged while a rank is ready
+        // or blocked.
+        let mut horizon: Option<(SimTime, usize)> = None;
+        let mut best: Option<(SimTime, usize)> = None;
+        let (mut engaged, mut all_done) = (false, true);
+        for (r, rk) in ranks.iter_mut().enumerate() {
+            if rk.state == RankState::Waiting && matches!(rk.intake.front(), Some(Request::Done)) {
+                rk.intake.pop_front();
+                rk.state = RankState::Done;
+                rk.done_at = rk.clock;
             }
+            let at = (rk.clock, r);
+            match rk.state {
+                RankState::Done => continue,
+                RankState::Waiting if rk.intake.is_empty() => {
+                    horizon = Some(horizon.map_or(at, |h| h.min(at)));
+                }
+                RankState::Waiting => {
+                    best = Some(best.map_or(at, |b| b.min(at)));
+                    engaged = true;
+                }
+                _ => engaged = true,
+            }
+            all_done = false;
         }
 
         // All ranks finished: stop sequencing (the network may still hold
         // events — e.g. periodic daemon chatter — which are drained up to
         // the program's end time below, never past it).
-        if states.iter().all(|s| *s == RankState::Done) {
+        if all_done {
             break;
         }
 
         // Pick the next action in simulated-time order, but only once it
-        // is decided. A rank still `Waiting` runs its next request at its
-        // current clock, so it bounds both choices from below: a ready
-        // rank goes first only if it beats every waiting rank in
+        // is decided. A rank waiting with no post runs its next request at
+        // its current clock, so the horizon bounds both choices from
+        // below: a ready rank goes first only if it beats the horizon in
         // `(clock, rank)` order, and the network only if its next event
-        // is strictly earlier than every waiting clock. Advancing the
-        // network also needs a rank that is ready or blocked; with only
-        // waiting ranks left, they may all be about to finish, and then
-        // the event belongs to the uncounted drain after the loop.
-        let horizon = (0..p)
-            .filter(|&r| states[r] == RankState::Waiting)
-            .map(|r| (clocks[r], r))
-            .min();
-        let best = (0..p)
-            .filter(|&r| states[r] == RankState::Ready)
-            .min_by_key(|&r| (clocks[r], r));
+        // is strictly earlier than the horizon's clock. Advancing the
+        // network also needs the run to be engaged; with only waiting
+        // ranks left, they may all be about to finish, and then the event
+        // belongs to the uncounted drain after the loop.
         let t_net = pvm.next_event_time();
-        let rank_first = best.filter(|&r| {
-            horizon.is_none_or(|h| (clocks[r], r) < h) && t_net.is_none_or(|t| clocks[r] <= t)
-        });
+        let rank_first =
+            best.filter(|&b| horizon.is_none_or(|h| b < h) && t_net.is_none_or(|t| b.0 <= t));
         if rank_first.is_none() {
-            let engaged = states
-                .iter()
-                .any(|s| !matches!(s, RankState::Waiting | RankState::Done));
             let net_first = engaged && t_net.is_some_and(|t| horizon.is_none_or(|(c, _)| t < c));
             if !net_first {
                 if let Some((_, h)) = horizon {
-                    // While a rank is ready or blocked, only the horizon
-                    // rank's post can decide the next step (DESIGN.md §7);
+                    // While the run is engaged, only the horizon rank's
+                    // post can decide the next step (DESIGN.md §7);
                     // otherwise any rank's post can make it ready.
                     let need = if engaged { h } else { ANY_POST };
                     starved_for = Some(need);
@@ -998,11 +1075,11 @@ where
                     fence(SeqCst);
                     continue;
                 }
-                let blocked: Vec<String> = states
+                let blocked: Vec<String> = ranks
                     .iter()
                     .enumerate()
-                    .filter(|(_, s)| !matches!(s, RankState::Done))
-                    .map(|(r, s)| format!("rank {r}: {s:?} at {}", clocks[r]))
+                    .filter(|(_, rk)| rk.state != RankState::Done)
+                    .map(|(r, rk)| format!("rank {r}: {:?} at {}", rk.state, rk.clock))
                     .collect();
                 abandon(handles);
                 return Err(FxnetError::Deadlock(blocked.join("\n")));
@@ -1015,53 +1092,45 @@ where
             None
         };
         let mut class = EventClass::NetAdvance;
-        if let Some(r) = rank_first {
-            // A rank is `Ready` only while its admitted request is at the
-            // front of its intake.
-            let req = intake[r].pop_front().expect("ready rank has request");
-            if clocks[r] > cfg.max_sim_time {
+        if let Some((_, r)) = rank_first {
+            let rk = &mut ranks[r];
+            let req = rk.intake.pop_front().expect("a ready rank has a request");
+            if rk.clock > cfg.max_sim_time {
                 abandon(handles);
                 return Err(FxnetError::SimTimeExceeded {
                     rank: r as u32,
-                    at: clocks[r],
+                    at: rk.clock,
                     limit: cfg.max_sim_time,
                 });
             }
             match req {
                 Request::Compute(d) => {
                     class = EventClass::Compute;
-                    let begin = clocks[r];
-                    let extra = desched[r]
+                    let begin = rk.clock;
+                    let extra = rk
+                        .desched
                         .as_mut()
                         .map_or(SimTime::ZERO, |ds| ds.extra_for(d));
-                    clocks[r] += d + extra;
+                    rk.clock += d + extra;
                     if cfg.telemetry {
-                        spans.push(SpanRecord {
-                            rank: r as u32,
-                            name: "compute".to_string(),
-                            kind: SpanKind::Compute,
-                            begin,
-                            end: clocks[r],
-                        });
+                        rk.span(SpanKind::Compute, "compute", begin);
                     }
-                    states[r] = RankState::Waiting;
-                    answers[r].answer(None);
+                    rk.resume(rk.clock, None);
                 }
                 Request::Send { dst, msg } => {
                     class = EventClass::Send;
-                    let overhead = cfg.cost.send_overhead(&msg);
-                    let t_wire = clocks[r] + overhead;
+                    let t_wire = rk.clock + cfg.cost.send_overhead(&msg);
+                    let src = TaskId(rk.id);
                     if causal {
-                        let phase = if open_spans[r].is_empty() {
+                        let phase = if rk.open_spans.is_empty() {
                             0
                         } else {
-                            phase_seq[r]
+                            rk.phase_seq
                         };
-                        let cause = CauseId::app(group_of[r] as u32, r as u32, phase, op_seq[r]);
-                        op_seq[r] += 1;
+                        let cause = CauseId::app(rk.group as u32, rk.id, phase, rk.op_seq);
+                        rk.op_seq += 1;
                         let payload_bytes = msg.payload_len() as u64;
-                        let wire_bytes =
-                            pvm.send_caused(t_wire, TaskId(r as u32), TaskId(dst), msg, cause);
+                        let wire_bytes = pvm.send_caused(t_wire, src, TaskId(dst), msg, cause);
                         ops.push(AppOp {
                             cause,
                             dst,
@@ -1070,103 +1139,62 @@ where
                             wire_bytes,
                         });
                     } else {
-                        pvm.send(t_wire, TaskId(r as u32), TaskId(dst), msg);
+                        pvm.send(t_wire, src, TaskId(dst), msg);
                     }
-                    clocks[r] = t_wire;
                     // A blocking socket write: the rank stalls while its
                     // host's TCP backlog exceeds the socket buffer.
-                    if pvm.sender_backlog(TaskId(r as u32)) > cfg.socket_buf {
-                        states[r] = RankState::BlockedSend;
-                        if cfg.telemetry {
-                            blocked_since[r] = Some((SpanKind::BlockedSend, clocks[r]));
-                        }
+                    if pvm.sender_backlog(src) > cfg.socket_buf {
+                        rk.clock = t_wire;
+                        rk.block(RankState::BlockedSend, cfg.telemetry);
                     } else {
-                        states[r] = RankState::Waiting;
-                        answers[r].answer(None);
+                        rk.resume(t_wire, None);
                     }
                 }
                 Request::Recv { src } => {
                     class = EventClass::Recv;
-                    let key = (src, r as u32);
-                    let queued = mailbox.get_mut(&key).and_then(VecDeque::pop_front);
+                    let queued = mailbox.get_mut(&(src, rk.id)).and_then(VecDeque::pop_front);
                     if let Some((t_d, msg)) = queued {
                         mailbox_len -= 1;
-                        wake(
-                            r as u32,
-                            t_d,
-                            msg,
-                            &mut clocks,
-                            &mut states,
-                            &answers,
-                            &cfg.cost,
-                            &mut blocked_since,
-                            &mut spans,
-                        );
+                        rk.deliver(t_d, msg, &cfg.cost);
                     } else {
-                        states[r] = RankState::BlockedRecv(src);
-                        if cfg.telemetry {
-                            blocked_since[r] = Some((SpanKind::BlockedRecv, clocks[r]));
-                        }
+                        rk.block(RankState::BlockedRecv(src), cfg.telemetry);
                     }
                 }
                 Request::Barrier => {
                     class = EventClass::Barrier;
-                    states[r] = RankState::BlockedBarrier;
-                    if cfg.telemetry {
-                        blocked_since[r] = Some((SpanKind::Barrier, clocks[r]));
-                    }
+                    rk.block(RankState::BlockedBarrier, cfg.telemetry);
                     // Barriers are group-local: only the requesting rank's
                     // group synchronizes; other tenants are unaffected.
-                    let gi = group_of[r];
-                    barrier_waiters[gi].push(r as u32);
-                    if barrier_waiters[gi].len() == groups[gi].p as usize {
-                        let t = barrier_waiters[gi]
+                    let gi = rk.group;
+                    let waiters = &mut barrier_waiters[gi];
+                    waiters.push(r);
+                    if waiters.len() == groups[gi].p as usize {
+                        let t = waiters
                             .iter()
-                            .map(|&w| clocks[w as usize])
-                            .fold(clocks[r], SimTime::max)
+                            .map(|&w| ranks[w].clock)
+                            .fold(SimTime::ZERO, SimTime::max)
                             + cfg.cost.per_message;
-                        for &w in &barrier_waiters[gi] {
-                            let w = w as usize;
-                            clocks[w] = t;
-                            if let Some((kind, begin)) = blocked_since[w].take() {
-                                spans.push(SpanRecord {
-                                    rank: w as u32,
-                                    name: kind.label().to_string(),
-                                    kind,
-                                    begin,
-                                    end: t,
-                                });
-                            }
-                            states[w] = RankState::Waiting;
-                            answers[w].answer(None);
+                        for w in waiters.drain(..) {
+                            ranks[w].resume(t, None);
                         }
-                        barrier_waiters[gi].clear();
                     }
                 }
                 Request::SpanBegin(name) => {
                     class = EventClass::Span;
-                    phase_seq[r] += 1;
-                    open_spans[r].push((name, clocks[r]));
-                    states[r] = RankState::Waiting;
-                    answers[r].answer(None);
+                    rk.phase_seq += 1;
+                    rk.open_spans.push((name, rk.clock));
+                    rk.resume(rk.clock, None);
                 }
                 Request::SpanEnd => {
                     class = EventClass::Span;
-                    if let Some((name, begin)) = open_spans[r].pop() {
-                        spans.push(SpanRecord {
-                            rank: r as u32,
-                            name: name.to_string(),
-                            kind: SpanKind::Collective,
-                            begin,
-                            end: clocks[r],
-                        });
+                    if let Some((name, begin)) = rk.open_spans.pop() {
+                        rk.span(SpanKind::Collective, name, begin);
                     }
-                    states[r] = RankState::Waiting;
-                    answers[r].answer(None);
+                    rk.resume(rk.clock, None);
                 }
-                // Admission retires `Done` without making the rank ready,
-                // and `file_posts` never files `Panicked`.
-                Request::Done | Request::Panicked(_) => unreachable!("handled at intake"),
+                // The pass over the records retires `Done` without making
+                // the rank ready, and `file_posts` never files `Panicked`.
+                Request::Done | Request::Panicked(_) => unreachable!("never a ready request"),
             }
         } else {
             // The runaway guard holds for the network too: with heartbeats
@@ -1176,9 +1204,10 @@ where
             // network step needs a ready or blocked rank; name the first
             // blocked one, else the first ready one.
             if let Some(t) = t_net.filter(|&t| t > cfg.max_sim_time) {
-                let rank = (0..p)
-                    .filter(|&r| !matches!(states[r], RankState::Waiting | RankState::Done))
-                    .min_by_key(|&r| (states[r] == RankState::Ready, r))
+                let rank = ranks
+                    .iter()
+                    .position(|rk| !matches!(rk.state, RankState::Waiting | RankState::Done))
+                    .or_else(|| ranks.iter().position(Rank::ready))
                     .unwrap_or_default();
                 abandon(handles);
                 return Err(FxnetError::SimTimeExceeded {
@@ -1190,19 +1219,9 @@ where
             deliveries.clear();
             let event_time = pvm.advance(&mut deliveries);
             for d in deliveries.drain(..) {
-                let dst = d.dst.0 as usize;
-                if states[dst] == RankState::BlockedRecv(d.src.0) {
-                    wake(
-                        d.dst.0,
-                        d.time,
-                        d.msg,
-                        &mut clocks,
-                        &mut states,
-                        &answers,
-                        &cfg.cost,
-                        &mut blocked_since,
-                        &mut spans,
-                    );
+                let rk = &mut ranks[d.dst.0 as usize];
+                if rk.state == RankState::BlockedRecv(d.src.0) {
+                    rk.deliver(d.time, d.msg, &cfg.cost);
                 } else {
                     mailbox
                         .entry((d.src.0, d.dst.0))
@@ -1214,22 +1233,11 @@ where
             }
             // Network drain may have freed socket-buffer space.
             if let Some(t) = event_time {
-                for r in 0..p {
-                    if states[r] == RankState::BlockedSend
-                        && pvm.sender_backlog(TaskId(r as u32)) <= cfg.socket_buf
+                for rk in &mut ranks {
+                    if rk.state == RankState::BlockedSend
+                        && pvm.sender_backlog(TaskId(rk.id)) <= cfg.socket_buf
                     {
-                        clocks[r] = clocks[r].max(t);
-                        if let Some((kind, begin)) = blocked_since[r].take() {
-                            spans.push(SpanRecord {
-                                rank: r as u32,
-                                name: kind.label().to_string(),
-                                kind,
-                                begin,
-                                end: clocks[r],
-                            });
-                        }
-                        states[r] = RankState::Waiting;
-                        answers[r].answer(None);
+                        rk.resume(rk.clock.max(t), None);
                     }
                 }
             }
@@ -1245,9 +1253,13 @@ where
     // within the program's lifetime (periodic daemon chatter a compute-
     // heavy program never yielded to), then let trailing wire activity
     // (delayed ACKs, in-flight frames) complete so the trace is whole.
-    let end_of_run = clocks.iter().copied().max().unwrap_or(SimTime::ZERO);
+    let finished_at = ranks
+        .iter()
+        .map(|rk| rk.clock)
+        .max()
+        .unwrap_or(SimTime::ZERO);
     while let Some(t) = pvm.next_event_time() {
-        if t > end_of_run {
+        if t > finished_at {
             break;
         }
         deliveries.clear();
@@ -1265,35 +1277,30 @@ where
                 .expect("a rank that posted Done returns its result")
         })
         .collect();
-    let finished_at = clocks.iter().copied().max().unwrap_or(SimTime::ZERO);
     let group_results: Vec<GroupRunResult<T>> = groups
         .iter()
         .zip(map.slices())
         .map(|(g, slice)| {
-            let members = slice.base as usize..(slice.base + slice.p) as usize;
+            let members = &ranks[slice.base as usize..(slice.base + slice.p) as usize];
             GroupRunResult {
                 name: g.name.clone(),
                 base: slice.base,
                 p: slice.p,
                 start: g.start,
                 results: results.drain(..slice.p as usize).collect(),
-                finished_at: members.map(|r| done_at[r]).max().unwrap_or(g.start),
+                finished_at: members.iter().map(|rk| rk.done_at).max().unwrap_or(g.start),
             }
         })
         .collect();
 
     let telemetry = if cfg.telemetry {
-        // Close any span the application never ended.
-        for r in 0..p {
-            while let Some((name, begin)) = open_spans[r].pop() {
-                spans.push(SpanRecord {
-                    rank: r as u32,
-                    name: name.to_string(),
-                    kind: SpanKind::Collective,
-                    begin,
-                    end: clocks[r],
-                });
+        let mut spans = Vec::new();
+        for rk in &mut ranks {
+            // Close any span the application never ended.
+            while let Some((name, begin)) = rk.open_spans.pop() {
+                rk.span(SpanKind::Collective, name, begin);
             }
+            spans.append(&mut rk.spans);
         }
         spans.sort_by(|a, b| {
             (a.begin, a.rank, &a.name, a.end).cmp(&(b.begin, b.rank, &b.name, b.end))
@@ -1328,41 +1335,22 @@ where
             pvm.timer_high_water() as u64,
         );
         reg.set_counter("engine.mailbox_high_water", mailbox_high_water as u64);
-        for r in 0..p {
-            let blocked_ns: u64 = spans
-                .iter()
-                .filter(|s| {
-                    s.rank == r as u32
-                        && matches!(
-                            s.kind,
-                            SpanKind::BlockedRecv | SpanKind::BlockedSend | SpanKind::Barrier
-                        )
-                })
-                .map(|s| s.duration().as_nanos())
-                .sum();
-            reg.set_counter(format!("engine.rank{r}.blocked_ns"), blocked_ns);
+        for rk in &ranks {
+            reg.set_counter(format!("engine.rank{}.blocked_ns", rk.id), rk.blocked_ns);
         }
         // Per-tenant registry scoping: in multi-program runs, roll the
         // rank-level counters up under each tenant's name so a tenant's
         // share of engine time is legible without knowing its task block.
         if map.len() > 1 {
             for (gi, slice) in map.slices().iter().enumerate() {
-                let members = slice.base..slice.base + slice.p;
-                let blocked_ns: u64 = spans
-                    .iter()
-                    .filter(|s| {
-                        members.contains(&s.rank)
-                            && matches!(
-                                s.kind,
-                                SpanKind::BlockedRecv | SpanKind::BlockedSend | SpanKind::Barrier
-                            )
-                    })
-                    .map(|s| s.duration().as_nanos())
-                    .sum();
+                let members = &ranks[slice.base as usize..(slice.base + slice.p) as usize];
                 let name = &slice.name;
                 reg.set_counter(format!("tenant.{name}.ranks"), u64::from(slice.p));
                 reg.set_counter(format!("tenant.{name}.base_task"), u64::from(slice.base));
-                reg.set_counter(format!("tenant.{name}.blocked_ns"), blocked_ns);
+                reg.set_counter(
+                    format!("tenant.{name}.blocked_ns"),
+                    members.iter().map(|rk| rk.blocked_ns).sum(),
+                );
                 reg.set_counter(
                     format!("tenant.{name}.start_ns"),
                     groups[gi].start.as_nanos(),
@@ -2182,5 +2170,306 @@ mod tests {
         });
         assert_eq!(res.results, vec![42]);
         assert!(res.trace.is_empty());
+    }
+
+    /// Rank `r`'s blocked time, summed over its blocked spans.
+    fn blocked_spans_ns(spans: &[SpanRecord], r: u32) -> u64 {
+        spans
+            .iter()
+            .filter(|s| {
+                s.rank == r
+                    && matches!(
+                        s.kind,
+                        SpanKind::BlockedRecv | SpanKind::BlockedSend | SpanKind::Barrier
+                    )
+            })
+            .map(|s| s.duration().as_nanos())
+            .sum()
+    }
+
+    #[test]
+    fn blocked_time_counters_sum_the_blocked_spans() {
+        // Two tenants: a ping-pong pair blocks in `recv`, and a staggered
+        // trio blocks in barriers and behind a 4 KB socket buffer.
+        let mut cfg = quiet_cfg(2);
+        cfg.telemetry = true;
+        cfg.socket_buf = 4096;
+        let res = run_groups(
+            cfg,
+            vec![
+                group("pp", 2, SimTime::ZERO, |ctx: &mut RankCtx| {
+                    for i in 0..5 {
+                        if ctx.rank() == 0 {
+                            ctx.send(1, f64_msg(i, &[1.0]));
+                            let _ = ctx.recv(1);
+                        } else {
+                            let _ = ctx.recv(0);
+                            ctx.compute_time(SimTime::from_millis(1));
+                            ctx.send(0, f64_msg(i, &[2.0]));
+                        }
+                    }
+                    ctx.barrier();
+                }),
+                group("trio", 3, SimTime::from_millis(3), |ctx: &mut RankCtx| {
+                    ctx.compute_time(SimTime::from_millis(u64::from(ctx.rank()) * 4));
+                    ctx.barrier();
+                    let next = (ctx.rank() + 1) % 3;
+                    ctx.send(next, f64_msg(0, &[0.5; 2000]));
+                    let _ = ctx.recv((ctx.rank() + 2) % 3);
+                    ctx.barrier();
+                }),
+            ],
+        );
+        let tel = res.telemetry.expect("telemetry switched on in the config");
+        for kind in [
+            SpanKind::BlockedRecv,
+            SpanKind::BlockedSend,
+            SpanKind::Barrier,
+        ] {
+            assert!(tel.spans.iter().any(|s| s.kind == kind), "no {kind:?} span");
+        }
+        for g in &res.groups {
+            let mut tenant = 0;
+            for r in g.base..g.base + g.p {
+                let want = blocked_spans_ns(&tel.spans, r);
+                assert!(want > 0, "rank {r} never blocked");
+                let key = format!("engine.rank{r}.blocked_ns");
+                assert_eq!(tel.registry.counter(&key), want, "{key}");
+                tenant += want;
+            }
+            let key = format!("tenant.{}.blocked_ns", g.name);
+            assert_eq!(tel.registry.counter(&key), tenant, "{key}");
+        }
+    }
+
+    /// Everything of a run that the host's thread schedule must not move:
+    /// the trace, `finished_at`, the results, the sorted spans and the
+    /// counter registry.
+    type Outcome = (
+        Vec<FrameRecord>,
+        SimTime,
+        Vec<Vec<u64>>,
+        Vec<SpanRecord>,
+        fxnet_telemetry::TelemetryRegistry,
+    );
+
+    fn outcome(res: MultiRunResult<u64>) -> Outcome {
+        let tel = res.telemetry.expect("telemetry on");
+        let results = res.groups.into_iter().map(|g| g.results).collect();
+        (res.trace, res.finished_at, results, tel.spans, tel.registry)
+    }
+
+    fn recv_f64(ctx: &mut RankCtx, src: u32) -> f64 {
+        ctx.recv(src).reader().f64s(1)[0]
+    }
+
+    /// Small programs for the jitter test; between them they exercise
+    /// every rule of the sequencer.
+    fn jitter_programs() -> Vec<(&'static str, SpmdConfig, Vec<GroupSpec<u64>>)> {
+        let cfg = |p: u32, socket_buf: u64| SpmdConfig {
+            telemetry: true,
+            socket_buf,
+            ..quiet_cfg(p)
+        };
+        let ping_pong = |ctx: &mut RankCtx| {
+            let mut v = 0.0;
+            for i in 0..20 {
+                if ctx.rank() == 0 {
+                    ctx.send(1, f64_msg(i, &[v]));
+                    v = recv_f64(ctx, 1);
+                } else {
+                    v = recv_f64(ctx, 0) + 1.0;
+                    ctx.compute_time(SimTime::from_micros(50));
+                    ctx.send(0, f64_msg(i, &[v]));
+                }
+            }
+            v as u64
+        };
+        let all_to_all = |ctx: &mut RankCtx| {
+            let (me, np) = (ctx.rank(), ctx.nprocs());
+            let mut sum = 0.0;
+            for round in 0..2 {
+                ctx.compute_flops(u64::from(me + 1) * 20_000);
+                for d in (0..np).filter(|&d| d != me) {
+                    let len = if d % 2 == 0 { 300 } else { 3 };
+                    ctx.send(d, f64_msg(round, &vec![f64::from(me); len]));
+                }
+                for s in (0..np).filter(|&s| s != me) {
+                    sum += recv_f64(ctx, s);
+                }
+            }
+            sum as u64
+        };
+        let mut heartbeats = SpmdConfig {
+            telemetry: true,
+            deschedule: Some(DescheduleConfig {
+                mean_cpu_between: SimTime::from_millis(3),
+                duration: SimTime::from_millis(1),
+            }),
+            ..quiet_cfg(3)
+        };
+        heartbeats.pvm = SpmdConfig::default().pvm;
+        vec![
+            (
+                "recv ping-pong",
+                cfg(2, 64 * 1024),
+                vec![GroupSpec::single(2, ping_pong)],
+            ),
+            (
+                "small sends that overflow the socket buffer only together",
+                cfg(2, 1000),
+                vec![GroupSpec::single(2, |ctx: &mut RankCtx| {
+                    if ctx.rank() == 0 {
+                        for i in 0..60 {
+                            ctx.send(1, f64_msg(i, &[f64::from(i)]));
+                        }
+                        0
+                    } else {
+                        ctx.compute_time(SimTime::from_millis(20));
+                        (0..60).map(|_| recv_f64(ctx, 0)).sum::<f64>() as u64
+                    }
+                })],
+            ),
+            (
+                "all-to-all",
+                cfg(4, 4096),
+                vec![GroupSpec::single(4, all_to_all)],
+            ),
+            (
+                "barrier with staggered compute",
+                cfg(3, 64 * 1024),
+                vec![GroupSpec::single(3, |ctx: &mut RankCtx| {
+                    let me = ctx.rank();
+                    ctx.compute_time(SimTime::from_millis(u64::from(me)));
+                    ctx.barrier();
+                    ctx.send((me + 1) % 3, f64_msg(0, &[f64::from(me)]));
+                    let v = recv_f64(ctx, (me + 2) % 3);
+                    ctx.compute_time(SimTime::from_micros(u64::from(3 - me) * 300));
+                    ctx.barrier();
+                    v as u64
+                })],
+            ),
+            (
+                "two staggered groups",
+                cfg(2, 4096),
+                vec![
+                    group("ring", 3, SimTime::ZERO, all_to_all),
+                    group("pair", 2, SimTime::from_millis(2), ping_pong),
+                ],
+            ),
+            (
+                "spans",
+                cfg(2, 64 * 1024),
+                vec![GroupSpec::single(2, |ctx: &mut RankCtx| {
+                    let other = 1 - ctx.rank();
+                    let v = ctx.phase("outer", |ctx| {
+                        ctx.phase("inner", |ctx| ctx.compute_time(SimTime::from_micros(200)));
+                        ctx.send(other, f64_msg(0, &[f64::from(other)]));
+                        recv_f64(ctx, other)
+                    });
+                    // Left open: the engine closes it at the rank's end.
+                    ctx.phase_begin("tail");
+                    ctx.compute_time(SimTime::from_micros(100));
+                    v as u64
+                })],
+            ),
+            (
+                "sends paced by the wire",
+                cfg(2, 4096),
+                vec![GroupSpec::single(2, |ctx: &mut RankCtx| {
+                    if ctx.rank() == 0 {
+                        for i in 0..4 {
+                            ctx.send(1, f64_msg(i, &[1.0; 2500]));
+                        }
+                        0
+                    } else {
+                        (0..4).map(|_| recv_f64(ctx, 0)).sum::<f64>() as u64
+                    }
+                })],
+            ),
+            (
+                "a late receiver under heartbeats and deschedules",
+                heartbeats,
+                vec![GroupSpec::single(3, |ctx: &mut RankCtx| {
+                    let me = ctx.rank();
+                    if me == 2 {
+                        ctx.compute_time(SimTime::from_millis(30));
+                        (0..10)
+                            .map(|_| recv_f64(ctx, 0) + recv_f64(ctx, 1))
+                            .sum::<f64>() as u64
+                    } else {
+                        for i in 0..10 {
+                            ctx.compute_time(SimTime::from_millis(u64::from(me) + 1));
+                            ctx.send(2, f64_msg(i, &[f64::from(i)]));
+                        }
+                        0
+                    }
+                })],
+            ),
+        ]
+    }
+
+    #[test]
+    fn seeded_jitter_moves_no_decision() {
+        // A seeded delay where the threads meet reorders when posts
+        // arrive, waits park and the sequencer looks; none of that may
+        // reach anything the run shows.
+        for (name, cfg, groups) in jitter_programs() {
+            let run_with = |jitter_seed: Option<u64>| {
+                jitter::install(jitter_seed.map(SimRng::new));
+                let groups = groups
+                    .iter()
+                    .map(|g| GroupSpec {
+                        name: g.name.clone(),
+                        program: Arc::clone(&g.program),
+                        ..*g
+                    })
+                    .collect();
+                let out = outcome(run(cfg.clone(), groups, RunOptions::default()).expect(name));
+                jitter::install(None);
+                out
+            };
+            let want = run_with(None);
+            for seed in 1..=20 {
+                assert!(run_with(Some(seed)) == want, "{name}: jitter seed {seed}");
+            }
+        }
+    }
+}
+
+/// A seeded delay at the points where a run's threads meet: before a
+/// rank posts, before a waiting rank parks and before the sequencer files
+/// posts. A test turns it on for its own thread; `run` hands each rank
+/// thread it spawns a stream forked from the caller's, so tests running
+/// beside it are not slowed.
+#[cfg(test)]
+mod jitter {
+    use fxnet_sim::SimRng;
+    use std::cell::RefCell;
+    use std::time::Duration;
+
+    thread_local! {
+        static RNG: RefCell<Option<SimRng>> = const { RefCell::new(None) };
+    }
+
+    /// Turn this thread's jitter on with `rng`, or off with `None`.
+    pub(super) fn install(rng: Option<SimRng>) {
+        RNG.set(rng);
+    }
+
+    /// A stream for a thread this one spawns, or `None` while this
+    /// thread's jitter is off.
+    pub(super) fn fork(label: u64) -> Option<SimRng> {
+        RNG.with_borrow_mut(|rng| rng.as_mut().map(|rng| rng.fork(label)))
+    }
+
+    /// Go on, yield, or sleep 0–50 µs, as this thread's stream says.
+    pub(super) fn point() {
+        let draw = RNG.with_borrow_mut(|rng| rng.as_mut().map(|rng| rng.below(53)));
+        match draw {
+            None | Some(0) => {}
+            Some(1) => std::thread::yield_now(),
+            Some(us) => std::thread::sleep(Duration::from_micros(us - 2)),
+        }
     }
 }
