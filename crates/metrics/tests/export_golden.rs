@@ -7,26 +7,29 @@
 //! artifacts are written: the rollup and scaling JSON of
 //! `fabric_health.json`, the weather JSONL, the Perfetto critical-path
 //! slices and weather counter tracks, and the cause DAG, critical
-//! paths and violation blame of `blame.json`. Each text is pinned by
+//! paths and violation blame of `blame.json`, and the Prometheus
+//! snapshot `fill_registry` makes of it. Each text is pinned by
 //! length and FNV-1a digest in [`GOLDEN`], recorded from the hand-built
 //! renderers these artifacts came from first. A change to how an
 //! artifact is rendered must leave every row unchanged.
 //!
 //! Every JSON document and every JSONL line must also parse back
-//! through `serde::json` and re-render to the same text.
+//! through `serde::json` and re-render to the same text, and every
+//! Prometheus sample must parse back to the registry's value.
 //!
 //! On a mismatch the test prints the whole table as it now reads.
 
 use fxnet::causal::{blame_violation, chrome_trace, collective_paths, dag_value, CauseDag};
-use fxnet::metrics::{counter_events, report_jsonl, FabricSampler};
+use fxnet::metrics::{counter_events, fill_registry, report_jsonl, FabricSampler};
 use fxnet::mix::MixTenant;
 use fxnet::qos::QosNetwork;
 use fxnet::sim::{RATE_100M, RATE_10M};
+use fxnet::telemetry::{parse_prometheus, prometheus_text, TelemetryRegistry};
 use fxnet::watch::WatchConfig;
 use fxnet::{KernelKind, SimTime, TestbedBuilder, TopologySpec};
 
 /// `(artifact, bytes, FNV-1a 64 of the text)`.
-const GOLDEN: [(&str, usize, u64); 8] = [
+const GOLDEN: [(&str, usize, u64); 9] = [
     ("rollup", 6930, 0x63fb8a63136cd213),
     ("scaling", 789, 0x37d46e185b051414),
     ("weather_jsonl", 86820, 0xf816b1d04f31056f),
@@ -35,6 +38,7 @@ const GOLDEN: [(&str, usize, u64); 8] = [
     ("dag", 368181, 0xf58afc1b5093cd3b),
     ("paths", 613, 0xb88a32c4d46e7b93),
     ("blame", 375, 0xd6f7bd0953a5fb22),
+    ("prometheus", 9352, 0x131e5b38542f2dda),
 ];
 
 fn fnv1a(text: &str) -> u64 {
@@ -49,7 +53,23 @@ fn round_trips(name: &str, doc: &str) {
     assert_eq!(serde::json::to_string(&v), doc, "{name}: re-render differs");
 }
 
-fn exports() -> Vec<(&'static str, String)> {
+/// Parse the snapshot back and require every sample, in order, to be
+/// the registry's value to the bit: counters first, then gauges.
+fn prometheus_round_trips(reg: &TelemetryRegistry, text: &str) {
+    let parsed = parse_prometheus(text).unwrap_or_else(|e| panic!("prometheus: {e}"));
+    let want: Vec<(String, f64)> = reg
+        .counters()
+        .map(|(name, v)| (name.to_string(), v as f64))
+        .chain(reg.gauges().map(|(name, v)| (name.to_string(), v)))
+        .collect();
+    assert_eq!(parsed.len(), want.len(), "prometheus: one sample per value");
+    for ((got_name, got), (name, v)) in parsed.iter().zip(&want) {
+        assert_eq!(got_name, name, "prometheus: sample order");
+        assert_eq!(got.to_bits(), v.to_bits(), "prometheus: {name}");
+    }
+}
+
+fn exports() -> (Vec<(&'static str, String)>, TelemetryRegistry) {
     let mut spec = TopologySpec::two_switches_trunk(9, RATE_100M);
     spec.trunks[0].rate_bps = RATE_10M;
     spec.attachments = (0..9).map(|h| h % 2).collect();
@@ -96,8 +116,10 @@ fn exports() -> Vec<(&'static str, String)> {
         .expect("the over-driver latches a violation");
     let blame = blame_violation(event, causal, &out.map);
     let dag = CauseDag::build(causal);
+    let mut reg = TelemetryRegistry::new();
+    fill_registry(&report, &mut reg);
 
-    vec![
+    let texts = vec![
         ("rollup", serde::json::to_string(&report.rollup)),
         ("scaling", serde::json::to_string(&report.scaling)),
         ("weather_jsonl", report_jsonl(&report)),
@@ -112,14 +134,18 @@ fn exports() -> Vec<(&'static str, String)> {
         ("dag", serde::json::to_string(&dag_value(&dag, &out.map))),
         ("paths", serde::json::to_string(&paths)),
         ("blame", serde::json::to_string(&blame)),
-    ]
+        ("prometheus", prometheus_text(&reg)),
+    ];
+    (texts, reg)
 }
 
 #[test]
 fn export_bytes_match_the_golden_table() {
-    let got = exports();
+    let (got, reg) = exports();
     for (name, text) in &got {
-        if name.ends_with("jsonl") {
+        if *name == "prometheus" {
+            prometheus_round_trips(&reg, text);
+        } else if name.ends_with("jsonl") {
             assert!(text.ends_with('\n'), "{name}: one line per record");
             for line in text.lines() {
                 round_trips(name, line);
