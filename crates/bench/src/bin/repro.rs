@@ -2086,7 +2086,7 @@ struct HealthCell {
 /// the traces byte-identical, then distills the instrumented run.
 fn health_cell(prog: SweepProg, seed: u64, div: usize) -> HealthCell {
     use fxnet::causal::{chrome_trace, collective_paths, contended_intervals};
-    use fxnet::metrics::{counter_events, FabricSampler, HotspotConfig, SamplerConfig};
+    use fxnet::metrics::{counter_events, FabricSampler, HotspotConfig};
     use fxnet::TestbedBuilder;
     let spec = oversubscribed_trunk2(prog.hosts());
     let build = |spec: &fxnet::TopologySpec| {
@@ -2117,12 +2117,9 @@ fn health_cell(prog: SweepProg, seed: u64, div: usize) -> HealthCell {
     // to drain at 100 Mb/s, while the oversubscribed trunk stays pinned
     // for entire communication epochs — so 80 ms of sustained heat
     // separates the congested backbone from ordinary burst traffic.
-    let sampler = FabricSampler::with_config(SamplerConfig {
-        hotspot: HotspotConfig {
-            k: 8,
-            ..HotspotConfig::default()
-        },
-        ..SamplerConfig::default()
+    let sampler = FabricSampler::with_hotspot(HotspotConfig {
+        k: 8,
+        ..HotspotConfig::default()
     });
     let (mix, cost) = build(&spec);
     let out = mix

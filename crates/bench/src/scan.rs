@@ -278,7 +278,6 @@ pub fn streamed_scan(
 mod tests {
     use super::*;
     use crate::tests::multipass_report;
-    use fxnet::metrics::MatrixAccum;
     use fxnet::trace::{load_store, save_store_chunked, ChunkedWriter, TraceStore};
     use fxnet::FrameRecord;
     use fxnet::{sim::Frame, sim::FrameKind, HostId};
@@ -287,9 +286,11 @@ mod tests {
     /// multi-pass analyses over its view — the report composed from the
     /// view kernels, a pass for the harmonic series, the full
     /// `sliding_window_bandwidth` vector reduced to its peak, and the
-    /// materialized matrix ladder (`MatrixAccum`, every window kept)
-    /// reduced to its summaries. It shares none of [`streamed_scan`]'s
-    /// folds, at O(trace) peak memory.
+    /// matrix ladder fed frame by frame from the view. Its kernels share
+    /// none of [`streamed_scan`]'s folds, at O(trace) peak memory; the
+    /// ladder is the same `ScalingAccum`, so here it checks that the
+    /// scan's chunked feed equals one whole-trace fold (its equality to
+    /// every window kept whole is held in `fxnet-metrics`).
     fn materialized_scan(path: &Path, cfg: &ScanConfig) -> Result<ScanOutcome, TraceIoError> {
         let store = load_store(path)?;
         let view = store.view();
@@ -304,11 +305,11 @@ mod tests {
                 .fold(f64::NEG_INFINITY, |m, &(_, bw)| m.max(bw))
         });
 
-        let mut matrices = MatrixAccum::new(cfg.matrix_base_ns);
+        let mut matrices = ScalingAccum::new(cfg.matrix_base_ns, &cfg.matrix_scales);
         for r in view.iter() {
-            matrices.record(r.time, r.src.0, r.dst.0, u64::from(r.wire_len));
+            matrices.record(r.time.as_nanos(), r.src.0, r.dst.0);
         }
-        let relations = matrices.finalize(&cfg.matrix_scales).summaries();
+        let relations = matrices.finalize();
 
         let frames = store.len() as u64;
         let rendered = render(

@@ -510,6 +510,34 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_bandwidth_is_a_typed_error_not_a_panic() {
+        let err = TestbedBuilder::quiet(2)
+            .bandwidth_bps(0)
+            .build()
+            .run_kernel(KernelKind::Seq, 100)
+            .unwrap_err();
+        assert!(
+            matches!(err, fxnet_fx::FxnetError::InvalidConfig(_)),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn a_loss_outside_zero_to_one_is_a_typed_error() {
+        for p in [2.0, -0.1, f64::NAN] {
+            let err = TestbedBuilder::quiet(2)
+                .loss(p)
+                .build()
+                .run_kernel(KernelKind::Seq, 100)
+                .unwrap_err();
+            assert!(
+                matches!(err, fxnet_fx::FxnetError::InvalidConfig(_)),
+                "loss {p}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn invalid_testbed_surfaces_a_typed_error() {
         let mut tb = Testbed::quiet(4);
         tb.config_mut().hosts = 2; // fewer hosts than ranks

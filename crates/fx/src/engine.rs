@@ -820,7 +820,8 @@ where
 ///
 /// # Errors
 /// [`FxnetError::InvalidConfig`] for an empty group list, a zero-rank
-/// group, a deschedule with a zero mean, or a topology that fails
+/// group, a deschedule with a zero mean, a zero bus bandwidth, a loss
+/// probability that is NaN or outside `[0, 1]`, or a topology that fails
 /// `TopologySpec::validate` or attaches too few hosts;
 /// [`FxnetError::Deadlock`] when no rank can run and the network is idle;
 /// [`FxnetError::SimTimeExceeded`] when a rank's clock, or the network's
@@ -864,6 +865,20 @@ where
         return Err(FxnetError::InvalidConfig(
             "deschedule mean_cpu_between is zero".into(),
         ));
+    }
+    // A frame's wire time divides by the bandwidth, and the loss draw
+    // is a probability: NaN would never drop, above 1 always.
+    let ether = &cfg.pvm.net.ether;
+    if ether.bandwidth_bps == 0 {
+        return Err(FxnetError::InvalidConfig(
+            "bus bandwidth_bps is zero".into(),
+        ));
+    }
+    if !(0.0..=1.0).contains(&ether.drop_prob) {
+        return Err(FxnetError::InvalidConfig(format!(
+            "loss probability {} is outside [0, 1]",
+            ether.drop_prob
+        )));
     }
     let map = TenantMap::pack(groups.iter().map(|g| (g.name.clone(), g.p)));
     let total = map.total_ranks();

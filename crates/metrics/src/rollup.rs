@@ -13,17 +13,18 @@
 //! causal critical paths blame, so the weather map and the provenance
 //! report can be cross-checked interval against interval.
 
-use crate::rings::MultiResRing;
 use fxnet_sim::{LinkWindow, SimTime};
 use fxnet_topo::{NodeKind, TopologySpec};
 use fxnet_trace::StreakLatch;
+use std::collections::BTreeMap;
+
+/// The detection window, ns: 10 ms. Link windows are kept at this
+/// width and no other.
+pub const WINDOW_NS: u64 = 10_000_000;
 
 /// Hotspot detection parameters.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct HotspotConfig {
-    /// Ring level used for detection (index into the ladder; 1 = 10 ms
-    /// at the default base).
-    pub level: usize,
     /// Utilization fraction at or above which a window is over.
     pub util_threshold: f64,
     /// High-water queue depth (frames) at or above which a window is
@@ -36,7 +37,6 @@ pub struct HotspotConfig {
 impl Default for HotspotConfig {
     fn default() -> HotspotConfig {
         HotspotConfig {
-            level: 1,
             util_threshold: 0.85,
             depth_threshold: 8,
             k: 4,
@@ -92,7 +92,7 @@ pub struct Hotspot {
     /// first qualifying streak).
     #[serde(rename = "flagged_at_ns")]
     pub flagged_at: SimTime,
-    /// All flagged window indices (detection level), ascending — every
+    /// All flagged detection window indices, ascending — every
     /// window belonging to a streak of length ≥ k, both directions
     /// merged.
     pub windows: Vec<u64>,
@@ -155,39 +155,40 @@ fn streaks(lo: u64, hi: u64, k: usize, mut over: impl FnMut(u64) -> bool) -> Vec
     runs
 }
 
-/// Build the full rollup from the sampler's rings. With a topology
-/// spec, links are grouped under their nodes (a trunk belongs to both
-/// endpoints); without one, only per-link and fabric aggregates are
-/// produced.
+/// Build the full rollup from the sampler's [`WINDOW_NS`] link windows.
+/// With a topology spec, links are grouped under their nodes (a trunk
+/// belongs to both endpoints); without one, only per-link and fabric
+/// aggregates are produced.
 pub fn rollup(
-    rings: &[(String, MultiResRing)],
+    link_windows: &[(String, BTreeMap<u64, LinkWindow>)],
     spec: Option<&TopologySpec>,
     cfg: &HotspotConfig,
 ) -> FabricRollup {
-    let window_ns = rings
-        .first()
-        .map_or(0, |(_, r)| r.level_bin_ns(cfg.level.min(r.depth() - 1)));
+    let window_ns = if link_windows.is_empty() {
+        0
+    } else {
+        WINDOW_NS
+    };
 
     let mut links = Vec::new();
-    for (label, ring) in rings {
-        let level = cfg.level.min(ring.depth() - 1);
-        let wns = ring.level_bin_ns(level);
+    for (label, wins) in link_windows {
+        let mut total = LinkWindow::default();
         let mut peak_util = 0.0f64;
         let mut util_sum = 0.0f64;
         let mut peak_depth = 0u32;
-        let mut n = 0u64;
-        for (_, w) in ring.windows(level) {
-            let u = w.utilization(wns);
+        for w in wins.values() {
+            let u = w.utilization(WINDOW_NS);
+            total.fold(w);
             peak_util = peak_util.max(u);
             util_sum += u;
             peak_depth = peak_depth.max(w.depth_max);
-            n += 1;
         }
+        let n = wins.len() as u64;
         links.push(LinkHealth {
             label: label.clone(),
-            window_ns: wns,
+            window_ns: WINDOW_NS,
             windows: n,
-            total: ring.total(),
+            total,
             peak_utilization: peak_util,
             mean_utilization: if n == 0 { 0.0 } else { util_sum / n as f64 },
             peak_depth,
@@ -244,21 +245,18 @@ pub fn rollup(
     }
     let fabric = group("fabric", (0..links.len()).collect());
 
-    // Hotspot detection: per direction, dense walk of the detection
-    // level; then merge directions of the same stripped link.
+    // Hotspot detection: per direction, dense walk of the touched
+    // span; then merge directions of the same stripped link.
     let mut flagged: Vec<Hotspot> = Vec::new();
-    for (label, ring) in rings {
-        let level = cfg.level.min(ring.depth() - 1);
-        let wns = ring.level_bin_ns(level);
-        let bounds = {
-            let mut it = ring.windows(level).map(|(w, _)| w);
-            let lo = it.next();
-            lo.map(|lo| (lo, ring.windows(level).map(|(w, _)| w).last().unwrap_or(lo)))
+    for (label, wins) in link_windows {
+        let (Some((&lo, _)), Some((&hi, _))) = (wins.first_key_value(), wins.last_key_value())
+        else {
+            continue;
         };
-        let Some((lo, hi)) = bounds else { continue };
         let over = |w: u64| {
-            ring.bucket(level, w).is_some_and(|win| {
-                win.utilization(wns) >= cfg.util_threshold || win.depth_max >= cfg.depth_threshold
+            wins.get(&w).is_some_and(|win| {
+                win.utilization(WINDOW_NS) >= cfg.util_threshold
+                    || win.depth_max >= cfg.depth_threshold
             })
         };
         let runs = streaks(lo, hi, cfg.k.max(1), over);
@@ -271,7 +269,7 @@ pub fn rollup(
         let mut flagged_at = None;
         for w in lo..=hi {
             if latch.update(over(w)) {
-                flagged_at = Some(SimTime::from_nanos((w + 1) * wns));
+                flagged_at = Some(SimTime::from_nanos((w + 1) * WINDOW_NS));
                 break;
             }
         }
@@ -281,8 +279,8 @@ pub fn rollup(
         for &(s, e) in &runs {
             for w in s..=e {
                 windows.push(w);
-                if let Some(win) = ring.bucket(level, w) {
-                    peak_utilization = peak_utilization.max(win.utilization(wns));
+                if let Some(win) = wins.get(&w) {
+                    peak_utilization = peak_utilization.max(win.utilization(WINDOW_NS));
                     peak_depth = peak_depth.max(win.depth_max);
                 }
             }
@@ -355,14 +353,11 @@ mod tests {
         }
     }
 
-    fn ring_with(windows: &[(u64, f64)]) -> MultiResRing {
-        // Base 1 ms; detection level 1 is 10 ms, so paint whole 10 ms
-        // buckets by writing their first base window with 10× busy.
-        let mut r = MultiResRing::new(1_000_000);
-        for &(w10, frac) in windows {
-            r.push(w10 * 10, &busy(frac * 10.0, 1_000_000));
-        }
-        r
+    fn link_with(windows: &[(u64, f64)]) -> BTreeMap<u64, LinkWindow> {
+        windows
+            .iter()
+            .map(|&(w, frac)| (w, busy(frac, WINDOW_NS)))
+            .collect()
     }
 
     #[test]
@@ -376,17 +371,16 @@ mod tests {
     #[test]
     fn hotspot_needs_k_consecutive_windows() {
         let cfg = HotspotConfig {
-            level: 1,
             util_threshold: 0.8,
             depth_threshold: 1000,
             k: 3,
         };
         // Two over windows, gap, two more: no streak of 3.
-        let calm = ring_with(&[(0, 0.9), (1, 0.9), (3, 0.9), (4, 0.9)]);
+        let calm = link_with(&[(0, 0.9), (1, 0.9), (3, 0.9), (4, 0.9)]);
         let r = rollup(&[("trunk:n0-n1:fwd".into(), calm)], None, &cfg);
         assert!(r.hotspots.is_empty());
         // Three consecutive over windows: latched.
-        let hot = ring_with(&[(5, 0.9), (6, 0.95), (7, 0.9), (9, 0.9)]);
+        let hot = link_with(&[(5, 0.9), (6, 0.95), (7, 0.9), (9, 0.9)]);
         let r = rollup(&[("trunk:n0-n1:fwd".into(), hot)], None, &cfg);
         assert_eq!(r.hotspots.len(), 1);
         let h = &r.hotspots[0];
@@ -404,13 +398,12 @@ mod tests {
     #[test]
     fn directions_merge_under_one_stripped_label() {
         let cfg = HotspotConfig {
-            level: 1,
             util_threshold: 0.8,
             depth_threshold: 1000,
             k: 2,
         };
-        let fwd = ring_with(&[(0, 0.9), (1, 0.9)]);
-        let rev = ring_with(&[(4, 0.9), (5, 0.9)]);
+        let fwd = link_with(&[(0, 0.9), (1, 0.9)]);
+        let rev = link_with(&[(4, 0.9), (5, 0.9)]);
         let r = rollup(
             &[
                 ("trunk:n0-n1:fwd".into(), fwd),
@@ -430,13 +423,13 @@ mod tests {
         // 4 hosts: h0, h1 on sw0; h2, h3 on sw1.
         let spec = TopologySpec::two_switches_trunk(4, RATE_10M);
         let cfg = HotspotConfig::default();
-        let rings: Vec<(String, MultiResRing)> = vec![
-            ("trunk:n0-n1:fwd".into(), ring_with(&[(0, 0.5)])),
-            ("trunk:n0-n1:rev".into(), ring_with(&[(0, 0.1)])),
-            ("host:h0:up".into(), ring_with(&[(0, 0.2)])),
-            ("host:h2:up".into(), ring_with(&[(0, 0.2)])),
+        let links: Vec<(String, BTreeMap<u64, LinkWindow>)> = vec![
+            ("trunk:n0-n1:fwd".into(), link_with(&[(0, 0.5)])),
+            ("trunk:n0-n1:rev".into(), link_with(&[(0, 0.1)])),
+            ("host:h0:up".into(), link_with(&[(0, 0.2)])),
+            ("host:h2:up".into(), link_with(&[(0, 0.2)])),
         ];
-        let r = rollup(&rings, Some(&spec), &cfg);
+        let r = rollup(&links, Some(&spec), &cfg);
         assert_eq!(r.nodes.len(), 2);
         // Both switches own the trunk; only the attached hosts' ports.
         let n0 = &r.nodes[0];

@@ -47,8 +47,9 @@ fn sampler_attach_detach_leaves_traces_byte_identical() {
                 assert_eq!(plain.results, sampled.results);
                 assert_eq!(plain.finished_at, sampled.finished_at);
 
-                // And the observability side actually observed: rings
-                // fed, matrices fed, totals conserved against the trace.
+                // And the observability side actually observed: link
+                // windows and matrices fed, totals conserved against the
+                // trace.
                 let mut sampler = sampler;
                 let stats = sampled.link_stats.as_ref().expect("link stats on");
                 sampler.ingest_links(stats);
@@ -57,12 +58,41 @@ fn sampler_attach_detach_leaves_traces_byte_identical() {
                     spec.as_ref(),
                 );
                 let report = sampler.finalize(spec.as_ref());
-                assert!(!report.rings.is_empty());
-                for (label, ring) in &report.rings {
-                    ring.check_consistency()
-                        .unwrap_or_else(|e| panic!("{label}: {e}"));
-                }
                 let traced: u64 = plain.trace.len() as u64;
+                let traced_bytes: u64 = plain.trace.iter().map(|r| u64::from(r.wire_len)).sum();
+                // (frames, bytes) over the link totals whose label passes `pick`.
+                let sum = |pick: &dyn Fn(&str) -> bool| {
+                    let links = report.rollup.links.iter().filter(|l| pick(&l.label));
+                    links.fold((0, 0), |(f, b), l| (f + l.total.frames, b + l.total.bytes))
+                };
+                let case = format!(
+                    "{kernel:?} topo={:?} seed={seed}",
+                    spec.as_ref().map(|s| s.id.clone())
+                );
+                if spec.is_none() {
+                    let bus = sum(&|l| l == "seg:bus");
+                    assert_eq!(
+                        bus,
+                        (traced, traced_bytes),
+                        "{case}: the segment carried the trace"
+                    );
+                } else {
+                    let host = |dir: &'static str| {
+                        move |l: &str| l.starts_with("host:") && l.ends_with(dir)
+                    };
+                    let down = sum(&host(":down"));
+                    let up = sum(&host(":up"));
+                    assert_eq!(
+                        down,
+                        (traced, traced_bytes),
+                        "{case}: the down ports carried the trace"
+                    );
+                    assert_eq!(
+                        up,
+                        (traced, traced_bytes),
+                        "{case}: the up ports carried the trace"
+                    );
+                }
                 assert_eq!(
                     report.scaling[0].total_packets, traced,
                     "tap saw every delivered frame exactly once"

@@ -16,6 +16,9 @@ use fxnet_trace::{
 use fxnet_watch::{StreamWatch, TenantContract, WatchConfig, WatchReport};
 use std::sync::{Arc, Mutex};
 
+/// Quiet gap separating bursts in the interference analysis.
+const BURST_GAP: SimTime = SimTime::from_millis(10);
+
 /// Everything measured about one admitted tenant.
 pub struct TenantOutcome {
     /// Tenant name.
@@ -166,7 +169,6 @@ pub struct Mix {
     net: QosNetwork,
     tenants: Vec<MixTenant>,
     solo_baselines: bool,
-    burst_gap: SimTime,
     spectrum_bin: SimTime,
     watch: Option<WatchConfig>,
     causal: bool,
@@ -183,7 +185,6 @@ impl Mix {
             net: QosNetwork::ethernet_10mbps(),
             tenants: Vec::new(),
             solo_baselines: true,
-            burst_gap: SimTime::from_millis(10),
             spectrum_bin: SimTime::from_millis(10),
             watch: None,
             causal: false,
@@ -209,12 +210,6 @@ impl Mix {
     /// speed when only the mixed trace matters).
     pub fn solo_baselines(mut self, on: bool) -> Mix {
         self.solo_baselines = on;
-        self
-    }
-
-    /// Quiet gap separating bursts in the interference analysis.
-    pub fn burst_gap(mut self, gap: SimTime) -> Mix {
-        self.burst_gap = gap;
         self
     }
 
@@ -260,7 +255,6 @@ impl Mix {
             net,
             tenants,
             solo_baselines,
-            burst_gap,
             spectrum_bin,
             watch,
             causal,
@@ -405,7 +399,7 @@ impl Mix {
         // Per-tenant bursts for the collision analysis, fused over the
         // tenant views.
         let bursts: Vec<Vec<Burst>> = (0..demuxed.tenants())
-            .map(|i| demuxed.tenant(i).detect_bursts(burst_gap))
+            .map(|i| demuxed.tenant(i).detect_bursts(BURST_GAP))
             .collect();
 
         let mut outcomes = Vec::new();

@@ -38,8 +38,8 @@ pub struct LinkWindow {
 
 impl LinkWindow {
     /// Fold another window into this one: counters add, the high-water
-    /// depth takes the max. This is the *exact* downsampling rule the
-    /// multi-resolution rings in `fxnet-metrics` are proptested against.
+    /// depth takes the max. This is the *exact* downsampling rule
+    /// `fxnet-metrics` widens 1 ms samples into its 10 ms link windows by.
     pub fn fold(&mut self, o: &LinkWindow) {
         self.bytes += o.bytes;
         self.frames += o.frames;
