@@ -865,7 +865,6 @@ fn watch_live(c: &mut Ctx) {
     header("Live watch: streaming contract compliance on the shared wire");
     use fxnet::mix::MixTenant;
     use fxnet::telemetry::write_prometheus;
-    use fxnet::watch::WatchConfig;
     use fxnet::TestbedBuilder;
     let metrics_out = c.metrics_out.as_deref();
     let ctx = &c.exps;
@@ -901,7 +900,7 @@ fn watch_live(c: &mut Ctx) {
             )
             .with_claim_scale(0.125),
         )
-        .watch(WatchConfig::default())
+        .watch()
         .run();
     for r in &out.rejected {
         println!("rejected: {r}");
@@ -942,7 +941,6 @@ fn blame_attrib(c: &mut Ctx) {
         ViolationBlame,
     };
     use fxnet::mix::MixTenant;
-    use fxnet::watch::WatchConfig;
     use fxnet::TestbedBuilder;
     let metrics_out = c.metrics_out.as_deref();
     let ctx = &c.exps;
@@ -977,7 +975,7 @@ fn blame_attrib(c: &mut Ctx) {
             )
             .with_claim_scale(0.125),
         )
-        .watch(WatchConfig::default())
+        .watch()
         .run();
     let report = out.watch.as_ref().expect("watch was enabled");
     let run = out.causal.as_ref().expect("causal capture was enabled");
@@ -2122,10 +2120,7 @@ fn health_cell(prog: SweepProg, seed: u64, div: usize) -> HealthCell {
         ..HotspotConfig::default()
     });
     let (mix, cost) = build(&spec);
-    let out = mix
-        .tap(sampler.tap())
-        .sample_links(Some(sampler.bin_ns()))
-        .run();
+    let out = mix.tap(sampler.tap()).sample_links(true).run();
     assert_eq!(
         plain.trace,
         out.trace,

@@ -185,7 +185,7 @@ fn watcher_violation_blames_the_overdriving_tenant() {
     };
     let out = Mix::new(c.clone())
         .solo_baselines(false)
-        .watch(fxnet_watch::WatchConfig::default())
+        .watch()
         .causal(true)
         .tenant(tenant("honest", 0, 1.0))
         .tenant(tenant("liar", 30, 0.1))

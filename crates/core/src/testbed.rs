@@ -358,7 +358,7 @@ mod tests {
         let tb = Testbed::quiet(4);
         let plain = tb.run_kernel(KernelKind::Seq, 100).unwrap();
         let opts = RunOptions {
-            sample_links: Some(1_000_000),
+            sample_links: true,
             ..RunOptions::default()
         };
         let sampled = tb.run_kernel_opts(KernelKind::Seq, 100, opts).unwrap();

@@ -629,10 +629,11 @@ pub struct RunOptions {
     /// cause ids reference). Tagging rides the token side-table, so the
     /// trace stays byte-identical with capture on or off.
     pub causal: bool,
-    /// Enable passive per-link sampling at the given base window (ns) —
-    /// the `fxnet-metrics` weather-map feed. Strictly observational: the
-    /// trace is byte-identical with sampling on or off.
-    pub sample_links: Option<u64>,
+    /// Enable passive per-link sampling in [`fxnet_sim::LINK_WINDOW_NS`]
+    /// windows — the `fxnet-metrics` weather-map feed. Strictly
+    /// observational: the trace is byte-identical with sampling on or
+    /// off.
+    pub sample_links: bool,
 }
 
 impl RunOptions {

@@ -11,9 +11,8 @@
 //! so byte-identical reports yield byte-identical artifacts regardless
 //! of thread count or host.
 
-use crate::rollup::WINDOW_NS;
 use crate::sampler::{WeatherReport, BIN_NS, SCALES};
-use fxnet_sim::SimTime;
+use fxnet_sim::{SimTime, LINK_WINDOW_NS};
 use fxnet_telemetry::{labeled, to_jsonl, TelemetryRegistry, TraceArgs, TraceEvent};
 use serde::Serialize;
 
@@ -84,7 +83,7 @@ pub fn report_jsonl(r: &WeatherReport) -> String {
         pairs: r.pairs,
     };
     let windows = r.links.iter().flat_map(|(label, wins)| {
-        wins.iter().map(move |(&w, win)| WindowLine {
+        wins.windows().map(move |(w, win)| WindowLine {
             t: "w",
             link: label.clone(),
             w,
@@ -96,7 +95,7 @@ pub fn report_jsonl(r: &WeatherReport) -> String {
             collisions: win.collisions,
             retx_bytes: win.retx_bytes,
             depth_max: win.depth_max,
-            util: win.utilization(WINDOW_NS),
+            util: win.utilization(),
         })
     });
     let scaling = r.scaling.iter().map(|s| ScalingLine {
@@ -242,16 +241,16 @@ pub fn counter_events(r: &WeatherReport) -> Vec<TraceEvent> {
             out.push(TraceEvent::counter(format!("depth {label}"), ts_ns, depth));
         };
         let mut last = None;
-        for (&w, win) in wins {
+        for (w, win) in wins.windows() {
             sample(
-                w * WINDOW_NS,
-                win.utilization(WINDOW_NS),
+                w * LINK_WINDOW_NS,
+                win.utilization(),
                 u64::from(win.depth_max),
             );
             last = Some(w);
         }
         if let Some(w) = last {
-            sample((w + 1) * WINDOW_NS, 0.0, 0);
+            sample((w + 1) * LINK_WINDOW_NS, 0.0, 0);
         }
     }
     out
@@ -282,15 +281,14 @@ mod tests {
         // Six 10 ms detection windows, enough for the default k = 4
         // streak to latch a hotspot.
         let mut series = LinkSeries::new();
-        for w in 0..60 {
+        for w in 0..6 {
             let win = series.window_mut(w);
-            win.bytes = 1000;
-            win.frames = 1;
-            win.busy_ns = 900_000;
+            win.bytes = 10_000;
+            win.frames = 10;
+            win.busy_ns = 9_000_000;
             win.depth_max = 3;
         }
         sampler.ingest_links(&LinkStats {
-            bin_ns: 1_000_000,
             links: vec![("trunk:n0-n1:fwd".to_string(), series)],
         });
         sampler.finalize(None)
@@ -343,11 +341,11 @@ mod tests {
     }
 
     /// The stream, the counters and the hotspot all index windows at the
-    /// width the rollup detected at, [`WINDOW_NS`].
+    /// width the rollup detected at, [`LINK_WINDOW_NS`].
     #[test]
     fn exports_follow_the_configured_detection_level() {
         let r = report();
-        assert_eq!(r.rollup.window_ns, WINDOW_NS);
+        assert_eq!(r.rollup.window_ns, LINK_WINDOW_NS);
         let hot = r.hotspot("trunk:n0-n1").expect("six hot 10 ms windows");
         assert_eq!(hot.windows, (0..6).collect::<Vec<u64>>());
 
@@ -366,7 +364,7 @@ mod tests {
             .filter(|e| e.name == "util trunk:n0-n1:fwd")
             .map(|e| e.ts.unwrap())
             .collect();
-        let per_window_us = (WINDOW_NS / 1_000) as f64;
+        let per_window_us = (LINK_WINDOW_NS / 1_000) as f64;
         let expect: Vec<f64> = (0..=6).map(|w| w as f64 * per_window_us).collect();
         assert_eq!(
             util, expect,

@@ -13,14 +13,9 @@
 //! causal critical paths blame, so the weather map and the provenance
 //! report can be cross-checked interval against interval.
 
-use fxnet_sim::{LinkWindow, SimTime};
+use fxnet_sim::{LinkSeries, LinkWindow, SimTime, LINK_WINDOW_NS};
 use fxnet_topo::{NodeKind, TopologySpec};
 use fxnet_trace::StreakLatch;
-use std::collections::BTreeMap;
-
-/// The detection window, ns: 10 ms. Link windows are kept at this
-/// width and no other.
-pub const WINDOW_NS: u64 = 10_000_000;
 
 /// Hotspot detection parameters.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -155,19 +150,19 @@ fn streaks(lo: u64, hi: u64, k: usize, mut over: impl FnMut(u64) -> bool) -> Vec
     runs
 }
 
-/// Build the full rollup from the sampler's [`WINDOW_NS`] link windows.
-/// With a topology spec, links are grouped under their nodes (a trunk
-/// belongs to both endpoints); without one, only per-link and fabric
-/// aggregates are produced.
+/// Build the full rollup from the sampler's [`LINK_WINDOW_NS`] link
+/// windows. With a topology spec, links are grouped under their nodes
+/// (a trunk belongs to both endpoints); without one, only per-link and
+/// fabric aggregates are produced.
 pub fn rollup(
-    link_windows: &[(String, BTreeMap<u64, LinkWindow>)],
+    link_windows: &[(String, LinkSeries)],
     spec: Option<&TopologySpec>,
     cfg: &HotspotConfig,
 ) -> FabricRollup {
     let window_ns = if link_windows.is_empty() {
         0
     } else {
-        WINDOW_NS
+        LINK_WINDOW_NS
     };
 
     let mut links = Vec::new();
@@ -176,8 +171,8 @@ pub fn rollup(
         let mut peak_util = 0.0f64;
         let mut util_sum = 0.0f64;
         let mut peak_depth = 0u32;
-        for w in wins.values() {
-            let u = w.utilization(WINDOW_NS);
+        for (_, w) in wins.windows() {
+            let u = w.utilization();
             total.fold(w);
             peak_util = peak_util.max(u);
             util_sum += u;
@@ -186,7 +181,7 @@ pub fn rollup(
         let n = wins.len() as u64;
         links.push(LinkHealth {
             label: label.clone(),
-            window_ns: WINDOW_NS,
+            window_ns: LINK_WINDOW_NS,
             windows: n,
             total,
             peak_utilization: peak_util,
@@ -249,14 +244,13 @@ pub fn rollup(
     // span; then merge directions of the same stripped link.
     let mut flagged: Vec<Hotspot> = Vec::new();
     for (label, wins) in link_windows {
-        let (Some((&lo, _)), Some((&hi, _))) = (wins.first_key_value(), wins.last_key_value())
+        let (Some((lo, _)), Some((hi, _))) = (wins.windows().next(), wins.windows().next_back())
         else {
             continue;
         };
         let over = |w: u64| {
-            wins.get(&w).is_some_and(|win| {
-                win.utilization(WINDOW_NS) >= cfg.util_threshold
-                    || win.depth_max >= cfg.depth_threshold
+            wins.get(w).is_some_and(|win| {
+                win.utilization() >= cfg.util_threshold || win.depth_max >= cfg.depth_threshold
             })
         };
         let runs = streaks(lo, hi, cfg.k.max(1), over);
@@ -269,7 +263,7 @@ pub fn rollup(
         let mut flagged_at = None;
         for w in lo..=hi {
             if latch.update(over(w)) {
-                flagged_at = Some(SimTime::from_nanos((w + 1) * WINDOW_NS));
+                flagged_at = Some(SimTime::from_nanos((w + 1) * LINK_WINDOW_NS));
                 break;
             }
         }
@@ -279,8 +273,8 @@ pub fn rollup(
         for &(s, e) in &runs {
             for w in s..=e {
                 windows.push(w);
-                if let Some(win) = wins.get(&w) {
-                    peak_utilization = peak_utilization.max(win.utilization(WINDOW_NS));
+                if let Some(win) = wins.get(w) {
+                    peak_utilization = peak_utilization.max(win.utilization());
                     peak_depth = peak_depth.max(win.depth_max);
                 }
             }
@@ -353,11 +347,12 @@ mod tests {
         }
     }
 
-    fn link_with(windows: &[(u64, f64)]) -> BTreeMap<u64, LinkWindow> {
-        windows
-            .iter()
-            .map(|&(w, frac)| (w, busy(frac, WINDOW_NS)))
-            .collect()
+    fn link_with(windows: &[(u64, f64)]) -> LinkSeries {
+        let mut series = LinkSeries::new();
+        for &(w, frac) in windows {
+            *series.window_mut(w) = busy(frac, LINK_WINDOW_NS);
+        }
+        series
     }
 
     #[test]
@@ -423,7 +418,7 @@ mod tests {
         // 4 hosts: h0, h1 on sw0; h2, h3 on sw1.
         let spec = TopologySpec::two_switches_trunk(4, RATE_10M);
         let cfg = HotspotConfig::default();
-        let links: Vec<(String, BTreeMap<u64, LinkWindow>)> = vec![
+        let links: Vec<(String, LinkSeries)> = vec![
             ("trunk:n0-n1:fwd".into(), link_with(&[(0, 0.5)])),
             ("trunk:n0-n1:rev".into(), link_with(&[(0, 0.1)])),
             ("host:h0:up".into(), link_with(&[(0, 0.2)])),

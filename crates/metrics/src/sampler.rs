@@ -9,8 +9,9 @@
 //!   attaching it cannot perturb timing, RNG draws, or the captured
 //!   trace;
 //! * the per-link sample series ([`FabricSampler::ingest_links`]) the
-//!   engine collects when `RunOptions::sample_links` is set, folded
-//!   into one map of [`WINDOW_NS`] windows per link direction;
+//!   engine collects when `RunOptions::sample_links` is set, kept as
+//!   the probes binned them: one [`fxnet_sim::LINK_WINDOW_NS`] series
+//!   per link direction;
 //! * the causal capture ([`FabricSampler::ingest_causal`]), used purely
 //!   *post-run* to attribute retransmitted wire bytes to the link
 //!   windows they crossed.
@@ -18,33 +19,35 @@
 //! [`FabricSampler::finalize`] folds everything into a
 //! [`WeatherReport`]: link windows, scaling relations, and the topology
 //! rollup with latched hotspots.
+//!
+//! The sampler has no width to set. Link windows are the simulator's
+//! [`fxnet_sim::LINK_WINDOW_NS`] (10 ms, the paper's measurement
+//! window). The matrix ladder starts at `BIN_NS` (1 ms) and climbs
+//! `SCALES` to 1 s, because the paper's traffic features live between
+//! 1 ms bursts and 1 s heartbeat periods; the weather stream's meta
+//! line prints both.
 
 use crate::matrix::{ScalingAccum, ScalingRelation};
-use crate::rollup::{rollup, FabricRollup, HotspotConfig, WINDOW_NS};
-use fxnet_sim::{CausalEvent, FrameTap, LinkStats, LinkWindow};
+use crate::rollup::{rollup, FabricRollup, HotspotConfig};
+use fxnet_sim::{CausalEvent, FrameTap, LinkSeries, LinkStats};
 use fxnet_topo::TopologySpec;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Base sample window, ns: 1 ms. The paper's traffic features live
-/// between 1 ms bursts and 1 s heartbeat periods.
+/// Base window of the matrix ladder, ns: 1 ms.
 pub(crate) const BIN_NS: u64 = 1_000_000;
 
 /// The matrix ladder, multiples of [`BIN_NS`]: 1 ms → 10 ms → 100 ms →
 /// 1 s.
 pub(crate) const SCALES: [u64; 4] = [1, 10, 100, 1000];
 
-/// Base windows folded into one link window.
-const PER_WINDOW: u64 = WINDOW_NS / BIN_NS;
-
 /// The finished weather map of one run.
 #[derive(Debug, Clone)]
 pub struct WeatherReport {
-    /// Per link direction, in sampler order: its touched [`WINDOW_NS`]
-    /// windows by index, each the exact fold of the base windows it
-    /// covers.
-    pub links: Vec<(String, BTreeMap<u64, LinkWindow>)>,
+    /// Per link direction, in sampler order: its touched
+    /// [`fxnet_sim::LINK_WINDOW_NS`] windows.
+    pub links: Vec<(String, LinkSeries)>,
     /// Distinct `(src, dst)` pairs that carried a frame.
     pub pairs: usize,
     /// Per-scale scaling-relation summaries of the matrix ladder.
@@ -79,7 +82,7 @@ impl TapState {
 pub struct FabricSampler {
     hotspot: HotspotConfig,
     tapped: Arc<Mutex<TapState>>,
-    links: Vec<(String, BTreeMap<u64, LinkWindow>)>,
+    links: Vec<(String, LinkSeries)>,
 }
 
 impl FabricSampler {
@@ -97,13 +100,6 @@ impl FabricSampler {
         }
     }
 
-    /// The base sample window, ns — pass this as
-    /// `RunOptions::sample_links` so link windows and matrices share
-    /// bins.
-    pub fn bin_ns(&self) -> u64 {
-        BIN_NS
-    }
-
     /// A frame tap feeding the matrix ladder. Frames must reach it in
     /// time order, as one run captures them; [`ScalingAccum`] panics on
     /// one that goes back in time. Detaching (dropping) a tap is always
@@ -117,21 +113,14 @@ impl FabricSampler {
         })
     }
 
-    /// Fold a run's per-link sample series into the link windows: base
-    /// window `w` lands in window `w / 10`. Labels keep the engine's
-    /// deterministic order; repeated ingestion folds.
+    /// Take in a run's per-link sample series. Labels keep the
+    /// engine's deterministic order; ingesting a label again folds its
+    /// windows into those of the same index.
     pub fn ingest_links(&mut self, stats: &LinkStats) {
         for (label, series) in &stats.links {
-            let i = match self.links.iter().position(|(l, _)| l == label) {
-                Some(i) => i,
-                None => {
-                    self.links.push((label.clone(), BTreeMap::new()));
-                    self.links.len() - 1
-                }
-            };
-            let windows = &mut self.links[i].1;
-            for (w, win) in series.windows() {
-                windows.entry(w / PER_WINDOW).or_default().fold(win);
+            match self.links.iter_mut().find(|(l, _)| l == label) {
+                Some((_, have)) => have.merge(series),
+                None => self.links.push((label.clone(), series.clone())),
             }
         }
     }
@@ -144,19 +133,19 @@ impl FabricSampler {
     ///   through the topology's host attachments; `:fwd` when the spec
     ///   is unknown),
     /// * else the sender's uplink port, if sampled,
-    /// * else the shared segment (`seg:bus`), if sampled.
+    /// * else the sender's segment: `seg:{name}` of the node the spec
+    ///   attaches it to, or the legacy bus's `seg:bus` without a spec.
     ///
     /// Frames on unsampled links are skipped — attribution only ever
     /// annotates windows the link sampler saw.
     pub fn ingest_causal(&mut self, events: &[CausalEvent], spec: Option<&TopologySpec>) {
         for e in events.iter().filter(|e| e.retx) {
-            let w = e.record.time.as_nanos() / WINDOW_NS;
+            let src = e.record.src.0 as usize;
             let label = match e.meta.trunk_label() {
                 Some(base) => {
                     let dir = match (fxnet_sim::FrameMeta::trunk_nodes(e.meta.trunk), spec) {
                         (Some((a, _)), Some(spec)) => {
-                            let src_node = spec.attachments.get(e.record.src.0 as usize).copied();
-                            if src_node == Some(a as usize) {
+                            if spec.attachments.get(src).copied() == Some(a as usize) {
                                 ":fwd"
                             } else {
                                 ":rev"
@@ -167,16 +156,19 @@ impl FabricSampler {
                     format!("{base}{dir}")
                 }
                 None => {
-                    let up = format!("host:h{}:up", e.record.src.0);
+                    let up = format!("host:h{src}:up");
                     if self.links.iter().any(|(l, _)| l == &up) {
                         up
                     } else {
-                        "seg:bus".to_string()
+                        match spec.and_then(|s| s.attachments.get(src).map(|&n| &s.nodes[n])) {
+                            Some(node) => format!("seg:{}", node.name),
+                            None => "seg:bus".to_string(),
+                        }
                     }
                 }
             };
-            if let Some((_, windows)) = self.links.iter_mut().find(|(l, _)| l == &label) {
-                windows.entry(w).or_default().retx_bytes += u64::from(e.record.wire_len);
+            if let Some((_, series)) = self.links.iter_mut().find(|(l, _)| l == &label) {
+                series.window_at(e.record.time).retx_bytes += u64::from(e.record.wire_len);
             }
         }
     }
@@ -226,27 +218,29 @@ mod tests {
         drop(tap);
 
         let mut series = LinkSeries::new();
-        series.window_mut(0).bytes = 160;
-        series.window_mut(0).frames = 2;
-        series.window_mut(12).bytes = 100;
-        series.window_mut(12).frames = 1;
-        sampler.ingest_links(&LinkStats {
-            bin_ns: 1_000_000,
+        series.window_at(SimTime::from_millis(0)).bytes = 160;
+        series.window_at(SimTime::from_millis(0)).frames = 2;
+        series.window_at(SimTime::from_millis(12)).bytes = 100;
+        series.window_at(SimTime::from_millis(12)).frames = 1;
+        let stats = LinkStats {
             links: vec![("seg:bus".to_string(), series)],
-        });
+        };
+        sampler.ingest_links(&stats);
+        // A second ingestion of the same link folds window by window.
+        sampler.ingest_links(&stats);
 
         let report = sampler.finalize(None);
         assert_eq!(report.pairs, 2);
         assert_eq!(report.scaling[0].total_packets, 3);
         assert_eq!(report.links.len(), 1);
-        // Base windows 0 and 12 land in 10 ms windows 0 and 1.
+        // 0 ms and 12 ms land in 10 ms windows 0 and 1.
         let bytes: Vec<(u64, u64)> = report.links[0]
             .1
-            .iter()
-            .map(|(&w, win)| (w, win.bytes))
+            .windows()
+            .map(|(w, win)| (w, win.bytes))
             .collect();
-        assert_eq!(bytes, vec![(0, 160), (1, 100)]);
-        assert_eq!(report.rollup.links[0].total.bytes, 260);
+        assert_eq!(bytes, vec![(0, 320), (1, 200)]);
+        assert_eq!(report.rollup.links[0].total.bytes, 520);
     }
 
     #[test]
@@ -255,9 +249,8 @@ mod tests {
         let spec = TopologySpec::two_switches_trunk(4, RATE_10M);
         let mut sampler = FabricSampler::new();
         let mut series = LinkSeries::new();
-        series.window_mut(3).bytes = 1000;
+        series.window_mut(0).bytes = 1000;
         sampler.ingest_links(&LinkStats {
-            bin_ns: 1_000_000,
             links: vec![
                 ("trunk:n0-n1:fwd".to_string(), series.clone()),
                 ("trunk:n0-n1:rev".to_string(), series),
@@ -283,7 +276,7 @@ mod tests {
         let report = sampler.finalize(Some(&spec));
         let windows = |label: &str| &report.links.iter().find(|(l, _)| l == label).unwrap().1;
         // Delivered at 3 ms: the rev direction's 10 ms window 0.
-        assert_eq!(windows("trunk:n0-n1:rev")[&0].retx_bytes, 700);
-        assert_eq!(windows("trunk:n0-n1:fwd")[&0].retx_bytes, 0);
+        assert_eq!(windows("trunk:n0-n1:rev").get(0).unwrap().retx_bytes, 700);
+        assert_eq!(windows("trunk:n0-n1:fwd").get(0).unwrap().retx_bytes, 0);
     }
 }

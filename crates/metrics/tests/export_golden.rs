@@ -25,7 +25,6 @@ use fxnet::mix::MixTenant;
 use fxnet::qos::QosNetwork;
 use fxnet::sim::{RATE_100M, RATE_10M};
 use fxnet::telemetry::{parse_prometheus, prometheus_text, TelemetryRegistry};
-use fxnet::watch::WatchConfig;
 use fxnet::{KernelKind, SimTime, TestbedBuilder, TopologySpec};
 
 /// `(artifact, bytes, FNV-1a 64 of the text)`.
@@ -93,9 +92,9 @@ fn exports() -> (Vec<(&'static str, String)>, TelemetryRegistry) {
             MixTenant::kernel("2DFFT", KernelKind::Fft2d, 200, 4, SimTime::from_millis(50))
                 .with_claim_scale(0.125),
         )
-        .watch(WatchConfig::default())
+        .watch()
         .tap(sampler.tap())
-        .sample_links(Some(sampler.bin_ns()))
+        .sample_links(true)
         .run();
 
     let mut sampler = sampler;

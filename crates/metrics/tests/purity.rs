@@ -8,8 +8,37 @@ use fxnet::TestbedBuilder;
 use fxnet_apps::KernelKind;
 use fxnet_fx::RunOptions;
 use fxnet_metrics::FabricSampler;
-use fxnet_sim::RATE_10M;
+use fxnet_sim::{FrameRecord, LinkWindow, LINK_WINDOW_NS, RATE_10M};
 use fxnet_topo::TopologySpec;
+use std::collections::BTreeMap;
+
+/// `(frames, bytes)` per 10 ms window, from the trace.
+fn binned(trace: &[FrameRecord]) -> BTreeMap<u64, (u64, u64)> {
+    let mut out = BTreeMap::new();
+    for r in trace {
+        let e = out
+            .entry(r.time.as_nanos() / LINK_WINDOW_NS)
+            .or_insert((0, 0));
+        e.0 += 1;
+        e.1 += u64::from(r.wire_len);
+    }
+    out
+}
+
+/// `(frames, bytes)` per window, summed over the given link series.
+fn windowed<'a>(
+    links: impl Iterator<Item = impl Iterator<Item = (u64, &'a LinkWindow)>>,
+) -> BTreeMap<u64, (u64, u64)> {
+    let mut out = BTreeMap::new();
+    for (w, win) in links.flatten() {
+        if win.frames > 0 {
+            let e = out.entry(w).or_insert((0, 0));
+            e.0 += win.frames;
+            e.1 += win.bytes;
+        }
+    }
+    out
+}
 
 fn topologies() -> Vec<Option<TopologySpec>> {
     vec![
@@ -34,7 +63,7 @@ fn sampler_attach_detach_leaves_traces_byte_identical() {
                 let opts = RunOptions {
                     tap: Some(sampler.tap()),
                     causal: true,
-                    sample_links: Some(sampler.bin_ns()),
+                    sample_links: true,
                 };
                 let sampled = tb.run_kernel_opts(kernel, 200, opts).unwrap();
 
@@ -69,12 +98,29 @@ fn sampler_attach_detach_leaves_traces_byte_identical() {
                     "{kernel:?} topo={:?} seed={seed}",
                     spec.as_ref().map(|s| s.id.clone())
                 );
+                // Per window: the links that capture happens at, binned
+                // by completion, equal the trace binned by `time / 10 ms`.
+                let per_window = |pick: &dyn Fn(&str) -> bool| {
+                    windowed(
+                        report
+                            .links
+                            .iter()
+                            .filter(|(l, _)| pick(l))
+                            .map(|(_, s)| s.windows()),
+                    )
+                };
+                let trace_windows = binned(&plain.trace);
                 if spec.is_none() {
                     let bus = sum(&|l| l == "seg:bus");
                     assert_eq!(
                         bus,
                         (traced, traced_bytes),
                         "{case}: the segment carried the trace"
+                    );
+                    assert_eq!(
+                        per_window(&|l| l == "seg:bus"),
+                        trace_windows,
+                        "{case}: each segment window holds the frames captured in it"
                     );
                 } else {
                     let host = |dir: &'static str| {
@@ -91,6 +137,11 @@ fn sampler_attach_detach_leaves_traces_byte_identical() {
                         up,
                         (traced, traced_bytes),
                         "{case}: the up ports carried the trace"
+                    );
+                    assert_eq!(
+                        per_window(&host(":down")),
+                        trace_windows,
+                        "{case}: each down-port window holds the frames captured in it"
                     );
                 }
                 assert_eq!(

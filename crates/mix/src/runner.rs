@@ -13,11 +13,15 @@ use fxnet_trace::{
     burst_collisions, demux_store, slowdown, Burst, Periodogram, SpectralInterference, Stats,
     TraceStore,
 };
-use fxnet_watch::{StreamWatch, TenantContract, WatchConfig, WatchReport};
+use fxnet_watch::{StreamWatch, TenantContract, WatchReport};
 use std::sync::{Arc, Mutex};
 
 /// Quiet gap separating bursts in the interference analysis.
 const BURST_GAP: SimTime = SimTime::from_millis(10);
+
+/// Bin width of the solo-vs-mixed periodograms: the paper's 10 ms
+/// measurement window.
+const SPECTRUM_BIN: SimTime = SimTime::from_millis(10);
 
 /// Everything measured about one admitted tenant.
 pub struct TenantOutcome {
@@ -169,10 +173,9 @@ pub struct Mix {
     net: QosNetwork,
     tenants: Vec<MixTenant>,
     solo_baselines: bool,
-    spectrum_bin: SimTime,
-    watch: Option<WatchConfig>,
+    watch: bool,
     causal: bool,
-    sample_links: Option<u64>,
+    sample_links: bool,
     tap: Option<FrameTap>,
 }
 
@@ -185,10 +188,9 @@ impl Mix {
             net: QosNetwork::ethernet_10mbps(),
             tenants: Vec::new(),
             solo_baselines: true,
-            spectrum_bin: SimTime::from_millis(10),
-            watch: None,
+            watch: false,
             causal: false,
-            sample_links: None,
+            sample_links: false,
             tap: None,
         }
     }
@@ -217,8 +219,8 @@ impl Mix {
     /// frame tap. Each admitted tenant's *claimed* contract terms are
     /// handed to the watcher, which checks the live traffic against
     /// them and reports through [`MixOutcome::watch`].
-    pub fn watch(mut self, cfg: WatchConfig) -> Mix {
-        self.watch = Some(cfg);
+    pub fn watch(mut self) -> Mix {
+        self.watch = true;
         self
     }
 
@@ -230,11 +232,11 @@ impl Mix {
         self
     }
 
-    /// Enable passive per-link sampling (`fxnet-metrics` feed) at the
-    /// given base window during the mixed run. Observational only: the
-    /// trace stays byte-identical.
-    pub fn sample_links(mut self, bin_ns: Option<u64>) -> Mix {
-        self.sample_links = bin_ns;
+    /// Enable passive per-link sampling (`fxnet-metrics` feed) during
+    /// the mixed run. Observational only: the trace stays
+    /// byte-identical.
+    pub fn sample_links(mut self, on: bool) -> Mix {
+        self.sample_links = on;
         self
     }
 
@@ -255,7 +257,6 @@ impl Mix {
             net,
             tenants,
             solo_baselines,
-            spectrum_bin,
             watch,
             causal,
             sample_links,
@@ -322,7 +323,7 @@ impl Mix {
         // claimed contract, plus the host-ownership table the engine
         // will pack (TenantMap::pack is deterministic, so packing the
         // same groups here reproduces the engine's map exactly).
-        let watcher: Option<Arc<Mutex<StreamWatch>>> = watch.map(|wcfg| {
+        let watcher: Option<Arc<Mutex<StreamWatch>>> = watch.then(|| {
             let map = TenantMap::pack(groups.iter().map(|g| (g.name.clone(), g.p)));
             let hosts = cfg.hosts.max(map.total_ranks());
             let host_owner: Vec<Option<usize>> =
@@ -337,7 +338,7 @@ impl Mix {
                     }
                 })
                 .collect();
-            Arc::new(Mutex::new(StreamWatch::new(wcfg, contracts, host_owner)))
+            Arc::new(Mutex::new(StreamWatch::new(contracts, host_owner)))
         });
         let tap: Option<FrameTap> = match (watcher.clone(), user_tap) {
             (Some(w), Some(mut u)) => Some(Box::new(move |r: &FrameRecord| {
@@ -423,13 +424,13 @@ impl Mix {
             others.sort_by_key(|b| b.start);
 
             let spectral = solo_store.and_then(|st| {
-                let solo_series = st.view().binned_bandwidth(spectrum_bin);
-                let mixed_series = tenant_view.binned_bandwidth(spectrum_bin);
+                let solo_series = st.view().binned_bandwidth(SPECTRUM_BIN);
+                let mixed_series = tenant_view.binned_bandwidth(SPECTRUM_BIN);
                 if solo_series.len() < 2 || mixed_series.len() < 2 {
                     return None;
                 }
-                let solo = Periodogram::compute(&solo_series, spectrum_bin);
-                let mixed = Periodogram::compute(&mixed_series, spectrum_bin);
+                let solo = Periodogram::compute(&solo_series, SPECTRUM_BIN);
+                let mixed = Periodogram::compute(&mixed_series, SPECTRUM_BIN);
                 SpectralInterference::compare(&solo, &mixed, 0.5, 5)
             });
 
@@ -544,7 +545,7 @@ mod tests {
         let liar = shift_tenant("liar", 30).with_claim_scale(0.1);
         let out = Mix::new(base_cfg())
             .solo_baselines(false)
-            .watch(fxnet_watch::WatchConfig::default())
+            .watch()
             .tenant(honest)
             .tenant(liar)
             .run();

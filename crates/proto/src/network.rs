@@ -266,23 +266,19 @@ impl Fabric {
     }
 
     /// Enable/disable passive per-link sampling.
-    fn set_link_sampling(&mut self, bin_ns: Option<u64>) {
+    fn set_link_sampling(&mut self, on: bool) {
         match self {
-            Fabric::Bus(b) => b.set_link_sampling(bin_ns),
-            Fabric::Topo(t) => t.set_link_sampling(bin_ns),
+            Fabric::Bus(b) => b.set_link_sampling(on),
+            Fabric::Topo(t) => t.set_link_sampling(on),
         }
     }
 
     /// Take the accumulated per-link sample series, if sampling is on.
     fn take_link_stats(&mut self) -> Option<LinkStats> {
         match self {
-            Fabric::Bus(b) => {
-                let series = b.take_link_series()?;
-                Some(LinkStats {
-                    bin_ns: b.link_sampling_bin_ns().unwrap_or(1),
-                    links: vec![("seg:bus".to_string(), series)],
-                })
-            }
+            Fabric::Bus(b) => Some(LinkStats {
+                links: vec![("seg:bus".to_string(), b.take_link_series()?)],
+            }),
             Fabric::Topo(t) => t.take_link_stats(),
         }
     }
@@ -417,12 +413,12 @@ impl Network {
         self.bus.stats()
     }
 
-    /// Enable (`Some(bin_ns)`) or disable (`None`) passive per-link
-    /// sampling — the fabric weather-map feed. Strictly observational:
-    /// the schedule, RNG, and promiscuous trace are byte-identical
-    /// either way.
-    pub fn set_link_sampling(&mut self, bin_ns: Option<u64>) {
-        self.bus.set_link_sampling(bin_ns);
+    /// Enable or disable passive per-link sampling — the fabric
+    /// weather-map feed, in [`fxnet_sim::LINK_WINDOW_NS`] windows.
+    /// Strictly observational: the schedule, RNG, and promiscuous trace
+    /// are byte-identical either way.
+    pub fn set_link_sampling(&mut self, on: bool) {
+        self.bus.set_link_sampling(on);
     }
 
     /// Take the accumulated per-link sample series, if sampling is on.

@@ -181,8 +181,8 @@ impl PvmSystem {
 
     /// Enable or disable passive per-link sampling (see
     /// [`Network::set_link_sampling`]).
-    pub fn set_link_sampling(&mut self, bin_ns: Option<u64>) {
-        self.net.set_link_sampling(bin_ns);
+    pub fn set_link_sampling(&mut self, on: bool) {
+        self.net.set_link_sampling(on);
     }
 
     /// Take the accumulated per-link sample series, if sampling is on.

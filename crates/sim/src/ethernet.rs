@@ -147,11 +147,11 @@ pub struct EtherBus {
     /// Scratch list of stations starting at the earliest instant, reused
     /// across `advance` calls so the per-event hot path allocates nothing.
     starters: Vec<usize>,
-    /// Per-window sample series when link sampling is enabled:
-    /// `(window_ns, series)`. Purely observational — reads the same
-    /// quantities the MAC stats already track, draws no RNG, schedules
-    /// nothing — so the trace is byte-identical with sampling on or off.
-    sampling: Option<(u64, LinkSeries)>,
+    /// Per-window sample series when link sampling is enabled. Purely
+    /// observational — reads the same quantities the MAC stats already
+    /// track, draws no RNG, schedules nothing — so the trace is
+    /// byte-identical with sampling on or off.
+    sampling: Option<LinkSeries>,
 }
 
 impl EtherBus {
@@ -173,20 +173,16 @@ impl EtherBus {
         }
     }
 
-    /// Enable (`Some(window_ns)`) or disable (`None`) passive per-window
-    /// link sampling. Has no effect on MAC behavior or the trace.
-    pub fn set_link_sampling(&mut self, bin_ns: Option<u64>) {
-        self.sampling = bin_ns.map(|b| (b.max(1), LinkSeries::new()));
+    /// Enable or disable passive link sampling into
+    /// [`crate::LINK_WINDOW_NS`] windows. Has no effect on MAC
+    /// behavior or the trace.
+    pub fn set_link_sampling(&mut self, on: bool) {
+        self.sampling = on.then(LinkSeries::new);
     }
 
     /// Take the accumulated sample series, if sampling is enabled.
     pub fn take_link_series(&mut self) -> Option<LinkSeries> {
-        self.sampling.as_mut().map(|(_, s)| std::mem::take(s))
-    }
-
-    /// The active sample window, if sampling is enabled.
-    pub fn link_sampling_bin_ns(&self) -> Option<u64> {
-        self.sampling.as_ref().map(|(b, _)| *b)
+        self.sampling.as_mut().map(std::mem::take)
     }
 
     /// Attach a station; returns its interface id.
@@ -250,9 +246,9 @@ impl EtherBus {
             n.backoff_acc = 0;
         }
         n.queue.push_back((frame, now));
-        if let Some((bin, series)) = &mut self.sampling {
+        if let Some(series) = &mut self.sampling {
             let depth: usize = self.nics.iter().map(|n| n.queue.len()).sum();
-            let w = series.window_mut(now.as_nanos() / *bin);
+            let w = series.window_at(now);
             w.depth_max = w.depth_max.max(depth as u32);
         }
     }
@@ -377,8 +373,8 @@ impl EtherBus {
                 self.reroll_all_jitters();
                 self.stats.frames_delivered += 1;
                 self.stats.bytes_delivered += u64::from(tx.frame.wire_len());
-                if let Some((bin, series)) = &mut self.sampling {
-                    let w = series.window_mut(end.as_nanos() / *bin);
+                if let Some(series) = &mut self.sampling {
+                    let w = series.window_at(end);
                     w.bytes += u64::from(tx.frame.wire_len());
                     w.frames += 1;
                     w.busy_ns += tx.meta.tx_ns;
@@ -437,8 +433,8 @@ impl EtherBus {
             } else {
                 // Collision: jam, then each collider backs off.
                 self.stats.collisions += 1;
-                if let Some((bin, series)) = &mut self.sampling {
-                    series.window_mut(t_start.as_nanos() / *bin).collisions += 1;
+                if let Some(series) = &mut self.sampling {
+                    series.window_at(t_start).collisions += 1;
                 }
                 let jam_end = t_start + self.cfg.collision_window + self.cfg.jam;
                 self.free_at = jam_end;
@@ -749,7 +745,7 @@ mod tests {
             let mut b = bus(4);
             b.set_promiscuous(true);
             if sample {
-                b.set_link_sampling(Some(1_000_000));
+                b.set_link_sampling(true);
             }
             for i in 0..40u64 {
                 b.enqueue(

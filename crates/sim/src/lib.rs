@@ -65,7 +65,7 @@ pub use ethernet::{EtherBus, EtherConfig, EtherStats, NicId, TxError};
 pub use frame::{
     Frame, FrameKind, FrameRecord, FrameTap, HostId, Proto, ETHER_OVERHEAD, MAX_FRAME, MIN_FRAME,
 };
-pub use linkstats::{LinkProbe, LinkSeries, LinkStats, LinkWindow};
+pub use linkstats::{LinkProbe, LinkSeries, LinkStats, LinkWindow, LINK_WINDOW_NS};
 pub use queue::{EventKey, EventQueue, KeyedQueue, LaneQueue};
 pub use rates::{RATE_100M, RATE_10M, RATE_1G};
 pub use rng::SimRng;

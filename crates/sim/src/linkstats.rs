@@ -2,16 +2,24 @@
 //! map (`fxnet-metrics`).
 //!
 //! A [`LinkProbe`] rides next to a link's existing accounting and folds
-//! every completed transmission into the sample window (fixed simulated
-//! duration, default 1 ms) the completion lands in. Sampling is strictly
-//! read-only with respect to the simulation: it draws no random numbers,
-//! schedules no events, and never touches frame timing, so a sampled run
-//! produces a byte-identical trace to an unsampled one. Windows are kept
-//! sparse — only windows that saw traffic exist — in a sorted map, so
-//! export order is deterministic and idle links cost nothing.
+//! every completed transmission into the [`LINK_WINDOW_NS`] window the
+//! completion lands in. That width is the one window the paper reads
+//! every network quantity through (§6.1) and the only one anything
+//! downstream reports, so it is a constant rather than an argument: a
+//! sample cannot be taken at one width and read at another. Sampling is
+//! strictly read-only with respect to the simulation: it draws no random
+//! numbers, schedules no events, and never touches frame timing, so a
+//! sampled run produces a byte-identical trace to an unsampled one.
+//! Windows are kept sparse — only windows that saw traffic exist — in a
+//! sorted map, so export order is deterministic and idle links cost
+//! nothing.
 
 use crate::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
+
+/// Width of every link sample window, ns: 10 ms, the paper's
+/// measurement window. Window `w` covers `[w·10 ms, (w+1)·10 ms)`.
+pub const LINK_WINDOW_NS: u64 = 10_000_000;
 
 /// One sample window of one link (direction): everything the weather map
 /// gauges need, folded additively (`depth_max` by max).
@@ -38,8 +46,8 @@ pub struct LinkWindow {
 
 impl LinkWindow {
     /// Fold another window into this one: counters add, the high-water
-    /// depth takes the max. This is the *exact* downsampling rule
-    /// `fxnet-metrics` widens 1 ms samples into its 10 ms link windows by.
+    /// depth takes the max. Repeated ingestion of one link merges its
+    /// windows by this rule.
     pub fn fold(&mut self, o: &LinkWindow) {
         self.bytes += o.bytes;
         self.frames += o.frames;
@@ -51,15 +59,11 @@ impl LinkWindow {
         self.depth_max = self.depth_max.max(o.depth_max);
     }
 
-    /// Utilization fraction of a window of `window_ns`: wire occupancy
-    /// over wall time. Can exceed 1.0 when several completions charged
-    /// to one window carry occupancy that straddled its edges.
-    pub fn utilization(&self, window_ns: u64) -> f64 {
-        if window_ns == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / window_ns as f64
-        }
+    /// Utilization fraction: wire occupancy over the window's
+    /// [`LINK_WINDOW_NS`]. Can exceed 1.0 when several completions
+    /// charged to one window carry occupancy that straddled its edges.
+    pub fn utilization(&self) -> f64 {
+        self.busy_ns as f64 / LINK_WINDOW_NS as f64
     }
 }
 
@@ -81,8 +85,25 @@ impl LinkSeries {
         self.bins.entry(w).or_default()
     }
 
+    /// The (created-on-first-touch) window instant `t` falls in.
+    pub fn window_at(&mut self, t: SimTime) -> &mut LinkWindow {
+        self.window_mut(t.as_nanos() / LINK_WINDOW_NS)
+    }
+
+    /// Fold every window of `other` into the window of the same index.
+    pub fn merge(&mut self, other: &LinkSeries) {
+        for (w, win) in other.windows() {
+            self.window_mut(w).fold(win);
+        }
+    }
+
+    /// The window at index `w`, if touched.
+    pub fn get(&self, w: u64) -> Option<&LinkWindow> {
+        self.bins.get(&w)
+    }
+
     /// Sorted iteration over the touched windows.
-    pub fn windows(&self) -> impl Iterator<Item = (u64, &LinkWindow)> {
+    pub fn windows(&self) -> impl DoubleEndedIterator<Item = (u64, &LinkWindow)> {
         self.bins.iter().map(|(&w, s)| (w, s))
     }
 
@@ -128,21 +149,13 @@ impl LinkProbe {
     /// Record one transmission: requested at `now`, occupying the link
     /// until `done`, `wire` bytes over `tx_ns` of wire time after
     /// `wait_ns` of queueing.
-    pub fn record(
-        &mut self,
-        bin_ns: u64,
-        now: SimTime,
-        done: SimTime,
-        wire: u64,
-        tx_ns: u64,
-        wait_ns: u64,
-    ) {
+    pub fn record(&mut self, now: SimTime, done: SimTime, wire: u64, tx_ns: u64, wait_ns: u64) {
         while self.pending.front().is_some_and(|&d| d <= now) {
             self.pending.pop_front();
         }
         self.pending.push_back(done);
         let depth = self.pending.len() as u32;
-        let w = self.series.window_mut(done.as_nanos() / bin_ns.max(1));
+        let w = self.series.window_at(done);
         w.bytes += wire;
         w.frames += 1;
         w.busy_ns += tx_ns;
@@ -157,13 +170,11 @@ impl LinkProbe {
     }
 }
 
-/// The complete per-link sample set of one run: the base window size and
-/// every sampled link's series, labeled (`trunk:n0-n1:fwd`, `seg:seg0`,
-/// `host:h3:up`, ...), in a fixed deterministic order.
+/// The complete per-link sample set of one run: every sampled link's
+/// series, labeled (`trunk:n0-n1:fwd`, `seg:seg0`, `host:h3:up`, ...),
+/// in a fixed deterministic order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LinkStats {
-    /// Base sample window, ns.
-    pub bin_ns: u64,
     /// `(label, series)` per sampled link direction.
     pub links: Vec<(String, LinkSeries)>,
 }
@@ -226,25 +237,28 @@ mod tests {
         let mut p = LinkProbe::new();
         let ms = |n: u64| SimTime::from_millis(n);
         // Three back-to-back transmissions requested at t=0: queue
-        // builds to 3.
-        p.record(1_000_000, ms(0), ms(1), 100, 1_000_000, 0);
-        p.record(1_000_000, ms(0), ms(2), 100, 1_000_000, 1_000_000);
-        p.record(1_000_000, ms(0), ms(3), 100, 1_000_000, 2_000_000);
-        // A later one after the queue drained: depth back to 1.
-        p.record(1_000_000, ms(10), ms(11), 100, 1_000_000, 0);
+        // builds to 3, all inside window 0.
+        p.record(ms(0), ms(1), 100, 1_000_000, 0);
+        p.record(ms(0), ms(2), 100, 1_000_000, 1_000_000);
+        p.record(ms(0), ms(3), 100, 1_000_000, 2_000_000);
+        // A later one after the queue drained: depth back to 1, in
+        // window 1 (10–20 ms).
+        p.record(ms(10), ms(11), 100, 1_000_000, 0);
+        // One that completes exactly on a window edge opens window 2.
+        p.record(ms(19), ms(20), 100, 1_000_000, 0);
         let s = p.take();
-        let depths: Vec<u32> = s.windows().map(|(_, w)| w.depth_max).collect();
-        assert_eq!(depths, vec![1, 2, 3, 1]);
-        assert_eq!(s.total().bytes, 400);
+        let depths: Vec<(u64, u32)> = s.windows().map(|(w, win)| (w, win.depth_max)).collect();
+        assert_eq!(depths, vec![(0, 3), (1, 1), (2, 1)]);
+        assert_eq!(s.total().bytes, 500);
     }
 
     #[test]
     fn utilization_is_busy_over_window() {
         let w = LinkWindow {
-            busy_ns: 800_000,
+            busy_ns: 8_000_000,
             ..LinkWindow::default()
         };
-        assert!((w.utilization(1_000_000) - 0.8).abs() < 1e-12);
-        assert_eq!(LinkWindow::default().utilization(0), 0.0);
+        assert!((w.utilization() - 0.8).abs() < 1e-12);
+        assert_eq!(LinkWindow::default().utilization(), 0.0);
     }
 }

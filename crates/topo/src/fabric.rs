@@ -163,8 +163,6 @@ fn trunk_hop(trunk: &Trunk, from: usize) -> (usize, usize) {
 /// on frame timing — so a sampled run's trace is byte-identical to an
 /// unsampled one.
 struct FabricProbes {
-    /// Base sample window, ns.
-    bin_ns: u64,
     /// Per trunk, per direction (0 = a→b).
     trunks: Vec<[LinkProbe; 2]>,
     /// Per host: dedicated uplink / downlink (switch/router attachments
@@ -312,17 +310,17 @@ impl CompositeFabric {
         }
     }
 
-    /// Enable (`Some(bin_ns)`) or disable (`None`) passive per-link
-    /// sampling at the given base window. Sampling covers every trunk
-    /// direction, every segment bus, and every switch/router host port;
-    /// it is strictly observational and leaves the trace byte-identical.
-    pub fn set_link_sampling(&mut self, bin_ns: Option<u64>) {
+    /// Enable or disable passive per-link sampling into
+    /// [`fxnet_sim::LINK_WINDOW_NS`] windows. Sampling covers
+    /// every trunk direction, every segment bus, and every switch/router
+    /// host port; it is strictly observational and leaves the trace
+    /// byte-identical.
+    pub fn set_link_sampling(&mut self, on: bool) {
         for bus in self.buses.iter_mut().flatten() {
-            bus.set_link_sampling(bin_ns);
+            bus.set_link_sampling(on);
         }
         let hosts = self.spec.host_count();
-        self.probes = bin_ns.map(|b| FabricProbes {
-            bin_ns: b.max(1),
+        self.probes = on.then(|| FabricProbes {
             trunks: vec![<[LinkProbe; 2]>::default(); self.spec.trunks.len()],
             up: vec![LinkProbe::new(); hosts],
             down: vec![LinkProbe::new(); hosts],
@@ -356,12 +354,8 @@ impl CompositeFabric {
                 links.push((format!("host:h{h}:down"), p.down[h].take()));
             }
         }
-        let stats = LinkStats {
-            bin_ns: p.bin_ns,
-            links,
-        };
         self.probes = Some(p);
-        Some(stats)
+        Some(LinkStats { links })
     }
 
     /// The compiled spec.
@@ -521,14 +515,7 @@ impl CompositeFabric {
                 let latency = self.spec.latency(src_node);
                 let wait = (start - now).as_nanos();
                 if let Some(p) = &mut self.probes {
-                    p.up[host].record(
-                        p.bin_ns,
-                        now,
-                        done,
-                        u64::from(f.wire_len()),
-                        tx.as_nanos(),
-                        wait,
-                    );
+                    p.up[host].record(now, done, u64::from(f.wire_len()), tx.as_nanos(), wait);
                 }
                 let t = self.transit_mut(f.token);
                 t.meta.queue_ns += wait + latency.as_nanos();
@@ -601,7 +588,7 @@ impl CompositeFabric {
                     self.link_busy_ns += tx.as_nanos();
                     let wait = (start - now).as_nanos();
                     if let Some(p) = &mut self.probes {
-                        p.down[dst_host].record(p.bin_ns, now, done, wire, tx.as_nanos(), wait);
+                        p.down[dst_host].record(now, done, wire, tx.as_nanos(), wait);
                     }
                     let t = self.transit_mut(f.token);
                     t.meta.queue_ns += wait;
@@ -634,7 +621,7 @@ impl CompositeFabric {
         let latency = self.spec.latency(far);
         let wait = (start - now).as_nanos();
         if let Some(p) = &mut self.probes {
-            p.trunks[ti][dir].record(p.bin_ns, now, done, wire, tx.as_nanos(), wait);
+            p.trunks[ti][dir].record(now, done, wire, tx.as_nanos(), wait);
         }
         let t = self.transit_mut(f.token);
         t.meta.queue_ns += wait + trunk.prop_delay.as_nanos() + latency.as_nanos();
@@ -1065,7 +1052,7 @@ mod tests {
                 let mut fab = CompositeFabric::new(spec.clone(), &ether, 11);
                 fab.set_promiscuous(true);
                 if sample {
-                    fab.set_link_sampling(Some(1_000_000));
+                    fab.set_link_sampling(true);
                 }
                 for i in 0..30u32 {
                     fab.enqueue(
@@ -1084,7 +1071,6 @@ mod tests {
             assert_eq!(plain_out, out, "{}", spec.label());
             assert_eq!(plain_trace, trace, "{}", spec.label());
             let stats = stats.expect("sampling enabled");
-            assert_eq!(stats.bin_ns, 1_000_000);
             let labels: Vec<&str> = stats.links.iter().map(|(l, _)| l.as_str()).collect();
             for (t, _) in &stats.links {
                 assert!(

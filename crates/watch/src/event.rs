@@ -9,7 +9,7 @@ use fxnet_sim::{FrameRecord, SimTime};
 /// tenant, so a log can be checked for "exactly one violation" when
 /// exactly one tenant over-drives its contract. `BurstAnomaly` is a
 /// weaker, per-burst observation and may repeat (bounded by
-/// [`crate::WatchConfig::max_anomalies`]).
+/// [`crate::MAX_ANOMALIES`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum EventKind {
     ContractViolation,

@@ -29,6 +29,14 @@
 //! cannot perturb the simulation: the trace is byte-identical with and
 //! without it, and — because its state is a pure function of the frame
 //! stream — everything it emits is deterministic under a fixed seed.
+//!
+//! The watcher has no options. Its parameters are the constants of
+//! [`config`], each documented with its reason: the 10 ms [`WINDOW`]
+//! and [`BIN`], the [`DFT_WINDOW`] and [`HARMONICS`] of the spectral
+//! tracker, the [`FLIGHT_RECORDER`] depth, the compliance rule
+//! ([`WARMUP_BINS`], [`MEAN_WINDOW_BINS`], [`BREACH_BINS`],
+//! [`MEAN_TOLERANCE`], [`BURST_TOLERANCE`]), the [`BURST_GAP`] and the
+//! [`MAX_ANOMALIES`] cap.
 
 pub mod config;
 pub mod estimator;
@@ -36,7 +44,10 @@ pub mod event;
 pub mod recorder;
 pub mod watch;
 
-pub use config::WatchConfig;
+pub use config::{
+    BIN, BREACH_BINS, BURST_GAP, BURST_TOLERANCE, DFT_WINDOW, FLIGHT_RECORDER, HARMONICS,
+    MAX_ANOMALIES, MEAN_TOLERANCE, MEAN_WINDOW_BINS, WARMUP_BINS, WINDOW,
+};
 pub use estimator::{BurstEstimator, LiveEstimate};
 pub use event::{EventKind, WatchEvent};
 pub use recorder::FlightRecorder;

@@ -14,23 +14,20 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder holding the last `cap` frames (zero disables it).
+    /// A recorder holding the last `cap` frames (zero holds none).
     pub fn new(cap: usize) -> FlightRecorder {
         FlightRecorder {
             cap,
-            ring: VecDeque::with_capacity(cap),
+            ring: VecDeque::with_capacity(cap + 1),
         }
     }
 
-    /// Record one frame, evicting the oldest when full.
+    /// Record one frame, evicting the oldest beyond capacity.
     pub fn push(&mut self, r: FrameRecord) {
-        if self.cap == 0 {
-            return;
-        }
-        if self.ring.len() == self.cap {
+        self.ring.push_back(r);
+        if self.ring.len() > self.cap {
             self.ring.pop_front();
         }
-        self.ring.push_back(r);
     }
 
     /// The retained frames, oldest first.
@@ -44,10 +41,6 @@ impl FlightRecorder {
 
     pub fn is_empty(&self) -> bool {
         self.ring.is_empty()
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.cap
     }
 }
 

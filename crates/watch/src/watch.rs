@@ -11,7 +11,10 @@
 //! so the trace is byte-identical with and without it, and its state is
 //! a pure function of the frame stream (deterministic under `--seed`).
 
-use crate::config::WatchConfig;
+use crate::config::{
+    BIN, BREACH_BINS, BURST_GAP, BURST_TOLERANCE, DFT_WINDOW, FLIGHT_RECORDER, HARMONICS,
+    MAX_ANOMALIES, MEAN_TOLERANCE, MEAN_WINDOW_BINS, WARMUP_BINS, WINDOW,
+};
 use crate::estimator::{BurstEstimator, LiveEstimate};
 use crate::event::{EventKind, WatchEvent};
 use crate::recorder::FlightRecorder;
@@ -19,7 +22,7 @@ use fxnet_qos::ContractTerms;
 use fxnet_sim::{FrameRecord, SimTime};
 use fxnet_spectral::{goertzel_power, padded_bin, SlidingDft};
 use fxnet_telemetry::TelemetryRegistry;
-use fxnet_trace::{Burst, SlidingBandwidth, StreakLatch, StreamBinner};
+use fxnet_trace::{Burst, SlidingPeak, StreakLatch, StreamBinner};
 use std::collections::BTreeMap;
 
 /// What one tenant promised the admission controller, in plain numbers.
@@ -72,7 +75,7 @@ pub struct TenantReport {
     pub connections: usize,
     /// `ContractViolation` events emitted (latched: 0 or 1).
     pub violations: u64,
-    /// `BurstAnomaly` events recorded (capped by the config).
+    /// `BurstAnomaly` events recorded (capped at [`MAX_ANOMALIES`]).
     pub anomalies: u64,
     /// Anomalous bursts observed, including beyond the recording cap.
     pub anomalies_total: u64,
@@ -163,7 +166,7 @@ impl WatchReport {
 /// Everything the watcher tracks per tenant.
 struct TenantState {
     contract: TenantContract,
-    bw: SlidingBandwidth,
+    bw: SlidingPeak,
     binner: StreamBinner,
     binned_count: u64,
     rolling: std::collections::VecDeque<f64>,
@@ -180,7 +183,6 @@ struct TenantState {
     conns: BTreeMap<(u32, u32), BurstEstimator>,
     bytes: u64,
     frames: u64,
-    peak_bw: f64,
     first_time: Option<SimTime>,
     last_time: SimTime,
 }
@@ -199,19 +201,17 @@ struct Pending {
 /// as the tap delivers them) via [`StreamWatch::observe`], then call
 /// [`StreamWatch::finalize`].
 pub struct StreamWatch {
-    cfg: WatchConfig,
     /// `host_owner[h]` = index into `tenants` owning host `h`.
     host_owner: Vec<Option<usize>>,
     tenants: Vec<TenantState>,
     recorder: FlightRecorder,
     events: Vec<WatchEvent>,
-    agg_bw: SlidingBandwidth,
+    agg_bw: SlidingPeak,
     agg_binner: StreamBinner,
     agg_binned: Vec<f64>,
     dft: SlidingDft,
     /// (tenant, harmonic, freq_hz, index into the DFT's bin list).
     tracked: Vec<(usize, u32, f64, usize)>,
-    agg_peak_bw: f64,
     frames: u64,
     background_frames: u64,
     last_time: SimTime,
@@ -222,14 +222,9 @@ impl StreamWatch {
     /// `host_owner` (host id → tenant index, the ownership map the
     /// engine packs). Harmonics of each contract's `1/t_bi` that fit
     /// under the DFT window's Nyquist are tracked live.
-    pub fn new(
-        cfg: WatchConfig,
-        contracts: Vec<TenantContract>,
-        host_owner: Vec<Option<usize>>,
-    ) -> StreamWatch {
-        let cfg = cfg.validated();
-        let bin_s = cfg.bin.as_secs_f64();
-        let m = cfg.dft_window;
+    pub fn new(contracts: Vec<TenantContract>, host_owner: Vec<Option<usize>>) -> StreamWatch {
+        let bin_s = BIN.as_secs_f64();
+        let m = DFT_WINDOW;
         // Contract fundamentals and harmonics → deduplicated DFT bins.
         let mut bins: Vec<usize> = Vec::new();
         let mut tracked = Vec::new();
@@ -238,7 +233,7 @@ impl StreamWatch {
                 continue;
             }
             let f0 = 1.0 / c.terms.t_interval;
-            for h in 1..=cfg.harmonics {
+            for h in 1..=HARMONICS {
                 let freq = f0 * h as f64;
                 let k = (freq * m as f64 * bin_s).round() as usize;
                 if k == 0 || k > m / 2 {
@@ -255,36 +250,33 @@ impl StreamWatch {
             .into_iter()
             .map(|contract| TenantState {
                 contract,
-                bw: SlidingBandwidth::new(cfg.window),
-                binner: StreamBinner::new(cfg.bin),
+                bw: SlidingPeak::new(WINDOW),
+                binner: StreamBinner::new(BIN),
                 binned_count: 0,
                 rolling: std::collections::VecDeque::new(),
                 rolling_sum: 0.0,
-                latch: StreakLatch::new(cfg.breach_bins),
+                latch: StreakLatch::new(BREACH_BINS),
                 violations: 0,
                 anomalies: 0,
                 anomalies_total: 0,
-                estimator: BurstEstimator::new(cfg.burst_gap),
+                estimator: BurstEstimator::new(BURST_GAP),
                 conns: BTreeMap::new(),
                 bytes: 0,
                 frames: 0,
-                peak_bw: 0.0,
                 first_time: None,
                 last_time: SimTime::ZERO,
             })
             .collect();
         StreamWatch {
-            recorder: FlightRecorder::new(cfg.flight_recorder),
-            agg_bw: SlidingBandwidth::new(cfg.window),
-            agg_binner: StreamBinner::new(cfg.bin),
+            recorder: FlightRecorder::new(FLIGHT_RECORDER),
+            agg_bw: SlidingPeak::new(WINDOW),
+            agg_binner: StreamBinner::new(BIN),
             agg_binned: Vec::new(),
             dft: SlidingDft::new(m, &bins),
             tracked,
-            cfg,
             host_owner,
             tenants,
             events: Vec::new(),
-            agg_peak_bw: 0.0,
             frames: 0,
             background_frames: 0,
             last_time: SimTime::ZERO,
@@ -308,8 +300,7 @@ impl StreamWatch {
         self.recorder.push(*r);
 
         // Aggregate signal: sliding window, binner, sliding DFT.
-        let v = self.agg_bw.push(r.time, r.wire_len);
-        self.agg_peak_bw = self.agg_peak_bw.max(v);
+        self.agg_bw.push(r.time, r.wire_len);
         self.agg_binner.push(r.time, r.wire_len);
         while let Some(b) = self.agg_binner.pop_closed() {
             self.agg_binned.push(b);
@@ -322,30 +313,28 @@ impl StreamWatch {
         };
         let mut pending: Vec<Pending> = Vec::new();
         {
-            let cfg = &self.cfg;
             let t = &mut self.tenants[ti];
             t.frames += 1;
             t.bytes += u64::from(r.wire_len);
             t.first_time.get_or_insert(r.time);
             t.last_time = r.time;
-            let bw = t.bw.push(r.time, r.wire_len);
-            t.peak_bw = t.peak_bw.max(bw);
+            t.bw.push(r.time, r.wire_len);
 
             t.binner.push(r.time, r.wire_len);
             while let Some(bin) = t.binner.pop_closed() {
-                tenant_bin(cfg, t, bin, &mut pending);
+                tenant_bin(t, bin, &mut pending);
             }
             if let Some((index, burst)) = t.estimator.push(r.time, r.wire_len) {
-                tenant_burst(cfg, t, index, &burst, &mut pending);
+                tenant_burst(t, index, &burst, &mut pending);
             }
 
             let closed = t
                 .conns
                 .entry((r.src.0, r.dst.0))
-                .or_insert_with(|| BurstEstimator::new(cfg.burst_gap))
+                .or_insert_with(|| BurstEstimator::new(BURST_GAP))
                 .push(r.time, r.wire_len);
             if let Some((index, b)) = closed {
-                conn_burst(cfg, t, index, &b, &mut pending);
+                conn_burst(t, index, &b, &mut pending);
             }
         }
         self.flush(ti, r.time, pending);
@@ -376,7 +365,7 @@ impl StreamWatch {
     /// against the batch definition, and produce the report.
     pub fn finalize(mut self) -> WatchReport {
         // Flush the aggregate binner through the DFT.
-        let binner = std::mem::replace(&mut self.agg_binner, StreamBinner::new(self.cfg.bin));
+        let binner = std::mem::replace(&mut self.agg_binner, StreamBinner::new(BIN));
         for b in binner.finish() {
             self.agg_binned.push(b);
             self.dft.push(b);
@@ -387,19 +376,18 @@ impl StreamWatch {
         for ti in 0..self.tenants.len() {
             let mut pending = Vec::new();
             {
-                let cfg = &self.cfg;
                 let t = &mut self.tenants[ti];
-                let binner = std::mem::replace(&mut t.binner, StreamBinner::new(cfg.bin));
+                let binner = std::mem::replace(&mut t.binner, StreamBinner::new(BIN));
                 for bin in binner.finish() {
-                    tenant_bin(cfg, t, bin, &mut pending);
+                    tenant_bin(t, bin, &mut pending);
                 }
                 if let Some((index, b)) = t.estimator.finish() {
-                    tenant_burst(cfg, t, index, &b, &mut pending);
+                    tenant_burst(t, index, &b, &mut pending);
                 }
                 let closed: Vec<(u64, Burst)> =
                     t.conns.values_mut().filter_map(|c| c.finish()).collect();
                 for (index, b) in closed {
-                    conn_burst(cfg, t, index, &b, &mut pending);
+                    conn_burst(t, index, &b, &mut pending);
                 }
             }
             self.flush(ti, end, pending);
@@ -423,7 +411,7 @@ impl StreamWatch {
                 batch_power: if self.agg_binned.is_empty() {
                     0.0
                 } else {
-                    let bin = padded_bin(freq_hz, self.agg_binned.len(), self.cfg.bin);
+                    let bin = padded_bin(freq_hz, self.agg_binned.len(), BIN);
                     goertzel_power(&self.agg_binned, bin)
                 },
             })
@@ -433,7 +421,8 @@ impl StreamWatch {
         registry.set_counter("watch.frames", self.frames);
         registry.set_counter("watch.frames.background", self.background_frames);
         registry.set_counter("watch.bins", self.agg_binned.len() as u64);
-        registry.set_gauge("watch.bw.peak", self.agg_peak_bw);
+        let agg_peak_bw = self.agg_bw.peak().unwrap_or(0.0);
+        registry.set_gauge("watch.bw.peak", agg_peak_bw);
         let violations: u64 = self.tenants.iter().map(|t| t.violations).sum();
         let anomalies: u64 = self.tenants.iter().map(|t| t.anomalies).sum();
         registry.set_counter("watch.events.contract_violation", violations);
@@ -453,7 +442,8 @@ impl StreamWatch {
                 registry.set_counter(format!("watch.tenant.{name}.bursts"), t.estimator.bursts());
                 registry.set_counter(format!("watch.tenant.{name}.violations"), t.violations);
                 registry.set_counter(format!("watch.tenant.{name}.anomalies"), t.anomalies_total);
-                registry.set_gauge(format!("watch.tenant.{name}.bw.peak"), t.peak_bw);
+                let peak_bw = t.bw.peak().unwrap_or(0.0);
+                registry.set_gauge(format!("watch.tenant.{name}.bw.peak"), peak_bw);
                 registry.set_gauge(
                     format!("watch.tenant.{name}.contract.mean_load"),
                     t.contract.terms.mean_load,
@@ -473,7 +463,7 @@ impl StreamWatch {
                     estimate,
                     frames: t.frames,
                     bytes: t.bytes,
-                    peak_bw: t.peak_bw,
+                    peak_bw,
                     mean_bw: if span > 0.0 {
                         t.bytes as f64 / span
                     } else {
@@ -494,25 +484,25 @@ impl StreamWatch {
             peaks,
             frames: self.frames,
             background_frames: self.background_frames,
-            peak_bw: self.agg_peak_bw,
+            peak_bw: agg_peak_bw,
             registry,
         }
     }
 }
 
 /// Sustained-bandwidth compliance on one closed tenant bin.
-fn tenant_bin(cfg: &WatchConfig, t: &mut TenantState, bin: f64, pending: &mut Vec<Pending>) {
+fn tenant_bin(t: &mut TenantState, bin: f64, pending: &mut Vec<Pending>) {
     t.binned_count += 1;
     t.rolling.push_back(bin);
     t.rolling_sum += bin;
-    if t.rolling.len() > cfg.mean_window_bins {
+    if t.rolling.len() > MEAN_WINDOW_BINS {
         t.rolling_sum -= t.rolling.pop_front().expect("nonempty rolling window");
     }
-    if t.binned_count as usize <= cfg.warmup_bins || t.rolling.len() < cfg.mean_window_bins {
+    if t.binned_count as usize <= WARMUP_BINS || t.rolling.len() < MEAN_WINDOW_BINS {
         return;
     }
     let mean = t.rolling_sum / t.rolling.len() as f64;
-    let limit = cfg.mean_tolerance * t.contract.terms.mean_load;
+    let limit = MEAN_TOLERANCE * t.contract.terms.mean_load;
     if t.latch.update(mean > limit) {
         t.violations += 1;
         pending.push(Pending {
@@ -522,7 +512,7 @@ fn tenant_bin(cfg: &WatchConfig, t: &mut TenantState, bin: f64, pending: &mut Ve
             limit,
             detail: format!(
                 "rolling mean {:.0} B/s exceeded {:.1}x the admitted mean load {:.0} B/s for {} consecutive bins",
-                mean, cfg.mean_tolerance, t.contract.terms.mean_load, t.latch.streak()
+                mean, MEAN_TOLERANCE, t.contract.terms.mean_load, t.latch.streak()
             ),
         });
     }
@@ -542,13 +532,7 @@ fn cycles_spanned(d: f64, t_interval: f64) -> f64 {
 }
 
 /// Cycle-volume compliance on one closed tenant-aggregate burst.
-fn tenant_burst(
-    cfg: &WatchConfig,
-    t: &mut TenantState,
-    index: u64,
-    b: &Burst,
-    pending: &mut Vec<Pending>,
-) {
+fn tenant_burst(t: &mut TenantState, index: u64, b: &Burst, pending: &mut Vec<Pending>) {
     // The first burst carries enrollment/startup chatter; skip it.
     if index == 0 {
         return;
@@ -556,7 +540,7 @@ fn tenant_burst(
     let claimed_cycle =
         t.contract.terms.burst_bytes as f64 * f64::from(t.contract.terms.connections);
     let cycles = cycles_spanned(b.duration(), t.contract.terms.t_interval);
-    let limit = cfg.burst_tolerance * claimed_cycle * cycles;
+    let limit = BURST_TOLERANCE * claimed_cycle * cycles;
     if b.bytes as f64 > limit && t.latch.latch_now() {
         t.violations += 1;
         pending.push(Pending {
@@ -572,28 +556,22 @@ fn tenant_burst(
                 claimed_cycle,
                 t.contract.terms.connections,
                 t.contract.terms.burst_bytes,
-                cfg.burst_tolerance
+                BURST_TOLERANCE
             ),
         });
     }
 }
 
 /// Per-connection burst anomaly check on one closed connection burst.
-fn conn_burst(
-    cfg: &WatchConfig,
-    t: &mut TenantState,
-    index: u64,
-    b: &Burst,
-    pending: &mut Vec<Pending>,
-) {
+fn conn_burst(t: &mut TenantState, index: u64, b: &Burst, pending: &mut Vec<Pending>) {
     if index == 0 {
         return;
     }
     let cycles = cycles_spanned(b.duration(), t.contract.terms.t_interval);
-    let limit = cfg.burst_tolerance * t.contract.terms.burst_bytes as f64 * cycles;
+    let limit = BURST_TOLERANCE * t.contract.terms.burst_bytes as f64 * cycles;
     if b.bytes as f64 > limit {
         t.anomalies_total += 1;
-        if (t.anomalies as usize) < cfg.max_anomalies {
+        if (t.anomalies as usize) < MAX_ANOMALIES {
             t.anomalies += 1;
             pending.push(Pending {
                 kind: EventKind::BurstAnomaly,
@@ -602,7 +580,7 @@ fn conn_burst(
                 limit,
                 detail: format!(
                     "connection burst {} of {} B exceeds {:.1}x the claimed b(P) = {} B",
-                    index, b.bytes, cfg.burst_tolerance, t.contract.terms.burst_bytes
+                    index, b.bytes, BURST_TOLERANCE, t.contract.terms.burst_bytes
                 ),
             });
         }
@@ -643,9 +621,7 @@ mod tests {
 
     #[test]
     fn attribution_follows_the_demux_rule() {
-        let cfg = WatchConfig::default();
         let mut w = StreamWatch::new(
-            cfg,
             vec![
                 contract("a", 1e6, 100_000, 2),
                 contract("b", 1e6, 100_000, 2),
@@ -665,12 +641,8 @@ mod tests {
 
     #[test]
     fn overdriving_burst_volume_latches_one_violation() {
-        let cfg = WatchConfig {
-            burst_gap: SimTime::from_millis(5),
-            ..WatchConfig::default()
-        };
         // Claimed: 10 KB per connection per cycle over 2 connections.
-        let mut w = StreamWatch::new(cfg, vec![contract("hog", 50_000.0, 10_000, 2)], owner2());
+        let mut w = StreamWatch::new(vec![contract("hog", 50_000.0, 10_000, 2)], owner2());
         // Five bursts of ~300 KB each (15x the 20 KB claimed cycle),
         // 50 ms apart: burst 0 is skipped as warmup, burst 1 violates,
         // later bursts are silenced by the latch.
@@ -694,9 +666,8 @@ mod tests {
 
     #[test]
     fn compliant_tenant_stays_clean() {
-        let cfg = WatchConfig::default();
         // Claimed 40 KB cycles; actual 30 KB cycles — within tolerance.
-        let mut w = StreamWatch::new(cfg, vec![contract("ok", 400_000.0, 20_000, 2)], owner2());
+        let mut w = StreamWatch::new(vec![contract("ok", 400_000.0, 20_000, 2)], owner2());
         for cycle in 0..30u64 {
             for j in 0..20u64 {
                 w.observe(&rec(cycle * 100_000 + j * 100, 0, 1, 1460));
@@ -710,15 +681,11 @@ mod tests {
 
     #[test]
     fn sustained_mean_bandwidth_breach_fires() {
-        let cfg = WatchConfig {
-            warmup_bins: 2,
-            mean_window_bins: 10,
-            breach_bins: 5,
-            burst_tolerance: 1e12, // silence the volume checks
-            ..WatchConfig::default()
-        };
-        // Claimed 10 KB/s mean; actual a steady ~1.5 MB/s stream.
-        let mut w = StreamWatch::new(cfg, vec![contract("steady", 10_000.0, 1, 1)], owner2());
+        // Claimed 10 KB/s mean; actual a steady ~1.5 MB/s stream for 3 s:
+        // the rolling mean fills after WARMUP_BINS + MEAN_WINDOW_BINS
+        // bins and breaches for BREACH_BINS more. Frames 1 ms apart never
+        // leave a BURST_GAP, so no burst closes before the stream ends.
+        let mut w = StreamWatch::new(vec![contract("steady", 10_000.0, 1, 1)], owner2());
         for i in 0..3000u64 {
             w.observe(&rec(i * 1_000, 0, 1, 1460));
         }
@@ -729,12 +696,7 @@ mod tests {
 
     #[test]
     fn flight_recorder_dump_holds_the_frames_preceding_the_event() {
-        let cfg = WatchConfig {
-            flight_recorder: 8,
-            burst_gap: SimTime::from_millis(5),
-            ..WatchConfig::default()
-        };
-        let mut w = StreamWatch::new(cfg, vec![contract("hog", 50_000.0, 1_000, 1)], owner2());
+        let mut w = StreamWatch::new(vec![contract("hog", 50_000.0, 1_000, 1)], owner2());
         let mut all = Vec::new();
         for cycle in 0..3u64 {
             for j in 0..50u64 {
@@ -745,21 +707,18 @@ mod tests {
         }
         let r = w.finalize();
         let e = &r.events[0];
-        assert_eq!(e.flight_recorder.len(), 8);
-        // The dump is exactly the 8 frames up to and including the
-        // trigger, in order.
+        assert_eq!(e.flight_recorder.len(), FLIGHT_RECORDER);
+        // The dump is exactly the FLIGHT_RECORDER frames up to and
+        // including the trigger, in order.
         let trigger = all.iter().position(|f| f.time == e.time).unwrap();
-        assert_eq!(e.flight_recorder, all[trigger - 7..=trigger].to_vec());
+        let first = trigger + 1 - FLIGHT_RECORDER;
+        assert_eq!(e.flight_recorder, all[first..=trigger].to_vec());
     }
 
     #[test]
     fn watcher_is_a_pure_function_of_the_stream() {
         let run = || {
-            let mut w = StreamWatch::new(
-                WatchConfig::default(),
-                vec![contract("hog", 50_000.0, 1_000, 1)],
-                owner2(),
-            );
+            let mut w = StreamWatch::new(vec![contract("hog", 50_000.0, 1_000, 1)], owner2());
             for cycle in 0..4u64 {
                 for j in 0..100u64 {
                     w.observe(&rec(cycle * 60_000 + j * 20, 0, 1, 1200));

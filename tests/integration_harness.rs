@@ -8,7 +8,6 @@ use fxnet::apps::airshed::AirshedParams;
 use fxnet::harness::Pool;
 use fxnet::mix::MixTenant;
 use fxnet::qos::QosNetwork;
-use fxnet::watch::WatchConfig;
 use fxnet::{KernelKind, RunResult, SimTime, Testbed, TestbedBuilder};
 
 fn paper() -> Testbed {
@@ -97,7 +96,7 @@ fn watch_events() -> String {
             )
             .with_claim_scale(0.125),
         )
-        .watch(WatchConfig::default())
+        .watch()
         .run();
     out.watch.expect("watch was enabled").events_jsonl()
 }

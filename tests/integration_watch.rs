@@ -9,7 +9,7 @@ use fxnet::mix::MixTenant;
 use fxnet::spectral::{goertzel_power, padded_bin};
 use fxnet::telemetry::prometheus_text;
 use fxnet::trace::{Periodogram, SlidingBandwidth, StreamBinner, TraceStore};
-use fxnet::watch::{EventKind, WatchConfig, WatchReport};
+use fxnet::watch::{EventKind, WatchReport, FLIGHT_RECORDER};
 use fxnet::{FrameRecord, KernelKind, SimTime, TestbedBuilder};
 
 const BIN: SimTime = SimTime(10_000_000); // the paper's 10 ms window
@@ -126,7 +126,7 @@ fn watched_mix(seed: u64) -> WatchReport {
         .solo_baselines(false)
         .tenant(MixTenant::shift("honest", 0.05, 30_000, 4, 2))
         .tenant(liar)
-        .watch(WatchConfig::default())
+        .watch()
         .run()
         .watch
         .expect("watch was enabled")
@@ -152,7 +152,7 @@ fn watcher_catches_the_overdriver_online() {
     let report = watched_mix(11);
     assert_eq!(report.violations_for("liar"), 1, "one latched violation");
     assert_eq!(report.violations_for("honest"), 0, "honest tenant clean");
-    let cap = WatchConfig::default().flight_recorder;
+    let cap = FLIGHT_RECORDER;
     for e in &report.events {
         assert!(e.tenant == "liar", "only the liar trips the watcher");
         assert!(!e.flight_recorder.is_empty(), "dump must hold frames");
@@ -186,7 +186,7 @@ fn watcher_streams_a_trunked_topology_run() {
             .solo_baselines(false)
             .tenant(MixTenant::shift("up", 0.05, 30_000, 4, 2))
             .tenant(MixTenant::shift("down", 0.05, 30_000, 4, 2))
-            .watch(WatchConfig::default())
+            .watch()
             .run()
     };
     let out = run(3);
