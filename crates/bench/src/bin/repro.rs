@@ -44,6 +44,7 @@
 //! `--out` prints and writes the same bytes as the first run.
 
 use fxnet::fx::Pattern;
+use fxnet::mix::TenantProgram;
 use fxnet::qos::{negotiate, AppDescriptor, QosNetwork};
 use fxnet::sim::SimRng;
 use fxnet::spectral::generate::SynthConfig;
@@ -54,7 +55,7 @@ use fxnet::telemetry::{write_json_artifact, TraceEvent};
 use fxnet::trace::PhaseBreakdown;
 use fxnet::trace::{Periodogram, TraceStore};
 use fxnet::{KernelKind, SimTime};
-use fxnet_bench::{bandwidth_row_bw, stats_row, Experiments};
+use fxnet_bench::{bandwidth_row_bw, stats_row, Experiments, Program, ProgramRun};
 use fxnet_harness::{timed, Pool};
 use serde::Value;
 use std::io::Write;
@@ -63,9 +64,10 @@ use std::num::NonZeroUsize;
 const BIN: SimTime = SimTime(10_000_000); // the paper's 10 ms window
 
 /// Everything an experiment runner gets: the shared program runs, the
-/// worker pool, and the raw CLI knobs.
+/// worker pool, the raw CLI knobs, and the experiment being run.
 struct Ctx {
     exps: Experiments,
+    exp: &'static Experiment,
     pool: Pool,
     div: usize,
     hours: usize,
@@ -84,13 +86,39 @@ struct Experiment {
     in_all: bool,
     /// Member of `all-extras`.
     extra: bool,
-    /// Kernels whose runs (or the columnar stores built from them) the
-    /// runner reads.
-    needs_kernels: &'static [KernelKind],
-    /// Whether the runner reads the shared AIRSHED run or its store.
-    needs_airshed: bool,
+    /// The programs whose shared runs the runner reads.
+    needs: &'static [Program],
     run: fn(&mut Ctx),
 }
+
+impl Ctx {
+    /// The shared run of `program`, which the running experiment must
+    /// declare in its `needs`.
+    fn run(&self, program: impl Into<Program>) -> &ProgramRun {
+        let program = program.into();
+        assert!(
+            self.exp.needs.contains(&program),
+            "experiment `{}` reads {} but does not declare it in `needs`",
+            self.exp.id,
+            program.name()
+        );
+        self.exps.run(program)
+    }
+
+    /// The trace of `program`'s shared run, as columns.
+    fn store(&self, program: impl Into<Program>) -> &TraceStore {
+        &self.run(program).store
+    }
+}
+
+/// The five kernels, in the paper's order.
+const KERNELS: [Program; 5] = [
+    Program::Kernel(KernelKind::Sor),
+    Program::Kernel(KernelKind::Fft2d),
+    Program::Kernel(KernelKind::T2dfft),
+    Program::Kernel(KernelKind::Seq),
+    Program::Kernel(KernelKind::Hist),
+];
 
 /// Registry shorthand: no shared program runs needed.
 const NONE: Experiment = Experiment {
@@ -98,8 +126,7 @@ const NONE: Experiment = Experiment {
     desc: "",
     in_all: false,
     extra: false,
-    needs_kernels: &[],
-    needs_airshed: false,
+    needs: &[],
     run: fig1,
 };
 
@@ -116,7 +143,7 @@ const REGISTRY: &[Experiment] = &[
         id: "fig3",
         desc: "packet size statistics for Fx kernels",
         in_all: true,
-        needs_kernels: &KernelKind::ALL,
+        needs: &KERNELS,
         run: fig3,
         ..NONE
     },
@@ -124,7 +151,7 @@ const REGISTRY: &[Experiment] = &[
         id: "fig4",
         desc: "packet interarrival statistics for Fx kernels",
         in_all: true,
-        needs_kernels: &KernelKind::ALL,
+        needs: &KERNELS,
         run: fig4,
         ..NONE
     },
@@ -132,7 +159,7 @@ const REGISTRY: &[Experiment] = &[
         id: "fig5",
         desc: "average bandwidth for Fx kernels",
         in_all: true,
-        needs_kernels: &KernelKind::ALL,
+        needs: &KERNELS,
         run: fig5,
         ..NONE
     },
@@ -140,7 +167,7 @@ const REGISTRY: &[Experiment] = &[
         id: "fig6",
         desc: "instantaneous bandwidth of Fx kernels (series files)",
         in_all: true,
-        needs_kernels: &KernelKind::ALL,
+        needs: &KERNELS,
         run: fig6,
         ..NONE
     },
@@ -148,7 +175,7 @@ const REGISTRY: &[Experiment] = &[
         id: "fig7",
         desc: "power spectra of kernel bandwidth (spectrum files)",
         in_all: true,
-        needs_kernels: &KernelKind::ALL,
+        needs: &KERNELS,
         run: fig7,
         ..NONE
     },
@@ -156,7 +183,7 @@ const REGISTRY: &[Experiment] = &[
         id: "fig8",
         desc: "packet size statistics for AIRSHED",
         in_all: true,
-        needs_airshed: true,
+        needs: &[Program::Airshed],
         run: fig8,
         ..NONE
     },
@@ -164,7 +191,7 @@ const REGISTRY: &[Experiment] = &[
         id: "fig9",
         desc: "packet interarrival statistics for AIRSHED",
         in_all: true,
-        needs_airshed: true,
+        needs: &[Program::Airshed],
         run: fig9,
         ..NONE
     },
@@ -172,7 +199,7 @@ const REGISTRY: &[Experiment] = &[
         id: "airshed-avg",
         desc: "AIRSHED average bandwidth (§6.2)",
         in_all: true,
-        needs_airshed: true,
+        needs: &[Program::Airshed],
         run: airshed_avg,
         ..NONE
     },
@@ -180,7 +207,7 @@ const REGISTRY: &[Experiment] = &[
         id: "fig10",
         desc: "instantaneous bandwidth of AIRSHED (series files)",
         in_all: true,
-        needs_airshed: true,
+        needs: &[Program::Airshed],
         run: fig10,
         ..NONE
     },
@@ -188,7 +215,7 @@ const REGISTRY: &[Experiment] = &[
         id: "fig11",
         desc: "power spectrum of AIRSHED bandwidth",
         in_all: true,
-        needs_airshed: true,
+        needs: &[Program::Airshed],
         run: fig11,
         ..NONE
     },
@@ -196,7 +223,11 @@ const REGISTRY: &[Experiment] = &[
         id: "model",
         desc: "truncated Fourier-series models of kernel bandwidth (§7.2)",
         in_all: true,
-        needs_kernels: &[KernelKind::Fft2d, KernelKind::Hist, KernelKind::Seq],
+        needs: &[
+            Program::Kernel(KernelKind::Fft2d),
+            Program::Kernel(KernelKind::Hist),
+            Program::Kernel(KernelKind::Seq),
+        ],
         run: model,
         ..NONE
     },
@@ -211,7 +242,10 @@ const REGISTRY: &[Experiment] = &[
         id: "baseline",
         desc: "parallel-program vs media traffic (§1/§8)",
         in_all: true,
-        needs_kernels: &[KernelKind::Fft2d, KernelKind::Hist],
+        needs: &[
+            Program::Kernel(KernelKind::Fft2d),
+            Program::Kernel(KernelKind::Hist),
+        ],
         run: baseline,
         ..NONE
     },
@@ -219,8 +253,7 @@ const REGISTRY: &[Experiment] = &[
         id: "phases",
         desc: "per-phase traffic attribution (span × trace join; needs telemetry)",
         extra: true,
-        needs_kernels: &KernelKind::ALL,
-        needs_airshed: true,
+        needs: &Program::ALL,
         run: phases,
         ..NONE
     },
@@ -228,8 +261,7 @@ const REGISTRY: &[Experiment] = &[
         id: "summary",
         desc: "one-page markdown summary of every measured program",
         extra: true,
-        needs_kernels: &KernelKind::ALL,
-        needs_airshed: true,
+        needs: &Program::ALL,
         run: summary,
         ..NONE
     },
@@ -315,7 +347,7 @@ fn write_metrics_snapshot(ctx: &Ctx, id: &str, dir: &str) {
         let l = [("prog", name)];
         reg.set_counter(
             labeled("repro_run_frames_total", &l),
-            run.trace.len() as u64,
+            run.store.len() as u64,
         );
         reg.set_gauge(
             labeled("repro_run_finished_seconds", &l),
@@ -442,6 +474,7 @@ fn main() {
         exps: Experiments::new(div, hours, &out)
             .with_seed(seed)
             .with_telemetry(telemetry),
+        exp: &REGISTRY[0], // replaced by each selected experiment below
         pool: Pool::new(jobs),
         div,
         hours,
@@ -458,16 +491,11 @@ fn main() {
     // fanned across the pool. Runs are keyed by program, so every
     // analysis afterwards prints the same bytes at any --jobs; only the
     // [run] progress lines on stderr interleave.
-    let mut kernels: Vec<KernelKind> = Vec::new();
-    for k in selected.iter().flat_map(|e| e.needs_kernels) {
-        if !kernels.contains(k) {
-            kernels.push(*k);
-        }
-    }
-    let airshed = selected.iter().any(|e| e.needs_airshed);
-    ctx.exps.prewarm(&ctx.pool, &kernels, airshed);
+    let programs: Vec<Program> = selected.iter().flat_map(|e| e.needs).copied().collect();
+    ctx.exps.prewarm(&ctx.pool, &programs);
 
-    for e in &selected {
+    for e in selected {
+        ctx.exp = e;
         (e.run)(&mut ctx);
         // The uniform `--metrics-out` contract: every experiment in the
         // registry leaves a Prometheus snapshot behind, not just the
@@ -494,35 +522,27 @@ fn main() {
 // Per-phase traffic attribution: the span × trace join.
 
 fn phases(c: &mut Ctx) {
-    let ctx = &mut c.exps;
     header("Per-phase traffic attribution (10 ms peak bins)");
     let ranks = fxnet::Testbed::paper().config().p;
-    let mut entries: Vec<(String, Value)> = Vec::new();
-    let mut programs: Vec<(String, PhaseBreakdown, Value)> = Vec::new();
-    for k in KernelKind::ALL {
-        let run = ctx.kernel(k);
-        let tel = run.telemetry.as_ref().expect("phases runs with telemetry");
-        let bd = PhaseBreakdown::compute(&run.trace, &tel.spans, ranks, BIN);
-        programs.push((k.name().to_string(), bd, tel.to_value()));
-    }
-    {
-        let run = ctx.airshed();
-        let tel = run.telemetry.as_ref().expect("phases runs with telemetry");
-        let bd = PhaseBreakdown::compute(&run.trace, &tel.spans, ranks, BIN);
-        programs.push(("AIRSHED".to_string(), bd, tel.to_value()));
-    }
     #[derive(serde::Serialize)]
     struct ProgramPhases {
         phases: PhaseBreakdown,
         telemetry: Value,
     }
-    for (name, phases, telemetry) in programs {
-        println!("\n{name}:");
+    let mut entries: Vec<(String, Value)> = Vec::new();
+    for p in Program::ALL {
+        let run = c.run(p);
+        let tel = run.telemetry.as_ref().expect("phases runs with telemetry");
+        let phases = PhaseBreakdown::compute(run.store.view(), &tel.spans, ranks, BIN);
+        println!("\n{}:", p.name());
         print!("{}", phases.table());
-        let entry = ProgramPhases { phases, telemetry };
-        entries.push((name, serde::Serialize::to_value(&entry)));
+        let entry = ProgramPhases {
+            phases,
+            telemetry: tel.to_value(),
+        };
+        entries.push((p.name().to_string(), serde::Serialize::to_value(&entry)));
     }
-    let path = ctx.out_path("telemetry_phases.json");
+    let path = c.exps.out_path("telemetry_phases.json");
     write_json_artifact(&path, &Value::Object(entries)).expect("write telemetry artifact");
     println!("\nwrote {}", path.display());
 }
@@ -531,24 +551,13 @@ fn phases(c: &mut Ctx) {
 // One-page markdown summary of every measured program.
 
 fn summary(c: &mut Ctx) {
-    let ctx = &mut c.exps;
     header("Summary: all measured programs (markdown)");
     use fxnet::trace::{markdown_table_views, ReportOptions};
-    let opts = ReportOptions::default();
-    // Materialize every store, then borrow them all at once for the
-    // one-table render — no cloned traces, just views.
-    let mut names: Vec<&'static str> = Vec::new();
-    for k in KernelKind::ALL {
-        ctx.kernel_store(k);
-        names.push(k.name());
-    }
-    ctx.airshed_store();
-    names.push("AIRSHED");
-    let rows: Vec<(&str, fxnet::trace::TraceView)> = names
+    let rows: Vec<(&str, fxnet::trace::TraceView)> = Program::ALL
         .iter()
-        .map(|n| (*n, ctx.store_of(n).expect("materialized above").view()))
+        .map(|&p| (p.name(), c.store(p).view()))
         .collect();
-    println!("{}", markdown_table_views(rows, &opts));
+    println!("{}", markdown_table_views(rows, &ReportOptions::default()));
 }
 
 // --------------------------------------------------------------------
@@ -653,39 +662,35 @@ fn ablate_p(c: &mut Ctx) {
         n_bytes / 1000
     );
     println!("    P    model t_bi    measured t_bi");
-    // A keyed sweep: rows come back sorted by P no matter which worker
-    // finishes first.
-    let mut sweep = c.pool.sweep::<u32, String>();
-    for p in [2u32, 4, 8] {
-        sweep = sweep.add(p, move || {
-            let run = TestbedBuilder::quiet(p).seed(seed).build().run(move |ctx| {
-                let me = ctx.rank();
-                let np = ctx.nprocs();
-                let per_rank = SimTime::from_nanos(work.as_nanos() / u64::from(np));
-                for i in 0..8usize {
-                    ctx.compute_time(per_rank);
-                    let mut b = MessageBuilder::new(i as i32);
-                    b.pack_bytes(&vec![0u8; n_bytes]);
-                    ctx.send((me + 1) % np, b.finish());
-                    let _ = ctx.recv((me + np - 1) % np);
-                }
-            });
-            let profile = TraceStore::from_records(&run.trace)
-                .view()
-                .burst_profile(SimTime::from_millis(300))
-                .expect("bursts");
-            let measured = profile.intervals.map_or(f64::NAN, |i| i.avg);
-            let app =
-                AppDescriptor::scalable(Pattern::Shift { k: 1 }, work.as_secs_f64(), move |_| {
-                    n_bytes as u64
-                });
-            let net = QosNetwork::ethernet_10mbps();
-            let bw = net.offer(app.concurrent_connections(p)).expect("offer");
-            let model = app.timing(p, bw).t_interval;
-            format!("   {p:>2}    {model:>9.2}s    {measured:>12.2}s")
+    // One run per P; the pool returns rows in input order no matter
+    // which worker finishes first.
+    let rows = c.pool.map(vec![2u32, 4, 8], move |p| {
+        let run = TestbedBuilder::quiet(p).seed(seed).build().run(move |ctx| {
+            let me = ctx.rank();
+            let np = ctx.nprocs();
+            let per_rank = SimTime::from_nanos(work.as_nanos() / u64::from(np));
+            for i in 0..8usize {
+                ctx.compute_time(per_rank);
+                let mut b = MessageBuilder::new(i as i32);
+                b.pack_bytes(&vec![0u8; n_bytes]);
+                ctx.send((me + 1) % np, b.finish());
+                let _ = ctx.recv((me + np - 1) % np);
+            }
         });
-    }
-    for (_, row) in sweep.run() {
+        let profile = TraceStore::from_records(&run.trace)
+            .view()
+            .burst_profile(SimTime::from_millis(300))
+            .expect("bursts");
+        let measured = profile.intervals.map_or(f64::NAN, |i| i.avg);
+        let app = AppDescriptor::scalable(Pattern::Shift { k: 1 }, work.as_secs_f64(), move |_| {
+            n_bytes as u64
+        });
+        let net = QosNetwork::ethernet_10mbps();
+        let bw = net.offer(app.concurrent_connections(p)).expect("offer");
+        let model = app.timing(p, bw).t_interval;
+        format!("   {p:>2}    {model:>9.2}s    {measured:>12.2}s")
+    });
+    for row in rows {
         println!("{row}");
     }
 }
@@ -775,10 +780,10 @@ fn mix_kernels(c: &mut Ctx) {
         "\nconservation: {} + {} background = {} frames total (exact)",
         out.tenants
             .iter()
-            .map(|t| t.frames.len().to_string())
+            .map(|t| t.frames.to_string())
             .collect::<Vec<_>>()
             .join(" + "),
-        out.background.len(),
+        out.background,
         total
     );
 }
@@ -790,63 +795,60 @@ fn mix_admit(c: &mut Ctx) {
     use std::fmt::Write as _;
     let seed = c.seed;
     println!("offered  admitted  rejected  residual KB/s");
-    // Each offered-load level is an independent mix run; sweep them
-    // across the pool keyed by the level so the report prints in order.
-    let mut sweep = c.pool.sweep::<usize, (String, bool)>();
-    for offered in 1..=4usize {
-        sweep = sweep.add(offered, move || {
-            // Identical §7.3 shift tenants: 2 s of work per cycle,
-            // 400 KB bursts. Each admission commits its negotiated mean
-            // load, so the residual shrinks until the burst-bandwidth
-            // floor (50 KB/s) refuses the next.
-            let tenant = |i: usize| MixTenant::shift(&format!("T{}", i + 1), 2.0, 400_000, 3, 4);
-            let net = || QosNetwork::ethernet_10mbps().with_min_burst_bw(50_000.0);
-            let mut b = TestbedBuilder::paper()
-                .seed(seed)
-                .heartbeats(false)
-                .build()
-                .mix()
-                .network(net())
-                .solo_baselines(offered == 2);
-            for i in 0..offered {
-                b = b.tenant(tenant(i));
-            }
-            let out = b.run();
-            let committed: f64 = out.tenants.iter().map(|t| t.negotiation.mean_load).sum();
-            let mut s = String::new();
+    // Each offered-load level is an independent mix run; the pool
+    // returns them in input order, so the report prints in order.
+    let blocks = c.pool.map((1..=4usize).collect(), move |offered| {
+        // Identical §7.3 shift tenants: 2 s of work per cycle,
+        // 400 KB bursts. Each admission commits its negotiated mean
+        // load, so the residual shrinks until the burst-bandwidth
+        // floor (50 KB/s) refuses the next.
+        let tenant = |i: usize| MixTenant::shift(&format!("T{}", i + 1), 2.0, 400_000, 3, 4);
+        let net = || QosNetwork::ethernet_10mbps().with_min_burst_bw(50_000.0);
+        let mut b = TestbedBuilder::paper()
+            .seed(seed)
+            .heartbeats(false)
+            .build()
+            .mix()
+            .network(net())
+            .solo_baselines(offered == 2);
+        for i in 0..offered {
+            b = b.tenant(tenant(i));
+        }
+        let out = b.run();
+        let committed: f64 = out.tenants.iter().map(|t| t.negotiation.mean_load).sum();
+        let mut s = String::new();
+        writeln!(
+            s,
+            "{offered:>7}  {:>8}  {:>8}  {:>13.1}",
+            out.tenants.len(),
+            out.rejected.len(),
+            (net().capacity() - committed) / 1000.0
+        )
+        .expect("write row");
+        for r in &out.rejected {
+            writeln!(s, "         {r}").expect("write row");
+        }
+        if offered == 2 {
             writeln!(
                 s,
-                "{offered:>7}  {:>8}  {:>8}  {:>13.1}",
-                out.tenants.len(),
-                out.rejected.len(),
-                (net().capacity() - committed) / 1000.0
+                "         measured vs predicted slowdown at offered load 2:"
             )
             .expect("write row");
-            for r in &out.rejected {
-                writeln!(s, "         {r}").expect("write row");
-            }
-            if offered == 2 {
+            for t in &out.tenants {
                 writeln!(
                     s,
-                    "         measured vs predicted slowdown at offered load 2:"
+                    "           {}: measured {:.3}  QoS-model predicted {:.3}",
+                    t.name,
+                    t.measured_slowdown.unwrap_or(f64::NAN),
+                    t.predicted_slowdown
                 )
                 .expect("write row");
-                for t in &out.tenants {
-                    writeln!(
-                        s,
-                        "           {}: measured {:.3}  QoS-model predicted {:.3}",
-                        t.name,
-                        t.measured_slowdown.unwrap_or(f64::NAN),
-                        t.predicted_slowdown
-                    )
-                    .expect("write row");
-                }
             }
-            (s, !out.rejected.is_empty())
-        });
-    }
+        }
+        (s, !out.rejected.is_empty())
+    });
     let mut any_rejected = false;
-    for (_, (block, rejected)) in sweep.run() {
+    for (block, rejected) in blocks {
         print!("{block}");
         any_rejected |= rejected;
     }
@@ -1202,53 +1204,50 @@ fn fig1(_c: &mut Ctx) {
 // Figures 3–5: kernel tables.
 
 fn fig3(c: &mut Ctx) {
-    let ctx = &mut c.exps;
     header("Figure 3: packet size statistics for Fx kernels (bytes)");
     println!("-- aggregate --     min       max       avg        sd");
     for k in KernelKind::ALL {
-        let s = ctx.kernel_store(k).view().packet_sizes();
+        let s = c.store(k).view().packet_sizes();
         println!("{}", stats_row(k.name(), s));
     }
     println!("-- connection --    min       max       avg        sd");
     for k in KernelKind::ALL {
         // A zero-copy connection view: an index lookup, not a filter.
         let s = Experiments::representative_pair(k)
-            .and_then(|(a, b)| ctx.kernel_store(k).connection(a, b).packet_sizes());
+            .and_then(|(a, b)| c.store(k).connection(a, b).packet_sizes());
         println!("{}", stats_row(k.name(), s));
     }
     println!("(paper aggregate: SOR 58/1518/473/568, 2DFFT 58/1518/969/678, T2DFFT 58/1518/912/663, SEQ 58/90/75/14, HIST 58/1518/499/575)");
 }
 
 fn fig4(c: &mut Ctx) {
-    let ctx = &mut c.exps;
     header("Figure 4: packet interarrival time statistics for Fx kernels (ms)");
     println!("-- aggregate --     min       max       avg        sd");
     for k in KernelKind::ALL {
-        let s = ctx.kernel_store(k).view().interarrivals_ms();
+        let s = c.store(k).view().interarrivals_ms();
         println!("{}", stats_row(k.name(), s));
     }
     println!("-- connection --    min       max       avg        sd");
     for k in KernelKind::ALL {
         let s = Experiments::representative_pair(k)
-            .and_then(|(a, b)| ctx.kernel_store(k).connection(a, b).interarrivals_ms());
+            .and_then(|(a, b)| c.store(k).connection(a, b).interarrivals_ms());
         println!("{}", stats_row(k.name(), s));
     }
     println!("(paper aggregate avg: SOR 82.1, 2DFFT 1.3, T2DFFT 1.5, SEQ 1.3, HIST 16.5)");
 }
 
 fn fig5(c: &mut Ctx) {
-    let ctx = &mut c.exps;
     header("Figure 5: average bandwidth for Fx kernels (KB/s)");
     println!("-- aggregate --      KB/s");
     for k in KernelKind::ALL {
-        let bw = ctx.kernel_store(k).view().average_bandwidth();
+        let bw = c.store(k).view().average_bandwidth();
         println!("{}", bandwidth_row_bw(k.name(), bw));
     }
     println!("-- connection --     KB/s");
     for k in KernelKind::ALL {
         match Experiments::representative_pair(k) {
             Some((a, b)) => {
-                let bw = ctx.kernel_store(k).connection(a, b).average_bandwidth();
+                let bw = c.store(k).connection(a, b).average_bandwidth();
                 println!("{}", bandwidth_row_bw(k.name(), bw));
             }
             None => println!("{:<10} {:>10}", k.name(), "-"),
@@ -1289,11 +1288,10 @@ fn dump_spectrum(path: &std::path::Path, spec: &Periodogram, max_hz: f64) {
 }
 
 fn fig6(c: &mut Ctx) {
-    let ctx = &mut c.exps;
     header("Figure 6: instantaneous bandwidth of Fx kernels (10 ms window)");
     for k in KernelKind::ALL {
-        let win = ctx.kernel_store(k).view().sliding_window_bandwidth(BIN);
-        let path = ctx.out_path(&format!("{}.all.winbw", k.name()));
+        let win = c.store(k).view().sliding_window_bandwidth(BIN);
+        let path = c.exps.out_path(&format!("{}.all.winbw", k.name()));
         dump_series(&path, &win, 10.0);
         println!(
             "wrote {} ({} points, 10 s span)",
@@ -1301,11 +1299,8 @@ fn fig6(c: &mut Ctx) {
             win.len().min(10_000)
         );
         if let Some((a, b)) = Experiments::representative_pair(k) {
-            let win = ctx
-                .kernel_store(k)
-                .connection(a, b)
-                .sliding_window_bandwidth(BIN);
-            let path = ctx.out_path(&format!("{}.conn.winbw", k.name()));
+            let win = c.store(k).connection(a, b).sliding_window_bandwidth(BIN);
+            let path = c.exps.out_path(&format!("{}.conn.winbw", k.name()));
             dump_series(&path, &win, 10.0);
             println!("wrote {}", path.display());
         }
@@ -1313,7 +1308,6 @@ fn fig6(c: &mut Ctx) {
 }
 
 fn fig7(c: &mut Ctx) {
-    let ctx = &mut c.exps;
     header("Figure 7: power spectra of kernel bandwidth (10 ms bins)");
     let paper = [
         ("SOR", "conn ~5 Hz fundamental; aggregate less clean"),
@@ -1323,9 +1317,9 @@ fn fig7(c: &mut Ctx) {
         ("HIST", "5 Hz fundamental, linearly declining harmonics"),
     ];
     for (k, (_, note)) in KernelKind::ALL.into_iter().zip(paper) {
-        let series = ctx.kernel_store(k).view().binned_bandwidth(BIN);
+        let series = c.store(k).view().binned_bandwidth(BIN);
         let spec = Periodogram::compute(&series, BIN);
-        let path = ctx.out_path(&format!("{}.all.spectrum", k.name()));
+        let path = c.exps.out_path(&format!("{}.all.spectrum", k.name()));
         dump_spectrum(&path, &spec, 50.0);
         let dom = spec.dominant_frequency(0.15).unwrap_or(0.0);
         println!(
@@ -1338,9 +1332,9 @@ fn fig7(c: &mut Ctx) {
             println!("    spike {:>6.2} Hz  power {:.2e}", s.freq, s.power);
         }
         if let Some((a, b)) = Experiments::representative_pair(k) {
-            let cs = ctx.kernel_store(k).connection(a, b).binned_bandwidth(BIN);
+            let cs = c.store(k).connection(a, b).binned_bandwidth(BIN);
             let cspec = Periodogram::compute(&cs, BIN);
-            let path = ctx.out_path(&format!("{}.conn.spectrum", k.name()));
+            let path = c.exps.out_path(&format!("{}.conn.spectrum", k.name()));
             dump_spectrum(&path, &cspec, 50.0);
             println!(
                 "    connection dominant {:.2} Hz, flatness {:.4}",
@@ -1355,9 +1349,8 @@ fn fig7(c: &mut Ctx) {
 // Figures 8–11 + §6.2: AIRSHED.
 
 fn fig8(c: &mut Ctx) {
-    let ctx = &mut c.exps;
     header("Figure 8: packet size statistics for AIRSHED (bytes)");
-    let store = ctx.airshed_store();
+    let store = c.store(Program::Airshed);
     println!("{}", stats_row("aggregate", store.view().packet_sizes()));
     let conn = store.connection(fxnet::HostId(0), fxnet::HostId(1));
     println!("{}", stats_row("connection", conn.packet_sizes()));
@@ -1365,9 +1358,8 @@ fn fig8(c: &mut Ctx) {
 }
 
 fn fig9(c: &mut Ctx) {
-    let ctx = &mut c.exps;
     header("Figure 9: packet interarrival statistics for AIRSHED (ms)");
-    let store = ctx.airshed_store();
+    let store = c.store(Program::Airshed);
     println!(
         "{}",
         stats_row("aggregate", store.view().interarrivals_ms())
@@ -1378,9 +1370,8 @@ fn fig9(c: &mut Ctx) {
 }
 
 fn airshed_avg(c: &mut Ctx) {
-    let ctx = &mut c.exps;
     header("§6.2: AIRSHED average bandwidth");
-    let store = ctx.airshed_store();
+    let store = c.store(Program::Airshed);
     let agg = store.view().average_bandwidth().unwrap_or(0.0) / 1000.0;
     let cbw = store
         .connection(fxnet::HostId(0), fxnet::HostId(1))
@@ -1392,31 +1383,32 @@ fn airshed_avg(c: &mut Ctx) {
 }
 
 fn fig10(c: &mut Ctx) {
-    let ctx = &mut c.exps;
     header("Figure 10: instantaneous bandwidth of AIRSHED (10 ms window)");
-    let total = ctx.airshed().finished_at.as_secs_f64();
-    let win = ctx.airshed_store().view().sliding_window_bandwidth(BIN);
-    let p500 = ctx.out_path("AIRSHED.all.winbw.500s");
+    let total = c.run(Program::Airshed).finished_at.as_secs_f64();
+    let win = c
+        .store(Program::Airshed)
+        .view()
+        .sliding_window_bandwidth(BIN);
+    let p500 = c.exps.out_path("AIRSHED.all.winbw.500s");
     dump_series(&p500, &win, 500.0f64.min(total));
-    let p60 = ctx.out_path("AIRSHED.all.winbw.60s");
+    let p60 = c.exps.out_path("AIRSHED.all.winbw.60s");
     dump_series(&p60, &win, 60.0f64.min(total));
     println!("wrote {} and {}", p500.display(), p60.display());
-    let cw = ctx
-        .airshed_store()
+    let cw = c
+        .store(Program::Airshed)
         .connection(fxnet::HostId(0), fxnet::HostId(1))
         .sliding_window_bandwidth(BIN);
-    let pc = ctx.out_path("AIRSHED.conn.winbw.500s");
+    let pc = c.exps.out_path("AIRSHED.conn.winbw.500s");
     dump_series(&pc, &cw, 500.0f64.min(total));
     println!("wrote {}", pc.display());
 }
 
 fn fig11(c: &mut Ctx) {
-    let ctx = &mut c.exps;
     header("Figure 11: power spectrum of AIRSHED bandwidth");
-    let series = ctx.airshed_store().view().binned_bandwidth(BIN);
+    let series = c.store(Program::Airshed).view().binned_bandwidth(BIN);
     let spec = Periodogram::compute(&series, BIN);
     for (suffix, max_hz) in [("0.1hz", 0.1), ("1hz", 1.0), ("20hz", 20.0)] {
-        let path = ctx.out_path(&format!("AIRSHED.spectrum.{suffix}"));
+        let path = c.exps.out_path(&format!("AIRSHED.spectrum.{suffix}"));
         dump_spectrum(&path, &spec, max_hz);
         println!("wrote {}", path.display());
     }
@@ -1446,10 +1438,9 @@ fn fig11(c: &mut Ctx) {
 // §7.2 model, §7.3 QoS, §1/§8 baseline comparison.
 
 fn model(c: &mut Ctx) {
-    let ctx = &mut c.exps;
     header("§7.2: truncated Fourier-series models of kernel bandwidth");
     for k in [KernelKind::Fft2d, KernelKind::Hist, KernelKind::Seq] {
-        let series = ctx.kernel_store(k).view().binned_bandwidth(BIN);
+        let series = c.store(k).view().binned_bandwidth(BIN);
         let spec = Periodogram::compute(&series, BIN);
         println!(
             "\n{}:  spikes  captured-power  reconstruction-RMS",
@@ -1525,11 +1516,10 @@ fn qos(_c: &mut Ctx) {
 }
 
 fn baseline(c: &mut Ctx) {
-    let ctx = &mut c.exps;
     header("§1/§8: parallel-program vs media traffic");
     let mut rows: Vec<(String, f64, f64, Option<f64>)> = Vec::new();
     for k in [KernelKind::Fft2d, KernelKind::Hist] {
-        let v = ctx.kernel_store(k).view();
+        let v = c.store(k).view();
         let series = v.binned_bandwidth(BIN);
         let spec = Periodogram::compute(&series, BIN);
         let conc = FourierModel::from_periodogram(&spec, 8, 0.1).captured_power_fraction(&spec);
@@ -1574,8 +1564,8 @@ fn baseline(c: &mut Ctx) {
 #[derive(Clone, Copy)]
 enum SweepProg {
     Kernel(KernelKind),
-    /// The §7.3 shift pattern: 500 ms of local computation between
-    /// 100 KB exchanges, so the burst period is dominated by `l(P)` plus
+    /// The §7.3 shift pattern: 2 s of work over 4 ranks (500 ms of local
+    /// computation per rank) between 100 KB exchanges, so the burst period is dominated by `l(P)` plus
     /// a clearly bandwidth-dependent `N/B` term.
     Shift,
 }
@@ -1606,61 +1596,61 @@ impl SweepProg {
         }
     }
 
+    /// The program at the sweep's scale: kernel scale is floored so the
+    /// 72-cell grid stays tractable at `--div 1` while still producing
+    /// several bursts per run.
+    fn program(self, div: usize) -> TenantProgram {
+        match self {
+            SweepProg::Kernel(k) => TenantProgram::Kernel {
+                kind: k,
+                div: if k == KernelKind::Seq {
+                    div.max(5)
+                } else {
+                    div.max(20)
+                },
+            },
+            SweepProg::Shift => TenantProgram::Shift {
+                work_s: 2.0,
+                bytes: 100_000,
+                rounds: 6,
+            },
+        }
+    }
+
+    /// The program's testbed: the paper LAN for kernels, the quiet
+    /// 4-host LAN for the shift pattern.
+    fn testbed(self, seed: u64) -> fxnet::TestbedBuilder {
+        match self {
+            SweepProg::Kernel(_) => fxnet::TestbedBuilder::paper(),
+            SweepProg::Shift => fxnet::TestbedBuilder::quiet(4),
+        }
+        .seed(seed)
+    }
+
     /// Run on the legacy shared bus (`None`) or a compiled topology.
-    /// Kernel scale is floored so the 72-cell grid stays tractable at
-    /// `--div 1` while still producing several bursts per run.
     fn run(
         self,
         seed: u64,
         div: usize,
         spec: Option<fxnet::TopologySpec>,
     ) -> fxnet::RunResult<u64> {
-        use fxnet::TestbedBuilder;
-        match self {
-            SweepProg::Kernel(k) => {
-                let d = if k == KernelKind::Seq {
-                    div.max(5)
-                } else {
-                    div.max(20)
-                };
-                let mut b = TestbedBuilder::paper().seed(seed);
-                if let Some(s) = spec {
-                    b = b.topology(s);
-                }
-                b.build().run_kernel(k, d).expect("sweep kernel run")
-            }
-            SweepProg::Shift => {
-                let mut b = TestbedBuilder::quiet(4).seed(seed);
-                if let Some(s) = spec {
-                    b = b.topology(s);
-                }
-                b.build().run(move |ctx| {
-                    let payload = vec![1u8; 100_000];
-                    for round in 0..6i32 {
-                        ctx.compute_time(SimTime::from_millis(500));
-                        let _ = fxnet::fx::shift(ctx, round, 1, &payload);
-                    }
-                    0u64
-                })
-            }
+        let mut b = self.testbed(seed);
+        if let Some(s) = spec {
+            b = b.topology(s);
         }
+        let prog = self.program(div).rank_program();
+        b.build().run(move |ctx| prog(ctx))
     }
 
-    /// The same program as a single mix tenant, at the same scale
-    /// floors as [`SweepProg::run`] — for runs that need the mix
-    /// plumbing (tenant map, causal capture, QoS contract terms).
+    /// The same program as a single mix tenant — for runs that need the
+    /// mix plumbing (tenant map, causal capture, QoS contract terms).
     fn mix_tenant(self, div: usize) -> fxnet::mix::MixTenant {
-        use fxnet::mix::MixTenant;
-        match self {
-            SweepProg::Kernel(k) => {
-                let d = if k == KernelKind::Seq {
-                    div.max(5)
-                } else {
-                    div.max(20)
-                };
-                MixTenant::kernel(k.name(), k, d, 4, SimTime::ZERO)
-            }
-            SweepProg::Shift => MixTenant::shift("SHIFT", 0.5, 100_000, 6, 4),
+        fxnet::mix::MixTenant {
+            name: self.name().to_string(),
+            program: self.program(div),
+            p: 4,
+            start: SimTime::ZERO,
+            claim_scale: 1.0,
         }
     }
 }
@@ -2085,16 +2075,9 @@ struct HealthCell {
 fn health_cell(prog: SweepProg, seed: u64, div: usize) -> HealthCell {
     use fxnet::causal::{chrome_trace, collective_paths, contended_intervals};
     use fxnet::metrics::{counter_events, FabricSampler, HotspotConfig};
-    use fxnet::TestbedBuilder;
     let spec = oversubscribed_trunk2(prog.hosts());
     let build = |spec: &fxnet::TopologySpec| {
-        let tb = match prog {
-            SweepProg::Kernel(_) => TestbedBuilder::paper(),
-            SweepProg::Shift => TestbedBuilder::quiet(4),
-        }
-        .seed(seed)
-        .topology(spec.clone())
-        .build();
+        let tb = prog.testbed(seed).topology(spec.clone()).build();
         let cost = tb.config().cost.clone();
         let mix = tb
             .mix()
@@ -2368,4 +2351,39 @@ fn fabric_health(c: &mut Ctx) {
         prom_path.display(),
         trace_path.display()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sweep_shift_is_the_fabric_health_tenant() {
+        let (seed, div) = (1998, 50);
+        let swept = SweepProg::Shift.run(seed, div, None);
+        let tenant = SweepProg::Shift
+            .testbed(seed)
+            .build()
+            .mix()
+            .solo_baselines(false)
+            .tenant(SweepProg::Shift.mix_tenant(div))
+            .run();
+        assert_eq!(tenant.tenants.len(), 1, "the tenant is admitted");
+        assert_eq!(swept.trace, tenant.trace);
+    }
+
+    #[test]
+    #[should_panic(expected = "experiment `fig8` reads SOR but does not declare it")]
+    fn an_undeclared_program_names_the_experiment() {
+        let ctx = Ctx {
+            exps: Experiments::new(100, 1, std::env::temp_dir().join("fxnet-test-out")),
+            exp: REGISTRY.iter().find(|e| e.id == "fig8").expect("fig8"),
+            pool: Pool::serial(),
+            div: 100,
+            hours: 1,
+            seed: 1998,
+            metrics_out: None,
+        };
+        ctx.store(KernelKind::Sor);
+    }
 }

@@ -13,14 +13,63 @@ pub use scan::{
 };
 
 use fxnet::apps::airshed::AirshedParams;
+use fxnet::telemetry::RunTelemetry;
 use fxnet::trace::{ReportOptions, Stats, StreamingReport, TraceStore};
-use fxnet::{HostId, KernelKind, RunResult, SimTime, TestbedBuilder};
+use fxnet::{HostId, KernelKind, SimTime, TestbedBuilder};
 use fxnet_harness::Pool;
-use std::collections::HashMap;
 
-/// Lazily runs the measured programs, once each, for one harness
-/// process. Every run and every store it serves was simulated by this
-/// process.
+/// One of the six measured programs: a kernel or AIRSHED.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Program {
+    Kernel(KernelKind),
+    Airshed,
+}
+
+impl Program {
+    /// Every measured program: the five kernels, then AIRSHED.
+    pub const ALL: [Program; 6] = [
+        Program::Kernel(KernelKind::Sor),
+        Program::Kernel(KernelKind::Fft2d),
+        Program::Kernel(KernelKind::T2dfft),
+        Program::Kernel(KernelKind::Seq),
+        Program::Kernel(KernelKind::Hist),
+        Program::Airshed,
+    ];
+
+    /// What the program is called in `[run]` lines and snapshots.
+    pub fn name(self) -> &'static str {
+        match self {
+            Program::Kernel(k) => k.name(),
+            Program::Airshed => "AIRSHED",
+        }
+    }
+
+    /// Snapshot order: kernels by name, then AIRSHED.
+    fn snapshot_key(self) -> (bool, &'static str) {
+        (self == Program::Airshed, self.name())
+    }
+}
+
+impl From<KernelKind> for Program {
+    fn from(k: KernelKind) -> Program {
+        Program::Kernel(k)
+    }
+}
+
+/// One measured program as the analyses read it: its trace as columns,
+/// when its last rank finished, and its telemetry when that was on.
+#[derive(Debug)]
+pub struct ProgramRun {
+    /// The promiscuous trace.
+    pub store: TraceStore,
+    /// Simulated time at which the last rank finished.
+    pub finished_at: SimTime,
+    /// Spans and counters, when the harness collects telemetry.
+    pub telemetry: Option<RunTelemetry>,
+}
+
+/// The measured programs of one harness process, each simulated once by
+/// [`Experiments::prewarm`] and kept as one [`ProgramRun`].
 pub struct Experiments {
     /// Outer-iteration divisor (1 = full paper scale).
     pub div: usize,
@@ -30,16 +79,8 @@ pub struct Experiments {
     pub out_dir: std::path::PathBuf,
     seed: u64,
     telemetry: bool,
-    kernels: HashMap<&'static str, RunResult<u64>>,
-    airshed: Option<RunResult<u64>>,
-    stores: HashMap<&'static str, TraceStore>,
-    airshed_cols: Option<TraceStore>,
-}
-
-/// What a program (`None` is AIRSHED) is called in `[run]` lines and
-/// the run maps.
-fn program_name(program: Option<KernelKind>) -> &'static str {
-    program.map_or("AIRSHED", |k| k.name())
+    /// In snapshot order.
+    runs: Vec<(Program, ProgramRun)>,
 }
 
 impl Experiments {
@@ -52,24 +93,21 @@ impl Experiments {
             out_dir: out_dir.into(),
             seed: 1998,
             telemetry: false,
-            kernels: HashMap::new(),
-            airshed: None,
-            stores: HashMap::new(),
-            airshed_cols: None,
+            runs: Vec::new(),
         }
     }
 
     /// Collect telemetry (phase spans + counter registry) on every run.
-    /// Must be set before the first run; the packet traces are identical
-    /// either way.
+    /// Must be set before [`Experiments::prewarm`]; the packet traces are
+    /// identical either way.
     pub fn with_telemetry(mut self, on: bool) -> Experiments {
         self.telemetry = on;
         self
     }
 
     /// Override the simulation seed (default 1998, the paper's year).
-    /// Must be set before the first run: same seed, same byte-identical
-    /// traces and tables.
+    /// Must be set before [`Experiments::prewarm`]: same seed, same
+    /// byte-identical traces and tables.
     pub fn with_seed(mut self, seed: u64) -> Experiments {
         self.seed = seed;
         self
@@ -80,59 +118,50 @@ impl Experiments {
         self.seed
     }
 
-    /// Run `kernels` (and AIRSHED if `airshed`) by fanning the missing
-    /// simulations across `pool`.
+    /// Simulate every program of `programs` not yet run, fanned across
+    /// `pool`.
     ///
-    /// Each program is an independent run of a fixed `(seed, config)`,
-    /// so warming them in parallel yields byte-identical runs to the
-    /// lazy serial fills — the analyses that later read them print
-    /// the same tables and write the same artifacts regardless of
+    /// Each program is an independent run of a fixed `(seed, config)`
+    /// kept under its program, so the analyses that later read them
+    /// print the same tables and write the same artifacts regardless of
     /// `pool.jobs()`. Only the `[run]` progress lines on stderr may
     /// interleave differently.
-    pub fn prewarm(&mut self, pool: &Pool, kernels: &[KernelKind], airshed: bool) {
-        let mut jobs: Vec<Option<KernelKind>> = kernels
-            .iter()
-            .filter(|k| !self.kernels.contains_key(k.name()))
-            .map(|k| Some(*k))
-            .collect();
-        if airshed && self.airshed.is_none() {
-            jobs.push(None); // None = the AIRSHED run
-        }
-        if jobs.is_empty() {
-            return;
+    pub fn prewarm(&mut self, pool: &Pool, programs: &[Program]) {
+        let mut jobs: Vec<Program> = Vec::new();
+        for &p in programs {
+            if !jobs.contains(&p) && !self.runs.iter().any(|(q, _)| *q == p) {
+                jobs.push(p);
+            }
         }
         // Longest-job-first keeps the pool's makespan near the longest
-        // single run (AIRSHED, then the talkative kernels). Results are
-        // keyed by program, so schedule order cannot affect them.
-        let weight = |j: &Option<KernelKind>| match j {
-            None => 0,
-            Some(KernelKind::T2dfft) => 1,
-            Some(KernelKind::Fft2d) => 2,
-            Some(KernelKind::Seq) => 3,
-            Some(KernelKind::Sor) => 4,
-            Some(KernelKind::Hist) => 5,
-        };
-        jobs.sort_by_key(weight);
+        // single run (AIRSHED, then the talkative kernels).
+        jobs.sort_by_key(|p| match p {
+            Program::Airshed => 0,
+            Program::Kernel(KernelKind::T2dfft) => 1,
+            Program::Kernel(KernelKind::Fft2d) => 2,
+            Program::Kernel(KernelKind::Seq) => 3,
+            Program::Kernel(KernelKind::Sor) => 4,
+            Program::Kernel(KernelKind::Hist) => 5,
+        });
         let this = &*self;
-        let done = pool.map(jobs, |job| (job, this.simulate(job)));
-        for (job, run) in done {
-            self.keep(job, run);
-        }
+        let done = pool.map(jobs, |p| (p, this.simulate(p)));
+        self.runs.extend(done);
+        self.runs.sort_by_key(|(p, _)| p.snapshot_key());
     }
 
-    /// Simulate one program (`None` is AIRSHED) on a fresh paper testbed
-    /// and report it on stderr. Reads the configuration only, so
-    /// [`Experiments::prewarm`] calls it from pool workers.
-    fn simulate(&self, program: Option<KernelKind>) -> RunResult<u64> {
-        let name = program_name(program);
+    /// Simulate one program on a fresh paper testbed, report it on
+    /// stderr, and keep its trace as columns; the record `Vec` is
+    /// dropped here, in the pool worker.
+    fn simulate(&self, program: Program) -> ProgramRun {
+        let name = program.name();
         let t0 = std::time::Instant::now();
         let tb = TestbedBuilder::paper()
             .seed(self.seed)
             .telemetry_enabled(self.telemetry)
             .build();
         let run = match program {
-            Some(k) => tb.run_kernel(k, self.div),
-            None => tb.run_airshed(AirshedParams {
+            Program::Kernel(k) => tb.run_kernel(k, self.div),
+            Program::Airshed => tb.run_airshed(AirshedParams {
                 hours: self.hours,
                 ..AirshedParams::paper()
             }),
@@ -144,66 +173,21 @@ impl Experiments {
             run.finished_at.as_secs_f64(),
             t0.elapsed().as_secs_f64()
         );
-        run
-    }
-
-    /// Keep a finished run.
-    fn keep(&mut self, program: Option<KernelKind>, run: RunResult<u64>) {
-        match program {
-            Some(k) => {
-                self.kernels.insert(k.name(), run);
-            }
-            None => self.airshed = Some(run),
+        ProgramRun {
+            store: TraceStore::from_records(&run.trace),
+            finished_at: run.finished_at,
+            telemetry: run.telemetry,
         }
     }
 
-    /// The measured trace of a kernel (simulated on first use).
-    pub fn kernel(&mut self, k: KernelKind) -> &RunResult<u64> {
-        if !self.kernels.contains_key(k.name()) {
-            eprintln!("[run] {} (paper scale / {}) ...", k.name(), self.div);
-            let run = self.simulate(Some(k));
-            self.keep(Some(k), run);
-        }
-        &self.kernels[k.name()]
-    }
-
-    /// The measured AIRSHED trace (simulated on first use).
-    pub fn airshed(&mut self) -> &RunResult<u64> {
-        if self.airshed.is_none() {
-            eprintln!("[run] AIRSHED ({} hours) ...", self.hours);
-            let run = self.simulate(None);
-            self.keep(None, run);
-        }
-        self.airshed.as_ref().expect("just initialized")
-    }
-
-    /// Columnar store of a kernel's trace, built once from its run.
-    pub fn kernel_store(&mut self, k: KernelKind) -> &TraceStore {
-        if !self.stores.contains_key(k.name()) {
-            let store = TraceStore::from_records(&self.kernel(k).trace);
-            self.stores.insert(k.name(), store);
-        }
-        &self.stores[k.name()]
-    }
-
-    /// Columnar store of the AIRSHED trace, built once from its run.
-    pub fn airshed_store(&mut self) -> &TraceStore {
-        if self.airshed_cols.is_none() {
-            self.airshed_cols = Some(TraceStore::from_records(&self.airshed().trace));
-        }
-        self.airshed_cols.as_ref().expect("just initialized")
-    }
-
-    /// A store already materialized by [`Experiments::kernel_store`] or
-    /// [`Experiments::airshed_store`], by program name (`"AIRSHED"` for
-    /// the AIRSHED run). Takes `&self`, so several programs' views can
-    /// be alive at once.
-    pub fn store_of(&self, name: &str) -> Option<&TraceStore> {
-        if name == "AIRSHED" {
-            self.airshed_cols.as_ref()
-        } else {
-            self.stores.get(name)
-        }
+    /// The run of `program`. Panics if [`Experiments::prewarm`] did not
+    /// make it.
+    pub fn run(&self, program: Program) -> &ProgramRun {
+        self.runs
+            .iter()
+            .find(|(p, _)| *p == program)
+            .map(|(_, run)| run)
+            .unwrap_or_else(|| panic!("{} was not prewarmed", program.name()))
     }
 
     /// The representative host pair the paper analyzes for a kernel, if
@@ -219,22 +203,17 @@ impl Experiments {
     }
 
     /// Deterministic telemetry JSON (spans + counter registry) for every
-    /// run made so far, keyed by program name. Runs made without telemetry
-    /// are omitted.
+    /// run, keyed by program name in snapshot order. Runs made without
+    /// telemetry are omitted.
     pub fn telemetry_value(&self) -> serde::Value {
-        let mut names: Vec<&&str> = self.kernels.keys().collect();
-        names.sort();
-        let mut entries: Vec<(String, serde::Value)> = names
-            .into_iter()
-            .filter_map(|name| {
-                let tel = self.kernels[*name].telemetry.as_ref()?;
-                Some((name.to_string(), tel.to_value()))
-            })
-            .collect();
-        if let Some(tel) = self.airshed.as_ref().and_then(|r| r.telemetry.as_ref()) {
-            entries.push(("AIRSHED".to_string(), tel.to_value()));
-        }
-        serde::Value::Object(entries)
+        serde::Value::Object(
+            self.runs
+                .iter()
+                .filter_map(|(p, run)| {
+                    Some((p.name().to_string(), run.telemetry.as_ref()?.to_value()))
+                })
+                .collect(),
+        )
     }
 
     /// Ensure the output directory exists and return a path inside it.
@@ -243,20 +222,11 @@ impl Experiments {
         self.out_dir.join(name)
     }
 
-    /// Every run made so far — kernels in sorted name order, then
-    /// AIRSHED — for uniform metrics snapshots over whatever the
-    /// selected experiments ran.
-    pub fn runs(&self) -> Vec<(&str, &RunResult<u64>)> {
-        let mut names: Vec<&&str> = self.kernels.keys().collect();
-        names.sort();
-        let mut out: Vec<(&str, &RunResult<u64>)> = names
-            .into_iter()
-            .map(|name| (*name, &self.kernels[*name]))
-            .collect();
-        if let Some(r) = &self.airshed {
-            out.push(("AIRSHED", r));
-        }
-        out
+    /// Every run — kernels in sorted name order, then AIRSHED — for
+    /// uniform metrics snapshots over whatever the selected experiments
+    /// ran.
+    pub fn runs(&self) -> impl Iterator<Item = (&'static str, &ProgramRun)> {
+        self.runs.iter().map(|(p, run)| (p.name(), run))
     }
 }
 
@@ -483,29 +453,50 @@ pub(crate) mod tests {
         .render()
     }
 
+    /// A harness at `--div 100` with `programs` prewarmed on `pool`.
+    fn warmed(pool: &Pool, programs: &[Program]) -> Experiments {
+        let mut e = Experiments::new(100, 1, std::env::temp_dir().join("fxnet-test-out"));
+        e.prewarm(pool, programs);
+        e
+    }
+
     #[test]
     fn harness_caches_runs() {
-        let mut e = Experiments::new(100, 1, std::env::temp_dir().join("fxnet-test-out"));
-        let n1 = e.kernel(KernelKind::Hist).trace.len();
-        let n2 = e.kernel(KernelKind::Hist).trace.len();
-        assert_eq!(n1, n2);
+        let hist = Program::Kernel(KernelKind::Hist);
+        let mut e = warmed(&Pool::serial(), &[hist, hist]);
+        let n1 = e.run(hist).store.len();
+        e.prewarm(&Pool::serial(), &[hist]);
+        assert_eq!(e.runs().count(), 1, "a prewarmed program is not run again");
+        assert_eq!(e.run(hist).store.len(), n1);
         assert!(n1 > 0);
     }
 
     #[test]
+    #[should_panic(expected = "SEQ was not prewarmed")]
+    fn a_program_not_prewarmed_panics() {
+        warmed(&Pool::serial(), &[KernelKind::Hist.into()]).run(KernelKind::Seq.into());
+    }
+
+    #[test]
     fn prewarm_matches_the_lazy_serial_fill() {
-        let out = std::env::temp_dir().join("fxnet-test-out");
-        let mut lazy = Experiments::new(100, 1, &out);
-        let mut warm = Experiments::new(100, 1, &out);
-        warm.prewarm(&Pool::new(3), &[KernelKind::Hist, KernelKind::Seq], false);
-        for k in [KernelKind::Hist, KernelKind::Seq] {
+        let programs = [
+            KernelKind::Hist.into(),
+            Program::Airshed,
+            KernelKind::Seq.into(),
+        ];
+        let serial = warmed(&Pool::serial(), &programs);
+        let warm = warmed(&Pool::new(3), &programs);
+        for p in programs {
             assert_eq!(
-                lazy.kernel(k).trace,
-                warm.kernel(k).trace,
+                serial.run(p).store,
+                warm.run(p).store,
                 "{}: prewarmed runs must be byte-identical",
-                k.name()
+                p.name()
             );
         }
+        // Snapshot order: kernels by name, then AIRSHED.
+        let names: Vec<&str> = warm.runs().map(|(name, _)| name).collect();
+        assert_eq!(names, ["HIST", "SEQ", "AIRSHED"]);
     }
 
     #[test]
@@ -519,9 +510,8 @@ pub(crate) mod tests {
     #[test]
     fn analysis_suites_are_byte_identical_and_survive_both_formats() {
         let dir = std::env::temp_dir().join(format!("fxnet-suite-{}", std::process::id()));
-        let mut e = Experiments::new(100, 1, &dir);
-        let trace = e.kernel(KernelKind::Hist).trace.clone();
-        let store = TraceStore::from_records(&trace);
+        let hist = Program::Kernel(KernelKind::Hist);
+        let store = warmed(&Pool::serial(), &[hist]).run(hist).store.clone();
         let aos = analysis_suite_multipass("HIST", &store);
         let col = analysis_suite_columnar("HIST", &store);
         assert_eq!(
@@ -543,14 +533,15 @@ pub(crate) mod tests {
 
     #[test]
     fn representative_connections_follow_the_paper() {
-        let mut e = Experiments::new(100, 1, std::env::temp_dir().join("fxnet-test-out"));
+        let sor = Program::Kernel(KernelKind::Sor);
+        let e = warmed(&Pool::serial(), &[sor]);
         assert!(Experiments::representative_pair(KernelKind::Seq).is_none());
         assert!(Experiments::representative_pair(KernelKind::Hist).is_none());
         let (src, dst) = Experiments::representative_pair(KernelKind::Sor).unwrap();
         assert_eq!((src, dst), (HostId(1), HostId(2)));
-        let sor = e.kernel_store(KernelKind::Sor).connection(src, dst);
-        assert!(!sor.is_empty());
-        assert!(sor
+        let conn = e.run(sor).store.connection(src, dst);
+        assert!(!conn.is_empty());
+        assert!(conn
             .to_records()
             .iter()
             .all(|r| r.src == src && r.dst == dst));
@@ -558,20 +549,19 @@ pub(crate) mod tests {
 
     #[test]
     fn representative_pairs_match_the_materialized_connections() {
-        let mut e = Experiments::new(100, 1, std::env::temp_dir().join("fxnet-test-out"));
+        let sor = Program::Kernel(KernelKind::Sor);
+        let e = warmed(&Pool::serial(), &[sor]);
         let (src, dst) = Experiments::representative_pair(KernelKind::Sor).unwrap();
-        let conn: Vec<_> = e
-            .kernel(KernelKind::Sor)
+        // The same run's records, filtered the record-oriented way.
+        let conn: Vec<_> = TestbedBuilder::paper()
+            .seed(e.seed())
+            .build()
+            .run_kernel(KernelKind::Sor, e.div)
+            .unwrap()
             .trace
-            .iter()
+            .into_iter()
             .filter(|r| r.src == src && r.dst == dst)
-            .copied()
             .collect();
-        assert_eq!(
-            e.kernel_store(KernelKind::Sor)
-                .connection(src, dst)
-                .to_records(),
-            conn
-        );
+        assert_eq!(e.run(sor).store.connection(src, dst).to_records(), conn);
     }
 }

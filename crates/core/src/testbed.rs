@@ -7,12 +7,12 @@ use fxnet_fx::{
 };
 use fxnet_proto::LinkKind;
 use fxnet_pvm::Route;
-use fxnet_sim::{FrameTap, SimTime};
-use std::cell::RefCell;
+use fxnet_sim::SimTime;
 
 /// Builder for a [`Testbed`]: one fluent surface over everything the
-/// experiments vary — topology, seed, telemetry, frame taps —
-/// replacing the old `with_*` constructor sprawl.
+/// experiments vary — topology, seed, telemetry — replacing the old
+/// `with_*` constructor sprawl. A frame tap is a per-run option
+/// ([`RunOptions::tapped`]).
 ///
 /// ```
 /// use fxnet::TestbedBuilder;
@@ -20,7 +20,6 @@ use std::cell::RefCell;
 /// ```
 pub struct TestbedBuilder {
     cfg: SpmdConfig,
-    tap: Option<FrameTap>,
 }
 
 impl TestbedBuilder {
@@ -35,7 +34,6 @@ impl TestbedBuilder {
                 seed: 1998,
                 ..SpmdConfig::default()
             },
-            tap: None,
         }
     }
 
@@ -48,7 +46,7 @@ impl TestbedBuilder {
             ..SpmdConfig::default()
         };
         cfg.pvm.heartbeat = None;
-        TestbedBuilder { cfg, tap: None }
+        TestbedBuilder { cfg }
     }
 
     /// Override the processor count the programs are compiled for.
@@ -140,21 +138,9 @@ impl TestbedBuilder {
         self
     }
 
-    /// Install a live frame tap at the promiscuous capture point (see
-    /// [`fxnet_sim::FrameTap`]). The tap is handed to the first run the
-    /// built testbed executes; it observes every delivered frame and
-    /// cannot perturb the simulation.
-    pub fn tap(mut self, tap: FrameTap) -> TestbedBuilder {
-        self.tap = Some(tap);
-        self
-    }
-
     /// Finish: produce the configured [`Testbed`].
     pub fn build(self) -> Testbed {
-        Testbed {
-            cfg: self.cfg,
-            tap: RefCell::new(self.tap),
-        }
+        Testbed { cfg: self.cfg }
     }
 }
 
@@ -163,31 +149,9 @@ impl TestbedBuilder {
 /// message passing, one promiscuous tracer. Build one with
 /// [`TestbedBuilder`] (or the [`Testbed::paper`] / [`Testbed::quiet`]
 /// shortcuts), then run kernels or arbitrary SPMD programs on it.
+#[derive(Debug, Clone)]
 pub struct Testbed {
     cfg: SpmdConfig,
-    /// Frame tap staged by [`TestbedBuilder::tap`], consumed by the
-    /// first run (a tap is a `FnMut` box and cannot be cloned).
-    tap: RefCell<Option<FrameTap>>,
-}
-
-impl Clone for Testbed {
-    /// Clones the configuration only: a staged frame tap (an opaque
-    /// `FnMut`) stays with the original.
-    fn clone(&self) -> Testbed {
-        Testbed {
-            cfg: self.cfg.clone(),
-            tap: RefCell::new(None),
-        }
-    }
-}
-
-impl std::fmt::Debug for Testbed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Testbed")
-            .field("cfg", &self.cfg)
-            .field("tap", &self.tap.borrow().is_some())
-            .finish()
-    }
 }
 
 impl Testbed {
@@ -217,16 +181,6 @@ impl Testbed {
         &mut self.cfg
     }
 
-    /// Fold the testbed's staged state (a builder-installed tap) into a
-    /// caller's options. Explicit options win; the staged tap feeds the
-    /// first run that has none.
-    fn fold_opts(&self, mut opts: RunOptions) -> RunOptions {
-        if opts.tap.is_none() {
-            opts.tap = self.tap.borrow_mut().take();
-        }
-        opts
-    }
-
     /// Run one of the five kernels at paper scale with the outer
     /// iteration count divided by `iter_div` (1 = the full measured run).
     ///
@@ -249,7 +203,7 @@ impl Testbed {
         iter_div: usize,
         opts: RunOptions,
     ) -> FxnetResult<RunResult<u64>> {
-        kernel.run_paper_opts(self.cfg.clone(), iter_div, self.fold_opts(opts))
+        kernel.run_paper_opts(self.cfg.clone(), iter_div, opts)
     }
 
     /// Run the AIRSHED skeleton with explicit parameters.
@@ -260,7 +214,7 @@ impl Testbed {
         run_single(
             self.cfg.clone(),
             move |ctx| airshed::airshed_rank(ctx, &params),
-            self.fold_opts(RunOptions::default()),
+            RunOptions::default(),
         )
     }
 
@@ -300,7 +254,7 @@ impl Testbed {
         T: Send + 'static,
         F: Fn(&mut RankCtx) -> T + Send + Sync + 'static,
     {
-        run_single(self.cfg.clone(), f, self.fold_opts(opts))
+        run_single(self.cfg.clone(), f, opts)
     }
 
     /// Start building a multi-tenant mixed run on this testbed: add
@@ -334,23 +288,6 @@ mod tests {
             .build();
         assert_eq!(tb.config().pvm.net.ether.drop_prob, 0.05);
         assert_eq!(tb.config().pvm.net.ether.bandwidth_bps, 100_000_000);
-    }
-
-    #[test]
-    fn builder_tap_feeds_the_first_run() {
-        use std::sync::{Arc, Mutex};
-        let seen = Arc::new(Mutex::new(0usize));
-        let sink = Arc::clone(&seen);
-        let tb = TestbedBuilder::quiet(4)
-            .seed(7)
-            .tap(Box::new(move |_| *sink.lock().unwrap() += 1))
-            .build();
-        let run = tb.run_kernel(KernelKind::Seq, 100).unwrap();
-        assert_eq!(*seen.lock().unwrap(), run.trace.len());
-        // The tap is consumed: a second run observes nothing more.
-        let n = *seen.lock().unwrap();
-        tb.run_kernel(KernelKind::Seq, 100).unwrap();
-        assert_eq!(*seen.lock().unwrap(), n);
     }
 
     #[test]

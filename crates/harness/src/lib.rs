@@ -20,9 +20,10 @@
 //!    but its input; anything it touches beyond that is the job author's
 //!    bug, not a scheduling artifact.
 //!
-//! [`Sweep`] layers keyed collection on top: results come back sorted by
-//! an `Ord` key such as `(experiment, seed, p)`, so a sweep's report
-//! reads identically no matter how the pool interleaved it.
+//! A sweep over seeds or processor counts is a [`Pool::map`] over its
+//! keys in ascending order: the results come back in that order, so the
+//! sweep's report reads identically no matter how the pool interleaved
+//! it.
 //!
 //! A panicking job does not hang the pool: remaining workers drain, and
 //! the panic is re-raised on the caller's thread.
@@ -131,48 +132,11 @@ impl Pool {
             })
             .collect()
     }
-
-    /// A keyed sweep builder over this pool; see [`Sweep`].
-    pub fn sweep<K: Ord + Send, T: Send>(&self) -> Sweep<'_, K, T> {
-        Sweep {
-            pool: self,
-            jobs: Vec::new(),
-        }
-    }
 }
 
 impl Default for Pool {
     fn default() -> Self {
         Pool::new(0)
-    }
-}
-
-/// A batch of keyed jobs whose results come back **sorted by key**.
-///
-/// The key — `(experiment, seed, config)` in the repro harness — pins
-/// the output order to the job identity instead of the submission or
-/// completion order, which is what lets a parallel sweep's report match
-/// the serial one byte for byte.
-pub struct Sweep<'p, K, T> {
-    pool: &'p Pool,
-    #[allow(clippy::type_complexity)]
-    jobs: Vec<(K, Box<dyn FnOnce() -> T + Send + 'p>)>,
-}
-
-impl<'p, K: Ord + Send, T: Send> Sweep<'p, K, T> {
-    /// Queue one job under `key`.
-    pub fn add(mut self, key: K, job: impl FnOnce() -> T + Send + 'p) -> Self {
-        self.jobs.push((key, Box::new(job)));
-        self
-    }
-
-    /// Run every queued job on the pool and return `(key, result)`
-    /// pairs sorted by key (ties keep submission order).
-    pub fn run(self) -> Vec<(K, T)> {
-        let pool = self.pool;
-        let mut out: Vec<(K, T)> = pool.map(self.jobs, |(k, job)| (k, job()));
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
     }
 }
 
@@ -229,20 +193,6 @@ mod tests {
         let pool = Pool::new(4);
         assert_eq!(pool.map(Vec::<u32>::new(), |i| i), Vec::<u32>::new());
         assert_eq!(pool.map(vec![7u32], |i| i + 1), vec![8]);
-    }
-
-    #[test]
-    fn sweep_sorts_by_key_not_completion() {
-        let pool = Pool::new(4);
-        let mut sweep = pool.sweep::<(u32, u32), u32>();
-        // Submit in scrambled order; keys restore it.
-        for (p, seed) in [(8u32, 2u32), (2, 1), (4, 2), (2, 2), (8, 1), (4, 1)] {
-            sweep = sweep.add((p, seed), move || p * 100 + seed);
-        }
-        let got = sweep.run();
-        let keys: Vec<(u32, u32)> = got.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec![(2, 1), (2, 2), (4, 1), (4, 2), (8, 1), (8, 2)]);
-        assert!(got.iter().all(|((p, s), v)| *v == p * 100 + s));
     }
 
     #[test]

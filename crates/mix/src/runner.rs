@@ -33,8 +33,8 @@ pub struct TenantOutcome {
     pub start: SimTime,
     /// The accepted QoS operating point.
     pub negotiation: Negotiation,
-    /// The tenant's demuxed share of the shared trace.
-    pub frames: Vec<FrameRecord>,
+    /// Frames in the tenant's demuxed share of the shared trace.
+    pub frames: usize,
     /// Per-rank return values.
     pub results: Vec<u64>,
     /// Wall-clock duration under the mix (start to its last rank done).
@@ -71,9 +71,9 @@ pub struct MixOutcome {
     pub map: TenantMap,
     /// The full promiscuous trace of the shared network.
     pub trace: Vec<FrameRecord>,
-    /// Frames belonging to no single tenant (cross-boundary daemon
-    /// chatter, idle hosts).
-    pub background: Vec<FrameRecord>,
+    /// Count of the frames belonging to no single tenant
+    /// (cross-boundary daemon chatter, idle hosts).
+    pub background: usize,
     /// Simulated finish time of the last rank of any tenant.
     pub finished_at: SimTime,
     /// Telemetry of the mixed run, when enabled.
@@ -94,7 +94,7 @@ impl MixOutcome {
     /// total.
     pub fn check_conservation(&self) -> usize {
         let attributed: usize =
-            self.tenants.iter().map(|t| t.frames.len()).sum::<usize>() + self.background.len();
+            self.tenants.iter().map(|t| t.frames).sum::<usize>() + self.background;
         assert_eq!(
             attributed,
             self.trace.len(),
@@ -119,7 +119,7 @@ impl MixOutcome {
                 self.tenants.len(),
                 self.rejected.len(),
                 self.check_conservation(),
-                self.background.len(),
+                self.background,
                 self.finished_at.as_secs_f64()
             ),
         );
@@ -149,7 +149,7 @@ impl MixOutcome {
                     t.name,
                     t.p,
                     t.start.as_secs_f64(),
-                    t.frames.len(),
+                    t.frames,
                     t.avg_bw.unwrap_or(0.0),
                     avg,
                     sd,
@@ -451,7 +451,7 @@ impl Mix {
                 burst_count: bursts[gi].len(),
                 spectral,
                 results: g.results.clone(),
-                frames: tenant_view.to_records(),
+                frames: tenant_view.len(),
             });
         }
 
@@ -462,7 +462,7 @@ impl Mix {
         }
         debug_assert!((ac.residual() - capacity).abs() < 1e-6);
 
-        let background = demuxed.background_view().to_records();
+        let background = demuxed.background.len();
         MixOutcome {
             tenants: outcomes,
             rejected,
@@ -515,7 +515,7 @@ mod tests {
         let total = out.check_conservation();
         assert!(total > 0);
         for t in &out.tenants {
-            assert!(!t.frames.is_empty(), "{} demuxed no frames", t.name);
+            assert!(t.frames > 0, "{} demuxed no frames", t.name);
             assert!(t.measured_slowdown.unwrap() > 0.9);
             assert!(t.predicted_slowdown >= 1.0);
             assert_eq!(t.results.len(), 2);

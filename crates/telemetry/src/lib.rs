@@ -5,10 +5,8 @@
 //! compiler-generated collective phase — measurable instead of asserted:
 //!
 //! * [`span`] — per-rank phase spans (compute, named collective,
-//!   blocked) with simulated-time begin/end, emitted by the SPMD engine.
-//! * [`attribution`] — tags every captured frame with the collective
-//!   span active on its source rank, yielding the per-phase traffic
-//!   tables of the `repro -- phases` experiment.
+//!   blocked) with simulated-time begin/end, emitted by the SPMD engine;
+//!   `fxnet_trace::phases` joins them with the packet trace.
 //! * [`registry`] — the unified counter/gauge registry that MAC, TCP,
 //!   PVM and engine counters snapshot into at the end of a run.
 //! * [`profile`] — simulator self-profiling (wall-clock per simulated
@@ -26,7 +24,6 @@
 // Nothing in this crate uses `parking_lot`; Cargo.toml declares it only
 // because `benchmark/Cargo.lock` pins this crate's dependency list and the
 // benchmark runs `--locked` (ROADMAP item 3 drops it at the next re-lock).
-pub mod attribution;
 pub mod profile;
 pub mod prometheus;
 pub mod registry;
@@ -34,7 +31,6 @@ pub mod run;
 pub mod span;
 pub mod trace_event;
 
-pub use attribution::{attribute_collectives, AttributedTrace};
 pub use profile::{EventClass, SimProfile, TimingHistogram};
 pub use prometheus::{labeled, parse_prometheus, prometheus_text, write_prometheus};
 pub use registry::TelemetryRegistry;

@@ -4,14 +4,23 @@
 //! The paper argues causally — SOR's bursts *are* its boundary
 //! exchanges, SEQ's 4 Hz component *is* its per-row broadcast loop — but
 //! measures only the aggregate wire. This module makes the causal link
-//! explicit: every captured frame is attributed to the named collective
-//! span active on its source rank (see
-//! [`fxnet_telemetry::attribution`]), and the trace is then broken down
-//! per phase: frames, bytes, share of simulated rank-time spent inside
-//! the phase, and the peak binned bandwidth the phase alone produced.
+//! explicit: every captured frame is attributed to the *named collective
+//! span most recently begun on its source rank* at capture time, and the
+//! trace is then broken down per phase: frames, bytes, share of
+//! simulated rank-time spent inside the phase, and the peak binned
+//! bandwidth the phase alone produced.
+//!
+//! The rule is causal, not containment: TCP ACK clocking and buffered
+//! sends put frames on the wire after the collective that caused them
+//! has returned on the sending rank, and those trailing frames still
+//! belong to that collective. Frames from hosts that run no rank (the
+//! idle workstations whose PVM daemons heartbeat), and frames sent
+//! before the first collective (connection establishment), stay
+//! unattributed.
 
-use fxnet_sim::{FrameRecord, SimTime};
-use fxnet_telemetry::{attribute_collectives, SpanKind, SpanRecord};
+use crate::store::TraceView;
+use fxnet_sim::{FrameKind, SimTime};
+use fxnet_telemetry::{SpanKind, SpanRecord};
 use serde::Serialize;
 
 /// One named phase's share of the run and of the wire.
@@ -51,70 +60,96 @@ pub struct PhaseBreakdown {
 }
 
 impl PhaseBreakdown {
-    /// Attribute `trace` against `spans` (ranks `0..ranks` live on hosts
-    /// `0..ranks`) and aggregate per phase, computing peak bandwidth on
-    /// static `bin`-long intervals (the paper's 10 ms).
+    /// Attribute the frames of `view` against `spans` (ranks `0..ranks`
+    /// live on hosts `0..ranks`) and aggregate per phase, computing peak
+    /// bandwidth on static `bin`-long intervals (the paper's 10 ms). One
+    /// bounds pass over the time column, then one pass over the view.
     pub fn compute(
-        trace: &[FrameRecord],
+        view: TraceView<'_>,
         spans: &[SpanRecord],
         ranks: u32,
         bin: SimTime,
     ) -> PhaseBreakdown {
-        let at = attribute_collectives(trace, spans, ranks);
-        let nphases = at.names.len();
+        let collective = |s: &&SpanRecord| s.kind == SpanKind::Collective && s.rank < ranks;
+
+        // The per-rank span index: each rank's collectives as
+        // `(begin ns, phase)` in begin order, phases numbered by first
+        // begin on the wire clock.
+        let mut rows: Vec<PhaseRow> = Vec::new();
+        let mut begun: Vec<Vec<(u64, usize)>> = vec![Vec::new(); ranks as usize];
+        let mut ordered: Vec<&SpanRecord> = spans.iter().filter(collective).collect();
+        ordered.sort_by_key(|s| (s.begin, s.rank));
+        for span in ordered {
+            let phase = match rows.iter().position(|r| r.name == span.name) {
+                Some(i) => i,
+                None => {
+                    rows.push(PhaseRow {
+                        name: span.name.clone(),
+                        spans: 0,
+                        sim_time_share: 0.0,
+                        frames: 0,
+                        bytes: 0,
+                        peak_bandwidth: 0.0,
+                    });
+                    rows.len() - 1
+                }
+            };
+            begun[span.rank as usize].push((span.begin.as_nanos(), phase));
+        }
 
         // The run ends when the last span closes or the last frame lands.
         let run_end = spans
             .iter()
             .map(|s| s.end)
-            .chain(trace.iter().map(|r| r.time))
+            .chain(view.time_bounds().map(|(_, last)| last))
             .max()
             .unwrap_or(SimTime::ZERO);
-
-        let mut rows: Vec<PhaseRow> = at
-            .names
-            .iter()
-            .map(|name| PhaseRow {
-                name: name.clone(),
-                spans: 0,
-                sim_time_share: 0.0,
-                frames: 0,
-                bytes: 0,
-                peak_bandwidth: 0.0,
-            })
-            .collect();
-
         let total_rank_time = u64::from(ranks) as f64 * run_end.as_secs_f64();
-        for span in spans {
-            if span.kind != SpanKind::Collective || span.rank >= ranks {
-                continue;
-            }
-            if let Some(row) = rows.iter_mut().find(|r| r.name == span.name) {
-                row.spans += 1;
-                if total_rank_time > 0.0 {
-                    row.sim_time_share += span.duration().as_secs_f64() / total_rank_time;
-                }
+        for span in spans.iter().filter(collective) {
+            let row = rows
+                .iter_mut()
+                .find(|r| r.name == span.name)
+                .expect("every collective is indexed");
+            row.spans += 1;
+            if total_rank_time > 0.0 {
+                row.sim_time_share += span.duration().as_secs_f64() / total_rank_time;
             }
         }
 
-        // Per-phase static binning in one pass over the trace.
+        // Label, bin and count every frame in one pass.
         let bin_ns = bin.as_nanos().max(1);
         let nbins = (run_end.as_nanos() / bin_ns + 1) as usize;
-        let mut binned = vec![0u64; nphases * nbins];
+        let mut binned = vec![0u64; rows.len() * nbins];
         let mut unattributed_frames = 0u64;
         let mut unattributed_bytes = 0u64;
-        for (frame, label) in trace.iter().zip(&at.labels) {
-            match label {
+        let mut data_bytes = 0u64;
+        let mut attributed_data_bytes = 0u64;
+        for frame in view.iter() {
+            let t = frame.time.as_nanos();
+            let len = u64::from(frame.wire_len);
+            let data = frame.kind == FrameKind::Data;
+            if data {
+                data_bytes += len;
+            }
+            // The last collective begun on the source rank at or before
+            // the capture; none off the ranks' hosts.
+            let phase = begun.get(frame.src.0 as usize).and_then(|b| {
+                let pos = b.partition_point(|&(begin, _)| begin <= t);
+                pos.checked_sub(1).map(|p| b[p].1)
+            });
+            match phase {
                 Some(phase) => {
-                    let row = &mut rows[*phase];
+                    let row = &mut rows[phase];
                     row.frames += 1;
-                    row.bytes += u64::from(frame.wire_len);
-                    let b = (frame.time.as_nanos() / bin_ns) as usize;
-                    binned[phase * nbins + b] += u64::from(frame.wire_len);
+                    row.bytes += len;
+                    binned[phase * nbins + (t / bin_ns) as usize] += len;
+                    if data {
+                        attributed_data_bytes += len;
+                    }
                 }
                 None => {
                     unattributed_frames += 1;
-                    unattributed_bytes += u64::from(frame.wire_len);
+                    unattributed_bytes += len;
                 }
             }
         }
@@ -132,7 +167,11 @@ impl PhaseBreakdown {
             rows,
             unattributed_frames,
             unattributed_bytes,
-            data_attribution_fraction: at.data_attribution_fraction(trace),
+            data_attribution_fraction: if data_bytes == 0 {
+                1.0
+            } else {
+                attributed_data_bytes as f64 / data_bytes as f64
+            },
         }
     }
 
@@ -169,21 +208,22 @@ impl PhaseBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fxnet_sim::{Frame, FrameKind, HostId};
+    use crate::store::TraceStore;
+    use fxnet_sim::{Frame, FrameRecord, HostId};
 
-    fn span(rank: u32, name: &str, begin_us: u64, end_us: u64) -> SpanRecord {
+    fn span(rank: u32, name: &str, kind: SpanKind, begin_us: u64, end_us: u64) -> SpanRecord {
         SpanRecord {
             rank,
             name: name.into(),
-            kind: SpanKind::Collective,
+            kind,
             begin: SimTime::from_micros(begin_us),
             end: SimTime::from_micros(end_us),
         }
     }
 
-    fn frame(src: u32, at_ms: u64, len: u32) -> FrameRecord {
+    fn frame(src: u32, at_us: u64, len: u32) -> FrameRecord {
         FrameRecord::capture(
-            SimTime::from_millis(at_ms),
+            SimTime::from_micros(at_us),
             &Frame::tcp(HostId(src), HostId(1), FrameKind::Data, len, 0),
         )
     }
@@ -191,17 +231,17 @@ mod tests {
     #[test]
     fn breakdown_aggregates_per_phase() {
         let spans = vec![
-            span(0, "exchange", 0, 20_000),
-            span(0, "reduce", 40_000, 60_000),
-            span(1, "exchange", 0, 20_000),
+            span(0, "exchange", SpanKind::Collective, 0, 20_000),
+            span(0, "reduce", SpanKind::Collective, 40_000, 60_000),
+            span(1, "exchange", SpanKind::Collective, 0, 20_000),
         ];
-        let trace = vec![
-            frame(0, 5, 1000),  // exchange
-            frame(0, 15, 1000), // exchange (same 10 ms bin? no: bins 0 and 1)
-            frame(0, 45, 500),  // reduce
-            frame(7, 45, 500),  // idle host -> unattributed
-        ];
-        let bd = PhaseBreakdown::compute(&trace, &spans, 4, SimTime::from_millis(10));
+        let store = TraceStore::from_records(&[
+            frame(0, 5_000, 1000),  // exchange
+            frame(0, 15_000, 1000), // exchange (same 10 ms bin? no: bins 0 and 1)
+            frame(0, 45_000, 500),  // reduce
+            frame(7, 45_000, 500),  // idle host -> unattributed
+        ]);
+        let bd = PhaseBreakdown::compute(store.view(), &spans, 4, SimTime::from_millis(10));
         assert_eq!(bd.rows.len(), 2);
         let ex = &bd.rows[0];
         assert_eq!(
@@ -219,8 +259,56 @@ mod tests {
     }
 
     #[test]
+    fn frames_attribute_to_last_begun_collective() {
+        let spans = vec![
+            span(0, "compute", SpanKind::Compute, 0, 100),
+            span(0, "exchange", SpanKind::Collective, 100, 200),
+            span(0, "reduce", SpanKind::Collective, 400, 500),
+        ];
+        let store = TraceStore::from_records(&[
+            frame(0, 50, 1460),  // before any collective -> unattributed
+            frame(0, 150, 1460), // inside exchange
+            frame(0, 250, 1460), // trailing after exchange returned
+            frame(0, 450, 1460), // inside reduce
+            frame(5, 450, 1460), // non-rank host -> unattributed
+        ]);
+        let bd = PhaseBreakdown::compute(store.view(), &spans, 4, SimTime::from_millis(10));
+        let rows: Vec<(&str, u64, u64)> = bd
+            .rows
+            .iter()
+            .map(|r| (r.name.as_str(), r.frames, r.bytes))
+            .collect();
+        assert_eq!(rows, vec![("exchange", 2, 2 * 1518), ("reduce", 1, 1518)]);
+        assert_eq!(
+            (bd.unattributed_frames, bd.unattributed_bytes),
+            (2, 2 * 1518)
+        );
+        let frac = bd.data_attribution_fraction;
+        assert!((frac - 3.0 / 5.0).abs() < 1e-12, "{frac}");
+        // A row subset joins the same way: the trailing exchange frame
+        // and the idle host's frame alone.
+        let rows = [2u32, 4];
+        let bd = PhaseBreakdown::compute(store.select(&rows), &spans, 4, SimTime::from_millis(10));
+        assert_eq!((bd.rows[0].frames, bd.rows[1].frames), (1, 0));
+        assert_eq!(bd.unattributed_frames, 1);
+    }
+
+    #[test]
+    fn empty_trace_is_fully_attributed() {
+        // Phases that put nothing on the wire: rows, no frames, and no
+        // data byte left unattributed.
+        let spans = vec![span(0, "exchange", SpanKind::Collective, 100, 200)];
+        let store = TraceStore::default();
+        let bd = PhaseBreakdown::compute(store.view(), &spans, 4, SimTime::from_millis(10));
+        assert_eq!(bd.rows.len(), 1);
+        assert_eq!((bd.rows[0].spans, bd.rows[0].frames), (1, 0));
+        assert_eq!(bd.data_attribution_fraction, 1.0);
+    }
+
+    #[test]
     fn empty_run_is_benign() {
-        let bd = PhaseBreakdown::compute(&[], &[], 4, SimTime::from_millis(10));
+        let store = TraceStore::default();
+        let bd = PhaseBreakdown::compute(store.view(), &[], 4, SimTime::from_millis(10));
         assert!(bd.rows.is_empty());
         assert_eq!(bd.data_attribution_fraction, 1.0);
     }

@@ -46,27 +46,23 @@ fn six_programs_are_byte_identical_under_the_pool() {
 
 #[test]
 fn seed_sweep_is_keyed_and_deterministic() {
-    let seeds = [1u64, 2, 3, 4, 5, 6];
+    let seeds = vec![1u64, 2, 3, 4, 5, 6];
     let sweep = |pool: &Pool| {
-        let mut s = pool.sweep::<u64, (usize, u64)>();
-        for &seed in &seeds {
-            s = s.add(seed, move || {
-                let run = TestbedBuilder::paper()
-                    .seed(seed)
-                    .build()
-                    .run_kernel(KernelKind::Hist, 100)
-                    .unwrap();
-                let bytes: u64 = run.trace.iter().map(|r| u64::from(r.wire_len)).sum();
-                (run.trace.len(), bytes)
-            });
-        }
-        s.run()
+        pool.map(seeds.clone(), |seed| {
+            let run = TestbedBuilder::paper()
+                .seed(seed)
+                .build()
+                .run_kernel(KernelKind::Hist, 100)
+                .unwrap();
+            let bytes: u64 = run.trace.iter().map(|r| u64::from(r.wire_len)).sum();
+            (seed, run.trace.len(), bytes)
+        })
     };
     let serial = sweep(&Pool::serial());
     let pooled = sweep(&Pool::new(4));
     assert_eq!(serial, pooled, "sweep results must not depend on --jobs");
-    let keys: Vec<u64> = pooled.iter().map(|(k, _)| *k).collect();
-    assert_eq!(keys, seeds, "results come back sorted by seed");
+    let keys: Vec<u64> = pooled.iter().map(|&(k, _, _)| k).collect();
+    assert_eq!(keys, seeds, "results come back in seed order");
 }
 
 /// The repro `watch` experiment in miniature: a mixed workload with the

@@ -3,7 +3,7 @@
 //! packet trace, trace invariance, and phase attribution coverage.
 
 use fxnet::telemetry::SpanKind;
-use fxnet::trace::PhaseBreakdown;
+use fxnet::trace::{PhaseBreakdown, TraceStore};
 use fxnet::{KernelKind, RunResult, SimTime, TestbedBuilder};
 use std::sync::OnceLock;
 
@@ -117,7 +117,8 @@ fn most_data_bytes_attribute_to_a_named_phase() {
     for k in KernelKind::ALL {
         let run = run(k);
         let tel = run.telemetry.as_ref().expect("telemetry on");
-        let bd = PhaseBreakdown::compute(&run.trace, &tel.spans, 4, SimTime::from_millis(10));
+        let store = TraceStore::from_records(&run.trace);
+        let bd = PhaseBreakdown::compute(store.view(), &tel.spans, 4, SimTime::from_millis(10));
         assert!(
             bd.data_attribution_fraction >= 0.9,
             "{}: only {:.1}% of data bytes attributed",
