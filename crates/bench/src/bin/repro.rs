@@ -763,9 +763,7 @@ fn mix_kernels(c: &mut Ctx) {
 
     // The combined spectrum of the shared wire: three periodic programs
     // superpose; their fundamentals coexist in one periodogram.
-    let series = TraceStore::from_records(&out.trace)
-        .view()
-        .binned_bandwidth(BIN);
+    let series = out.store.view().binned_bandwidth(BIN);
     let spec = Periodogram::compute(&series, BIN);
     println!("\n-- combined spectrum of the shared wire --");
     println!(
@@ -2105,8 +2103,8 @@ fn health_cell(prog: SweepProg, seed: u64, div: usize) -> HealthCell {
     let (mix, cost) = build(&spec);
     let out = mix.tap(sampler.tap()).sample_links(true).run();
     assert_eq!(
-        plain.trace,
-        out.trace,
+        plain.store,
+        out.store,
         "{}: the weather map perturbed the trace",
         prog.name()
     );
@@ -2146,7 +2144,7 @@ fn health_cell(prog: SweepProg, seed: u64, div: usize) -> HealthCell {
 
     HealthCell {
         prog: prog.name(),
-        frames: out.trace.len(),
+        frames: out.store.len(),
         report,
         contended,
         trunk_paths,
@@ -2369,7 +2367,7 @@ mod tests {
             .tenant(SweepProg::Shift.mix_tenant(div))
             .run();
         assert_eq!(tenant.tenants.len(), 1, "the tenant is admitted");
-        assert_eq!(swept.trace, tenant.trace);
+        assert_eq!(swept.trace, tenant.store.iter().collect::<Vec<_>>());
     }
 
     #[test]

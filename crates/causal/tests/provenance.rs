@@ -209,5 +209,5 @@ fn watcher_violation_blames_the_overdriving_tenant() {
         .tenant(tenant("honest", 0, 1.0))
         .tenant(tenant("liar", 30, 0.1))
         .run();
-    assert_eq!(out.trace, plain.trace);
+    assert_eq!(out.store, plain.store);
 }

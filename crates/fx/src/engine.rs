@@ -1,49 +1,24 @@
-//! The deterministic SPMD rank engine.
+//! The SPMD rank engine: rank threads around one sequencer.
 //!
-//! Each rank runs as a real OS thread executing straight-line SPMD code
-//! against a [`RankCtx`]. A conservative sequencer on the calling thread
-//! owns the simulated clock. Ranks *post* requests: one that carries
-//! nothing back (compute, send, barrier, span) returns at once, so a rank
-//! runs ahead of the sequencer until it needs a message, has 64 posts
-//! unanswered, or would have more than a socket buffer of sends
-//! unanswered. The sequencer keeps one record per rank: its clock, its
-//! state and an intake queue of the posts that have arrived, in program
-//! order. A rank is *ready* when it is waiting with an admitted request,
-//! the post at the front of its intake. The sequencer executes the ready
-//! rank's request with the earliest `(clock, rank)` or advances the
-//! network by one event, whichever is earlier in simulated time — as
-//! soon as that choice is decided. A waiting rank whose next post has
-//! not arrived will run it at the clock its last answer fixed, so
-//! whatever is strictly earlier goes ahead without it. The decisions and
-//! their order are exactly those of a sequencer that first collects
-//! every rank's next request, so however the host schedules the threads,
-//! two runs with the same configuration produce byte-identical packet
-//! traces.
-//!
-//! Every answer follows one resume rule: end the rank's blocked interval
-//! (a span of the kind of the state it leaves), set its clock, mark it
-//! waiting and answer its box.
-//!
-//! Threads wake only when they can proceed. The sequencer answers a
-//! rank's posts by counting them in the rank's answer box and unparks
-//! the rank only at the count it waits for; a starved sequencer parks
-//! until the one post that can decide its next step arrives.
-//!
-//! The engine also implements *deschedule injection*: the paper observed
-//! (§6) that when the OS deschedules one processor, the fixed synchronous
-//! communication schedule stalls until that processor returns, merging
-//! adjacent traffic bursts. Enabling [`DescheduleConfig`] inserts
-//! exponentially spaced involuntary delays into compute phases.
+//! Each rank runs as an OS thread executing straight-line SPMD code
+//! against a [`RankCtx`] and *posts* its requests; one that carries
+//! nothing back (compute, send, barrier, span) returns at once. [`run`]
+//! is only the driver: it offers the posts to the crate's `sequencer`,
+//! which alone decides the order of every request and network event
+//! whatever order posts arrive in, hands its answers back to the ranks,
+//! parks while the sequencer needs a post it does not have, and joins
+//! the ranks. So two runs with the same configuration produce
+//! byte-identical packet traces however the host schedules the threads.
+//! [`DescheduleConfig`] injects the paper's §6 involuntary deschedules.
 
 use crate::cost::CostModel;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use fxnet_pvm::{Message, MsgDelivery, OutMessage, PvmConfig, PvmSystem, TaskId, TenantMap};
-use fxnet_sim::{
-    CausalEvent, CauseId, EtherStats, FrameRecord, FxnetError, FxnetResult, SimRng, SimTime,
-};
-use fxnet_telemetry::{EventClass, RunTelemetry, SimProfile, SpanKind, SpanRecord};
+use crate::sequencer::{Request, Sequencer, Step};
+use crossbeam::channel::{unbounded, Sender};
+use fxnet_pvm::{Message, OutMessage, PvmConfig, TenantMap};
+use fxnet_sim::{CausalEvent, CauseId, EtherStats, FrameRecord, FxnetError, FxnetResult, SimTime};
+use fxnet_telemetry::{RunTelemetry, SimProfile};
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -54,14 +29,14 @@ use std::time::Instant;
 /// until at most half of it is unanswered.
 const POST_WINDOW: usize = 64;
 
-/// Where the sequencer answers one rank's posts, in the order posted.
+/// Where the driver answers one rank's posts, in the order posted.
 ///
 /// A rank that must wait publishes in `need` the `answered` count it
-/// waits for, looks at `answered` once more and parks. The sequencer
-/// bumps `answered` with each answer and unparks the rank only when the
-/// count equals `need`, so a rank waiting for 32 answers wakes once.
-/// Both sides store before they load, `SeqCst`: either the rank's last
-/// look sees the answer or the sequencer sees the `need`.
+/// waits for, looks at `answered` once more and parks. The driver bumps
+/// `answered` with each answer and unparks the rank only when the count
+/// equals `need`, so a rank waiting for 32 answers wakes once. Both
+/// sides store before they load, `SeqCst`: either the rank's last look
+/// sees the answer or the driver sees the `need`.
 #[derive(Default)]
 struct AnswerBox {
     /// Posts answered so far.
@@ -78,8 +53,8 @@ struct AnswerBox {
 }
 
 impl AnswerBox {
-    /// Sequencer side: answer the oldest unanswered post, with the
-    /// message a `recv` waits for.
+    /// Driver side: answer the oldest unanswered post, with the message
+    /// a `recv` waits for.
     fn answer(&self, msg: Option<Message>) {
         if msg.is_some() {
             *self.slot.lock().unwrap_or_else(PoisonError::into_inner) = msg;
@@ -107,26 +82,27 @@ impl AnswerBox {
                 return (answered, parked);
             }
             parked = true;
-            #[cfg(test)]
-            jitter::point();
             std::thread::park();
         }
     }
 }
 
-/// The bell's `need` while the sequencer is not parked.
+/// A rank's next request, or its program's panic payload, which ends the run.
+type Post = Result<Request, Box<dyn Any + Send>>;
+
+/// The bell's `need` while the driver is not parked.
 const NOBODY: usize = usize::MAX;
 /// The bell's `need` when any rank's post can decide the next step.
 const ANY_POST: usize = usize::MAX - 1;
 
-/// How a rank wakes a starved sequencer. The sequencer publishes in
-/// `need` the global rank whose post it is parked for (or [`ANY_POST`]),
-/// fences, and looks at the request channel once more before parking. A
-/// rank sends its post, fences, and unparks the sequencer if `need` names
-/// it or any post; `Done` and `Panicked` always do.
+/// How a rank wakes the driver when the sequencer needs a post. The
+/// driver publishes in `need` the global rank whose post it is parked for
+/// (or [`ANY_POST`]), fences, and looks at the request channel once more
+/// before parking. A rank sends its post, fences, and unparks the driver
+/// if `need` names it or any post; a rank's last post always does.
 struct SequencerBell {
     need: AtomicUsize,
-    sequencer: Thread,
+    driver: Thread,
 }
 
 /// Involuntary OS descheduling model.
@@ -231,26 +207,6 @@ pub struct CausalRun {
     pub events: Vec<CausalEvent>,
 }
 
-enum Request {
-    Compute(SimTime),
-    Send {
-        dst: u32,
-        msg: OutMessage,
-    },
-    Recv {
-        src: u32,
-    },
-    Barrier,
-    /// Open a named collective span at the rank's current clock.
-    SpanBegin(&'static str),
-    /// Close the most recent open span on this rank.
-    SpanEnd,
-    /// The program returned and every earlier post was answered.
-    Done,
-    /// The program panicked; the run re-raises this payload.
-    Panicked(Box<dyn Any + Send>),
-}
-
 /// The per-rank handle SPMD program code runs against.
 ///
 /// Ranks are always *group-local*: a program sees ids `0..nprocs()`
@@ -267,7 +223,8 @@ pub struct RankCtx {
     /// [`SpmdConfig::socket_buf`]: the send bytes this rank may have
     /// posted and not yet seen sequenced.
     socket_buf: u64,
-    tx: Sender<(u32, Request)>,
+    /// To the driver: this rank's global id and its next post.
+    tx: Sender<(u32, Post)>,
     bell: Arc<SequencerBell>,
     answers: Arc<AnswerBox>,
     /// Posts submitted so far, `recv`s included.
@@ -301,23 +258,22 @@ impl RankCtx {
         &self.cost
     }
 
-    /// Hand a request to the sequencer, waking it if it is parked for
-    /// this rank's post. Once a run is abandoned the channel is closed:
-    /// the post goes nowhere and the rank parks at its next wait.
-    fn submit(&self, r: Request) {
-        #[cfg(test)]
-        jitter::point();
+    /// Hand a request, or the payload of the program's panic, to the
+    /// driver, waking it if it is parked for this rank's post. Once a run
+    /// is abandoned the channel is closed: the post goes nowhere and the
+    /// rank parks at its next wait.
+    fn submit(&self, post: Post) {
         let me = (self.base + self.rank) as usize;
-        let terminal = matches!(r, Request::Done | Request::Panicked(_));
-        if self.tx.send((me as u32, r)).is_err() {
+        let terminal = matches!(post, Ok(Request::Done) | Err(_));
+        if self.tx.send((me as u32, post)).is_err() {
             return;
         }
-        // Pairs with the sequencer's fence between publishing `need` and
-        // its last look at the channel.
+        // Pairs with the driver's fence between publishing `need` and its
+        // last look at the channel.
         fence(SeqCst);
         let need = self.bell.need.load(SeqCst);
         if terminal || need == me || need == ANY_POST {
-            self.bell.sequencer.unpark();
+            self.bell.driver.unpark();
         }
     }
 
@@ -343,7 +299,7 @@ impl RankCtx {
             }
             self.await_answers(self.posts - keep as u64);
         }
-        self.submit(r);
+        self.submit(Ok(r));
         self.posts += 1;
         self.unanswered.push_back(bytes);
         self.unanswered_bytes += bytes;
@@ -401,11 +357,9 @@ impl RankCtx {
 
     /// Spend an explicit amount of local computation time.
     ///
-    /// Returns as soon as the request is posted: the rank's clock (and
-    /// any deschedule delay) is advanced by the sequencer in program
-    /// order, so the rank's own code never needs the answer. Like every
-    /// one-way post, it waits only when 64 earlier posts are unanswered,
-    /// and then until half of them are answered.
+    /// A one-way post: the sequencer advances the rank's clock (and adds
+    /// any deschedule delay) in program order, so the rank's own code
+    /// never needs the answer.
     pub fn compute_time(&mut self, d: SimTime) {
         if d == SimTime::ZERO {
             return;
@@ -416,14 +370,10 @@ impl RankCtx {
     /// Send a message to `dst` (asynchronous, PVM semantics: the message
     /// is handed to the transport in program order).
     ///
-    /// Returns before the send is sequenced, unless 64 posts are
-    /// unanswered or this message would leave more than
-    /// [`SpmdConfig::socket_buf`] bytes of this rank's sends unanswered:
-    /// then it waits for earlier posts first, and a message larger than
-    /// the whole buffer waits for its own answer. A rank therefore runs
-    /// ahead by at most one socket buffer, the blocking socket write the
-    /// sequencer already models by holding a send while the host's TCP
-    /// backlog exceeds the buffer.
+    /// A one-way post, so a rank runs ahead by at most one
+    /// [`SpmdConfig::socket_buf`] of sends: the blocking socket write the
+    /// sequencer models by holding a send while the host's TCP backlog
+    /// exceeds the buffer.
     pub fn send(&mut self, dst: u32, msg: OutMessage) {
         assert!(dst < self.p && dst != self.rank);
         let dst = self.base + dst;
@@ -435,12 +385,12 @@ impl RankCtx {
     pub fn recv(&mut self, src: u32) -> Message {
         assert!(src < self.p && src != self.rank);
         let src = self.base + src;
-        self.submit(Request::Recv { src });
+        self.submit(Ok(Request::Recv { src }));
         self.posts += 1;
         self.unanswered.push_back(0);
         self.drain();
-        // The sequencer answers a `recv` only by leaving its message in
-        // the slot, and this rank takes each message once.
+        // The driver answers a `recv` only by leaving its message in the
+        // slot, and this rank takes each message once.
         self.answers
             .slot
             .lock()
@@ -480,135 +430,6 @@ impl RankCtx {
         let out = f(self);
         self.phase_end();
         out
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RankState {
-    /// The last request is answered. The next one runs at the rank's
-    /// current clock; the rank is ready once it is admitted, at the front
-    /// of the rank's intake.
-    Waiting,
-    /// Blocked in `recv(src)`.
-    BlockedRecv(u32),
-    /// Blocked in `send` waiting for socket-buffer space.
-    BlockedSend,
-    /// Blocked in `barrier()`.
-    BlockedBarrier,
-    /// Finished.
-    Done,
-}
-
-/// The sequencer's record of one rank.
-struct Rank {
-    /// Global rank.
-    id: u32,
-    /// Index of the rank's group in the spec list.
-    group: usize,
-    clock: SimTime,
-    state: RankState,
-    /// Posts that have arrived and are not yet executed, in program order.
-    intake: VecDeque<Request>,
-    answers: Arc<AnswerBox>,
-    desched: Option<Deschedule>,
-    /// The clock at which the rank finished.
-    done_at: SimTime,
-    /// Causal: the sequence number of the rank's next send op, and of its
-    /// last phase span.
-    op_seq: u32,
-    phase_seq: u32,
-    /// Telemetry: the collective spans still open, where the current
-    /// blocked interval began, the time blocked so far and the closed
-    /// spans. All stay empty when telemetry is off.
-    open_spans: Vec<(&'static str, SimTime)>,
-    blocked_since: Option<SimTime>,
-    blocked_ns: u64,
-    spans: Vec<SpanRecord>,
-}
-
-impl Rank {
-    /// Waiting, with its next request admitted.
-    fn ready(&self) -> bool {
-        self.state == RankState::Waiting && !self.intake.is_empty()
-    }
-
-    /// Block the rank in `state` from its clock on.
-    fn block(&mut self, state: RankState, telemetry: bool) {
-        self.state = state;
-        if telemetry {
-            self.blocked_since = Some(self.clock);
-        }
-    }
-
-    /// The resume rule: answer the rank's request at `at`, with the
-    /// message a `recv` waits for. A blocked interval ends at `at`, as a
-    /// span of the kind of the state the rank leaves.
-    fn resume(&mut self, at: SimTime, msg: Option<Message>) {
-        self.clock = at;
-        if let Some(begin) = self.blocked_since.take() {
-            let kind = match self.state {
-                RankState::BlockedRecv(_) => SpanKind::BlockedRecv,
-                RankState::BlockedSend => SpanKind::BlockedSend,
-                // Only `block` sets `blocked_since`: a barrier.
-                _ => SpanKind::Barrier,
-            };
-            self.blocked_ns += (at - begin).as_nanos();
-            self.span(kind, kind.label(), begin);
-        }
-        self.state = RankState::Waiting;
-        self.answers.answer(msg);
-    }
-
-    /// Resume a rank whose `recv` is answered by `msg`, delivered at `t`.
-    fn deliver(&mut self, t: SimTime, msg: Message, cost: &CostModel) {
-        let at = self.clock.max(t) + cost.recv_overhead(msg.body.len());
-        self.resume(at, Some(msg));
-    }
-
-    /// Close a span of `kind` that began at `begin`, at the rank's clock.
-    fn span(&mut self, kind: SpanKind, name: &str, begin: SimTime) {
-        self.spans.push(SpanRecord {
-            rank: self.id,
-            name: name.to_string(),
-            kind,
-            begin,
-            end: self.clock,
-        });
-    }
-}
-
-struct Deschedule {
-    rng: SimRng,
-    mean_s: f64,
-    duration: SimTime,
-    /// CPU seconds consumed so far.
-    cpu_acc: f64,
-    /// CPU-time threshold of the next involuntary deschedule.
-    next_at: f64,
-}
-
-impl Deschedule {
-    fn new(cfg: &DescheduleConfig, mut rng: SimRng) -> Deschedule {
-        let mean_s = cfg.mean_cpu_between.as_secs_f64();
-        let first = rng.exponential(mean_s);
-        Deschedule {
-            rng,
-            mean_s,
-            duration: cfg.duration,
-            cpu_acc: 0.0,
-            next_at: first,
-        }
-    }
-
-    /// Extra wall time injected into a compute phase of length `d`.
-    fn extra_for(&mut self, d: SimTime) -> SimTime {
-        self.cpu_acc += d.as_secs_f64();
-        let mut extra = SimTime::ZERO;
-        while self.cpu_acc >= self.next_at {
-            extra += self.duration;
-            self.next_at += self.rng.exponential(self.mean_s);
-        }
-        extra
     }
 }
 
@@ -750,37 +571,6 @@ impl<T> MultiRunResult<T> {
     }
 }
 
-/// Abandon a failed run: detach the rank threads. A rank waiting for an
-/// answer — in `recv`, behind a full post window or socket-buffer credit,
-/// or draining before `Done` — parks on its answer box forever, and a
-/// rank still running finds the request channel closed when it next
-/// posts and parks at its next wait. Posts still filed for sequencing are
-/// dropped unexecuted. The threads are leaked — an accepted cost on the
-/// error path, where the run's outcome is already lost; a panicking
-/// teardown would spray every rank's panic output over the caller's
-/// terminal instead.
-fn abandon<T>(handles: Vec<std::thread::JoinHandle<T>>) {
-    drop(handles);
-}
-
-/// File every post that has arrived into its rank's intake queue, in
-/// order. Returns how many, or the payload of a rank's panic, which ends
-/// the run.
-fn file_posts(
-    rx: &Receiver<(u32, Request)>,
-    ranks: &mut [Rank],
-) -> Result<usize, Box<dyn Any + Send>> {
-    let mut filed = 0;
-    while let Ok((rank, req)) = rx.try_recv() {
-        if let Request::Panicked(payload) = req {
-            return Err(payload);
-        }
-        ranks[rank as usize].intake.push_back(req);
-        filed += 1;
-    }
-    Ok(filed)
-}
-
 /// Sugar for the single-program case of [`run`]: one group named "main"
 /// with `cfg.p` ranks starting at time zero, collapsed to the flat
 /// [`RunResult`] shape. Unlike the multi-group path, `cfg.p` is honoured
@@ -832,96 +622,95 @@ where
 /// the calling thread with the rank's own payload, and the other ranks are
 /// abandoned (it is a bug in the caller's code, not a simulation outcome).
 pub fn run<T>(
-    mut cfg: SpmdConfig,
+    cfg: SpmdConfig,
     groups: Vec<GroupSpec<T>>,
     opts: RunOptions,
 ) -> FxnetResult<MultiRunResult<T>>
 where
     T: Send + 'static,
 {
-    let causal = opts.causal;
-    if causal {
-        // Cause ids reference phase-span sequence numbers, which only
-        // flow when telemetry is on. Telemetry is itself non-perturbing,
-        // so the trace stays byte-identical.
-        cfg.telemetry = true;
-    }
-    let tap = opts.tap;
+    drive(cfg, groups, opts, |_, _| {})
+}
+
+/// Check a run's configuration and build its sequencer. Causal capture
+/// forces telemetry on, whose phase spans number the cause ids.
+pub(crate) fn sequencer<T>(
+    mut cfg: SpmdConfig,
+    groups: &[GroupSpec<T>],
+    opts: RunOptions,
+) -> FxnetResult<Sequencer> {
+    cfg.telemetry |= opts.causal;
+    let invalid = |why: String| Err(FxnetError::InvalidConfig(why));
     if groups.is_empty() {
-        return Err(FxnetError::InvalidConfig("need at least one group".into()));
+        return invalid("need at least one group".into());
     }
     if let Some(g) = groups.iter().find(|g| g.p == 0) {
-        return Err(FxnetError::InvalidConfig(format!(
-            "group \"{}\" has zero ranks",
-            g.name
-        )));
+        return invalid(format!("group \"{}\" has zero ranks", g.name));
     }
-    // A zero mean would ask the deschedule sampler for an exponential
-    // with no rate.
-    if cfg
-        .deschedule
-        .as_ref()
-        .is_some_and(|d| d.mean_cpu_between == SimTime::ZERO)
-    {
-        return Err(FxnetError::InvalidConfig(
-            "deschedule mean_cpu_between is zero".into(),
-        ));
+    // A zero mean leaves the deschedule sampler's exponential no rate.
+    if (cfg.deschedule.as_ref()).is_some_and(|d| d.mean_cpu_between == SimTime::ZERO) {
+        return invalid("deschedule mean_cpu_between is zero".into());
     }
     // A frame's wire time divides by the bandwidth, and the loss draw
     // is a probability: NaN would never drop, above 1 always.
     let ether = &cfg.pvm.net.ether;
     if ether.bandwidth_bps == 0 {
-        return Err(FxnetError::InvalidConfig(
-            "bus bandwidth_bps is zero".into(),
-        ));
+        return invalid("bus bandwidth_bps is zero".into());
     }
     if !(0.0..=1.0).contains(&ether.drop_prob) {
-        return Err(FxnetError::InvalidConfig(format!(
-            "loss probability {} is outside [0, 1]",
-            ether.drop_prob
-        )));
+        let p = ether.drop_prob;
+        return invalid(format!("loss probability {p} is outside [0, 1]"));
     }
-    let map = TenantMap::pack(groups.iter().map(|g| (g.name.clone(), g.p)));
-    let total = map.total_ranks();
-    let hosts = cfg.hosts.max(total);
-    // A declarative topology must compile, and it fixes host placement:
-    // its attachment list must cover every workstation this run will
-    // stand up, or rank→NIC mapping would fall off the spec.
+    cfg.hosts = cfg.hosts.max(groups.iter().map(|g| g.p).sum());
+    // A declarative topology must compile and fixes host placement: it
+    // must attach every workstation the run stands up.
     if let fxnet_proto::LinkKind::Topology(spec) = &cfg.pvm.net.link {
-        spec.validate()
-            .map_err(|e| FxnetError::InvalidConfig(format!("topology '{}': {e}", spec.id)))?;
-        if (spec.host_count() as u32) < hosts {
-            return Err(FxnetError::InvalidConfig(format!(
-                "topology '{}' attaches {} hosts but the run needs {hosts}",
-                spec.id,
-                spec.host_count(),
-            )));
+        if let Err(e) = spec.validate() {
+            return invalid(format!("topology '{}': {e}", spec.id));
+        }
+        let (id, attached, hosts) = (&spec.id, spec.host_count(), cfg.hosts);
+        if (attached as u32) < hosts {
+            return invalid(format!(
+                "topology '{id}' attaches {attached} hosts but the run needs {hosts}"
+            ));
         }
     }
-    let mut pvm = PvmSystem::new(cfg.pvm.clone(), total, hosts);
-    pvm.set_promiscuous(true);
-    pvm.set_tap(tap);
-    pvm.set_causal(causal);
-    pvm.set_link_sampling(opts.sample_links);
+    Ok(Sequencer::new(cfg, groups, opts))
+}
 
-    let p = total as usize;
-    let (req_tx, req_rx) = unbounded::<(u32, Request)>();
+/// [`run`], showing `seen` each rank's requests in the order they are
+/// offered to the sequencer.
+///
+/// A run that fails, at spawning or sequencing, or re-raises a rank's
+/// panic, abandons the rank threads by dropping their handles: a rank
+/// waiting for an answer parks on its answer box forever, and one still
+/// running finds the channel closed and parks at its next wait. Leaking
+/// the threads is the accepted cost of an error; a panicking teardown
+/// would spray every rank's panic output over the caller's terminal.
+pub(crate) fn drive<T>(
+    cfg: SpmdConfig,
+    groups: Vec<GroupSpec<T>>,
+    opts: RunOptions,
+    mut seen: impl FnMut(usize, &Request),
+) -> FxnetResult<MultiRunResult<T>>
+where
+    T: Send + 'static,
+{
+    let mut seq = sequencer(cfg, &groups, opts)?;
+    let cfg = &seq.cfg;
+    let (req_tx, req_rx) = unbounded();
     let bell = Arc::new(SequencerBell {
         need: AtomicUsize::new(NOBODY),
-        sequencer: std::thread::current(),
+        driver: std::thread::current(),
     });
-    let mut engine_rng = SimRng::new(cfg.seed);
-    let mut ranks: Vec<Rank> = Vec::with_capacity(p);
-    let mut handles = Vec::with_capacity(p);
-    for (gi, slice) in map.slices().iter().enumerate() {
-        let program = Arc::clone(&groups[gi].program);
-        for local in 0..slice.p {
-            let id = slice.base + local;
+    let (mut boxes, mut handles, mut base) = (Vec::new(), Vec::new(), 0);
+    for g in &groups {
+        for local in 0..g.p {
             let answer_box = Arc::new(AnswerBox::default());
             let mut ctx = RankCtx {
                 rank: local,
-                p: slice.p,
-                base: slice.base,
+                p: g.p,
+                base,
                 cost: cfg.cost.clone(),
                 telemetry: cfg.telemetry,
                 socket_buf: cfg.socket_buf,
@@ -936,90 +725,49 @@ where
                 #[cfg(test)]
                 parks: 0,
             };
-            let program = Arc::clone(&program);
-            #[cfg(test)]
-            let jitter = jitter::fork(u64::from(id));
-            // A rank thread that cannot be spawned fails the run; the
-            // ranks already running are abandoned as on any error.
+            let program = Arc::clone(&g.program);
             let handle = std::thread::Builder::new()
-                .name(format!("spmd-rank-{id}"))
+                .name(format!("spmd-rank-{}", base + local))
                 .spawn(move || {
-                    #[cfg(test)]
-                    jitter::install(jitter);
                     // Every rank ends with exactly one terminal post, so
-                    // the sequencer never waits on a rank that is gone.
-                    match std::panic::catch_unwind(AssertUnwindSafe(|| program(&mut ctx))) {
-                        Ok(out) => {
-                            ctx.drain();
-                            ctx.submit(Request::Done);
-                            Some(out)
-                        }
-                        Err(payload) => {
-                            ctx.submit(Request::Panicked(payload));
-                            None
-                        }
-                    }
+                    // the driver never waits on a rank that is gone.
+                    let (out, last) =
+                        match std::panic::catch_unwind(AssertUnwindSafe(|| program(&mut ctx))) {
+                            Ok(out) => {
+                                ctx.drain();
+                                (Some(out), Ok(Request::Done))
+                            }
+                            Err(payload) => (None, Err(payload)),
+                        };
+                    ctx.submit(last);
+                    out
                 })?;
             answer_box.rank.get_or_init(|| handle.thread().clone());
             handles.push(handle);
-            ranks.push(Rank {
-                id,
-                group: gi,
-                clock: groups[gi].start,
-                state: RankState::Waiting,
-                intake: VecDeque::new(),
-                answers: answer_box,
-                desched: cfg
-                    .deschedule
-                    .as_ref()
-                    .map(|d| Deschedule::new(d, engine_rng.fork(u64::from(id)))),
-                done_at: SimTime::ZERO,
-                op_seq: 0,
-                phase_seq: 0,
-                open_spans: Vec::new(),
-                blocked_since: None,
-                blocked_ns: 0,
-                spans: Vec::new(),
-            });
+            boxes.push(answer_box);
         }
+        base += g.p;
     }
     drop(req_tx);
 
-    let mut mailbox: HashMap<(u32, u32), VecDeque<(SimTime, Message)>> = HashMap::new();
-    let mut barrier_waiters: Vec<Vec<usize>> = vec![Vec::new(); groups.len()];
-    let mut deliveries: Vec<MsgDelivery> = Vec::new();
-    // Causal ops; empty when capture is off.
-    let mut ops: Vec<AppOp> = Vec::new();
-
-    // Telemetry state; all of it stays empty when cfg.telemetry is off.
     let run_start = Instant::now();
-    let mut event_counts = [0u64; EventClass::ALL.len()];
     let mut profile = SimProfile::default();
-    let mut mailbox_high_water = 0usize;
-    let mut mailbox_len = 0usize;
-
-    // Set when the last turn could decide nothing without another post:
-    // the rank whose post it needs, or `ANY_POST`.
+    // Set while the sequencer waits for a post: the rank whose post it
+    // needs, or `ANY_POST`.
     let mut starved_for: Option<usize> = None;
     loop {
-        // Intake: file every post that has arrived. A panic ends the run
-        // at once. A starved sequencer published whose post it needs
-        // before this look, and parks unless that post is among them.
-        #[cfg(test)]
-        jitter::point();
-        let filed = match file_posts(&req_rx, &mut ranks) {
-            Ok(filed) => filed,
-            Err(payload) => {
-                abandon(handles);
-                std::panic::resume_unwind(payload);
-            }
-        };
-        if let Some(need) = starved_for {
-            let arrived = if need == ANY_POST {
-                filed > 0
-            } else {
-                !ranks[need].intake.is_empty()
-            };
+        // Offer every post that has arrived; a rank's panic is re-raised
+        // at once. A starved driver published whose post it needs before
+        // this look, and parks unless that post is among them.
+        let mut arrived = false;
+        while let Ok((rank, post)) = req_rx.try_recv() {
+            let req = post.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            let rank = rank as usize;
+            arrived |= starved_for.is_some_and(|need| need == rank || need == ANY_POST);
+            seen(rank, &req);
+            seq.offer(rank, req);
+        }
+        if starved_for.is_some() {
             if !arrived {
                 std::thread::park();
                 continue;
@@ -1028,390 +776,44 @@ where
             starved_for = None;
         }
 
-        // One pass over the records. A waiting rank whose next post is
-        // `Done` finishes. Of the ranks left, the horizon is the least
-        // `(clock, rank)` of those waiting with no post, `best` the least
-        // of the ready ones, and the run is engaged while a rank is ready
-        // or blocked.
-        let mut horizon: Option<(SimTime, usize)> = None;
-        let mut best: Option<(SimTime, usize)> = None;
-        let (mut engaged, mut all_done) = (false, true);
-        for (r, rk) in ranks.iter_mut().enumerate() {
-            if rk.state == RankState::Waiting && matches!(rk.intake.front(), Some(Request::Done)) {
-                rk.intake.pop_front();
-                rk.state = RankState::Done;
-                rk.done_at = rk.clock;
-            }
-            let at = (rk.clock, r);
-            match rk.state {
-                RankState::Done => continue,
-                RankState::Waiting if rk.intake.is_empty() => {
-                    horizon = Some(horizon.map_or(at, |h| h.min(at)));
+        let t0 = seq.cfg.telemetry.then(Instant::now);
+        let need = match seq.step()? {
+            Step::Ran { class, answers } => {
+                for (rank, msg) in answers {
+                    boxes[rank].answer(msg);
                 }
-                RankState::Waiting => {
-                    best = Some(best.map_or(at, |b| b.min(at)));
-                    engaged = true;
+                if let Some(t0) = t0 {
+                    profile.record(class, t0.elapsed());
                 }
-                _ => engaged = true,
+                continue;
             }
-            all_done = false;
-        }
-
-        // All ranks finished: stop sequencing (the network may still hold
-        // events — e.g. periodic daemon chatter — which are drained up to
-        // the program's end time below, never past it).
-        if all_done {
-            break;
-        }
-
-        // Pick the next action in simulated-time order, but only once it
-        // is decided. A rank waiting with no post runs its next request at
-        // its current clock, so the horizon bounds both choices from
-        // below: a ready rank goes first only if it beats the horizon in
-        // `(clock, rank)` order, and the network only if its next event
-        // is strictly earlier than the horizon's clock. Advancing the
-        // network also needs the run to be engaged; with only waiting
-        // ranks left, they may all be about to finish, and then the event
-        // belongs to the uncounted drain after the loop.
-        let t_net = pvm.next_event_time();
-        let rank_first =
-            best.filter(|&b| horizon.is_none_or(|h| b < h) && t_net.is_none_or(|t| b.0 <= t));
-        if rank_first.is_none() {
-            let net_first = engaged && t_net.is_some_and(|t| horizon.is_none_or(|(c, _)| t < c));
-            if !net_first {
-                if let Some((_, h)) = horizon {
-                    // While the run is engaged, only the horizon rank's
-                    // post can decide the next step (DESIGN.md §7);
-                    // otherwise any rank's post can make it ready.
-                    let need = if engaged { h } else { ANY_POST };
-                    starved_for = Some(need);
-                    bell.need.store(need, SeqCst);
-                    // Pairs with the fence between a rank's send and its
-                    // look at `need`.
-                    fence(SeqCst);
-                    continue;
-                }
-                let blocked: Vec<String> = ranks
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, rk)| rk.state != RankState::Done)
-                    .map(|(r, rk)| format!("rank {r}: {:?} at {}", rk.state, rk.clock))
-                    .collect();
-                abandon(handles);
-                return Err(FxnetError::Deadlock(blocked.join("\n")));
-            }
-        }
-
-        let t0 = if cfg.telemetry {
-            Some(Instant::now())
-        } else {
-            None
+            Step::NeedPost(rank) => rank,
+            Step::NeedAnyPost => ANY_POST,
+            Step::Finished => break,
         };
-        let mut class = EventClass::NetAdvance;
-        if let Some((_, r)) = rank_first {
-            let rk = &mut ranks[r];
-            let req = rk.intake.pop_front().expect("a ready rank has a request");
-            if rk.clock > cfg.max_sim_time {
-                abandon(handles);
-                return Err(FxnetError::SimTimeExceeded {
-                    rank: r as u32,
-                    at: rk.clock,
-                    limit: cfg.max_sim_time,
-                });
-            }
-            match req {
-                Request::Compute(d) => {
-                    class = EventClass::Compute;
-                    let begin = rk.clock;
-                    let extra = rk
-                        .desched
-                        .as_mut()
-                        .map_or(SimTime::ZERO, |ds| ds.extra_for(d));
-                    rk.clock += d + extra;
-                    if cfg.telemetry {
-                        rk.span(SpanKind::Compute, "compute", begin);
-                    }
-                    rk.resume(rk.clock, None);
-                }
-                Request::Send { dst, msg } => {
-                    class = EventClass::Send;
-                    let t_wire = rk.clock + cfg.cost.send_overhead(&msg);
-                    let src = TaskId(rk.id);
-                    if causal {
-                        let phase = if rk.open_spans.is_empty() {
-                            0
-                        } else {
-                            rk.phase_seq
-                        };
-                        let cause = CauseId::app(rk.group as u32, rk.id, phase, rk.op_seq);
-                        rk.op_seq += 1;
-                        let payload_bytes = msg.payload_len() as u64;
-                        let wire_bytes = pvm.send_caused(t_wire, src, TaskId(dst), msg, cause);
-                        ops.push(AppOp {
-                            cause,
-                            dst,
-                            time: t_wire,
-                            payload_bytes,
-                            wire_bytes,
-                        });
-                    } else {
-                        pvm.send(t_wire, src, TaskId(dst), msg);
-                    }
-                    // A blocking socket write: the rank stalls while its
-                    // host's TCP backlog exceeds the socket buffer.
-                    if pvm.sender_backlog(src) > cfg.socket_buf {
-                        rk.clock = t_wire;
-                        rk.block(RankState::BlockedSend, cfg.telemetry);
-                    } else {
-                        rk.resume(t_wire, None);
-                    }
-                }
-                Request::Recv { src } => {
-                    class = EventClass::Recv;
-                    let queued = mailbox.get_mut(&(src, rk.id)).and_then(VecDeque::pop_front);
-                    if let Some((t_d, msg)) = queued {
-                        mailbox_len -= 1;
-                        rk.deliver(t_d, msg, &cfg.cost);
-                    } else {
-                        rk.block(RankState::BlockedRecv(src), cfg.telemetry);
-                    }
-                }
-                Request::Barrier => {
-                    class = EventClass::Barrier;
-                    rk.block(RankState::BlockedBarrier, cfg.telemetry);
-                    // Barriers are group-local: only the requesting rank's
-                    // group synchronizes; other tenants are unaffected.
-                    let gi = rk.group;
-                    let waiters = &mut barrier_waiters[gi];
-                    waiters.push(r);
-                    if waiters.len() == groups[gi].p as usize {
-                        let t = waiters
-                            .iter()
-                            .map(|&w| ranks[w].clock)
-                            .fold(SimTime::ZERO, SimTime::max)
-                            + cfg.cost.per_message;
-                        for w in waiters.drain(..) {
-                            ranks[w].resume(t, None);
-                        }
-                    }
-                }
-                Request::SpanBegin(name) => {
-                    class = EventClass::Span;
-                    rk.phase_seq += 1;
-                    rk.open_spans.push((name, rk.clock));
-                    rk.resume(rk.clock, None);
-                }
-                Request::SpanEnd => {
-                    class = EventClass::Span;
-                    if let Some((name, begin)) = rk.open_spans.pop() {
-                        rk.span(SpanKind::Collective, name, begin);
-                    }
-                    rk.resume(rk.clock, None);
-                }
-                // The pass over the records retires `Done` without making
-                // the rank ready, and `file_posts` never files `Panicked`.
-                Request::Done | Request::Panicked(_) => unreachable!("never a ready request"),
-            }
-        } else {
-            // The runaway guard holds for the network too: with heartbeats
-            // on, a deadlocked program would otherwise advance them
-            // forever. No rank can act before `t`: each one left is
-            // blocked until the network moves or has a later clock. A
-            // network step needs a ready or blocked rank; name the first
-            // blocked one, else the first ready one.
-            if let Some(t) = t_net.filter(|&t| t > cfg.max_sim_time) {
-                let rank = ranks
-                    .iter()
-                    .position(|rk| !matches!(rk.state, RankState::Waiting | RankState::Done))
-                    .or_else(|| ranks.iter().position(Rank::ready))
-                    .unwrap_or_default();
-                abandon(handles);
-                return Err(FxnetError::SimTimeExceeded {
-                    rank: rank as u32,
-                    at: t,
-                    limit: cfg.max_sim_time,
-                });
-            }
-            deliveries.clear();
-            let event_time = pvm.advance(&mut deliveries);
-            for d in deliveries.drain(..) {
-                let rk = &mut ranks[d.dst.0 as usize];
-                if rk.state == RankState::BlockedRecv(d.src.0) {
-                    rk.deliver(d.time, d.msg, &cfg.cost);
-                } else {
-                    mailbox
-                        .entry((d.src.0, d.dst.0))
-                        .or_default()
-                        .push_back((d.time, d.msg));
-                    mailbox_len += 1;
-                    mailbox_high_water = mailbox_high_water.max(mailbox_len);
-                }
-            }
-            // Network drain may have freed socket-buffer space.
-            if let Some(t) = event_time {
-                for rk in &mut ranks {
-                    if rk.state == RankState::BlockedSend
-                        && pvm.sender_backlog(TaskId(rk.id)) <= cfg.socket_buf
-                    {
-                        rk.resume(rk.clock.max(t), None);
-                    }
-                }
-            }
-        }
-        if let Some(t0) = t0 {
-            // `EventClass::ALL` lists the classes in declaration order.
-            event_counts[class as usize] += 1;
-            profile.record(class, t0.elapsed());
-        }
+        starved_for = Some(need);
+        bell.need.store(need, SeqCst);
+        // Pairs with the fence between a rank's send and its `need` look.
+        fence(SeqCst);
     }
 
-    // All ranks done. First advance the network through events scheduled
-    // within the program's lifetime (periodic daemon chatter a compute-
-    // heavy program never yielded to), then let trailing wire activity
-    // (delayed ACKs, in-flight frames) complete so the trace is whole.
-    let finished_at = ranks
-        .iter()
-        .map(|rk| rk.clock)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    while let Some(t) = pvm.next_event_time() {
-        if t > finished_at {
-            break;
-        }
-        deliveries.clear();
-        pvm.advance(&mut deliveries);
-    }
-    let _ = pvm.finish();
-    let mut results: VecDeque<T> = handles
-        .into_iter()
-        .map(|h| {
-            // A rank posts `Done` only from the `Ok` arm of its
-            // `catch_unwind`, which then returns the result it holds.
-            h.join()
-                .ok()
-                .flatten()
-                .expect("a rank that posted Done returns its result")
-        })
-        .collect();
-    let group_results: Vec<GroupRunResult<T>> = groups
-        .iter()
-        .zip(map.slices())
-        .map(|(g, slice)| {
-            let members = &ranks[slice.base as usize..(slice.base + slice.p) as usize];
-            GroupRunResult {
-                name: g.name.clone(),
-                base: slice.base,
-                p: slice.p,
-                start: g.start,
-                results: results.drain(..slice.p as usize).collect(),
-                finished_at: members.iter().map(|rk| rk.done_at).max().unwrap_or(g.start),
-            }
-        })
-        .collect();
-
-    let telemetry = if cfg.telemetry {
-        let mut spans = Vec::new();
-        for rk in &mut ranks {
-            // Close any span the application never ended.
-            while let Some((name, begin)) = rk.open_spans.pop() {
-                rk.span(SpanKind::Collective, name, begin);
-            }
-            spans.append(&mut rk.spans);
-        }
-        spans.sort_by(|a, b| {
-            (a.begin, a.rank, &a.name, a.end).cmp(&(b.begin, b.rank, &b.name, b.end))
-        });
-
-        let mut reg = fxnet_telemetry::TelemetryRegistry::new();
-        let mac = pvm.ether_stats();
-        reg.set_counter("mac.frames_delivered", mac.frames_delivered);
-        reg.set_counter("mac.bytes_delivered", mac.bytes_delivered);
-        reg.set_counter("mac.collisions", mac.collisions);
-        reg.set_counter("mac.backoffs", mac.backoffs);
-        reg.set_counter("mac.frames_dropped", mac.frames_dropped);
-        reg.set_counter("mac.busy_ns", mac.busy_ns);
-        let tcp = pvm.tcp_stats();
-        reg.set_counter("tcp.data_segments", tcp.data_segments);
-        reg.set_counter("tcp.acks_sent", tcp.acks_sent);
-        reg.set_counter("tcp.delayed_ack_fires", tcp.delayed_ack_fires);
-        reg.set_counter("tcp.syn_frames", tcp.syn_frames);
-        reg.set_counter("tcp.retransmits", tcp.retransmits);
-        let pstats = pvm.pvm_stats();
-        reg.set_counter("pvm.messages_sent", pstats.messages_sent);
-        reg.set_counter("pvm.fragments_sent", pstats.fragments_sent);
-        reg.set_counter("pvm.pack_bytes", pstats.pack_bytes);
-        reg.set_counter("pvm.daemon_datagrams", pstats.daemon_datagrams);
-        reg.set_counter("pvm.daemon_acks", pstats.daemon_acks);
-        reg.set_counter("pvm.heartbeats", pstats.heartbeats);
-        for (class, &n) in EventClass::ALL.iter().zip(&event_counts) {
-            reg.set_counter(format!("engine.events.{}", class.label()), n);
-        }
-        reg.set_counter(
-            "engine.timer_queue_high_water",
-            pvm.timer_high_water() as u64,
-        );
-        reg.set_counter("engine.mailbox_high_water", mailbox_high_water as u64);
-        for rk in &ranks {
-            reg.set_counter(format!("engine.rank{}.blocked_ns", rk.id), rk.blocked_ns);
-        }
-        // Per-tenant registry scoping: in multi-program runs, roll the
-        // rank-level counters up under each tenant's name so a tenant's
-        // share of engine time is legible without knowing its task block.
-        if map.len() > 1 {
-            for (gi, slice) in map.slices().iter().enumerate() {
-                let members = &ranks[slice.base as usize..(slice.base + slice.p) as usize];
-                let name = &slice.name;
-                reg.set_counter(format!("tenant.{name}.ranks"), u64::from(slice.p));
-                reg.set_counter(format!("tenant.{name}.base_task"), u64::from(slice.base));
-                reg.set_counter(
-                    format!("tenant.{name}.blocked_ns"),
-                    members.iter().map(|rk| rk.blocked_ns).sum(),
-                );
-                reg.set_counter(
-                    format!("tenant.{name}.start_ns"),
-                    groups[gi].start.as_nanos(),
-                );
-                reg.set_counter(
-                    format!("tenant.{name}.finished_ns"),
-                    group_results[gi].finished_at.as_nanos(),
-                );
-            }
-        }
-
+    // A rank posts `Done` only from the `Ok` arm of its `catch_unwind`,
+    // which then returns the result it holds.
+    let joined = handles.into_iter().map(|h| h.join().ok().flatten());
+    let mut res = seq.finish(joined.map(|r| r.expect("a rank that posted Done returns it")));
+    if let Some(tel) = &mut res.telemetry {
         profile.wall = run_start.elapsed();
-        profile.sim_seconds = finished_at.as_secs_f64();
-        Some(RunTelemetry {
-            spans,
-            registry: reg,
-            profile: Some(profile),
-        })
-    } else {
-        None
-    };
-
-    Ok(MultiRunResult {
-        groups: group_results,
-        map,
-        trace: pvm.take_trace(),
-        ether: pvm.ether_stats(),
-        finished_at,
-        telemetry,
-        causal: if causal {
-            Some(CausalRun {
-                ops,
-                events: pvm.take_causal().unwrap_or_default(),
-            })
-        } else {
-            None
-        },
-        link_stats: pvm.take_link_stats(),
-    })
+        profile.sim_seconds = res.finished_at.as_secs_f64();
+        tel.profile = Some(profile);
+    }
+    Ok(res)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fxnet_pvm::MessageBuilder;
+    use fxnet_telemetry::{SpanKind, SpanRecord};
 
     fn quiet_cfg(p: u32) -> SpmdConfig {
         let mut cfg = SpmdConfig {
@@ -2255,237 +1657,6 @@ mod tests {
             }
             let key = format!("tenant.{}.blocked_ns", g.name);
             assert_eq!(tel.registry.counter(&key), tenant, "{key}");
-        }
-    }
-
-    /// Everything of a run that the host's thread schedule must not move:
-    /// the trace, `finished_at`, the results, the sorted spans and the
-    /// counter registry.
-    type Outcome = (
-        Vec<FrameRecord>,
-        SimTime,
-        Vec<Vec<u64>>,
-        Vec<SpanRecord>,
-        fxnet_telemetry::TelemetryRegistry,
-    );
-
-    fn outcome(res: MultiRunResult<u64>) -> Outcome {
-        let tel = res.telemetry.expect("telemetry on");
-        let results = res.groups.into_iter().map(|g| g.results).collect();
-        (res.trace, res.finished_at, results, tel.spans, tel.registry)
-    }
-
-    fn recv_f64(ctx: &mut RankCtx, src: u32) -> f64 {
-        ctx.recv(src).reader().f64s(1)[0]
-    }
-
-    /// Small programs for the jitter test; between them they exercise
-    /// every rule of the sequencer.
-    fn jitter_programs() -> Vec<(&'static str, SpmdConfig, Vec<GroupSpec<u64>>)> {
-        let cfg = |p: u32, socket_buf: u64| SpmdConfig {
-            telemetry: true,
-            socket_buf,
-            ..quiet_cfg(p)
-        };
-        let ping_pong = |ctx: &mut RankCtx| {
-            let mut v = 0.0;
-            for i in 0..20 {
-                if ctx.rank() == 0 {
-                    ctx.send(1, f64_msg(i, &[v]));
-                    v = recv_f64(ctx, 1);
-                } else {
-                    v = recv_f64(ctx, 0) + 1.0;
-                    ctx.compute_time(SimTime::from_micros(50));
-                    ctx.send(0, f64_msg(i, &[v]));
-                }
-            }
-            v as u64
-        };
-        let all_to_all = |ctx: &mut RankCtx| {
-            let (me, np) = (ctx.rank(), ctx.nprocs());
-            let mut sum = 0.0;
-            for round in 0..2 {
-                ctx.compute_flops(u64::from(me + 1) * 20_000);
-                for d in (0..np).filter(|&d| d != me) {
-                    let len = if d % 2 == 0 { 300 } else { 3 };
-                    ctx.send(d, f64_msg(round, &vec![f64::from(me); len]));
-                }
-                for s in (0..np).filter(|&s| s != me) {
-                    sum += recv_f64(ctx, s);
-                }
-            }
-            sum as u64
-        };
-        let mut heartbeats = SpmdConfig {
-            telemetry: true,
-            deschedule: Some(DescheduleConfig {
-                mean_cpu_between: SimTime::from_millis(3),
-                duration: SimTime::from_millis(1),
-            }),
-            ..quiet_cfg(3)
-        };
-        heartbeats.pvm = SpmdConfig::default().pvm;
-        vec![
-            (
-                "recv ping-pong",
-                cfg(2, 64 * 1024),
-                vec![GroupSpec::single(2, ping_pong)],
-            ),
-            (
-                "small sends that overflow the socket buffer only together",
-                cfg(2, 1000),
-                vec![GroupSpec::single(2, |ctx: &mut RankCtx| {
-                    if ctx.rank() == 0 {
-                        for i in 0..60 {
-                            ctx.send(1, f64_msg(i, &[f64::from(i)]));
-                        }
-                        0
-                    } else {
-                        ctx.compute_time(SimTime::from_millis(20));
-                        (0..60).map(|_| recv_f64(ctx, 0)).sum::<f64>() as u64
-                    }
-                })],
-            ),
-            (
-                "all-to-all",
-                cfg(4, 4096),
-                vec![GroupSpec::single(4, all_to_all)],
-            ),
-            (
-                "barrier with staggered compute",
-                cfg(3, 64 * 1024),
-                vec![GroupSpec::single(3, |ctx: &mut RankCtx| {
-                    let me = ctx.rank();
-                    ctx.compute_time(SimTime::from_millis(u64::from(me)));
-                    ctx.barrier();
-                    ctx.send((me + 1) % 3, f64_msg(0, &[f64::from(me)]));
-                    let v = recv_f64(ctx, (me + 2) % 3);
-                    ctx.compute_time(SimTime::from_micros(u64::from(3 - me) * 300));
-                    ctx.barrier();
-                    v as u64
-                })],
-            ),
-            (
-                "two staggered groups",
-                cfg(2, 4096),
-                vec![
-                    group("ring", 3, SimTime::ZERO, all_to_all),
-                    group("pair", 2, SimTime::from_millis(2), ping_pong),
-                ],
-            ),
-            (
-                "spans",
-                cfg(2, 64 * 1024),
-                vec![GroupSpec::single(2, |ctx: &mut RankCtx| {
-                    let other = 1 - ctx.rank();
-                    let v = ctx.phase("outer", |ctx| {
-                        ctx.phase("inner", |ctx| ctx.compute_time(SimTime::from_micros(200)));
-                        ctx.send(other, f64_msg(0, &[f64::from(other)]));
-                        recv_f64(ctx, other)
-                    });
-                    // Left open: the engine closes it at the rank's end.
-                    ctx.phase_begin("tail");
-                    ctx.compute_time(SimTime::from_micros(100));
-                    v as u64
-                })],
-            ),
-            (
-                "sends paced by the wire",
-                cfg(2, 4096),
-                vec![GroupSpec::single(2, |ctx: &mut RankCtx| {
-                    if ctx.rank() == 0 {
-                        for i in 0..4 {
-                            ctx.send(1, f64_msg(i, &[1.0; 2500]));
-                        }
-                        0
-                    } else {
-                        (0..4).map(|_| recv_f64(ctx, 0)).sum::<f64>() as u64
-                    }
-                })],
-            ),
-            (
-                "a late receiver under heartbeats and deschedules",
-                heartbeats,
-                vec![GroupSpec::single(3, |ctx: &mut RankCtx| {
-                    let me = ctx.rank();
-                    if me == 2 {
-                        ctx.compute_time(SimTime::from_millis(30));
-                        (0..10)
-                            .map(|_| recv_f64(ctx, 0) + recv_f64(ctx, 1))
-                            .sum::<f64>() as u64
-                    } else {
-                        for i in 0..10 {
-                            ctx.compute_time(SimTime::from_millis(u64::from(me) + 1));
-                            ctx.send(2, f64_msg(i, &[f64::from(i)]));
-                        }
-                        0
-                    }
-                })],
-            ),
-        ]
-    }
-
-    #[test]
-    fn seeded_jitter_moves_no_decision() {
-        // A seeded delay where the threads meet reorders when posts
-        // arrive, waits park and the sequencer looks; none of that may
-        // reach anything the run shows.
-        for (name, cfg, groups) in jitter_programs() {
-            let run_with = |jitter_seed: Option<u64>| {
-                jitter::install(jitter_seed.map(SimRng::new));
-                let groups = groups
-                    .iter()
-                    .map(|g| GroupSpec {
-                        name: g.name.clone(),
-                        program: Arc::clone(&g.program),
-                        ..*g
-                    })
-                    .collect();
-                let out = outcome(run(cfg.clone(), groups, RunOptions::default()).expect(name));
-                jitter::install(None);
-                out
-            };
-            let want = run_with(None);
-            for seed in 1..=20 {
-                assert!(run_with(Some(seed)) == want, "{name}: jitter seed {seed}");
-            }
-        }
-    }
-}
-
-/// A seeded delay at the points where a run's threads meet: before a
-/// rank posts, before a waiting rank parks and before the sequencer files
-/// posts. A test turns it on for its own thread; `run` hands each rank
-/// thread it spawns a stream forked from the caller's, so tests running
-/// beside it are not slowed.
-#[cfg(test)]
-mod jitter {
-    use fxnet_sim::SimRng;
-    use std::cell::RefCell;
-    use std::time::Duration;
-
-    thread_local! {
-        static RNG: RefCell<Option<SimRng>> = const { RefCell::new(None) };
-    }
-
-    /// Turn this thread's jitter on with `rng`, or off with `None`.
-    pub(super) fn install(rng: Option<SimRng>) {
-        RNG.set(rng);
-    }
-
-    /// A stream for a thread this one spawns, or `None` while this
-    /// thread's jitter is off.
-    pub(super) fn fork(label: u64) -> Option<SimRng> {
-        RNG.with_borrow_mut(|rng| rng.as_mut().map(|rng| rng.fork(label)))
-    }
-
-    /// Go on, yield, or sleep 0–50 µs, as this thread's stream says.
-    pub(super) fn point() {
-        let draw = RNG.with_borrow_mut(|rng| rng.as_mut().map(|rng| rng.below(53)));
-        match draw {
-            None | Some(0) => {}
-            Some(1) => std::thread::yield_now(),
-            Some(us) => std::thread::sleep(Duration::from_micros(us - 2)),
         }
     }
 }

@@ -58,6 +58,9 @@ pub mod cost;
 pub mod dist;
 pub mod engine;
 pub mod pattern;
+mod sequencer;
+#[cfg(test)]
+mod sequencing_golden;
 
 pub use collectives::{
     all_to_all, broadcast, gather, neighbor_exchange, reduce_tree, scatter, shift,

@@ -69,8 +69,9 @@ pub struct MixOutcome {
     pub rejected: Vec<Rejection>,
     /// Host/task ownership of the admitted set.
     pub map: TenantMap,
-    /// The full promiscuous trace of the shared network.
-    pub trace: Vec<FrameRecord>,
+    /// The full promiscuous trace of the shared network, as the one
+    /// columnar store the demux ran over.
+    pub store: TraceStore,
     /// Count of the frames belonging to no single tenant
     /// (cross-boundary daemon chatter, idle hosts).
     pub background: usize,
@@ -97,10 +98,10 @@ impl MixOutcome {
             self.tenants.iter().map(|t| t.frames).sum::<usize>() + self.background;
         assert_eq!(
             attributed,
-            self.trace.len(),
+            self.store.len(),
             "per-tenant frame counts must sum to the aggregate"
         );
-        self.trace.len()
+        self.store.len()
     }
 
     /// Human-readable report: admission log, per-tenant demuxed traffic
@@ -467,7 +468,7 @@ impl Mix {
             tenants: outcomes,
             rejected,
             map: multi.map,
-            trace: multi.trace,
+            store,
             background,
             finished_at: multi.finished_at,
             telemetry: multi.telemetry,
@@ -533,7 +534,7 @@ mod tests {
                 .run()
         };
         let (a, b) = (run(), run());
-        assert_eq!(a.trace, b.trace);
+        assert_eq!(a.store, b.store);
         assert_eq!(a.report(), b.report());
     }
 
@@ -562,13 +563,13 @@ mod tests {
         assert!(!e.flight_recorder.is_empty(), "event carries frame dump");
         // The watcher saw the whole shared trace, no perturbation: the
         // trace is identical to an unwatched run.
-        assert_eq!(w.frames as usize, out.trace.len());
+        assert_eq!(w.frames as usize, out.store.len());
         let unwatched = Mix::new(base_cfg())
             .solo_baselines(false)
             .tenant(shift_tenant("honest", 0))
             .tenant(shift_tenant("liar", 30).with_claim_scale(0.1))
             .run();
-        assert_eq!(out.trace, unwatched.trace);
+        assert_eq!(out.store, unwatched.store);
         assert!(unwatched.watch.is_none());
     }
 

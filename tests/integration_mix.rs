@@ -4,7 +4,7 @@
 use fxnet::mix::{MixTenant, TenantProgram};
 use fxnet::qos::QosNetwork;
 use fxnet::sim::SimTime;
-use fxnet::trace::{demux_store, TraceStore};
+use fxnet::trace::demux_store;
 use fxnet::{KernelKind, Testbed, TestbedBuilder};
 
 fn shift(name: &str, p: u32, start_ms: u64) -> MixTenant {
@@ -49,8 +49,7 @@ fn mixed_kernels_conserve_every_frame() {
         assert!(t.frames > 0, "{} demuxed no frames", t.name);
     }
     // Demux is by host ownership, so the sub-traces use disjoint hosts.
-    let store = TraceStore::from_records(&out.trace);
-    let demuxed = demux_store(&store, &out.map);
+    let demuxed = demux_store(&out.store, &out.map);
     for (i, (t, slice)) in out.tenants.iter().zip(out.map.slices()).enumerate() {
         let frames = demuxed.tenant(i);
         assert_eq!(frames.len(), t.frames);
@@ -72,7 +71,7 @@ fn mixed_run_is_deterministic_for_a_seed() {
             .run()
     };
     let (a, b) = (run(7), run(7));
-    assert_eq!(a.trace, b.trace, "same seed must give an identical trace");
+    assert_eq!(a.store, b.store, "same seed must give an identical trace");
     assert_eq!(a.report(), b.report());
     // Interference metrics are part of the deterministic output.
     for (x, y) in a.tenants.iter().zip(&b.tenants) {
