@@ -32,10 +32,10 @@
 //! bandwidth, checks `c` stability and single-segment byte-identity,
 //! writes `out/fabric_sweep.json`), and `analysis-scale` (out-of-core
 //! analytics: synthesizes a chunked 10M-frame trace through the
-//! sharded trunk fabric — `--div N` scales it down to a floor of 500k —
+//! two-switch trunk fabric — `--div N` scales it down to a floor of 500k —
 //! then runs the streamed one-pass chunk scan, asserting `--jobs 1`
 //! transcript identity and O(chunk) peak memory; its two artifacts are
-//! seed-deterministic). Speed — of the shard drain, the scan, the
+//! seed-deterministic). Speed — of the synthesis drain, the scan, the
 //! figure suite, trace IO, the fabrics — is measured by `benchmark/`,
 //! not here: `repro` writes no wall-clock artifact.
 //!
@@ -1894,18 +1894,14 @@ fn analysis_scale(c: &mut Ctx) {
     let jobs = c.pool.jobs();
     let frames_target = (10_000_000 / c.div).max(500_000) as u64;
 
-    // Synthesize the trace in waves through the sharded trunk fabric:
-    // each wave drains grouped bursts (SCALE_ROUNDS_PER_GROUP rounds of
-    // one frame per host, then a quiet gap) with every 16th frame
-    // crossing the trunk. Deliveries come out merged in the sequential
-    // fabric's order, so the trace — and every analysis below — is
-    // seed-deterministic.
+    // Synthesize the trace in waves through the trunk fabric: each wave
+    // drains grouped bursts (SCALE_ROUNDS_PER_GROUP rounds of one frame
+    // per host, then a quiet gap) with every 16th frame crossing the
+    // trunk. Deliveries come out in event order, so the trace — and
+    // every analysis below — is seed-deterministic.
     let spec = fxnet::TopologySpec::two_switches_trunk(SCALE_HOSTS, fxnet::sim::RATE_10M);
     let ether = EtherConfig::default();
-    // One shard per switch: all `trunk2` partitions into.
-    let probe = fxnet::shard::ShardedFabric::new(spec.clone(), &ether, c.seed, 2);
-    let shards = probe.shard_count();
-    let shard_of = probe.partition().host_shard.clone();
+    let switch_of = &spec.attachments;
     let group_period_us = u64::from(SCALE_ROUNDS_PER_GROUP) * SCALE_ROUND_US + SCALE_GAP_US;
     // The burst-group fundamental anchors the Goertzel harmonic probe.
     let base_hz = 1.0 / (group_period_us as f64 * 1e-6);
@@ -1914,21 +1910,19 @@ fn analysis_scale(c: &mut Ctx) {
     let wave_period_ns = (groups_per_wave + 1) * group_period_us * 1_000;
     let path = c.exps.out_path("analysis_scale.fxb");
     println!(
-        "synthesizing >= {frames_target} frames through {} ({shards} shards) ...",
+        "synthesizing >= {frames_target} frames through {} ...",
         spec.label()
     );
-    // Per-shard drain health, summed over the waves (high water: the max).
-    let mut health = vec![fxnet::shard::ShardDrainStats::default(); shards];
     let (dir, t_synth) = timed(|| {
         let mut w = fxnet::trace::ChunkedWriter::create(&path).expect("create chunked trace");
         let mut wave = 0u64;
         while w.frames() < frames_target {
             let offset_ns = wave * wave_period_ns;
-            let mut fab = fxnet::shard::ShardedFabric::new(spec.clone(), &ether, c.seed, shards);
+            let mut fab = fxnet::topo::CompositeFabric::new(spec.clone(), &ether, c.seed);
             for i in 0..(SCALE_ROUNDS_PER_WAVE * SCALE_HOSTS) {
                 let src = i % SCALE_HOSTS;
                 let dst = if i % 16 == 0 {
-                    // Cross the trunk: the far block's mirror host.
+                    // Cross the trunk: the far switch's mirror host.
                     let d = (src + SCALE_HOSTS / 2) % SCALE_HOSTS;
                     if d == src {
                         (d + 1) % SCALE_HOSTS
@@ -1936,9 +1930,9 @@ fn analysis_scale(c: &mut Ctx) {
                         d
                     }
                 } else {
-                    // Nearest neighbor inside the same shard block.
+                    // Nearest neighbor on the same switch.
                     let mut d = (src + 1) % SCALE_HOSTS;
-                    while d == src || shard_of[d as usize] != shard_of[src as usize] {
+                    while d == src || switch_of[d as usize] != switch_of[src as usize] {
                         d = (d + 1) % SCALE_HOSTS;
                     }
                     d
@@ -1955,17 +1949,8 @@ fn analysis_scale(c: &mut Ctx) {
                     + (round % u64::from(SCALE_ROUNDS_PER_GROUP)) * SCALE_ROUND_US;
                 fab.enqueue(NicId(src), f, SimTime::from_micros(t_us));
             }
-            let res = fab.drain_parallel();
-            assert_eq!(res.violations, 0, "synthesis drain admitted a late frame");
-            for (sum, s) in health.iter_mut().zip(&res.per_shard) {
-                sum.events += s.events;
-                sum.null_rounds += s.null_rounds;
-                sum.crossings_sent += s.crossings_sent;
-                sum.ring_full_stalls += s.ring_full_stalls;
-                sum.pending_high_water = sum.pending_high_water.max(s.pending_high_water);
-            }
-            let records: Vec<fxnet::FrameRecord> = res
-                .deliveries
+            let records: Vec<fxnet::FrameRecord> = fab
+                .run_to_idle()
                 .iter()
                 .map(|d| {
                     fxnet::FrameRecord::capture(
@@ -1988,16 +1973,6 @@ fn analysis_scale(c: &mut Ctx) {
         t_synth.as_secs_f64(),
         path.display()
     );
-    // Only events and crossings are functions of the load; the rest follow
-    // thread timing, which is why this is stdout and never an artifact.
-    print!("drain, per shard events/null/sent/stalls/pending:");
-    for s in &health {
-        print!(
-            " {}/{}/{}/{}/{}",
-            s.events, s.null_rounds, s.crossings_sent, s.ring_full_stalls, s.pending_high_water
-        );
-    }
-    println!();
 
     // The scan at --jobs and again at --jobs 1: the transcript may not
     // depend on how many workers decoded the chunks.

@@ -33,7 +33,7 @@
 //! |---|---|---|
 //! | CSMA/CD Ethernet, frames, simulated time | `fxnet-sim` | [`sim`] |
 //! | multi-segment switched topologies | `fxnet-topo` | [`topo`] |
-//! | threaded batch drain of a partitioned fabric | `fxnet-shard` | [`shard`] |
+//! | sequential shim kept for `benchmark/` (one `CompositeFabric`) | `fxnet-shard` | [`shard`] |
 //! | TCP/UDP stack | `fxnet-proto` | [`proto`] |
 //! | PVM message passing | `fxnet-pvm` | [`pvm`] |
 //! | SPMD runtime, patterns, cost model | `fxnet-fx` | [`fx`] |

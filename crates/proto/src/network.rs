@@ -341,8 +341,8 @@ impl Network {
                 );
                 // A `single_segment` spec is `EtherBus` byte for byte, so
                 // one type could carry both variants and this enum could
-                // go. Tried and measured in PR 15, with the then
-                // pull-capable `ShardedFabric` as the carrier: every
+                // go. Tried and measured in PR 15, with a since-deleted
+                // pull-capable sharded fabric as the carrier: every
                 // `benchmark/expected.json` digest held, but `bulk-bus`
                 // `wall_s` rose 3.4–4.9 % in the median (minimum 3.37 →
                 // 3.55 s, 3.42 → 3.84 s over 6 + 8 alternating pairs on 2

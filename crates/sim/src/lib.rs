@@ -56,7 +56,6 @@ pub mod linkstats;
 pub mod queue;
 pub mod rates;
 pub mod rng;
-pub mod spsc;
 pub mod time;
 
 pub use cause::{AppCause, CausalEvent, Cause, CauseId, FrameMeta, ProtoCause};
@@ -69,5 +68,4 @@ pub use linkstats::{LinkProbe, LinkSeries, LinkStats, LinkWindow, LINK_WINDOW_NS
 pub use queue::{EventKey, EventQueue, KeyedQueue, LaneQueue};
 pub use rates::{RATE_100M, RATE_10M, RATE_1G};
 pub use rng::SimRng;
-pub use spsc::{ring, RingReceiver, RingSender};
 pub use time::SimTime;

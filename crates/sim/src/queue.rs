@@ -19,8 +19,7 @@
 //!   the calendar against 0.25 s on the heap. The program is the one
 //!   that counts, so the heap is the queue.
 //! * [`LaneQueue`] — the compiled fabric (`fxnet-topo`'s
-//!   `CompositeFabric`, and through it every `fxnet-shard` shard): its
-//!   only event list. Every event the fabric schedules is the
+//!   `CompositeFabric`): its only event list. Every event the fabric schedules is the
 //!   completion of a transmission on one simplex link, and a link
 //!   serialises one frame at a time, so each link's events are pushed
 //!   in strictly increasing key order. The pending set is therefore a
@@ -124,9 +123,9 @@ impl<E> EventQueue<E> {
 /// Explicit, history-independent total order for fabric events.
 ///
 /// The plain [`EventQueue`] breaks equal-time ties by *push order*, which
-/// is deterministic for a single sequential driver but depends on the
-/// global interleaving of pushes — exactly the thing a sharded simulation
-/// cannot cheaply reproduce. `EventKey` replaces insertion order with an
+/// is deterministic for a single queue but depends on the global
+/// interleaving of pushes, which a merge of per-link lanes
+/// ([`LaneQueue`]) does not see. `EventKey` replaces insertion order with an
 /// explicit composite key derived only from the frame's own history:
 ///
 /// * `time` — the scheduled instant;
@@ -138,9 +137,9 @@ impl<E> EventQueue<E> {
 /// * `minor` — the frame's per-hop counter (calendar) so one frame's
 ///   successive events stay unique, or an intra-event emission index.
 ///
-/// Two fabrics that process the same offered load therefore agree on the
-/// event order *by construction*, regardless of how many shards the work
-/// is split across.
+/// Two event lists that take the same offered load therefore agree on
+/// the event order *by construction*, however the pushes are split
+/// across lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventKey {
     /// Scheduled instant.
@@ -178,9 +177,8 @@ impl EventKey {
 }
 
 /// An event queue ordered by explicit [`EventKey`] rather than insertion
-/// order — the shard-safe counterpart of [`EventQueue`]. Pop order is a
-/// pure function of the pushed keys, so any partitioning of the pushes
-/// across shards that merges by key reproduces the sequential order.
+/// order. Pop order is a pure function of the pushed keys, so any split
+/// of the pushes into runs that merge by key reproduces the same order.
 /// One heap of every pending entry: the reference [`LaneQueue`] is
 /// tested against.
 pub struct KeyedQueue<E> {

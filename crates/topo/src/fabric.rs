@@ -11,14 +11,11 @@
 //! smallest case, [`TopologySpec::single_switch`], is the DESIGN.md §8
 //! switch counterfactual. The key order — time, then
 //! calendar-before-bus, then fabric-entry stamp and per-frame hop — is a
-//! pure function of the offered load, which is what lets `fxnet-shard`
-//! split one fabric across worker threads and still merge a
-//! byte-identical event stream.
+//! pure function of the offered load, so a run is deterministic per seed.
 //!
 //! The event list is a [`LaneQueue`] with one lane per simplex link:
 //! lane `h` is host `h`'s uplink, `hosts + h` its downlink, and
-//! `2 * hosts + 2 * trunk + dir` one trunk direction (fed by `forward`
-//! when the hop is local, by `inject` when the trunk is cut). A link's
+//! `2 * hosts + 2 * trunk + dir` one trunk direction. A link's
 //! free-time scalar moves forward by a positive transmit time at every
 //! use, so the keys pushed on one lane strictly increase, which is all
 //! the lanes need to merge into the key order (DESIGN.md §11).
@@ -48,11 +45,8 @@ use fxnet_sim::{
     EtherBus, EtherConfig, EtherStats, EventKey, Frame, FrameMeta, FrameRecord, FrameTap,
     LaneQueue, LinkProbe, LinkStats, NicId, SimRng, SimTime, TxError,
 };
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Per-frame state while it crosses the fabric.
-#[derive(Debug)]
 struct Transit {
     /// The protocol layer's original token, restored at delivery.
     token: u64,
@@ -69,83 +63,6 @@ struct Transit {
     best_access_ns: u64,
     /// Worst trunk wait seen: `(wait_ns, trunk_code)`.
     best_trunk: Option<(u64, u32)>,
-}
-
-/// A frame mid-flight across a cut trunk: everything the receiving
-/// shard's fabric needs to resume the transit as if the hop had been
-/// local. Produced by a scoped fabric's outbox, consumed by
-/// [`CompositeFabric::inject`].
-#[derive(Debug)]
-pub struct CrossFrame {
-    /// When the frame finishes arriving at the far node (trunk tx done +
-    /// propagation + far node's store-and-forward latency).
-    arrival: SimTime,
-    /// The far node (owned by the receiving shard).
-    node: usize,
-    /// The arrival event's key — identical to the key the hop would have
-    /// used had it stayed local, so merged event order is shard-blind.
-    key: EventKey,
-    /// The cut trunk the frame crossed.
-    trunk: usize,
-    /// Direction on that trunk: 0 = a→b, 1 = b→a.
-    dir: usize,
-    /// The frame; its token field is reassigned by `inject`.
-    frame: Frame,
-    /// The transit record, carried across (token = original protocol
-    /// token).
-    transit: Transit,
-}
-
-impl CrossFrame {
-    /// Arrival instant at the receiving shard.
-    pub fn arrival(&self) -> SimTime {
-        self.arrival
-    }
-
-    /// Global index of the receiving node.
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
-    /// The arrival event's key.
-    pub fn key(&self) -> EventKey {
-        self.key
-    }
-
-    /// The cut trunk crossed.
-    pub fn trunk(&self) -> usize {
-        self.trunk
-    }
-
-    /// Direction on that trunk: 0 = a→b, 1 = b→a.
-    pub fn dir(&self) -> usize {
-        self.dir
-    }
-}
-
-/// Shard scoping of a fabric: the owned-node mask, the outbox of frames
-/// that crossed a cut trunk toward another shard, and the exit
-/// bookkeeping behind the threaded drain's lookahead. A cut-trunk
-/// direction is named by its *slot*, `2 * trunk + dir`.
-struct ShardScope {
-    owned: Vec<bool>,
-    outbox: Vec<CrossFrame>,
-    /// `exit_of[n][d]`: the slot through which a frame at owned node `n`
-    /// bound for node `d` leaves this shard, `None` when its route ends
-    /// inside. Static: the forwarding tables walked until the first
-    /// hop onto a node that is not owned.
-    exit_of: Vec<Vec<Option<usize>>>,
-    /// Per slot, one entry for every frame inside the shard that will
-    /// leave through it: a time before which the frame has no event (its
-    /// scheduled arrival at a node, or the instant it was queued on a
-    /// segment). An entry is released when that event fires, so it and
-    /// everything below it are at or below the shard clock by then; the
-    /// drain clamps the minimum up to the next local event, which makes
-    /// such entries interchangeable — releasing always pops the minimum.
-    pending_exits: Vec<BinaryHeap<Reverse<SimTime>>>,
-    /// `(entry slot, exit slot)` pairs: some destination routes a frame
-    /// in over the entry and on out through the exit.
-    feeds: Vec<(usize, usize)>,
 }
 
 /// Direction (0 = a→b) and far end of `trunk` as seen from node `from`.
@@ -212,13 +129,8 @@ pub struct CompositeFabric {
     trunk_free: Vec<[SimTime; 2]>,
     /// The event list, one lane per simplex link (see the module docs).
     events: LaneQueue<TopoEvent>,
-    /// Next fabric-entry stamp (when not overridden by a sharded owner).
+    /// Next fabric-entry stamp.
     next_stamp: u64,
-    /// Time of the last processed event (monotone; causality guard for
-    /// [`CompositeFabric::inject`]).
-    clock: SimTime,
-    /// Shard scoping, when this fabric is one shard of a partition.
-    scope: Option<ShardScope>,
     transits: Vec<Option<Transit>>,
     transit_free: Vec<u32>,
     /// Per-bus count of errors already drained into `errors`.
@@ -291,8 +203,6 @@ impl CompositeFabric {
             trunk_free: vec![[SimTime::ZERO; 2]; spec.trunks.len()],
             events: LaneQueue::new(2 * hosts + 2 * spec.trunks.len()),
             next_stamp: 0,
-            clock: SimTime::ZERO,
-            scope: None,
             transits: Vec::new(),
             transit_free: Vec::new(),
             bus_errors_seen: vec![0; n],
@@ -467,23 +377,13 @@ impl CompositeFabric {
 
     /// Queue a frame from host `nic.0` at time `now` — the entry point
     /// the protocol stack drives, identical in shape to
-    /// [`EtherBus::enqueue`]. The fabric-entry stamp is drawn from this
-    /// fabric's own counter; a sharded owner uses
-    /// [`CompositeFabric::enqueue_stamped`] to keep stamps global.
+    /// [`EtherBus::enqueue`]. The fabric-entry stamp, which orders
+    /// equal-time calendar events, is the frame's place in enqueue order.
     pub fn enqueue(&mut self, nic: NicId, frame: Frame, now: SimTime) {
         let stamp = self.next_stamp;
         self.next_stamp += 1;
-        self.enqueue_stamped(nic, frame, now, stamp);
-    }
-
-    /// Queue a frame with an externally allocated fabric-entry `stamp`.
-    /// Stamps order equal-time calendar events, so a sharded fabric must
-    /// hand every shard stamps from one global counter — in the exact
-    /// order the sequential fabric would have assigned them.
-    pub fn enqueue_stamped(&mut self, nic: NicId, frame: Frame, now: SimTime, stamp: u64) {
         let host = nic.0 as usize;
         let src_node = self.spec.attachments[host];
-        let dst_node = self.spec.attachments[frame.dst.0 as usize];
         let mut f = frame;
         f.token = self.transit_insert(Transit {
             token: frame.token,
@@ -501,7 +401,6 @@ impl CompositeFabric {
                 if let Some(bus) = &mut self.buses[src_node] {
                     bus.enqueue(self.host_nic[host], f, now);
                 }
-                self.hold_exit(src_node, dst_node, now);
             }
             NodeKind::Switch | NodeKind::Router => {
                 // Dedicated uplink at the node's port rate, then the
@@ -530,29 +429,6 @@ impl CompositeFabric {
                         frame: f,
                     },
                 );
-                self.hold_exit(src_node, dst_node, key.time);
-            }
-        }
-    }
-
-    /// Note that a frame now held at owned `node`, bound for `dst_node`,
-    /// has no event before `at`. Nothing to note when the fabric is
-    /// unscoped or the frame's route ends inside this shard.
-    fn hold_exit(&mut self, node: usize, dst_node: usize, at: SimTime) {
-        if let Some(scope) = &mut self.scope {
-            if let Some(slot) = scope.exit_of[node][dst_node] {
-                scope.pending_exits[slot].push(Reverse(at));
-            }
-        }
-    }
-
-    /// Release the entry of a frame held at owned `node`, bound for
-    /// `dst_node`, whose event just fired (it moved on, or a segment
-    /// destroyed it).
-    fn release_exit(&mut self, node: usize, dst_node: usize) {
-        if let Some(scope) = &mut self.scope {
-            if let Some(slot) = scope.exit_of[node][dst_node] {
-                scope.pending_exits[slot].pop();
             }
         }
     }
@@ -606,8 +482,6 @@ impl CompositeFabric {
             self.flows[node].bytes_out += wire;
             return;
         }
-        // The event that held the frame here has fired.
-        self.release_exit(node, dst_node);
         // Trunk hop toward the destination's node. Validation guarantees
         // host-bearing nodes are connected, so the table entry exists.
         let ti = self.next_hop[node][dst_node].expect("validated path");
@@ -634,34 +508,14 @@ impl CompositeFabric {
         self.flows[node].bytes_out += wire;
         let arrival = done + trunk.prop_delay + latency;
         let key = self.calendar_key(f.token, arrival);
-        if self.scope.as_ref().is_some_and(|s| !s.owned[far]) {
-            // The far node belongs to another shard: this is a cut
-            // trunk. All sender-side accounting above is final; the
-            // frame travels with its transit record and its arrival
-            // event's key, so the receiving shard resumes it exactly
-            // where a local hop would have.
-            let transit = self.transit_remove(f.token).expect("live transit");
-            let scope = self.scope.as_mut().expect("scoped");
-            scope.outbox.push(CrossFrame {
-                arrival,
+        self.events.push(
+            self.trunk_lane(ti, dir),
+            key,
+            TopoEvent::AtNode {
                 node: far,
-                key,
-                trunk: ti,
-                dir,
                 frame: f,
-                transit,
-            });
-        } else {
-            self.events.push(
-                self.trunk_lane(ti, dir),
-                key,
-                TopoEvent::AtNode {
-                    node: far,
-                    frame: f,
-                },
-            );
-            self.hold_exit(far, dst_node, arrival);
-        }
+            },
+        );
     }
 
     /// Finalize a frame at `now`: restore the original token, settle the
@@ -715,23 +569,19 @@ impl CompositeFabric {
             if let Some(t) = self.transit_remove(f.token) {
                 f.token = t.token;
             }
-            self.release_exit(node, self.spec.attachments[f.dst.0 as usize]);
             self.errors.push((time, f, err));
         }
     }
 
-    /// Whether nothing is pending anywhere in the fabric (including the
-    /// shard outbox, when scoped).
+    /// Whether nothing is pending anywhere in the fabric.
     pub fn idle(&self) -> bool {
-        self.events.is_empty()
-            && self.buses.iter().flatten().all(EtherBus::idle)
-            && self.scope.as_ref().is_none_or(|s| s.outbox.is_empty())
+        self.events.is_empty() && self.buses.iter().flatten().all(EtherBus::idle)
     }
 
     /// Key of the next fabric event: the calendar head against every
     /// segment's next bus event, under the global [`EventKey`] order —
     /// calendar first at equal times, then segments by node index.
-    pub fn next_key(&self) -> Option<EventKey> {
+    fn next_key(&self) -> Option<EventKey> {
         let mut k = self.events.peek_key();
         for (n, bus) in self.buses.iter().enumerate() {
             if let Some(t) = bus.as_ref().and_then(EtherBus::next_event_time) {
@@ -753,35 +603,22 @@ impl CompositeFabric {
     /// Process exactly one fabric event, appending any final delivery.
     /// Simultaneous events resolve deterministically by [`EventKey`]:
     /// the calendar queue first (stamp, then hop), then segments by node
-    /// index — an order that is a pure function of the offered load, so
-    /// it is identical at every shard count.
+    /// index — an order that is a pure function of the offered load.
     pub fn advance(&mut self, out: &mut Vec<Delivery>) -> Option<SimTime> {
         self.advance_keyed(out).map(|k| k.time)
     }
 
-    /// [`CompositeFabric::advance`], returning the processed event's key
-    /// so a sharded owner can merge per-shard output streams globally.
+    /// [`CompositeFabric::advance`], returning the processed event's key:
+    /// the order the tests hold the lanes to.
     pub fn advance_keyed(&mut self, out: &mut Vec<Delivery>) -> Option<EventKey> {
         let k = self.next_key()?;
-        self.advance_at(k, out);
-        Some(k)
-    }
-
-    /// Process the next event, given its key: `k` must be what
-    /// [`CompositeFabric::next_key`] returns now. For a driver that has
-    /// already looked at the key to decide whether to advance (a sharded
-    /// owner picking the minimal shard, a drain worker checking its
-    /// horizon), so the scan over the segments is made once per event.
-    pub fn advance_at(&mut self, k: EventKey, out: &mut Vec<Delivery>) {
-        debug_assert_eq!(Some(k), self.next_key(), "stale event key");
-        self.clock = k.time;
         if k.class == 0 {
             let (_, ev) = self.events.pop().expect("calendar key has its event");
             match ev {
                 TopoEvent::AtNode { node, frame } => self.forward(node, frame, k.time),
                 TopoEvent::Deliver { frame } => self.finalize(k.time, frame, out),
             }
-            return;
+            return Some(k);
         }
         let node = usize::try_from(k.major).expect("node index");
         self.scratch.clear();
@@ -812,134 +649,11 @@ impl CompositeFabric {
             }
         }
         self.scratch = deliveries;
+        Some(k)
     }
 
-    /// Scope this fabric to the nodes where `owned[n]` is true: frames
-    /// forwarded across a trunk whose far end is not owned are diverted
-    /// to the outbox as [`CrossFrame`]s instead of being scheduled
-    /// locally. `owned.len()` must equal the node count. Call it before
-    /// the first `enqueue`: the exit bookkeeping starts empty.
-    pub fn set_scope(&mut self, owned: Vec<bool>) {
-        let n = self.spec.nodes.len();
-        assert_eq!(owned.len(), n, "mask covers all nodes");
-        let trunks = &self.spec.trunks;
-        // Walk the forwarding tables from every owned node toward every
-        // destination until the route leaves the block or ends in it.
-        // Hop distance falls at every step, so the walk terminates.
-        let exit_of: Vec<Vec<Option<usize>>> = (0..n)
-            .map(|from| {
-                (0..n)
-                    .map(|dst| {
-                        let mut at = from;
-                        while owned[at] {
-                            let ti = self.next_hop[at][dst]?;
-                            let (dir, far) = trunk_hop(&trunks[ti], at);
-                            if !owned[far] {
-                                return Some(2 * ti + dir);
-                            }
-                            at = far;
-                        }
-                        None
-                    })
-                    .collect()
-            })
-            .collect();
-        // A frame is on an inbound cut trunk only if that trunk is its
-        // sender's next hop toward the destination; from the trunk's far
-        // end it leaves through `exit_of`, if at all.
-        let mut feeds = Vec::new();
-        for (ti, t) in trunks.iter().enumerate() {
-            for (dir, near, far) in [(0, t.a, t.b), (1, t.b, t.a)] {
-                if owned[near] || !owned[far] {
-                    continue;
-                }
-                // Destination by destination: over this trunk at `near`,
-                // out through `exit` from `far`.
-                for (hop, exit) in self.next_hop[near].iter().zip(&exit_of[far]) {
-                    if let (Some(hop), Some(exit)) = (hop, exit) {
-                        if *hop == ti {
-                            feeds.push((2 * ti + dir, *exit));
-                        }
-                    }
-                }
-            }
-        }
-        self.scope = Some(ShardScope {
-            owned,
-            outbox: Vec::new(),
-            exit_of,
-            pending_exits: vec![BinaryHeap::new(); 2 * trunks.len()],
-            feeds,
-        });
-    }
-
-    /// Shard-only (the `fxnet-shard` drain worker's lookahead): a time
-    /// before which no frame now inside this scoped fabric moves toward
-    /// leaving over cut trunk `trunk` in direction `dir`, or `None` when
-    /// no frame inside will leave that way. The value may lie below the
-    /// next local event; the caller takes the later of the two.
-    pub fn pending_exit(&self, trunk: usize, dir: usize) -> Option<SimTime> {
-        let heap = &self.scope.as_ref()?.pending_exits[2 * trunk + dir];
-        heap.peek().map(|&Reverse(t)| t)
-    }
-
-    /// Shard-only: whether the static forwarding tables can route a frame
-    /// that enters this scoped fabric over cut-trunk direction `entry`
-    /// on out through cut-trunk direction `exit` (each `(trunk, dir)`).
-    /// Never true on `trunk2`, where no shortest path recrosses the
-    /// trunk; true for leaf → root → leaf transit at a `tree2` root shard.
-    pub fn exit_fed_by(&self, exit: (usize, usize), entry: (usize, usize)) -> bool {
-        let slot = |(trunk, dir): (usize, usize)| 2 * trunk + dir;
-        self.scope
-            .as_ref()
-            .is_some_and(|s| s.feeds.contains(&(slot(entry), slot(exit))))
-    }
-
-    /// Drain the outbox of frames bound for other shards (empty when the
-    /// fabric is unscoped).
-    pub fn drain_outbox(&mut self, into: &mut Vec<CrossFrame>) {
-        if let Some(scope) = &mut self.scope {
-            into.append(&mut scope.outbox);
-        }
-    }
-
-    /// Accept a frame that crossed a cut trunk from another shard:
-    /// re-slab its transit locally and schedule its arrival event under
-    /// the key the sending shard computed. The conservative protocol
-    /// guarantees `cf.arrival` has not been passed yet.
-    pub fn inject(&mut self, cf: CrossFrame) {
-        debug_assert!(
-            cf.arrival >= self.clock,
-            "causality: injected frame arrives at {:?} but shard clock is {:?}",
-            cf.arrival,
-            self.clock,
-        );
-        let mut f = cf.frame;
-        f.token = self.transit_insert(cf.transit);
-        self.events.push(
-            self.trunk_lane(cf.trunk, cf.dir),
-            cf.key,
-            TopoEvent::AtNode {
-                node: cf.node,
-                frame: f,
-            },
-        );
-        self.hold_exit(cf.node, self.spec.attachments[f.dst.0 as usize], cf.arrival);
-    }
-
-    /// Time of the last processed event (the shard-local clock).
-    pub fn clock(&self) -> SimTime {
-        self.clock
-    }
-
-    /// Most scheduled events ever pending at once, summed over the
-    /// lanes of the event list (frames waiting on a segment's bus are
-    /// that bus's to count).
-    pub fn pending_high_water(&self) -> usize {
-        self.events.high_water()
-    }
-
-    /// Drain every pending event (test helper).
+    /// Drain every pending event and return the deliveries in event
+    /// order: the batch drain of a load enqueued up front.
     pub fn run_to_idle(&mut self) -> Vec<Delivery> {
         let mut out = Vec::new();
         while self.advance(&mut out).is_some() {}
@@ -1177,73 +891,40 @@ mod tests {
         assert_eq!(fab.flows()[2].frames_out, 1);
     }
 
-    /// A fabric scoped to shard `s` of `spec` cut into `shards` blocks.
-    fn scoped(
-        spec: &TopologySpec,
-        ether: &EtherConfig,
-        shards: usize,
-        s: usize,
-    ) -> CompositeFabric {
+    /// Drive `spec` with every host sending to its mirror across the
+    /// middle of the host list, four at an instant, so that uplinks,
+    /// trunks and downlinks all queue; return every processed key in
+    /// order.
+    fn processed_keys(spec: &TopologySpec, ether: &EtherConfig) -> Vec<EventKey> {
         let mut fab = CompositeFabric::new(spec.clone(), ether, 5);
-        fab.set_scope(crate::Partition::new(spec, shards).owned_mask(s));
-        fab
-    }
-
-    /// Drive `spec` cut into `shards` blocks in the order the threaded
-    /// drain's merge reproduces — advance the shard whose next key is
-    /// least, inject what crossed a cut at once — and return every
-    /// processed key in order.
-    fn processed_keys(spec: &TopologySpec, ether: &EtherConfig, shards: usize) -> Vec<EventKey> {
-        let part = crate::Partition::new(spec, shards);
-        let mut fabs: Vec<CompositeFabric> = (0..part.shards)
-            .map(|s| {
-                if part.shards > 1 {
-                    scoped(spec, ether, shards, s)
-                } else {
-                    CompositeFabric::new(spec.clone(), ether, 5)
-                }
-            })
-            .collect();
-        // Every host sends to its mirror across the middle of the host
-        // list, four at an instant: every frame crosses every cut on its
-        // path, and uplinks, trunks and downlinks all queue.
         let hosts = spec.host_count() as u32;
         for i in 0..20 * hosts {
             let src = i % hosts;
             let f = tcp(src, (src + hosts / 2) % hosts, 60 + (i * 131) % 1200, 1);
             let t = SimTime::from_micros(u64::from(i / (4 * hosts)) * 300);
-            fabs[part.host_shard[src as usize]].enqueue_stamped(NicId(src), f, t, u64::from(i));
+            fab.enqueue(NicId(src), f, t);
         }
-        let (mut keys, mut out, mut crossed) = (Vec::new(), Vec::new(), Vec::new());
-        while let Some((_, s)) = (0..fabs.len())
-            .filter_map(|s| fabs[s].next_key().map(|k| (k, s)))
-            .min()
-        {
-            keys.push(fabs[s].advance_keyed(&mut out).expect("peeked event"));
-            fabs[s].drain_outbox(&mut crossed);
-            for cf in crossed.drain(..) {
-                fabs[part.node_shard[cf.node()]].inject(cf);
-            }
+        let (mut keys, mut out) = (Vec::new(), Vec::new());
+        while let Some(k) = fab.advance_keyed(&mut out) {
+            keys.push(k);
         }
-        let label = format!("{} @ {shards}", spec.label());
-        assert!(fabs.iter().all(CompositeFabric::idle), "{label}");
-        let lost: usize = fabs.iter().map(|f| f.errors().len()).sum();
+        let label = spec.label();
+        assert!(fab.idle(), "{label}");
+        let lost = fab.errors().len();
         assert_eq!(out.len() + lost, 20 * hosts as usize, "{label}");
         assert_eq!(lost > 0, ether.drop_prob > 0.0, "{label}");
-        if spec.id == "trunk2" && shards == 1 {
+        if spec.id == "trunk2" {
             // Every frame is enqueued before the first event runs and
             // holds one scheduled event at a time.
-            assert_eq!(fabs[0].pending_high_water(), 20 * hosts as usize);
+            assert_eq!(fab.events.high_water(), 20 * hosts as usize);
         }
         keys
     }
 
     /// The lanes merge to one strictly increasing key sequence on every
-    /// canonical topology and the one-switch star — on `routed2` with a
-    /// fifth of the segment frames lost, and with every trunk cut so that
-    /// `inject` feeds the trunk lanes — and the cut fabric processes the
-    /// very keys the whole one does. (An out-of-order push would already
-    /// have panicked in `LaneQueue::push`.)
+    /// canonical topology and the one-switch star, and on `routed2` with
+    /// a fifth of the segment frames lost. (An out-of-order push would
+    /// already have panicked in `LaneQueue::push`.)
     #[test]
     fn processed_keys_strictly_increase_whole_and_cut() {
         let mut specs = TopologySpec::sweep_set(4, RATE_10M);
@@ -1253,127 +934,12 @@ mod tests {
                 drop_prob: if spec.id == "routed2" { 0.2 } else { 0.0 },
                 ..EtherConfig::default()
             };
-            let whole = processed_keys(&spec, &ether, 1);
-            assert!(!whole.is_empty());
-            for pair in whole.windows(2) {
+            let keys = processed_keys(&spec, &ether);
+            assert!(!keys.is_empty());
+            for pair in keys.windows(2) {
                 assert!(pair[0] < pair[1], "{}: {pair:?}", spec.label());
             }
-            let cut = processed_keys(&spec, &ether, spec.nodes.len());
-            assert_eq!(cut, whole, "{}", spec.label());
         }
-    }
-
-    /// The entry → exit relation is read off the forwarding tables:
-    /// nothing that crossed the `trunk2` trunk goes back over it, while
-    /// the `tree2` root passes leaf0's frames on to leaf1 only.
-    #[test]
-    fn exit_feeding_relation_follows_the_forwarding_tables() {
-        let ether = EtherConfig::default();
-        let trunk2 = TopologySpec::two_switches_trunk(4, RATE_10M);
-        for s in 0..2 {
-            let fab = scoped(&trunk2, &ether, 2, s);
-            for exit in [(0, 0), (0, 1)] {
-                for entry in [(0, 0), (0, 1)] {
-                    assert!(
-                        !fab.exit_fed_by(exit, entry),
-                        "shard {s} {entry:?}->{exit:?}"
-                    );
-                }
-            }
-        }
-        // tree2 trunks run leaf → root in direction 0: trunk 0 from leaf0,
-        // trunk 1 from leaf1. Shard 2 is the root.
-        let tree2 = TopologySpec::two_level_tree(4, RATE_10M);
-        let root = scoped(&tree2, &ether, 3, 2);
-        assert!(
-            root.exit_fed_by((1, 1), (0, 0)),
-            "leaf0->root feeds root->leaf1"
-        );
-        assert!(!root.exit_fed_by((0, 1), (0, 0)), "and never root->leaf0");
-        assert!(
-            root.exit_fed_by((0, 1), (1, 0)),
-            "leaf1->root feeds root->leaf0"
-        );
-        // A leaf is where frames end: what comes down feeds nothing.
-        let leaf0 = scoped(&tree2, &ether, 3, 0);
-        assert!(!leaf0.exit_fed_by((0, 0), (0, 1)));
-        // An unscoped fabric has no cuts at all.
-        let whole = CompositeFabric::new(tree2, &ether, 5);
-        assert!(!whole.exit_fed_by((1, 1), (0, 0)));
-        assert_eq!(whole.pending_exit(0, 0), None);
-    }
-
-    /// The pending-exit bound is absent while no frame inside is bound
-    /// across the cut, names the earliest crosser's scheduled event while
-    /// some are, rises as they leave, and is absent again once all have.
-    #[test]
-    fn pending_exit_rises_as_crossers_leave() {
-        let ether = EtherConfig::default();
-        let spec = TopologySpec::two_switches_trunk(4, RATE_10M);
-        let mut fab = scoped(&spec, &ether, 2, 0);
-        // Hosts 0 and 1 live on sw0; 2 and 3 across the trunk.
-        for i in 0..6u32 {
-            let t = SimTime::from_micros(u64::from(i) * 300);
-            fab.enqueue(NicId(0), tcp(0, 1, 200, u64::from(i) + 1), t);
-        }
-        assert_eq!(fab.pending_exit(0, 0), None, "only local frames inside");
-        for i in 0..5u32 {
-            let t = SimTime::from_micros(u64::from(i) * 2_000);
-            fab.enqueue(NicId(1), tcp(1, 2, 200, u64::from(i) + 100), t);
-        }
-        assert_eq!(
-            fab.pending_exit(0, 1),
-            None,
-            "nothing leaves sw0 in reverse"
-        );
-        let mut out = Vec::new();
-        let mut crossed = Vec::new();
-        let mut last = fab.pending_exit(0, 0).expect("crossers are inside");
-        // The first crosser's only event inside the shard is its arrival
-        // at sw0, after the uplink transmission and the switch latency.
-        let uplink = tcp(1, 2, 200, 0).tx_time(RATE_10M) + spec.latency(0);
-        assert_eq!(last, uplink);
-        while let Some(k) = fab.advance_keyed(&mut out) {
-            fab.drain_outbox(&mut crossed);
-            match fab.pending_exit(0, 0) {
-                Some(bound) => {
-                    assert!(bound >= last, "bound fell from {last:?} to {bound:?}");
-                    assert!(crossed.len() < 5);
-                    last = bound;
-                }
-                None => assert_eq!(crossed.len(), 5, "at {:?}", k.time),
-            }
-        }
-        assert_eq!(crossed.len(), 5);
-        assert_eq!(out.len(), 6, "local frames delivered inside the shard");
-    }
-
-    /// A cross-bound frame destroyed on its segment releases its
-    /// pending-exit entry: the bound does not outlive the frames.
-    #[test]
-    fn destroyed_crossers_release_their_exit_entries() {
-        let ether = EtherConfig {
-            attempt_limit: 0,
-            defer_jitter: SimTime::ZERO,
-            ..EtherConfig::default()
-        };
-        let spec = TopologySpec::routed_two_subnets(4, ether.bandwidth_bps);
-        // Shard 0 of three is seg0; trunk 0 runs seg0 → rt0 in direction 0.
-        let mut fab = scoped(&spec, &ether, 3, 0);
-        for i in 0..6u32 {
-            fab.enqueue(
-                NicId(i % 2),
-                tcp(i % 2, 3, 300, u64::from(i) + 100),
-                SimTime::ZERO,
-            );
-        }
-        assert_eq!(fab.pending_exit(0, 0), Some(SimTime::ZERO));
-        let _ = fab.run_to_idle();
-        let mut crossed = Vec::new();
-        fab.drain_outbox(&mut crossed);
-        assert!(!fab.errors().is_empty(), "simultaneous senders collide");
-        assert_eq!(crossed.len() + fab.errors().len(), 6);
-        assert_eq!(fab.pending_exit(0, 0), None);
     }
 
     /// A frame destroyed by excessive collisions on a segment surfaces

@@ -18,20 +18,14 @@
 //!   DESIGN.md §8 ablation.
 //! - [`fabric`] — the compiled [`CompositeFabric`]: per-segment
 //!   [`EtherBus`](fxnet_sim::EtherBus) instances, per-trunk output
-//!   queues on the calendar event queue, exact per-hop
+//!   queues as lanes of one event list, exact per-hop
 //!   [`FrameMeta`](fxnet_sim::FrameMeta) accounting, and deterministic
-//!   event ordering so traces are byte-identical across thread counts.
-//! - [`partition`] — the shard [`Partition`]: contiguous host-balanced
-//!   node blocks (one shard per switch subtree by default), cut trunks,
-//!   and per-direction inter-shard channel lookaheads for the
-//!   conservative parallel core in `fxnet-shard`.
+//!   event ordering so a run is a pure function of its seed.
 
 pub mod fabric;
-pub mod partition;
 pub mod spec;
 // Tests only: the one-switch star against its closed forms.
 mod switch;
 
-pub use fabric::{CompositeFabric, CrossFrame, NodeFlow};
-pub use partition::{min_frame_tx, Partition, ShardChannel};
+pub use fabric::{CompositeFabric, NodeFlow};
 pub use spec::{Node, NodeKind, TopologySpec, Trunk};
