@@ -2,7 +2,8 @@
 //! the full sampler (frame tap + per-link sampling + causal capture)
 //! to a kernel run leaves the promiscuous packet trace byte-identical,
 //! on the shared segment and on the oversubscribed two-switch fabric,
-//! across seeds — while still producing a populated report.
+//! across seeds — while still producing a populated report, and the
+//! causal capture's records are that trace, row for row.
 
 use fxnet::TestbedBuilder;
 use fxnet_apps::KernelKind;
@@ -75,6 +76,12 @@ fn sampler_attach_detach_leaves_traces_byte_identical() {
                 );
                 assert_eq!(plain.results, sampled.results);
                 assert_eq!(plain.finished_at, sampled.finished_at);
+                let events = &sampled.causal.as_ref().expect("causal on").events;
+                assert!(
+                    events.iter().map(|e| &e.record).eq(&sampled.trace),
+                    "{kernel:?} topo={:?} seed={seed}: causal records are not the trace",
+                    spec.as_ref().map(|s| s.id.clone()),
+                );
 
                 // And the observability side actually observed: link
                 // windows and matrices fed, totals conserved against the
@@ -82,10 +89,7 @@ fn sampler_attach_detach_leaves_traces_byte_identical() {
                 let mut sampler = sampler;
                 let stats = sampled.link_stats.as_ref().expect("link stats on");
                 sampler.ingest_links(stats);
-                sampler.ingest_causal(
-                    &sampled.causal.as_ref().expect("causal on").events,
-                    spec.as_ref(),
-                );
+                sampler.ingest_causal(events, spec.as_ref());
                 let report = sampler.finalize(spec.as_ref());
                 let traced: u64 = plain.trace.len() as u64;
                 let traced_bytes: u64 = plain.trace.iter().map(|r| u64::from(r.wire_len)).sum();

@@ -12,6 +12,7 @@ use fxnet_topo::TopologySpec;
 
 /// A 5 % lossy 2DFFT run on `spec` (the legacy bus when `None`): its
 /// weather map and the retransmitted wire bytes the causal capture saw.
+/// The capture's records are the run's trace, row for row, under loss.
 fn lossy(spec: Option<&TopologySpec>) -> (WeatherReport, u64) {
     let mut b = TestbedBuilder::quiet(4).seed(1998).loss(0.05);
     if let Some(spec) = spec {
@@ -30,6 +31,11 @@ fn lossy(spec: Option<&TopologySpec>) -> (WeatherReport, u64) {
     let mut sampler = sampler;
     sampler.ingest_links(run.link_stats.as_ref().expect("link sampling on"));
     let events = &run.causal.as_ref().expect("causal capture on").events;
+    assert!(
+        events.iter().map(|e| &e.record).eq(&run.trace),
+        "{:?}: causal records are not the trace",
+        spec.map(|s| &s.id),
+    );
     sampler.ingest_causal(events, spec);
     let retx: u64 = events
         .iter()
