@@ -1,12 +1,15 @@
-//! The protocol engine: hosts, TCP connections, UDP, and timers over the
-//! shared bus.
+//! The protocol engine: hosts, TCP connections, UDP, and timers over one
+//! fabric (the paper's shared bus or a compiled topology), and the one
+//! promiscuous capture point: every final delivery the fabric hands up
+//! becomes one [`FrameRecord`], fed in delivery order to the trace, the
+//! live [`FrameTap`] and the causal log.
 
 use crate::tcp::{ConnId, ConnState, Dir, TcpConn, WriteChunk};
 use bytes::Bytes;
 use fxnet_sim::{
     ethernet::Delivery, CausalEvent, CauseId, EtherBus, EtherConfig, EtherStats, EventQueue, Frame,
     FrameKind, FrameMeta, FrameRecord, FrameTap, HostId, LinkStats, NicId, ProtoCause, SimRng,
-    SimTime, RATE_10M,
+    SimTime, BUS_LINK, RATE_10M,
 };
 use fxnet_topo::{CompositeFabric, TopologySpec};
 /// Maximum TCP payload per segment (1500 B MTU − 40 B headers).
@@ -215,34 +218,6 @@ impl Fabric {
         }
     }
 
-    fn set_promiscuous(&mut self, on: bool) {
-        match self {
-            Fabric::Bus(b) => b.set_promiscuous(on),
-            Fabric::Topo(t) => t.set_promiscuous(on),
-        }
-    }
-
-    fn set_tap(&mut self, tap: Option<FrameTap>) {
-        match self {
-            Fabric::Bus(b) => b.set_tap(tap),
-            Fabric::Topo(t) => t.set_tap(tap),
-        }
-    }
-
-    fn trace(&self) -> &[FrameRecord] {
-        match self {
-            Fabric::Bus(b) => b.trace(),
-            Fabric::Topo(t) => t.trace(),
-        }
-    }
-
-    fn take_trace(&mut self) -> Vec<FrameRecord> {
-        match self {
-            Fabric::Bus(b) => b.take_trace(),
-            Fabric::Topo(t) => t.take_trace(),
-        }
-    }
-
     fn stats(&self) -> EtherStats {
         match self {
             Fabric::Bus(b) => b.stats(),
@@ -277,7 +252,7 @@ impl Fabric {
     fn take_link_stats(&mut self) -> Option<LinkStats> {
         match self {
             Fabric::Bus(b) => Some(LinkStats {
-                links: vec![("seg:bus".to_string(), b.take_link_series()?)],
+                links: vec![(BUS_LINK.to_string(), b.take_link_series()?)],
             }),
             Fabric::Topo(t) => t.take_link_stats(),
         }
@@ -303,20 +278,28 @@ pub struct TcpStats {
 /// The protocol stack: every host's TCP/UDP endpoints over one fabric.
 pub struct Network {
     cfg: NetConfig,
-    bus: Fabric,
+    fabric: Fabric,
     conns: Vec<TcpConn>,
     timers: EventQueue<Timer>,
     tokens: TokenTable,
     errors_seen: usize,
     scratch: Vec<Delivery>,
     tcp_stats: TcpStats,
+    /// Whether every delivery's record is kept in `trace`.
+    promiscuous: bool,
+    /// The promiscuous trace: one record per final delivery, in delivery
+    /// order.
+    trace: Vec<FrameRecord>,
+    /// Live observer of every delivery's record, promiscuous or not.
+    tap: Option<FrameTap>,
     /// Tagged delivery log, `Some` while causal capture is enabled. One
     /// event per delivered frame, in exactly delivery (= trace) order.
     causal: Option<Vec<CausalEvent>>,
 }
 
 impl Network {
-    /// Build a stack with `hosts` stations attached to a fresh bus.
+    /// Build a stack with `hosts` stations attached to a fresh fabric of
+    /// the configured [`LinkKind`].
     pub fn new(cfg: NetConfig, hosts: usize) -> Network {
         // `Switched` learns its port count here, as `SharedBus` does.
         let spec = match &cfg.link {
@@ -324,7 +307,7 @@ impl Network {
             LinkKind::Switched => Some(TopologySpec::single_switch(hosts as u32, RATE_10M)),
             LinkKind::Topology(spec) => Some(spec.clone()),
         };
-        let bus = match spec {
+        let fabric = match spec {
             None => {
                 let mut b = EtherBus::new(cfg.ether.clone(), SimRng::new(cfg.seed));
                 for _ in 0..hosts {
@@ -355,13 +338,16 @@ impl Network {
         };
         Network {
             cfg,
-            bus,
+            fabric,
             conns: Vec::new(),
             timers: EventQueue::new(),
             tokens: TokenTable::default(),
             errors_seen: 0,
             scratch: Vec::new(),
             tcp_stats: TcpStats::default(),
+            promiscuous: false,
+            trace: Vec::new(),
+            tap: None,
             causal: None,
         }
     }
@@ -384,33 +370,33 @@ impl Network {
 
     /// Number of hosts on the LAN.
     pub fn host_count(&self) -> usize {
-        self.bus.host_count()
+        self.fabric.host_count()
     }
 
-    /// Enable the promiscuous trace tap (the tcpdump workstation).
+    /// Enable the promiscuous trace (the tcpdump workstation).
     pub fn set_promiscuous(&mut self, on: bool) {
-        self.bus.set_promiscuous(on);
+        self.promiscuous = on;
     }
 
     /// Install a live frame tap at the promiscuous capture point (see
     /// [`fxnet_sim::FrameTap`]); `None` removes it.
     pub fn set_tap(&mut self, tap: Option<FrameTap>) {
-        self.bus.set_tap(tap);
+        self.tap = tap;
     }
 
     /// The promiscuous trace so far.
     pub fn trace(&self) -> &[FrameRecord] {
-        self.bus.trace()
+        &self.trace
     }
 
     /// Take ownership of the promiscuous trace.
     pub fn take_trace(&mut self) -> Vec<FrameRecord> {
-        self.bus.take_trace()
+        std::mem::take(&mut self.trace)
     }
 
     /// MAC statistics.
     pub fn ether_stats(&self) -> EtherStats {
-        self.bus.stats()
+        self.fabric.stats()
     }
 
     /// Enable or disable passive per-link sampling — the fabric
@@ -418,12 +404,12 @@ impl Network {
     /// Strictly observational: the schedule, RNG, and promiscuous trace
     /// are byte-identical either way.
     pub fn set_link_sampling(&mut self, on: bool) {
-        self.bus.set_link_sampling(on);
+        self.fabric.set_link_sampling(on);
     }
 
     /// Take the accumulated per-link sample series, if sampling is on.
     pub fn take_link_stats(&mut self) -> Option<LinkStats> {
-        self.bus.take_link_stats()
+        self.fabric.take_link_stats()
     }
 
     /// Bytes host `h` has committed to TCP but not yet had acknowledged:
@@ -486,7 +472,7 @@ impl Network {
         self.conns.push(TcpConn::new(a, b, now));
         let tok = self.token(TokenInfo::Syn { conn: id, stage: 0 });
         self.tcp_stats.syn_frames += 1;
-        self.bus
+        self.fabric
             .enqueue(Self::nic(a), Frame::tcp(a, b, FrameKind::Syn, 0, tok), now);
         self.timers
             .push(now + self.cfg.rto, Timer::SynRetry { conn: id, stage: 0 });
@@ -550,7 +536,7 @@ impl Network {
             bytes: data,
             cause,
         });
-        self.bus
+        self.fabric
             .enqueue(Self::nic(src), Frame::udp(src, dst, len, tok), now);
     }
 
@@ -594,7 +580,7 @@ impl Network {
                 retx: false,
             });
             self.tcp_stats.data_segments += 1;
-            self.bus.enqueue(
+            self.fabric.enqueue(
                 Self::nic(src),
                 Frame::tcp(src, dst, FrameKind::Data, n as u32, tok),
                 now,
@@ -627,7 +613,7 @@ impl Network {
         };
         let tok = self.token(TokenInfo::Ack { conn, dir, upto });
         self.tcp_stats.acks_sent += 1;
-        self.bus.enqueue(
+        self.fabric.enqueue(
             Self::nic(from),
             Frame::tcp(from, to, FrameKind::Ack, 0, tok),
             now,
@@ -636,7 +622,7 @@ impl Network {
 
     /// Time of the next protocol or MAC event.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        match (self.bus.next_event_time(), self.timers.peek_time()) {
+        match (self.fabric.next_event_time(), self.timers.peek_time()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
@@ -644,27 +630,29 @@ impl Network {
 
     /// Whether nothing is pending anywhere in the stack.
     pub fn idle(&self) -> bool {
-        self.bus.idle() && self.timers.is_empty()
+        self.fabric.idle() && self.timers.is_empty()
     }
 
     /// Process exactly one event, appending application events to `out`.
     /// Returns the event time, or `None` if the stack is idle.
     pub fn advance(&mut self, out: &mut Vec<AppEvent>) -> Option<SimTime> {
-        let t_bus = self.bus.next_event_time();
+        let t_fabric = self.fabric.next_event_time();
         let t_tmr = self.timers.peek_time();
-        let bus_first = match (t_bus, t_tmr) {
+        let fabric_first = match (t_fabric, t_tmr) {
             (None, None) => return None,
             (Some(_), None) => true,
             (None, Some(_)) => false,
-            (Some(tb), Some(tt)) => tb <= tt,
+            (Some(tf), Some(tt)) => tf <= tt,
         };
-        if bus_first {
+        if fabric_first {
             self.scratch.clear();
             let mut deliveries = std::mem::take(&mut self.scratch);
-            let t = self.bus.advance(&mut deliveries);
-            self.reap_bus_errors();
+            let t = self.fabric.advance(&mut deliveries);
+            self.reap_fabric_errors();
+            let capture = self.promiscuous || self.tap.is_some() || self.causal.is_some();
             for d in &deliveries {
-                self.handle_frame(d.time, d.frame, d.meta, out);
+                let record = capture.then(|| self.capture(d));
+                self.handle_frame(d, record, out);
             }
             self.scratch = deliveries;
             t
@@ -682,12 +670,26 @@ impl Network {
         out
     }
 
+    /// The promiscuous capture of one final delivery: its record goes to
+    /// the tap and, in promiscuous mode, to the trace, and is returned
+    /// for the causal log.
+    fn capture(&mut self, d: &Delivery) -> FrameRecord {
+        let record = FrameRecord::capture(d.time, &d.frame);
+        if let Some(tap) = &mut self.tap {
+            tap(&record);
+        }
+        if self.promiscuous {
+            self.trace.push(record);
+        }
+        record
+    }
+
     /// Drop token-table entries for frames the fabric destroyed
     /// (collision overflow or corruption) so the table does not leak.
     /// Works across fabrics: the composite topology surfaces segment
     /// losses with original tokens restored.
-    fn reap_bus_errors(&mut self) {
-        let errs = self.bus.errors();
+    fn reap_fabric_errors(&mut self) {
+        let errs = self.fabric.errors();
         while self.errors_seen < errs.len() {
             let (_, frame, _) = errs[self.errors_seen];
             self.tokens.remove(frame.token);
@@ -717,7 +719,7 @@ impl Network {
                 if let Some((from, to)) = retry {
                     let tok = self.token(TokenInfo::Syn { conn, stage });
                     self.tcp_stats.syn_frames += 1;
-                    self.bus.enqueue(
+                    self.fabric.enqueue(
                         Self::nic(from),
                         Frame::tcp(from, to, FrameKind::Syn, 0, tok),
                         now,
@@ -754,7 +756,7 @@ impl Network {
                         cause,
                         retx: true,
                     });
-                    self.bus.enqueue(
+                    self.fabric.enqueue(
                         Self::nic(src),
                         Frame::tcp(src, dst, FrameKind::Data, n, tok),
                         now,
@@ -772,11 +774,11 @@ impl Network {
         }
     }
 
-    /// Append one causal event for a delivered frame. Only called when
-    /// capture is on; pure logging, so timing is untouched.
-    fn log_causal(&mut self, now: SimTime, frame: &Frame, info: &TokenInfo, meta: FrameMeta) {
+    /// Append one causal event for a delivered frame, carrying the record
+    /// its capture built, so the log's records are the trace's. Pure
+    /// logging, so timing is untouched.
+    fn log_causal(&mut self, record: FrameRecord, info: &TokenInfo, meta: FrameMeta) {
         let Some(log) = &mut self.causal else { return };
-        let record = FrameRecord::capture(now, frame);
         let ev = match *info {
             TokenInfo::Data {
                 conn,
@@ -827,18 +829,15 @@ impl Network {
         log.push(ev);
     }
 
-    fn handle_frame(
-        &mut self,
-        now: SimTime,
-        frame: Frame,
-        meta: FrameMeta,
-        out: &mut Vec<AppEvent>,
-    ) {
-        let info = match self.tokens.remove(frame.token) {
+    fn handle_frame(&mut self, d: &Delivery, record: Option<FrameRecord>, out: &mut Vec<AppEvent>) {
+        let now = d.time;
+        let info = match self.tokens.remove(d.frame.token) {
             Some(i) => i,
             None => return, // reaped or stale
         };
-        self.log_causal(now, &frame, &info, meta);
+        if let Some(record) = record {
+            self.log_causal(record, &info, d.meta);
+        }
         match info {
             TokenInfo::Udp {
                 src, dst, bytes, ..
@@ -877,7 +876,7 @@ impl Network {
                         .push(now + self.cfg.rto, Timer::SynRetry { conn, stage: 1 });
                 }
                 let tok = self.token(TokenInfo::Syn { conn, stage: 1 });
-                self.bus
+                self.fabric
                     .enqueue(Self::nic(b), Frame::tcp(b, a, FrameKind::Syn, 0, tok), now);
             }
             1 => {
@@ -888,7 +887,7 @@ impl Network {
                     out.push(AppEvent::TcpEstablished { time: now, conn });
                 }
                 let tok = self.token(TokenInfo::Syn { conn, stage: 2 });
-                self.bus
+                self.fabric
                     .enqueue(Self::nic(a), Frame::tcp(a, b, FrameKind::Ack, 0, tok), now);
                 self.try_emit(conn, Dir::AtoB, now);
                 self.try_emit(conn, Dir::BtoA, now);
@@ -1416,7 +1415,7 @@ mod tests {
         }
         assert_eq!(n.timer_high_water(), 2);
         let lost: Vec<(bool, HostId)> = n
-            .bus
+            .fabric
             .errors()
             .iter()
             .map(|&(t, frame, _)| (t >= rto, frame.dst))
@@ -1430,6 +1429,129 @@ mod tests {
                 (true, HostId(1)),
             ]
         );
+    }
+
+    /// The link kinds the capture tests run on: the paper's bus, and a
+    /// compiled topology whose frames cross a trunk.
+    fn capture_links() -> [LinkKind; 2] {
+        [
+            LinkKind::SharedBus,
+            LinkKind::Topology(TopologySpec::two_switches_trunk(4, RATE_10M)),
+        ]
+    }
+
+    /// A four-host stack on `link` offered one TCP stream across the
+    /// trunk (host 0 to 3) and five datagrams beside it.
+    fn offered(link: &LinkKind) -> Network {
+        let cfg = NetConfig {
+            link: link.clone(),
+            ..NetConfig::default()
+        };
+        let mut n = Network::new(cfg, 4);
+        let c = n.connect(HostId(0), HostId(3), SimTime::ZERO);
+        n.tcp_write(c, HostId(0), Bytes::from(vec![1u8; 6000]), SimTime::ZERO);
+        for i in 0..5u32 {
+            let (src, dst) = if i % 2 == 0 { (1, 3) } else { (2, 0) };
+            let t = SimTime::from_micros(u64::from(i) * 100);
+            n.udp_send(HostId(src), HostId(dst), Bytes::from(vec![2u8; 500]), t);
+        }
+        n
+    }
+
+    #[test]
+    fn promiscuous_trace_records_every_delivery() {
+        for link in capture_links() {
+            let mut n = offered(&link);
+            n.set_promiscuous(true);
+            let ev = n.run_to_idle();
+            let tr = n.trace();
+            assert_eq!(
+                tr.len() as u64,
+                n.ether_stats().frames_delivered,
+                "{link:?}"
+            );
+            assert!(tr.windows(2).all(|w| w[0].time <= w[1].time), "{link:?}");
+            let udp_rows: Vec<_> = tr
+                .iter()
+                .filter(|r| r.proto == Proto::Udp)
+                .map(|r| (r.time, r.src, r.dst, r.wire_len))
+                .collect();
+            let udp_events: Vec<_> = ev
+                .iter()
+                .filter_map(|e| match e {
+                    AppEvent::Udp {
+                        time,
+                        src,
+                        dst,
+                        data,
+                    } => Some((*time, *src, *dst, 46 + data.len() as u32)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(udp_rows.len(), 5, "{link:?}");
+            assert_eq!(udp_rows, udp_events, "{link:?}");
+        }
+    }
+
+    #[test]
+    fn tap_sees_every_delivery_without_perturbing_the_trace() {
+        use std::sync::{Arc, Mutex};
+        for link in capture_links() {
+            let run = |observed: bool| {
+                let mut n = offered(&link);
+                n.set_promiscuous(true);
+                let seen = Arc::new(Mutex::new(Vec::new()));
+                if observed {
+                    let sink = Arc::clone(&seen);
+                    n.set_tap(Some(Box::new(move |r: &FrameRecord| {
+                        sink.lock().unwrap().push(*r);
+                    })));
+                    n.set_causal(true);
+                }
+                n.run_to_idle();
+                let tapped = std::mem::take(&mut *seen.lock().unwrap());
+                let causal: Vec<FrameRecord> = n
+                    .take_causal()
+                    .unwrap_or_default()
+                    .iter()
+                    .map(|e| e.record)
+                    .collect();
+                (n.take_trace(), tapped, causal)
+            };
+            let (plain, _, _) = run(false);
+            let (traced, tapped, causal) = run(true);
+            assert!(!plain.is_empty(), "{link:?}");
+            assert_eq!(plain, traced, "{link:?}: tap must not perturb the trace");
+            assert_eq!(
+                tapped, traced,
+                "{link:?}: tap sees exactly the captured records"
+            );
+            assert_eq!(
+                causal, traced,
+                "{link:?}: the causal log carries the trace's records"
+            );
+        }
+    }
+
+    #[test]
+    fn tap_fires_even_when_promiscuous_is_off() {
+        use std::sync::{Arc, Mutex};
+        for link in capture_links() {
+            let mut n = offered(&link);
+            let seen = Arc::new(Mutex::new(0u64));
+            let sink = Arc::clone(&seen);
+            n.set_tap(Some(Box::new(move |_: &FrameRecord| {
+                *sink.lock().unwrap() += 1;
+            })));
+            n.run_to_idle();
+            let delivered = n.ether_stats().frames_delivered;
+            assert!(delivered > 0, "{link:?}");
+            assert_eq!(*seen.lock().unwrap(), delivered, "{link:?}");
+            assert!(
+                n.trace().is_empty(),
+                "{link:?}: no trace without promiscuous mode"
+            );
+        }
     }
 
     mod properties {

@@ -13,11 +13,12 @@
 //!
 //! The bus is pull-driven: the owner asks for [`EtherBus::next_event_time`]
 //! and calls [`EtherBus::advance`] to process exactly one MAC event,
-//! collecting any delivered frame. A promiscuous tap (the paper's tcpdump
-//! workstation) can be enabled to record every delivered frame.
+//! collecting any delivered frame. The bus keeps no trace: the paper's
+//! tcpdump workstation is the owner's, which turns each [`Delivery`] it
+//! is handed into a [`crate::FrameRecord`] (`fxnet-proto`'s `Network`).
 
 use crate::cause::FrameMeta;
-use crate::frame::{Frame, FrameRecord, FrameTap};
+use crate::frame::Frame;
 use crate::linkstats::LinkSeries;
 use crate::rng::SimRng;
 use crate::time::SimTime;
@@ -139,9 +140,6 @@ pub struct EtherBus {
     /// Earliest instant the medium is free (end of last tx or jam).
     free_at: SimTime,
     rng: SimRng,
-    promiscuous: bool,
-    trace: Vec<FrameRecord>,
-    tap: Option<FrameTap>,
     stats: EtherStats,
     errors: Vec<(SimTime, Frame, TxError)>,
     /// Scratch list of stations starting at the earliest instant, reused
@@ -163,9 +161,6 @@ impl EtherBus {
             current: None,
             free_at: SimTime::ZERO,
             rng,
-            promiscuous: false,
-            trace: Vec::new(),
-            tap: None,
             stats: EtherStats::default(),
             errors: Vec::new(),
             starters: Vec::new(),
@@ -201,28 +196,6 @@ impl EtherBus {
     /// Number of attached stations.
     pub fn nic_count(&self) -> usize {
         self.nics.len()
-    }
-
-    /// Enable or disable the promiscuous trace tap.
-    pub fn set_promiscuous(&mut self, on: bool) {
-        self.promiscuous = on;
-    }
-
-    /// Install (or remove) a live frame tap, called at the promiscuous
-    /// capture point for every delivered frame — independent of whether
-    /// the trace itself is enabled, and with no effect on MAC behavior.
-    pub fn set_tap(&mut self, tap: Option<FrameTap>) {
-        self.tap = tap;
-    }
-
-    /// The promiscuous trace captured so far.
-    pub fn trace(&self) -> &[FrameRecord] {
-        &self.trace
-    }
-
-    /// Take ownership of the captured trace, leaving it empty.
-    pub fn take_trace(&mut self) -> Vec<FrameRecord> {
-        std::mem::take(&mut self.trace)
     }
 
     /// MAC statistics so far.
@@ -384,15 +357,6 @@ impl EtherBus {
                 if self.cfg.drop_prob > 0.0 && self.rng.chance(self.cfg.drop_prob) {
                     self.errors.push((end, tx.frame, TxError::Corrupted));
                 } else {
-                    if self.promiscuous || self.tap.is_some() {
-                        let record = FrameRecord::capture(end, &tx.frame);
-                        if let Some(tap) = &mut self.tap {
-                            tap(&record);
-                        }
-                        if self.promiscuous {
-                            self.trace.push(record);
-                        }
-                    }
                     out.push(Delivery {
                         time: end,
                         frame: tx.frame,
@@ -569,75 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn promiscuous_trace_records_every_delivery() {
-        let mut b = bus(4);
-        b.set_promiscuous(true);
-        for i in 0..10u64 {
-            b.enqueue(
-                NicId((i % 3) as u32),
-                data((i % 3) as u32, 3, 500, i),
-                SimTime::ZERO,
-            );
-        }
-        let out = b.run_to_idle();
-        assert_eq!(out.len(), 10);
-        assert_eq!(b.trace().len(), 10);
-        let mut last = SimTime::ZERO;
-        for r in b.trace() {
-            assert!(r.time >= last);
-            last = r.time;
-            assert_eq!(r.wire_len, 58 + 500);
-        }
-    }
-
-    #[test]
-    fn tap_sees_every_delivery_without_perturbing_the_trace() {
-        use std::sync::{Arc, Mutex};
-        let run = |with_tap: bool| {
-            let mut b = bus(4);
-            b.set_promiscuous(true);
-            let seen = Arc::new(Mutex::new(Vec::new()));
-            if with_tap {
-                let sink = Arc::clone(&seen);
-                b.set_tap(Some(Box::new(move |r: &FrameRecord| {
-                    sink.lock().unwrap().push(*r);
-                })));
-            }
-            for i in 0..10u64 {
-                b.enqueue(
-                    NicId((i % 3) as u32),
-                    data((i % 3) as u32, 3, 500, i),
-                    SimTime::ZERO,
-                );
-            }
-            b.run_to_idle();
-            let tapped = std::mem::take(&mut *seen.lock().unwrap());
-            (b.take_trace(), tapped)
-        };
-        let (plain, _) = run(false);
-        let (traced, tapped) = run(true);
-        assert_eq!(plain, traced, "tap must not perturb the trace");
-        assert_eq!(tapped, traced, "tap sees exactly the captured records");
-    }
-
-    #[test]
-    fn tap_fires_even_when_promiscuous_is_off() {
-        use std::sync::{Arc, Mutex};
-        let mut b = bus(2);
-        let seen = Arc::new(Mutex::new(0usize));
-        let sink = Arc::clone(&seen);
-        b.set_tap(Some(Box::new(move |_: &FrameRecord| {
-            *sink.lock().unwrap() += 1;
-        })));
-        for i in 0..5 {
-            b.enqueue(NicId(0), data(0, 1, 100, i), SimTime::ZERO);
-        }
-        b.run_to_idle();
-        assert_eq!(*seen.lock().unwrap(), 5);
-        assert!(b.trace().is_empty(), "no trace without promiscuous mode");
-    }
-
-    #[test]
     fn aggregate_bandwidth_capped_at_line_rate() {
         // Saturate the bus from two stations and check goodput ≲ 1.25 MB/s.
         let mut b = bus(3);
@@ -725,7 +620,6 @@ mod tests {
             for _ in 0..4 {
                 b.attach();
             }
-            b.set_promiscuous(true);
             for i in 0..50u64 {
                 b.enqueue(
                     NicId((i % 3) as u32),
@@ -733,8 +627,7 @@ mod tests {
                     SimTime::from_micros(i * 3),
                 );
             }
-            b.run_to_idle();
-            b.take_trace()
+            b.run_to_idle()
         };
         assert_eq!(run(9), run(9));
     }
@@ -743,7 +636,6 @@ mod tests {
     fn link_sampling_does_not_perturb_and_conserves_bytes() {
         let run = |sample: bool| {
             let mut b = bus(4);
-            b.set_promiscuous(true);
             if sample {
                 b.set_link_sampling(true);
             }
@@ -754,14 +646,14 @@ mod tests {
                     SimTime::from_micros(i * 11),
                 );
             }
-            b.run_to_idle();
+            let out = b.run_to_idle();
             let series = b.take_link_series();
-            (b.take_trace(), b.stats(), series)
+            (out, b.stats(), series)
         };
         let (plain, _, none) = run(false);
         let (sampled, stats, series) = run(true);
         assert!(none.is_none());
-        assert_eq!(plain, sampled, "sampling must not perturb the trace");
+        assert_eq!(plain, sampled, "sampling must not perturb the deliveries");
         let s = series.expect("sampling enabled");
         let total = s.total();
         assert_eq!(total.bytes, stats.bytes_delivered);

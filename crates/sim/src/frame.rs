@@ -144,13 +144,14 @@ pub struct FrameRecord {
     pub dst: HostId,
 }
 
-/// A live observer of delivered frames, invoked at the exact promiscuous
-/// capture point (after MAC arbitration, as the frame leaves the wire).
+/// A live observer of delivered frames, invoked at the one promiscuous
+/// capture point: `fxnet-proto`'s `Network`, once per final delivery the
+/// fabric hands it, in delivery order.
 ///
-/// The tap sees the same [`FrameRecord`] the promiscuous trace would
-/// store, whether or not tracing is enabled, and runs strictly outside
-/// the MAC state machine: installing one cannot perturb timing, RNG
-/// draws, or the captured trace — the same non-perturbation guarantee
+/// The tap sees the same [`FrameRecord`] the promiscuous trace stores,
+/// whether or not tracing is enabled, and runs strictly outside the
+/// fabric: installing one cannot perturb timing, RNG draws, or the
+/// captured trace — the same non-perturbation guarantee
 /// `fxnet-telemetry` makes.
 pub type FrameTap = Box<dyn FnMut(&FrameRecord) + Send>;
 

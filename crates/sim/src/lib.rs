@@ -33,19 +33,21 @@
 //! Layering is pull-based rather than callback-based: the bus exposes
 //! [`EtherBus::next_event_time`] and [`EtherBus::advance`], and the owner
 //! (the protocol stack in `fxnet-proto`) interleaves bus events with its
-//! own timers. This keeps each layer independently testable.
+//! own timers. This keeps each layer independently testable. The bus
+//! hands back deliveries and keeps no trace; the owner captures each
+//! one as a [`FrameRecord`].
 //!
 //! ```
-//! use fxnet_sim::{EtherBus, EtherConfig, Frame, FrameKind, HostId, NicId, SimRng, SimTime};
+//! use fxnet_sim::{EtherBus, EtherConfig, Frame, FrameKind, FrameRecord, HostId, SimRng, SimTime};
 //!
 //! let mut bus = EtherBus::new(EtherConfig::default(), SimRng::new(7));
 //! let a = bus.attach();
 //! let _b = bus.attach();
-//! bus.set_promiscuous(true);
 //! bus.enqueue(a, Frame::tcp(HostId(0), HostId(1), FrameKind::Data, 1460, 1), SimTime::ZERO);
 //! let delivered = bus.run_to_idle();
 //! assert_eq!(delivered.len(), 1);
-//! assert_eq!(bus.trace()[0].wire_len, 1518);
+//! let record = FrameRecord::capture(delivered[0].time, &delivered[0].frame);
+//! assert_eq!(record.wire_len, 1518);
 //! ```
 
 pub mod cause;
@@ -64,7 +66,7 @@ pub use ethernet::{EtherBus, EtherConfig, EtherStats, NicId, TxError};
 pub use frame::{
     Frame, FrameKind, FrameRecord, FrameTap, HostId, Proto, ETHER_OVERHEAD, MAX_FRAME, MIN_FRAME,
 };
-pub use linkstats::{LinkProbe, LinkSeries, LinkStats, LinkWindow, LINK_WINDOW_NS};
+pub use linkstats::{LinkProbe, LinkSeries, LinkStats, LinkWindow, BUS_LINK, LINK_WINDOW_NS};
 pub use queue::{EventKey, EventQueue, KeyedQueue, LaneQueue};
 pub use rates::{RATE_100M, RATE_10M, RATE_1G};
 pub use rng::SimRng;

@@ -21,6 +21,13 @@ use std::collections::{BTreeMap, VecDeque};
 /// measurement window. Window `w` covers `[w·10 ms, (w+1)·10 ms)`.
 pub const LINK_WINDOW_NS: u64 = 10_000_000;
 
+/// Label of the one link of the paper's shared bus (`LinkKind::SharedBus`)
+/// in a [`LinkStats`]. A compiled topology names each segment
+/// `seg:{node}` instead. Whatever reports the bus's series and whatever
+/// charges retransmits to it must both use this name: a retransmit
+/// charged to a label no series carries is dropped without a trace.
+pub const BUS_LINK: &str = "seg:bus";
+
 /// One sample window of one link (direction): everything the weather map
 /// gauges need, folded additively (`depth_max` by max).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]

@@ -1,7 +1,8 @@
 //! The composite fabric: a [`TopologySpec`] compiled into a running
 //! multi-segment network behind the exact pull interface `fxnet-proto`
 //! already drives (`enqueue` / `next_event_time` / `advance` / `idle`,
-//! promiscuous trace, live [`FrameTap`], surfaced transmit errors).
+//! surfaced transmit errors). Like [`EtherBus`], it keeps no trace: the
+//! final deliveries it hands back are what the protocol layer captures.
 //!
 //! Element reuse: every `Segment` node *is* an [`EtherBus`] — the full
 //! CSMA/CD machine with its own deterministic RNG stream — while switch
@@ -26,9 +27,8 @@
 //! into a side slab (original token, entry time, accumulated
 //! [`FrameMeta`], bottleneck candidates); the original token is restored
 //! at final delivery — and on surfaced errors — so the layer above never
-//! sees the swap. `FrameRecord` carries no token, so the promiscuous
-//! trace is unaffected: a single-segment topology reproduces the legacy
-//! shared-bus trace byte for byte.
+//! sees the swap: a single-segment topology reproduces the legacy shared
+//! bus's deliveries (time, frame and meta) exactly.
 //!
 //! Timing accounting is exact: at final delivery
 //! `meta.queue_ns + meta.backoff_ns + meta.tx_ns` equals the frame's
@@ -42,8 +42,8 @@
 use crate::spec::{NodeKind, TopologySpec, Trunk};
 use fxnet_sim::ethernet::Delivery;
 use fxnet_sim::{
-    EtherBus, EtherConfig, EtherStats, EventKey, Frame, FrameMeta, FrameRecord, FrameTap,
-    LaneQueue, LinkProbe, LinkStats, NicId, SimRng, SimTime, TxError,
+    EtherBus, EtherConfig, EtherStats, EventKey, Frame, FrameMeta, LaneQueue, LinkProbe, LinkStats,
+    NicId, SimRng, SimTime, TxError,
 };
 
 /// Per-frame state while it crosses the fabric.
@@ -77,8 +77,8 @@ fn trunk_hop(trunk: &Trunk, from: usize) -> (usize, usize) {
 /// Passive per-link samplers (the fabric weather-map feed): one
 /// [`LinkProbe`] per trunk direction and per switch/router host port.
 /// Purely observational — no RNG draws, no scheduled events, no effect
-/// on frame timing — so a sampled run's trace is byte-identical to an
-/// unsampled one.
+/// on frame timing — so a sampled run's deliveries are byte-identical
+/// to an unsampled one's.
 struct FabricProbes {
     /// Per trunk, per direction (0 = a→b).
     trunks: Vec<[LinkProbe; 2]>,
@@ -137,9 +137,6 @@ pub struct CompositeFabric {
     bus_errors_seen: Vec<usize>,
     errors: Vec<(SimTime, Frame, TxError)>,
     flows: Vec<NodeFlow>,
-    promiscuous: bool,
-    trace: Vec<FrameRecord>,
-    tap: Option<FrameTap>,
     frames_delivered: u64,
     bytes_delivered: u64,
     /// Wire occupancy of non-bus links (ports and trunks), ns.
@@ -208,9 +205,6 @@ impl CompositeFabric {
             bus_errors_seen: vec![0; n],
             errors: Vec::new(),
             flows: vec![NodeFlow::default(); n],
-            promiscuous: false,
-            trace: Vec::new(),
-            tap: None,
             frames_delivered: 0,
             bytes_delivered: 0,
             link_busy_ns: 0,
@@ -223,8 +217,8 @@ impl CompositeFabric {
     /// Enable or disable passive per-link sampling into
     /// [`fxnet_sim::LINK_WINDOW_NS`] windows. Sampling covers
     /// every trunk direction, every segment bus, and every switch/router
-    /// host port; it is strictly observational and leaves the trace
-    /// byte-identical.
+    /// host port; it is strictly observational and leaves the
+    /// deliveries byte-identical.
     pub fn set_link_sampling(&mut self, on: bool) {
         for bus in self.buses.iter_mut().flatten() {
             bus.set_link_sampling(on);
@@ -290,27 +284,6 @@ impl CompositeFabric {
     /// [`EtherBus::errors`].
     pub fn errors(&self) -> &[(SimTime, Frame, TxError)] {
         &self.errors
-    }
-
-    /// Enable the promiscuous capture (the tracing workstation; on a
-    /// multi-segment fabric, a mirror of every final delivery).
-    pub fn set_promiscuous(&mut self, on: bool) {
-        self.promiscuous = on;
-    }
-
-    /// Install (or remove) a live frame tap at the capture point.
-    pub fn set_tap(&mut self, tap: Option<FrameTap>) {
-        self.tap = tap;
-    }
-
-    /// Captured trace so far.
-    pub fn trace(&self) -> &[FrameRecord] {
-        &self.trace
-    }
-
-    /// Take ownership of the captured trace.
-    pub fn take_trace(&mut self) -> Vec<FrameRecord> {
-        std::mem::take(&mut self.trace)
     }
 
     /// Aggregate MAC statistics: delivery counters are end-to-end
@@ -519,8 +492,7 @@ impl CompositeFabric {
     }
 
     /// Finalize a frame at `now`: restore the original token, settle the
-    /// bottleneck-trunk verdict, capture the trace record, and hand the
-    /// delivery up.
+    /// bottleneck-trunk verdict, and hand the delivery up.
     fn finalize(&mut self, now: SimTime, mut f: Frame, out: &mut Vec<Delivery>) {
         let t = self.transit_remove(f.token).expect("live transit");
         f.token = t.token;
@@ -539,15 +511,6 @@ impl CompositeFabric {
         };
         self.frames_delivered += 1;
         self.bytes_delivered += u64::from(f.wire_len());
-        if self.promiscuous || self.tap.is_some() {
-            let record = FrameRecord::capture(now, &f);
-            if let Some(tap) = &mut self.tap {
-                tap(&record);
-            }
-            if self.promiscuous {
-                self.trace.push(record);
-            }
-        }
         out.push(Delivery {
             time: now,
             frame: f,
@@ -673,17 +636,15 @@ mod tests {
     }
 
     /// The tentpole equivalence: a single-segment topology is the legacy
-    /// shared bus — identical deliveries (time, frame, meta) and an
-    /// identical promiscuous trace, under contention and collisions.
+    /// shared bus — identical deliveries (time, frame, meta), under
+    /// contention and collisions.
     #[test]
     fn single_segment_matches_legacy_bus_exactly() {
         let ether = EtherConfig::default();
         let spec = TopologySpec::single_segment(4, ether.bandwidth_bps);
         let mut fab = CompositeFabric::new(spec, &ether, 42);
-        fab.set_promiscuous(true);
         let mut bus = EtherBus::new(ether.clone(), SimRng::new(42));
         let nics: Vec<NicId> = (0..4).map(|_| bus.attach()).collect();
-        bus.set_promiscuous(true);
         for i in 0..24u32 {
             let f = tcp(i % 4, (i + 1) % 4, 64 + i * 53, u64::from(i) + 1);
             // Bursts of simultaneous enqueues force collisions, so the
@@ -694,13 +655,8 @@ mod tests {
         }
         let a = fab.run_to_idle();
         let b = bus.run_to_idle();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.time, y.time);
-            assert_eq!(x.frame, y.frame);
-            assert_eq!(x.meta, y.meta);
-        }
-        assert_eq!(fab.trace(), bus.trace());
+        assert!(!a.is_empty());
+        assert_eq!(a, b);
         assert_eq!(fab.stats().collisions, bus.stats().collisions);
     }
 
@@ -756,15 +712,14 @@ mod tests {
     }
 
     /// Link sampling is purely observational: a sampled run delivers the
-    /// same frames at the same times with the same meta and an identical
-    /// trace — and the trunk series conserves cross-trunk wire bytes.
+    /// same frames at the same times with the same meta — and the trunk
+    /// series conserves cross-trunk wire bytes.
     #[test]
     fn link_sampling_is_pure_and_conserves_trunk_bytes() {
         let ether = EtherConfig::default();
         for spec in TopologySpec::sweep_set(6, RATE_10M) {
             let run = |sample: bool| {
                 let mut fab = CompositeFabric::new(spec.clone(), &ether, 11);
-                fab.set_promiscuous(true);
                 if sample {
                     fab.set_link_sampling(true);
                 }
@@ -776,14 +731,12 @@ mod tests {
                     );
                 }
                 let out = fab.run_to_idle();
-                let stats = fab.take_link_stats();
-                (out, fab.take_trace(), stats)
+                (out, fab.take_link_stats())
             };
-            let (plain_out, plain_trace, none) = run(false);
-            let (out, trace, stats) = run(true);
+            let (plain_out, none) = run(false);
+            let (out, stats) = run(true);
             assert!(none.is_none());
             assert_eq!(plain_out, out, "{}", spec.label());
-            assert_eq!(plain_trace, trace, "{}", spec.label());
             let stats = stats.expect("sampling enabled");
             let labels: Vec<&str> = stats.links.iter().map(|(l, _)| l.as_str()).collect();
             for (t, _) in &stats.links {
@@ -843,15 +796,14 @@ mod tests {
         }
     }
 
-    /// Same seed, same offered load → byte-identical deliveries and
-    /// trace, for every canonical topology.
+    /// Same seed, same offered load → byte-identical deliveries (time,
+    /// frame and meta), for every canonical topology.
     #[test]
     fn runs_are_deterministic() {
         let ether = EtherConfig::default();
         for spec in TopologySpec::sweep_set(6, RATE_10M) {
             let run = |seed: u64| {
                 let mut fab = CompositeFabric::new(spec.clone(), &ether, seed);
-                fab.set_promiscuous(true);
                 for i in 0..30u32 {
                     fab.enqueue(
                         NicId(i % 6),
@@ -859,13 +811,11 @@ mod tests {
                         SimTime::from_micros(u64::from(i) * 7),
                     );
                 }
-                let out = fab.run_to_idle();
-                (out, fab.take_trace())
+                fab.run_to_idle()
             };
-            let (a_out, a_trace) = run(11);
-            let (b_out, b_trace) = run(11);
-            assert_eq!(a_out, b_out, "{}", spec.label());
-            assert_eq!(a_trace, b_trace, "{}", spec.label());
+            let a = run(11);
+            assert!(!a.is_empty(), "{}", spec.label());
+            assert_eq!(a, run(11), "{}", spec.label());
         }
     }
 

@@ -103,7 +103,6 @@ mod tests {
     #[test]
     fn trace_captured_in_delivery_order() {
         let mut f = fabric(4);
-        f.set_promiscuous(true);
         let load: Vec<_> = (0..20u64)
             .map(|i| {
                 (
@@ -112,9 +111,9 @@ mod tests {
                 )
             })
             .collect();
-        run(&mut f, &load);
-        assert_eq!(f.trace().len(), 20);
-        assert!(f.trace().windows(2).all(|w| w[0].time <= w[1].time));
+        let out = run(&mut f, &load);
+        assert_eq!(out.len(), 20);
+        assert!(out.windows(2).all(|w| w[0].time <= w[1].time));
         assert_eq!(f.stats().frames_delivered, 20);
     }
 }
