@@ -29,7 +29,7 @@
 
 use crate::matrix::{ScalingAccum, ScalingRelation};
 use crate::rollup::{rollup, FabricRollup, HotspotConfig};
-use fxnet_sim::{CausalEvent, FrameTap, LinkSeries, LinkStats};
+use fxnet_sim::{CausalEvent, FrameTap, LinkSeries, LinkStats, BUS_LINK};
 use fxnet_topo::TopologySpec;
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
@@ -134,7 +134,7 @@ impl FabricSampler {
     ///   is unknown),
     /// * else the sender's uplink port, if sampled,
     /// * else the sender's segment: `seg:{name}` of the node the spec
-    ///   attaches it to, or the legacy bus's `seg:bus` without a spec.
+    ///   attaches it to, or the legacy bus's [`BUS_LINK`] without a spec.
     ///
     /// Frames on unsampled links are skipped — attribution only ever
     /// annotates windows the link sampler saw.
@@ -162,7 +162,7 @@ impl FabricSampler {
                     } else {
                         match spec.and_then(|s| s.attachments.get(src).map(|&n| &s.nodes[n])) {
                             Some(node) => format!("seg:{}", node.name),
-                            None => "seg:bus".to_string(),
+                            None => BUS_LINK.to_string(),
                         }
                     }
                 }
