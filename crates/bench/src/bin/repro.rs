@@ -861,32 +861,28 @@ fn mix_admit(c: &mut Ctx) {
 // --------------------------------------------------------------------
 // Live observability: the streaming watcher on the mixed workload.
 
-fn watch_live(c: &mut Ctx) {
-    header("Live watch: streaming contract compliance on the shared wire");
+/// The over-driver mix `watch` and `blame` run: on a 100 Mb/s shared
+/// wire, SOR honestly declares its compile-time descriptor while 2DFFT,
+/// starting 250 ms later, presents only 1/8 of its true burst sizes at
+/// admission, and the streaming watcher is on. With `causal`, every
+/// frame also carries a compact cause tag through pvm, TCP
+/// segmentation/retransmission and the MAC; the tag rides a side-table,
+/// so the trace is the same either way.
+fn over_driver_mix(ctx: &Experiments, causal: bool) -> fxnet::mix::MixOutcome {
     use fxnet::mix::MixTenant;
-    use fxnet::telemetry::write_prometheus;
     use fxnet::TestbedBuilder;
-    let metrics_out = c.metrics_out.as_deref();
-    let ctx = &c.exps;
-    let div = ctx.div;
-    // SOR honestly declares its compile-time descriptor; 2DFFT presents
-    // only 1/8 of its true burst sizes at admission. Offline analysis
-    // would catch that after the run — the streaming watcher catches it
-    // while the frames are still going by, from the same frame tap that
-    // feeds the trace (zero perturbation: the trace is byte-identical
-    // with the watcher off).
-    println!("(fabric: 100 Mb/s shared; 2DFFT claims 1/8 of its true burst sizes)");
-    let out = TestbedBuilder::paper()
+    TestbedBuilder::paper()
         .seed(ctx.seed())
         .bandwidth_bps(fxnet::sim::RATE_100M)
         .build()
         .mix()
         .network(QosNetwork::of_rate(fxnet::sim::RATE_100M))
         .solo_baselines(false)
+        .causal(causal)
         .tenant(MixTenant::kernel(
             "SOR",
             KernelKind::Sor,
-            div,
+            ctx.div,
             4,
             SimTime::ZERO,
         ))
@@ -894,14 +890,27 @@ fn watch_live(c: &mut Ctx) {
             MixTenant::kernel(
                 "2DFFT",
                 KernelKind::Fft2d,
-                div,
+                ctx.div,
                 4,
                 SimTime::from_millis(250),
             )
             .with_claim_scale(0.125),
         )
         .watch()
-        .run();
+        .run()
+}
+
+fn watch_live(c: &mut Ctx) {
+    header("Live watch: streaming contract compliance on the shared wire");
+    use fxnet::telemetry::write_prometheus;
+    let metrics_out = c.metrics_out.as_deref();
+    let ctx = &c.exps;
+    // Offline analysis would catch the over-driver after the run — the
+    // streaming watcher catches it while the frames are still going by,
+    // from the same frame tap that feeds the trace (zero perturbation:
+    // the trace is byte-identical with the watcher off).
+    println!("(fabric: 100 Mb/s shared; 2DFFT claims 1/8 of its true burst sizes)");
+    let out = over_driver_mix(ctx, false);
     for r in &out.rejected {
         println!("rejected: {r}");
     }
@@ -945,38 +954,8 @@ fn blame_attrib(c: &mut Ctx) {
     let metrics_out = c.metrics_out.as_deref();
     let ctx = &c.exps;
     let div = ctx.div;
-    // Same scenario as `watch` — SOR honest, 2DFFT claiming 1/8 of its
-    // true burst sizes — but with every frame carrying a compact cause
-    // tag through pvm, TCP segmentation/retransmission, and the MAC.
-    // The tag rides a side-table, so the trace stays byte-identical.
     println!("(the `watch` scenario, with every frame tagged by its causing op)");
-    let out = TestbedBuilder::paper()
-        .seed(ctx.seed())
-        .bandwidth_bps(fxnet::sim::RATE_100M)
-        .build()
-        .mix()
-        .network(QosNetwork::of_rate(fxnet::sim::RATE_100M))
-        .solo_baselines(false)
-        .causal(true)
-        .tenant(MixTenant::kernel(
-            "SOR",
-            KernelKind::Sor,
-            div,
-            4,
-            SimTime::ZERO,
-        ))
-        .tenant(
-            MixTenant::kernel(
-                "2DFFT",
-                KernelKind::Fft2d,
-                div,
-                4,
-                SimTime::from_millis(250),
-            )
-            .with_claim_scale(0.125),
-        )
-        .watch()
-        .run();
+    let out = over_driver_mix(ctx, true);
     let report = out.watch.as_ref().expect("watch was enabled");
     let run = out.causal.as_ref().expect("causal capture was enabled");
 
