@@ -3,7 +3,7 @@
 
 use fxnet_fx::CausalRun;
 use fxnet_pvm::TenantMap;
-use fxnet_sim::SimTime;
+use fxnet_sim::{SimTime, TraceRows};
 use fxnet_watch::WatchEvent;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -40,9 +40,9 @@ pub struct ViolationBlame {
     /// Flight-recorder frames in the event.
     #[serde(rename = "window_frames")]
     pub window: usize,
-    /// Whether the recorder window was located in the causal stream.
-    /// The watcher and the causal capture observe the same delivery
-    /// stream, so this only fails if the event came from another run.
+    /// Whether the recorder window was located in the trace. The watcher
+    /// and the trace observe the same delivery stream, so this only
+    /// fails if the event came from another run.
     pub matched: bool,
     /// Window frames with protocol causes (ACKs, SYNs, heartbeats).
     pub protocol_frames: u32,
@@ -60,33 +60,33 @@ impl ViolationBlame {
 /// Resolve `event`'s flight recorder against the run's causal stream.
 ///
 /// The recorder is a contiguous window of the delivery stream ending at
-/// the triggering frame; the causal stream is that same stream, tagged.
-/// The window is located by exact record match and each frame in it is
-/// attributed through its cause chain, grouped by (tenant, rank).
-pub fn blame_violation(event: &WatchEvent, run: &CausalRun, map: &TenantMap) -> ViolationBlame {
+/// the triggering frame, and `rows` is that stream as the trace holds
+/// it; event `i` of `run` describes row `i`. The window is located by
+/// exact record match in `rows`, and each frame in it is attributed
+/// through its event's cause chain, grouped by (tenant, rank).
+pub fn blame_violation<R: TraceRows + ?Sized>(
+    event: &WatchEvent,
+    run: &CausalRun,
+    rows: &R,
+    map: &TenantMap,
+) -> ViolationBlame {
     let recorder = &event.flight_recorder;
     let n = recorder.len();
-    let window = (n > 0)
-        .then(|| {
-            (0..run.events.len().saturating_sub(n - 1)).find(|&start| {
-                run.events[start..start + n]
-                    .iter()
-                    .zip(recorder.iter())
-                    .all(|(e, r)| e.record == *r)
-            })
-        })
+    let len = rows.len().min(run.events.len());
+    let window = (n > 0 && n <= len)
+        .then(|| (0..=len - n).find(|&s| (s..).zip(recorder).all(|(i, r)| rows.get(i) == *r)))
         .flatten();
 
     let mut grouped: BTreeMap<(u32, u32), (BTreeSet<u64>, u32, u64)> = BTreeMap::new();
     let mut protocol_frames = 0u32;
     if let Some(start) = window {
-        for e in &run.events[start..start + n] {
+        for (i, e) in (start..).zip(&run.events[start..start + n]) {
             match e.cause.as_app() {
                 Some(a) => {
                     let entry = grouped.entry((a.tenant, a.rank)).or_default();
                     entry.0.insert(e.cause.0);
                     entry.1 += 1;
-                    entry.2 += u64::from(e.record.wire_len);
+                    entry.2 += u64::from(rows.get(i).wire_len);
                 }
                 None => {
                     if e.cause.is_some() {
@@ -148,9 +148,8 @@ mod tests {
         }
     }
 
-    fn ev(rec: FrameRecord, cause: CauseId, seq: u64) -> CausalEvent {
+    fn ev(cause: CauseId, seq: u64) -> CausalEvent {
         CausalEvent {
-            record: rec,
             cause,
             retx: false,
             conn: 1,
@@ -166,11 +165,17 @@ mod tests {
         let liar0 = CauseId::app(1, 2, 1, 0);
         let liar1 = CauseId::app(1, 2, 1, 1);
         let honest = CauseId::app(0, 0, 1, 0);
+        let rows = [
+            record(1, 500, 0),
+            record(2, 1518, 2),
+            record(3, 1518, 2),
+            record(4, 58, 3),
+        ];
         let events = vec![
-            ev(record(1, 500, 0), honest, 0),
-            ev(record(2, 1518, 2), liar0, 0),
-            ev(record(3, 1518, 2), liar1, 1460),
-            ev(record(4, 58, 3), CauseId::protocol(ProtoCause::Ack), 0),
+            ev(honest, 0),
+            ev(liar0, 0),
+            ev(liar1, 1460),
+            ev(CauseId::protocol(ProtoCause::Ack), 0),
         ];
         let ops = vec![
             AppOp {
@@ -207,7 +212,7 @@ mod tests {
             detail: String::new(),
             flight_recorder: vec![record(2, 1518, 2), record(3, 1518, 2), record(4, 58, 3)],
         };
-        let blame = blame_violation(&event, &run, &map);
+        let blame = blame_violation(&event, &run, &rows[..], &map);
         assert!(blame.matched);
         assert_eq!(blame.window, 3);
         assert_eq!(blame.protocol_frames, 1);
@@ -224,8 +229,9 @@ mod tests {
         let map = TenantMap::pack([("t".to_string(), 1)]);
         let run = CausalRun {
             ops: vec![],
-            events: vec![ev(record(1, 500, 0), CauseId::NONE, 0)],
+            events: vec![ev(CauseId::NONE, 0)],
         };
+        let rows = [record(1, 500, 0)];
         let event = WatchEvent {
             kind: EventKind::ContractViolation,
             tenant: "t".to_string(),
@@ -236,7 +242,7 @@ mod tests {
             detail: String::new(),
             flight_recorder: vec![record(99, 999, 5)],
         };
-        let blame = blame_violation(&event, &run, &map);
+        let blame = blame_violation(&event, &run, &rows[..], &map);
         assert!(!blame.matched);
         assert!(blame.chains.is_empty());
     }

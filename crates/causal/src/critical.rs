@@ -3,7 +3,7 @@
 
 use fxnet_fx::CausalRun;
 use fxnet_pvm::TenantMap;
-use fxnet_sim::SimTime;
+use fxnet_sim::{SimTime, TraceRows};
 use fxnet_telemetry::{SpanKind, SpanRecord};
 use std::collections::HashMap;
 
@@ -92,11 +92,13 @@ fn overlap_ns(s: &SpanRecord, wb: SimTime, we: SimTime) -> u64 {
 
 /// Compute the critical path of every collective instance in the run.
 ///
-/// `spans` is the run's telemetry span list (causal capture forces
-/// telemetry on, so it is always present in a causal run); `map` names
-/// the tenants the cause ids index.
-pub fn collective_paths(
+/// `rows` is the trace `run` describes (event `i` is row `i`); `spans`
+/// is the run's telemetry span list (causal capture forces telemetry on,
+/// so it is always present in a causal run); `map` names the tenants the
+/// cause ids index.
+pub fn collective_paths<R: TraceRows + ?Sized>(
     run: &CausalRun,
+    rows: &R,
     spans: &[SpanRecord],
     map: &TenantMap,
 ) -> Vec<CollectivePath> {
@@ -220,10 +222,10 @@ pub fn collective_paths(
                         (m.queue_ns + m.backoff_ns, std::cmp::Reverse(i))
                     })
                     .map(|&i| {
-                        let e = &run.events[i];
-                        e.meta
-                            .trunk_label()
-                            .unwrap_or_else(|| format!("h{}->h{}", e.record.src.0, e.record.dst.0))
+                        run.events[i].meta.trunk_label().unwrap_or_else(|| {
+                            let r = rows.get(i);
+                            format!("h{}->h{}", r.src.0, r.dst.0)
+                        })
                     });
 
                 keyed.push((
@@ -314,16 +316,19 @@ mod tests {
         }
     }
 
+    fn row(rank: u32) -> FrameRecord {
+        FrameRecord {
+            time: SimTime::from_micros(10),
+            wire_len: ETHER_OVERHEAD + IP_HEADER + TCP_HEADER + 100,
+            proto: Proto::Tcp,
+            kind: FrameKind::Data,
+            src: HostId(rank),
+            dst: HostId(rank + 1),
+        }
+    }
+
     fn event(rank: u32, phase: u32, op: u32, meta: FrameMeta) -> CausalEvent {
         CausalEvent {
-            record: FrameRecord {
-                time: SimTime::from_micros(10),
-                wire_len: ETHER_OVERHEAD + IP_HEADER + TCP_HEADER + 100,
-                proto: Proto::Tcp,
-                kind: FrameKind::Data,
-                src: HostId(rank),
-                dst: HostId(rank + 1),
-            },
             cause: CauseId::app(0, rank, phase, op),
             retx: false,
             conn: 1,
@@ -360,7 +365,7 @@ mod tests {
             }],
             events: vec![event(1, 1, 0, meta)],
         };
-        let paths = collective_paths(&run, &spans, &map);
+        let paths = collective_paths(&run, &[row(1)][..], &spans, &map);
         assert_eq!(paths.len(), 1);
         let p = &paths[0];
         assert_eq!(p.straggler_rank, 1);
@@ -425,7 +430,7 @@ mod tests {
             span(1, "x", SpanKind::Collective, 20, 40),
         ];
         let run = CausalRun::default();
-        let paths = collective_paths(&run, &spans, &map);
+        let paths = collective_paths(&run, &[][..], &spans, &map);
         assert_eq!(paths.len(), 2);
         assert_eq!(paths[0].straggler_rank, 0);
         assert_eq!(paths[1].straggler_rank, 1);

@@ -1,15 +1,15 @@
 //! The cross-layer cause DAG and conservation-checked frame provenance.
 
-use fxnet_fx::{AppOp, CausalRun};
+use fxnet_fx::CausalRun;
 use fxnet_sim::frame::{ETHER_OVERHEAD, IP_HEADER, TCP_HEADER, UDP_HEADER};
-use fxnet_sim::{CausalEvent, CauseId, FrameKind, FrameRecord, Proto, ProtoCause};
+use fxnet_sim::{CauseId, FrameKind, FrameRecord, Proto, ProtoCause, TraceRows};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Where one delivered frame came from, resolved through the DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Provenance {
-    /// Caused by the application op at this index in [`CauseDag::ops`].
+    /// Caused by the application op at this index in the run's `ops`.
     /// `retransmitted` marks copies that reached the wire again after a
     /// TCP timeout — the chain passes through a `Retransmit` edge but
     /// still terminates at the original op.
@@ -41,7 +41,7 @@ pub struct ConservationReport {
 /// One op whose delivered bytes did not match what it committed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConservationError {
-    /// Index into [`CauseDag::ops`].
+    /// Index into the run's `ops`.
     pub op: usize,
     /// The op's cause id.
     pub cause: CauseId,
@@ -61,22 +61,45 @@ impl fmt::Display for ConservationError {
     }
 }
 
-/// The per-run causal DAG.
+/// A causal log that does not describe the trace beside it: event `i`
+/// must describe row `i`, so the two have one length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowMismatch {
+    /// Events in the causal log.
+    pub events: usize,
+    /// Rows in the trace.
+    pub rows: usize,
+}
+
+impl fmt::Display for RowMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} causal events beside {} trace rows",
+            self.events, self.rows
+        )
+    }
+}
+
+/// The per-run causal DAG, borrowing the capture and the trace it was
+/// built from.
 ///
-/// Nodes are the recorded application ops ([`CauseDag::ops`]) and the
-/// delivered frames ([`CauseDag::events`], in exact trace order — index
-/// `i` describes row `i` of the promiscuous trace). Edges are op →
+/// Nodes are the run's application ops and its delivered frames (its
+/// `events`, in exact trace order — event `i` describes row `i` of the
+/// promiscuous trace). Edges are op →
 /// frame emissions ([`CauseDag::emits`]) and frame → frame retransmits
 /// ([`CauseDag::retransmit_edges`]). Protocol artifacts (ACK, SYN,
 /// heartbeat, daemon ACK) are terminal causes of their own.
-#[derive(Debug, Clone, Default)]
-pub struct CauseDag {
-    /// Application op nodes, in recording order.
-    pub ops: Vec<AppOp>,
-    /// Frame nodes: one per delivered frame, in trace order.
-    pub events: Vec<CausalEvent>,
-    /// Per-op emission edges: indices into `events` of the frames the
-    /// op put on the wire directly (first transmissions and UDP grams).
+#[derive(Debug)]
+pub struct CauseDag<'a, R: TraceRows + ?Sized = [FrameRecord]> {
+    /// The causal capture: op nodes in recording order, frame nodes in
+    /// trace order.
+    pub(crate) run: &'a CausalRun,
+    /// The trace the capture describes, one row per frame node.
+    pub(crate) rows: &'a R,
+    /// Per-op emission edges: indices into the run's `events` of the
+    /// frames the op put on the wire directly (first transmissions and
+    /// UDP grams).
     pub emits: Vec<Vec<usize>>,
     /// Retransmit edges `(original, copy)`: the copy carries the same
     /// bytes — and the same cause — as the earlier delivery.
@@ -84,9 +107,16 @@ pub struct CauseDag {
     op_of_event: Vec<Option<usize>>,
 }
 
-impl CauseDag {
-    /// Build the DAG from a causal capture.
-    pub fn build(run: &CausalRun) -> CauseDag {
+impl<'a, R: TraceRows + ?Sized> CauseDag<'a, R> {
+    /// Build the DAG from a causal capture and the trace it describes.
+    ///
+    /// # Errors
+    /// [`RowMismatch`] when the log and the trace differ in length.
+    pub fn build(run: &'a CausalRun, rows: &'a R) -> Result<CauseDag<'a, R>, RowMismatch> {
+        let (events, n) = (run.events.len(), rows.len());
+        if events != n {
+            return Err(RowMismatch { events, rows: n });
+        }
         let op_index: HashMap<CauseId, usize> = run
             .ops
             .iter()
@@ -112,28 +142,29 @@ impl CauseDag {
                 } else {
                     emits[oi].push(i);
                 }
-                if e.record.kind == FrameKind::Data {
+                if rows.get(i).kind == FrameKind::Data {
                     last_copy.insert((e.conn, e.dir, e.seq), i);
                 }
             }
         }
-        CauseDag {
-            ops: run.ops.clone(),
-            events: run.events.clone(),
+        Ok(CauseDag {
+            run,
+            rows,
             emits,
             retransmit_edges,
             op_of_event,
-        }
+        })
     }
 
     /// Resolve the cause chain of frame `i` (trace row `i`).
     pub fn provenance(&self, i: usize) -> Provenance {
+        let e = &self.run.events[i];
         match self.op_of_event[i] {
             Some(op) => Provenance::Op {
                 op,
-                retransmitted: self.events[i].retx,
+                retransmitted: e.retx,
             },
-            None => match self.events[i].cause.decode() {
+            None => match e.cause.decode() {
                 fxnet_sim::Cause::Protocol(k) => Provenance::Protocol(k),
                 _ => Provenance::Unknown,
             },
@@ -148,21 +179,23 @@ impl CauseDag {
     /// # Errors
     /// The first op whose delivered bytes disagree with its commitment.
     pub fn check_conservation(&self) -> Result<ConservationReport, ConservationError> {
-        let mut delivered = vec![0u64; self.ops.len()];
+        let ops = &self.run.ops;
+        let mut delivered = vec![0u64; ops.len()];
         let mut seen: HashSet<(usize, u32, u8, u64)> = HashSet::new();
         let mut report = ConservationReport {
-            ops: self.ops.len(),
+            ops: ops.len(),
             ..ConservationReport::default()
         };
-        for (i, e) in self.events.iter().enumerate() {
+        for (i, e) in self.run.events.iter().enumerate() {
             match self.op_of_event[i] {
                 Some(oi) => {
                     report.app_frames += 1;
                     if e.retx {
                         report.retransmitted_frames += 1;
                     }
-                    let bytes = data_payload(&e.record);
-                    match e.record.kind {
+                    let record = self.rows.get(i);
+                    let bytes = data_payload(&record);
+                    match record.kind {
                         FrameKind::Data => {
                             if seen.insert((oi, e.conn, e.dir, e.seq)) {
                                 delivered[oi] += bytes;
@@ -181,7 +214,7 @@ impl CauseDag {
                 }
             }
         }
-        for (oi, op) in self.ops.iter().enumerate() {
+        for (oi, op) in ops.iter().enumerate() {
             if delivered[oi] != op.wire_bytes {
                 return Err(ConservationError {
                     op: oi,
@@ -209,25 +242,42 @@ pub(crate) fn data_payload(rec: &FrameRecord) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fxnet_sim::{FrameMeta, HostId, SimTime};
+    use fxnet_fx::AppOp;
+    use fxnet_sim::{CausalEvent, FrameMeta, HostId, SimTime};
 
-    fn data_event(cause: CauseId, seq: u64, payload: u32, retx: bool) -> CausalEvent {
-        CausalEvent {
-            record: FrameRecord {
-                time: SimTime::from_micros(seq),
-                wire_len: ETHER_OVERHEAD + IP_HEADER + TCP_HEADER + payload,
-                proto: Proto::Tcp,
-                kind: FrameKind::Data,
-                src: HostId(0),
-                dst: HostId(1),
-            },
+    /// A delivered TCP data segment: its causal event and its trace row.
+    fn data_frame(
+        cause: CauseId,
+        seq: u64,
+        payload: u32,
+        retx: bool,
+    ) -> (CausalEvent, FrameRecord) {
+        let event = CausalEvent {
             cause,
             retx,
             conn: 1,
             dir: 0,
             seq,
             meta: FrameMeta::default(),
-        }
+        };
+        let record = FrameRecord {
+            time: SimTime::from_micros(seq),
+            wire_len: ETHER_OVERHEAD + IP_HEADER + TCP_HEADER + payload,
+            proto: Proto::Tcp,
+            kind: FrameKind::Data,
+            src: HostId(0),
+            dst: HostId(1),
+        };
+        (event, record)
+    }
+
+    /// A capture of `ops` delivering `frames`, and its trace.
+    fn capture(
+        ops: Vec<AppOp>,
+        frames: impl IntoIterator<Item = (CausalEvent, FrameRecord)>,
+    ) -> (CausalRun, Vec<FrameRecord>) {
+        let (events, rows) = frames.into_iter().unzip();
+        (CausalRun { ops, events }, rows)
     }
 
     fn op(cause: CauseId, wire_bytes: u64) -> AppOp {
@@ -243,15 +293,15 @@ mod tests {
     #[test]
     fn retransmitted_copy_keeps_its_cause_and_adds_an_edge() {
         let c = CauseId::app(0, 0, 1, 0);
-        let run = CausalRun {
-            ops: vec![op(c, 300)],
-            events: vec![
-                data_event(c, 0, 100, false),
-                data_event(c, 100, 200, false),
-                data_event(c, 100, 200, true), // timeout copy of seq 100
+        let (run, rows) = capture(
+            vec![op(c, 300)],
+            [
+                data_frame(c, 0, 100, false),
+                data_frame(c, 100, 200, false),
+                data_frame(c, 100, 200, true), // timeout copy of seq 100
             ],
-        };
-        let dag = CauseDag::build(&run);
+        );
+        let dag = CauseDag::build(&run, &rows[..]).unwrap();
         assert_eq!(dag.emits[0], vec![0, 1]);
         assert_eq!(dag.retransmit_edges, vec![(1, 2)]);
         assert_eq!(
@@ -269,14 +319,14 @@ mod tests {
 
     #[test]
     fn protocol_and_untagged_frames_terminate_off_the_op_table() {
-        let run = CausalRun {
-            ops: vec![],
-            events: vec![
-                data_event(CauseId::protocol(ProtoCause::Ack), 0, 0, false),
-                data_event(CauseId::NONE, 0, 0, false),
+        let (run, rows) = capture(
+            vec![],
+            [
+                data_frame(CauseId::protocol(ProtoCause::Ack), 0, 0, false),
+                data_frame(CauseId::NONE, 0, 0, false),
             ],
-        };
-        let dag = CauseDag::build(&run);
+        );
+        let dag = CauseDag::build(&run, &rows[..]).unwrap();
         assert_eq!(dag.provenance(0), Provenance::Protocol(ProtoCause::Ack));
         assert_eq!(dag.provenance(1), Provenance::Unknown);
         let rep = dag.check_conservation().unwrap();
@@ -287,13 +337,24 @@ mod tests {
     #[test]
     fn short_delivery_fails_conservation() {
         let c = CauseId::app(0, 2, 1, 7);
-        let run = CausalRun {
-            ops: vec![op(c, 500)],
-            events: vec![data_event(c, 0, 100, false)],
-        };
-        let err = CauseDag::build(&run).check_conservation().unwrap_err();
+        let (run, rows) = capture(vec![op(c, 500)], [data_frame(c, 0, 100, false)]);
+        let dag = CauseDag::build(&run, &rows[..]).unwrap();
+        let err = dag.check_conservation().unwrap_err();
         assert_eq!(err.expected, 500);
         assert_eq!(err.delivered, 100);
         assert!(err.to_string().contains("500"));
+    }
+
+    #[test]
+    fn a_log_that_is_not_the_traces_length_is_rejected() {
+        let c = CauseId::app(0, 0, 1, 0);
+        let (run, rows) = capture(
+            vec![op(c, 300)],
+            [data_frame(c, 0, 100, false), data_frame(c, 100, 200, false)],
+        );
+        let err = CauseDag::build(&run, &rows[..1]).unwrap_err();
+        assert_eq!(err, RowMismatch { events: 2, rows: 1 });
+        assert_eq!(err.to_string(), "2 causal events beside 1 trace rows");
+        assert!(CauseDag::build(&CausalRun::default(), &rows[..]).is_err());
     }
 }

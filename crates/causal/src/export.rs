@@ -9,7 +9,7 @@
 use crate::critical::CollectivePath;
 use crate::dag::{CauseDag, Provenance};
 use fxnet_pvm::TenantMap;
-use fxnet_sim::{FrameKind, Proto, SimTime};
+use fxnet_sim::{FrameKind, Proto, SimTime, TraceRows};
 use fxnet_telemetry::TraceEvent;
 use serde::{Serialize, Value};
 
@@ -104,8 +104,9 @@ struct ConservationRow {
 /// The cause DAG as a deterministic JSON value: the op table, one entry
 /// per delivered frame with its resolved provenance, the retransmit
 /// edges, and the conservation summary.
-pub fn dag_value(dag: &CauseDag, map: &TenantMap) -> Value {
+pub fn dag_value<R: TraceRows + ?Sized>(dag: &CauseDag<'_, R>, map: &TenantMap) -> Value {
     let ops = dag
+        .run
         .ops
         .iter()
         .zip(&dag.emits)
@@ -127,10 +128,12 @@ pub fn dag_value(dag: &CauseDag, map: &TenantMap) -> Value {
         })
         .collect();
     let frames = dag
+        .run
         .events
         .iter()
         .enumerate()
         .map(|(i, e)| {
+            let record = dag.rows.get(i);
             let cause = match dag.provenance(i) {
                 Provenance::Op { op, retransmitted } => CauseRow {
                     kind: "op",
@@ -150,15 +153,15 @@ pub fn dag_value(dag: &CauseDag, map: &TenantMap) -> Value {
             };
             FrameRow {
                 frame: i,
-                time_ns: e.record.time,
-                src: e.record.src.0,
-                dst: e.record.dst.0,
-                proto: match e.record.proto {
+                time_ns: record.time,
+                src: record.src.0,
+                dst: record.dst.0,
+                proto: match record.proto {
                     Proto::Tcp => "tcp",
                     Proto::Udp => "udp",
                 },
-                frame_kind: kind_label(e.record.kind),
-                wire_len: e.record.wire_len,
+                frame_kind: kind_label(record.kind),
+                wire_len: record.wire_len,
                 cause,
                 queue_ns: e.meta.queue_ns,
                 backoff_ns: e.meta.backoff_ns,
@@ -268,7 +271,8 @@ mod tests {
     #[test]
     fn exports_are_deterministic_text() {
         let map = TenantMap::pack([("SOR".to_string(), 4)]);
-        let dag = CauseDag::build(&CausalRun::default());
+        let (run, rows) = (CausalRun::default(), Vec::new());
+        let dag = CauseDag::build(&run, &rows[..]).expect("both empty");
         let a = serde::json::to_string(&dag_value(&dag, &map));
         let b = serde::json::to_string(&dag_value(&dag, &map));
         assert_eq!(a, b);

@@ -13,7 +13,10 @@
 //! added to the frames themselves, so a tagged run produces a
 //! byte-identical trace to an untagged run.
 //!
-//! From the tagged stream ([`fxnet_fx::CausalRun`]) this crate builds:
+//! From the tagged stream ([`fxnet_fx::CausalRun`]), read beside the
+//! trace it describes (any [`fxnet_sim::TraceRows`]: event `i` is row
+//! `i`, and the frame's record lives only in the trace), this crate
+//! builds:
 //!
 //! * [`CauseDag`] — the per-run cause DAG: op → frame emission edges,
 //!   frame → frame retransmit edges, protocol-artifact terminals. Frame
@@ -41,6 +44,6 @@ pub use blame::{blame_violation, BlameChain, ViolationBlame};
 pub use critical::{
     collective_paths, contended_intervals, intervals_overlap, CollectivePath, SegmentBreakdown,
 };
-pub use dag::{CauseDag, ConservationError, ConservationReport, Provenance};
+pub use dag::{CauseDag, ConservationError, ConservationReport, Provenance, RowMismatch};
 pub use export::{chrome_trace, dag_value};
 pub use fxnet_sim::{AppCause, CausalEvent, Cause, CauseId, FrameMeta, ProtoCause};

@@ -68,13 +68,10 @@ fn assert_provenance(p: Program) {
             tagged.trace.len(),
             "one causal event per trace row"
         );
-        for (e, r) in run.events.iter().zip(tagged.trace.iter()) {
-            assert_eq!(e.record, *r, "causal stream is in exact trace order");
-        }
 
-        let dag = CauseDag::build(run);
-        for (i, e) in run.events.iter().enumerate() {
-            if e.record.kind == FrameKind::Data {
+        let dag = CauseDag::build(run, &tagged.trace[..]).expect("one event per row");
+        for (i, r) in tagged.trace.iter().enumerate() {
+            if r.kind == FrameKind::Data {
                 assert!(
                     matches!(dag.provenance(i), Provenance::Op { .. }),
                     "data frame {i} must trace to an application op (seed {seed})"
@@ -129,14 +126,11 @@ fn daemon_route_conserves_through_udp_grams() {
     c.pvm.route = fxnet_pvm::Route::Daemon;
     let r = run_program(Program::Kernel(KernelKind::Hist), c.clone(), causal_opts());
     let run = r.causal.as_ref().expect("causal capture");
-    let dag = CauseDag::build(run);
+    let dag = CauseDag::build(run, &r.trace[..]).expect("one event per row");
     dag.check_conservation()
         .unwrap_or_else(|e| panic!("daemon-route conservation failed: {e}"));
     // Daemon acks and heartbeats terminate at protocol causes, not ops.
-    assert!(run
-        .events
-        .iter()
-        .any(|e| e.record.kind == FrameKind::Datagram));
+    assert!(r.trace.iter().any(|row| row.kind == FrameKind::Datagram));
     let untagged = run_program(Program::Kernel(KernelKind::Hist), c, RunOptions::default());
     assert_eq!(r.trace, untagged.trace);
 }
@@ -147,7 +141,7 @@ fn collective_critical_paths_sum_exactly_to_elapsed_time() {
     let run = r.causal.as_ref().expect("causal capture");
     let spans = &r.telemetry.as_ref().expect("causal forces telemetry").spans;
     let map = TenantMap::pack([("SOR".to_string(), 4)]);
-    let paths = collective_paths(run, spans, &map);
+    let paths = collective_paths(run, &r.trace[..], spans, &map);
     assert!(!paths.is_empty(), "SOR has boundary exchanges");
     for p in &paths {
         assert_eq!(
@@ -197,7 +191,7 @@ fn watcher_violation_blames_the_overdriving_tenant() {
         .find(|e| e.tenant == "liar")
         .expect("liar violation");
     let run = out.causal.as_ref().expect("causal capture");
-    let blame = blame_violation(event, run, &out.map);
+    let blame = blame_violation(event, run, &out.store, &out.map);
     assert!(blame.matched, "flight recorder located in causal stream");
     let top = blame.top().expect("causing chains");
     assert_eq!(top.tenant, "liar", "blame lands on the over-driver");

@@ -71,7 +71,7 @@ mod testbed;
 pub use fxnet_apps::KernelKind;
 pub use fxnet_fx::{
     run, run_single, AppOp, CausalRun, DescheduleConfig, FxnetError, FxnetResult, GroupSpec,
-    MultiRunResult, RankCtx, RunOptions, RunResult, SpmdConfig,
+    RankCtx, RunOptions, RunResult, SpmdConfig,
 };
 pub use fxnet_sim::{FrameRecord, HostId, SimTime};
 pub use fxnet_topo::TopologySpec;

@@ -196,9 +196,7 @@ mod tests {
         f: impl Fn(&mut RankCtx) -> T + Send + Sync + 'static,
     ) -> RunResult<T> {
         let p = cfg.p;
-        run(cfg, vec![GroupSpec::single(p, f)], RunOptions::default())
-            .expect("valid config")
-            .into_single()
+        run(cfg, vec![GroupSpec::single(p, f)], RunOptions::default()).expect("valid config")
     }
 
     #[test]

@@ -159,16 +159,18 @@ impl Default for SpmdConfig {
     }
 }
 
-/// Outcome of a run: per-rank return values plus the captured trace.
+/// Outcome of a run of one or more programs: every rank's return value,
+/// the one shared promiscuous trace, and each group's time span.
 #[derive(Debug)]
 pub struct RunResult<T> {
-    /// Rank return values, indexed by rank.
+    /// Rank return values, in global task order: each group's ranks in
+    /// spec order (see [`RunResult::group_results`]).
     pub results: Vec<T>,
     /// The promiscuous packet trace (the paper's tcpdump capture).
     pub trace: Vec<FrameRecord>,
     /// MAC statistics.
     pub ether: EtherStats,
-    /// Simulated time at which the last rank finished.
+    /// Simulated time at which the last rank of any group finished.
     pub finished_at: SimTime,
     /// Telemetry captured for the run, when [`SpmdConfig::telemetry`] is on.
     pub telemetry: Option<RunTelemetry>,
@@ -176,6 +178,23 @@ pub struct RunResult<T> {
     pub causal: Option<CausalRun>,
     /// Per-link sample series, when [`RunOptions::sample_links`] was set.
     pub link_stats: Option<fxnet_sim::LinkStats>,
+    /// Each group's name and task-id block, in spec order, for trace
+    /// demultiplexing.
+    pub map: TenantMap,
+    /// Each group's start time, indexed like `map.slices()`.
+    pub group_starts: Vec<SimTime>,
+    /// Simulated time at which each group's last rank finished, indexed
+    /// like `map.slices()`.
+    pub group_finished_at: Vec<SimTime>,
+}
+
+impl<T> RunResult<T> {
+    /// The results of group `g` (indexed like `map.slices()`), by local
+    /// rank.
+    pub fn group_results(&self, g: usize) -> &[T] {
+        let slice = &self.map.slices()[g];
+        &self.results[slice.base as usize..(slice.base + slice.p) as usize]
+    }
 }
 
 /// One application-level send operation recorded during a causal run.
@@ -505,77 +524,11 @@ impl<T> GroupSpec<T> {
     }
 }
 
-/// Per-group outcome of a multi-program run.
-#[derive(Debug)]
-pub struct GroupRunResult<T> {
-    /// The group's name as given in its [`GroupSpec`].
-    pub name: String,
-    /// First global task id of the group's block.
-    pub base: u32,
-    /// Ranks in the group.
-    pub p: u32,
-    /// The group's start time.
-    pub start: SimTime,
-    /// Rank return values, indexed by local rank.
-    pub results: Vec<T>,
-    /// Simulated time at which the group's last rank finished.
-    pub finished_at: SimTime,
-}
-
-/// Outcome of a multi-program run: per-group results plus the single
-/// shared promiscuous trace.
-#[derive(Debug)]
-pub struct MultiRunResult<T> {
-    /// Per-group results, in spec order.
-    pub groups: Vec<GroupRunResult<T>>,
-    /// Task-id/host ownership of each group, for trace demultiplexing.
-    pub map: TenantMap,
-    /// The promiscuous packet trace of the whole shared network.
-    pub trace: Vec<FrameRecord>,
-    /// MAC statistics.
-    pub ether: EtherStats,
-    /// Simulated time at which the last rank of any group finished.
-    pub finished_at: SimTime,
-    /// Telemetry captured for the run, when [`SpmdConfig::telemetry`] is on.
-    pub telemetry: Option<RunTelemetry>,
-    /// Causal capture, when [`RunOptions::causal`] was set.
-    pub causal: Option<CausalRun>,
-    /// Per-link sample series, when [`RunOptions::sample_links`] was set.
-    pub link_stats: Option<fxnet_sim::LinkStats>,
-}
-
-impl<T> MultiRunResult<T> {
-    /// Collapse a single-group result into the flat [`RunResult`] shape.
-    ///
-    /// # Panics
-    /// If the run had more than one group (their results would be
-    /// silently discarded).
-    pub fn into_single(self) -> RunResult<T> {
-        assert_eq!(
-            self.groups.len(),
-            1,
-            "into_single on a {}-group result",
-            self.groups.len()
-        );
-        // The assertion above leaves exactly one group.
-        let g = self.groups.into_iter().next().expect("one group");
-        RunResult {
-            results: g.results,
-            trace: self.trace,
-            ether: self.ether,
-            finished_at: self.finished_at,
-            telemetry: self.telemetry,
-            causal: self.causal,
-            link_stats: self.link_stats,
-        }
-    }
-}
-
 /// Sugar for the single-program case of [`run`]: one group named "main"
-/// with `cfg.p` ranks starting at time zero, collapsed to the flat
-/// [`RunResult`] shape. Unlike the multi-group path, `cfg.p` is honoured
-/// and `cfg.hosts < cfg.p` is rejected (idle hosts are part of the
-/// paper's testbed shape, missing hosts are a config error).
+/// with `cfg.p` ranks starting at time zero. Unlike the multi-group
+/// path, `cfg.p` is honoured and `cfg.hosts < cfg.p` is rejected (idle
+/// hosts are part of the paper's testbed shape, missing hosts are a
+/// config error).
 pub fn run_single<T, F>(cfg: SpmdConfig, f: F, opts: RunOptions) -> FxnetResult<RunResult<T>>
 where
     T: Send + 'static,
@@ -588,15 +541,15 @@ where
         )));
     }
     let p = cfg.p;
-    Ok(run(cfg, vec![GroupSpec::single(p, f)], opts)?.into_single())
+    run(cfg, vec![GroupSpec::single(p, f)], opts)
 }
 
 /// The unified engine entry point: run one or more SPMD programs on a
 /// shared virtual machine and LAN.
 ///
 /// A single program is a one-element group list (see
-/// [`GroupSpec::single`] and [`MultiRunResult::into_single`]), and the
-/// tap, telemetry, deschedule, and causal hooks travel in [`RunOptions`].
+/// [`GroupSpec::single`] and [`run_single`]), and the tap, telemetry,
+/// deschedule, and causal hooks travel in [`RunOptions`].
 ///
 /// Each [`GroupSpec`] receives a contiguous block of global task ids (and
 /// therefore hosts), packed in spec order from task 0; `cfg.p` is ignored
@@ -625,7 +578,7 @@ pub fn run<T>(
     cfg: SpmdConfig,
     groups: Vec<GroupSpec<T>>,
     opts: RunOptions,
-) -> FxnetResult<MultiRunResult<T>>
+) -> FxnetResult<RunResult<T>>
 where
     T: Send + 'static,
 {
@@ -692,7 +645,7 @@ pub(crate) fn drive<T>(
     groups: Vec<GroupSpec<T>>,
     opts: RunOptions,
     mut seen: impl FnMut(usize, &Request),
-) -> FxnetResult<MultiRunResult<T>>
+) -> FxnetResult<RunResult<T>>
 where
     T: Send + 'static,
 {
@@ -837,16 +790,11 @@ mod tests {
         f: impl Fn(&mut RankCtx) -> T + Send + Sync + 'static,
     ) -> RunResult<T> {
         let p = cfg.p;
-        run(cfg, vec![GroupSpec::single(p, f)], RunOptions::default())
-            .expect("valid config")
-            .into_single()
+        run(cfg, vec![GroupSpec::single(p, f)], RunOptions::default()).expect("valid config")
     }
 
     /// Multi-group run through the unified entry point.
-    fn run_groups<T: Send + 'static>(
-        cfg: SpmdConfig,
-        groups: Vec<GroupSpec<T>>,
-    ) -> MultiRunResult<T> {
+    fn run_groups<T: Send + 'static>(cfg: SpmdConfig, groups: Vec<GroupSpec<T>>) -> RunResult<T> {
         run(cfg, groups, RunOptions::default()).expect("valid config")
     }
 
@@ -869,6 +817,9 @@ mod tests {
         });
         assert_eq!(res.results[0], vec![7.0, 9.0]);
         assert_eq!(res.results[1], vec![7.0, 9.0]);
+        // One program is the one-group case.
+        assert_eq!(res.map.slices().len(), 1);
+        assert_eq!(res.group_finished_at, [res.finished_at]);
         assert!(res.finished_at > SimTime::ZERO);
         assert!(!res.trace.is_empty());
     }
@@ -1492,10 +1443,12 @@ mod tests {
                 group("B", 2, SimTime::ZERO, mk(5.0)),
             ],
         );
-        assert_eq!(res.groups[0].results, vec![10.0, 1.0]);
-        assert_eq!(res.groups[1].results, vec![50.0, 5.0]);
+        assert_eq!(res.group_results(0), [10.0, 1.0]);
+        assert_eq!(res.group_results(1), [50.0, 5.0]);
+        // The flat results are the groups' results in spec order.
+        assert_eq!(res.results, [10.0, 1.0, 50.0, 5.0]);
         assert_eq!(res.map.total_ranks(), 4);
-        assert_eq!(res.groups[1].base, 2);
+        assert_eq!(res.map.slices()[1].base, 2);
         // All four hosts put frames on the shared wire.
         assert!(!res.trace.is_empty());
     }
@@ -1517,8 +1470,9 @@ mod tests {
                 }),
             ],
         );
-        assert!(res.groups[0].finished_at < SimTime::from_secs(1));
-        assert!(res.groups[1].finished_at >= SimTime::from_secs(5));
+        assert!(res.group_finished_at[0] < SimTime::from_secs(1));
+        assert!(res.group_finished_at[1] >= SimTime::from_secs(5));
+        assert_eq!(res.results.len(), 4);
     }
 
     #[test]
@@ -1534,9 +1488,10 @@ mod tests {
                 }),
             ],
         );
-        assert!(res.groups[0].finished_at < SimTime::from_secs(1));
-        assert!(res.groups[1].finished_at >= SimTime::from_secs(2));
-        assert_eq!(res.finished_at, res.groups[1].finished_at);
+        assert!(res.group_finished_at[0] < SimTime::from_secs(1));
+        assert!(res.group_finished_at[1] >= SimTime::from_secs(2));
+        assert_eq!(res.finished_at, res.group_finished_at[1]);
+        assert_eq!(res.group_starts, [SimTime::ZERO, SimTime::from_secs(2)]);
     }
 
     #[test]
@@ -1638,6 +1593,8 @@ mod tests {
                 }),
             ],
         );
+        assert_eq!(res.results.len(), 5);
+        assert_eq!(res.group_results(1).len(), 3);
         let tel = res.telemetry.expect("telemetry switched on in the config");
         for kind in [
             SpanKind::BlockedRecv,
@@ -1646,7 +1603,7 @@ mod tests {
         ] {
             assert!(tel.spans.iter().any(|s| s.kind == kind), "no {kind:?} span");
         }
-        for g in &res.groups {
+        for g in res.map.slices() {
             let mut tenant = 0;
             for r in g.base..g.base + g.p {
                 let want = blocked_spans_ns(&tel.spans, r);

@@ -46,9 +46,7 @@
 //!         ctx.recv(0).reader().u32s(1)[0]
 //!     }
 //! });
-//! let result = run(cfg, vec![group], RunOptions::default())
-//!     .expect("valid config")
-//!     .into_single();
+//! let result = run(cfg, vec![group], RunOptions::default()).expect("valid config");
 //! assert_eq!(result.results, vec![0, 99]);
 //! assert!(!result.trace.is_empty()); // the exchange is on the wire
 //! ```
@@ -68,8 +66,8 @@ pub use collectives::{
 pub use cost::CostModel;
 pub use dist::BlockDist;
 pub use engine::{
-    run, run_single, AppOp, CausalRun, DescheduleConfig, GroupRunResult, GroupSpec, MultiRunResult,
-    RankCtx, RunOptions, RunResult, SpmdConfig,
+    run, run_single, AppOp, CausalRun, DescheduleConfig, GroupSpec, RankCtx, RunOptions, RunResult,
+    SpmdConfig,
 };
 pub use fxnet_sim::{FxnetError, FxnetResult};
 pub use pattern::Pattern;

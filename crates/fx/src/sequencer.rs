@@ -20,7 +20,7 @@
 //! their order are those of a sequencer that first collects every rank's
 //! next request (DESIGN.md §7), whatever order requests are offered in.
 
-use crate::engine::{AppOp, CausalRun, DescheduleConfig, GroupRunResult, MultiRunResult};
+use crate::engine::{AppOp, CausalRun, DescheduleConfig, RunResult};
 use crate::engine::{GroupSpec, RunOptions, SpmdConfig};
 use fxnet_pvm::{Message, MsgDelivery, OutMessage, PvmSystem, TaskId, TenantMap};
 use fxnet_sim::{CauseId, FxnetError, FxnetResult, SimRng, SimTime};
@@ -481,32 +481,22 @@ impl Sequencer {
     /// yielded to), then let trailing wire activity complete so the trace
     /// is whole. The result holds the ranks' `results`, in global rank
     /// order, and telemetry without a profile (the driver times steps).
-    pub(crate) fn finish<T>(mut self, results: impl IntoIterator<Item = T>) -> MultiRunResult<T> {
+    pub(crate) fn finish<T>(mut self, results: impl IntoIterator<Item = T>) -> RunResult<T> {
         let finished_at = (self.ranks.iter().map(|rk| rk.clock).max()).unwrap_or(SimTime::ZERO);
         while (self.pvm.next_event_time()).is_some_and(|t| t <= finished_at) {
             self.deliveries.clear();
             self.pvm.advance(&mut self.deliveries);
         }
         let _ = self.pvm.finish();
-        let mut results = results.into_iter();
-        let groups: Vec<GroupRunResult<T>> = (self.map.slices().iter().zip(&self.starts))
-            .map(|(slice, &start)| GroupRunResult {
-                name: slice.name.clone(),
-                base: slice.base,
-                p: slice.p,
-                start,
-                results: results.by_ref().take(slice.p as usize).collect(),
-                finished_at: (self
-                    .members(slice.base, slice.p)
-                    .iter()
-                    .map(|rk| rk.done_at)
-                    .max())
-                .unwrap_or(start),
+        let ends: Vec<SimTime> = (self.map.slices().iter().zip(&self.starts))
+            .map(|(g, &start)| {
+                let done = self.members(g.base, g.p).iter().map(|rk| rk.done_at);
+                done.max().unwrap_or(start)
             })
             .collect();
-        let telemetry = self.cfg.telemetry.then(|| self.telemetry(&groups));
-        MultiRunResult {
-            groups,
+        let telemetry = self.cfg.telemetry.then(|| self.telemetry(&ends));
+        RunResult {
+            results: results.into_iter().collect(),
             trace: self.pvm.take_trace(),
             ether: self.pvm.ether_stats(),
             finished_at,
@@ -517,6 +507,8 @@ impl Sequencer {
             }),
             link_stats: self.pvm.take_link_stats(),
             map: self.map,
+            group_starts: self.starts,
+            group_finished_at: ends,
         }
     }
 
@@ -526,7 +518,7 @@ impl Sequencer {
     }
 
     /// The run's sorted spans and its counter registry.
-    fn telemetry<T>(&mut self, groups: &[GroupRunResult<T>]) -> RunTelemetry {
+    fn telemetry(&mut self, ends: &[SimTime]) -> RunTelemetry {
         let mut spans = Vec::new();
         for rk in &mut self.ranks {
             // Close any span the application never ended.
@@ -572,8 +564,9 @@ impl Sequencer {
         // Per-tenant registry scoping: in multi-program runs, roll the
         // rank-level counters up under each tenant's name so a tenant's
         // share of engine time is legible without knowing its task block.
-        if groups.len() > 1 {
-            for g in groups {
+        if self.map.len() > 1 {
+            let groups = self.map.slices().iter().zip(&self.starts);
+            for ((g, start), finished_at) in groups.zip(ends) {
                 let name = &g.name;
                 reg.set_counter(format!("tenant.{name}.ranks"), u64::from(g.p));
                 reg.set_counter(format!("tenant.{name}.base_task"), u64::from(g.base));
@@ -583,8 +576,8 @@ impl Sequencer {
                     .map(|rk| rk.blocked_ns)
                     .sum();
                 reg.set_counter(format!("tenant.{name}.blocked_ns"), blocked_ns);
-                reg.set_counter(format!("tenant.{name}.start_ns"), g.start.as_nanos());
-                let finished_ns = g.finished_at.as_nanos();
+                reg.set_counter(format!("tenant.{name}.start_ns"), start.as_nanos());
+                let finished_ns = finished_at.as_nanos();
                 reg.set_counter(format!("tenant.{name}.finished_ns"), finished_ns);
             }
         }

@@ -28,7 +28,7 @@
 use crate::engine::{drive, sequencer};
 use crate::sequencer::{Request, Step as Decision};
 use crate::SpmdConfig;
-use crate::{run, AppOp, DescheduleConfig, GroupSpec, MultiRunResult, RankCtx, RunOptions};
+use crate::{run, AppOp, DescheduleConfig, GroupSpec, RankCtx, RunOptions, RunResult};
 use fxnet_pvm::{Message, MessageBuilder, Route};
 use fxnet_sim::{CausalEvent, FrameRecord, SimRng, SimTime};
 use fxnet_telemetry::{EventClass, SpanRecord, TelemetryRegistry};
@@ -236,7 +236,7 @@ fn scenario(seed: u64) -> Scenario {
     Scenario { cfg, groups }
 }
 
-fn run_scenario(sc: &Scenario, causal: bool) -> MultiRunResult<u64> {
+fn run_scenario(sc: &Scenario, causal: bool) -> RunResult<u64> {
     let specs = sc
         .groups
         .iter()
@@ -285,21 +285,23 @@ fn golden_line(seed: u64) -> String {
         res.trace, causal.trace,
         "seed {seed}: causal capture moved the trace"
     );
+    let ops = &causal.causal.as_ref().expect("causal capture on").ops;
+    pinned_line(seed, &res, ops)
+}
+
+/// The pinned line of a run and the ops of its causal capture.
+fn pinned_line(seed: u64, res: &RunResult<u64>, ops: &[AppOp]) -> String {
     let tel = res.telemetry.as_ref().expect("telemetry on");
-    let finished: Vec<u64> = res
-        .groups
-        .iter()
-        .map(|g| g.finished_at.as_nanos())
-        .collect();
+    let finished: Vec<u64> = res.group_finished_at.iter().map(|t| t.as_nanos()).collect();
     format!(
         "{seed} frames={} end={} groups={finished:?} trace={:016x} results={:016x} spans={:016x} counters={:016x} ops={:016x}",
         res.trace.len(),
         res.finished_at.as_nanos(),
         digest(&res.trace),
-        digest(res.groups.iter().map(|g| &g.results)),
+        digest((0..res.map.len()).map(|g| res.group_results(g))),
         digest(&tel.spans),
         digest(tel.registry.counters()),
-        digest(&causal.causal.as_ref().expect("causal capture on").ops),
+        digest(ops),
     )
 }
 
@@ -418,7 +420,7 @@ fn specs(sc: &Scenario) -> (Vec<GroupSpec<u64>>, RunOptions) {
 
 /// The causal run of `sc` through the threaded driver, and every rank's
 /// requests in program order.
-fn record(sc: &Scenario) -> (MultiRunResult<u64>, Vec<Vec<Request>>) {
+fn record(sc: &Scenario) -> (RunResult<u64>, Vec<Vec<Request>>) {
     let (specs, opts) = specs(sc);
     let mut logs = vec![Vec::new(); specs.iter().map(|g| g.p as usize).sum()];
     let res = drive(sc.cfg.clone(), specs, opts, |r, req| {
@@ -437,11 +439,7 @@ type StepLog = Vec<(EventClass, usize)>;
 /// would post it. An order offers eagerly or only when the sequencer
 /// starves, or anything between. Each rank's result is refolded from the
 /// messages its `recv`s were answered with, as the program folds them.
-fn replay(
-    sc: &Scenario,
-    logs: &[Vec<Request>],
-    rng: &mut SimRng,
-) -> (StepLog, MultiRunResult<u64>) {
+fn replay(sc: &Scenario, logs: &[Vec<Request>], rng: &mut SimRng) -> (StepLog, RunResult<u64>) {
     let (specs, opts) = specs(sc);
     let mut seq = sequencer(sc.cfg.clone(), &specs, opts).expect("valid config");
     let n = logs.len();
@@ -491,22 +489,11 @@ fn replay(
 }
 
 /// The pinned line of one causal run, which carries every digest.
-fn causal_line(seed: u64, res: &MultiRunResult<u64>) -> String {
-    let tel = res.telemetry.as_ref().expect("telemetry on");
-    let finished: Vec<u64> = res
-        .groups
-        .iter()
-        .map(|g| g.finished_at.as_nanos())
-        .collect();
-    format!(
-        "{seed} frames={} end={} groups={finished:?} trace={:016x} results={:016x} spans={:016x} counters={:016x} ops={:016x}",
-        res.trace.len(),
-        res.finished_at.as_nanos(),
-        digest(&res.trace),
-        digest(res.groups.iter().map(|g| &g.results)),
-        digest(&tel.spans),
-        digest(tel.registry.counters()),
-        digest(&res.causal.as_ref().expect("causal capture on").ops),
+fn causal_line(seed: u64, res: &RunResult<u64>) -> String {
+    pinned_line(
+        seed,
+        res,
+        &res.causal.as_ref().expect("causal capture on").ops,
     )
 }
 
@@ -516,22 +503,22 @@ fn causal_line(seed: u64, res: &MultiRunResult<u64>) -> String {
 type Outcome = (
     Vec<FrameRecord>,
     SimTime,
-    Vec<(Vec<u64>, SimTime)>,
+    Vec<u64>,
+    Vec<SimTime>,
     Vec<SpanRecord>,
     TelemetryRegistry,
     Vec<AppOp>,
     Vec<CausalEvent>,
 );
 
-fn outcome(res: MultiRunResult<u64>) -> Outcome {
+fn outcome(res: RunResult<u64>) -> Outcome {
     let tel = res.telemetry.expect("telemetry on");
     let causal = res.causal.expect("causal capture on");
-    let groups = (res.groups.into_iter().map(|g| (g.results, g.finished_at))).collect();
-    let (trace, end) = (res.trace, res.finished_at);
     (
-        trace,
-        end,
-        groups,
+        res.trace,
+        res.finished_at,
+        res.results,
+        res.group_finished_at,
         tel.spans,
         tel.registry,
         causal.ops,

@@ -29,7 +29,7 @@
 
 use crate::matrix::{ScalingAccum, ScalingRelation};
 use crate::rollup::{rollup, FabricRollup, HotspotConfig};
-use fxnet_sim::{CausalEvent, FrameTap, LinkSeries, LinkStats, BUS_LINK};
+use fxnet_sim::{CausalEvent, FrameTap, LinkSeries, LinkStats, TraceRows, BUS_LINK};
 use fxnet_topo::TopologySpec;
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
@@ -137,10 +137,17 @@ impl FabricSampler {
     ///   attaches it to, or the legacy bus's [`BUS_LINK`] without a spec.
     ///
     /// Frames on unsampled links are skipped — attribution only ever
-    /// annotates windows the link sampler saw.
-    pub fn ingest_causal(&mut self, events: &[CausalEvent], spec: Option<&TopologySpec>) {
-        for e in events.iter().filter(|e| e.retx) {
-            let src = e.record.src.0 as usize;
+    /// annotates windows the link sampler saw. `rows` is the trace the
+    /// events describe: event `i` is row `i`.
+    pub fn ingest_causal<R: TraceRows + ?Sized>(
+        &mut self,
+        events: &[CausalEvent],
+        rows: &R,
+        spec: Option<&TopologySpec>,
+    ) {
+        for (i, e) in events.iter().enumerate().filter(|(_, e)| e.retx) {
+            let record = rows.get(i);
+            let src = record.src.0 as usize;
             let label = match e.meta.trunk_label() {
                 Some(base) => {
                     let dir = match (fxnet_sim::FrameMeta::trunk_nodes(e.meta.trunk), spec) {
@@ -168,7 +175,7 @@ impl FabricSampler {
                 }
             };
             if let Some((_, series)) = self.links.iter_mut().find(|(l, _)| l == &label) {
-                series.window_at(e.record.time).retx_bytes += u64::from(e.record.wire_len);
+                series.window_at(record.time).retx_bytes += u64::from(record.wire_len);
             }
         }
     }
@@ -258,7 +265,6 @@ mod tests {
         });
         // h2 lives on node 1, so its retransmit crossed the trunk rev.
         let ev = CausalEvent {
-            record: rec(3, 2, 0, 700),
             cause: fxnet_sim::CauseId::NONE,
             retx: true,
             conn: 1,
@@ -272,7 +278,7 @@ mod tests {
                 trunk: FrameMeta::trunk_code(0, 1),
             },
         };
-        sampler.ingest_causal(&[ev], Some(&spec));
+        sampler.ingest_causal(&[ev], &[rec(3, 2, 0, 700)][..], Some(&spec));
         let report = sampler.finalize(Some(&spec));
         let windows = |label: &str| &report.links.iter().find(|(l, _)| l == label).unwrap().1;
         // Delivered at 3 ms: the rev direction's 10 ms window 0.

@@ -100,11 +100,11 @@ fn exports() -> (Vec<(&'static str, String)>, TelemetryRegistry) {
     let mut sampler = sampler;
     sampler.ingest_links(out.link_stats.as_ref().expect("link sampling on"));
     let causal = out.causal.as_ref().expect("causal capture on");
-    sampler.ingest_causal(&causal.events, Some(&spec));
+    sampler.ingest_causal(&causal.events, &out.store, Some(&spec));
     let report = sampler.finalize(Some(&spec));
 
     let spans = &out.telemetry.as_ref().expect("telemetry on").spans;
-    let paths = collective_paths(causal, spans, &out.map);
+    let paths = collective_paths(causal, &out.store, spans, &out.map);
     let event = out
         .watch
         .as_ref()
@@ -113,8 +113,8 @@ fn exports() -> (Vec<(&'static str, String)>, TelemetryRegistry) {
         .iter()
         .find(|e| e.tenant == "2DFFT")
         .expect("the over-driver latches a violation");
-    let blame = blame_violation(event, causal, &out.map);
-    let dag = CauseDag::build(causal);
+    let blame = blame_violation(event, causal, &out.store, &out.map);
+    let dag = CauseDag::build(causal, &out.store).expect("one event per row");
     let mut reg = TelemetryRegistry::new();
     fill_registry(&report, &mut reg);
 

@@ -12,7 +12,7 @@ use fxnet_topo::TopologySpec;
 
 /// A 5 % lossy 2DFFT run on `spec` (the legacy bus when `None`): its
 /// weather map and the retransmitted wire bytes the causal capture saw.
-/// The capture's records are the run's trace, row for row, under loss.
+/// The capture has one event per trace row, under loss too.
 fn lossy(spec: Option<&TopologySpec>) -> (WeatherReport, u64) {
     let mut b = TestbedBuilder::quiet(4).seed(1998).loss(0.05);
     if let Some(spec) = spec {
@@ -31,16 +31,16 @@ fn lossy(spec: Option<&TopologySpec>) -> (WeatherReport, u64) {
     let mut sampler = sampler;
     sampler.ingest_links(run.link_stats.as_ref().expect("link sampling on"));
     let events = &run.causal.as_ref().expect("causal capture on").events;
-    assert!(
-        events.iter().map(|e| &e.record).eq(&run.trace),
-        "{:?}: causal records are not the trace",
+    assert_eq!(
+        events.len(),
+        run.trace.len(),
+        "{:?}: one causal event per trace row",
         spec.map(|s| &s.id),
     );
-    sampler.ingest_causal(events, spec);
-    let retx: u64 = events
-        .iter()
-        .filter(|e| e.retx)
-        .map(|e| u64::from(e.record.wire_len))
+    sampler.ingest_causal(events, &run.trace[..], spec);
+    let retx: u64 = (events.iter().zip(&run.trace))
+        .filter(|(e, _)| e.retx)
+        .map(|(_, r)| u64::from(r.wire_len))
         .sum();
     (sampler.finalize(spec), retx)
 }

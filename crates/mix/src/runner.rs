@@ -352,7 +352,7 @@ impl Mix {
             (None, u) => u,
         };
 
-        let multi = run(
+        let mut multi = run(
             cfg.clone(),
             groups,
             RunOptions {
@@ -370,9 +370,10 @@ impl Mix {
                 .expect("watch tap")
                 .finalize()
         });
-        // One columnar store of the shared capture; tenants are zero-copy
-        // row-index views over it rather than per-tenant frame copies.
-        let store = TraceStore::from_records(&multi.trace);
+        // One columnar store of the shared capture, which replaces the
+        // record `Vec`; tenants are zero-copy row-index views over it
+        // rather than per-tenant frame copies.
+        let store = TraceStore::from(std::mem::take(&mut multi.trace));
         let demuxed = demux_store(&store, &multi.map);
         demuxed.check_conservation();
 
@@ -407,9 +408,9 @@ impl Mix {
         let mut outcomes = Vec::new();
         for (gi, &(i, negotiation)) in admitted.iter().enumerate() {
             let t = &tenants[i];
-            let g = &multi.groups[gi];
             let tenant_view = demuxed.tenant(gi);
-            let mixed_secs = (g.finished_at.saturating_sub(g.start)).as_secs_f64();
+            let mixed = multi.group_finished_at[gi].saturating_sub(multi.group_starts[gi]);
+            let mixed_secs = mixed.as_secs_f64();
             let (solo_secs, solo_store) = match &solos[gi] {
                 Some((s, st)) => (Some(*s), Some(st)),
                 None => (None, None),
@@ -451,7 +452,7 @@ impl Mix {
                 burst_collisions: burst_collisions(&bursts[gi], &others),
                 burst_count: bursts[gi].len(),
                 spectral,
-                results: g.results.clone(),
+                results: multi.group_results(gi).to_vec(),
                 frames: tenant_view.len(),
             });
         }

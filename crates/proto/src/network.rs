@@ -356,16 +356,12 @@ impl Network {
     /// side-table only, so the schedule, the RNG, and the promiscuous
     /// trace are byte-identical either way.
     pub fn set_causal(&mut self, on: bool) {
-        self.causal = if on { Some(Vec::new()) } else { None };
+        self.causal = on.then(Vec::new);
     }
 
     /// Take ownership of the causal event log (if capture was enabled).
     pub fn take_causal(&mut self) -> Option<Vec<CausalEvent>> {
-        let taken = self.causal.take();
-        if taken.is_some() {
-            self.causal = Some(Vec::new());
-        }
-        taken
+        self.causal.as_mut().map(std::mem::take)
     }
 
     /// Number of hosts on the LAN.
@@ -512,13 +508,8 @@ impl Network {
         self.try_emit(conn, dir, now);
     }
 
-    /// Send a UDP datagram. Payload must fit one MTU; the PVM daemon layer
-    /// fragments above this.
-    pub fn udp_send(&mut self, src: HostId, dst: HostId, data: Bytes, now: SimTime) {
-        self.udp_send_caused(src, dst, data, now, CauseId::NONE);
-    }
-
-    /// [`Network::udp_send`] with a causal tag.
+    /// Send a UDP datagram tagged with `cause`. Payload must fit one MTU;
+    /// the PVM daemon layer fragments above this.
     pub fn udp_send_caused(
         &mut self,
         src: HostId,
@@ -651,8 +642,14 @@ impl Network {
             self.reap_fabric_errors();
             let capture = self.promiscuous || self.tap.is_some() || self.causal.is_some();
             for d in &deliveries {
-                let record = capture.then(|| self.capture(d));
-                self.handle_frame(d, record, out);
+                // A reaped or stale token leaves its frame no info.
+                let info = self.tokens.remove(d.frame.token);
+                if capture {
+                    self.capture(d, info.as_ref());
+                }
+                if let Some(info) = info {
+                    self.handle_frame(d.time, info, out);
+                }
             }
             self.scratch = deliveries;
             t
@@ -671,9 +668,9 @@ impl Network {
     }
 
     /// The promiscuous capture of one final delivery: its record goes to
-    /// the tap and, in promiscuous mode, to the trace, and is returned
-    /// for the causal log.
-    fn capture(&mut self, d: &Delivery) -> FrameRecord {
+    /// the tap and, in promiscuous mode, to the trace, and its causal
+    /// event to the causal log, so event `i` describes trace row `i`.
+    fn capture(&mut self, d: &Delivery, info: Option<&TokenInfo>) {
         let record = FrameRecord::capture(d.time, &d.frame);
         if let Some(tap) = &mut self.tap {
             tap(&record);
@@ -681,7 +678,9 @@ impl Network {
         if self.promiscuous {
             self.trace.push(record);
         }
-        record
+        if let Some(log) = &mut self.causal {
+            log.push(Self::causal_event(info, d.meta));
+        }
     }
 
     /// Drop token-table entries for frames the fabric destroyed
@@ -767,77 +766,41 @@ impl Network {
         }
     }
 
-    fn dir_code(dir: Dir) -> u8 {
-        match dir {
-            Dir::AtoB => 0,
-            Dir::BtoA => 1,
-        }
-    }
-
-    /// Append one causal event for a delivered frame, carrying the record
-    /// its capture built, so the log's records are the trace's. Pure
-    /// logging, so timing is untouched.
-    fn log_causal(&mut self, record: FrameRecord, info: &TokenInfo, meta: FrameMeta) {
-        let Some(log) = &mut self.causal else { return };
-        let ev = match *info {
-            TokenInfo::Data {
+    /// The causal event of a delivered frame whose token carried `info`;
+    /// a frame without one is untagged. Pure bookkeeping, so timing is
+    /// untouched.
+    fn causal_event(info: Option<&TokenInfo>, meta: FrameMeta) -> CausalEvent {
+        let (cause, retx, conn, dir, seq) = match info {
+            Some(&TokenInfo::Data {
                 conn,
                 dir,
                 seq,
                 cause,
                 retx,
                 ..
-            } => CausalEvent {
-                record,
-                cause,
-                retx,
-                conn: conn.0,
-                dir: Self::dir_code(dir),
-                seq,
-                meta,
-            },
-            TokenInfo::Ack {
-                conn, dir, upto, ..
-            } => CausalEvent {
-                record,
-                cause: CauseId::protocol(ProtoCause::Ack),
-                retx: false,
-                conn: conn.0,
-                dir: Self::dir_code(dir),
-                seq: upto,
-                meta,
-            },
-            TokenInfo::Syn { conn, stage } => CausalEvent {
-                record,
-                cause: CauseId::protocol(ProtoCause::Syn),
-                retx: false,
-                conn: conn.0,
-                dir: 0,
-                seq: u64::from(stage),
-                meta,
-            },
-            TokenInfo::Udp { cause, .. } => CausalEvent {
-                record,
-                cause,
-                retx: false,
-                conn: 0,
-                dir: 0,
-                seq: 0,
-                meta,
-            },
+            }) => (cause, retx, conn.0, dir as u8, seq),
+            Some(&TokenInfo::Ack { conn, dir, upto }) => {
+                let ack = CauseId::protocol(ProtoCause::Ack);
+                (ack, false, conn.0, dir as u8, upto)
+            }
+            Some(&TokenInfo::Syn { conn, stage }) => {
+                let syn = CauseId::protocol(ProtoCause::Syn);
+                (syn, false, conn.0, 0, u64::from(stage))
+            }
+            Some(&TokenInfo::Udp { cause, .. }) => (cause, false, 0, 0, 0),
+            None => (CauseId::NONE, false, 0, 0, 0),
         };
-        log.push(ev);
+        CausalEvent {
+            cause,
+            retx,
+            conn,
+            dir,
+            seq,
+            meta,
+        }
     }
 
-    fn handle_frame(&mut self, d: &Delivery, record: Option<FrameRecord>, out: &mut Vec<AppEvent>) {
-        let now = d.time;
-        let info = match self.tokens.remove(d.frame.token) {
-            Some(i) => i,
-            None => return, // reaped or stale
-        };
-        if let Some(record) = record {
-            self.log_causal(record, &info, d.meta);
-        }
+    fn handle_frame(&mut self, now: SimTime, info: TokenInfo, out: &mut Vec<AppEvent>) {
         match info {
             TokenInfo::Udp {
                 src, dst, bytes, ..
@@ -1151,12 +1114,8 @@ mod tests {
     fn udp_datagram_delivered() {
         let mut n = net(3);
         n.set_promiscuous(true);
-        n.udp_send(
-            HostId(0),
-            HostId(2),
-            Bytes::from(vec![5u8; 64]),
-            SimTime::ZERO,
-        );
+        let data = Bytes::from(vec![5u8; 64]);
+        n.udp_send_caused(HostId(0), HostId(2), data, SimTime::ZERO, CauseId::NONE);
         let ev = n.run_to_idle();
         assert_eq!(ev.len(), 1);
         match &ev[0] {
@@ -1352,12 +1311,8 @@ mod tests {
     #[should_panic(expected = "datagram exceeds MTU")]
     fn oversized_datagram_rejected() {
         let mut n = net(2);
-        n.udp_send(
-            HostId(0),
-            HostId(1),
-            Bytes::from(vec![0u8; 2000]),
-            SimTime::ZERO,
-        );
+        let data = Bytes::from(vec![0u8; 2000]);
+        n.udp_send_caused(HostId(0), HostId(1), data, SimTime::ZERO, CauseId::NONE);
     }
 
     #[test]
@@ -1453,7 +1408,8 @@ mod tests {
         for i in 0..5u32 {
             let (src, dst) = if i % 2 == 0 { (1, 3) } else { (2, 0) };
             let t = SimTime::from_micros(u64::from(i) * 100);
-            n.udp_send(HostId(src), HostId(dst), Bytes::from(vec![2u8; 500]), t);
+            let data = Bytes::from(vec![2u8; 500]);
+            n.udp_send_caused(HostId(src), HostId(dst), data, t, CauseId::NONE);
         }
         n
     }
@@ -1510,12 +1466,7 @@ mod tests {
                 }
                 n.run_to_idle();
                 let tapped = std::mem::take(&mut *seen.lock().unwrap());
-                let causal: Vec<FrameRecord> = n
-                    .take_causal()
-                    .unwrap_or_default()
-                    .iter()
-                    .map(|e| e.record)
-                    .collect();
+                let causal = n.take_causal().unwrap_or_default();
                 (n.take_trace(), tapped, causal)
             };
             let (plain, _, _) = run(false);
@@ -1526,10 +1477,19 @@ mod tests {
                 tapped, traced,
                 "{link:?}: tap sees exactly the captured records"
             );
-            assert_eq!(
-                causal, traced,
-                "{link:?}: the causal log carries the trace's records"
-            );
+            // The causal log has one event per trace row, and event `i`
+            // names a cause row `i`'s kind allows: the offered load is
+            // untagged, and the handshake's last ACK is the SYN's.
+            assert_eq!(causal.len(), traced.len(), "{link:?}");
+            let (ack, syn) = (ProtoCause::Ack, ProtoCause::Syn);
+            for (e, r) in causal.iter().zip(&traced) {
+                let causes = match r.kind {
+                    FrameKind::Ack => vec![CauseId::protocol(ack), CauseId::protocol(syn)],
+                    FrameKind::Syn => vec![CauseId::protocol(syn)],
+                    FrameKind::Data | FrameKind::Datagram => vec![CauseId::NONE],
+                };
+                assert!(causes.contains(&e.cause), "{link:?}: {r:?} {e:?}");
+            }
         }
     }
 

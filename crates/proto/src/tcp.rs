@@ -8,13 +8,14 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConnId(pub u32);
 
-/// Direction of data flow within a duplex connection.
+/// Direction of data flow within a duplex connection; `dir as u8` is
+/// the code a causal event records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dir {
     /// From the connecting host (`a`) to the accepting host (`b`).
-    AtoB,
+    AtoB = 0,
     /// From `b` to `a`.
-    BtoA,
+    BtoA = 1,
 }
 
 impl Dir {

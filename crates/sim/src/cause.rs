@@ -18,7 +18,6 @@
 //! all zero                                          none
 //! ```
 
-use crate::frame::FrameRecord;
 use serde::{Deserialize, Serialize};
 
 const TAG_SHIFT: u32 = 62;
@@ -198,14 +197,12 @@ impl FrameMeta {
     }
 }
 
-/// One tagged delivery: the trace record of the frame plus its cause and
-/// MAC timing. Emitted by the protocol layer in exactly trace order, so
-/// index `i` of the causal stream describes row `i` of the promiscuous
-/// trace.
+/// One tagged delivery: what the trace row of a frame does not say, its
+/// cause, TCP identity and MAC timing. Emitted by the protocol layer in
+/// exactly trace order, so index `i` of the causal stream describes row
+/// `i` of the promiscuous trace, which holds the frame's record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CausalEvent {
-    /// The same record the promiscuous trace stores for this frame.
-    pub record: FrameRecord,
     /// What caused the frame.
     pub cause: CauseId,
     /// Whether this delivery is a TCP retransmission of earlier bytes

@@ -169,6 +169,31 @@ impl FrameRecord {
     }
 }
 
+/// Row-by-row read access to a captured trace, whatever holds it: the
+/// engine's `[FrameRecord]` or a columnar store. Analyses that pair the
+/// causal log with the trace (`events[i]` describes row `i`) read the
+/// rows through it, so neither side is copied.
+pub trait TraceRows {
+    /// Rows in the trace.
+    fn len(&self) -> usize;
+    /// Whether the trace holds no rows.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// Row `i`; panics when `i >= self.len()`.
+    fn get(&self, i: usize) -> FrameRecord;
+}
+
+impl TraceRows for [FrameRecord] {
+    fn len(&self) -> usize {
+        <[FrameRecord]>::len(self)
+    }
+
+    fn get(&self, i: usize) -> FrameRecord {
+        self[i]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,7 +17,8 @@
 //! * [`Frame`] / [`FrameRecord`] — Ethernet frames and the promiscuous
 //!   trace records derived from them (timestamp, wire size including all
 //!   headers and the trailer, protocol, source and destination host), the
-//!   exact record schema of the paper's §5.3 tcpdump methodology.
+//!   exact record schema of the paper's §5.3 tcpdump methodology;
+//!   [`TraceRows`] reads a trace row by row, whatever holds it.
 //! * [`EtherBus`] — a single shared collision domain with CSMA/CD:
 //!   carrier sense, deference, inter-frame gap, collisions among stations
 //!   that attempt transmission simultaneously, jam, and truncated binary
@@ -64,7 +65,8 @@ pub use cause::{AppCause, CausalEvent, Cause, CauseId, FrameMeta, ProtoCause};
 pub use error::{FxnetError, FxnetResult};
 pub use ethernet::{EtherBus, EtherConfig, EtherStats, NicId, TxError};
 pub use frame::{
-    Frame, FrameKind, FrameRecord, FrameTap, HostId, Proto, ETHER_OVERHEAD, MAX_FRAME, MIN_FRAME,
+    Frame, FrameKind, FrameRecord, FrameTap, HostId, Proto, TraceRows, ETHER_OVERHEAD, MAX_FRAME,
+    MIN_FRAME,
 };
 pub use linkstats::{LinkProbe, LinkSeries, LinkStats, LinkWindow, BUS_LINK, LINK_WINDOW_NS};
 pub use queue::{EventKey, EventQueue, KeyedQueue, LaneQueue};

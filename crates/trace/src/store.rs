@@ -44,7 +44,7 @@ use crate::bandwidth::{binned_from, Lifetime};
 use crate::bursts::{Burst, BurstProfile, BurstSegmenter};
 use crate::stats::{Interarrivals, Stats, Welford};
 use crate::stream::SlidingBandwidth;
-use fxnet_sim::{FrameKind, FrameRecord, HostId, Proto, SimTime};
+use fxnet_sim::{FrameKind, FrameRecord, HostId, Proto, SimTime, TraceRows};
 use std::collections::BTreeMap;
 
 /// Pack a frame's protocol and kind into one byte: bit 0 is the
@@ -329,6 +329,16 @@ impl TraceStore {
                 )
             })
             .collect()
+    }
+}
+
+impl TraceRows for TraceStore {
+    fn len(&self) -> usize {
+        TraceStore::len(self)
+    }
+
+    fn get(&self, i: usize) -> FrameRecord {
+        TraceStore::get(self, i)
     }
 }
 
