@@ -282,40 +282,40 @@ pub fn airshed_rank(ctx: &mut RankCtx, p: &AirshedParams) -> u64 {
     checksum(&c)
 }
 
-/// Sequential reference: per-rank layer-block checksums for `np` ranks.
-pub fn airshed_sequential(p: &AirshedParams, np: usize) -> Vec<u64> {
-    let mut c = init_layer_block(p, 0, p.layers);
-    for _hour in 0..p.hours {
-        let lus: Vec<Lu> = (0..p.layers).map(|l| layer_stiffness(p, l)).collect();
-        for _step in 0..p.steps {
-            transport_block(&mut c, p, &lus);
-            // In the sequential reference the "transpose" is the identity
-            // on data, but the f32 wire rounding still applies; chemistry
-            // runs on the full grid width.
-            for v in c.iter_mut() {
-                *v = round_wire(*v);
-            }
-            chem_block(&mut c, p, p.grid);
-            for v in c.iter_mut() {
-                *v = round_wire(*v);
-            }
-            transport_block(&mut c, p, &lus);
-        }
-    }
-    let ldist = BlockDist::new(p.layers, np);
-    (0..np)
-        .map(|r| {
-            let seg = &c[ldist.lo(r) * p.species * p.grid..ldist.hi(r) * p.species * p.grid];
-            checksum(seg)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fxnet_fx::{run_single, RunOptions, SpmdConfig};
     use fxnet_sim::FrameKind;
+
+    /// Sequential reference: per-rank layer-block checksums for `np` ranks.
+    fn airshed_sequential(p: &AirshedParams, np: usize) -> Vec<u64> {
+        let mut c = init_layer_block(p, 0, p.layers);
+        for _hour in 0..p.hours {
+            let lus: Vec<Lu> = (0..p.layers).map(|l| layer_stiffness(p, l)).collect();
+            for _step in 0..p.steps {
+                transport_block(&mut c, p, &lus);
+                // In the sequential reference the "transpose" is the identity
+                // on data, but the f32 wire rounding still applies; chemistry
+                // runs on the full grid width.
+                for v in c.iter_mut() {
+                    *v = round_wire(*v);
+                }
+                chem_block(&mut c, p, p.grid);
+                for v in c.iter_mut() {
+                    *v = round_wire(*v);
+                }
+                transport_block(&mut c, p, &lus);
+            }
+        }
+        let ldist = BlockDist::new(p.layers, np);
+        (0..np)
+            .map(|r| {
+                let seg = &c[ldist.lo(r) * p.species * p.grid..ldist.hi(r) * p.species * p.grid];
+                checksum(seg)
+            })
+            .collect()
+    }
 
     fn cfg(p: u32) -> SpmdConfig {
         let mut c = SpmdConfig {

@@ -101,27 +101,27 @@ pub fn seq_rank(ctx: &mut RankCtx, p: &SeqParams) -> u64 {
     checksum(&block)
 }
 
-/// Sequential reference: per-rank block checksums.
-pub fn seq_sequential(p: &SeqParams, np: usize) -> Vec<u64> {
-    let dist = BlockDist::new(p.n, np);
-    (0..np)
-        .map(|rank| {
-            let mut block = vec![0.0f64; dist.size(rank) * p.n];
-            for r in dist.lo(rank)..dist.hi(rank) {
-                for c in 0..p.n {
-                    block[(r - dist.lo(rank)) * p.n + c] = element(p.n, r, c);
-                }
-            }
-            checksum(&block)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fxnet_fx::{run_single, RunOptions, SpmdConfig};
     use fxnet_sim::FrameKind;
+
+    /// Sequential reference: per-rank block checksums.
+    fn seq_sequential(p: &SeqParams, np: usize) -> Vec<u64> {
+        let dist = BlockDist::new(p.n, np);
+        (0..np)
+            .map(|rank| {
+                let mut block = vec![0.0f64; dist.size(rank) * p.n];
+                for r in dist.lo(rank)..dist.hi(rank) {
+                    for c in 0..p.n {
+                        block[(r - dist.lo(rank)) * p.n + c] = element(p.n, r, c);
+                    }
+                }
+                checksum(&block)
+            })
+            .collect()
+    }
 
     fn cfg(p: u32) -> SpmdConfig {
         let mut c = SpmdConfig {

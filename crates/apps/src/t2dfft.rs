@@ -116,38 +116,38 @@ pub fn t2dfft_rank(ctx: &mut RankCtx, p: &T2dfftParams) -> u64 {
     }
 }
 
-/// Sequential reference: the receiver-half checksums for one pipeline
-/// iteration (every iteration computes the same thing).
-pub fn t2dfft_sequential(p: &T2dfftParams, np: usize) -> Vec<u64> {
-    let h = np / 2;
-    let n = p.n;
-    let mut m = initial_block(n, 0, n);
-    fft_rows(&mut m, n);
-    let mut t = vec![0.0f32; n * n * 2];
-    for r in 0..n {
-        for c in 0..n {
-            t[(c * n + r) * 2] = m[(r * n + c) * 2];
-            t[(c * n + r) * 2 + 1] = m[(r * n + c) * 2 + 1];
-        }
-    }
-    fft_rows(&mut t, n);
-    let dist = BlockDist::new(n, h);
-    let mut out = vec![0u64; np];
-    for cr in 0..h {
-        out[h + cr] = checksum_f32(&t[dist.lo(cr) * n * 2..dist.hi(cr) * n * 2]);
-    }
-    // Senders return their accumulated block length.
-    for (sr, slot) in out.iter_mut().take(h).enumerate() {
-        *slot = (dist.size(sr) * n * 2 * p.iters) as u64;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fxnet_fx::{run_single, RunOptions, SpmdConfig};
     use fxnet_sim::FrameKind;
+
+    /// Sequential reference: the receiver-half checksums for one pipeline
+    /// iteration (every iteration computes the same thing).
+    fn t2dfft_sequential(p: &T2dfftParams, np: usize) -> Vec<u64> {
+        let h = np / 2;
+        let n = p.n;
+        let mut m = initial_block(n, 0, n);
+        fft_rows(&mut m, n);
+        let mut t = vec![0.0f32; n * n * 2];
+        for r in 0..n {
+            for c in 0..n {
+                t[(c * n + r) * 2] = m[(r * n + c) * 2];
+                t[(c * n + r) * 2 + 1] = m[(r * n + c) * 2 + 1];
+            }
+        }
+        fft_rows(&mut t, n);
+        let dist = BlockDist::new(n, h);
+        let mut out = vec![0u64; np];
+        for cr in 0..h {
+            out[h + cr] = checksum_f32(&t[dist.lo(cr) * n * 2..dist.hi(cr) * n * 2]);
+        }
+        // Senders return their accumulated block length.
+        for (sr, slot) in out.iter_mut().take(h).enumerate() {
+            *slot = (dist.size(sr) * n * 2 * p.iters) as u64;
+        }
+        out
+    }
 
     fn cfg(p: u32) -> SpmdConfig {
         let mut c = SpmdConfig {

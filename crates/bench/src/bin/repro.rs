@@ -947,7 +947,7 @@ fn blame_attrib(c: &mut Ctx) {
     header("Causal provenance: who caused the violation, where the time went");
     use fxnet::causal::{
         blame_violation, chrome_trace, collective_paths, dag_value, CauseDag, CollectivePath,
-        ViolationBlame,
+        DagJson, ViolationBlame,
     };
     use fxnet::mix::MixTenant;
     use fxnet::TestbedBuilder;
@@ -1119,7 +1119,7 @@ fn blame_attrib(c: &mut Ctx) {
     struct BlameReport {
         blame: ViolationBlame,
         critical_paths: Vec<CollectivePath>,
-        dag: Value,
+        dag: DagJson,
         trunk: TrunkBlame,
     }
     #[derive(serde::Serialize)]
@@ -2118,7 +2118,7 @@ fn health_cell(prog: SweepProg, seed: u64, div: usize) -> HealthCell {
 fn fabric_health(c: &mut Ctx) {
     header("Fabric health: the weather map on the oversubscribed trunk");
     use fxnet::causal::intervals_overlap;
-    use fxnet::metrics::{fill_registry_labeled, report_jsonl, FabricRollup, ScalingRelation};
+    use fxnet::metrics::{fill_registry, report_jsonl, FabricRollup, ScalingRelation};
     use fxnet::telemetry::{labeled, write_prometheus, TelemetryRegistry};
     let div = c.div;
     let seed = c.exps.seed();
@@ -2217,7 +2217,7 @@ fn fabric_health(c: &mut Ctx) {
     // headroom next to the link gauges (qos × metrics).
     let mut reg = TelemetryRegistry::new();
     for cell in &cells {
-        fill_registry_labeled(&cell.report, &mut reg, &[("prog", cell.prog)]);
+        fill_registry(&cell.report, &mut reg, &[("prog", cell.prog)]);
         let l = [("prog", cell.prog)];
         reg.set_gauge(labeled("fabric_tenant_headroom", &l), cell.headroom);
         reg.set_gauge(

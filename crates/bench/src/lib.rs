@@ -378,7 +378,8 @@ pub fn analysis_suite_columnar(name: &str, store: &TraceStore) -> String {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use fxnet::trace::{load_store, save_store, Periodogram, TraceReport, TraceView};
+    use fxnet::trace::io::SAVE_CHUNK_FRAMES;
+    use fxnet::trace::{load_store, save_store_chunked, Periodogram, TraceReport, TraceView};
 
     /// The report composed from the view kernels, one pass over the view
     /// per quantity: the oracle for everything in this crate that takes
@@ -524,7 +525,7 @@ pub(crate) mod tests {
         // must also match byte for byte.
         std::fs::create_dir_all(&dir).expect("create dir");
         let bin = dir.join("suite.fxb");
-        save_store(&bin, &store).expect("save binary");
+        save_store_chunked(&bin, &store, SAVE_CHUNK_FRAMES).expect("save binary");
         let from_bin = load_store(&bin).expect("load binary");
         assert_eq!(from_bin, store);
         assert_eq!(analysis_suite_columnar("HIST", &from_bin), aos);

@@ -11,7 +11,7 @@ use crate::dag::{CauseDag, Provenance};
 use fxnet_pvm::TenantMap;
 use fxnet_sim::{FrameKind, Proto, SimTime, TraceRows};
 use fxnet_telemetry::TraceEvent;
-use serde::{Serialize, Value};
+use serde::Serialize;
 
 fn kind_label(kind: FrameKind) -> &'static str {
     match kind {
@@ -28,9 +28,11 @@ fn tenant_name(map: &TenantMap, tenant: u32) -> String {
         .map_or_else(|| format!("tenant-{tenant}"), |s| s.name.clone())
 }
 
-/// The exported cause DAG.
+/// The exported cause DAG, as [`dag_value`] lays it out: the op table,
+/// one row per delivered frame, the retransmit edges and the
+/// conservation summary, serialized in that order.
 #[derive(Serialize)]
-struct DagJson {
+pub struct DagJson {
     ops: Vec<OpRow>,
     frames: Vec<FrameRow>,
     retransmit_edges: Vec<(usize, usize)>,
@@ -101,10 +103,10 @@ struct ConservationRow {
     violation: Option<String>,
 }
 
-/// The cause DAG as a deterministic JSON value: the op table, one entry
+/// The cause DAG as deterministic JSON rows: the op table, one entry
 /// per delivered frame with its resolved provenance, the retransmit
 /// edges, and the conservation summary.
-pub fn dag_value<R: TraceRows + ?Sized>(dag: &CauseDag<'_, R>, map: &TenantMap) -> Value {
+pub fn dag_value<R: TraceRows + ?Sized>(dag: &CauseDag<'_, R>, map: &TenantMap) -> DagJson {
     let ops = dag
         .run
         .ops
@@ -192,7 +194,6 @@ pub fn dag_value<R: TraceRows + ?Sized>(dag: &CauseDag<'_, R>, map: &TenantMap) 
         retransmit_edges: dag.retransmit_edges.clone(),
         conservation,
     }
-    .to_value()
 }
 
 /// The critical paths as Chrome trace events (Perfetto-loadable): one

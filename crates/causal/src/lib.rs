@@ -45,5 +45,5 @@ pub use critical::{
     collective_paths, contended_intervals, intervals_overlap, CollectivePath, SegmentBreakdown,
 };
 pub use dag::{CauseDag, ConservationError, ConservationReport, Provenance, RowMismatch};
-pub use export::{chrome_trace, dag_value};
+pub use export::{chrome_trace, dag_value, DagJson};
 pub use fxnet_sim::{AppCause, CausalEvent, Cause, CauseId, FrameMeta, ProtoCause};

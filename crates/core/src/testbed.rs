@@ -176,11 +176,6 @@ impl Testbed {
         &self.cfg
     }
 
-    /// Mutable access to the full configuration.
-    pub fn config_mut(&mut self) -> &mut SpmdConfig {
-        &mut self.cfg
-    }
-
     /// Run one of the five kernels at paper scale with the outer
     /// iteration count divided by `iter_div` (1 = the full measured run).
     ///
@@ -405,7 +400,7 @@ mod tests {
                 fxnet_sim::RATE_10M,
             ))
             .build();
-        tb.config_mut().hosts = 12; // spec only attaches 9
+        tb.cfg.hosts = 12; // spec only attaches 9
         let err = tb.run_kernel(KernelKind::Sor, 100).unwrap_err();
         assert!(
             matches!(err, fxnet_fx::FxnetError::InvalidConfig(_)),
@@ -477,7 +472,7 @@ mod tests {
     #[test]
     fn invalid_testbed_surfaces_a_typed_error() {
         let mut tb = Testbed::quiet(4);
-        tb.config_mut().hosts = 2; // fewer hosts than ranks
+        tb.cfg.hosts = 2; // fewer hosts than ranks
         let err = tb.run_kernel(KernelKind::Sor, 100).unwrap_err();
         assert!(
             matches!(err, fxnet_fx::FxnetError::InvalidConfig(_)),

@@ -7,11 +7,9 @@
 //! tightly the pattern synchronizes the processors — load-bearing facts
 //! for the per-connection analyses (§6.1) and the QoS model (§7).
 
-/// A global collective communication pattern over `P` SPMD ranks.
-///
-/// The general case of §2 — "each processor sends to any arbitrary group
-/// of the remaining processors" — is [`Pattern::many_to_many`]; the named
-/// variants are the common special cases dense-matrix codes exhibit.
+/// A global collective communication pattern over `P` SPMD ranks: the
+/// special cases of §2's many-to-many exchange that dense-matrix codes
+/// exhibit.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Pattern {
     /// Each rank exchanges with its lattice neighbors `p±1` (SOR).
@@ -31,16 +29,6 @@ pub enum Pattern {
     TreeDown,
     /// Each rank sends to the rank `k` ahead, mod `P` (§7.3's example).
     Shift { k: u32 },
-    /// The general many-to-many case: an explicit round schedule.
-    ManyToMany(std::sync::Arc<Vec<Vec<(u32, u32)>>>),
-}
-
-impl Pattern {
-    /// Build the general many-to-many pattern from explicit rounds of
-    /// `(src, dst)` pairs.
-    pub fn many_to_many(rounds: Vec<Vec<(u32, u32)>>) -> Pattern {
-        Pattern::ManyToMany(std::sync::Arc::new(rounds))
-    }
 }
 
 impl Pattern {
@@ -107,15 +95,6 @@ impl Pattern {
                 }
                 vec![(0..p).map(|i| (i, (i + k) % p)).collect()]
             }
-            Pattern::ManyToMany(ref rounds) => {
-                for round in rounds.iter() {
-                    for &(s, d) in round {
-                        assert!(s < p && d < p, "pair ({s},{d}) outside 0..{p}");
-                        assert_ne!(s, d, "self-send in many-to-many schedule");
-                    }
-                }
-                rounds.as_ref().clone()
-            }
         }
     }
 
@@ -139,7 +118,6 @@ impl Pattern {
             Pattern::TreeUp => "tree (up)",
             Pattern::TreeDown => "tree (down)",
             Pattern::Shift { .. } => "shift",
-            Pattern::ManyToMany(_) => "many-to-many",
         }
     }
 }
@@ -225,30 +203,6 @@ mod tests {
     fn shift_rotates() {
         let sched = Pattern::Shift { k: 1 }.schedule(4);
         assert_eq!(sched, vec![vec![(0, 1), (1, 2), (2, 3), (3, 0)]]);
-    }
-
-    #[test]
-    fn many_to_many_takes_custom_rounds() {
-        let pat = Pattern::many_to_many(vec![vec![(0, 3), (1, 2)], vec![(3, 0)]]);
-        let sched = pat.schedule(4);
-        assert_eq!(sched.len(), 2);
-        assert_eq!(sched[0], vec![(0, 3), (1, 2)]);
-        assert_eq!(pat.connection_count(4), 3);
-        assert_eq!(pat.name(), "many-to-many");
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn many_to_many_validates_rank_bounds() {
-        let pat = Pattern::many_to_many(vec![vec![(0, 9)]]);
-        let _ = pat.schedule(4);
-    }
-
-    #[test]
-    #[should_panic(expected = "self-send")]
-    fn many_to_many_rejects_self_sends() {
-        let pat = Pattern::many_to_many(vec![vec![(2, 2)]]);
-        let _ = pat.schedule(4);
     }
 
     #[test]

@@ -126,19 +126,10 @@ pub fn report_jsonl(r: &WeatherReport) -> String {
 /// Snapshot the report into the unified registry under labeled
 /// `fabric_*` families, Prometheus-ready: totals as counters, peaks
 /// and scaling relations as gauges, one `fabric_hotspot_flagged` gauge
-/// per latched hotspot.
-pub fn fill_registry(r: &WeatherReport, reg: &mut TelemetryRegistry) {
-    fill_registry_labeled(r, reg, &[]);
-}
-
-/// [`fill_registry`] with `extra` label pairs appended to every sample
-/// — e.g. `[("prog", "SOR")]` so several programs' reports coexist in
-/// one registry without colliding.
-pub fn fill_registry_labeled(
-    r: &WeatherReport,
-    reg: &mut TelemetryRegistry,
-    extra: &[(&str, &str)],
-) {
+/// per latched hotspot. `extra` label pairs are appended to every
+/// sample — e.g. `[("prog", "SOR")]` so several programs' reports
+/// coexist in one registry without colliding.
+pub fn fill_registry(r: &WeatherReport, reg: &mut TelemetryRegistry, extra: &[(&str, &str)]) {
     let with = |own: &[(&str, &str)]| -> Vec<(String, String)> {
         own.iter()
             .chain(extra)
@@ -310,7 +301,7 @@ mod tests {
     fn registry_snapshot_round_trips_through_prometheus_text() {
         let r = report();
         let mut reg = TelemetryRegistry::new();
-        fill_registry(&r, &mut reg);
+        fill_registry(&r, &mut reg, &[]);
         let text = prometheus_text(&reg);
         assert!(text.contains("fabric_link_bytes_total{link=\"trunk:n0-n1:fwd\"} 60000"));
         assert!(text.contains("fabric_hotspot_flagged{link=\"trunk:n0-n1\"} 1"));

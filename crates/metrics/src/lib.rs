@@ -32,7 +32,7 @@ pub mod matrix;
 pub mod rollup;
 pub mod sampler;
 
-pub use export::{counter_events, fill_registry, fill_registry_labeled, report_jsonl};
+pub use export::{counter_events, fill_registry, report_jsonl};
 pub use matrix::{ScalingAccum, ScalingRelation};
 pub use rollup::{
     rollup, strip_direction, windows_to_intervals, FabricRollup, GroupHealth, Hotspot,

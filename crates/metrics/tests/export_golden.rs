@@ -116,7 +116,7 @@ fn exports() -> (Vec<(&'static str, String)>, TelemetryRegistry) {
     let blame = blame_violation(event, causal, &out.store, &out.map);
     let dag = CauseDag::build(causal, &out.store).expect("one event per row");
     let mut reg = TelemetryRegistry::new();
-    fill_registry(&report, &mut reg);
+    fill_registry(&report, &mut reg, &[]);
 
     let texts = vec![
         ("rollup", serde::json::to_string(&report.rollup)),

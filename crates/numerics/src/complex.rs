@@ -36,15 +36,6 @@ impl Complex {
         }
     }
 
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Complex {
-        Complex {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
     /// Squared magnitude `|z|²`.
     #[inline]
     pub fn norm_sq(self) -> f64 {
@@ -135,8 +126,9 @@ mod tests {
         let z = Complex::new(3.0, 4.0);
         assert_eq!(z.abs(), 5.0);
         assert_eq!(z.norm_sq(), 25.0);
-        assert_eq!((z * z.conj()).re, 25.0);
-        assert!((z * z.conj()).im.abs() < 1e-12);
+        let conj = Complex::new(z.re, -z.im);
+        assert_eq!((z * conj).re, 25.0);
+        assert!((z * conj).im.abs() < 1e-12);
     }
 
     #[test]

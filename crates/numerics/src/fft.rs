@@ -27,19 +27,6 @@ pub fn ifft(x: &mut [Complex]) {
     }
 }
 
-/// `|FFT(x)|²` for a real-valued signal, returning only the first half of
-/// the spectrum (DC through Nyquist inclusive). This is the periodogram
-/// core used by the trace analysis.
-pub fn fft_magnitude_squared(signal: &[f64]) -> Vec<f64> {
-    let n = signal.len().next_power_of_two();
-    let mut buf = vec![Complex::ZERO; n];
-    for (b, &s) in buf.iter_mut().zip(signal) {
-        *b = Complex::real(s);
-    }
-    fft(&mut buf);
-    buf[..n / 2 + 1].iter().map(|z| z.norm_sq()).collect()
-}
-
 /// Transforms of at most `2^MAX_CACHED_LOG2` points keep their plan for
 /// the life of the process (n − 1 twiddles each: under 2 MiB per
 /// direction if every such length were asked for); a longer one builds
@@ -232,10 +219,13 @@ mod tests {
     fn pure_tone_has_single_bin() {
         let n = 256;
         let k0 = 17;
-        let signal: Vec<f64> = (0..n)
-            .map(|i| (2.0 * std::f64::consts::PI * k0 as f64 * i as f64 / n as f64).cos())
+        let mut x: Vec<Complex> = (0..n)
+            .map(|i| {
+                Complex::real((2.0 * std::f64::consts::PI * k0 as f64 * i as f64 / n as f64).cos())
+            })
             .collect();
-        let p = fft_magnitude_squared(&signal);
+        fft(&mut x);
+        let p: Vec<f64> = x[..n / 2 + 1].iter().map(|z| z.norm_sq()).collect();
         let peak = p
             .iter()
             .enumerate()

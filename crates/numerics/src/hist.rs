@@ -23,9 +23,6 @@ pub fn merge_histograms(acc: &mut [u32], other: &[u32]) {
     }
 }
 
-/// Approximate scalar operations per histogrammed point, for the cost model.
-pub const HIST_OPS_PER_POINT: u64 = 4;
-
 #[cfg(test)]
 mod tests {
     use super::*;

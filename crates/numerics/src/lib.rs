@@ -22,8 +22,8 @@
 //!
 //! The SPMD applications in `fxnet-apps` run these kernels *for real* on
 //! their block-distributed data and exchange actual bytes through the
-//! simulated network; integration tests check their results against the
-//! sequential references here.
+//! simulated network; tests check their results against the sequential
+//! references beside each program there.
 
 //! ```
 //! use fxnet_numerics::{fft, ifft, Complex};
@@ -45,5 +45,5 @@ pub mod matrix;
 pub mod sor;
 
 pub use complex::Complex;
-pub use fft::{fft, fft_magnitude_squared, ifft};
+pub use fft::{fft, ifft};
 pub use matrix::Matrix;

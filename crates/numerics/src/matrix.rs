@@ -29,11 +29,6 @@ impl Matrix {
         m
     }
 
-    /// The identity matrix.
-    pub fn identity(n: usize) -> Matrix {
-        Matrix::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -57,14 +52,6 @@ impl Matrix {
     /// The underlying row-major storage, mutably.
     pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Matrix–vector product.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols);
-        (0..self.rows)
-            .map(|r| self.row(r).iter().zip(x).map(|(a, b)| a * b).sum())
-            .collect()
     }
 
     /// Swap two rows.
@@ -106,20 +93,6 @@ mod tests {
         assert_eq!(m.cols(), 2);
         assert_eq!(m[(2, 1)], 21.0);
         assert_eq!(m.row(1), &[10.0, 11.0]);
-    }
-
-    #[test]
-    fn identity_matvec() {
-        let i = Matrix::identity(4);
-        let x = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(i.matvec(&x), x);
-    }
-
-    #[test]
-    fn matvec_known() {
-        let m = Matrix::from_fn(2, 3, |r, c| (r + c) as f64);
-        // [[0,1,2],[1,2,3]] * [1,1,1] = [3,6]
-        assert_eq!(m.matvec(&[1.0, 1.0, 1.0]), vec![3.0, 6.0]);
     }
 
     #[test]

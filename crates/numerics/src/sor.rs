@@ -55,26 +55,22 @@ pub fn sor_reference(grid: &mut [Vec<f64>], omega: f64, steps: usize) {
     }
 }
 
-/// Approximate flops per updated interior point (adds + multiplies of the
-/// 5-point stencil), for the compute cost model.
-pub const SOR_FLOPS_PER_POINT: u64 = 7;
-
-/// Residual of the Laplace equation over the interior: max |Δu|.
-pub fn laplace_residual(grid: &[Vec<f64>]) -> f64 {
-    let mut worst: f64 = 0.0;
-    for i in 1..grid.len() - 1 {
-        for j in 1..grid[0].len() - 1 {
-            let lap = grid[i - 1][j] + grid[i + 1][j] + grid[i][j - 1] + grid[i][j + 1]
-                - 4.0 * grid[i][j];
-            worst = worst.max(lap.abs());
-        }
-    }
-    worst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Residual of the Laplace equation over the interior: max |Δu|.
+    fn laplace_residual(grid: &[Vec<f64>]) -> f64 {
+        let mut worst: f64 = 0.0;
+        for i in 1..grid.len() - 1 {
+            for j in 1..grid[0].len() - 1 {
+                let lap = grid[i - 1][j] + grid[i + 1][j] + grid[i][j - 1] + grid[i][j + 1]
+                    - 4.0 * grid[i][j];
+                worst = worst.max(lap.abs());
+            }
+        }
+        worst
+    }
 
     fn hot_top_grid(n: usize) -> Vec<Vec<f64>> {
         let mut g = vec![vec![0.0; n]; n];

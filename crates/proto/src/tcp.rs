@@ -18,16 +18,6 @@ pub enum Dir {
     BtoA = 1,
 }
 
-impl Dir {
-    /// The opposite direction.
-    pub fn flip(self) -> Dir {
-        match self {
-            Dir::AtoB => Dir::BtoA,
-            Dir::BtoA => Dir::AtoB,
-        }
-    }
-}
-
 /// Connection establishment state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnState {
@@ -174,12 +164,6 @@ impl TcpConn {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dir_flip() {
-        assert_eq!(Dir::AtoB.flip(), Dir::BtoA);
-        assert_eq!(Dir::BtoA.flip(), Dir::AtoB);
-    }
 
     #[test]
     fn half_inflight_accounting() {

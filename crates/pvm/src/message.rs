@@ -126,19 +126,9 @@ impl MessageBuilder {
         self.pack_le(v, f32::to_le_bytes)
     }
 
-    /// Pack a slice of `i32` values.
-    pub fn pack_i32(&mut self, v: &[i32]) -> &mut Self {
-        self.pack_le(v, i32::to_le_bytes)
-    }
-
     /// Pack a slice of `u32` values.
     pub fn pack_u32(&mut self, v: &[u32]) -> &mut Self {
         self.pack_le(v, u32::to_le_bytes)
-    }
-
-    /// Pack a slice of `u64` values.
-    pub fn pack_u64(&mut self, v: &[u64]) -> &mut Self {
-        self.pack_le(v, u64::to_le_bytes)
     }
 
     /// Pack raw bytes.
@@ -279,29 +269,14 @@ impl<'a> MessageReader<'a> {
         self.unpack_le(n, f32::from_le_bytes)
     }
 
-    /// Unpack `n` `i32` values.
-    pub fn i32s(&mut self, n: usize) -> Vec<i32> {
-        self.unpack_le(n, i32::from_le_bytes)
-    }
-
     /// Unpack `n` `u32` values.
     pub fn u32s(&mut self, n: usize) -> Vec<u32> {
         self.unpack_le(n, u32::from_le_bytes)
     }
 
-    /// Unpack `n` `u64` values.
-    pub fn u64s(&mut self, n: usize) -> Vec<u64> {
-        self.unpack_le(n, u64::from_le_bytes)
-    }
-
     /// Unpack `n` raw bytes.
     pub fn bytes(&mut self, n: usize) -> &'a [u8] {
         self.take(n, 1)
-    }
-
-    /// Bytes not yet unpacked.
-    pub fn remaining(&self) -> usize {
-        self.body.len() - self.pos
     }
 }
 
@@ -429,17 +404,19 @@ impl StreamParser {
             body,
         });
     }
-
-    /// Whether a message is partially received.
-    pub fn mid_message(&self) -> bool {
-        !self.partial.is_empty() || !self.spill.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl StreamParser {
+        /// Whether a message is partially received.
+        fn mid_message(&self) -> bool {
+            !self.partial.is_empty() || !self.spill.is_empty()
+        }
+    }
 
     fn round_trip(out: OutMessage, src: u32) -> Message {
         let mut p = StreamParser::new();
@@ -459,7 +436,7 @@ mod tests {
     #[test]
     fn copy_loop_mode_is_single_fragment() {
         let mut b = MessageBuilder::new(7);
-        b.pack_f64(&[1.0, 2.0]).pack_i32(&[3, 4]).pack_bytes(b"xy");
+        b.pack_f64(&[1.0, 2.0]).pack_u32(&[3, 4]).pack_bytes(b"xy");
         let m = b.finish();
         assert_eq!(m.frag_count(), 1);
         assert_eq!(m.payload_len(), 16 + 8 + 2);
@@ -514,9 +491,7 @@ mod tests {
         let mut b = MessageBuilder::new(-3);
         b.pack_f64(&[1.5, -2.5])
             .pack_f32(&[0.25])
-            .pack_i32(&[-7])
             .pack_u32(&[9])
-            .pack_u64(&[u64::MAX])
             .pack_bytes(&[1, 2, 3]);
         let m = round_trip(b.finish(), 2);
         assert_eq!(m.tag, -3);
@@ -524,11 +499,8 @@ mod tests {
         let mut r = m.reader();
         assert_eq!(r.f64s(2), vec![1.5, -2.5]);
         assert_eq!(r.f32s(1), vec![0.25]);
-        assert_eq!(r.i32s(1), vec![-7]);
         assert_eq!(r.u32s(1), vec![9]);
-        assert_eq!(r.u64s(1), vec![u64::MAX]);
         assert_eq!(r.bytes(3), &[1, 2, 3]);
-        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -600,10 +572,10 @@ mod tests {
     #[should_panic(expected = "unpack past end")]
     fn over_read_panics() {
         let mut b = MessageBuilder::new(0);
-        b.pack_i32(&[1]);
+        b.pack_u32(&[1]);
         let m = round_trip(b.finish(), 0);
         let mut r = m.reader();
-        let _ = r.i32s(2);
+        let _ = r.u32s(2);
     }
 
     fn reader_of(n: usize) -> Message {

@@ -87,13 +87,6 @@ impl TenantMap {
         self.slices.iter().position(|s| s.owns_host(h))
     }
 
-    /// Translate a tenant-local rank to the global task id.
-    pub fn global(&self, tenant: usize, local: u32) -> TaskId {
-        let s = &self.slices[tenant];
-        assert!(local < s.p, "rank {local} out of range for tenant {tenant}");
-        TaskId(s.base + local)
-    }
-
     /// Translate a global task id to `(tenant index, local rank)`.
     pub fn local(&self, t: TaskId) -> Option<(usize, u32)> {
         let i = self.owner_of_task(t)?;
@@ -134,13 +127,14 @@ mod tests {
     fn translation_round_trips() {
         let m = map3();
         for tenant in 0..m.len() {
-            for local in 0..m.slices()[tenant].p {
-                let g = m.global(tenant, local);
-                assert_eq!(m.local(g), Some((tenant, local)));
+            let s = &m.slices()[tenant];
+            for local in 0..s.p {
+                assert_eq!(m.local(TaskId(s.base + local)), Some((tenant, local)));
             }
         }
-        assert_eq!(m.global(1, 0), TaskId(4));
-        assert_eq!(m.global(2, 2), TaskId(8));
+        assert_eq!(m.local(TaskId(4)), Some((1, 0)));
+        assert_eq!(m.local(TaskId(8)), Some((2, 2)));
+        assert_eq!(m.local(TaskId(9)), None);
     }
 
     #[test]

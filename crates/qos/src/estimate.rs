@@ -9,11 +9,19 @@
 //! Scaling assumptions (embarrassingly parallel work, fixed or
 //! `1/P`-scaled messages) then extend the point estimate to a full
 //! descriptor the network can negotiate against.
+//!
+//! There is one estimator, [`BurstEstimator`]: it folds each frame into
+//! running sums as it arrives, through the same [`BurstSegmenter`] the
+//! trace kernels run. A burst is open while consecutive frames are no
+//! more than the quiet gap apart, and closes — updating the running
+//! estimate — when the gap is exceeded or the stream ends. O(1) state
+//! per stream. The live watcher feeds it frame by frame;
+//! [`estimate_traffic`] is the same fold over a whole trace.
 
 use crate::descriptor::AppDescriptor;
 use fxnet_fx::Pattern;
 use fxnet_sim::SimTime;
-use fxnet_trace::{BurstProfile, TraceView};
+use fxnet_trace::{Burst, BurstSegmenter, TraceView};
 
 /// Point estimates extracted from one measured run at a known `P`.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -43,22 +51,142 @@ pub enum BurstScaling {
     FixedTotal,
 }
 
-/// Extract point estimates from a trace measured at `p` processors,
-/// segmenting its bursts once, split at quiet gaps longer than `gap`.
-/// Returns `None` when the trace has fewer than two bursts (no interval
-/// to measure).
+/// The live traffic estimate, in the vocabulary of the QoS descriptor:
+/// the tenant *behaves as if* it had handed the network this `[l, b, c]`.
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct LiveEstimate {
+    /// Completed bursts observed.
+    pub bursts: u64,
+    /// Mean burst length, seconds (`t_b`).
+    pub t_burst: f64,
+    /// Mean start-to-start burst interval, seconds (`t_bi`).
+    pub t_interval: f64,
+    /// Implied local computation per cycle: `t_bi − t_b`, clamped ≥ 0.
+    pub local_s: f64,
+    /// Mean bytes per burst per connection (the effective `b(P)`).
+    pub burst_bytes: f64,
+    /// Effective long-run load: mean cycle volume over mean interval,
+    /// bytes/s.
+    pub mean_bw: f64,
+}
+
+/// O(1)-state streaming burst detector with running `[l, b, c]` sums.
+#[derive(Debug, Clone)]
+pub struct BurstEstimator {
+    segmenter: BurstSegmenter,
+    prev_start: Option<SimTime>,
+    closed: u64,
+    sum_burst_s: f64,
+    sum_interval_s: f64,
+    intervals: u64,
+    sum_bytes: f64,
+    sum_sq_bytes: f64,
+}
+
+impl BurstEstimator {
+    /// A detector splitting bursts at quiet gaps longer than `gap`.
+    pub fn new(gap: SimTime) -> BurstEstimator {
+        assert!(gap > SimTime::ZERO, "burst gap must be positive");
+        BurstEstimator {
+            segmenter: BurstSegmenter::new(gap),
+            prev_start: None,
+            closed: 0,
+            sum_burst_s: 0.0,
+            sum_interval_s: 0.0,
+            intervals: 0,
+            sum_bytes: 0.0,
+            sum_sq_bytes: 0.0,
+        }
+    }
+
+    /// Fold one frame in; returns the burst this frame closed, if any,
+    /// with its 0-based index in the stream.
+    pub fn push(&mut self, time: SimTime, wire_len: u32) -> Option<(u64, Burst)> {
+        let b = self.segmenter.push(time, wire_len)?;
+        Some(self.close(b))
+    }
+
+    /// Close the trailing burst at end of stream, if one is open.
+    pub fn finish(&mut self) -> Option<(u64, Burst)> {
+        let b = self.segmenter.finish()?;
+        Some(self.close(b))
+    }
+
+    fn close(&mut self, b: Burst) -> (u64, Burst) {
+        let index = self.closed;
+        self.closed += 1;
+        self.sum_burst_s += b.duration();
+        self.sum_bytes += b.bytes as f64;
+        self.sum_sq_bytes += (b.bytes as f64).powi(2);
+        if let Some(prev) = self.prev_start {
+            self.sum_interval_s += (b.start.saturating_sub(prev)).as_secs_f64();
+            self.intervals += 1;
+        }
+        self.prev_start = Some(b.start);
+        (index, b)
+    }
+
+    /// Completed bursts so far.
+    pub fn bursts(&self) -> u64 {
+        self.closed
+    }
+
+    /// Current estimate, spreading each burst over `connections`
+    /// simplex connections. Needs at least two completed bursts (one
+    /// interval).
+    pub fn estimate(&self, connections: u32) -> Option<LiveEstimate> {
+        if self.closed < 2 || self.intervals == 0 {
+            return None;
+        }
+        let t_burst = self.sum_burst_s / self.closed as f64;
+        let t_interval = self.sum_interval_s / self.intervals as f64;
+        let cycle_bytes = self.sum_bytes / self.closed as f64;
+        Some(LiveEstimate {
+            bursts: self.closed,
+            t_burst,
+            t_interval,
+            local_s: (t_interval - t_burst).max(0.0),
+            burst_bytes: cycle_bytes / f64::from(connections.max(1)),
+            mean_bw: if t_interval > 0.0 {
+                cycle_bytes / t_interval
+            } else {
+                0.0
+            },
+        })
+    }
+
+    /// Coefficient of variation of the completed bursts' sizes (the
+    /// population standard deviation over the mean; 0 before any burst
+    /// or when every burst is empty).
+    pub fn size_cv(&self) -> f64 {
+        if self.sum_bytes == 0.0 {
+            return 0.0;
+        }
+        let n = self.closed as f64;
+        let mean = self.sum_bytes / n;
+        (self.sum_sq_bytes / n - mean * mean).max(0.0).sqrt() / mean
+    }
+}
+
+/// Extract point estimates from a trace measured at `p` processors:
+/// [`BurstEstimator`] folded over the trace, splitting bursts at quiet
+/// gaps longer than `gap`. Returns `None` when the trace has fewer than
+/// two bursts (no interval to measure); panics on a zero `gap`, as
+/// [`BurstEstimator::new`] does.
 pub fn estimate_traffic(trace: TraceView<'_>, p: u32, gap: SimTime) -> Option<TrafficEstimate> {
-    let bursts = trace.detect_bursts(gap);
-    let t_burst = bursts.iter().map(|b| b.duration()).sum::<f64>() / bursts.len() as f64;
-    let profile = BurstProfile::of_bursts(bursts)?;
-    let intervals = profile.intervals?;
+    let mut e = BurstEstimator::new(gap);
+    for (t, len) in trace.samples() {
+        e.push(SimTime::from_nanos(t), len);
+    }
+    e.finish();
+    let live = e.estimate(1)?;
     Some(TrafficEstimate {
         p,
-        burst_bytes: profile.sizes.avg,
-        t_burst,
-        t_interval: intervals.avg,
-        local_s: (intervals.avg - t_burst).max(0.0),
-        burst_size_cv: profile.size_cv(),
+        burst_bytes: live.burst_bytes,
+        t_burst: live.t_burst,
+        t_interval: live.t_interval,
+        local_s: live.local_s,
+        burst_size_cv: e.size_cv(),
     })
 }
 
@@ -140,6 +268,29 @@ mod tests {
         assert!((est.local_s - 0.6).abs() < 0.08, "l {}", est.local_s);
         assert!((est.burst_bytes - 151_800.0).abs() < 1.0);
         assert!(est.burst_size_cv < 0.01, "constant bursts");
+    }
+
+    #[test]
+    fn burst_size_cv_is_the_profiles() {
+        // Bursts of 10, 30 and 20 full frames: the running second moment
+        // must give the burst profile's population CV.
+        let mut tr = Vec::new();
+        for (c, frames) in [10usize, 30, 20, 10, 30, 20].into_iter().enumerate() {
+            tr.extend(shift_trace(1, frames, 800, 200).into_iter().map(|mut r| {
+                r.time += SimTime::from_millis(800 * c as u64);
+                r
+            }));
+        }
+        let gap = SimTime::from_millis(100);
+        let est = estimate(&tr, 4, gap).unwrap();
+        let store = TraceStore::from_records(&tr);
+        let want = store.view().burst_profile(gap).unwrap().size_cv();
+        assert!(want > 0.3, "bursts differ in size: cv {want}");
+        assert!(
+            (est.burst_size_cv - want).abs() < 1e-12,
+            "{} vs {want}",
+            est.burst_size_cv
+        );
     }
 
     #[test]

@@ -26,11 +26,6 @@ impl TelemetryRegistry {
         self.counters.insert(name.into(), value);
     }
 
-    /// Add to a counter, creating it at zero.
-    pub fn add_counter(&mut self, name: impl Into<String>, delta: u64) {
-        *self.counters.entry(name.into()).or_insert(0) += delta;
-    }
-
     /// Read a counter; missing counters read as zero.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -126,8 +121,8 @@ mod tests {
     #[test]
     fn counters_and_gauges() {
         let mut r = TelemetryRegistry::new();
-        r.add_counter("tcp.segments", 3);
-        r.add_counter("tcp.segments", 4);
+        r.set_counter("tcp.segments", 3);
+        r.set_counter("tcp.segments", 7);
         r.set_counter("mac.collisions", 9);
         r.set_gauge("engine.events_per_sec", 1.5);
         assert_eq!(r.counter("tcp.segments"), 7);

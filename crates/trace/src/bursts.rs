@@ -33,7 +33,7 @@ impl Burst {
 /// The one burst rule, incremental: a frame no more than `gap` after
 /// the open burst's last frame joins it; otherwise it closes that burst
 /// and opens the next. [`crate::TraceView::detect_bursts`], the report
-/// fold and `fxnet-watch`'s live estimator all fold through it.
+/// fold and `fxnet-qos`'s traffic estimator all fold through it.
 ///
 /// Frames are expected in capture order; one earlier than the open
 /// burst's end (an unsorted view) joins that burst.

@@ -40,11 +40,6 @@ impl DemuxedStore<'_> {
         self.store.select(&self.per_tenant[i])
     }
 
-    /// Zero-copy view of the background rows.
-    pub fn background_view(&self) -> TraceView<'_> {
-        self.store.select(&self.background)
-    }
-
     /// Number of tenant buckets.
     pub fn tenants(&self) -> usize {
         self.per_tenant.len()
@@ -181,7 +176,7 @@ mod tests {
         let d = demux_store(&store, &map);
         assert_eq!(d.tenant(0).to_records(), [tr[0]]);
         assert_eq!(d.tenant(1).to_records(), [tr[3]]);
-        assert_eq!(d.background_view().to_records(), tr[1..3]);
+        assert_eq!(store.select(&d.background).to_records(), tr[1..3]);
         d.check_conservation();
     }
 
@@ -204,7 +199,7 @@ mod tests {
                 .collect();
             assert_eq!(cols.tenant(i).to_records(), want, "tenant {i}");
         }
-        assert!(cols.background_view().is_empty());
+        assert!(cols.background.is_empty());
     }
 
     #[test]
@@ -215,7 +210,7 @@ mod tests {
         let d = demux_store(&store, &map);
         assert_eq!(d.tenant(0).len(), 1);
         assert_eq!(d.tenant(1).len(), 1);
-        assert_eq!(d.background_view().len(), 2);
+        assert_eq!(d.background.len(), 2);
         d.check_conservation();
     }
 

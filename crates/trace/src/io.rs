@@ -31,7 +31,7 @@
 //! [`TraceIoError::Version`].
 //!
 //! [`ChunkedWriter`] appends chunks as the simulator drains shards and
-//! [`save_store`] cuts a store into them. There is one way in:
+//! [`save_store_chunked`] cuts a store into them. There is one way in:
 //! [`ChunkCursor`] validates the header and directory and streams the
 //! chunks back with O(chunk) peak memory; [`load_store`] is that cursor
 //! folded into a fully materialized [`TraceStore`], and [`read_chunk`]
@@ -55,7 +55,7 @@ const CHUNK_META_BYTES: usize = 40;
 const CHUNK_TRAILER_BYTES: usize = 20;
 /// Bytes in the file header.
 const HEADER_BYTES: usize = 16;
-/// Frames per chunk [`save_store`] writes: ~1.4 MB of decoded columns,
+/// Frames per chunk of a saved store: ~1.4 MB of decoded columns,
 /// big enough to amortize the varint decode, small enough that a
 /// streamed scan's decode round stays cache-friendly.
 pub const SAVE_CHUNK_FRAMES: usize = 65_536;
@@ -750,11 +750,6 @@ pub fn read_chunk(
     decode_chunk_payload(&raw, meta, out)
 }
 
-/// Save a store to `path`, [`SAVE_CHUNK_FRAMES`] frames per chunk.
-pub fn save_store(path: impl AsRef<Path>, store: &TraceStore) -> std::io::Result<()> {
-    save_store_chunked(path, store, SAVE_CHUNK_FRAMES).map(drop)
-}
-
 /// Load a whole trace into a store: a [`ChunkCursor`] fold, so the
 /// bytes become columns by the same validation and decode a streamed
 /// scan uses. The up-front reservation is bounded by the validated
@@ -823,10 +818,10 @@ mod tests {
         loaded
     }
 
-    /// The bytes `save_store` writes for `store`.
+    /// The bytes `store` saves as, [`SAVE_CHUNK_FRAMES`] frames per chunk.
     fn saved_bytes(name: &str, store: &TraceStore) -> Vec<u8> {
         let path = temp(name);
-        save_store(&path, store).unwrap();
+        save_store_chunked(&path, store, SAVE_CHUNK_FRAMES).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         bytes
@@ -853,7 +848,7 @@ mod tests {
     fn file_round_trip() {
         let path = temp("file-round-trip.fxb");
         let tr = sample();
-        save_store(&path, &TraceStore::from_records(&tr)).unwrap();
+        save_store_chunked(&path, &TraceStore::from_records(&tr), SAVE_CHUNK_FRAMES).unwrap();
         let back = load_store(&path).unwrap().to_records();
         assert_eq!(back, tr);
         let _ = std::fs::remove_file(&path);
@@ -877,7 +872,7 @@ mod tests {
         let mut written = Vec::new();
         for name in ["via-extension.fxb", "via-extension.trace"] {
             let path = temp(name);
-            save_store(&path, &TraceStore::from_records(&tr)).unwrap();
+            save_store_chunked(&path, &TraceStore::from_records(&tr), SAVE_CHUNK_FRAMES).unwrap();
             assert_eq!(load_store(&path).unwrap().to_records(), tr, "{name}");
             written.push(std::fs::read(&path).unwrap());
             let _ = std::fs::remove_file(&path);
@@ -980,7 +975,7 @@ mod tests {
         for (name, tr) in [("sorted", sorted), ("unsorted", unsorted)] {
             let path = dir.join(format!("fxnet-save-store-{name}.fxb"));
             let store = TraceStore::from_records(&tr);
-            save_store(&path, &store).unwrap();
+            save_store_chunked(&path, &store, SAVE_CHUNK_FRAMES).unwrap();
             let mut cursor = ChunkCursor::open(&path).unwrap();
             assert_eq!(
                 cursor.directory().len(),
@@ -1011,7 +1006,7 @@ mod tests {
             }
             w.finish().unwrap();
             let store = TraceStore::from_records(&tr);
-            save_store(&via_store, &store).unwrap();
+            save_store_chunked(&via_store, &store, SAVE_CHUNK_FRAMES).unwrap();
             assert_eq!(
                 std::fs::read(&direct).unwrap(),
                 std::fs::read(&via_store).unwrap(),
@@ -1185,7 +1180,7 @@ mod tests {
                 .collect();
             // Records -> file -> records.
             let path = temp("prop-records.fxb");
-            save_store(&path, &TraceStore::from_records(&tr)).unwrap();
+            save_store_chunked(&path, &TraceStore::from_records(&tr), SAVE_CHUNK_FRAMES).unwrap();
             let back = load_store(&path).unwrap().to_records();
             let _ = std::fs::remove_file(&path);
             prop_assert_eq!(back, tr);

@@ -28,10 +28,10 @@
 //! [`TraceView::binned_bandwidth`], [`TraceView::detect_bursts`], …) are
 //! the analysis API; a run's `Vec<FrameRecord>` becomes one store with
 //! [`TraceStore::from_records`]. Each quantity has one rule, one
-//! accumulator that the view kernel, the report fold and the live
-//! observer in `fxnet-watch` all push into: one burst segmenter
-//! ([`BurstSegmenter`]), one anchored binner ([`StreamBinner`]), one
-//! sliding window ([`SlidingBandwidth`]). The per-trace report (sizes,
+//! accumulator that the view kernel, the report fold and the traffic
+//! estimator in `fxnet-qos` (which the live watcher feeds) all push
+//! into: one burst segmenter ([`BurstSegmenter`]), one anchored binner
+//! ([`StreamBinner`]), one sliding window ([`SlidingBandwidth`]). The per-trace report (sizes,
 //! interarrivals, bandwidth, bursts, spectrum summary) is
 //! [`StreamingReport`], a fold over `(time_ns, wire_len)` samples that
 //! runs identically whether it is fed a whole view
@@ -82,8 +82,8 @@ pub use coherence::{correlation, mean_connection_correlation};
 pub use demux::{demux_store, DemuxedStore};
 pub use interference::{burst_collisions, slowdown, spectral_concentration, SpectralInterference};
 pub use io::{
-    load_store, read_chunk, read_chunk_directory, save_store, save_store_chunked, ChunkBuf,
-    ChunkCursor, ChunkDirectory, ChunkMeta, ChunkedWriter, TraceIoError,
+    load_store, read_chunk, read_chunk_directory, save_store_chunked, ChunkBuf, ChunkCursor,
+    ChunkDirectory, ChunkMeta, ChunkedWriter, TraceIoError,
 };
 pub use phases::{PhaseBreakdown, PhaseRow};
 pub use report::{markdown_table_views, ReportOptions, TraceReport};

@@ -247,17 +247,6 @@ impl TraceStore {
         self.time_ns.is_empty()
     }
 
-    /// Bytes the resident columns occupy (21 per frame, excluding the
-    /// connection index) — the deterministic O(trace) memory cost the
-    /// streaming scan's O(chunk) peak is compared against.
-    pub fn column_bytes(&self) -> u64 {
-        (self.time_ns.len() * 8
-            + self.wire_len.len() * 4
-            + self.tag.len()
-            + self.src.len() * 4
-            + self.dst.len() * 4) as u64
-    }
-
     /// Reassemble row `i` as a [`FrameRecord`]. Panics when out of
     /// bounds.
     pub fn get(&self, i: usize) -> FrameRecord {
@@ -422,7 +411,7 @@ impl<'a> TraceView<'a> {
 
     /// `(time_ns, wire_len)` samples in view order — the input shape of
     /// the time-series kernels and of the report fold.
-    pub(crate) fn samples(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+    pub fn samples(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
         self.row_ids()
             .map(move |i| (self.store.time_ns[i], self.store.wire_len[i]))
     }
@@ -544,17 +533,6 @@ impl<'a> TraceView<'a> {
             *m.entry(self.store.wire_len[i]).or_insert(0) += 1;
         }
         m.into_iter().collect()
-    }
-
-    /// Distinct sizes covering at least `frac` of the view — the crude
-    /// mode count behind the trimodal-population check.
-    pub fn dominant_modes(&self, frac: f64) -> Vec<u32> {
-        let total = self.len().max(1);
-        self.size_population()
-            .into_iter()
-            .filter(|&(_, c)| c as f64 / total as f64 >= frac)
-            .map(|(s, _)| s)
-            .collect()
     }
 
     /// Host pairs of the view with frame counts, ascending. A whole-store
@@ -757,28 +735,10 @@ mod tests {
     }
 
     #[test]
-    fn dominant_modes_filters_rare_sizes() {
-        let mut tr = Vec::new();
-        for i in 0..45 {
-            tr.push(rec(0, 1, 1518, i));
-        }
-        for i in 0..45 {
-            tr.push(rec(0, 1, 58, 100 + i));
-        }
-        for i in 0..10 {
-            tr.push(rec(0, 1, 700, 200 + i));
-        }
-        let store = TraceStore::from_records(&tr);
-        assert_eq!(store.view().dominant_modes(0.08), vec![58, 700, 1518]);
-        assert_eq!(store.view().dominant_modes(0.2), vec![58, 1518]);
-    }
-
-    #[test]
     fn empty_trace() {
         let store = TraceStore::from_records(&[]);
         assert!(store.view().host_pairs().is_empty());
         assert!(store.view().size_population().is_empty());
-        assert!(store.view().dominant_modes(0.1).is_empty());
     }
 
     #[test]

@@ -13,8 +13,8 @@
 
 use fxnet_sim::{FrameKind, FrameRecord, HostId, Proto, SimTime};
 use fxnet_trace::{
-    demux_store, load_store, markdown_table_views, save_store, Burst, BurstProfile, Periodogram,
-    ReportOptions, Stats, StreamingReport, TraceReport, TraceStore,
+    demux_store, load_store, markdown_table_views, save_store_chunked, Burst, BurstProfile,
+    Periodogram, ReportOptions, Stats, StreamingReport, TraceReport, TraceStore,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -168,15 +168,6 @@ fn ref_size_population(tr: &[FrameRecord]) -> Vec<(u32, usize)> {
         *m.entry(r.wire_len).or_insert(0) += 1;
     }
     m.into_iter().collect()
-}
-
-/// Sizes carried by at least `frac` of the frames.
-fn ref_dominant_modes(tr: &[FrameRecord], frac: f64) -> Vec<u32> {
-    ref_size_population(tr)
-        .into_iter()
-        .filter(|&(_, c)| c as f64 / tr.len().max(1) as f64 >= frac)
-        .map(|(s, _)| s)
-        .collect()
 }
 
 /// `(src, dst)` pairs with frame counts, ascending.
@@ -369,7 +360,6 @@ fn assert_kernels_agree(tr: &[FrameRecord], sorted: bool) {
         );
     }
     assert_eq!(v.size_population(), ref_size_population(tr));
-    assert_eq!(v.dominant_modes(0.1), ref_dominant_modes(tr, 0.1));
     assert_eq!(v.host_pairs(), ref_host_pairs(tr));
     assert_eq!(store.host_pairs(), ref_host_pairs(tr));
     for &((s, d), n) in &store.host_pairs() {
@@ -509,7 +499,7 @@ fn demux_agrees_with_legacy_on_interleaved_tenants() {
             stats_bits(ref_packet_sizes(want))
         );
     }
-    assert_eq!(cols.background_view().to_records(), background);
+    assert_eq!(store.select(&cols.background).to_records(), background);
 }
 
 proptest! {
@@ -565,7 +555,7 @@ proptest! {
         for (i, want) in per_tenant.iter().enumerate() {
             prop_assert_eq!(&cols.tenant(i).to_records(), want);
         }
-        prop_assert_eq!(cols.background_view().to_records(), background);
+        prop_assert_eq!(store.select(&cols.background).to_records(), background);
     }
 
     #[test]
@@ -601,7 +591,7 @@ proptest! {
         let tr = trace_from(&parts);
         let store = TraceStore::from_records(&tr);
         let bin = std::env::temp_dir().join("fxnet-columnar-equiv-round-trip.fxb");
-        save_store(&bin, &store).unwrap();
+        save_store_chunked(&bin, &store, fxnet_trace::io::SAVE_CHUNK_FRAMES).unwrap();
         let from_bin = load_store(&bin).unwrap();
         let _ = std::fs::remove_file(&bin);
         prop_assert_eq!(&from_bin, &store);

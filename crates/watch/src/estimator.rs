@@ -1,122 +1,17 @@
 //! Live `[l, b, c]` estimation over streaming burst detection.
 //!
-//! The batch path (`TraceView::detect_bursts` followed by
-//! `fxnet_qos::estimate::estimate_traffic`) needs the whole trace in
-//! memory. The watcher instead folds each frame into running sums as it
-//! arrives, through the same [`BurstSegmenter`] the batch detector runs:
-//! a burst is open while consecutive frames are no more than the
-//! configured quiet gap apart, and closes — updating the running
-//! estimate — when the gap is exceeded or the stream ends. O(1) state
-//! per stream.
+//! The watcher folds each frame into [`BurstEstimator`]'s running sums
+//! as it arrives. It is the one traffic estimator of `fxnet_qos::estimate`,
+//! so the live `[l, b, c]` and the §7.3 estimate of a whole trace
+//! (`fxnet_qos::estimate::estimate_traffic`) are the same arithmetic.
 
-use fxnet_sim::SimTime;
-use fxnet_trace::{Burst, BurstSegmenter};
-
-/// The live traffic estimate, in the vocabulary of the QoS descriptor:
-/// the tenant *behaves as if* it had handed the network this `[l, b, c]`.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct LiveEstimate {
-    /// Completed bursts observed.
-    pub bursts: u64,
-    /// Mean burst length, seconds (`t_b`).
-    pub t_burst: f64,
-    /// Mean start-to-start burst interval, seconds (`t_bi`).
-    pub t_interval: f64,
-    /// Implied local computation per cycle: `t_bi − t_b`, clamped ≥ 0.
-    pub local_s: f64,
-    /// Mean bytes per burst per connection (the effective `b(P)`).
-    pub burst_bytes: f64,
-    /// Effective long-run load: mean cycle volume over mean interval,
-    /// bytes/s.
-    pub mean_bw: f64,
-}
-
-/// O(1)-state streaming burst detector with running `[l, b, c]` sums.
-#[derive(Debug, Clone)]
-pub struct BurstEstimator {
-    segmenter: BurstSegmenter,
-    prev_start: Option<SimTime>,
-    closed: u64,
-    sum_burst_s: f64,
-    sum_interval_s: f64,
-    intervals: u64,
-    sum_bytes: f64,
-}
-
-impl BurstEstimator {
-    /// A detector splitting bursts at quiet gaps longer than `gap`.
-    pub fn new(gap: SimTime) -> BurstEstimator {
-        assert!(gap > SimTime::ZERO, "burst gap must be positive");
-        BurstEstimator {
-            segmenter: BurstSegmenter::new(gap),
-            prev_start: None,
-            closed: 0,
-            sum_burst_s: 0.0,
-            sum_interval_s: 0.0,
-            intervals: 0,
-            sum_bytes: 0.0,
-        }
-    }
-
-    /// Fold one frame in; returns the burst this frame closed, if any,
-    /// with its 0-based index in the stream.
-    pub fn push(&mut self, time: SimTime, wire_len: u32) -> Option<(u64, Burst)> {
-        let b = self.segmenter.push(time, wire_len)?;
-        Some(self.close(b))
-    }
-
-    /// Close the trailing burst at end of stream, if one is open.
-    pub fn finish(&mut self) -> Option<(u64, Burst)> {
-        let b = self.segmenter.finish()?;
-        Some(self.close(b))
-    }
-
-    fn close(&mut self, b: Burst) -> (u64, Burst) {
-        let index = self.closed;
-        self.closed += 1;
-        self.sum_burst_s += b.duration();
-        self.sum_bytes += b.bytes as f64;
-        if let Some(prev) = self.prev_start {
-            self.sum_interval_s += (b.start.saturating_sub(prev)).as_secs_f64();
-            self.intervals += 1;
-        }
-        self.prev_start = Some(b.start);
-        (index, b)
-    }
-
-    /// Completed bursts so far.
-    pub fn bursts(&self) -> u64 {
-        self.closed
-    }
-
-    /// Current estimate, spreading each burst over `connections`
-    /// simplex connections. Needs at least two completed bursts (one
-    /// interval), like the batch estimator.
-    pub fn estimate(&self, connections: u32) -> Option<LiveEstimate> {
-        if self.closed < 2 || self.intervals == 0 {
-            return None;
-        }
-        let t_burst = self.sum_burst_s / self.closed as f64;
-        let t_interval = self.sum_interval_s / self.intervals as f64;
-        let cycle_bytes = self.sum_bytes / self.closed as f64;
-        Some(LiveEstimate {
-            bursts: self.closed,
-            t_burst,
-            t_interval,
-            local_s: (t_interval - t_burst).max(0.0),
-            burst_bytes: cycle_bytes / f64::from(connections.max(1)),
-            mean_bw: if t_interval > 0.0 {
-                cycle_bytes / t_interval
-            } else {
-                0.0
-            },
-        })
-    }
-}
+pub use fxnet_qos::estimate::{BurstEstimator, LiveEstimate};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fxnet_sim::SimTime;
+    use fxnet_trace::Burst;
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)

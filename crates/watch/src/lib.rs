@@ -14,7 +14,8 @@
 //!   frequencies (a sliding DFT; [`fxnet_spectral::SlidingDft`]),
 //! * per-connection burst structure (start / length / gap), and
 //! * a live estimate of each tenant's effective `[l, b, c]`
-//!   ([`LiveEstimate`]), checked continuously against the descriptor
+//!   ([`LiveEstimate`], from `fxnet-qos`'s one traffic estimator,
+//!   [`BurstEstimator`]), checked continuously against the descriptor
 //!   the tenant presented to `fxnet-mix`'s admission controller.
 //!
 //! When a tenant's measured traffic exceeds its *claimed* contract the
