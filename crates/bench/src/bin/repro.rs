@@ -47,7 +47,6 @@ use fxnet::fx::Pattern;
 use fxnet::mix::TenantProgram;
 use fxnet::qos::{negotiate, AppDescriptor, QosNetwork};
 use fxnet::sim::SimRng;
-use fxnet::spectral::generate::SynthConfig;
 use fxnet::spectral::{
     hurst_aggregated_variance, onoff_vbr_trace, self_similar_trace, synthesize_trace, FourierModel,
 };
@@ -1437,7 +1436,6 @@ fn model(c: &mut Ctx) {
         let synth = synthesize_trace(
             &m,
             SimTime::from_secs_f64((series.len() as f64 * 0.01).min(120.0)),
-            &SynthConfig::default(),
             &mut rng,
         );
         if !synth.is_empty() {
@@ -2026,9 +2024,10 @@ struct HealthCell {
 }
 
 /// Run one program alone on the oversubscribed trunk2 fabric, twice:
-/// once bare (the purity baseline), once with the full weather map
-/// attached (frame tap + per-link sampling + causal capture). Asserts
-/// the traces byte-identical, then distills the instrumented run.
+/// once bare (the purity baseline), once with per-link sampling and
+/// causal capture on. Asserts the traces byte-identical, then distills
+/// the instrumented run's trace, link series and causal capture into
+/// the weather map.
 fn health_cell(prog: SweepProg, seed: u64, div: usize) -> HealthCell {
     use fxnet::causal::{chrome_trace, collective_paths, contended_intervals};
     use fxnet::metrics::{counter_events, FabricSampler, HotspotConfig};
@@ -2049,18 +2048,9 @@ fn health_cell(prog: SweepProg, seed: u64, div: usize) -> HealthCell {
     let (mix, _) = build(&spec);
     let plain = mix.run();
 
-    // The instrumented run: every observation channel attached. The
-    // hotspot latch requires 8 consecutive hot 10 ms windows: an edge
-    // port saturates only for the tens of milliseconds one burst takes
-    // to drain at 100 Mb/s, while the oversubscribed trunk stays pinned
-    // for entire communication epochs — so 80 ms of sustained heat
-    // separates the congested backbone from ordinary burst traffic.
-    let sampler = FabricSampler::with_hotspot(HotspotConfig {
-        k: 8,
-        ..HotspotConfig::default()
-    });
+    // The instrumented run: every record the weather map reads.
     let (mix, cost) = build(&spec);
-    let out = mix.tap(sampler.tap()).sample_links(true).run();
+    let out = mix.sample_links(true).run();
     assert_eq!(
         plain.store,
         out.store,
@@ -2069,7 +2059,16 @@ fn health_cell(prog: SweepProg, seed: u64, div: usize) -> HealthCell {
     );
     assert_eq!(plain.finished_at, out.finished_at);
 
-    let mut sampler = sampler;
+    // The hotspot latch requires 8 consecutive hot 10 ms windows: an
+    // edge port saturates only for the tens of milliseconds one burst
+    // takes to drain at 100 Mb/s, while the oversubscribed trunk stays
+    // pinned for entire communication epochs — so 80 ms of sustained
+    // heat separates the congested backbone from ordinary burst traffic.
+    let mut sampler = FabricSampler::with_hotspot(HotspotConfig {
+        k: 8,
+        ..HotspotConfig::default()
+    });
+    sampler.ingest_trace(&out.store);
     sampler.ingest_links(out.link_stats.as_ref().expect("link sampling on"));
     let causal = out.causal.as_ref().expect("causal capture on");
     sampler.ingest_causal(&causal.events, &out.store, Some(&spec));

@@ -45,39 +45,30 @@ pub const MATRIX_BASE_NS: u64 = 1_000_000;
 /// 1 ms → 10 ms → 100 ms → 1 s.
 pub const MATRIX_SCALES: [u64; 4] = [1, 10, 100, 1000];
 
-/// What to compute and how to label it.
+/// Harmonic multiples of `base_hz` the scan probes with Goertzel: the
+/// first four.
+const HARMONICS: [u32; 4] = [1, 2, 3, 4];
+
+/// How to label a scan and where to anchor its harmonic probe. The rest
+/// of the analysis is fixed: the report folds with
+/// [`ReportOptions::default`] (the paper's 10 ms bin), the sliding peak
+/// uses that bin as its window, the probe reads the first four
+/// harmonics, and the matrix ladder climbs [`MATRIX_SCALES`] from
+/// [`MATRIX_BASE_NS`].
 #[derive(Debug, Clone)]
 pub struct ScanConfig {
     /// Report label (appears in the rendered transcript).
     pub label: String,
-    /// Report options: bin width, burst gap, spectral floor.
-    pub opts: ReportOptions,
-    /// Sliding-bandwidth window for the peak gauge.
-    pub window: SimTime,
     /// Fundamental the harmonic probe is anchored at, Hz.
     pub base_hz: f64,
-    /// Harmonic multiples of `base_hz` to probe with Goertzel.
-    pub harmonics: Vec<u32>,
-    /// Finest matrix window, ns.
-    pub matrix_base_ns: u64,
-    /// Matrix ladder in base-window multiples (strictly increasing).
-    pub matrix_scales: Vec<u64>,
 }
 
 impl ScanConfig {
-    /// The `analysis-scale` defaults: the paper's 10 ms bin and
-    /// window, the 1 ms → 1 s matrix ladder, and the first four
-    /// harmonics of `base_hz`.
+    /// A scan labelled `label`, probing the harmonics of `base_hz`.
     pub fn new(label: impl Into<String>, base_hz: f64) -> ScanConfig {
-        let opts = ReportOptions::default();
         ScanConfig {
             label: label.into(),
-            window: opts.bin,
-            opts,
             base_hz,
-            harmonics: vec![1, 2, 3, 4],
-            matrix_base_ns: MATRIX_BASE_NS,
-            matrix_scales: MATRIX_SCALES.to_vec(),
         }
     }
 }
@@ -125,10 +116,10 @@ fn render(
     writeln!(
         out,
         "sliding peak {sliding_peak:?} (window {:?})",
-        cfg.window
+        ReportOptions::default().bin
     )
     .expect("write");
-    for (h, (freq, power)) in cfg.harmonics.iter().zip(harmonics) {
+    for (h, (freq, power)) in HARMONICS.iter().zip(harmonics) {
         writeln!(
             out,
             "harmonic {h}x{:?} Hz -> {freq:?} Hz power {power:?}",
@@ -205,11 +196,12 @@ pub fn streamed_scan(
     let chunks = dir.chunks.len();
     let batch = pool.jobs().max(1);
 
-    let mut report = StreamingReport::new(&cfg.label, &cfg.opts);
+    let opts = ReportOptions::default();
+    let mut report = StreamingReport::new(&cfg.label, &opts);
     // After `new`, which asserts the bin width this divides by.
-    check_span(&dir.chunks, cfg.opts.bin.as_nanos())?;
-    let mut sliding = SlidingPeak::new(cfg.window);
-    let mut matrices = ScalingAccum::new(cfg.matrix_base_ns, &cfg.matrix_scales);
+    check_span(&dir.chunks, opts.bin.as_nanos())?;
+    let mut sliding = SlidingPeak::new(opts.bin);
+    let mut matrices = ScalingAccum::new(MATRIX_BASE_NS, &MATRIX_SCALES);
     let mut peak_resident = 0u64;
     let mut folded = 0usize;
     let mut last_ns = 0u64;
@@ -251,7 +243,7 @@ pub fn streamed_scan(
     }
 
     let (trace_report, series, _) = report.finish_parts();
-    let harmonics = harmonic_powers(&series, cfg.opts.bin, cfg.base_hz, &cfg.harmonics);
+    let harmonics = harmonic_powers(&series, opts.bin, cfg.base_hz, &HARMONICS);
     let sliding_peak = sliding.peak();
     let relations = matrices.finalize();
     let rendered = render(
@@ -294,18 +286,19 @@ mod tests {
     fn materialized_scan(path: &Path, cfg: &ScanConfig) -> Result<ScanOutcome, TraceIoError> {
         let store = load_store(path)?;
         let view = store.view();
-        let trace_report = multipass_report(&cfg.label, view, &cfg.opts);
-        let series = view.binned_bandwidth(cfg.opts.bin);
-        let harmonics = harmonic_powers(&series, cfg.opts.bin, cfg.base_hz, &cfg.harmonics);
+        let opts = ReportOptions::default();
+        let trace_report = multipass_report(&cfg.label, view, &opts);
+        let series = view.binned_bandwidth(opts.bin);
+        let harmonics = harmonic_powers(&series, opts.bin, cfg.base_hz, &HARMONICS);
 
-        let sliding = view.sliding_window_bandwidth(cfg.window);
+        let sliding = view.sliding_window_bandwidth(opts.bin);
         let sliding_peak = (!sliding.is_empty()).then(|| {
             sliding
                 .iter()
                 .fold(f64::NEG_INFINITY, |m, &(_, bw)| m.max(bw))
         });
 
-        let mut matrices = ScalingAccum::new(cfg.matrix_base_ns, &cfg.matrix_scales);
+        let mut matrices = ScalingAccum::new(MATRIX_BASE_NS, &MATRIX_SCALES);
         for r in view.iter() {
             matrices.record(r.time.as_nanos(), r.src.0, r.dst.0);
         }

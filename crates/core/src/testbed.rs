@@ -12,11 +12,11 @@ use fxnet_sim::SimTime;
 /// Builder for a [`Testbed`]: one fluent surface over everything the
 /// experiments vary — topology, seed, telemetry — replacing the old
 /// `with_*` constructor sprawl. A frame tap is a per-run option
-/// ([`RunOptions::tapped`]).
+/// ([`RunOptions::tap`]).
 ///
 /// ```
 /// use fxnet::TestbedBuilder;
-/// let tb = TestbedBuilder::paper().seed(7).telemetry().build();
+/// let tb = TestbedBuilder::paper().seed(7).telemetry_enabled(true).build();
 /// ```
 pub struct TestbedBuilder {
     cfg: SpmdConfig,
@@ -94,8 +94,10 @@ impl TestbedBuilder {
     }
 
     /// Replace the shared collision domain with a store-and-forward
-    /// switch (per-host full-duplex 10 Mb/s ports) — the DESIGN.md §8
-    /// ablation isolating the MAC layer's contribution to burst shaping.
+    /// switch (per-host full-duplex ports at the LAN's bit rate, 10 Mb/s
+    /// unless [`TestbedBuilder::bandwidth_bps`] says otherwise) — the
+    /// DESIGN.md §8 ablation isolating the MAC layer's contribution to
+    /// burst shaping.
     pub fn switched_fabric(mut self) -> TestbedBuilder {
         self.cfg.pvm.net.link = LinkKind::Switched;
         self
@@ -124,15 +126,10 @@ impl TestbedBuilder {
         self
     }
 
-    /// Enable telemetry collection: phase spans, the cross-layer counter
-    /// registry, and the simulator self-profile appear in
-    /// [`RunResult::telemetry`]. The packet trace is unchanged.
-    pub fn telemetry(self) -> TestbedBuilder {
-        self.telemetry_enabled(true)
-    }
-
-    /// [`TestbedBuilder::telemetry`] with an explicit flag, for callers
-    /// that thread the decision through.
+    /// Enable or disable telemetry collection: phase spans, the
+    /// cross-layer counter registry, and the simulator self-profile
+    /// appear in [`RunResult::telemetry`]. The packet trace is
+    /// unchanged.
     pub fn telemetry_enabled(mut self, on: bool) -> TestbedBuilder {
         self.cfg.telemetry = on;
         self
@@ -274,7 +271,10 @@ mod tests {
 
     #[test]
     fn builder_overrides_land_in_the_config() {
-        let tb = TestbedBuilder::paper().seed(7).telemetry().build();
+        let tb = TestbedBuilder::paper()
+            .seed(7)
+            .telemetry_enabled(true)
+            .build();
         assert_eq!(tb.config().seed, 7);
         assert!(tb.config().telemetry);
         let tb = TestbedBuilder::quiet(4)

@@ -476,16 +476,6 @@ pub struct RunOptions {
     pub sample_links: bool,
 }
 
-impl RunOptions {
-    /// Options with just a frame tap installed.
-    pub fn tapped(tap: fxnet_sim::FrameTap) -> RunOptions {
-        RunOptions {
-            tap: Some(tap),
-            ..RunOptions::default()
-        }
-    }
-}
-
 /// One program (tenant) of a multi-program run: a rank group with its own
 /// task-id block and start time on the shared network.
 pub struct GroupSpec<T> {
@@ -1397,9 +1387,12 @@ mod tests {
         let res = run(
             quiet_cfg(2),
             vec![GroupSpec::single(2, prog)],
-            RunOptions::tapped(Box::new(move |_r| {
-                seen2.fetch_add(1, Ordering::Relaxed);
-            })),
+            RunOptions {
+                tap: Some(Box::new(move |_r| {
+                    seen2.fetch_add(1, Ordering::Relaxed);
+                })),
+                ..RunOptions::default()
+            },
         )
         .expect("valid config");
         assert_eq!(seen.load(Ordering::Relaxed), res.trace.len());

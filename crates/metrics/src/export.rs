@@ -257,18 +257,17 @@ mod tests {
     /// Twenty frames, then 60 ms of 90 % utilization on the trunk.
     fn report() -> WeatherReport {
         let mut sampler = FabricSampler::new();
-        let mut tap = sampler.tap();
-        for i in 0..20u64 {
-            tap(&fxnet_sim::FrameRecord {
+        let trace: Vec<fxnet_sim::FrameRecord> = (0..20u64)
+            .map(|i| fxnet_sim::FrameRecord {
                 time: fxnet_sim::SimTime::from_millis(i),
                 wire_len: 1000,
                 proto: fxnet_sim::Proto::Tcp,
                 kind: fxnet_sim::FrameKind::Data,
                 src: fxnet_sim::HostId((i % 3) as u32),
                 dst: fxnet_sim::HostId(((i + 1) % 3) as u32),
-            });
-        }
-        drop(tap);
+            })
+            .collect();
+        sampler.ingest_trace(&trace[..]);
         // Six 10 ms detection windows, enough for the default k = 4
         // streak to latch a hotspot.
         let mut series = LinkSeries::new();

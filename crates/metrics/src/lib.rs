@@ -1,11 +1,11 @@
 //! # fxnet-metrics
 //!
 //! The fabric weather map: zero-perturbation observability for the
-//! simulated LAN. Everything here is fed by passive observation
-//! channels — the promiscuous [`fxnet_sim::FrameTap`], the engine's
-//! per-link sample series, and the post-run causal capture — so a run
-//! with the weather map attached produces a byte-identical packet
-//! trace to one without it.
+//! simulated LAN. Everything here is read after the run, from what it
+//! recorded — the captured trace, the engine's per-link sample series,
+//! and the causal capture — as the paper analyzes its tcpdump capture
+//! after the fact; a run with link sampling and causal capture on
+//! produces a byte-identical packet trace to one without them.
 //!
 //! Three layers:
 //!
@@ -23,10 +23,13 @@
 //!   [`fxnet_trace::StreakLatch`] the bandwidth watcher uses, named to
 //!   match causal `blocking_link` labels for interval cross-checks.
 //!
-//! [`FabricSampler`] ties the channels together. The report's types
+//! [`FabricSampler`] ties the three records together. The report's types
 //! serialize themselves; [`export`] adds the JSONL weather stream, the
 //! Prometheus snapshot and the Perfetto counter tracks.
 
+// Nothing in this crate uses `parking_lot`; Cargo.toml declares it only
+// because `benchmark/Cargo.lock` pins this crate's dependency list and the
+// benchmark runs `--locked` (ROADMAP item 1 drops it at the next re-lock).
 pub mod export;
 pub mod matrix;
 pub mod rollup;

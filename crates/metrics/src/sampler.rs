@@ -1,20 +1,18 @@
 //! The fabric sampler: glue between a run and the weather map.
 //!
-//! [`FabricSampler`] consumes the three passive observation channels a
-//! run offers and never touches the simulation itself:
+//! [`FabricSampler`] reads the three records a run leaves behind, all
+//! post-run, and never touches the simulation itself:
 //!
-//! * a [`fxnet_sim::FrameTap`] ([`FabricSampler::tap`]) counting every
-//!   delivered frame into the matrix ladder's [`ScalingAccum`] and the
-//!   set of host pairs — the tap runs outside the MAC state machine, so
-//!   attaching it cannot perturb timing, RNG draws, or the captured
-//!   trace;
+//! * the captured trace ([`FabricSampler::ingest_trace`]), every
+//!   delivered frame in capture order, counted into the matrix ladder's
+//!   [`ScalingAccum`] and the set of host pairs;
 //! * the per-link sample series ([`FabricSampler::ingest_links`]) the
 //!   engine collects when `RunOptions::sample_links` is set, kept as
 //!   the probes binned them: one [`fxnet_sim::LINK_WINDOW_NS`] series
 //!   per link direction;
-//! * the causal capture ([`FabricSampler::ingest_causal`]), used purely
-//!   *post-run* to attribute retransmitted wire bytes to the link
-//!   windows they crossed.
+//! * the causal capture ([`FabricSampler::ingest_causal`]), which
+//!   attributes retransmitted wire bytes to the link windows they
+//!   crossed.
 //!
 //! [`FabricSampler::finalize`] folds everything into a
 //! [`WeatherReport`]: link windows, scaling relations, and the topology
@@ -29,11 +27,9 @@
 
 use crate::matrix::{ScalingAccum, ScalingRelation};
 use crate::rollup::{rollup, FabricRollup, HotspotConfig};
-use fxnet_sim::{CausalEvent, FrameTap, LinkSeries, LinkStats, TraceRows, BUS_LINK};
+use fxnet_sim::{CausalEvent, LinkSeries, LinkStats, TraceRows, BUS_LINK};
 use fxnet_topo::TopologySpec;
-use parking_lot::Mutex;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Base window of the matrix ladder, ns: 1 ms.
 pub(crate) const BIN_NS: u64 = 1_000_000;
@@ -63,25 +59,11 @@ impl WeatherReport {
     }
 }
 
-/// What the frame tap counts.
-struct TapState {
-    ladder: ScalingAccum,
-    pairs: BTreeSet<(u32, u32)>,
-}
-
-impl TapState {
-    fn new() -> TapState {
-        TapState {
-            ladder: ScalingAccum::new(BIN_NS, &SCALES),
-            pairs: BTreeSet::new(),
-        }
-    }
-}
-
-/// Accumulates one run's passive observations into a weather report.
+/// Accumulates one run's observations into a weather report.
 pub struct FabricSampler {
     hotspot: HotspotConfig,
-    tapped: Arc<Mutex<TapState>>,
+    ladder: ScalingAccum,
+    pairs: BTreeSet<(u32, u32)>,
     links: Vec<(String, LinkSeries)>,
 }
 
@@ -95,22 +77,21 @@ impl FabricSampler {
     pub fn with_hotspot(hotspot: HotspotConfig) -> FabricSampler {
         FabricSampler {
             hotspot,
-            tapped: Arc::new(Mutex::new(TapState::new())),
+            ladder: ScalingAccum::new(BIN_NS, &SCALES),
+            pairs: BTreeSet::new(),
             links: Vec::new(),
         }
     }
 
-    /// A frame tap feeding the matrix ladder. Frames must reach it in
-    /// time order, as one run captures them; [`ScalingAccum`] panics on
-    /// one that goes back in time. Detaching (dropping) a tap is always
-    /// safe — the report just sees fewer frames.
-    pub fn tap(&self) -> FrameTap {
-        let shared = Arc::clone(&self.tapped);
-        Box::new(move |r| {
-            let mut tapped = shared.lock();
-            tapped.ladder.record(r.time.as_nanos(), r.src.0, r.dst.0);
-            tapped.pairs.insert((r.src.0, r.dst.0));
-        })
+    /// Count a run's captured trace into the matrix ladder and the set
+    /// of host pairs. Rows must be in time order, as one run captures
+    /// them; [`ScalingAccum`] panics on one that goes back in time.
+    pub fn ingest_trace<R: TraceRows + ?Sized>(&mut self, rows: &R) {
+        for i in 0..rows.len() {
+            let r = rows.get(i);
+            self.ladder.record(r.time.as_nanos(), r.src.0, r.dst.0);
+            self.pairs.insert((r.src.0, r.dst.0));
+        }
     }
 
     /// Take in a run's per-link sample series. Labels keep the
@@ -182,12 +163,11 @@ impl FabricSampler {
 
     /// Fold everything observed into the finished weather report.
     pub fn finalize(self, spec: Option<&TopologySpec>) -> WeatherReport {
-        let tapped = std::mem::replace(&mut *self.tapped.lock(), TapState::new());
         let roll = rollup(&self.links, spec, &self.hotspot);
         WeatherReport {
             links: self.links,
-            pairs: tapped.pairs.len(),
-            scaling: tapped.ladder.finalize(),
+            pairs: self.pairs.len(),
+            scaling: self.ladder.finalize(),
             rollup: roll,
         }
     }
@@ -216,13 +196,9 @@ mod tests {
     }
 
     #[test]
-    fn tap_feeds_matrices_and_links_feed_rings() {
+    fn trace_feeds_matrices_and_links_feed_rings() {
         let mut sampler = FabricSampler::new();
-        let mut tap = sampler.tap();
-        tap(&rec(0, 0, 1, 100));
-        tap(&rec(0, 1, 0, 60));
-        tap(&rec(12, 0, 1, 100));
-        drop(tap);
+        sampler.ingest_trace(&[rec(0, 0, 1, 100), rec(0, 1, 0, 60), rec(12, 0, 1, 100)][..]);
 
         let mut series = LinkSeries::new();
         series.window_at(SimTime::from_millis(0)).bytes = 160;

@@ -2,8 +2,9 @@
 //!
 //! One small fixed run — SOR honest and 2DFFT over-driving a claim of
 //! 1/8 of its true bursts, on two switches joined by an oversubscribed
-//! 10 Mb/s trunk, with the watcher, causal capture, the frame tap and
-//! per-link sampling all attached — is exported every way the
+//! 10 Mb/s trunk, with the watcher, causal capture and per-link
+//! sampling all attached, its weather map read from the captured trace
+//! after the run — is exported every way the
 //! artifacts are written: the rollup and scaling JSON of
 //! `fabric_health.json`, the weather JSONL, the Perfetto critical-path
 //! slices and weather counter tracks, and the cause DAG, critical
@@ -72,7 +73,6 @@ fn exports() -> (Vec<(&'static str, String)>, TelemetryRegistry) {
     let mut spec = TopologySpec::two_switches_trunk(9, RATE_100M);
     spec.trunks[0].rate_bps = RATE_10M;
     spec.attachments = (0..9).map(|h| h % 2).collect();
-    let sampler = FabricSampler::new();
     let out = TestbedBuilder::paper()
         .seed(1998)
         .topology(spec.clone())
@@ -93,11 +93,11 @@ fn exports() -> (Vec<(&'static str, String)>, TelemetryRegistry) {
                 .with_claim_scale(0.125),
         )
         .watch()
-        .tap(sampler.tap())
         .sample_links(true)
         .run();
 
-    let mut sampler = sampler;
+    let mut sampler = FabricSampler::new();
+    sampler.ingest_trace(&out.store);
     sampler.ingest_links(out.link_stats.as_ref().expect("link sampling on"));
     let causal = out.causal.as_ref().expect("causal capture on");
     sampler.ingest_causal(&causal.events, &out.store, Some(&spec));

@@ -1,9 +1,11 @@
-//! The weather map's non-perturbation contract, end to end: attaching
-//! the full sampler (frame tap + per-link sampling + causal capture)
-//! to a kernel run leaves the promiscuous packet trace byte-identical,
-//! on the shared segment and on the oversubscribed two-switch fabric,
-//! across seeds — while still producing a populated report, and the
-//! causal capture's records are that trace, row for row.
+//! The weather map's non-perturbation contract, end to end: turning on
+//! what the sampler reads beside the trace (per-link sampling and
+//! causal capture) for a kernel run leaves the promiscuous packet trace
+//! byte-identical, on the shared segment and on the oversubscribed
+//! two-switch fabric, across seeds — while the sampler, fed the trace,
+//! the link series and the causal capture after the run, still produces
+//! a populated report, and the causal capture's records are that trace,
+//! row for row.
 
 use fxnet::TestbedBuilder;
 use fxnet_apps::KernelKind;
@@ -60,11 +62,10 @@ fn sampler_attach_detach_leaves_traces_byte_identical() {
                 let tb = b.build();
                 let plain = tb.run_kernel(kernel, 200).unwrap();
 
-                let sampler = FabricSampler::new();
                 let opts = RunOptions {
-                    tap: Some(sampler.tap()),
                     causal: true,
                     sample_links: true,
+                    ..RunOptions::default()
                 };
                 let sampled = tb.run_kernel_opts(kernel, 200, opts).unwrap();
 
@@ -87,7 +88,8 @@ fn sampler_attach_detach_leaves_traces_byte_identical() {
                 // And the observability side actually observed: link
                 // windows and matrices fed, totals conserved against the
                 // trace.
-                let mut sampler = sampler;
+                let mut sampler = FabricSampler::new();
+                sampler.ingest_trace(&sampled.trace[..]);
                 let stats = sampled.link_stats.as_ref().expect("link stats on");
                 sampler.ingest_links(stats);
                 sampler.ingest_causal(events, &sampled.trace[..], spec.as_ref());
@@ -151,7 +153,7 @@ fn sampler_attach_detach_leaves_traces_byte_identical() {
                 }
                 assert_eq!(
                     report.scaling[0].total_packets, traced,
-                    "tap saw every delivered frame exactly once"
+                    "the ladder counted every delivered frame exactly once"
                 );
             }
         }

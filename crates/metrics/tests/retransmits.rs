@@ -18,17 +18,17 @@ fn lossy(spec: Option<&TopologySpec>) -> (WeatherReport, u64) {
     if let Some(spec) = spec {
         b = b.topology(spec.clone());
     }
-    let sampler = FabricSampler::new();
     let opts = RunOptions {
-        tap: Some(sampler.tap()),
         causal: true,
         sample_links: true,
+        ..RunOptions::default()
     };
     let run = b
         .build()
         .run_kernel_opts(KernelKind::Fft2d, 200, opts)
         .unwrap();
-    let mut sampler = sampler;
+    let mut sampler = FabricSampler::new();
+    sampler.ingest_trace(&run.trace[..]);
     sampler.ingest_links(run.link_stats.as_ref().expect("link sampling on"));
     let events = &run.causal.as_ref().expect("causal capture on").events;
     assert_eq!(

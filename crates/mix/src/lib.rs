@@ -33,7 +33,11 @@
 //!    each tenant's traffic against the contract it *claimed* at
 //!    admission while the run is still in flight, emitting latched
 //!    `ContractViolation` events with flight-recorder dumps; results
-//!    surface through [`MixOutcome::watch`].
+//!    surface through [`MixOutcome::watch`]. The watcher is the run's
+//!    one live observer: the `fxnet-metrics` weather map reads the
+//!    outcome after the run — the shared trace ([`MixOutcome::store`]),
+//!    the per-link series ([`Mix::sample_links`]) and the causal
+//!    capture ([`Mix::causal`]).
 //!
 //! ```
 //! use fxnet_fx::SpmdConfig;

@@ -177,7 +177,6 @@ pub struct Mix {
     watch: bool,
     causal: bool,
     sample_links: bool,
-    tap: Option<FrameTap>,
 }
 
 impl Mix {
@@ -192,7 +191,6 @@ impl Mix {
             watch: false,
             causal: false,
             sample_links: false,
-            tap: None,
         }
     }
 
@@ -241,16 +239,6 @@ impl Mix {
         self
     }
 
-    /// Attach an external promiscuous frame tap (e.g. the
-    /// `fxnet-metrics` weather-map sampler) to the mixed run. Composes
-    /// with any [`Mix::watch`] watcher — the watcher observes first,
-    /// then the external tap. Observational only: the trace stays
-    /// byte-identical.
-    pub fn tap(mut self, tap: FrameTap) -> Mix {
-        self.tap = Some(tap);
-        self
-    }
-
     /// Admit, co-execute, demux, and analyze.
     pub fn run(self) -> MixOutcome {
         let Mix {
@@ -261,7 +249,6 @@ impl Mix {
             watch,
             causal,
             sample_links,
-            tap: user_tap,
         } = self;
 
         // Admission, in arrival order: the residual shrinks as each
@@ -341,16 +328,9 @@ impl Mix {
                 .collect();
             Arc::new(Mutex::new(StreamWatch::new(contracts, host_owner)))
         });
-        let tap: Option<FrameTap> = match (watcher.clone(), user_tap) {
-            (Some(w), Some(mut u)) => Some(Box::new(move |r: &FrameRecord| {
-                w.lock().expect("watch tap").observe(r);
-                u(r);
-            })),
-            (Some(w), None) => Some(Box::new(move |r: &FrameRecord| {
-                w.lock().expect("watch tap").observe(r)
-            })),
-            (None, u) => u,
-        };
+        let tap = watcher.clone().map(|w| -> FrameTap {
+            Box::new(move |r: &FrameRecord| w.lock().expect("watch tap").observe(r))
+        });
 
         let mut multi = run(
             cfg.clone(),

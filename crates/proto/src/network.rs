@@ -9,7 +9,7 @@ use bytes::Bytes;
 use fxnet_sim::{
     ethernet::Delivery, CausalEvent, CauseId, EtherBus, EtherConfig, EtherStats, EventQueue, Frame,
     FrameKind, FrameMeta, FrameRecord, FrameTap, HostId, LinkStats, NicId, ProtoCause, SimRng,
-    SimTime, BUS_LINK, RATE_10M,
+    SimTime, BUS_LINK,
 };
 use fxnet_topo::{CompositeFabric, TopologySpec};
 /// Maximum TCP payload per segment (1500 B MTU − 40 B headers).
@@ -24,9 +24,9 @@ pub const MAX_UDP: usize = 1472;
 pub enum LinkKind {
     /// Single CSMA/CD collision domain (the measured environment).
     SharedBus,
-    /// One store-and-forward switch with a full-duplex 10 Mb/s port per
-    /// host: [`TopologySpec::single_switch`] over however many hosts the
-    /// stack is built with.
+    /// One store-and-forward switch with a full-duplex port per host at
+    /// the configured `ether.bandwidth_bps`: [`TopologySpec::single_switch`]
+    /// over however many hosts the stack is built with.
     Switched,
     /// A compiled multi-segment topology: segments, switches, routers,
     /// and trunks (`fxnet-topo`). A single-segment spec reproduces the
@@ -304,7 +304,10 @@ impl Network {
         // `Switched` learns its port count here, as `SharedBus` does.
         let spec = match &cfg.link {
             LinkKind::SharedBus => None,
-            LinkKind::Switched => Some(TopologySpec::single_switch(hosts as u32, RATE_10M)),
+            LinkKind::Switched => Some(TopologySpec::single_switch(
+                hosts as u32,
+                cfg.ether.bandwidth_bps,
+            )),
             LinkKind::Topology(spec) => Some(spec.clone()),
         };
         let fabric = match spec {
@@ -465,7 +468,7 @@ impl Network {
     pub fn connect(&mut self, a: HostId, b: HostId, now: SimTime) -> ConnId {
         assert_ne!(a, b, "loopback connections never reach the wire");
         let id = ConnId(self.conns.len() as u32);
-        self.conns.push(TcpConn::new(a, b, now));
+        self.conns.push(TcpConn::new(a, b));
         let tok = self.token(TokenInfo::Syn { conn: id, stage: 0 });
         self.tcp_stats.syn_frames += 1;
         self.fabric
@@ -1391,7 +1394,7 @@ mod tests {
     fn capture_links() -> [LinkKind; 2] {
         [
             LinkKind::SharedBus,
-            LinkKind::Topology(TopologySpec::two_switches_trunk(4, RATE_10M)),
+            LinkKind::Topology(TopologySpec::two_switches_trunk(4, fxnet_sim::RATE_10M)),
         ]
     }
 

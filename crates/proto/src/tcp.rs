@@ -1,7 +1,7 @@
 //! TCP connection state.
 
 use bytes::Bytes;
-use fxnet_sim::{CauseId, HostId, SimTime};
+use fxnet_sim::{CauseId, HostId};
 use std::collections::VecDeque;
 
 /// Identifier of an established (or establishing) TCP connection.
@@ -102,20 +102,16 @@ pub(crate) struct TcpConn {
     pub state: ConnState,
     pub ab: Half,
     pub ba: Half,
-    /// Time the connection was initiated, for diagnostics.
-    #[allow(dead_code)]
-    pub opened: SimTime,
 }
 
 impl TcpConn {
-    pub(crate) fn new(a: HostId, b: HostId, opened: SimTime) -> TcpConn {
+    pub(crate) fn new(a: HostId, b: HostId) -> TcpConn {
         TcpConn {
             a,
             b,
             state: ConnState::SynSent,
             ab: Half::new(),
             ba: Half::new(),
-            opened,
         }
     }
 
@@ -185,7 +181,7 @@ mod tests {
 
     #[test]
     fn conn_direction_mapping() {
-        let c = TcpConn::new(HostId(3), HostId(7), SimTime::ZERO);
+        let c = TcpConn::new(HostId(3), HostId(7));
         assert_eq!(c.src(Dir::AtoB), HostId(3));
         assert_eq!(c.dst(Dir::AtoB), HostId(7));
         assert_eq!(c.src(Dir::BtoA), HostId(7));

@@ -3,9 +3,8 @@
 //! The hot paths of `fxnet-sim` and the SPMD engine historically aborted
 //! with `panic!`/`unwrap`; a parallel harness cannot afford that — one
 //! poisoned worker would take the whole sweep down. [`FxnetError`] is the
-//! single error vocabulary shared by every layer: the simulator (queue
-//! underflow, capacity), the engine (invalid config, deadlock, runaway
-//! clocks), and trace persistence (I/O).
+//! single error vocabulary shared by every layer: the engine (invalid
+//! config, deadlock, runaway clocks) and trace persistence (I/O).
 //!
 //! Display strings are stable: the deprecated panicking wrappers format
 //! an error with `{}` and `panic!` with the result, so callers that
@@ -20,11 +19,6 @@ pub enum FxnetError {
     /// A configuration that cannot be simulated (p = 0, hosts < p,
     /// empty group list, zero bandwidth, ...).
     InvalidConfig(String),
-    /// A fixed-capacity structure overflowed (NIC queue, token table).
-    CapacityExceeded(String),
-    /// An event queue was popped while empty, or an internal invariant
-    /// about pending events failed.
-    QueueUnderflow(String),
     /// No rank can run and the network is idle: the SPMD program is
     /// deadlocked (e.g. a `recv` nobody will ever satisfy).
     Deadlock(String),
@@ -46,8 +40,6 @@ impl std::fmt::Display for FxnetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FxnetError::InvalidConfig(s) => write!(f, "invalid configuration: {s}"),
-            FxnetError::CapacityExceeded(s) => write!(f, "capacity exceeded: {s}"),
-            FxnetError::QueueUnderflow(s) => write!(f, "queue underflow: {s}"),
             FxnetError::Deadlock(s) => {
                 write!(f, "SPMD deadlock: no runnable rank and network idle\n{s}")
             }

@@ -23,7 +23,7 @@
 
 // Nothing in this crate uses `parking_lot`; Cargo.toml declares it only
 // because `benchmark/Cargo.lock` pins this crate's dependency list and the
-// benchmark runs `--locked` (ROADMAP item 3 drops it at the next re-lock).
+// benchmark runs `--locked` (ROADMAP item 1 drops it at the next re-lock).
 pub mod profile;
 pub mod prometheus;
 pub mod registry;

@@ -8,9 +8,11 @@
 //! Measures 2DFFT, fits models keeping 1..64 spikes, shows the
 //! reconstruction error converging, then synthesizes a packet trace from
 //! the 16-spike model and compares its spectrum with the measured one.
+//! The synthesizer takes no settings: it integrates the model over the
+//! paper's 10 ms window and emits full Ethernet frames plus one
+//! remainder per window, from host 0 to host 1.
 
 use fxnet::sim::SimRng;
-use fxnet::spectral::generate::SynthConfig;
 use fxnet::spectral::{synthesize_trace, FourierModel};
 use fxnet::trace::{Periodogram, TraceStore};
 use fxnet::{KernelKind, SimTime, Testbed};
@@ -45,7 +47,6 @@ fn main() {
     let synth = synthesize_trace(
         &model,
         SimTime::from_secs_f64(series.len() as f64 * 0.01),
-        &SynthConfig::default(),
         &mut rng,
     );
     let synth_series = TraceStore::from_records(&synth)

@@ -3,8 +3,9 @@
 
 use fxnet::pvm::MessageBuilder;
 use fxnet::qos::{AppDescriptor, QosNetwork};
+use fxnet::sim::RATE_100M;
 use fxnet::trace::TraceStore;
-use fxnet::{KernelKind, SimTime, Testbed, TestbedBuilder};
+use fxnet::{KernelKind, SimTime, Testbed, TestbedBuilder, TopologySpec};
 
 #[test]
 fn switched_fabric_speeds_up_the_all_to_all() {
@@ -63,6 +64,20 @@ fn switched_fabric_preserves_results_and_periodicity() {
     );
     // No collisions exist on a switch.
     assert_eq!(sw.ether.collisions, 0);
+}
+
+#[test]
+fn switched_fabric_runs_at_the_configured_bandwidth() {
+    // The switch's ports run at the LAN's bit rate: at 100 Mb/s,
+    // `switched_fabric` is the one-switch topology at 100 Mb/s, frame
+    // for frame.
+    let run = |b: TestbedBuilder| b.build().run_kernel(KernelKind::Fft2d, 25).unwrap();
+    let fast = || TestbedBuilder::quiet(4).bandwidth_bps(RATE_100M);
+    let hosts = Testbed::quiet(4).config().hosts;
+    let switched = run(fast().switched_fabric());
+    let spec = run(fast().topology(TopologySpec::single_switch(hosts, RATE_100M)));
+    assert_eq!(switched.trace, spec.trace);
+    assert_eq!(switched.finished_at, spec.finished_at);
 }
 
 #[test]

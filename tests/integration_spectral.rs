@@ -2,7 +2,6 @@
 //! regenerated traffic, plus the parallel-vs-media contrast.
 
 use fxnet::sim::SimRng;
-use fxnet::spectral::generate::SynthConfig;
 use fxnet::spectral::{
     cbr_trace, hurst_aggregated_variance, onoff_vbr_trace, self_similar_trace, synthesize_trace,
     FourierModel,
@@ -73,7 +72,6 @@ fn regenerated_traffic_reproduces_the_periodicity() {
     let synth = synthesize_trace(
         &model,
         SimTime::from_secs_f64(series.len() as f64 * 0.01),
-        &SynthConfig::default(),
         &mut rng,
     );
     assert!(!synth.is_empty());

@@ -24,7 +24,7 @@ fn run(kernel: KernelKind) -> &'static RunResult<u64> {
     cell.get_or_init(|| {
         TestbedBuilder::paper()
             .seed(1998)
-            .telemetry()
+            .telemetry_enabled(true)
             .build()
             .run_kernel(kernel, div)
             .unwrap()
@@ -35,13 +35,13 @@ fn run(kernel: KernelKind) -> &'static RunResult<u64> {
 fn same_seed_runs_produce_identical_telemetry_json() {
     let a = TestbedBuilder::paper()
         .seed(1998)
-        .telemetry()
+        .telemetry_enabled(true)
         .build()
         .run_kernel(KernelKind::Hist, 20)
         .unwrap();
     let b = TestbedBuilder::paper()
         .seed(1998)
-        .telemetry()
+        .telemetry_enabled(true)
         .build()
         .run_kernel(KernelKind::Hist, 20)
         .unwrap();
@@ -59,7 +59,7 @@ fn telemetry_does_not_perturb_the_trace() {
         .unwrap();
     let tele = TestbedBuilder::paper()
         .seed(7)
-        .telemetry()
+        .telemetry_enabled(true)
         .build()
         .run_kernel(KernelKind::Hist, 20)
         .unwrap();
