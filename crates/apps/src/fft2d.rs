@@ -12,8 +12,7 @@
 
 use crate::checksum_f32;
 use fxnet_fx::{BlockDist, RankCtx};
-use fxnet_numerics::fft::{fft, fft_flops};
-use fxnet_numerics::Complex;
+use fxnet_numerics::fft::{fft_flops, fft_rows};
 use fxnet_pvm::MessageBuilder;
 
 /// 2DFFT kernel parameters.
@@ -47,24 +46,6 @@ pub fn initial_block(n: usize, lo: usize, hi: usize) -> Vec<f32> {
         }
     }
     v
-}
-
-/// Normalized (1/N) in-place FFT over every length-`n` row of an
-/// interleaved-complex block. Normalization keeps iterated runs bounded
-/// in `f32` without changing the traffic.
-pub fn fft_rows(block: &mut [f32], n: usize) {
-    let scale = 1.0 / n as f64;
-    let mut buf = vec![Complex::ZERO; n];
-    for row in block.chunks_exact_mut(2 * n) {
-        for (b, pair) in buf.iter_mut().zip(row.chunks_exact(2)) {
-            *b = Complex::new(f64::from(pair[0]), f64::from(pair[1]));
-        }
-        fft(&mut buf);
-        for (b, pair) in buf.iter().zip(row.chunks_exact_mut(2)) {
-            pair[0] = (b.re * scale) as f32;
-            pair[1] = (b.im * scale) as f32;
-        }
-    }
 }
 
 /// Copy the sub-block (rows `r0..r1` of this rank's block starting at
@@ -183,6 +164,7 @@ pub fn fft2d_sequential(p: &FftParams, np: usize) -> Vec<u64> {
 mod tests {
     use super::*;
     use fxnet_fx::{run_single, RunOptions, SpmdConfig};
+    use fxnet_numerics::{fft, Complex};
 
     fn cfg(p: u32) -> SpmdConfig {
         let mut c = SpmdConfig {

@@ -10,9 +10,9 @@
 //! clean.
 
 use crate::checksum_f32;
-use crate::fft2d::{fft_rows, initial_block, scatter_transposed};
+use crate::fft2d::{initial_block, scatter_transposed};
 use fxnet_fx::{BlockDist, RankCtx};
-use fxnet_numerics::fft::fft_flops;
+use fxnet_numerics::fft::{fft_flops, fft_rows};
 use fxnet_pvm::MessageBuilder;
 
 /// T2DFFT kernel parameters.

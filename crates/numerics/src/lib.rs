@@ -3,9 +3,11 @@
 //! The dense-matrix numerics the measured Fx programs actually perform,
 //! implemented from scratch:
 //!
-//! * [`Complex`] and an iterative radix-2 [`fft()`] — used both by the
-//!   2DFFT/T2DFFT kernels and by the trace analysis (the periodogram of
-//!   the instantaneous bandwidth is `|FFT|²`).
+//! * [`Complex`] and one iterative radix-2 FFT kernel over split `re`/`im`
+//!   arrays, fed two ways: [`fft_rows`] transforms the interleaved `f32`
+//!   rows of the 2DFFT/T2DFFT kernels, and [`fft()`]/[`ifft()`] transform
+//!   `Complex` slices for the trace analysis (the periodogram of the
+//!   instantaneous bandwidth is `|FFT|²`).
 //! * [`sor`] — the 5-point successive-overrelaxation stencil.
 //! * [`hist`] — local histograms and the tree-merge operator.
 //! * [`linalg`] — dense LU factorization with partial pivoting plus
@@ -13,7 +15,7 @@
 //!   transport applies per layer and species.
 //! * [`Matrix`] — a minimal row-major dense matrix.
 //!
-//! The kernels are bit-stable across optimisation: the planned FFT and
+//! The kernels are bit-stable across optimisation: the split FFT and
 //! the multi-column backsolve ([`linalg::Lu::solve_many`]) return the
 //! bits of the textbook loops they replaced, which survive as test-only
 //! oracles beside them. The programs' rank checksums are pinned
@@ -45,5 +47,5 @@ pub mod matrix;
 pub mod sor;
 
 pub use complex::Complex;
-pub use fft::{fft, ifft};
+pub use fft::{fft, fft_rows, ifft};
 pub use matrix::Matrix;
