@@ -9,7 +9,7 @@
 
 use crate::checksum;
 use fxnet_fx::{BlockDist, RankCtx};
-use fxnet_numerics::sor::{sor_reference, sor_sweep_block};
+use fxnet_numerics::sor::{sor_reference, sor_sweep_in_place};
 use fxnet_pvm::MessageBuilder;
 
 /// SOR kernel parameters.
@@ -70,6 +70,7 @@ pub fn sor_rank(ctx: &mut RankCtx, p: &SorParams) -> u64 {
     let dist = BlockDist::new(p.n, np);
     let (lo, hi) = (dist.lo(me), dist.hi(me));
     let mut block: Vec<Vec<f64>> = (lo..hi).map(|r| initial_row(p.n, r)).collect();
+    let mut spare = Default::default();
 
     for step in 0..p.steps {
         // Communication phase: exchange boundary rows with neighbors.
@@ -99,7 +100,13 @@ pub fn sor_rank(ctx: &mut RankCtx, p: &SorParams) -> u64 {
         ctx.phase_end();
 
         // Local computation phase: one weighted-Jacobi sweep (memory-bound).
-        block = sor_sweep_block(&block, above.as_deref(), below.as_deref(), p.omega);
+        sor_sweep_in_place(
+            &mut block,
+            above.as_deref(),
+            below.as_deref(),
+            p.omega,
+            &mut spare,
+        );
         ctx.compute_mem((hi - lo) as u64 * p.n as u64 * p.bytes_per_point);
     }
 

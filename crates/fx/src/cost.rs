@@ -17,7 +17,7 @@
 //! Software messaging overheads (`per_message`, `per_write`) model the
 //! PVM library and socket syscall path.
 
-use fxnet_pvm::OutMessage;
+use fxnet_pvm::{OutMessage, WireMessage};
 use fxnet_sim::SimTime;
 
 /// Operation-count → simulated-duration model for one workstation.
@@ -64,9 +64,18 @@ impl CostModel {
     /// whole payload plus one write; multi-pack messages (T2DFFT) skip the
     /// copy but pay one write per fragment.
     pub fn send_overhead(&self, msg: &OutMessage) -> SimTime {
-        let writes = SimTime(self.per_write.as_nanos() * msg.frag_count() as u64);
-        if msg.frag_count() == 1 {
-            self.per_message + writes + self.mem(msg.payload_len() as u64)
+        self.overhead_of_writes(msg.frag_count(), msg.payload_len())
+    }
+
+    /// [`CostModel::send_overhead`] of the message once sealed.
+    pub(crate) fn sealed_send_overhead(&self, msg: &WireMessage) -> SimTime {
+        self.overhead_of_writes(msg.frag_count(), msg.payload_len())
+    }
+
+    fn overhead_of_writes(&self, frags: usize, payload: usize) -> SimTime {
+        let writes = SimTime(self.per_write.as_nanos() * frags as u64);
+        if frags == 1 {
+            self.per_message + writes + self.mem(payload as u64)
         } else {
             self.per_message + writes
         }

@@ -1,20 +1,24 @@
 //! The SPMD rank engine: rank threads around one sequencer.
 //!
 //! Each rank runs as an OS thread executing straight-line SPMD code
-//! against a [`RankCtx`] and *posts* its requests; one that carries
-//! nothing back (compute, send, barrier, span) returns at once. [`run`]
-//! is only the driver: it offers the posts to the crate's `sequencer`,
-//! which alone decides the order of every request and network event
-//! whatever order posts arrive in, hands its answers back to the ranks,
-//! parks while the sequencer needs a post it does not have, and joins
-//! the ranks. So two runs with the same configuration produce
-//! byte-identical packet traces however the host schedules the threads.
-//! [`DescheduleConfig`] injects the paper's §6 involuntary deschedules.
+//! against a [`RankCtx`] and *posts* its requests one-way: no post waits
+//! for its answer. A message's content goes rank to rank: `send` pushes
+//! it on a FIFO per (sender, receiver) before it posts, and `recv` takes
+//! it from there. So a rank waits only for a message's content and for
+//! its post budget (`POST_WINDOW` and the socket-buffer credit), never
+//! for the sequencer's verdict on a `recv`. [`run`] is only the driver:
+//! it offers the posts to the crate's `sequencer`, which alone keeps
+//! simulated time and decides the order of every request and network
+//! event whatever order posts arrive in, answers the posts, parks while
+//! the sequencer needs a post it does not have, and joins the ranks. So
+//! two runs with the same configuration produce byte-identical packet
+//! traces however the host schedules the threads. [`DescheduleConfig`]
+//! injects the paper's §6 involuntary deschedules.
 
 use crate::cost::CostModel;
 use crate::sequencer::{Request, Sequencer, Step};
 use crossbeam::channel::{unbounded, Sender};
-use fxnet_pvm::{Message, OutMessage, PvmConfig, TenantMap};
+use fxnet_pvm::{Message, OutMessage, PvmConfig, TenantMap, WireMessage};
 use fxnet_sim::{CausalEvent, CauseId, EtherStats, FrameRecord, FxnetError, FxnetResult, SimTime};
 use fxnet_telemetry::{RunTelemetry, SimProfile};
 use std::any::Any;
@@ -44,21 +48,13 @@ struct AnswerBox {
     /// The `answered` count the rank last waited for. A count already
     /// reached never matches again, so a stale `need` wakes nobody.
     need: AtomicU64,
-    /// The message answering the rank's `recv`, left before `answered`
-    /// counts it. Only ever replaced or taken whole, so a poisoned lock
-    /// still holds a valid value.
-    slot: Mutex<Option<Message>>,
     /// The rank's thread, set when it is spawned.
     rank: OnceLock<Thread>,
 }
 
 impl AnswerBox {
-    /// Driver side: answer the oldest unanswered post, with the message
-    /// a `recv` waits for.
-    fn answer(&self, msg: Option<Message>) {
-        if msg.is_some() {
-            *self.slot.lock().unwrap_or_else(PoisonError::into_inner) = msg;
-        }
+    /// Driver side: answer the oldest unanswered post.
+    fn answer(&self) {
         let answered = self.answered.fetch_add(1, SeqCst) + 1;
         if self.need.load(SeqCst) == answered {
             if let Some(rank) = self.rank.get() {
@@ -82,6 +78,58 @@ impl AnswerBox {
                 return (answered, parked);
             }
             parked = true;
+            std::thread::park();
+        }
+    }
+}
+
+/// The messages one rank sends another, in the order sent.
+///
+/// The sender pushes each message before it posts the send, so a message
+/// the sequencer has delivered is always here: push before post is what
+/// keeps a receiver from waiting on a sender that waits on the sequencer
+/// (DESIGN.md §7). A receiver that finds the queue empty leaves its
+/// thread in `parked` under the same lock and parks; the push that takes
+/// it unparks it, so no wakeup is lost and an unflagged receiver is never
+/// woken. The queue is only ever pushed or popped whole, so a poisoned
+/// lock still holds a valid value.
+#[derive(Default)]
+struct Pipe(Mutex<PipeState>);
+
+#[derive(Default)]
+struct PipeState {
+    queue: VecDeque<WireMessage>,
+    /// The receiver, while it waits for the queue's next message.
+    parked: Option<Thread>,
+}
+
+impl Pipe {
+    fn lock(&self) -> std::sync::MutexGuard<'_, PipeState> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Sender side: queue `msg`, waking its receiver if it waits.
+    fn push(&self, msg: WireMessage) {
+        let parked = {
+            let mut state = self.lock();
+            state.queue.push_back(msg);
+            state.parked.take()
+        };
+        if let Some(receiver) = parked {
+            receiver.unpark();
+        }
+    }
+
+    /// Receiver side: the next message, parking while there is none.
+    fn take(&self) -> WireMessage {
+        loop {
+            {
+                let mut state = self.lock();
+                if let Some(msg) = state.queue.pop_front() {
+                    return msg;
+                }
+                state.parked = Some(std::thread::current());
+            }
             std::thread::park();
         }
     }
@@ -246,6 +294,11 @@ pub struct RankCtx {
     tx: Sender<(u32, Post)>,
     bell: Arc<SequencerBell>,
     answers: Arc<AnswerBox>,
+    /// The group's pipes, the one from local rank `s` to local rank `d`
+    /// at `s * p + d`.
+    mesh: Arc<[Pipe]>,
+    /// Messages sent so far: the sequence word in the last one's headers.
+    sent: u32,
     /// Posts submitted so far, `recv`s included.
     posts: u64,
     /// Send `wire_len` of each post not yet seen answered, oldest first
@@ -386,36 +439,49 @@ impl RankCtx {
         self.post(Request::Compute(d), 0);
     }
 
+    /// The pipe from local rank `src` to local rank `dst`.
+    fn pipe(&self, src: u32, dst: u32) -> &Pipe {
+        &self.mesh[(src * self.p + dst) as usize]
+    }
+
     /// Send a message to `dst` (asynchronous, PVM semantics: the message
     /// is handed to the transport in program order).
     ///
-    /// A one-way post, so a rank runs ahead by at most one
-    /// [`SpmdConfig::socket_buf`] of sends: the blocking socket write the
-    /// sequencer models by holding a send while the host's TCP backlog
-    /// exceeds the buffer.
+    /// The message is sealed here, its fragment headers carrying this
+    /// rank's own message count as their sequence word, and queued for
+    /// `dst` before the send is posted. The post is one-way, so a rank
+    /// runs ahead by at most one [`SpmdConfig::socket_buf`] of sends: the
+    /// blocking socket write the sequencer models by holding a send while
+    /// the host's TCP backlog exceeds the buffer.
     pub fn send(&mut self, dst: u32, msg: OutMessage) {
         assert!(dst < self.p && dst != self.rank);
-        let dst = self.base + dst;
+        self.sent = self.sent.wrapping_add(1);
+        let msg = msg.seal(self.base + self.rank, self.sent);
+        // Push before post: the post may wait for the sequencer, which
+        // may in turn wait for the receiver, which needs this message.
+        self.pipe(self.rank, dst).push(msg.clone());
         let bytes = msg.wire_len() as u64;
+        let dst = self.base + dst;
         self.post(Request::Send { dst, msg }, bytes);
     }
 
-    /// Block until a message from `src` arrives.
+    /// The next message from `src`, waiting until `src` has sent it.
+    ///
+    /// The `recv` is posted one-way like a send; the content comes from
+    /// the sender, not from the sequencer, which charges the wait and the
+    /// receive overhead to this rank's simulated clock at the delivery
+    /// time. The message is the one the direct route reassembles: the
+    /// same tag, source and body on either route, and the sender's
+    /// fragment count (the daemon route re-fragments on the wire).
     pub fn recv(&mut self, src: u32) -> Message {
         assert!(src < self.p && src != self.rank);
-        let src = self.base + src;
-        self.submit(Ok(Request::Recv { src }));
-        self.posts += 1;
-        self.unanswered.push_back(0);
-        self.drain();
-        // The driver answers a `recv` only by leaving its message in the
-        // slot, and this rank takes each message once.
-        self.answers
-            .slot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-            .expect("a recv is answered with its message")
+        self.post(
+            Request::Recv {
+                src: self.base + src,
+            },
+            0,
+        );
+        self.pipe(src, self.rank).take().message()
     }
 
     /// Barrier across the ranks of this rank's group.
@@ -626,10 +692,12 @@ pub(crate) fn sequencer<T>(
 ///
 /// A run that fails, at spawning or sequencing, or re-raises a rank's
 /// panic, abandons the rank threads by dropping their handles: a rank
-/// waiting for an answer parks on its answer box forever, and one still
-/// running finds the channel closed and parks at its next wait. Leaking
-/// the threads is the accepted cost of an error; a panicking teardown
-/// would spray every rank's panic output over the caller's terminal.
+/// waiting for answers parks on its answer box forever, one waiting for a
+/// message that will never be sent parks on its pipe forever, and one
+/// still running finds the channel closed and parks at its next wait.
+/// Leaking the threads is the accepted cost of an error; a panicking
+/// teardown would spray every rank's panic output over the caller's
+/// terminal.
 pub(crate) fn drive<T>(
     cfg: SpmdConfig,
     groups: Vec<GroupSpec<T>>,
@@ -648,6 +716,7 @@ where
     });
     let (mut boxes, mut handles, mut base) = (Vec::new(), Vec::new(), 0);
     for g in &groups {
+        let mesh: Arc<[Pipe]> = (0..g.p * g.p).map(|_| Pipe::default()).collect();
         for local in 0..g.p {
             let answer_box = Arc::new(AnswerBox::default());
             let mut ctx = RankCtx {
@@ -660,6 +729,8 @@ where
                 tx: req_tx.clone(),
                 bell: Arc::clone(&bell),
                 answers: Arc::clone(&answer_box),
+                mesh: Arc::clone(&mesh),
+                sent: 0,
                 posts: 0,
                 unanswered: VecDeque::new(),
                 unanswered_bytes: 0,
@@ -722,8 +793,8 @@ where
         let t0 = seq.cfg.telemetry.then(Instant::now);
         let need = match seq.step()? {
             Step::Ran { class, answers } => {
-                for (rank, msg) in answers {
-                    boxes[rank].answer(msg);
+                for rank in answers {
+                    boxes[rank].answer();
                 }
                 if let Some(t0) = t0 {
                     profile.record(class, t0.elapsed());
@@ -1099,10 +1170,11 @@ mod tests {
     #[test]
     fn recv_ping_pong_beside_a_streaming_sender_never_loses_a_wakeup() {
         // Ranks 0 and 1 play 20,000 round trips, each rank parking on its
-        // answer box for every message, while rank 2 streams sends
-        // against a 1000 B socket buffer and parks whenever its credit
-        // runs out. A wakeup lost by either park protocol hangs the test;
-        // repeating it gives the race more chances.
+        // pipe for every message, while rank 2 streams sends against a
+        // 1000 B socket buffer and parks on its answer box whenever its
+        // credit runs out, and the driver parks for posts. A wakeup lost
+        // by any of the three park protocols hangs the test; repeating it
+        // gives the race more chances.
         const ROUND_TRIPS: u32 = 20_000;
         const STREAMED: u32 = 5_000;
         for _ in 0..3 {
@@ -1138,6 +1210,32 @@ mod tests {
                 (f64::from(ROUND_TRIPS), f64::from(STREAMED))
             );
         }
+    }
+
+    #[test]
+    fn a_send_that_overfills_the_buffer_reaches_a_receiver_at_the_horizon() {
+        // Rank 0's one 1224 B send overfills a 1000 B socket buffer, so
+        // its post waits for the send's answer, which comes only when the
+        // receiver's delayed ACK, 200 ms on, drains the buffer. Rank 1's
+        // recv is answered at the delivery, long before: it is then the
+        // horizon, and the sequencer waits for its next post. Rank 1 can
+        // make one only with the message in hand. Had the send pushed it
+        // after posting, each rank would wait for the other, and this
+        // test would hang.
+        let mut cfg = quiet_cfg(2);
+        cfg.socket_buf = 1000;
+        let res = run_one(cfg, |ctx| {
+            if ctx.rank() == 0 {
+                ctx.send(1, f64_msg(7, &[0.5; 150]));
+                0.0
+            } else {
+                let m = ctx.recv(0);
+                ctx.compute_time(SimTime::from_millis(1));
+                m.reader().f64s(150).iter().sum()
+            }
+        });
+        assert_eq!(res.results, [0.0, 75.0]);
+        assert!(res.finished_at >= SimTime::from_millis(200));
     }
 
     #[test]

@@ -21,9 +21,12 @@
 //!   as a real OS thread executing straight-line SPMD code (`compute` /
 //!   `send` / `recv` / `barrier` on a [`RankCtx`]), while a conservative
 //!   sequencer on the calling thread interleaves rank progress with the
-//!   network simulation in global simulated-time order. Two runs with
-//!   the same seed produce byte-identical packet traces, and per-run
-//!   state is fully owned, so independent runs may execute concurrently.
+//!   network simulation in global simulated-time order. A message's
+//!   content goes from the sending rank's thread to the receiving one's;
+//!   the sequencer pushes the same message through the network and keeps
+//!   only its timing. Two runs with the same seed produce byte-identical
+//!   packet traces, and per-run state is fully owned, so independent runs
+//!   may execute concurrently.
 //!   One or many programs (tenants) per run; [`RunOptions`] carries the
 //!   frame tap, telemetry, deschedule, and causal-capture hooks.
 //! * Optional *deschedule injection* — reproducing the paper's

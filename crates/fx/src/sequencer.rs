@@ -22,7 +22,7 @@
 
 use crate::engine::{AppOp, CausalRun, DescheduleConfig, RunResult};
 use crate::engine::{GroupSpec, RunOptions, SpmdConfig};
-use fxnet_pvm::{Message, MsgDelivery, OutMessage, PvmSystem, TaskId, TenantMap};
+use fxnet_pvm::{MsgDelivery, PvmSystem, TaskId, TenantMap, WireMessage};
 use fxnet_sim::{CauseId, FxnetError, FxnetResult, SimRng, SimTime};
 use fxnet_telemetry::{EventClass, RunTelemetry, SpanKind, SpanRecord, TelemetryRegistry};
 use std::collections::{HashMap, VecDeque};
@@ -33,7 +33,7 @@ pub(crate) enum Request {
     Compute(SimTime),
     Send {
         dst: u32,
-        msg: OutMessage,
+        msg: WireMessage,
     },
     Recv {
         src: u32,
@@ -47,16 +47,13 @@ pub(crate) enum Request {
     Done,
 }
 
-/// An answer to a rank's oldest unanswered request: the global rank and,
-/// for a `recv`, its message.
-pub(crate) type Answer = (usize, Option<Message>);
-
 /// What one [`Sequencer::step`] did.
 pub(crate) enum Step<'a> {
-    /// It made one decision of `class`, which answered these requests.
+    /// It made one decision of `class`, which answered the oldest
+    /// unanswered request of each of these global ranks.
     Ran {
         class: EventClass,
-        answers: std::vec::Drain<'a, Answer>,
+        answers: std::vec::Drain<'a, usize>,
     },
     /// Only this global rank's next request can decide the next step.
     NeedPost(usize),
@@ -117,10 +114,10 @@ impl Rank {
         }
     }
 
-    /// The resume rule: answer the rank's request at `at`, with the
-    /// message a `recv` waits for. A blocked interval ends at `at`, as a
-    /// span of the kind of the state the rank leaves.
-    fn resume(&mut self, at: SimTime, msg: Option<Message>, answers: &mut Vec<Answer>) {
+    /// The resume rule: answer the rank's request at `at`. A blocked
+    /// interval ends at `at`, as a span of the kind of the state the rank
+    /// leaves.
+    fn resume(&mut self, at: SimTime, answers: &mut Vec<usize>) {
         self.clock = at;
         if let Some(begin) = self.blocked_since.take() {
             let kind = match self.state {
@@ -133,7 +130,7 @@ impl Rank {
             self.span(kind, kind.label(), begin);
         }
         self.state = RankState::Waiting;
-        answers.push((self.id as usize, msg));
+        answers.push(self.id as usize);
     }
 
     /// Close a span of `kind` that began at `begin`, at the rank's clock.
@@ -193,15 +190,21 @@ pub(crate) struct Sequencer {
     starts: Vec<SimTime>,
     /// Indexed by global rank.
     ranks: Vec<Rank>,
-    /// Delivered messages no `recv` has taken yet, per (src, dst).
-    mailbox: HashMap<(u32, u32), VecDeque<(SimTime, Message)>>,
+    /// The delivery time and body length of each delivered message no
+    /// `recv` has taken yet, per (src, dst). The bodies travel rank to
+    /// rank; a `recv` here needs only when and how long.
+    mailbox: HashMap<(u32, u32), VecDeque<(SimTime, usize)>>,
     mailbox_len: usize,
     mailbox_high_water: usize,
     /// Per group, the ranks blocked in its barrier.
     barrier_waiters: Vec<Vec<usize>>,
     deliveries: Vec<MsgDelivery>,
-    /// The answers of the current step.
-    answers: Vec<Answer>,
+    /// The global ranks answered in the current step.
+    answers: Vec<usize>,
+    /// Each posted message not yet delivered, per (src, dst), as its
+    /// receiver reassembles it: every delivery is checked against it.
+    #[cfg(debug_assertions)]
+    posted: HashMap<(u32, u32), VecDeque<fxnet_pvm::Message>>,
     /// Causal ops; empty when capture is off.
     ops: Vec<AppOp>,
     /// Steps per class, in `EventClass::ALL` order.
@@ -244,6 +247,8 @@ impl Sequencer {
             mailbox_high_water: 0,
             deliveries: Vec::new(),
             answers: Vec::new(),
+            #[cfg(debug_assertions)]
+            posted: HashMap::new(),
             ops: Vec::new(),
             event_counts: [0; EventClass::ALL.len()],
             cfg,
@@ -346,12 +351,14 @@ impl Sequencer {
                 if cfg.telemetry {
                     rk.span(SpanKind::Compute, "compute", begin);
                 }
-                rk.resume(rk.clock, None, answers);
+                rk.resume(rk.clock, answers);
                 EventClass::Compute
             }
             Request::Send { dst, msg } => {
-                let t_wire = rk.clock + cfg.cost.send_overhead(&msg);
+                let t_wire = rk.clock + cfg.cost.sealed_send_overhead(&msg);
                 let src = TaskId(rk.id);
+                #[cfg(debug_assertions)]
+                (self.posted.entry((rk.id, dst)).or_default()).push_back(msg.message());
                 if self.causal {
                     let phase = if rk.open_spans.is_empty() {
                         0
@@ -370,7 +377,7 @@ impl Sequencer {
                         wire_bytes,
                     });
                 } else {
-                    pvm.send(t_wire, src, TaskId(dst), msg);
+                    pvm.send_caused(t_wire, src, TaskId(dst), msg, CauseId::NONE);
                 }
                 // A blocking socket write: the rank stalls while its
                 // host's TCP backlog exceeds the socket buffer.
@@ -378,16 +385,16 @@ impl Sequencer {
                     rk.clock = t_wire;
                     rk.block(RankState::BlockedSend, cfg.telemetry);
                 } else {
-                    rk.resume(t_wire, None, answers);
+                    rk.resume(t_wire, answers);
                 }
                 EventClass::Send
             }
             Request::Recv { src } => {
                 let queued = (self.mailbox.get_mut(&(src, rk.id))).and_then(VecDeque::pop_front);
-                if let Some((t_d, msg)) = queued {
+                if let Some((t_d, len)) = queued {
                     self.mailbox_len -= 1;
-                    let at = rk.clock.max(t_d) + cfg.cost.recv_overhead(msg.body.len());
-                    rk.resume(at, Some(msg), answers);
+                    let at = rk.clock.max(t_d) + cfg.cost.recv_overhead(len);
+                    rk.resume(at, answers);
                 } else {
                     rk.block(RankState::BlockedRecv(src), cfg.telemetry);
                 }
@@ -406,7 +413,7 @@ impl Sequencer {
                         .fold(SimTime::ZERO, SimTime::max)
                         + cfg.cost.per_message;
                     for w in waiters.drain(..) {
-                        ranks[w].resume(t, None, answers);
+                        ranks[w].resume(t, answers);
                     }
                 }
                 EventClass::Barrier
@@ -414,14 +421,14 @@ impl Sequencer {
             Request::SpanBegin(name) => {
                 rk.phase_seq += 1;
                 rk.open_spans.push((name, rk.clock));
-                rk.resume(rk.clock, None, answers);
+                rk.resume(rk.clock, answers);
                 EventClass::Span
             }
             Request::SpanEnd => {
                 if let Some((name, begin)) = rk.open_spans.pop() {
                     rk.span(SpanKind::Collective, name, begin);
                 }
-                rk.resume(rk.clock, None, answers);
+                rk.resume(rk.clock, answers);
                 EventClass::Span
             }
             // The pass over the records retires `Done` without making the
@@ -453,12 +460,15 @@ impl Sequencer {
         self.deliveries.clear();
         let event_time = pvm.advance(&mut self.deliveries);
         for d in self.deliveries.drain(..) {
+            #[cfg(debug_assertions)]
+            check_delivery(&mut self.posted, &d, cfg.pvm.route);
             let rk = &mut ranks[d.dst.0 as usize];
+            let len = d.msg.body.len();
             if rk.state == RankState::BlockedRecv(d.src.0) {
-                let at = rk.clock.max(d.time) + cfg.cost.recv_overhead(d.msg.body.len());
-                rk.resume(at, Some(d.msg), &mut self.answers);
+                let at = rk.clock.max(d.time) + cfg.cost.recv_overhead(len);
+                rk.resume(at, &mut self.answers);
             } else {
-                (self.mailbox.entry((d.src.0, d.dst.0)).or_default()).push_back((d.time, d.msg));
+                (self.mailbox.entry((d.src.0, d.dst.0)).or_default()).push_back((d.time, len));
                 self.mailbox_len += 1;
                 self.mailbox_high_water = self.mailbox_high_water.max(self.mailbox_len);
             }
@@ -469,7 +479,7 @@ impl Sequencer {
                 if rk.state == RankState::BlockedSend
                     && pvm.sender_backlog(TaskId(rk.id)) <= cfg.socket_buf
                 {
-                    rk.resume(rk.clock.max(t), None, &mut self.answers);
+                    rk.resume(rk.clock.max(t), &mut self.answers);
                 }
             }
         }
@@ -589,6 +599,28 @@ impl Sequencer {
     }
 }
 
+/// Check that `d` is the oldest message its sender posted to its receiver
+/// and not yet delivered: the one its receiver took rank to rank. The
+/// daemon route re-fragments a message, so only the direct route keeps
+/// the sender's fragment count.
+#[cfg(debug_assertions)]
+fn check_delivery(
+    posted: &mut HashMap<(u32, u32), VecDeque<fxnet_pvm::Message>>,
+    d: &MsgDelivery,
+    route: fxnet_pvm::Route,
+) {
+    let key = (d.src.0, d.dst.0);
+    let sent = (posted.get_mut(&key)).and_then(VecDeque::pop_front);
+    let sent = sent.unwrap_or_else(|| panic!("{key:?} delivered a message nobody posted"));
+    let got = &d.msg;
+    let same = (sent.tag, sent.src_task, &sent.body) == (got.tag, got.src_task, &got.body);
+    let frags_kept = route == fxnet_pvm::Route::Daemon || sent.n_frags == got.n_frags;
+    assert!(
+        same && frags_kept,
+        "{key:?} delivered {got:?}, but its sender posted {sent:?}"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,7 +638,7 @@ mod tests {
 
     fn step(seq: &mut Sequencer) -> Did {
         match seq.step().expect("the program is sound") {
-            Step::Ran { class, answers } => Did::Ran(class, answers.map(|(r, _)| r).collect()),
+            Step::Ran { class, answers } => Did::Ran(class, answers.collect()),
             Step::NeedPost(r) => Did::Need(r),
             Step::NeedAnyPost => Did::NeedAny,
             Step::Finished => Did::Finished,
@@ -653,7 +685,7 @@ mod tests {
         );
 
         // The rest of the program runs to its end with no other request.
-        let msg = MessageBuilder::new(0).finish();
+        let msg = MessageBuilder::new(0).finish().seal(2, 1);
         seq.offer(2, Request::Send { dst: 1, msg });
         for r in [1, 2, 0] {
             seq.offer(r, Request::Done);

@@ -29,9 +29,10 @@ use crate::engine::{drive, sequencer};
 use crate::sequencer::{Request, Step as Decision};
 use crate::SpmdConfig;
 use crate::{run, AppOp, DescheduleConfig, GroupSpec, RankCtx, RunOptions, RunResult};
-use fxnet_pvm::{Message, MessageBuilder, Route};
+use fxnet_pvm::{Message, MessageBuilder, Route, WireMessage};
 use fxnet_sim::{CausalEvent, FrameRecord, SimRng, SimTime};
 use fxnet_telemetry::{EventClass, SpanRecord, TelemetryRegistry};
+use std::collections::{HashMap, VecDeque};
 
 /// One statement of a generated SPMD program; every rank of a group runs
 /// the same list.
@@ -435,15 +436,22 @@ type StepLog = Vec<(EventClass, usize)>;
 
 /// Replay `logs` on a sequencer of no threads, offering requests in an
 /// order `rng` draws. Each rank's requests go in program order, and one
-/// after a `recv` only once that `recv` is answered, as a rank's thread
-/// would post it. An order offers eagerly or only when the sequencer
-/// starves, or anything between. Each rank's result is refolded from the
-/// messages its `recv`s were answered with, as the program folds them.
+/// after a `recv` only once the rank holds that `recv`'s message, as a
+/// rank's thread would post it. A send is two moves, as on a thread: its
+/// message goes on the receiver's pipe, then the send is offered, so a
+/// receiver may run on before the send reaches the sequencer. An order
+/// offers eagerly or only when the sequencer starves, or anything
+/// between. Each rank's result is refolded from the messages it took from
+/// its pipes, as the program folds them.
 fn replay(sc: &Scenario, logs: &[Vec<Request>], rng: &mut SimRng) -> (StepLog, RunResult<u64>) {
     let (specs, opts) = specs(sc);
     let mut seq = sequencer(sc.cfg.clone(), &specs, opts).expect("valid config");
     let n = logs.len();
-    let (mut next, mut in_recv) = (vec![0; n], vec![false; n]);
+    let mut next = vec![0; n];
+    // The rank a rank waits in `recv` for, and whether a rank's next
+    // request, a send, has its message on the pipe already.
+    let (mut in_recv, mut pushed) = (vec![None::<usize>; n], vec![false; n]);
+    let mut pipes: HashMap<(usize, usize), VecDeque<WireMessage>> = HashMap::new();
     let mut ranks: Vec<Rank> = (0..n)
         .map(|_| Rank {
             acc: FNV_OFFSET,
@@ -453,20 +461,21 @@ fn replay(sc: &Scenario, logs: &[Vec<Request>], rng: &mut SimRng) -> (StepLog, R
     let eagerness = rng.below(5);
     let mut steps = StepLog::new();
     loop {
+        for (r, waits) in in_recv.iter_mut().enumerate() {
+            let Some(src) = *waits else { continue };
+            if let Some(msg) = pipes.get_mut(&(src, r)).and_then(VecDeque::pop_front) {
+                fold(&mut ranks[r], &msg.message());
+                *waits = None;
+            }
+        }
         let open: Vec<usize> = (0..n)
-            .filter(|&r| !in_recv[r] && next[r] < logs[r].len())
+            .filter(|&r| in_recv[r].is_none() && next[r] < logs[r].len())
             .collect();
         if open.is_empty() || rng.below(4) >= eagerness {
             match seq.step().expect("the threaded run succeeded") {
                 Decision::Ran { class, answers } => {
                     steps.push((class, usize::MAX));
-                    for (r, msg) in answers {
-                        steps.push((class, r));
-                        if let Some(m) = msg {
-                            fold(&mut ranks[r], &m);
-                            in_recv[r] = false;
-                        }
-                    }
+                    steps.extend(answers.map(|r| (class, r)));
                     continue;
                 }
                 Decision::NeedPost(_) | Decision::NeedAnyPost => {
@@ -477,7 +486,17 @@ fn replay(sc: &Scenario, logs: &[Vec<Request>], rng: &mut SimRng) -> (StepLog, R
         }
         let r = open[rng.below(open.len() as u64) as usize];
         let req = logs[r][next[r]].clone();
-        in_recv[r] = matches!(req, Request::Recv { .. });
+        match &req {
+            Request::Send { dst, msg } if !pushed[r] => {
+                let pipe = pipes.entry((r, *dst as usize)).or_default();
+                pipe.push_back(msg.clone());
+                pushed[r] = true;
+                continue;
+            }
+            Request::Recv { src } => in_recv[r] = Some(*src as usize),
+            _ => {}
+        }
+        pushed[r] = false;
         next[r] += 1;
         seq.offer(r, req);
     }

@@ -15,29 +15,53 @@ pub fn sor_sweep_block(
     below: Option<&[f64]>,
     omega: f64,
 ) -> Vec<Vec<f64>> {
-    let m = rows.len();
-    let n = rows[0].len();
     let mut out = rows.to_vec();
+    sor_sweep_in_place(&mut out, above, below, omega, &mut Default::default());
+    out
+}
+
+/// [`sor_sweep_block`] in place. Each row is swept into a spare row that
+/// then takes its place, so the pre-sweep row above is the only copy
+/// kept: memory is the block plus the two rows of `spare`, which keep
+/// their buffers from sweep to sweep, so a sweep allocates nothing once
+/// they have grown to `n`.
+pub fn sor_sweep_in_place(
+    rows: &mut [Vec<f64>],
+    above: Option<&[f64]>,
+    below: Option<&[f64]>,
+    omega: f64,
+    spare: &mut [Vec<f64>; 2],
+) {
+    let (m, n) = (rows.len(), rows[0].len());
+    let [prev, next] = spare;
+    prev.resize(n, 0.0);
+    next.resize(n, 0.0);
     for i in 0..m {
-        let up: Option<&[f64]> = if i == 0 { above } else { Some(&rows[i - 1]) };
-        let down: Option<&[f64]> = if i + 1 == m {
+        // Row `i − 1` before the sweep is `prev`; row `i + 1` is not
+        // swept yet.
+        let up = if i == 0 { above } else { Some(&prev[..]) };
+        let down = if i + 1 == m {
             below
         } else {
-            Some(&rows[i + 1])
+            Some(&rows[i + 1][..])
         };
         // Boundary rows of the global domain are fixed.
-        let (up, down) = match (up, down) {
-            (Some(u), Some(d)) => (u, d),
-            _ => continue,
+        let (Some(up), Some(down)) = (up, down) else {
+            prev.copy_from_slice(&rows[i]);
+            continue;
         };
-        let row = &rows[i];
-        let o = &mut out[i];
+        let (up, down, row, out) = (&up[..n], &down[..n], &rows[i][..n], &mut next[..n]);
+        out[0] = row[0];
+        out[n - 1] = row[n - 1];
         for j in 1..n - 1 {
             let neighbors = up[j] + down[j] + row[j - 1] + row[j + 1];
-            o[j] = row[j] + omega * 0.25 * (neighbors - 4.0 * row[j]);
+            out[j] = row[j] + omega * 0.25 * (neighbors - 4.0 * row[j]);
         }
+        // The swept row goes in, the row as it was becomes `prev`, and
+        // the old `prev` is the next row's scratch.
+        std::mem::swap(&mut rows[i], next);
+        std::mem::swap(prev, next);
     }
-    out
 }
 
 /// Sequential reference: sweep the whole `n × n` grid `steps` times with
@@ -58,6 +82,88 @@ pub fn sor_reference(grid: &mut [Vec<f64>], omega: f64, steps: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The sweep as it was before it ran in place: the oracle.
+    fn copying_sweep(
+        rows: &[Vec<f64>],
+        above: Option<&[f64]>,
+        below: Option<&[f64]>,
+        omega: f64,
+    ) -> Vec<Vec<f64>> {
+        let m = rows.len();
+        let n = rows[0].len();
+        let mut out = rows.to_vec();
+        for i in 0..m {
+            let up: Option<&[f64]> = if i == 0 { above } else { Some(&rows[i - 1]) };
+            let down: Option<&[f64]> = if i + 1 == m {
+                below
+            } else {
+                Some(&rows[i + 1])
+            };
+            let (up, down) = match (up, down) {
+                (Some(u), Some(d)) => (u, d),
+                _ => continue,
+            };
+            let row = &rows[i];
+            let o = &mut out[i];
+            for j in 1..n - 1 {
+                let neighbors = up[j] + down[j] + row[j - 1] + row[j + 1];
+                o[j] = row[j] + omega * 0.25 * (neighbors - 4.0 * row[j]);
+            }
+        }
+        out
+    }
+
+    fn bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        rows.iter()
+            .map(|r| r.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// A row of width `n` seeded by `seed`, with signed zeros, subnormals
+    /// and ordinary values mixed in.
+    fn odd_row(n: usize, seed: u64) -> Vec<f64> {
+        let sub = f64::MIN_POSITIVE / 4.0;
+        (0..n as u64)
+            .map(|j| match (j * 7 + seed * 13) % 9 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => sub * (j + 1) as f64,
+                3 => -sub,
+                4 => f64::from_bits(1),
+                _ => ((j * 31 + seed * 17) % 23) as f64 * 0.37 - 4.0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn in_place_sweeps_equal_the_copying_sweep_to_the_bit() {
+        let n = 19;
+        let halo_a = odd_row(n, 100);
+        let halo_b = odd_row(n, 200);
+        for m in [1, 2, 3, 8] {
+            for (above, below) in [
+                (Some(&halo_a[..]), Some(&halo_b[..])),
+                (None, Some(&halo_b[..])),
+                (Some(&halo_a[..]), None),
+                (None, None),
+            ] {
+                for omega in [1.0, 1.7, 0.3] {
+                    let mut block: Vec<Vec<f64>> = (0..m).map(|i| odd_row(n, i as u64)).collect();
+                    let mut want = block.clone();
+                    let mut spare = Default::default();
+                    for sweep in 0..20 {
+                        want = copying_sweep(&want, above, below, omega);
+                        sor_sweep_in_place(&mut block, above, below, omega, &mut spare);
+                        assert_eq!(bits(&block), bits(&want), "m {m}, ω {omega}, sweep {sweep}");
+                    }
+                    let swept = sor_sweep_block(&block, above, below, omega);
+                    let want = copying_sweep(&want, above, below, omega);
+                    assert_eq!(bits(&swept), bits(&want));
+                }
+            }
+        }
+    }
 
     /// Residual of the Laplace equation over the interior: max |Δu|.
     fn laplace_residual(grid: &[Vec<f64>]) -> f64 {

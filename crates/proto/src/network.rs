@@ -416,19 +416,15 @@ impl Network {
     /// connections. This models the sender-side socket buffer occupancy a
     /// blocking `write` checks against.
     pub fn host_tcp_backlog(&self, h: HostId) -> u64 {
-        let half_backlog = |half: &crate::tcp::Half| -> u64 {
-            let unsent: usize = half.sndq.iter().map(|c| c.data.len() - c.sent).sum();
-            unsent as u64 + half.inflight()
-        };
         self.conns
             .iter()
             .map(|c| {
                 let mut b = 0;
                 if c.a == h {
-                    b += half_backlog(&c.ab);
+                    b += c.ab.backlog();
                 }
                 if c.b == h {
-                    b += half_backlog(&c.ba);
+                    b += c.ba.backlog();
                 }
                 b
             })
@@ -500,14 +496,13 @@ impl Network {
             return;
         }
         let dir = self.conns[conn.0 as usize].dir_from(from);
-        self.conns[conn.0 as usize]
-            .half_mut(dir)
-            .sndq
-            .push_back(WriteChunk {
-                data,
-                sent: 0,
-                cause,
-            });
+        let half = self.conns[conn.0 as usize].half_mut(dir);
+        half.written += data.len() as u64;
+        half.sndq.push_back(WriteChunk {
+            data,
+            sent: 0,
+            cause,
+        });
         self.try_emit(conn, dir, now);
     }
 
@@ -1150,6 +1145,56 @@ mod tests {
         let ev = n.run_to_idle();
         assert_eq!(collect_tcp_data(&ev), payload, "stream must survive loss");
         assert!(n.total_retransmits() > 0, "loss must have triggered GBN");
+    }
+
+    #[test]
+    fn backlog_counts_unsent_and_unacked_bytes_through_retransmits() {
+        // Both hosts write on one lossy connection and on one to a third
+        // host, event by event: the running count must equal the sum over
+        // every queued chunk and in-flight segment, go-back-N included.
+        let cfg = NetConfig {
+            ether: EtherConfig {
+                drop_prob: 0.2,
+                ..EtherConfig::default()
+            },
+            rto: SimTime::from_millis(300),
+            ..NetConfig::default()
+        };
+        let mut n = Network::new(cfg, 3);
+        let c01 = n.connect(HostId(0), HostId(1), SimTime::ZERO);
+        let c02 = n.connect(HostId(0), HostId(2), SimTime::ZERO);
+        let summed = |n: &Network, h: HostId| -> u64 {
+            let half = |x: &crate::tcp::Half| {
+                let unsent: usize = x.sndq.iter().map(|c| c.data.len() - c.sent).sum();
+                unsent as u64 + x.inflight()
+            };
+            let of =
+                |c: &TcpConn| u64::from(c.a == h) * half(&c.ab) + u64::from(c.b == h) * half(&c.ba);
+            n.conns.iter().map(of).sum()
+        };
+        for i in 0..20u64 {
+            let t = SimTime::from_millis(i * 40);
+            n.tcp_write(
+                c01,
+                HostId(0),
+                Bytes::from(vec![1u8; 3000 + 97 * i as usize]),
+                t,
+            );
+            n.tcp_write(c01, HostId(1), Bytes::from(vec![2u8; 700]), t);
+            n.tcp_write(c02, HostId(0), Bytes::from(vec![3u8; 1460]), t);
+        }
+        let mut events = Vec::new();
+        let mut peak = 0;
+        while n.advance(&mut events).is_some() {
+            for h in 0..3 {
+                let backlog = n.host_tcp_backlog(HostId(h));
+                assert_eq!(backlog, summed(&n, HostId(h)), "host {h}");
+                peak = peak.max(backlog);
+            }
+        }
+        assert!(n.total_retransmits() > 0, "loss must have triggered GBN");
+        assert!(peak > 0);
+        assert!((0..3).all(|h| n.host_tcp_backlog(HostId(h)) == 0));
     }
 
     #[test]

@@ -44,6 +44,9 @@ pub(crate) struct WriteChunk {
 pub(crate) struct Half {
     /// Pending application writes not yet fully segmented.
     pub sndq: VecDeque<WriteChunk>,
+    /// Bytes of every application write so far; those not yet segmented
+    /// are `written − snd_next`.
+    pub written: u64,
     /// Next sequence number to assign (bytes since connection start).
     pub snd_next: u64,
     /// Highest cumulative ACK received.
@@ -71,6 +74,7 @@ impl Half {
     pub(crate) fn new() -> Half {
         Half {
             sndq: VecDeque::new(),
+            written: 0,
             snd_next: 0,
             snd_acked: 0,
             unacked: VecDeque::new(),
@@ -86,6 +90,19 @@ impl Half {
     /// Bytes in flight (sent and not yet acknowledged).
     pub(crate) fn inflight(&self) -> u64 {
         self.snd_next - self.snd_acked
+    }
+
+    /// Bytes written and not yet acknowledged: the unsent ones plus those
+    /// in flight, `(written − snd_next) + (snd_next − snd_acked)`.
+    pub(crate) fn backlog(&self) -> u64 {
+        debug_assert_eq!(
+            self.written - self.snd_next,
+            (self.sndq.iter())
+                .map(|c| (c.data.len() - c.sent) as u64)
+                .sum::<u64>(),
+            "unsent bytes"
+        );
+        self.written - self.snd_acked
     }
 
     /// Whether the sender has queued data not yet emitted.

@@ -43,6 +43,6 @@ pub mod message;
 pub mod system;
 pub mod tenancy;
 
-pub use message::{Message, MessageBuilder, MessageReader, OutMessage, FRAG_HEADER};
+pub use message::{Message, MessageBuilder, MessageReader, OutMessage, WireMessage, FRAG_HEADER};
 pub use system::{MsgDelivery, PvmConfig, PvmStats, PvmSystem, Route, TaskId};
 pub use tenancy::{TenantMap, TenantSlice};

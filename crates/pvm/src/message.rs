@@ -9,9 +9,10 @@
 //! overhead + 24 B header + 8 B data), matching Figure 3's SEQ maximum.
 //!
 //! A payload byte is copied once on the way out: a `pack_*` call writes
-//! it behind `FRAG_HEADER` bytes of headroom, [`OutMessage::into_wire`]
-//! stamps the header into that headroom, and the fragment's buffer is the
-//! wire [`Bytes`]. On the way in, [`StreamParser`] slices a fragment that
+//! it behind `FRAG_HEADER` bytes of headroom, [`OutMessage::seal`] stamps
+//! the header into that headroom, and the fragment's buffer is the wire
+//! [`Bytes`], kept in a [`WireMessage`] that the transport and the
+//! receiver share. On the way in, [`StreamParser`] slices a fragment that
 //! arrives whole inside one chunk, copies only a fragment that spans
 //! chunks, and concatenates a multi-fragment body once.
 
@@ -154,8 +155,8 @@ impl MessageBuilder {
 
 /// A finished outbound message: an application tag plus its fragment
 /// list. Each fragment buffer holds `FRAG_HEADER` bytes of headroom and
-/// then its data; [`OutMessage::into_wire`] turns the buffers into the
-/// wire fragments without copying them.
+/// then its data; [`OutMessage::seal`] turns the buffers into the wire
+/// fragments without copying them.
 #[derive(Debug, Clone)]
 pub struct OutMessage {
     pub tag: i32,
@@ -178,16 +179,11 @@ impl OutMessage {
         self.frags.iter().map(Vec::len).sum()
     }
 
-    /// The data of each fragment, in order.
-    pub(crate) fn payloads(&self) -> impl Iterator<Item = &[u8]> {
-        self.frags.iter().map(|f| &f[FRAG_HEADER..])
-    }
-
     /// The wire fragments (header + data) for transmission from
     /// `src_task` with message sequence number `seq`: each header is
     /// stamped into its fragment's headroom, and each fragment's buffer
     /// becomes its [`Bytes`] without a copy.
-    pub fn into_wire(self, src_task: u32, seq: u32) -> impl ExactSizeIterator<Item = Bytes> {
+    pub(crate) fn into_wire(self, src_task: u32, seq: u32) -> impl ExactSizeIterator<Item = Bytes> {
         // `finish` leaves at least one fragment, empty messages included.
         let last = self.frags.len() - 1;
         let tag = self.tag;
@@ -205,6 +201,74 @@ impl OutMessage {
                 stamp_header(&mut frag, seq, flags, tag, src_task);
                 Bytes::from(frag)
             })
+    }
+
+    /// The message as it goes on the wire from `src_task`, with message
+    /// sequence number `seq`: each fragment's header is stamped into its
+    /// headroom, and each fragment's buffer becomes its [`Bytes`] without
+    /// a copy, shared by the transport and the receiver.
+    pub fn seal(self, src_task: u32, seq: u32) -> WireMessage {
+        WireMessage {
+            tag: self.tag,
+            src_task,
+            frags: self.into_wire(src_task, seq).collect(),
+        }
+    }
+}
+
+/// A message its sender has stamped for the wire: each fragment's header
+/// is written and its buffer frozen into a [`Bytes`]. A clone shares the
+/// fragments, so the transport and the receiver can both hold them
+/// without a payload byte being copied.
+#[derive(Debug, Clone)]
+pub struct WireMessage {
+    pub(crate) tag: i32,
+    pub(crate) src_task: u32,
+    /// Header plus data of each fragment, in order.
+    pub(crate) frags: Vec<Bytes>,
+}
+
+impl WireMessage {
+    /// Number of fragments, i.e. of socket writes on the direct route.
+    pub fn frag_count(&self) -> usize {
+        self.frags.len()
+    }
+
+    /// Total payload bytes (excluding wire headers).
+    pub fn payload_len(&self) -> usize {
+        self.wire_len() - FRAG_HEADER * self.frags.len()
+    }
+
+    /// Bytes this message occupies on the TCP stream, headers included.
+    pub fn wire_len(&self) -> usize {
+        self.frags.iter().map(Bytes::len).sum()
+    }
+
+    /// The data of each fragment, in order.
+    pub(crate) fn payloads(&self) -> impl Iterator<Item = &[u8]> {
+        self.frags.iter().map(|f| &f[FRAG_HEADER..])
+    }
+
+    /// The message as the direct route reassembles it at the receiver. A
+    /// one-fragment body is a slice of the fragment's buffer; a longer
+    /// one is their concatenation, as [`StreamParser`] builds it.
+    pub fn message(&self) -> Message {
+        let body = match &self.frags[..] {
+            [one] => one.slice(FRAG_HEADER..),
+            _ => {
+                let mut body = Vec::with_capacity(self.payload_len());
+                for data in self.payloads() {
+                    body.extend_from_slice(data);
+                }
+                Bytes::from(body)
+            }
+        };
+        Message {
+            tag: self.tag,
+            src_task: self.src_task,
+            n_frags: self.frags.len() as u32,
+            body,
+        }
     }
 }
 
@@ -290,7 +354,7 @@ struct FragHeader {
 
 impl FragHeader {
     fn parse(h: &[u8]) -> FragHeader {
-        // Every stream is written by `into_wire` and read in order, so a
+        // Every stream is written by `seal` and read in order, so a
         // wrong magic means the parser lost its place: a bug, not input.
         assert_eq!(le_u32(h, 0), MAGIC, "stream desynchronized");
         FragHeader {
@@ -534,6 +598,32 @@ mod tests {
         let packed: Vec<*const u8> = out.frags.iter().map(|f| f.as_ptr()).collect();
         let wire: Vec<*const u8> = out.into_wire(0, 1).map(|w| w.as_ptr()).collect();
         assert_eq!(wire, packed);
+    }
+
+    #[test]
+    fn a_sealed_message_keeps_the_builders_buffers_and_lends_them_its_body() {
+        // The receiver's body of a one-fragment message is the sender's
+        // wire buffer past the header; a longer body is their one
+        // concatenation, as the parser builds it.
+        let mut one = MessageBuilder::new(3);
+        one.pack_f64(&[1.0, 2.0]);
+        let one = one.finish();
+        let packed = one.frags[0].as_ptr();
+        let sealed = one.seal(5, 9);
+        assert_eq!(sealed.frags[0].as_ptr(), packed);
+        let m = sealed.message();
+        assert_eq!(m.body.as_ptr(), sealed.frags[0][FRAG_HEADER..].as_ptr());
+        assert_eq!((m.tag, m.src_task, m.n_frags), (3, 5, 1));
+        let mut two = MessageBuilder::new(4).multi_pack();
+        two.pack_bytes(&[7; 100]).pack_bytes(&[8; 50]);
+        let two = two.finish().seal(5, 10);
+        let wire: Vec<u8> = two.frags.iter().flat_map(|f| f.to_vec()).collect();
+        let parsed = StreamParser::new().feed(&Bytes::from(wire)).pop().unwrap();
+        assert_eq!(two.message(), parsed);
+        assert_eq!(
+            (two.frag_count(), two.payload_len(), two.wire_len()),
+            (2, 150, 150 + 2 * FRAG_HEADER)
+        );
     }
 
     #[test]

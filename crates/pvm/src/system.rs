@@ -1,7 +1,7 @@
 //! The PVM system: tasks, routing, daemons, and the event pump.
 
 use crate::message::{
-    le_u32, put_le_words, Message, MessageBuilder, OutMessage, StreamParser, MAGIC,
+    le_u32, put_le_words, Message, MessageBuilder, OutMessage, StreamParser, WireMessage, MAGIC,
 };
 use bytes::Bytes;
 use fxnet_proto::{AppEvent, ConnId, Dir, NetConfig, Network};
@@ -244,13 +244,18 @@ impl PvmSystem {
     }
 
     /// Send `msg` from `src` to `dst`, with fragment writes beginning at
-    /// simulated time `now`.
+    /// simulated time `now`. Its fragment headers carry the message's
+    /// number in this system.
     pub fn send(&mut self, now: SimTime, src: TaskId, dst: TaskId, msg: OutMessage) {
+        let msg = msg.seal(src.0, self.msg_seq + 1);
         self.send_caused(now, src, dst, msg, CauseId::NONE);
     }
 
-    /// [`PvmSystem::send`] with a causal tag: every transport byte of the
-    /// message carries `cause` down to the MAC. Returns the number of
+    /// [`PvmSystem::send`] of a message its sender has already stamped,
+    /// with a causal tag: every transport byte of the message carries
+    /// `cause` down to the MAC. The direct route writes the stamped
+    /// fragments as they are, whatever sequence word the sender chose
+    /// (reassembly never reads it). Returns the number of
     /// transport-payload bytes committed (message payload plus fragment
     /// headers — and, on the daemon route, the re-fragmented gram
     /// headers), which is what causal conservation checks against.
@@ -259,11 +264,12 @@ impl PvmSystem {
         now: SimTime,
         src: TaskId,
         dst: TaskId,
-        msg: OutMessage,
+        msg: WireMessage,
         cause: CauseId,
     ) -> u64 {
         // No connection or daemon pair exists from a host to itself.
         assert_ne!(src, dst, "self-sends are host-local IPC, never on the wire");
+        debug_assert_eq!(msg.src_task, src.0, "stamped by another task");
         self.msg_seq += 1;
         let seq = self.msg_seq;
         self.stats.messages_sent += 1;
@@ -275,7 +281,7 @@ impl PvmSystem {
                 let conn = self.direct_conn(ha, hb, now);
                 let stagger = self.cfg.frag_stagger;
                 self.stats.fragments_sent += msg.frag_count() as u64;
-                for (i, wire) in msg.into_wire(src.0, seq).enumerate() {
+                for (i, wire) in msg.frags.into_iter().enumerate() {
                     let t = now + SimTime(stagger.as_nanos() * i as u64);
                     transport_bytes += wire.len() as u64;
                     self.net.tcp_write_caused(conn, ha, wire, t, cause);
